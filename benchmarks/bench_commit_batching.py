@@ -35,7 +35,7 @@ perf gate's wall-clock budget (``check_regression.py`` enforces the
 import pytest
 
 from repro.workload import Table
-from repro.workload.sweep import commit_batching_scenario
+from repro.workload.scenarios import clean, run
 
 from benchmarks.common import once
 
@@ -43,7 +43,7 @@ from benchmarks.common import once
 @pytest.mark.benchmark(group="commit_batching")
 def test_batched_2pc_triples_write_throughput(benchmark):
     def experiment():
-        return [commit_batching_scenario(batching)
+        return [run("commit_batching", batching=batching)
                 for batching in (False, True)]
 
     rows = once(benchmark, experiment)
@@ -62,8 +62,8 @@ def test_batched_2pc_triples_write_throughput(benchmark):
     off, on = rows
     assert off["offered"] == on["offered"], "rows must offer equal load"
     for row in rows:
-        assert row["commit_rate"] == 1.0, \
-            f"coalescing must not change outcomes: {row}"
+        # Coalescing must not change outcomes.
+        assert clean("commit_batching", row) == [], row["batching"]
     # The batcher must actually engage: multi-action batches, and the
     # group-commit log must absorb most per-action forces.
     assert on["batched_items"] > 0 and on["mean_batch_size"] > 2.0, on
@@ -79,9 +79,9 @@ def test_batched_2pc_triples_write_throughput(benchmark):
 @pytest.mark.benchmark(group="commit_batching")
 def test_crash_mid_batch_holds_the_ledger(benchmark):
     def experiment():
-        return commit_batching_scenario(
-            True, clients=2, streams_per_client=32, txns_per_stream=8,
-            replication=2, churn=True, rpc_timeout=0.3)
+        return run("commit_batching", clients=2, streams_per_client=32,
+                   txns_per_stream=8, replication=2, churn=True,
+                   rpc_timeout=0.3)
 
     row = once(benchmark, experiment)
 
@@ -94,19 +94,16 @@ def test_crash_mid_batch_holds_the_ledger(benchmark):
                   row["stale_bindings"])
     table.show()
 
-    # Batches were actually in flight when the host died...
-    assert row["mean_batch_size"] > 1.5, row
-    # ...and the demux kept every batchmate's outcome correct: the
-    # victim's failure is excluded per entry, never spread batch-wide.
-    assert row["lost_bindings"] == 0, f"crash-mid-batch lost writes: {row}"
-    assert row["stale_bindings"] == 0, f"crash-mid-batch served stale: {row}"
-    assert row["commit_rate"] == 1.0, row
+    # Batches were in flight when the host died, and the demux kept
+    # every batchmate's outcome correct: the victim's failure is
+    # excluded per entry, never spread batch-wide.
+    assert clean("commit_batching", row) == []
 
 
 @pytest.mark.benchmark(group="commit_batching")
 def test_hundred_thousand_offered_ops_fit_the_wall_budget(benchmark):
     def experiment():
-        return commit_batching_scenario(True, txns_per_stream=400)
+        return run("commit_batching", txns_per_stream=400)
 
     row = once(benchmark, experiment)
 
@@ -119,7 +116,7 @@ def test_hundred_thousand_offered_ops_fit_the_wall_budget(benchmark):
     table.show()
 
     assert row["offered"] >= 100_000, row["offered"]
-    assert row["commit_rate"] == 1.0, row
+    assert clean("commit_batching", row) == []
     # Batching is what holds the wire volume: ~6 RPCs per committed
     # write instead of the baseline's ~14.
     assert row["rpcs_sent"] < row["offered"] * 8, row["rpcs_sent"]

@@ -14,7 +14,7 @@ interval anywhere in the pipeline: servers reject requests routed by a
 pre-transition ring view (``StaleRingEpoch``) and clients re-route,
 so the migration starts copying immediately -- the scale-out completes
 faster, and correctness rides the fence instead of a timer.  The
-``--plan`` mode (also run as a CI smoke) exercises the multi-host
+``plan=True`` rows (one is a CI smoke case) exercise the multi-host
 ``plan_rebalance``: 2->4 in *one* staged epoch.
 
 The acceptance shape (the row's correctness ledger must be all zeros):
@@ -35,41 +35,37 @@ The acceptance shape (the row's correctness ledger must be all zeros):
 import pytest
 
 from repro.workload import Table
-from repro.workload.sweep import online_reshard_scenario
+from repro.workload.scenarios import clean, run
 
 from benchmarks.common import once
 
+LOAD = dict(txns_per_client=60, reshard_at=4.0)
 
-def _ledger_is_clean(row):
-    assert row["lost_bindings"] == 0, row
-    assert row["stale_bindings"] == 0, row
-    assert row["aborted_for_routing"] == 0, row
-    assert row["misplaced_entries"] == 0, row
-    assert row["replica_disagreements"] == 0, row
-    assert row["commit_rate"] == 1.0, row
+
+def _phase_table(title, row, before, after):
+    table = Table(title, ["phase", "throughput (txn/s)", "lost", "stale",
+                          "routing aborts"])
+    table.add_row(f"before ({before} shards)", row["throughput_before"],
+                  "-", "-", "-")
+    table.add_row("during migration", row["throughput_during"], "-", "-", "-")
+    table.add_row(f"after ({after} shards)", row["throughput_after"],
+                  row["lost_bindings"], row["stale_bindings"],
+                  row["aborted_for_routing"])
+    table.show()
 
 
 @pytest.mark.benchmark(group="online_reshard")
 def test_scale_out_absorbs_load_without_losing_bindings(benchmark):
     def experiment():
-        return online_reshard_scenario(initial_shards=2, target_shards=4,
-                                       txns_per_client=60, reshard_at=4.0)
+        return run("online_reshard", **LOAD)
 
     row = once(benchmark, experiment)
+    _phase_table("S3: 2->4 scale-out under sustained load "
+                 "(24 clients, independent scheme; run p95/p99 "
+                 f"{row['p95_latency']:.3f}/{row['p99_latency']:.3f}s)",
+                 row, 2, 4)
 
-    table = Table("S3: 2->4 scale-out under sustained load "
-                  "(24 clients, independent scheme; run p95/p99 "
-                  f"{row['p95_latency']:.3f}/{row['p99_latency']:.3f}s)",
-                  ["phase", "throughput (txn/s)", "lost", "stale",
-                   "routing aborts"])
-    table.add_row("before (2 shards)", row["throughput_before"], "-", "-", "-")
-    table.add_row("during migration", row["throughput_during"], "-", "-", "-")
-    table.add_row("after (4 shards)", row["throughput_after"],
-                  row["lost_bindings"], row["stale_bindings"],
-                  row["aborted_for_routing"])
-    table.show()
-
-    _ledger_is_clean(row)
+    assert clean("online_reshard", row) == []
     assert row["shards_after"] == 4, row
     assert row["epochs"] == 2, row
     # The whole point of elastic growth: the 4-shard plateau must beat
@@ -86,23 +82,12 @@ def test_multi_host_plan_rebalance_is_one_epoch(benchmark):
     dual-ownership window, one copy pipeline, one flip -- with the same
     all-zeros ledger the per-host path must show."""
     def experiment():
-        return online_reshard_scenario(initial_shards=2, target_shards=4,
-                                       txns_per_client=60, reshard_at=4.0,
-                                       plan=True)
+        return run("online_reshard", plan=True, **LOAD)
 
     row = once(benchmark, experiment)
+    _phase_table("S3: 2->4 plan_rebalance (one epoch) under load", row, 2, 4)
 
-    table = Table("S3: 2->4 plan_rebalance (one epoch) under load",
-                  ["phase", "throughput (txn/s)", "lost", "stale",
-                   "routing aborts"])
-    table.add_row("before (2 shards)", row["throughput_before"], "-", "-", "-")
-    table.add_row("during migration", row["throughput_during"], "-", "-", "-")
-    table.add_row("after (4 shards)", row["throughput_after"],
-                  row["lost_bindings"], row["stale_bindings"],
-                  row["aborted_for_routing"])
-    table.show()
-
-    _ledger_is_clean(row)
+    assert clean("online_reshard", row) == []
     assert row["shards_after"] == 4, row
     assert row["epochs"] == 1, \
         "a plan moves every host in ONE migration epoch"
@@ -113,22 +98,13 @@ def test_multi_host_plan_rebalance_is_one_epoch(benchmark):
 @pytest.mark.benchmark(group="online_reshard")
 def test_drain_returns_capacity_without_losing_bindings(benchmark):
     def experiment():
-        return online_reshard_scenario(initial_shards=4, target_shards=2,
-                                       txns_per_client=60, reshard_at=4.0)
+        return run("online_reshard", initial_shards=4, target_shards=2,
+                   **LOAD)
 
     row = once(benchmark, experiment)
+    _phase_table("S3: 4->2 drain under sustained load", row, 4, 2)
 
-    table = Table("S3: 4->2 drain under sustained load",
-                  ["phase", "throughput (txn/s)", "lost", "stale",
-                   "routing aborts"])
-    table.add_row("before (4 shards)", row["throughput_before"], "-", "-", "-")
-    table.add_row("during migration", row["throughput_during"], "-", "-", "-")
-    table.add_row("after (2 shards)", row["throughput_after"],
-                  row["lost_bindings"], row["stale_bindings"],
-                  row["aborted_for_routing"])
-    table.show()
-
-    _ledger_is_clean(row)
+    assert clean("online_reshard", row) == []
     assert row["shards_after"] == 2, row
     assert row["epochs"] == 2, row
     # Draining trades capacity away on purpose; what it must never
@@ -136,42 +112,3 @@ def test_drain_returns_capacity_without_losing_bindings(benchmark):
     assert row["throughput_during"] > 0, row
     assert row["throughput_after"] > 0, row
 
-
-def _smoke_plan():  # pragma: no cover - exercised by CI, not pytest
-    """CI smoke: the multi-host plan under load, tiny parameters.
-
-    Fails loudly on ANY lost, stale-served, or misplaced binding, any
-    routing abort, or a plan that took more than one epoch.
-    """
-    row = online_reshard_scenario(initial_shards=2, target_shards=4,
-                                  clients=8, txns_per_client=14,
-                                  server_hosts=2, reshard_at=1.0, plan=True)
-    assert row["commit_rate"] == 1.0, row
-    assert row["lost_bindings"] == 0, f"lost bindings: {row}"
-    assert row["stale_bindings"] == 0, f"stale-served bindings: {row}"
-    assert row["aborted_for_routing"] == 0, f"routing aborts: {row}"
-    assert row["misplaced_entries"] == 0, row
-    assert row["replica_disagreements"] == 0, row
-    assert row["shards_after"] == 4, row
-    assert row["epochs"] == 1, f"a plan must be one epoch: {row}"
-    print(f"plan_rebalance smoke: {row['committed']}/{row['offered']} "
-          f"committed, 2->4 shards in {row['epochs']} epoch, "
-          f"throughput {row['throughput_before']:.1f} -> "
-          f"{row['throughput_after']:.1f} txn/s, "
-          f"{row['requests_fenced']} requests fenced, "
-          f"0 lost / 0 stale / 0 misplaced")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="online-resharding smoke runs")
-    parser.add_argument("--plan", action="store_true",
-                        help="run the multi-host plan_rebalance smoke "
-                             "(2->4 in one epoch) and assert the ledger")
-    args = parser.parse_args()
-    if args.plan:
-        _smoke_plan()
-    else:
-        parser.error("choose a smoke mode (--plan)")

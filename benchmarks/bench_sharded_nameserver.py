@@ -17,8 +17,8 @@ how the ring spread both the entries and the read traffic.
 
 import pytest
 
-from repro.workload import Table
-from repro.workload.sweep import sharded_nameserver_scenario, sweep
+from repro.workload import Table, sweep
+from repro.workload.scenarios import clean, run
 
 from benchmarks.common import once
 
@@ -29,7 +29,7 @@ SHARD_COUNTS = [1, 2, 4, 8]
 def test_sharding_scales_binding_throughput(benchmark):
     def experiment():
         return sweep(SHARD_COUNTS,
-                     lambda n: sharded_nameserver_scenario(n),
+                     lambda n: run("sharded_nameserver", shards=n),
                      label="shards")
 
     rows = once(benchmark, experiment)
@@ -50,8 +50,7 @@ def test_sharding_scales_binding_throughput(benchmark):
     # Every configuration must absorb the workload (sharding must not
     # cost correctness)...
     for row in rows:
-        assert row["commit_rate"] == 1.0, \
-            f"{row['shards']} shards: commit rate {row['commit_rate']}"
+        assert clean("sharded_nameserver", row) == [], row["shards"]
     # ...and committed throughput must rise monotonically from the
     # paper's single node through 4 shards, and keep (at least) that
     # level at 8 -- the acceptance shape for horizontal scaling.
@@ -67,7 +66,7 @@ def test_ring_spreads_traffic_not_just_entries(benchmark):
     """The win must come from the ring actually spreading db *calls*."""
 
     def experiment():
-        return sharded_nameserver_scenario(4)
+        return run("sharded_nameserver", shards=4)
 
     row = once(benchmark, experiment)
 
@@ -88,8 +87,8 @@ def test_all_schemes_work_sharded(benchmark, scheme):
     """All three binding schemes run unchanged against the ring."""
 
     def experiment():
-        return sharded_nameserver_scenario(3, clients=6, txns_per_client=3,
-                                           server_hosts=3, scheme=scheme)
+        return run("sharded_nameserver", shards=3, clients=6,
+                   txns_per_client=3, server_hosts=3, scheme=scheme)
 
     row = once(benchmark, experiment)
-    assert row["commit_rate"] == 1.0, (scheme, row)
+    assert clean("sharded_nameserver", row) == [], scheme

@@ -1,11 +1,11 @@
 """Shared machinery for the benchmark harness.
 
 Every benchmark regenerates one paper artefact (figure or analysed
-trade-off) as a printed table plus shape assertions; see DESIGN.md
-section 3 for the experiment index and EXPERIMENTS.md for recorded
-results.  Run with::
+trade-off) as a printed table plus shape assertions; the "Benchmarks"
+table in docs/architecture.md is the experiment index and
+benchmarks/results/ holds the recorded results.  Run one with::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks/bench_<name>.py -s
 
 Every experiment driven through :func:`once` is also recorded
 machine-readably: at session end ``benchmarks/conftest.py`` writes one
@@ -20,41 +20,15 @@ from __future__ import annotations
 from pathlib import PurePath
 from typing import Any
 
-from repro import (
-    DistributedSystem,
-    LockMode,
-    PersistentObject,
-    SingleCopyPassive,
-    SystemConfig,
-    operation,
-)
+from repro import DistributedSystem, SingleCopyPassive, SystemConfig
 from repro.sim.rng import SeededRng
 from repro.workload import TransactionStream, WorkloadReport, run_streams
+from repro.workload.scenario import Counter
 
 
-class BenchCounter(PersistentObject):
-    """The benchmark workload object."""
-
-    TYPE_NAME = "bench.Counter"
-
-    def __init__(self, uid, value=0):
-        super().__init__(uid)
-        self.value = value
-
-    def save_state(self, out):
-        out.pack_int(self.value)
-
-    def restore_state(self, state):
-        self.value = state.unpack_int()
-
-    @operation(LockMode.READ)
-    def get(self):
-        return self.value
-
-    @operation(LockMode.WRITE)
-    def add(self, amount):
-        self.value += amount
-        return self.value
+# The figure benches' workload object: the scenarios' counter under
+# the wire name these benches were recorded with.
+BenchCounter = Counter.named("bench.Counter")
 
 
 def build_system(sv, st, policy=None, clients=1, seed=7, **config_kwargs):

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.actions.errors import InvalidActionState
-from repro.sim.tracing import NULL_TRACER, Tracer
 
 _action_serials = itertools.count(1)
 
@@ -141,7 +140,7 @@ class AtomicAction:
     """
 
     def __init__(self, node: str = "local", parent: "AtomicAction | None" = None,
-                 independent: bool = False, tracer: Tracer | None = None) -> None:
+                 independent: bool = False) -> None:
         serial = next(_action_serials)
         if parent is not None and not independent:
             path = parent.id.path + (serial,)
@@ -153,10 +152,7 @@ class AtomicAction:
         self.independent = independent
         self.status = ActionStatus.RUNNING
         self._records: list[AbstractRecord] = []
-        self._tracer = tracer or NULL_TRACER
         self.commit_failures: list[tuple[AbstractRecord, BaseException]] = []
-        self._tracer.record("action", "begin", id=str(self.id),
-                            top_level=self.is_top_level, independent=independent)
 
     # -- structure ----------------------------------------------------------
 
@@ -200,7 +196,6 @@ class AtomicAction:
             raise InvalidActionState(f"{self.id}: already {self.status.value}")
         yield from self._abort_records(self._records)
         self.status = ActionStatus.ABORTED
-        self._tracer.record("action", "aborted", id=str(self.id))
         return self.status
 
     def run_local(self, generator: Generator[Any, Any, Any]) -> Any:
@@ -246,27 +241,16 @@ class AtomicAction:
                 for record in group:
                     try:
                         record.begin_prepare(self)
-                    except Exception as exc:
-                        self._tracer.record("action", "prepare raised",
-                                            id=str(self.id),
-                                            record=type(record).__name__,
-                                            error=type(exc).__name__)
+                    except Exception:
                         yield from self._abort_records(self._records)
                         self.status = ActionStatus.ABORTED
                         return self.status
                 for record in group:
                     try:
                         vote = yield from record.prepare(self)
-                    except Exception as exc:
-                        self._tracer.record("action", "prepare raised",
-                                            id=str(self.id),
-                                            record=type(record).__name__,
-                                            error=type(exc).__name__)
+                    except Exception:
                         vote = Vote.ABORT
                     if vote is Vote.ABORT:
-                        self._tracer.record("action", "prepare vetoed",
-                                            id=str(self.id),
-                                            record=type(record).__name__)
                         yield from self._abort_records(self._records)
                         self.status = ActionStatus.ABORTED
                         return self.status
@@ -286,10 +270,6 @@ class AtomicAction:
                     record.begin_commit(self)
                 except Exception as exc:
                     self.commit_failures.append((record, exc))
-                    self._tracer.record("action", "commit-phase failure",
-                                        id=str(self.id),
-                                        record=type(record).__name__,
-                                        error=type(exc).__name__)
             for record, _vote in group:
                 try:
                     yield from record.commit(self)
@@ -297,13 +277,7 @@ class AtomicAction:
                     # Phase-2 failures cannot abort a decided action; they
                     # are remembered for heuristic resolution by the caller.
                     self.commit_failures.append((record, exc))
-                    self._tracer.record("action", "commit-phase failure",
-                                        id=str(self.id),
-                                        record=type(record).__name__,
-                                        error=type(exc).__name__)
         self.status = ActionStatus.COMMITTED
-        self._tracer.record("action", "committed", id=str(self.id),
-                            records=len(self._records))
         return self.status
 
     def _commit_nested(self) -> Generator[Any, Any, ActionStatus]:
@@ -313,8 +287,6 @@ class AtomicAction:
         for record in self._records:
             record.merge_into_parent(self.parent)
         self.status = ActionStatus.COMMITTED
-        self._tracer.record("action", "nested commit", id=str(self.id),
-                            parent=str(self.parent.id), records=len(self._records))
         return self.status
         yield  # pragma: no cover - kept a generator for interface symmetry
 
@@ -324,21 +296,16 @@ class AtomicAction:
                 ordered, key=lambda r: r.order):
             group = list(group_iter)
             for record in group:
+                # One record's failing abort must not stop the others'.
                 try:
                     record.begin_abort(self)
-                except Exception as exc:
-                    self._tracer.record("action", "abort-phase failure",
-                                        id=str(self.id),
-                                        record=type(record).__name__,
-                                        error=type(exc).__name__)
+                except Exception:
+                    pass
             for record in group:
                 try:
                     yield from record.abort(self)
-                except Exception as exc:
-                    self._tracer.record("action", "abort-phase failure",
-                                        id=str(self.id),
-                                        record=type(record).__name__,
-                                        error=type(exc).__name__)
+                except Exception:
+                    pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<AtomicAction {self.id} {self.status.value}>"

@@ -49,7 +49,6 @@ from repro.naming.errors import NamingError
 from repro.net.errors import RpcError
 from repro.replication.policy import PolicyBinding, ReplicationPolicy, TxnContext
 from repro.sim.process import Process
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.uid import Uid
 
 CLIENT_SERVICE = "client"
@@ -200,7 +199,6 @@ class ClientRuntime:
         policy: ReplicationPolicy,
         registry: ObjectClassRegistry,
         type_names: dict[Uid, str],
-        tracer: Tracer | None = None,
         db_client: Any | None = None,
     ) -> None:
         self.node = node
@@ -210,7 +208,6 @@ class ClientRuntime:
         # Immutable class metadata, shared cluster-wide (a real system
         # would ship this with the application binary).
         self._type_names = type_names
-        self.tracer = tracer or NULL_TRACER
         self.metrics = node.metrics
         # ``db_client`` overrides the default single-node adapter (the
         # sharded deployment passes a ring-routing client instead).
@@ -218,7 +215,7 @@ class ClientRuntime:
             node=node, rpc=node.rpc,
             db=db_client or GroupViewDbClient(node.rpc, db_node),
             scheme=scheme, invoker=GroupInvoker(node),
-            registry=registry, metrics=node.metrics, tracer=self.tracer,
+            registry=registry, metrics=node.metrics,
             node_policy=policy)
         node.add_boot_hook(
             lambda n: n.rpc.register(CLIENT_SERVICE, _ClientService(n)))
@@ -241,7 +238,7 @@ class ClientRuntime:
     def _run(self, work: Callable[[Txn], Generator[Any, Any, Any]],
              read_only: bool) -> Generator[Any, Any, TxnResult]:
         started = self.node.scheduler.now
-        action = AtomicAction(node=self.node.name, tracer=self.tracer)
+        action = AtomicAction(node=self.node.name)
         reason: str | None = None
         value: Any = None
         try:

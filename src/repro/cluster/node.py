@@ -47,7 +47,6 @@ from repro.net.rpc import RpcAgent
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.objectstore import ObjectStore
 from repro.storage.uid import UidFactory
 from repro.storage.volatile import VolatileStore
@@ -57,6 +56,7 @@ BootHook = Callable[["Node"], None]
 # Interface-name suffix of the dedicated replication NIC.  The sync
 # plane of host ``h`` answers at ``h + SYNC_NIC_SUFFIX``.
 SYNC_NIC_SUFFIX = ".sync"
+SYNC_THROTTLE_BURST = 8.0  # token-bucket capacity of a throttled sync NIC
 
 
 @dataclass
@@ -66,15 +66,14 @@ class SyncPlaneConfig:
     ``latency``/``service_time``/``rpc_timeout`` default (``None``) to
     the primary plane's values; ``throttle_rate`` (messages per unit
     virtual time), when set, installs a :class:`TokenBucket` of
-    ``throttle_burst`` capacity on the sync NIC -- the bandwidth cap of
-    the replication link.
+    :data:`SYNC_THROTTLE_BURST` capacity on the sync NIC -- the
+    bandwidth cap of the replication link.
     """
 
     latency: LatencyModel | None = None
     service_time: float | None = None
     rpc_timeout: float | None = None
     throttle_rate: float | None = None
-    throttle_burst: float = 8.0
 
 
 class Node:
@@ -91,7 +90,6 @@ class Node:
         service_time: float = 0.0,
         sync_plane: SyncPlaneConfig | None = None,
         metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
         commit_batch_window: float | None = None,
         rpc_pipelining: bool = False,
     ) -> None:
@@ -99,7 +97,6 @@ class Node:
         self.network = network
         self.name = name
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
         self._crashed = False
 
         self.nic = network.attach(name)
@@ -107,7 +104,7 @@ class Node:
         timeout = rpc_timeout if rpc_timeout is not None else (
             network.latency.typical * 6 + 0.05)
         self.rpc = RpcAgent(scheduler, self.nic, default_timeout=timeout,
-                            service_time=service_time, tracer=self.tracer,
+                            service_time=service_time,
                             demux=self.demux,
                             traffic=self.metrics.plane_traffic(name, "client"),
                             pipeline=rpc_pipelining)
@@ -121,7 +118,7 @@ class Node:
             if commit_batch_window is not None else None)
         if sync_plane is not None:
             throttle = (TokenBucket(sync_plane.throttle_rate,
-                                    sync_plane.throttle_burst)
+                                    SYNC_THROTTLE_BURST)
                         if sync_plane.throttle_rate is not None else None)
             self.sync_nic: "NetworkInterface | None" = network.attach(
                 name + SYNC_NIC_SUFFIX, latency=sync_plane.latency,
@@ -136,7 +133,7 @@ class Node:
                                  else service_time)
             self.sync_rpc = RpcAgent(
                 scheduler, self.sync_nic, default_timeout=sync_timeout,
-                service_time=sync_service_time, tracer=self.tracer,
+                service_time=sync_service_time,
                 demux=self.sync_demux,
                 traffic=self.metrics.plane_traffic(name, "sync"))
         else:
@@ -148,7 +145,7 @@ class Node:
         mcast_cls = (ReliableOrderedMulticastMember if reliable_multicast
                      else NaiveMulticastMember)
         self.mcast: MulticastMember = mcast_cls(
-            scheduler, self.nic, self.demux, tracer=self.tracer,
+            scheduler, self.nic, self.demux,
             traffic=self.metrics.plane_traffic(name, "client"))
         if self.sync_nic is not None and self.sync_demux is not None:
             # Group traffic originated by the maintenance side (e.g.
@@ -156,7 +153,7 @@ class Node:
             # NIC's own multicast member, so pushes never queue behind
             # client RPCs and are metered on the sync plane.
             self.sync_mcast: MulticastMember = mcast_cls(
-                scheduler, self.sync_nic, self.sync_demux, tracer=self.tracer,
+                scheduler, self.sync_nic, self.sync_demux,
                 traffic=self.metrics.plane_traffic(name, "sync"))
         else:
             self.sync_mcast = self.mcast
@@ -196,7 +193,6 @@ class Node:
             return
         self._crashed = True
         self.crash_count += 1
-        self.tracer.record("node", f"{self.name} crashed")
         self.metrics.counter(f"node.{self.name}.crashes").increment()
         self.metrics.timeseries(f"node.{self.name}.up").record(
             self.scheduler.now, 0.0)
@@ -227,7 +223,6 @@ class Node:
             return
         self._crashed = False
         self.recover_count += 1
-        self.tracer.record("node", f"{self.name} recovered")
         self.metrics.timeseries(f"node.{self.name}.up").record(
             self.scheduler.now, 1.0)
         self.nic.up = True

@@ -31,7 +31,6 @@ from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import NotQuiescent, UnknownObject
 from repro.net.errors import RpcError
 from repro.sim.process import Timeout
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.uid import Uid
 
 
@@ -41,7 +40,6 @@ class RecoveryManager:
     def __init__(self, node: Node, db_node: str, serves: list[Uid],
                  retry_interval: float = 0.5, max_rounds: int = 200,
                  guard_interval: float | None = 2.0,
-                 tracer: Tracer | None = None,
                  db_client: Any | None = None) -> None:
         self.node = node
         # ``db_client`` overrides the default single-node adapter (the
@@ -51,7 +49,6 @@ class RecoveryManager:
         self.retry_interval = retry_interval
         self.max_rounds = max_rounds
         self.guard_interval = guard_interval
-        self.tracer = tracer or NULL_TRACER
         self.recoveries_completed = 0
         self.states_refreshed = 0
         self.guard_reinclusions = 0
@@ -89,8 +86,7 @@ class RecoveryManager:
         while True:
             yield Timeout(self.guard_interval)
             for uid in store.uids():
-                action = AtomicAction(node=self.node.name,
-                                      tracer=self.tracer)
+                action = AtomicAction(node=self.node.name)
                 try:
                     view = yield from self.db.get_view(action, uid)
                     yield from action.commit()
@@ -111,8 +107,6 @@ class RecoveryManager:
                 done = yield from self._refresh_and_include(uid)
                 if done:
                     self.guard_reinclusions += 1
-                    self.tracer.record("recovery", "guard re-included",
-                                       uid=str(uid), node=self.node.name)
 
     # -- the protocol -------------------------------------------------------
 
@@ -129,7 +123,6 @@ class RecoveryManager:
         self.recoveries_completed += 1
         self.node.metrics.counter(
             f"recovery.{self.node.name}.completed").increment()
-        self.tracer.record("recovery", f"{self.node.name} fully recovered")
 
     def _recover_store(self) -> Generator[Any, Any, None]:
         store = self.node.object_store
@@ -145,7 +138,7 @@ class RecoveryManager:
         """One attempt at the refresh+Include action for one object."""
         store = self.node.object_store
         assert store is not None
-        action = AtomicAction(node=self.node.name, tracer=self.tracer)
+        action = AtomicAction(node=self.node.name)
         try:
             try:
                 view = yield from self.db.get_view(action, uid)
@@ -178,9 +171,6 @@ class RecoveryManager:
                     return False
                 store.install(uid, buffer, peer_version)
                 self.states_refreshed += 1
-                self.tracer.record("recovery", "state refreshed",
-                                   uid=str(uid), node=self.node.name,
-                                   version=peer_version)
 
             if self.node.name not in view:
                 try:
@@ -201,7 +191,7 @@ class RecoveryManager:
         """Re-Insert into Sv for each servable object (quiescence gate)."""
         for uid in self.serves:
             for _ in range(self.max_rounds):
-                action = AtomicAction(node=self.node.name, tracer=self.tracer)
+                action = AtomicAction(node=self.node.name)
                 try:
                     yield from self.db.insert(action, uid, self.node.name)
                 except (NotQuiescent, LockRefused):
@@ -219,8 +209,6 @@ class RecoveryManager:
                     raise
                 status = yield from action.commit()
                 if status.value == "committed":
-                    self.tracer.record("recovery", "re-inserted into Sv",
-                                       uid=str(uid), node=self.node.name)
                     break
                 yield Timeout(self.retry_interval)
 
@@ -236,7 +224,7 @@ class ShadowResolver:
     """
 
     def __init__(self, node: Node, db_node: str, patience: float = 2.0,
-                 interval: float = 1.0, tracer: Tracer | None = None,
+                 interval: float = 1.0,
                  db_client: Any | None = None) -> None:
         if node.object_store is None:
             raise ValueError(f"{node.name} has no object store to resolve")
@@ -244,7 +232,6 @@ class ShadowResolver:
         self.db = db_client or GroupViewDbClient(node.rpc, db_node)
         self.patience = patience
         self.interval = interval
-        self.tracer = tracer or NULL_TRACER
         self.committed = 0
         self.discarded = 0
         self._born: dict[Uid, float] = {}
@@ -272,7 +259,7 @@ class ShadowResolver:
     def _resolve(self, uid: Uid) -> Generator[Any, Any, None]:
         store = self.node.object_store
         assert store is not None
-        action = AtomicAction(node=self.node.name, tracer=self.tracer)
+        action = AtomicAction(node=self.node.name)
         try:
             view = yield from self.db.get_view(action, uid)
         except (LockRefused, RpcError):
@@ -305,11 +292,7 @@ class ShadowResolver:
         if decided_commit:
             store.commit_shadow(uid)
             self.committed += 1
-            self.tracer.record("recovery", "orphan shadow committed",
-                               uid=str(uid), node=self.node.name)
         elif all_peers_answered:
             store.discard_shadow(uid)
             self.discarded += 1
-            self.tracer.record("recovery", "orphan shadow discarded",
-                               uid=str(uid), node=self.node.name)
         # else: undecidable now; try again next round

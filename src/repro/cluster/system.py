@@ -21,7 +21,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
 from repro.cluster.client import ClientRuntime, Txn, TxnResult
@@ -46,11 +46,7 @@ from repro.naming.peer_health import PeerHealthTracker
 from repro.naming.read_repair import ReadRepairer
 from repro.naming.reshard import ReshardManager, ShardAutoscaler
 from repro.naming.shard_resync import ShardResyncManager
-from repro.naming.shard_router import (
-    DEFAULT_PARTITION_POWER,
-    DEFAULT_RING_REPLICAS,
-    ShardRouter,
-)
+from repro.naming.shard_router import ShardRouter
 from repro.naming.sharded_client import (
     READ_POLICIES,
     ShardedGroupViewDatabase,
@@ -65,7 +61,6 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.uid import Uid, UidFactory
 
 NAME_NODE = "namenode"
@@ -82,8 +77,7 @@ class SystemConfig:
     """Knobs for one simulated system."""
 
     seed: int = 42
-    fixed_latency: float | None = 0.01       # None -> uniform latency
-    latency_range: tuple[float, float] = (0.005, 0.02)
+    fixed_latency: float | None = 0.01       # None -> uniform 5-20 ms
     drop_probability: float = 0.0
     rpc_timeout: float | None = None         # None -> derived from latency
     service_time: float = 0.0
@@ -94,7 +88,6 @@ class SystemConfig:
     nameserver_shards: int = 1               # >1 -> consistent-hash ring
     nameserver_replication: int = 1          # >1 -> replicate each ring arc
     nameserver_read_policy: str = "primary"  # or "spread": rotate replicas
-    nameserver_read_repair: bool = True      # repair stale replicas at read time
     # The gray-failure detection plane: give every sharded client a
     # PeerHealthTracker fed by its own read RPCs (EWMA latency +
     # consecutive-timeout streaks).  Gray replicas are demoted to the
@@ -104,10 +97,9 @@ class SystemConfig:
     nameserver_peer_health: bool = False
     # Bounded prepare-phase retries for remote 2PC participants: a
     # gray shard's dropped prepare gets this many more chances (with
-    # exponential seeded-jitter backoff from ``participant_backoff``)
-    # before the coordinator votes abort.  0 keeps fail-fast 2PC.
+    # exponential seeded-jitter backoff) before the coordinator votes
+    # abort.  0 keeps fail-fast 2PC.
     participant_retries: int = 0
-    participant_backoff: float = 0.05
     # The leased read plane: a per-client LRU of entry snapshots, each
     # served RPC- and lock-free while its lease TTL holds and the ring's
     # fence epoch has not moved.  ``None`` disables the cache (every
@@ -116,7 +108,6 @@ class SystemConfig:
     # plane lives in the sharded client.
     nameserver_lease: float | None = None
     nameserver_lease_validate: bool = False  # validate-at-commit records
-    nameserver_cache_capacity: int = 512     # per-client LRU entries
     nameserver_cache_ledger: bool = False    # record every cache-served read
     # The write-hot coherence plane: each owning shard host tracks the
     # live lessees of its entries and *pushes* versioned invalidations
@@ -135,8 +126,6 @@ class SystemConfig:
     nameserver_registration_ttl: float | None = None  # None -> 8x lease
     read_repair_interval: float | None = None  # per-uid sampled version verify
     shard_antientropy_interval: float | None = 10.0  # None disables the sweep
-    shard_ring_replicas: int = DEFAULT_RING_REPLICAS
-    shard_partition_power: int = DEFAULT_PARTITION_POWER  # 2**P partitions
     # Per-shard-host ring weights by boot index (empty -> all 1.0).  A
     # host with weight 2.0 claims twice the vnodes, so roughly twice
     # the partitions -- capacity-proportional placement.
@@ -151,7 +140,6 @@ class SystemConfig:
     sync_latency: float | None = None        # None -> primary-plane model
     sync_service_time: float | None = None   # None -> primary service_time
     sync_throttle_rate: float | None = None  # msgs/sec; None -> unthrottled
-    sync_throttle_burst: float = 8.0
     # The raw-speed commit plane.  ``commit_batching`` gives every node
     # a CommitBatcher: 2PC phase messages and shadow writes issued
     # within ``commit_batch_window`` of each other to the same target
@@ -165,13 +153,10 @@ class SystemConfig:
     commit_batch_window: float = 0.0
     log_force_interval: float = 0.0
     rpc_pipelining: bool = False
-    reshard_batch_size: int = 8              # arc copies between throttles
-    reshard_throttle: float = 0.02           # migration-bandwidth pause
     enable_cleaner: bool = False
     cleaner_interval: float = 5.0
     enable_recovery_managers: bool = True
     enable_shadow_resolvers: bool = False
-    trace_categories: set[str] | None = field(default_factory=set)  # empty = none
 
 
 class DistributedSystem:
@@ -182,8 +167,6 @@ class DistributedSystem:
         self.scheduler = Scheduler()
         self.rng = SeededRng(self.config.seed)
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(categories=self.config.trace_categories)
-        self.tracer.bind_clock(lambda: self.scheduler.now)
         self.registry = ObjectClassRegistry()
         self.type_names: dict[Uid, str] = {}
         self._uid_factory = UidFactory("sys")
@@ -192,11 +175,10 @@ class DistributedSystem:
         if self.config.fixed_latency is not None:
             latency = FixedLatency(self.config.fixed_latency)
         else:
-            low, high = self.config.latency_range
-            latency = UniformLatency(self.rng, low, high)
+            latency = UniformLatency(self.rng, 0.005, 0.02)
         self.network = Network(self.scheduler, latency,
                                drop_probability=self.config.drop_probability,
-                               rng=self.rng, tracer=self.tracer)
+                               rng=self.rng)
 
         self.nodes: dict[str, Node] = {}
         self.clients: dict[str, ClientRuntime] = {}
@@ -270,17 +252,17 @@ class DistributedSystem:
             # The section-5 variant: non-atomic server data, atomic St.
             self.db: Any = HybridNameService(
                 use_exclude_write_lock=self.config.use_exclude_write_lock,
-                metrics=self.metrics, tracer=self.tracer)
+                metrics=self.metrics)
         else:
             self.db = GroupViewDatabase(
                 use_exclude_write_lock=self.config.use_exclude_write_lock,
-                metrics=self.metrics, tracer=self.tracer)
+                metrics=self.metrics)
         NameShardHost.install_on(self.name_node, self.db)
         if self.config.enable_cleaner and not self.config.nonatomic_name_server:
             cleaner = UseListCleaner(
                 self.scheduler, self.name_node.rpc, self.db,
                 interval=self.config.cleaner_interval,
-                metrics=self.metrics, tracer=self.tracer)
+                metrics=self.metrics)
             cleaner.start()
             self.cleaners.append(cleaner)
 
@@ -307,10 +289,7 @@ class DistributedSystem:
                     f"shard_weights has {len(self.config.shard_weights)} "
                     f"entries for {shard_count} shards")
             weights = dict(zip(names, self.config.shard_weights))
-        self.shard_router = ShardRouter(
-            names, replicas=self.config.shard_ring_replicas,
-            partition_power=self.config.shard_partition_power,
-            weights=weights)
+        self.shard_router = ShardRouter(names, weights=weights)
         shard_dbs = {name: self._boot_shard_host(name) for name in names}
         self.name_node = self.nodes[names[0]]
         self.db = ShardedGroupViewDatabase(self.shard_router, shard_dbs,
@@ -321,10 +300,8 @@ class DistributedSystem:
         # passes may trust the sources' version probes immediately.
         self.reshard = ReshardManager(
             self.name_node, self.shard_router, replication,
-            batch_size=self.config.reshard_batch_size,
-            throttle=self.config.reshard_throttle,
             handover_coherence=self.config.nameserver_push_invalidation,
-            metrics=self.metrics, tracer=self.tracer)
+            metrics=self.metrics)
 
     def _registration_ttl(self) -> float:
         """How long an owner remembers a lessee without a re-register.
@@ -352,8 +329,7 @@ class DistributedSystem:
         node = self._make_node(name, has_store=True, sync_plane=True)
         db = GroupViewDatabase(
             use_exclude_write_lock=self.config.use_exclude_write_lock,
-            metrics=self.metrics.scoped(f"shard.{name}."),
-            tracer=self.tracer)
+            metrics=self.metrics.scoped(f"shard.{name}."))
         # The client-facing service is epoch-fenced against the shared
         # router (re-armed by the boot hook on every recovery); the
         # sync plane stays open for resync/migration/repair traffic.
@@ -371,8 +347,7 @@ class DistributedSystem:
                 node, db, router,
                 registration_ttl=self._registration_ttl(),
                 hot_write_rate=self.config.nameserver_hot_write_rate,
-                metrics=self.metrics.scoped(f"shard.{name}."),
-                tracer=self.tracer)
+                metrics=self.metrics.scoped(f"shard.{name}."))
             coherence.install()
             self.coherence_hosts[name] = coherence
         if replication > 1:
@@ -382,8 +357,7 @@ class DistributedSystem:
                 node, db, self.shard_router, replication,
                 sweep_interval=self.config.shard_antientropy_interval,
                 fence=lambda: router.fence_epoch,
-                metrics=self.metrics.scoped(f"shard.{name}."),
-                tracer=self.tracer)
+                metrics=self.metrics.scoped(f"shard.{name}."))
         else:
             # No peers to resync from, but the fail-silent contract
             # still holds: locks and undo logs are volatile, so a
@@ -395,8 +369,7 @@ class DistributedSystem:
                 self.scheduler, node.rpc, db,
                 interval=self.config.cleaner_interval,
                 node_name=f"cleaner@{name}",
-                metrics=self.metrics.scoped(f"shard.{name}."),
-                tracer=self.tracer)
+                metrics=self.metrics.scoped(f"shard.{name}."))
             cleaner.start()
             self.cleaners.append(cleaner)
             self._shard_cleaners[name] = cleaner
@@ -416,13 +389,13 @@ class DistributedSystem:
         if self.shard_router is not None:
             replication = self.config.nameserver_replication
             repair = None
-            if replication > 1 and self.config.nameserver_read_repair:
+            if replication > 1:
                 repair = ReadRepairer(
                     self.scheduler, node.rpc, self.shard_router, replication,
                     spawn=node.spawn,
                     verify_interval=self.config.read_repair_interval,
                     sync_suffix=self.sync_suffix,
-                    metrics=self.metrics, tracer=self.tracer)
+                    metrics=self.metrics)
             cache = None
             if self.config.nameserver_lease is not None:
                 # Per-client leased cache: lease expiry runs on the
@@ -434,7 +407,6 @@ class DistributedSystem:
                     self.config.nameserver_lease,
                     fence=lambda: router.fence_epoch,
                     clock=lambda: self.scheduler.now,
-                    capacity=self.config.nameserver_cache_capacity,
                     metrics=self.metrics,
                     keep_ledger=self.config.nameserver_cache_ledger,
                     renewal=self.config.nameserver_renewal)
@@ -472,9 +444,8 @@ class DistributedSystem:
                 batcher=node.commit_batcher,
                 health=health,
                 participant_retries=self.config.participant_retries,
-                participant_backoff=self.config.participant_backoff,
                 retry_rng=retry_rng,
-                metrics=self.metrics, tracer=self.tracer)
+                metrics=self.metrics)
         return GroupViewDbClient(node.rpc, NAME_NODE,
                                  batcher=node.commit_batcher)
 
@@ -666,7 +637,7 @@ class DistributedSystem:
             min_shards=min_shards, down_after=down_after,
             busy=lambda: reshard.active,
             latency_sample=latency_sample,
-            p95_up=p95_up, p95_down=p95_down, tracer=self.tracer)
+            p95_up=p95_up, p95_down=p95_down)
         self.autoscaler.start()
         return self.autoscaler
 
@@ -693,14 +664,13 @@ class DistributedSystem:
             sync_config = SyncPlaneConfig(
                 latency=sync_latency,
                 service_time=self.config.sync_service_time,
-                throttle_rate=self.config.sync_throttle_rate,
-                throttle_burst=self.config.sync_throttle_burst)
+                throttle_rate=self.config.sync_throttle_rate)
         node = Node(self.scheduler, self.network, name, has_store=has_store,
                     reliable_multicast=self.config.reliable_multicast,
                     rpc_timeout=self.config.rpc_timeout,
                     service_time=self.config.service_time,
                     sync_plane=sync_config,
-                    metrics=self.metrics, tracer=self.tracer,
+                    metrics=self.metrics,
                     commit_batch_window=(self.config.commit_batch_window
                                          if self.config.commit_batching
                                          else None),
@@ -727,13 +697,13 @@ class DistributedSystem:
                 node, log_force_interval=self.config.log_force_interval)
             if self.config.enable_shadow_resolvers:
                 self.shadow_resolvers[name] = ShadowResolver(
-                    node, NAME_NODE, tracer=self.tracer,
+                    node, NAME_NODE,
                     db_client=self._make_db_client(node))
         if server:
             ServerHost.install_on(node, self.registry)
         if self.config.enable_recovery_managers and (store or server):
             self.recovery_managers[name] = RecoveryManager(
-                node, NAME_NODE, serves=[], tracer=self.tracer,
+                node, NAME_NODE, serves=[],
                 db_client=self._make_db_client(node))
         return node
 
@@ -745,12 +715,11 @@ class DistributedSystem:
         factory = SCHEME_FACTORIES[scheme_name]
         db_client = self._make_db_client(node)
         binding_scheme = factory(db_client, name, metrics=self.metrics,
-                                 tracer=self.tracer,
                                  rng=self.rng.substream(f"unbind/{name}"))
         runtime = ClientRuntime(
             node, NAME_NODE, binding_scheme,
             policy or SingleCopyPassive(), self.registry,
-            self.type_names, tracer=self.tracer, db_client=db_client)
+            self.type_names, db_client=db_client)
         self.clients[name] = runtime
         return runtime
 

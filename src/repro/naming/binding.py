@@ -44,7 +44,6 @@ from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import NamingError
 from repro.net.errors import RpcError
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.uid import Uid
 
 
@@ -86,12 +85,10 @@ class BindingScheme(abc.ABC):
 
     def __init__(self, db: GroupViewDbClient, client_node: str,
                  metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None,
                  rng: Any | None = None) -> None:
         self.db = db
         self.client_node = client_node
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
         # Seeded stream for unbind-retry jitter; None = no jitter
         # (single-client tests where lockstep cannot collide).
         self.rng = rng
@@ -140,8 +137,6 @@ class BindingScheme(abc.ABC):
             else:
                 failed.append(host)
                 self.metrics.counter(f"binding.{self.name}.failed_attempts").increment()
-                self.tracer.record("binding", "bind attempt failed", scheme=self.name,
-                                   host=host, uid=str(uid))
         return bound, failed
 
 
@@ -158,8 +153,7 @@ class StandardBinding(BindingScheme):
     def bind(self, action: AtomicAction, uid: Uid, binder: Binder,
              k: int | None = None,
              read_only: bool = False) -> Generator[Any, Any, BindOutcome]:
-        nested = AtomicAction(node=self.client_node, parent=action,
-                              tracer=self.tracer)
+        nested = AtomicAction(node=self.client_node, parent=action)
         try:
             sv = yield from self.db.get_server(nested, uid)
         except RpcError:
@@ -195,12 +189,12 @@ class IndependentTopLevelBinding(BindingScheme):
 
     def _db_action(self, action: AtomicAction) -> AtomicAction:
         """The bind-side database action (independent of the client's)."""
-        return AtomicAction(node=self.client_node, tracer=self.tracer)
+        return AtomicAction(node=self.client_node)
 
     def _unbind_action(self,
                        within_action: AtomicAction | None) -> AtomicAction:
         """The unbind-side database action."""
-        return AtomicAction(node=self.client_node, tracer=self.tracer)
+        return AtomicAction(node=self.client_node)
 
     def bind(self, action: AtomicAction, uid: Uid, binder: Binder,
              k: int | None = None,
@@ -305,10 +299,9 @@ class NestedTopLevelBinding(IndependentTopLevelBinding):
 
     def _db_action(self, action: AtomicAction) -> AtomicAction:
         return AtomicAction(node=self.client_node, parent=action,
-                            independent=True, tracer=self.tracer)
+                            independent=True)
 
     def _unbind_action(self,
                        within_action: AtomicAction | None) -> AtomicAction:
         return AtomicAction(node=self.client_node, parent=within_action,
-                            independent=within_action is not None,
-                            tracer=self.tracer)
+                            independent=within_action is not None)

@@ -26,7 +26,6 @@ from repro.net.rpc import RpcAgent
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.process import Process, Timeout
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import NULL_TRACER, Tracer
 
 
 class UseListCleaner:
@@ -41,7 +40,6 @@ class UseListCleaner:
         client_service: str = "client",
         node_name: str = "cleaner",
         metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         self._scheduler = scheduler
         self._rpc = rpc
@@ -50,7 +48,6 @@ class UseListCleaner:
         self.client_service = client_service
         self.node_name = node_name
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
         self._process: Process | None = None
         self.rounds = 0
         self.clients_purged = 0
@@ -86,8 +83,6 @@ class UseListCleaner:
             alive = yield from self._ping(client_node)
             if alive:
                 continue
-            self.tracer.record("cleanup", "client dead, purging",
-                               client=client_node)
             done = yield from self._purge(client_node)
             if not done:
                 continue  # every dirty entry was locked; retry next round
@@ -107,7 +102,7 @@ class UseListCleaner:
         two-phase machinery with the colocated database enlisted as
         participant.  Returns whether anything was actually purged.
         """
-        action = AtomicAction(node=self.node_name, tracer=self.tracer)
+        action = AtomicAction(node=self.node_name)
         try:
             action.add_record(CallbackRecord(
                 on_prepare=lambda a: Vote(self._db.prepare(a.id.path)),
@@ -137,7 +132,7 @@ class UseListCleaner:
         Write-locked entries are skipped and re-examined next round.
         """
         nodes: set[str] = set()
-        probe = AtomicAction(node=self.node_name, tracer=self.tracer)
+        probe = AtomicAction(node=self.node_name)
         try:
             for uid in self._db.server_db.all_uids():
                 try:

@@ -48,7 +48,6 @@ from repro.naming.shard_router import ShardRouter
 from repro.net.errors import RpcError
 from repro.net.groups import GroupView
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (cluster -> naming)
     from repro.cluster.node import Node
@@ -270,14 +269,12 @@ class CoherenceHost:
     def __init__(self, node: "Node", db: Any, router: ShardRouter,
                  registration_ttl: float, hot_write_rate: float = 1.0,
                  detector_window: float = 10.0,
-                 metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self.node = node
         self.db = db
         self.router = router
         self.registration_ttl = registration_ttl
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
         self.group = group_of(node.name)
         self._mcast = node.sync_mcast
         self.member = self._mcast.name
@@ -358,8 +355,6 @@ class CoherenceHost:
         self.registry.register(uid_text, client)
         view = self._sync_view()
         self.metrics.counter("coherence.registrations").increment()
-        self.tracer.record("coherence", "lessee registered",
-                           uid=uid_text, client=client)
         return (self.registration_ttl, list(view.members), view.version,
                 self._mcast.next_send_seq(self.group),
                 tuple(self.db.entry_versions(uid_text)))
@@ -421,8 +416,6 @@ class CoherenceHost:
                        self.router.fence_epoch)
             self._mcast.send(self.group, view, payload)
             self.metrics.counter("coherence.pushes_sent").increment()
-            self.tracer.record("coherence", "invalidation pushed",
-                               uid=uid_text, lessees=len(lessees))
 
     def forget(self, uid_text: str) -> None:
         """GC: this host no longer owns the entry (post-flip cleanup)."""
@@ -448,13 +441,11 @@ class CoherenceClient:
     """
 
     def __init__(self, node: "Node", io: Any, cache: Any,
-                 metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self.node = node
         self.io = io
         self.cache = cache
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
         self._mcast = node.mcast
 
     @property

@@ -29,7 +29,6 @@ from typing import Callable, Hashable
 from repro.actions.action import ActionId
 from repro.actions.locks import LockManager, LockMode
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.tracing import NULL_TRACER, Tracer
 
 ActionPath = tuple[int, ...]
 
@@ -37,13 +36,11 @@ ActionPath = tuple[int, ...]
 class ActionDatabase:
     """Base: lock table, undo log, and the 2PC participant interface."""
 
-    def __init__(self, name: str, metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None) -> None:
+    def __init__(self, name: str, metrics: MetricsRegistry | None = None) -> None:
         self.name = name
         self.locks = LockManager()
         self._undo: list[tuple[ActionPath, Callable[[], None]]] = []
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
 
     # -- locking helpers --------------------------------------------------
 
@@ -81,7 +78,6 @@ class ActionDatabase:
         path = tuple(action_path)
         self._undo = [(p, fn) for p, fn in self._undo if not _is_prefix(path, p)]
         self._release_tree(path)
-        self.tracer.record("db", f"{self.name} commit", action=str(ActionId(path)))
 
     def abort(self, action_path: ActionPath) -> None:
         """Undo the action's (and its descendants') effects, free locks."""
@@ -94,8 +90,6 @@ class ActionDatabase:
             fn()
         self._undo = keep
         self._release_tree(path)
-        self.tracer.record("db", f"{self.name} abort", action=str(ActionId(path)),
-                           undone=len(undoing))
 
     def _release_tree(self, path: ActionPath) -> None:
         for owner in list(self.locks.owners()):

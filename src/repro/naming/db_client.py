@@ -53,7 +53,7 @@ class GroupViewDbClient:
     plane; the provisional operations themselves stay unbatched -- they
     are latency-bound request/reply pairs, not fan-out.
 
-    ``participant_retries``/``participant_backoff``/``retry_rng``
+    ``participant_retries``/``retry_rng``
     configure the prepare-phase retry policy of those records (see
     :class:`~repro.actions.records.RemoteParticipantRecord`): bounded
     seeded-jitter retries so a *gray* participant's dropped prepare
@@ -65,14 +65,12 @@ class GroupViewDbClient:
                  service: str = SERVICE_NAME,
                  batcher: "CommitBatcher | None" = None,
                  participant_retries: int = 0,
-                 participant_backoff: float = 0.05,
                  retry_rng: Any | None = None) -> None:
         self._rpc = rpc
         self._batcher = batcher
         self.db_node = db_node
         self.service = service
         self.participant_retries = participant_retries
-        self.participant_backoff = participant_backoff
         self._retry_rng = retry_rng
         self._enlisted_roots: set[int] = set()
 
@@ -94,7 +92,7 @@ class GroupViewDbClient:
         root.add_record(RemoteParticipantRecord(
             self._rpc, self.db_node, self.service, order=600,
             batcher=self._batcher, retries=self.participant_retries,
-            backoff=self.participant_backoff, rng=self._retry_rng))
+            rng=self._retry_rng))
 
     def is_enlisted(self, action: AtomicAction) -> bool:
         """Whether this shard already participates in the action's root."""

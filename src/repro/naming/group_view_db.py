@@ -35,7 +35,6 @@ from repro.naming.errors import UnknownObject
 from repro.naming.object_server_db import ObjectServerDatabase, ServerEntrySnapshot
 from repro.naming.object_state_db import ObjectStateDatabase
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.states import InputObjectState, OutputObjectState
 from repro.storage.uid import Uid
 
@@ -68,16 +67,13 @@ class GroupViewDatabase:
 
     def __init__(self, uid: Uid | None = None,
                  use_exclude_write_lock: bool = True,
-                 metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self.uid = uid or Uid("system", 0)
         shared_metrics = metrics or MetricsRegistry()
-        shared_tracer = tracer or NULL_TRACER
-        self.server_db = ObjectServerDatabase(metrics=shared_metrics,
-                                              tracer=shared_tracer)
+        self.server_db = ObjectServerDatabase(metrics=shared_metrics)
         self.state_db = ObjectStateDatabase(
             use_exclude_write_lock=use_exclude_write_lock,
-            metrics=shared_metrics, tracer=shared_tracer)
+            metrics=shared_metrics)
         self.metrics = shared_metrics
         # The coherence plane's commit hook (a CoherenceHost, attached
         # by the shard-host boot path).  Mutators record which uids an

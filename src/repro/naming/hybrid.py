@@ -25,7 +25,6 @@ from repro.naming.nonatomic import NonAtomicNameServer
 from repro.naming.object_server_db import ServerEntrySnapshot
 from repro.naming.object_state_db import ObjectStateDatabase
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.uid import Uid
 
 
@@ -33,15 +32,12 @@ class HybridNameService:
     """Non-atomic server mappings + atomic state mappings."""
 
     def __init__(self, use_exclude_write_lock: bool = True,
-                 metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         shared_metrics = metrics or MetricsRegistry()
-        shared_tracer = tracer or NULL_TRACER
-        self.server_side = NonAtomicNameServer(metrics=shared_metrics,
-                                               tracer=shared_tracer)
+        self.server_side = NonAtomicNameServer(metrics=shared_metrics)
         self.state_db = ObjectStateDatabase(
             use_exclude_write_lock=use_exclude_write_lock,
-            metrics=shared_metrics, tracer=shared_tracer)
+            metrics=shared_metrics)
         self.metrics = shared_metrics
 
     # -- administrative ----------------------------------------------------

@@ -22,19 +22,16 @@ from repro.naming.db_base import ActionPath
 from repro.naming.errors import UnknownObject
 from repro.naming.object_server_db import ServerEntrySnapshot
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.uid import Uid
 
 
 class NonAtomicNameServer:
     """Sv mappings with immediate, unsynchronised updates."""
 
-    def __init__(self, metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None) -> None:
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self._hosts: dict[Uid, list[str]] = {}
         self._uses: dict[Uid, dict[str, dict[str, int]]] = {}
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
 
     # -- operations (action paths ignored) ---------------------------------
 

@@ -111,8 +111,6 @@ class ObjectStateDatabase(ActionDatabase):
                 mutated = True
             if mutated:
                 self._bump(action_path, uid)
-            self.tracer.record("db", "exclude", uid=str(uid), hosts=list(hosts),
-                               remaining=list(entry.hosts))
 
     def include(self, action_path: ActionPath, uid: Uid, host: str) -> None:
         """``Include``: add a (recovered, refreshed) store host to ``St``."""
@@ -124,8 +122,6 @@ class ObjectStateDatabase(ActionDatabase):
         entry.hosts.append(host)
         self._record_undo(action_path, lambda: self._remove_silently(uid, host))
         self._bump(action_path, uid)
-        self.tracer.record("db", "include", uid=str(uid), host=host,
-                           hosts=list(entry.hosts))
 
     def install_entry(self, uid: Uid, hosts: list[str], version: int,
                       force: bool = False) -> bool:

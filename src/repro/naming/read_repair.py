@@ -46,7 +46,6 @@ from repro.naming.shard_router import ShardRouter
 from repro.net.rpc import RpcAgent
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.uid import Uid
 
 # An in-flight repair older than this is presumed killed (its owning
@@ -64,8 +63,7 @@ class ReadRepairer:
                  min_interval: float = 0.5,
                  verify_interval: float | None = None,
                  sync_suffix: str = "",
-                 metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         if replication < 2:
             raise ValueError("read-repair needs replication >= 2 "
                              "(a lone replica has no peer to repair from)")
@@ -77,7 +75,6 @@ class ReadRepairer:
         self.min_interval = min_interval
         self.verify_interval = verify_interval
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
         self.repairs_triggered = 0
         self.entries_repaired = 0
         self._spawn = spawn or (
@@ -92,7 +89,7 @@ class ReadRepairer:
         # triggered it.
         self.io = ReplicaIO(rpc, router, replication, sync_service=service,
                             sync_suffix=sync_suffix,
-                            metrics=self.metrics, tracer=self.tracer)
+                            metrics=self.metrics)
         self._last_checked: dict[str, float] = {}
         self._inflight: dict[str, float] = {}
         # Pending UIDs awaiting the drain (insertion-ordered dedupe)
@@ -205,5 +202,3 @@ class ReadRepairer:
                 self.entries_repaired += copied
                 self.metrics.counter(
                     "read_repair.entries_repaired").increment(copied)
-                self.tracer.record("read_repair", "entry repaired",
-                                   uid=uid_text)

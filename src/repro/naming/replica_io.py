@@ -62,11 +62,10 @@ from repro.actions.errors import LockRefused, PromotionRefused
 from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import UnknownObject
 from repro.naming.group_view_db import SERVICE_NAME, SYNC_SERVICE_NAME
-from repro.naming.shard_router import RingView, ShardRouter
+from repro.naming.shard_router import ShardRouter
 from repro.net.errors import RpcError, StaleRingEpoch
 from repro.net.rpc import RpcAgent
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.uid import Uid
 
 READ_POLICIES = ("primary", "spread")
@@ -119,7 +118,7 @@ class EntryCopy:
 
 
 def fetch_entry_copy(rpc: RpcAgent, client: GroupViewDbClient, uid_text: str,
-                     node: str = "", tracer: Tracer | None = None,
+                     node: str = "",
                      ) -> Generator[Any, Any, "EntryCopy | str"]:
     """Read one committed entry from ``client``'s shard for replication.
 
@@ -134,7 +133,7 @@ def fetch_entry_copy(rpc: RpcAgent, client: GroupViewDbClient, uid_text: str,
     (the shard went dark mid-read).
     """
     uid = Uid.parse(uid_text)
-    action = AtomicAction(node=node, tracer=tracer)
+    action = AtomicAction(node=node)
     try:
         snapshot = yield from client.get_server_with_uses(action, uid)
         view = yield from client.get_view(action, uid)
@@ -181,10 +180,8 @@ class ReplicaIO:
                  batcher: Any | None = None,
                  health: Any | None = None,
                  participant_retries: int = 0,
-                 participant_backoff: float = 0.05,
                  retry_rng: Any | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         if read_policy not in READ_POLICIES:
@@ -221,11 +218,9 @@ class ReplicaIO:
         # jitter retries so a gray shard's dropped prepare does not
         # instantly doom the action.  0 retries = baseline fail-fast.
         self.participant_retries = participant_retries
-        self.participant_backoff = participant_backoff
         self.retry_rng = retry_rng
         self.max_stale_retries = max_stale_retries
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
         self.stale_retries = 0  # fenced requests this engine re-routed
         self._spread_cursor = 0
         # Per-(node, service) clients, built lazily so a ring grown
@@ -244,7 +239,6 @@ class ReplicaIO:
             client = GroupViewDbClient(
                 self.rpc, node, service=key[1], batcher=self.batcher,
                 participant_retries=self.participant_retries,
-                participant_backoff=self.participant_backoff,
                 retry_rng=self.retry_rng)
             self._clients[key] = client
         return client
@@ -274,12 +268,9 @@ class ReplicaIO:
 
     # -- the client plane: fenced, action-scoped operations ------------------
 
-    def _note_stale(self, view: RingView, exc: StaleRingEpoch) -> None:
+    def _note_stale(self) -> None:
         self.stale_retries += 1
         self.metrics.counter("replica_io.stale_ring_retries").increment()
-        self.tracer.record("replica_io", "view fenced; refreshing",
-                           view_epoch=view.epoch,
-                           server_epoch=exc.server_epoch)
 
     def _disown_stray(self, client: GroupViewDbClient,
                       action: AtomicAction) -> None:
@@ -332,7 +323,7 @@ class ReplicaIO:
                     return (yield from client.call_enlisted(
                         action, method, *args, ring_epoch=view.epoch))
                 except StaleRingEpoch as exc:
-                    self._note_stale(view, exc)
+                    self._note_stale()
                     stale = exc
                     continue
             for node in view.write_set(uid, self.replication):
@@ -345,7 +336,7 @@ class ReplicaIO:
                     reached = True
                     applied.add(node)
                 except StaleRingEpoch as exc:
-                    self._note_stale(view, exc)
+                    self._note_stale()
                     stale = exc
                     break  # re-route the rest through a fresh view
                 except RpcError as exc:
@@ -404,7 +395,7 @@ class ReplicaIO:
                     return (yield from client.call_enlisted(
                         action, method, *args, ring_epoch=view.epoch))
                 except StaleRingEpoch as exc:
-                    self._note_stale(view, exc)
+                    self._note_stale()
                     stale = exc
                     continue
             order = view.read_order(uid, self.replication, rotation)
@@ -420,7 +411,7 @@ class ReplicaIO:
                     result = yield from client.call_reached(
                         action, method, *args, ring_epoch=view.epoch)
                 except StaleRingEpoch as exc:
-                    self._note_stale(view, exc)
+                    self._note_stale()
                     stale = exc
                     break
                 except RpcError as exc:
@@ -504,7 +495,7 @@ class ReplicaIO:
                         yield from client.call_reached(
                             action, "exclude", wire, ring_epoch=view.epoch)
                 except StaleRingEpoch as exc:
-                    self._note_stale(view, exc)
+                    self._note_stale()
                     stale = exc
                     break
                 except RpcError as exc:
@@ -746,7 +737,7 @@ class ReplicaIO:
         """One committed, version-stamped snapshot from ``source``."""
         return (yield from fetch_entry_copy(
             self.sync_rpc, self.sync_client_for(source), uid_text,
-            node=self.sync_rpc.name, tracer=self.tracer))
+            node=self.sync_rpc.name))
 
     def install_remote(self, target: str, uid_text: str, copy: EntryCopy,
                        force: bool = False,
@@ -848,9 +839,6 @@ class ReplicaIO:
                     installed_count += 1
                     self.metrics.counter(
                         "replica_io.entries_installed").increment()
-                    self.tracer.record("replica_io", "entry installed",
-                                       uid=uid_text, source=source,
-                                       target=name)
                 old_sv, old_st = remaining[name]
                 remaining[name] = (max(old_sv, copy.versions[0]),
                                    max(old_st, copy.versions[1]))
@@ -943,9 +931,6 @@ class ReplicaIO:
                 repairs += 1
                 self.metrics.counter(
                     "replica_io.divergence_repairs").increment()
-                self.tracer.record("replica_io", "divergence repaired",
-                                   uid=uid_text, winner=winner, loser=node,
-                                   clock=dict(merged))
         return "ok", repairs
 
     def _clock_winner(self, uid_text: str,

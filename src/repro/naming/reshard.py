@@ -10,8 +10,8 @@ old and new owners serve.  :meth:`plan_rebalance` generalises the
 single-host grow/shrink to a *plan*: several hosts joining and leaving
 in one staged transition, one copy pipeline, one atomic flip -- the
 arc movement stays bounded because the pipeline copies sequentially
-and throttles by ``batch_size``/``throttle`` regardless of how many
-hosts the plan moves.
+and pauses :data:`COPY_PAUSE` seconds every :data:`COPY_BATCH` copies
+regardless of how many hosts the plan moves.
 
 One membership change is one **migration epoch**:
 
@@ -83,7 +83,6 @@ from repro.naming.shard_router import RingTransition, ShardRouter
 from repro.net.errors import RpcError
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.process import Timeout
-from repro.sim.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (cluster -> naming)
     from repro.cluster.node import Node
@@ -101,29 +100,30 @@ class ReshardAborted(ReshardError):
     """A migration could not converge and fell back to the old ring."""
 
 
+# The migration-bandwidth cap: arc copies (and GC forgets) between
+# pauses, and the pause.
+COPY_BATCH = 8
+COPY_PAUSE = 0.02
+
+
 class ReshardManager:
     """Plans and drains live shard-ring membership changes."""
 
     def __init__(self, node: "Node", router: ShardRouter, replication: int,
-                 service: str = SYNC_SERVICE_NAME, batch_size: int = 8,
-                 throttle: float = 0.02,
+                 service: str = SYNC_SERVICE_NAME,
                  retry_interval: float = 0.25, max_rounds: int = 400,
                  handover_coherence: bool = False,
-                 metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         self.node = node
         self.router = router
         self.replication = replication
         self.service = service
-        self.batch_size = max(1, batch_size)
-        self.throttle = throttle
         self.retry_interval = retry_interval
         self.max_rounds = max_rounds
         self.handover_coherence = handover_coherence
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
         self.epochs_completed = 0
         self.entries_copied = 0
         self.entries_forgotten = 0
@@ -138,7 +138,7 @@ class ReshardManager:
                             sync_service=service,
                             sync_rpc=node.sync_rpc,
                             sync_suffix=node.sync_suffix,
-                            metrics=self.metrics, tracer=self.tracer)
+                            metrics=self.metrics)
 
     @property
     def active(self) -> bool:
@@ -231,8 +231,8 @@ class ReshardManager:
         diff, one atomic flip -- instead of one epoch per host, so a
         2->4 scale-out pays one migration, not two.  Partition movement
         stays bounded however many hosts move: the pipeline copies
-        entries sequentially and pauses ``throttle`` seconds every
-        ``batch_size`` copies, so the migration bandwidth cap is
+        entries sequentially and pauses ``COPY_PAUSE`` seconds every
+        ``COPY_BATCH`` copies, so the migration bandwidth cap is
         independent of the plan's size.  Hosts being added must already
         be booted and serving; the slot is claimed and the transition
         staged synchronously, exactly like :meth:`grow`.
@@ -300,12 +300,6 @@ class ReshardManager:
             added=tuple(added), removed=tuple(removed),
             reweighted=tuple(sorted(reweighted.items())),
             partitions=moved)
-        self.tracer.record("reshard", "transition staged",
-                           added=list(added), removed=list(removed),
-                           reweighted=dict(reweighted),
-                           partitions_moved=len(moved),
-                           epoch=target.epoch,
-                           fence=self.router.fence_epoch)
         return self._drain_epoch(target, added, removed, boot_weights,
                                  reweighted, record)
 
@@ -326,8 +320,6 @@ class ReshardManager:
             # can reuse.  (Also runs when the coordinator is killed.)
             self.router.transition = None
             self._busy = False
-            self.tracer.record("reshard", "migration aborted",
-                               epoch=target.epoch)
             raise
         # FLIP -- atomic: membership mutation plus transition clear with
         # no intervening yield, so no client ever routes by a half-state
@@ -343,9 +335,6 @@ class ReshardManager:
         self.router.transition = None
         record["flipped_at"] = self.node.scheduler.now
         self.metrics.counter("reshard.flips").increment()
-        self.tracer.record("reshard", "epoch flipped",
-                           epoch=self.router.epoch,
-                           nodes=list(self.router.nodes))
         try:
             if self.handover_coherence:
                 yield from self._handover_coherence(old_ring, record)
@@ -457,12 +446,10 @@ class ReshardManager:
                 record["entries_copied"] += copied
                 self.metrics.counter(
                     "reshard.entries_copied").increment(copied)
-                self.tracer.record("reshard", "arc entries copied",
-                                   uid=uid_text, copied=copied)
                 copied_since_pause += 1
-                if copied_since_pause >= self.batch_size and self.throttle > 0:
+                if copied_since_pause >= COPY_BATCH:
                     copied_since_pause = 0
-                    yield Timeout(self.throttle)  # bound migration bandwidth
+                    yield Timeout(COPY_PAUSE)
             if outcome == "clean":
                 # Every incoming owner probed current and (being seeded)
                 # rides every dual-ownership write from here on: the arc
@@ -557,18 +544,15 @@ class ReshardManager:
                         self.metrics.counter(
                             "reshard.entries_forgotten").increment()
                         forgotten_since_pause += 1
-                        if (forgotten_since_pause >= self.batch_size
-                                and self.throttle > 0):
+                        if forgotten_since_pause >= COPY_BATCH:
                             forgotten_since_pause = 0
-                            yield Timeout(self.throttle)
+                            yield Timeout(COPY_PAUSE)
             if not deferred:
                 return
             yield Timeout(self.retry_interval)
         # Leftovers on a host that stayed dark through every round are
         # harmless: nothing routes to them, and the version gate keeps a
         # later epoch from ever serving them stale.
-        self.tracer.record("reshard", "gc gave up with leftovers",
-                           epoch=self.router.epoch)
 
 
 class ShardAutoscaler:
@@ -617,8 +601,7 @@ class ShardAutoscaler:
                  busy: Callable[[], bool] | None = None,
                  latency_sample: Callable[[], list[float]] | None = None,
                  p95_up: float | None = None,
-                 p95_down: float | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 p95_down: float | None = None) -> None:
         if interval <= 0:
             raise ValueError("autoscaler interval must be positive")
         if (low_ops_per_shard is not None
@@ -654,7 +637,6 @@ class ShardAutoscaler:
         self.latency_sample = latency_sample
         self.p95_up = p95_up
         self.p95_down = p95_down
-        self.tracer = tracer or NULL_TRACER
         self.samples_taken = 0
         self.scale_ups_triggered = 0
         self.p95_scale_ups = 0  # scale-ups only the p95 trigger fired
@@ -705,11 +687,6 @@ class ShardAutoscaler:
             p95_hot = self.p95_up is not None and self.last_p95 > self.p95_up
             if (rate_hot or p95_hot) and shards < self.max_shards:
                 self.quiet_samples = 0
-                self.tracer.record("reshard", "autoscaler triggering",
-                                   rate_per_shard=self.last_rate_per_shard,
-                                   window_p95=self.last_p95,
-                                   rate_hot=rate_hot, p95_hot=p95_hot,
-                                   shards=shards)
                 self.scale_ups_triggered += 1
                 if p95_hot and not rate_hot:
                     # The gray-failure case: latency exploded while the
@@ -732,9 +709,6 @@ class ShardAutoscaler:
                 continue
             victim = min(per_shard_rates, key=per_shard_rates.get)
             self.quiet_samples = 0  # hysteresis: restart the cooldown
-            self.tracer.record("reshard", "autoscaler draining",
-                               rate_per_shard=self.last_rate_per_shard,
-                               shards=shards, victim=victim)
             self.scale_downs_triggered += 1
             yield from self._wait_out(lambda: self.scale_down(victim))
             last = self.sample()  # don't count migration as load
@@ -760,9 +734,8 @@ class ShardAutoscaler:
             waitable = trigger()
             if waitable is not None:
                 yield waitable  # the migration is the cooldown
-        except Exception as exc:
-            self.tracer.record("reshard", "autoscaler scale hook failed",
-                               error=type(exc).__name__)
+        except Exception:
+            pass  # a failed scale hook must not kill the sampling loop
 
 
 class _Deferred(Exception):

@@ -69,7 +69,6 @@ from repro.naming.shard_router import ShardRouter
 from repro.net.errors import RpcError
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.process import Timeout
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.uid import Uid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (cluster -> naming)
@@ -85,8 +84,7 @@ class ShardResyncManager:
                  retry_interval: float = 0.25, max_rounds: int = 200,
                  sweep_interval: float | None = 10.0,
                  fence: "Callable[[], int] | None" = None,
-                 metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         if replication < 2:
             raise ValueError("shard resync needs replication >= 2 "
                              "(a lone replica has no peer to copy from)")
@@ -106,7 +104,6 @@ class ShardResyncManager:
         # "reset to epoch 0" hole the fencing design must not have.
         self.fence = fence
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
         self.resyncs_completed = 0
         self.resyncs_forced = 0  # rejoined at max_rounds without converging
         self.entries_refreshed = 0
@@ -119,7 +116,7 @@ class ShardResyncManager:
                             service=service, sync_service=sync_service,
                             sync_rpc=node.sync_rpc,
                             sync_suffix=node.sync_suffix,
-                            metrics=self.metrics, tracer=self.tracer)
+                            metrics=self.metrics)
         self._install_hook()
 
     @property
@@ -191,11 +188,6 @@ class ShardResyncManager:
             # cannot mistake a stale rejoin for a caught-up one.
             self.resyncs_forced += 1
             self.metrics.counter(f"resync.{self.node.name}.forced").increment()
-            self.tracer.record("resync", "rejoining without convergence",
-                               node=self.node.name, rounds=self.max_rounds)
-        self.tracer.record("resync", f"{self.node.name} serving again",
-                           refreshed=self.entries_refreshed,
-                           converged=converged)
 
     def _sweep(self) -> Generator[Any, Any, None]:
         """Low-frequency anti-entropy while serving.
@@ -259,8 +251,6 @@ class ShardResyncManager:
                     if self.db.forget_entry(uid_text):
                         self.metrics.counter(
                             f"resync.{self.node.name}.gc_leftovers").increment()
-                        self.tracer.record("resync", "leftover arc swept",
-                                           uid=uid_text, node=me)
                 continue
             mine.append(uid_text)
             for peer in replicas:
@@ -323,8 +313,6 @@ class ShardResyncManager:
                     self.metrics.counter(
                         f"resync.{self.node.name}.entries_refreshed"
                     ).increment()
-                    self.tracer.record("resync", "entry refreshed",
-                                       uid=uid_text, node=me)
                 old = local_versions[uid_text]
                 local_versions[uid_text] = (max(old[0], copy.versions[0]),
                                             max(old[1], copy.versions[1]))
@@ -392,9 +380,6 @@ class ShardResyncManager:
                     self.metrics.counter(
                         f"resync.{self.node.name}.divergence_repairs"
                     ).increment()
-                    self.tracer.record("resync", "divergence repaired",
-                                       uid=uid_text, node=me, source=peer,
-                                       clock=merged)
 
         # Anything still behind the freshest probe (an install raced a
         # local action, a source went dark mid-fetch) waits for the

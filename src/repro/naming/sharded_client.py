@@ -87,18 +87,15 @@ class ShardedGroupViewDbClient:
                  batcher: Any | None = None,
                  health: Any | None = None,
                  participant_retries: int = 0,
-                 participant_backoff: float = 0.05,
                  retry_rng: Any | None = None,
-                 metrics: Any | None = None,
-                 tracer: Any | None = None) -> None:
+                 metrics: Any | None = None) -> None:
         self.io = ReplicaIO(rpc, router, replication, service=service,
                             read_policy=read_policy, repair=repair,
                             sync_suffix=sync_suffix, batcher=batcher,
                             health=health,
                             participant_retries=participant_retries,
-                            participant_backoff=participant_backoff,
                             retry_rng=retry_rng,
-                            metrics=metrics, tracer=tracer)
+                            metrics=metrics)
         # The gray-failure detector (a PeerHealthTracker, or None) --
         # exposed here so harnesses and benchmarks can inspect
         # demotions; the engine owns feeding and consulting it.
@@ -112,7 +109,7 @@ class ShardedGroupViewDbClient:
         self.coherence: CoherenceClient | None = None
         if coherence_node is not None and cache is not None:
             self.coherence = CoherenceClient(coherence_node, self.io, cache,
-                                             metrics=metrics, tracer=tracer)
+                                             metrics=metrics)
         # With a clock attached, every get_server is timed into the
         # ``naming.get_server_latency`` histogram -- the read-latency
         # series benchmarks pull p50/p95/p99 from.

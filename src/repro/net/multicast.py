@@ -42,7 +42,6 @@ from repro.net.groups import GroupView
 from repro.net.message import Message
 from repro.net.network import NetworkInterface
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import NULL_TRACER, Tracer
 
 _mcast_ids = itertools.count(1)
 
@@ -108,11 +107,9 @@ class MulticastMember:
     """
 
     def __init__(self, scheduler: Scheduler, nic: NetworkInterface,
-                 demux: MessageDemux, tracer: Tracer | None = None,
-                 traffic: Any = None) -> None:
+                 demux: MessageDemux, traffic: Any = None) -> None:
         self._scheduler = scheduler
         self._nic = nic
-        self._tracer = tracer or NULL_TRACER
         self._traffic = traffic
         demux.route("mcast.", self._dispatch)
         self._groups: dict[str, _GroupState] = {}
@@ -203,9 +200,9 @@ class NaiveMulticastMember(MulticastMember):
     """Unicast-per-member 'multicast' with no guarantees (figure 1 baseline)."""
 
     def __init__(self, scheduler: Scheduler, nic: NetworkInterface,
-                 demux: MessageDemux, tracer: Tracer | None = None,
-                 stagger: float = 0.0005, traffic: Any = None) -> None:
-        super().__init__(scheduler, nic, demux, tracer, traffic=traffic)
+                 demux: MessageDemux, stagger: float = 0.0005,
+                 traffic: Any = None) -> None:
+        super().__init__(scheduler, nic, demux, traffic=traffic)
         self.stagger = stagger
 
     def send(self, group: str, view: GroupView, payload: Any) -> None:
@@ -246,11 +243,11 @@ class ReliableOrderedMulticastMember(MulticastMember):
     """
 
     def __init__(self, scheduler: Scheduler, nic: NetworkInterface,
-                 demux: MessageDemux, tracer: Tracer | None = None,
+                 demux: MessageDemux,
                  stagger: float = 0.0005, nack_delay: float = 0.05,
                  log_capacity: int = 256, prejoin_capacity: int = 64,
                  traffic: Any = None) -> None:
-        super().__init__(scheduler, nic, demux, tracer, traffic=traffic)
+        super().__init__(scheduler, nic, demux, traffic=traffic)
         self.stagger = stagger
         self.nack_delay = nack_delay
         self.log_capacity = log_capacity
@@ -323,8 +320,6 @@ class ReliableOrderedMulticastMember(MulticastMember):
         state.sequencer_next += 1
         data = _DataMessage(submit.group, seq, submit.origin,
                             submit.payload, submit.mcast_id)
-        self._tracer.record("mcast", "sequenced", group=submit.group, seq=seq,
-                            origin=submit.origin)
         for position, member in enumerate(state.view):
             if member == self.name:
                 self._receive_data(data)
@@ -382,7 +377,6 @@ class ReliableOrderedMulticastMember(MulticastMember):
         state = self._groups.get(group)
         if state is None or state.next_seq > missing:
             return  # repaired meanwhile
-        self._tracer.record("mcast", "nack", group=group, seq=missing)
         for member in state.view:
             if member != self.name:
                 self._transmit(member, NACK_KIND, _NackMessage(group, missing))

@@ -32,7 +32,6 @@ from repro.net.latency import FixedLatency, LatencyModel, TokenBucket
 from repro.net.message import Message
 from repro.sim.rng import SeededRng
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import NULL_TRACER, Tracer
 
 DeliverFn = Callable[[Message], None]
 DropRule = Callable[[Message], bool]
@@ -94,7 +93,6 @@ class Network:
         latency: LatencyModel | None = None,
         drop_probability: float = 0.0,
         rng: SeededRng | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         if drop_probability and rng is None:
             raise ValueError("drop_probability needs an rng for reproducibility")
@@ -102,7 +100,6 @@ class Network:
         self.latency = latency or FixedLatency()
         self._drop_probability = drop_probability
         self._rng = rng.substream("network") if rng else None
-        self._tracer = tracer or NULL_TRACER
         self._interfaces: dict[str, NetworkInterface] = {}
         self._partition_groups: list[set[str]] | None = None
         self._drop_rules: list[DropRule] = []
@@ -156,13 +153,10 @@ class Network:
         self._partition_groups = [set(g) for g in groups if g]
         if rest:
             self._partition_groups.append(rest)
-        self._tracer.record("net", "partition installed",
-                            groups=[sorted(g) for g in self._partition_groups])
 
     def heal(self) -> None:
         """Remove any partition."""
         self._partition_groups = None
-        self._tracer.record("net", "partition healed")
 
     def reachable(self, a: str, b: str) -> bool:
         """Whether interfaces ``a`` and ``b`` are in the same partition."""
@@ -201,13 +195,10 @@ class Network:
         if drop > 0.0 and self._rng is None:
             raise ValueError("degrade drop needs an rng for reproducibility")
         self._degraded[host] = (factor, drop)
-        self._tracer.record("net", "host degraded", host=host,
-                            factor=factor, drop=drop)
 
     def restore(self, host: str) -> None:
         """Lift a :meth:`degrade`; unknown hosts are a no-op."""
-        if self._degraded.pop(host, None) is not None:
-            self._tracer.record("net", "host restored", host=host)
+        self._degraded.pop(host, None)
 
     def degraded(self, host: str) -> bool:
         return host in self._degraded
@@ -223,12 +214,10 @@ class Network:
         if src == dst:
             raise ValueError("cannot block a host's path to itself")
         self._blocked.add((src, dst))
-        self._tracer.record("net", "direction blocked", src=src, dst=dst)
 
     def unblock(self, src: str, dst: str) -> None:
         """Heal a :meth:`block`; unknown pairs are a no-op."""
         self._blocked.discard((src, dst))
-        self._tracer.record("net", "direction healed", src=src, dst=dst)
 
     @staticmethod
     def _host_of(interface_name: str) -> str:
@@ -247,8 +236,6 @@ class Network:
             return
         if any(rule(message) for rule in self._drop_rules):
             self.messages_dropped += 1
-            self._tracer.record("net", "message force-dropped", msg_id=message.msg_id,
-                                kind=message.kind, target=message.target)
             return
         if self._rng is not None and self._rng.chance(self._drop_probability):
             self.messages_dropped += 1

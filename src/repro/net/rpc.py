@@ -45,7 +45,6 @@ from repro.sim.futures import Future
 from repro.sim.metrics import PlaneTraffic
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import NULL_TRACER, Tracer
 
 _request_ids = itertools.count(1)
 
@@ -101,7 +100,6 @@ class RpcAgent:
         nic: NetworkInterface,
         default_timeout: float | None = None,
         service_time: float = 0.0,
-        tracer: Tracer | None = None,
         demux: "MessageDemux | None" = None,
         traffic: "PlaneTraffic | None" = None,
         pipeline: bool = False,
@@ -119,7 +117,6 @@ class RpcAgent:
         self.service_time = service_time
         self._busy_until = 0.0  # single-server queue tail (service_time > 0)
         self._boot_epoch = 0    # bumped on reset(); orphans queued requests
-        self._tracer = tracer or NULL_TRACER
         self._services: dict[str, object] = {}
         self._fences: dict[str, Callable[[], int]] = {}
         self._pending: dict[int, Future] = {}
@@ -272,8 +269,6 @@ class RpcAgent:
     def _expire(self, request: RpcRequest, target: str) -> None:
         future = self._pending.pop(request.request_id, None)
         if future is not None and not future.done:
-            self._tracer.record("rpc", "call timed out", target=target,
-                                service=request.service, method=request.method)
             future.fail(RpcTimeout(
                 f"no reply from {target} for {request.service}.{request.method}"))
 
@@ -335,11 +330,6 @@ class RpcAgent:
                 # caller can safely retry against a refreshed ring view
                 # with no risk of a double-applied mutation here.
                 self.calls_fenced += 1
-                self._tracer.record("rpc", "request fenced as stale",
-                                    service=request.service,
-                                    method=request.method,
-                                    request_epoch=request.ring_epoch,
-                                    server_epoch=current)
                 self._send_reply(caller, RpcReply(
                     request.request_id, False,
                     error_type="StaleRingEpoch",
@@ -401,8 +391,6 @@ class RpcAgent:
     def _reply_error(self, caller: str, request: RpcRequest, exc: Exception) -> None:
         if not self._nic.up:
             return
-        self._tracer.record("rpc", "handler raised", service=request.service,
-                            method=request.method, error=type(exc).__name__)
         self._send_reply(caller, RpcReply(
             request.request_id, False,
             error_type=type(exc).__name__, error_message=str(exc)))

@@ -63,8 +63,6 @@ class ActiveReplication(ReplicationPolicy):
         for host in silent:
             binding.break_binding(host)
             ctx.metrics.counter("policy.active.replicas_masked").increment()
-            ctx.tracer.record("policy", "replica presumed failed", host=host,
-                              uid=str(binding.uid))
 
         if not result.responders:
             raise TxnAborted(f"all_replicas_silent:{binding.uid}")

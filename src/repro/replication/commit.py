@@ -65,8 +65,6 @@ class StateDistributionRecord(AbstractRecord):
 
         state = yield from self._fetch_state()
         if state is None:
-            ctx.tracer.record("commit", "no live server for state fetch",
-                              uid=str(uid))
             return Vote.ABORT
         buffer, version = state
         self._new_version = version + 1
@@ -110,8 +108,6 @@ class StateDistributionRecord(AbstractRecord):
                 yield from ctx.db.exclude(action, [(uid, failures)])
             except LockRefused:
                 ctx.metrics.counter("commit.exclude_promotion_refused").increment()
-                ctx.tracer.record("commit", "exclude promotion refused",
-                                  uid=str(uid), hosts=failures)
                 return Vote.ABORT
             except RpcError:
                 return Vote.ABORT
@@ -165,7 +161,7 @@ class StateDistributionRecord(AbstractRecord):
                 # Every prepared store crashed between the phases: the
                 # decided state survives nowhere stable.  This is the
                 # classic 2PC window without a coordinator log; counted
-                # so experiments can report it (see DESIGN.md section 5).
+                # so experiments can report it.
                 ctx.metrics.counter("commit.durability_lost").increment()
             yield from self._exclude_heuristically(late_failures)
 
@@ -173,14 +169,12 @@ class StateDistributionRecord(AbstractRecord):
         """Close the phase-2 window with an independent Exclude action."""
         ctx, binding = self._ctx, self._binding
         ctx.metrics.counter("commit.late_exclusions").increment(len(hosts))
-        repair = AtomicAction(node=ctx.node.name, tracer=ctx.tracer)
+        repair = AtomicAction(node=ctx.node.name)
         try:
             yield from ctx.db.exclude(repair, [(binding.uid, hosts)])
         except (LockRefused, RpcError):
             yield from repair.abort()
             # The cleanup/recovery protocols remain the backstop.
-            ctx.tracer.record("commit", "late exclusion failed",
-                              uid=str(binding.uid), hosts=hosts)
             return
         except BaseException:
             # Abort-on-failure: the independent Exclude action must

@@ -79,9 +79,6 @@ class CoordinatorCohortReplication(ReplicationPolicy):
                     raise TxnAborted(f"all_replicas_gone:{binding.uid}") from None
                 ctx.metrics.counter(
                     "policy.coordinator_cohort.failovers_masked").increment()
-                ctx.tracer.record("policy", "cohort took over",
-                                  uid=str(binding.uid),
-                                  new_coordinator=binding.coordinator)
                 continue  # retry on the promoted cohort
             if is_write:
                 binding.modified = True

@@ -16,7 +16,7 @@ with the action.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator, TYPE_CHECKING
 
 from repro.actions.action import AtomicAction
@@ -28,7 +28,6 @@ from repro.naming.db_client import GroupViewDbClient
 from repro.net.errors import RpcError
 from repro.net.rpc import RpcAgent
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.uid import Uid
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,7 +46,6 @@ class TxnContext:
     invoker: "GroupInvoker"
     registry: ObjectClassRegistry
     metrics: MetricsRegistry
-    tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
     node_policy: "ReplicationPolicy | None" = None
 
     @property

@@ -35,7 +35,6 @@ from repro.sim.failures import (
     StochasticFaultInjector,
 )
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
-from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
     "Counter",
@@ -58,8 +57,6 @@ __all__ = [
     "StochasticFaultInjector",
     "TimeSeries",
     "Timeout",
-    "TraceEvent",
-    "Tracer",
     "all_of",
     "any_of",
 ]

@@ -9,6 +9,11 @@ Used by the benchmark harness to drive the simulated system:
   statistics (commit rate, aborts by reason, latency percentiles);
 - :mod:`~repro.workload.sweep` -- parameter-sweep helpers and plain
   text table rendering for the experiment reports.
+
+The canned scenarios (:mod:`~repro.workload.scenarios`, run by
+:mod:`~repro.workload.scenario`, checked by :mod:`~repro.workload.audit`;
+``python -m repro.workload list``) build whole systems, so they are
+imported on demand and not from here.
 """
 
 from repro.workload.generator import TransactionStream, WorkloadReport, run_streams

@@ -19,6 +19,13 @@ from repro.sim.rng import SeededRng
 WorkFactory = Callable[[int], Callable[[Txn], Generator[Any, Any, Any]]]
 
 
+def invoke(uid: Any, op: str, *args: Any):
+    """A transaction body that invokes one operation on one object."""
+    def work(txn: Txn) -> Generator[Any, Any, Any]:
+        return (yield from txn.invoke(uid, op, *args))
+    return work
+
+
 @dataclass
 class StreamOutcome:
     """One logical transaction's final fate after retries."""

@@ -7,9 +7,9 @@ fixture; the linter must report nothing here.
 SERVICE = "group_view_db"
 
 
-def purge_with_finally(db, node_name, client, tracer):
+def purge_with_finally(db, node_name, client):
     # try/finally termination: full protection, no finding.
-    action = AtomicAction(node=node_name, tracer=tracer)
+    action = AtomicAction(node=node_name)
     committed = False
     try:
         yield from db.purge_client(action, client)
@@ -20,9 +20,9 @@ def purge_with_finally(db, node_name, client, tracer):
             yield from action.abort()
 
 
-def bind_with_broad_handler(db, client_node, uid, tracer):
+def bind_with_broad_handler(db, client_node, uid):
     # except BaseException routing through the abort_on_failure helper.
-    first = AtomicAction(node=client_node, tracer=tracer)
+    first = AtomicAction(node=client_node)
     try:
         snapshot = yield from db.get_server_with_uses(first, uid)
     except BaseException:

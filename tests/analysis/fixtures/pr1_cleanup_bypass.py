@@ -8,8 +8,8 @@ flag the unguarded region (ident ``action:unguarded``).
 """
 
 
-def purge_dead_client(db, node_name, client, tracer):
-    action = AtomicAction(node=node_name, tracer=tracer)
+def purge_dead_client(db, node_name, client):
+    action = AtomicAction(node=node_name)
     # No try/finally, no handler: any raise below abandons ``action``.
     yield from db.add_record(action)
     purged = yield from db.purge_client(action, client)

@@ -8,11 +8,11 @@ action-leak rule must flag the loop body (ident ``action:unguarded``).
 """
 
 
-def include_guard(store, db, node_name, tracer):
+def include_guard(store, db, node_name):
     while True:
         yield Timeout(2.0)
         for uid in store.uids():
-            action = AtomicAction(node=node_name, tracer=tracer)
+            action = AtomicAction(node=node_name)
             view = yield from db.get_view(action, uid)
             yield from action.commit()
             if node_name not in view:

@@ -9,8 +9,8 @@ narrow handler (ident ``first:narrow-abort``).
 """
 
 
-def bind_with_use_lists(db, client_node, uid, binder, tracer):
-    first = AtomicAction(node=client_node, tracer=tracer)
+def bind_with_use_lists(db, client_node, uid, binder):
+    first = AtomicAction(node=client_node)
     try:
         snapshot = yield from db.get_server_with_uses(first, uid,
                                                       for_update=True)
