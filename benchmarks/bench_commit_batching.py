@@ -29,7 +29,7 @@ The re-read ledger must show zero lost and zero stale bindings.
 Experiment 3 is the scale row the simulator flattening bought: 10^5
 offered transactions through the batched plane, finishing inside the
 perf gate's wall-clock budget (``check_regression.py`` enforces the
-300 s cap on this module's recorded wall time).
+150 s cap on this module's recorded wall time).
 """
 
 import pytest

@@ -19,7 +19,7 @@ the throughput floor already catches a queueing collapse.
 
 Separately from the ratio gate, every re-run bench module's recorded
 ``wall_clock_seconds`` total is held to an absolute budget
-(``--wall-budget``, default 300s): real runtime quietly ballooning is
+(``--wall-budget``, default 150s): real runtime quietly ballooning is
 a regression even when the simulated numbers are unchanged.
 """
 
@@ -131,9 +131,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory of freshly-generated BENCH_*.json")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed fractional throughput drop (0.20)")
-    parser.add_argument("--wall-budget", type=float, default=300.0,
+    parser.add_argument("--wall-budget", type=float, default=150.0,
                         help="absolute per-bench wall-clock cap in real "
-                             "seconds (300)")
+                             "seconds (150)")
     args = parser.parse_args(argv)
     failures = compare(args.baseline, args.current, args.tolerance)
     failures += check_wall_budget(args.current, args.wall_budget)

@@ -162,7 +162,9 @@ class Node:
         self.volatile = VolatileStore(name)
         self.uids = UidFactory(name)
         self.boot_hooks: list[BootHook] = []
-        self._processes: list[Process] = []
+        # Live processes in spawn order (crash() kills them in it); each
+        # removes itself when it settles.
+        self._processes: dict[Process, None] = {}
         self.crash_count = 0
         self.recover_count = 0
 
@@ -213,8 +215,8 @@ class Node:
         self.volatile.wipe()
         if self.object_store is not None:
             self.object_store.mark_down()
-        processes, self._processes = self._processes, []
-        for process in processes:
+        processes, self._processes = self._processes, {}
+        for process in list(processes):
             process.kill(f"node {self.name} crashed")
 
     def recover(self) -> None:
@@ -238,9 +240,12 @@ class Node:
     def spawn(self, body: Generator[Any, Any, Any], name: str = "") -> Process:
         """Spawn a process owned by this node (killed if the node crashes)."""
         process = self.scheduler.spawn(body, name=f"{self.name}:{name}")
-        self._processes.append(process)
-        self._processes = [p for p in self._processes if not p.done]
+        self._processes[process] = None
+        process.add_callback(self._forget_process)
         return process
+
+    def _forget_process(self, process: Process) -> None:
+        self._processes.pop(process, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self._crashed else "up"

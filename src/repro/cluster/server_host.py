@@ -14,7 +14,7 @@ which the recovery protocol re-``Insert``s the node into ``Sv`` sets.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Generator, Iterable
 
 from repro.actions.action import ActionId
 from repro.actions.locks import LockManager, LockMode
@@ -127,6 +127,14 @@ class ServerHost:
         # failure-detection/cleanup protocol of paper section 4.1.3,
         # applied to server-side locks and before-images).
         self._action_clients: dict[tuple[int, ...], str] = {}
+        # What each in-flight top-level action's tree has here, keyed by
+        # its root serial (``action_path[0]``): the servers it invoked
+        # (an insertion-ordered set -- the only ones that can hold its
+        # locks or before-images) and the paths it tracked above.  2PC
+        # for an action visits these and nothing else on the host; an
+        # entry dies with its top-level action (see ``_ending``).
+        self._roots: dict[int, tuple[dict[ObjectServer, None],
+                                     list[tuple[int, ...]]]] = {}
         self.janitor_interval = janitor_interval
         self.janitor_aborts = 0
         # A recovering node must not activate servers until its Insert
@@ -172,16 +180,15 @@ class ServerHost:
             return answer == int(epoch_text)
         return True
 
-    def _track_action(self, action_path: tuple[int, ...],
-                      client_node: str) -> None:
-        if client_node:
-            self._action_clients[tuple(action_path)] = client_node
-
-    def _untrack_tree(self, action_path: tuple[int, ...]) -> None:
-        path = tuple(action_path)
-        for tracked in list(self._action_clients):
-            if _is_prefix(path, tracked):
-                del self._action_clients[tracked]
+    def _untrack_tree(self, path: tuple[int, ...],
+                      tracked: Iterable[tuple[int, ...]]) -> None:
+        """Forget ``path`` and, of its root's ``tracked`` paths, those
+        under it.  A root no longer indexed has only what its read-only
+        prepare left behind, which the janitor ends path by path."""
+        self._action_clients.pop(path, None)
+        for candidate in tracked:
+            if _is_prefix(path, candidate):
+                self._action_clients.pop(candidate, None)
 
     # -- activation (paper section 3.1) -----------------------------------------
 
@@ -231,8 +238,19 @@ class ServerHost:
     def invoke(self, action_path: tuple[int, ...], uid_text: str, op: str,
                args: tuple, client_node: str = "") -> Any:
         server = self._server(uid_text)
+        entry = self._roots.get(action_path[0])
+        if entry is None:
+            entry = self._roots[action_path[0]] = ({}, [])
+        servers, tracked = entry
+        # Indexed before the call: an operation that raises after taking
+        # its lock still leaves state for the action's abort to find.
+        servers[server] = None
         value = server.invoke(action_path, op, tuple(args))
-        self._track_action(action_path, client_node)
+        if client_node:
+            path = tuple(action_path)
+            if path not in self._action_clients:
+                tracked.append(path)
+            self._action_clients[path] = client_node
         return value
 
     def _server(self, uid_text: str) -> ObjectServer:
@@ -247,27 +265,42 @@ class ServerHost:
     def ping(self) -> str:
         return "pong"
 
-    # -- 2PC participant (host-level: covers all its servers) ------------------------
+    # -- 2PC participant (host-level: covers every server the action touched) -------
+
+    def _ending(self, path: tuple[int, ...]) -> tuple[
+            Iterable[ObjectServer], Iterable[tuple[int, ...]]]:
+        """The root entry of ``path``, taken by the call that ends
+        ``path``: ending a top-level action removes the entry."""
+        if len(path) == 1:
+            return self._roots.pop(path[0], _NO_ENTRY)
+        return self._roots.get(path[0], _NO_ENTRY)
 
     def prepare(self, action_path: tuple[int, ...]) -> str:
-        wrote = any(s.wrote_under(tuple(action_path))
-                    for s in self._servers.values())
-        if not wrote:
-            # Read-only optimisation: release read locks at prepare.
-            for server in self._servers.values():
-                server._release_tree(tuple(action_path))
-            return "readonly"
-        return "ok"
+        path = tuple(action_path)
+        servers, _ = self._roots.get(path[0], _NO_ENTRY)
+        if any(server.wrote_under(path) for server in servers):
+            return "ok"
+        # Read-only optimisation: release read locks at prepare.  The
+        # coordinator sends a read-only participant no phase 2, so the
+        # action ends here (its tracked client stays behind: see the
+        # "found, not fixed" note in docs/architecture.md).
+        for server in self._ending(path)[0]:
+            server._release_tree(path)
+        return "readonly"
 
     def commit(self, action_path: tuple[int, ...]) -> None:
-        for server in self._servers.values():
-            server.commit(tuple(action_path))
-        self._untrack_tree(action_path)
+        path = tuple(action_path)
+        servers, tracked = self._ending(path)
+        for server in servers:
+            server.commit(path)
+        self._untrack_tree(path, tracked)
 
     def abort(self, action_path: tuple[int, ...]) -> None:
-        for server in self._servers.values():
-            server.abort(tuple(action_path))
-        self._untrack_tree(action_path)
+        path = tuple(action_path)
+        servers, tracked = self._ending(path)
+        for server in servers:
+            server.abort(path)
+        self._untrack_tree(path, tracked)
 
     # -- state transfer ----------------------------------------------------------------
 
@@ -311,6 +344,8 @@ class ServerHost:
         server = self._servers.get(uid)
         if server is not None and server.quiescent:
             del self._servers[uid]
+            for servers, _ in self._roots.values():
+                servers.pop(server, None)
             group = group_name_for(uid)
             if group in self._groups_joined:
                 self._node.mcast.leave(group)
@@ -350,6 +385,10 @@ class ServerHost:
                      "ok": False, "error_type": type(exc).__name__,
                      "error_message": str(exc)}
         self._node.nic.send(reply_to, GROUP_REPLY_KIND, reply)
+
+
+# What ``ServerHost._roots`` holds for a root that invoked nothing here.
+_NO_ENTRY: tuple[tuple, tuple] = ((), ())
 
 
 def _is_prefix(prefix: tuple[int, ...], path: tuple[int, ...]) -> bool:

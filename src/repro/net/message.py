@@ -16,12 +16,18 @@ _message_ids = itertools.count(1)
 
 @dataclass(frozen=True)
 class Message:
-    """An addressed datagram."""
+    """An addressed datagram.
+
+    ``size`` is the payload's metered wire size when the sending
+    protocol layer measured one, so the receiving end's byte counters
+    need not walk the payload again.
+    """
 
     sender: str
     target: str
     kind: str
     payload: Any
+    size: int | None = None
     msg_id: int = field(default_factory=lambda: next(_message_ids))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

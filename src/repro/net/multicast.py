@@ -41,6 +41,7 @@ from repro.net.demux import MessageDemux
 from repro.net.groups import GroupView
 from repro.net.message import Message
 from repro.net.network import NetworkInterface
+from repro.sim.metrics import estimate_size
 from repro.sim.scheduler import Scheduler
 
 _mcast_ids = itertools.count(1)
@@ -178,13 +179,20 @@ class MulticastMember:
 
     def _dispatch(self, message: Message) -> None:
         if self._traffic is not None:
-            self._traffic.record_multicast_received(message.payload)
+            self._traffic.record_multicast_received(message.payload,
+                                                    message.size)
         self._on_message(message)
 
-    def _transmit(self, member: str, kind: str, data: Any) -> None:
+    def _size_of(self, data: Any) -> int | None:
+        """``data``'s metered size, for a fan-out that transmits one
+        payload many times to walk it once (``None`` when unmetered)."""
+        return estimate_size(data) if self._traffic is not None else None
+
+    def _transmit(self, member: str, kind: str, data: Any,
+                  size: int | None = None) -> None:
         if self._traffic is not None:
-            self._traffic.record_multicast_sent(data)
-        self._nic.send(member, kind, data)
+            size = self._traffic.record_multicast_sent(data, size)
+        self._nic.send(member, kind, data, size)
 
     def _on_message(self, message: Message) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -215,14 +223,16 @@ class NaiveMulticastMember(MulticastMember):
         mcast_id = next(_mcast_ids)
         data = _DataMessage(group, seq=0, origin=self.name,
                             payload=payload, mcast_id=mcast_id)
+        size = self._size_of(data)
         for position, member in enumerate(view):
             self._scheduler.schedule(position * self.stagger,
-                                     self._emit, member, data)
+                                     self._emit, member, data, size)
 
-    def _emit(self, member: str, data: _DataMessage) -> None:
+    def _emit(self, member: str, data: _DataMessage,
+              size: int | None) -> None:
         # NetworkInterface.send is a no-op if this node has crashed, which
         # is exactly the partial-delivery failure mode.
-        self._transmit(member, NAIVE_KIND, data)
+        self._transmit(member, NAIVE_KIND, data, size)
 
     def _on_message(self, message: Message) -> None:
         if message.kind != NAIVE_KIND:
@@ -306,7 +316,7 @@ class ReliableOrderedMulticastMember(MulticastMember):
         if message.kind == SUBMIT_KIND:
             self._sequence(message.payload)
         elif message.kind == DATA_KIND:
-            self._receive_data(message.payload)
+            self._receive_data(message.payload, message.size)
         elif message.kind == NACK_KIND:
             self._answer_nack(message.sender, message.payload)
 
@@ -320,17 +330,20 @@ class ReliableOrderedMulticastMember(MulticastMember):
         state.sequencer_next += 1
         data = _DataMessage(submit.group, seq, submit.origin,
                             submit.payload, submit.mcast_id)
+        size = self._size_of(data)
         for position, member in enumerate(state.view):
             if member == self.name:
-                self._receive_data(data)
+                self._receive_data(data, size)
             else:
                 self._scheduler.schedule(position * self.stagger,
-                                         self._emit, member, data)
+                                         self._emit, member, data, size)
 
-    def _emit(self, member: str, data: _DataMessage) -> None:
-        self._transmit(member, DATA_KIND, data)
+    def _emit(self, member: str, data: _DataMessage,
+              size: int | None) -> None:
+        self._transmit(member, DATA_KIND, data, size)
 
-    def _receive_data(self, data: _DataMessage) -> None:
+    def _receive_data(self, data: _DataMessage,
+                      size: int | None = None) -> None:
         state = self._groups.get(data.group)
         if state is None:
             stash = self._prejoin.get(data.group)
@@ -347,7 +360,7 @@ class ReliableOrderedMulticastMember(MulticastMember):
         # informed (R-multicast).
         for member in state.view:
             if member != self.name:
-                self._transmit(member, DATA_KIND, data)
+                self._transmit(member, DATA_KIND, data, size)
         state.holdback[data.seq] = data
         self._drain_holdback(state)
         if state.next_seq in state.holdback or state.next_seq <= max(

@@ -64,11 +64,16 @@ class NetworkInterface:
         self.sent_count = 0
         self.received_count = 0
 
-    def send(self, target: str, kind: str, payload: object) -> Message | None:
-        """Transmit a datagram; returns it, or ``None`` if we are down."""
+    def send(self, target: str, kind: str, payload: object,
+             size: int | None = None) -> Message | None:
+        """Transmit a datagram; returns it, or ``None`` if we are down.
+
+        ``size`` is the sender's metered size of ``payload``, carried to
+        the receiver's meter.
+        """
         if not self.up:
             return None
-        message = Message(self.name, target, kind, payload)
+        message = Message(self.name, target, kind, payload, size)
         self.sent_count += 1
         self._network._transmit(message)
         return message

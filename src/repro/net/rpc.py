@@ -231,9 +231,8 @@ class RpcAgent:
                                           self._boot_epoch)
             else:
                 outbox.append(request)
-        elif self._nic.send(target, REQUEST_KIND, request) is not None \
-                and self._traffic is not None:
-            self._traffic.record_sent(request)
+        else:
+            self._send(target, REQUEST_KIND, request)
         deadline = timeout if timeout is not None else self.default_timeout
         timer = self._scheduler.schedule(deadline, self._expire, request, target)
         future.add_callback(lambda _f: timer.cancel())
@@ -256,15 +255,18 @@ class RpcAgent:
         if len(requests) == 1:
             # No peer in the frame: ship the plain request so single
             # calls look identical on the wire with pipelining on.
-            if self._nic.send(target, REQUEST_KIND, requests[0]) is not None \
-                    and self._traffic is not None:
-                self._traffic.record_sent(requests[0])
+            self._send(target, REQUEST_KIND, requests[0])
             return
-        frame = tuple(requests)
         self.frames_sent += 1
-        if self._nic.send(target, FRAME_KIND, frame) is not None \
-                and self._traffic is not None:
-            self._traffic.record_sent(frame)
+        self._send(target, FRAME_KIND, tuple(requests))
+
+    def _send(self, target: str, kind: str, payload: Any) -> None:
+        """Put one message on the wire, sized once for both ends' meters."""
+        if self._traffic is None:
+            self._nic.send(target, kind, payload)
+        elif self._nic.up:
+            self._nic.send(target, kind, payload,
+                           self._traffic.record_sent(payload))
 
     def _expire(self, request: RpcRequest, target: str) -> None:
         future = self._pending.pop(request.request_id, None)
@@ -276,7 +278,7 @@ class RpcAgent:
 
     def _on_message(self, message: Message) -> None:
         if self._traffic is not None:
-            self._traffic.record_received(message.payload)
+            self._traffic.record_received(message.payload, message.size)
         if message.kind == REQUEST_KIND:
             self._serve(message.sender, message.payload)
         elif message.kind == REPLY_KIND:
@@ -330,7 +332,7 @@ class RpcAgent:
                 # caller can safely retry against a refreshed ring view
                 # with no risk of a double-applied mutation here.
                 self.calls_fenced += 1
-                self._send_reply(caller, RpcReply(
+                self._send(caller, REPLY_KIND, RpcReply(
                     request.request_id, False,
                     error_type="StaleRingEpoch",
                     error_message=(
@@ -378,20 +380,16 @@ class RpcAgent:
         else:
             self._reply_ok(caller, request, process.result())
 
-    def _send_reply(self, caller: str, reply: RpcReply) -> None:
-        if self._nic.send(caller, REPLY_KIND, reply) is not None \
-                and self._traffic is not None:
-            self._traffic.record_sent(reply)
-
     def _reply_ok(self, caller: str, request: RpcRequest, value: Any) -> None:
         if not self._nic.up:
             return
-        self._send_reply(caller, RpcReply(request.request_id, True, value))
+        self._send(caller, REPLY_KIND,
+                   RpcReply(request.request_id, True, value))
 
     def _reply_error(self, caller: str, request: RpcRequest, exc: Exception) -> None:
         if not self._nic.up:
             return
-        self._send_reply(caller, RpcReply(
+        self._send(caller, REPLY_KIND, RpcReply(
             request.request_id, False,
             error_type=type(exc).__name__, error_message=str(exc)))
 

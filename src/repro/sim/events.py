@@ -2,7 +2,9 @@
 
 Events are ordered by ``(time, seq)``: two events scheduled for the same
 virtual time fire in the order they were scheduled, which keeps runs
-deterministic without relying on heap tie-breaking behaviour.
+deterministic without relying on heap tie-breaking behaviour.  The heap
+holds ``(time, seq, event)`` tuples, so that order is C tuple comparison
+and ``seq`` (unique per scheduler) keeps it from ever reaching the event.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class Event:
             self._queue = None
             queue._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.6f} seq={self.seq}{state} fn={getattr(self.fn, '__name__', self.fn)!r}>"
@@ -68,7 +67,7 @@ class EventQueue:
     COMPACT_MIN_SIZE = 64
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         # Live (queued, not cancelled) events, maintained by push/pop/
         # cancel so __len__ and __bool__ are O(1) -- both sit on the
         # scheduler's hot path, and a lazy-deletion heap can hold far
@@ -89,12 +88,12 @@ class EventQueue:
         events reproduces exactly the pop order the lazy heap would have
         produced -- compaction is invisible to the scheduler.
         """
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self.compactions += 1
 
     def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.seq, event))
         if not event.cancelled:
             event._queue = self
             self._live += 1
@@ -102,7 +101,7 @@ class EventQueue:
     def pop(self) -> Event | None:
         """Remove and return the next live event, or ``None`` if empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 event._queue = None  # fired: a late cancel() is a no-op
                 self._live -= 1
@@ -112,10 +111,10 @@ class EventQueue:
     def peek_time(self) -> float | None:
         """Return the virtual time of the next live event, or ``None``."""
         while self._heap:
-            if self._heap[0].cancelled:
+            if self._heap[0][2].cancelled:
                 heapq.heappop(self._heap)
                 continue
-            return self._heap[0].time
+            return self._heap[0][0]
         return None
 
     def __len__(self) -> int:

@@ -23,7 +23,6 @@ class Scheduler:
         self._now = 0.0
         self._seq = 0
         self._events_fired = 0
-        self._processes: list[Process] = []
 
     # -- clock ---------------------------------------------------------------
 
@@ -65,14 +64,8 @@ class Scheduler:
         ``spawn`` itself never executes user code.
         """
         process = Process(self, body, name)
-        self._processes.append(process)
         self.call_soon(process._start)
         return process
-
-    @property
-    def processes(self) -> list[Process]:
-        """All processes ever spawned (including terminated ones)."""
-        return list(self._processes)
 
     # -- running -------------------------------------------------------------
 

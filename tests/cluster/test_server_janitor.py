@@ -1,5 +1,7 @@
 """Tests for the server-side orphaned-action janitor."""
 
+import pytest
+
 from tests.conftest import add_work, build_system, get_work
 
 
@@ -48,6 +50,35 @@ def test_tracking_cleared_on_commit():
     system.run_transaction(client, add_work(uid, 1))
     host = system.nodes["s1"].rpc.service("servers")
     assert host._action_clients == {}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ServerHost.prepare returning 'readonly' never untracks "
+    "_action_clients[path], and the coordinator sends a read-only "
+    "participant no phase 2, so every read-only action leaks one entry "
+    "per server host and the 2 s janitor probes the growing list "
+    "forever: perf/run.py lookup_read (seed 7) ends with 6,960 leaked "
+    "entries and 10,043 client.epoch probes, 26 % of the 38,057 RPCs "
+    "its load phase issues; bind_uncached 1,011 leaked / 13,433 probes "
+    "(24 % of 56,328).  The fix moves "
+    "simulated traffic and every read-heavy BENCH_*.json, so it is its "
+    "own correctness change -- see docs/architecture.md, 'Found, not "
+    "fixed'."))
+def test_readonly_prepare_untracks_action():
+    system, client, uid = build_system(sv=("s1",), st=("t1",))
+    result = system.run_transaction(client, get_work(uid))
+    assert result.committed
+    host = system.nodes["s1"].rpc.service("servers")
+    assert host._action_clients == {}
+
+
+def test_readonly_action_leaves_no_2pc_index_entry():
+    """The per-root 2PC index must not share the leak pinned above."""
+    system, client, uid = build_system(sv=("s1",), st=("t1",))
+    for _ in range(3):
+        assert system.run_transaction(client, get_work(uid)).committed
+    host = system.nodes["s1"].rpc.service("servers")
+    assert host._roots == {}
 
 
 def test_client_recovering_does_not_resurrect_action():

@@ -5,6 +5,8 @@ backed by a counter maintained by push/pop/cancel instead of a heap
 scan; these tests pin the counter against every lifecycle edge.
 """
 
+from hypothesis import given, strategies as st
+
 from repro.sim.events import Event, EventQueue
 
 
@@ -158,3 +160,59 @@ def test_cancel_after_compaction_is_harmless():
     assert q.compactions >= 1
     events[0].cancel()  # idempotent, already gone from the heap
     assert len(q) == 28
+
+
+# A step is a push at one of a few times (so ties are common), a cancel
+# of the i-th event pushed so far, or a pop; the bursts cross
+# COMPACT_MIN_SIZE with most of the heap cancelled.
+queue_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from([0.0, 0.5, 0.5, 1.0, 2.5])),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=400)),
+        st.tuples(st.just("pop"), st.none()),
+        st.tuples(st.just("burst"), st.integers(min_value=70, max_value=120))),
+    max_size=60)
+
+
+@given(queue_steps)
+def test_pops_are_the_live_events_in_time_then_seq_order(steps):
+    q = EventQueue()
+    pushed: list[Event] = []
+    live: set[int] = set()  # seqs queued and not cancelled or popped
+
+    def push(time):
+        event = make_event(time, len(pushed))
+        pushed.append(event)
+        live.add(event.seq)
+        q.push(event)
+
+    def check_pop():
+        popped = q.pop()
+        if not live:
+            assert popped is None
+            return
+        assert (popped.time, popped.seq) == min(
+            (pushed[seq].time, seq) for seq in live)
+        live.remove(popped.seq)
+
+    for step, arg in steps:
+        if step == "push":
+            push(arg)
+        elif step == "burst":
+            start = len(pushed)
+            for i in range(arg):
+                push(float(i % 3))
+            for event in pushed[start:start + arg - 5]:
+                event.cancel()
+                live.discard(event.seq)
+            assert q.compactions >= 1
+        elif step == "cancel" and pushed:
+            event = pushed[arg % len(pushed)]
+            event.cancel()
+            live.discard(event.seq)
+        elif step == "pop":
+            check_pop()
+        assert len(q) == len(live)
+    while live:
+        check_pop()
+    assert q.pop() is None and not q
