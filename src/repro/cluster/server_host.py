@@ -159,13 +159,20 @@ class ServerHost:
         from repro.sim.process import Timeout
         while True:
             yield Timeout(self.janitor_interval)
-            for path, client_node in list(self._action_clients.items()):
-                if path not in self._action_clients:
-                    continue  # resolved while we probed another one
-                alive = yield from self._client_alive(client_node)
-                if not alive:
-                    self.abort(path)
-                    self.janitor_aborts += 1
+            # One probe per client a round, however many actions it has
+            # here: the answer is the same for all of them.
+            by_client: dict[str, list[tuple[int, ...]]] = {}
+            for path, client_ref in self._action_clients.items():
+                by_client.setdefault(client_ref, []).append(path)
+            for client_ref, paths in by_client.items():
+                if not any(path in self._action_clients for path in paths):
+                    continue  # all resolved while we probed another one
+                if (yield from self._client_alive(client_ref)):
+                    continue
+                for path in paths:
+                    if path in self._action_clients:  # not ended meanwhile
+                        self.abort(path)
+                        self.janitor_aborts += 1
 
     def _client_alive(self, client_ref: str) -> Generator[Any, Any, bool]:
         """Liveness with incarnation check: ``name#epoch`` references are
@@ -183,8 +190,7 @@ class ServerHost:
     def _untrack_tree(self, path: tuple[int, ...],
                       tracked: Iterable[tuple[int, ...]]) -> None:
         """Forget ``path`` and, of its root's ``tracked`` paths, those
-        under it.  A root no longer indexed has only what its read-only
-        prepare left behind, which the janitor ends path by path."""
+        under it."""
         self._action_clients.pop(path, None)
         for candidate in tracked:
             if _is_prefix(path, candidate):
@@ -282,10 +288,11 @@ class ServerHost:
             return "ok"
         # Read-only optimisation: release read locks at prepare.  The
         # coordinator sends a read-only participant no phase 2, so the
-        # action ends here (its tracked client stays behind: see the
-        # "found, not fixed" note in docs/architecture.md).
-        for server in self._ending(path)[0]:
+        # action ends here, tracked client included.
+        servers, tracked = self._ending(path)
+        for server in servers:
             server._release_tree(path)
+        self._untrack_tree(path, tracked)
         return "readonly"
 
     def commit(self, action_path: tuple[int, ...]) -> None:

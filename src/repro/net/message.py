@@ -14,7 +14,7 @@ from typing import Any
 _message_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     """An addressed datagram.
 
@@ -28,7 +28,7 @@ class Message:
     kind: str
     payload: Any
     size: int | None = None
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Message #{self.msg_id} {self.sender}->{self.target} "

@@ -99,6 +99,9 @@ class Network:
         drop_probability: float = 0.0,
         rng: SeededRng | None = None,
     ) -> None:
+        if not 0.0 <= drop_probability <= 1.0:
+            raise ValueError(
+                f"drop probability out of range: {drop_probability}")
         if drop_probability and rng is None:
             raise ValueError("drop_probability needs an rng for reproducibility")
         self._scheduler = scheduler
@@ -236,20 +239,25 @@ class Network:
 
     def _transmit(self, message: Message) -> None:
         self.messages_sent += 1
-        if message.target not in self._interfaces:
+        target_nic = self._interfaces.get(message.target)
+        if target_nic is None:
             self.messages_dropped += 1
             return
-        if any(rule(message) for rule in self._drop_rules):
+        if self._drop_rules and any(
+                rule(message) for rule in self._drop_rules):
             self.messages_dropped += 1
             return
-        if self._rng is not None and self._rng.chance(self._drop_probability):
+        # Exactly one draw per message that gets this far, whatever the
+        # probability: the stream also feeds the gray-drop draws below,
+        # so a run's drops are reproducible only if the count holds.
+        if (self._rng is not None
+                and self._rng.random() < self._drop_probability):
             self.messages_dropped += 1
             return
         # Plane resolution: the target interface's own model wins (sync
         # traffic into a host's replication NIC takes the sync plane's
         # latency even from a single-NIC sender), then the sender's,
         # then the network default.  Same order for the throttle.
-        target_nic = self._interfaces[message.target]
         sender_nic = self._interfaces.get(message.sender)
         model = target_nic.latency or (
             sender_nic.latency if sender_nic is not None else None
@@ -280,7 +288,8 @@ class Network:
         if nic is None or not nic.up:
             self.messages_dropped += 1
             return
-        if not self.reachable(message.sender, message.target):
+        if self._partition_groups is not None and not self.reachable(
+                message.sender, message.target):
             self.messages_dropped += 1
             return
         if self._blocked and (

@@ -41,6 +41,7 @@ from repro.net.errors import (
 )
 from repro.net.message import Message
 from repro.net.network import NetworkInterface
+from repro.sim.events import Event
 from repro.sim.futures import Future
 from repro.sim.metrics import PlaneTraffic
 from repro.sim.process import Process
@@ -55,7 +56,7 @@ REPLY_KIND = "rpc.reply"
 FRAME_KIND = "rpc.frame"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RpcRequest:
     """Wire format of a call.
 
@@ -74,7 +75,7 @@ class RpcRequest:
     ring_epoch: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RpcReply:
     """Wire format of a reply: a value or a serialised remote error.
 
@@ -119,7 +120,8 @@ class RpcAgent:
         self._boot_epoch = 0    # bumped on reset(); orphans queued requests
         self._services: dict[str, object] = {}
         self._fences: dict[str, Callable[[], int]] = {}
-        self._pending: dict[int, Future] = {}
+        # In-flight calls: request id -> (reply future, timeout event).
+        self._pending: dict[int, tuple[Future, Event]] = {}
         # Connection-level pipelining: with ``pipeline=True``, requests
         # issued back to back (same virtual instant) to one target are
         # buffered and shipped as a single FRAME_KIND message -- they
@@ -186,7 +188,8 @@ class RpcAgent:
         volatile memory.
         """
         pending, self._pending = self._pending, {}
-        for future in pending.values():
+        for future, timer in pending.values():
+            timer.cancel()
             future.try_fail(RpcTimeout("local node crashed"))
         # Buffered pipeline frames die with the node: their requests'
         # futures were already failed through ``_pending`` above, and
@@ -220,9 +223,8 @@ class RpcAgent:
             future.fail(RpcTimeout("local node is down"))
             return future
         self.calls_issued += 1
-        request = RpcRequest(next(_request_ids), service, method, tuple(args),
-                             ring_epoch=ring_epoch)
-        self._pending[request.request_id] = future
+        request_id = next(_request_ids)
+        request = RpcRequest(request_id, service, method, args, ring_epoch)
         if self.pipeline:
             outbox = self._outbox.get(target)
             if outbox is None:
@@ -233,9 +235,11 @@ class RpcAgent:
                 outbox.append(request)
         else:
             self._send(target, REQUEST_KIND, request)
-        deadline = timeout if timeout is not None else self.default_timeout
-        timer = self._scheduler.schedule(deadline, self._expire, request, target)
-        future.add_callback(lambda _f: timer.cancel())
+        # The timer is cancelled by whichever of ``_complete`` and
+        # ``reset`` takes the entry; ``_expire`` is the timer itself.
+        self._pending[request_id] = (future, self._scheduler.schedule(
+            self.default_timeout if timeout is None else timeout,
+            self._expire, request, target))
         return future
 
     def _flush_frame(self, target: str, epoch: int) -> None:
@@ -269,9 +273,9 @@ class RpcAgent:
                            self._traffic.record_sent(payload))
 
     def _expire(self, request: RpcRequest, target: str) -> None:
-        future = self._pending.pop(request.request_id, None)
-        if future is not None and not future.done:
-            future.fail(RpcTimeout(
+        entry = self._pending.pop(request.request_id, None)
+        if entry is not None:
+            entry[0].try_fail(RpcTimeout(
                 f"no reply from {target} for {request.service}.{request.method}"))
 
     # -- message handling ------------------------------------------------------
@@ -291,9 +295,13 @@ class RpcAgent:
                 self._serve(message.sender, request)
 
     def _complete(self, reply: RpcReply) -> None:
-        future = self._pending.pop(reply.request_id, None)
-        if future is None or future.done:
+        entry = self._pending.pop(reply.request_id, None)
+        if entry is None:
             return  # late reply to a call that already timed out
+        future, timer = entry
+        timer.cancel()
+        if future.done:
+            return
         if reply.ok:
             future.resolve(reply.value)
         elif reply.error_type == "StaleRingEpoch":

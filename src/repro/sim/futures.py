@@ -29,10 +29,15 @@ class Future:
     into any waiting process.
     """
 
-    __slots__ = ("_state", "_value", "_exception", "_callbacks", "label")
+    __slots__ = ("_state", "done", "_value", "_exception", "_callbacks",
+                 "label")
 
     def __init__(self, label: str = "") -> None:
         self._state = FutureState.PENDING
+        #: Whether the future has settled.  A plain attribute kept in
+        #: step with ``_state``: every event-loop turn and wake-up
+        #: reads it, which as a property was a python frame each.
+        self.done = False
         self._value: Any = None
         self._exception: BaseException | None = None
         # Lazily allocated: most futures (every RPC call makes one) get
@@ -49,10 +54,6 @@ class Future:
         return self._state is FutureState.PENDING
 
     @property
-    def done(self) -> bool:
-        return self._state is not FutureState.PENDING
-
-    @property
     def failed(self) -> bool:
         return self._state is FutureState.FAILED
 
@@ -61,6 +62,7 @@ class Future:
         if self.done:
             raise RuntimeError(f"future {self.label!r} already settled")
         self._state = FutureState.RESOLVED
+        self.done = True
         self._value = value
         self._run_callbacks()
 
@@ -69,6 +71,7 @@ class Future:
         if self.done:
             raise RuntimeError(f"future {self.label!r} already settled")
         self._state = FutureState.FAILED
+        self.done = True
         self._exception = exception
         self._run_callbacks()
 

@@ -21,6 +21,9 @@ class SeededRng:
         self.seed = seed
         self.name = name
         self._random = random.Random(_derive_seed(seed, name))
+        #: One uniform draw from ``[0, 1)``: the generator's own bound
+        #: method, so a per-message caller pays no python frame for it.
+        self.random = self._random.random
 
     def substream(self, name: str) -> "SeededRng":
         """Derive an independent stream identified by ``name``.
@@ -44,9 +47,6 @@ class SeededRng:
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in ``[low, high]`` inclusive."""
         return self._random.randint(low, high)
-
-    def random(self) -> float:
-        return self._random.random()
 
     def chance(self, probability: float) -> bool:
         """Bernoulli draw: ``True`` with the given probability."""

@@ -8,6 +8,7 @@ scheduling order.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator
 
 from repro.sim.errors import SimulationLimitExceeded
@@ -38,22 +39,43 @@ class Scheduler:
 
     # -- scheduling ----------------------------------------------------------
 
+    # ``schedule``/``schedule_at``/``call_soon`` each spell out
+    # ``EventQueue.push`` of a fresh event, and ``step`` spells out
+    # ``EventQueue.pop``: every message, timer and wake-up in a run is
+    # one of each, so each costs one python frame rather than three.
+
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now."""
-        return self.schedule_at(self._now + delay, fn, *args)
+        time = self._now + delay
+        if time < self._now:
+            raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
+        self._seq = seq = self._seq + 1
+        event = Event(time, seq, fn, args)
+        queue = event._queue = self._queue
+        heappush(queue._heap, (time, seq, event))
+        queue._live += 1
+        return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute virtual time."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
-        self._seq += 1
-        event = Event(time, self._seq, fn, args)
-        self._queue.push(event)
+        self._seq = seq = self._seq + 1
+        event = Event(time, seq, fn, args)
+        queue = event._queue = self._queue
+        heappush(queue._heap, (time, seq, event))
+        queue._live += 1
         return event
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current time, after pending events."""
-        return self.schedule(0.0, fn, *args)
+        time = self._now
+        self._seq = seq = self._seq + 1
+        event = Event(time, seq, fn, args)
+        queue = event._queue = self._queue
+        heappush(queue._heap, (time, seq, event))
+        queue._live += 1
+        return event
 
     # -- processes -----------------------------------------------------------
 
@@ -71,13 +93,18 @@ class Scheduler:
 
     def step(self) -> bool:
         """Fire the next event.  Return ``False`` if the queue was empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event.time
-        self._events_fired += 1
-        event.fn(*event.args)
-        return True
+        queue = self._queue
+        heap = queue._heap
+        while heap:
+            event = heappop(heap)[2]
+            if not event.cancelled:
+                event._queue = None  # fired: a late cancel() is a no-op
+                queue._live -= 1
+                self._now = event.time
+                self._events_fired += 1
+                event.fn(*event.args)
+                return True
+        return False
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Run until the queue drains, ``until`` is reached, or budget spent.

@@ -1,8 +1,7 @@
 """Tests for the server-side orphaned-action janitor."""
 
-import pytest
-
-from tests.conftest import add_work, build_system, get_work
+from repro.sim.process import Timeout
+from tests.conftest import Counter, add_work, build_system, get_work
 
 
 def test_dead_clients_action_aborted_and_locks_freed():
@@ -29,7 +28,6 @@ def test_dead_clients_action_aborted_and_locks_freed():
 
 
 def test_live_client_long_action_not_disturbed():
-    from repro.sim.process import Timeout
     system, client, uid = build_system(sv=("s1",), st=("t1",))
 
     def slow(txn):
@@ -52,18 +50,6 @@ def test_tracking_cleared_on_commit():
     assert host._action_clients == {}
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ServerHost.prepare returning 'readonly' never untracks "
-    "_action_clients[path], and the coordinator sends a read-only "
-    "participant no phase 2, so every read-only action leaks one entry "
-    "per server host and the 2 s janitor probes the growing list "
-    "forever: perf/run.py lookup_read (seed 7) ends with 6,960 leaked "
-    "entries and 10,043 client.epoch probes, 26 % of the 38,057 RPCs "
-    "its load phase issues; bind_uncached 1,011 leaked / 13,433 probes "
-    "(24 % of 56,328).  The fix moves "
-    "simulated traffic and every read-heavy BENCH_*.json, so it is its "
-    "own correctness change -- see docs/architecture.md, 'Found, not "
-    "fixed'."))
 def test_readonly_prepare_untracks_action():
     system, client, uid = build_system(sv=("s1",), st=("t1",))
     result = system.run_transaction(client, get_work(uid))
@@ -72,8 +58,23 @@ def test_readonly_prepare_untracks_action():
     assert host._action_clients == {}
 
 
+def test_readonly_clients_are_never_probed():
+    """A read-only vote is the action's last word at the host: nothing
+    of it is left for the janitor to ask the client about, however many
+    there were and however long the client lives."""
+    system, client, uid = build_system(sv=("s1",), st=("t1",))
+    for _ in range(50):
+        assert system.run_transaction(client, get_work(uid)).committed
+    host = system.nodes["s1"].rpc.service("servers")
+    assert host._action_clients == {}
+    served = system.nodes["c1"].rpc.calls_served
+    system.run(until=system.scheduler.now + 3 * host.janitor_interval)
+    assert system.nodes["c1"].rpc.calls_served == served
+    assert host._action_clients == {} and host.janitor_aborts == 0
+
+
 def test_readonly_action_leaves_no_2pc_index_entry():
-    """The per-root 2PC index must not share the leak pinned above."""
+    """Nor does the per-root 2PC index keep anything of it."""
     system, client, uid = build_system(sv=("s1",), st=("t1",))
     for _ in range(3):
         assert system.run_transaction(client, get_work(uid)).committed
@@ -99,3 +100,55 @@ def test_client_recovering_does_not_resurrect_action():
     final = system.run_transaction(client, get_work(uid))
     # Only the committed +1 is visible; the orphaned +7 was rolled back.
     assert final.value == 101
+
+
+def _count_probes(system, probes):
+    """Append to ``probes`` on each ``client.epoch`` call ``c1`` answers."""
+    service = system.nodes["c1"].rpc.service("client")
+    answer = service.epoch
+    service.epoch = lambda: probes.append(system.scheduler.now) or answer()
+
+
+def _writers_in_flight(k):
+    """One client holding ``k`` write actions open on host ``s1``, each
+    on its own counter; returns the system, the host and a list that
+    gains an item per ``client.epoch`` probe ``c1`` answers."""
+    system, client, first = build_system(sv=("s1",), st=("t1",))
+    uids = [first] + [
+        system.create_object(Counter(system.new_uid(), value=100),
+                             sv_hosts=["s1"], st_hosts=["t1"])
+        for _ in range(k - 1)]
+
+    def hold(uid):
+        def work(txn):
+            yield from txn.invoke(uid, "add", 7)
+            yield Timeout(60.0)
+        return work
+
+    for uid in uids:
+        client.transaction(hold(uid))
+    system.run(until=1.0)
+    host = system.nodes["s1"].rpc.service("servers")
+    assert len(host._action_clients) == k
+    probes = []
+    _count_probes(system, probes)
+    return system, host, probes
+
+
+def test_one_probe_per_client_per_round_however_many_actions():
+    system, host, probes = _writers_in_flight(4)
+    for round_no in (1, 2, 3):
+        system.run(until=round_no * host.janitor_interval + 1.0)
+        assert len(probes) == round_no
+    assert host.janitor_aborts == 0 and len(host._action_clients) == 4
+
+
+def test_restarted_client_loses_every_action_in_the_one_round():
+    system, host, probes = _writers_in_flight(4)
+    system.nodes["c1"].crash()
+    system.nodes["c1"].recover()
+    _count_probes(system, probes)  # the recovered node's fresh service
+    system.run(until=host.janitor_interval + 1.0)
+    assert len(probes) == 1  # answered, from a later boot epoch
+    assert host.janitor_aborts == 4
+    assert host._action_clients == {} and host._roots == {}

@@ -148,6 +148,32 @@ def test_probabilistic_drop_is_seeded():
     assert 20 < len(run(5)) < 80
 
 
+def test_every_send_consumes_exactly_one_draw_of_the_network_stream():
+    """Gray-drop reproducibility rides on this: the ``network`` stream
+    is drawn once per transmitted message even when nothing can drop,
+    so a later ``degrade(drop=...)`` sees the same draws whatever the
+    traffic before it was made of."""
+    s = Scheduler()
+    net = Network(s, FixedLatency(0.01), drop_probability=0.0,
+                  rng=SeededRng(5))
+    a, b = net.attach("a"), net.attach("b")
+    b.on_message = lambda m: None
+    for i in range(37):
+        a.send("b", "k", i)
+    s.run()
+    assert net.messages_delivered == 37 and net.messages_dropped == 0
+    untouched = SeededRng(5).substream("network")
+    for _ in range(37):
+        untouched.random()
+    assert net._rng.random() == untouched.random()
+
+
+def test_drop_probability_out_of_range_rejected():
+    with pytest.raises(ValueError):
+        Network(Scheduler(), FixedLatency(), drop_probability=1.5,
+                rng=SeededRng(1))
+
+
 def test_drop_probability_requires_rng():
     with pytest.raises(ValueError):
         Network(Scheduler(), FixedLatency(), drop_probability=0.1)

@@ -1,5 +1,7 @@
 """Tests for the RPC layer."""
 
+import sys
+
 import pytest
 
 from repro.net import (
@@ -11,7 +13,8 @@ from repro.net import (
     RpcTimeout,
     StaleRingEpoch,
 )
-from repro.sim import Scheduler, Timeout
+from repro.sim import Scheduler, SeededRng, Timeout
+from repro.sim.metrics import MetricsRegistry
 
 
 class Calc:
@@ -204,6 +207,81 @@ def test_reset_fails_pending_and_clears_services():
     assert not b.has_service("calc") or True  # a's reset doesn't touch b
     b.reset()
     assert not b.has_service("calc")
+
+
+def test_reset_cancels_the_abandoned_calls_timers():
+    """The timeout events of abandoned calls leave the heap at the
+    reset instead of staying live to fire later as no-ops."""
+    s, _, a, b = make_pair(latency=0.1)
+    b.register("calc", Calc())
+    held = a.call("b", "calc", "add", 0, 0, timeout=5.0)
+    s.run_until_settled(held)  # an already completed call is no part of it
+    futures = [a.call("b", "calc", "add", i, i, timeout=5.0) for i in range(3)]
+    timers = [timer for _, timer in a._pending.values()]
+    live = len(s._queue)
+    a.reset()
+    assert len(s._queue) == live - 3
+    assert all(timer.cancelled for timer in timers)
+    assert all(f.failed for f in futures)
+    # Late replies (b still answers) and a late expiry find no entry.
+    for timer in timers:
+        a._expire(*timer.args)
+    assert s.run() < 5.0  # nothing waits for the old deadlines
+    assert b.calls_served == 4
+    for f in futures:
+        with pytest.raises(RpcTimeout, match="local node crashed"):
+            f.result()
+
+
+def test_completed_call_cancels_its_timer_without_a_callback():
+    s, _, a, b = make_pair()
+    b.register("calc", Calc())
+    f = a.call("b", "calc", "add", 2, 3, timeout=5.0)
+    (_, timer), = a._pending.values()
+    assert f._callbacks is None  # no per-call closure hangs off the future
+    assert s.run_until_settled(f) == 5
+    assert timer.cancelled and not a._pending and len(s._queue) == 0
+
+
+def test_round_trip_python_call_budget():
+    """A guard on the RPC hot path that no clock can blur: the number
+    of python-level function calls (``sys.setprofile`` ``call`` events)
+    one metered, service-timed request/reply round trip makes, from
+    ``RpcAgent.call`` to the caller's future resolving.
+
+    83 before the fast path (PR 13's tree), 55 after it on python 3.11:
+    each ``schedule`` pushes and each ``step`` pops in its own frame,
+    no per-call timer closure, no per-message generator, ``chance``
+    frame or ``msg_id`` lambda, ``Future.done`` a plain attribute.  3.12
+    inlines the sizer's list comprehensions and counts fewer.  The
+    budget leaves room for two frames, not for a layer.
+    """
+    s = Scheduler()
+    net = Network(s, FixedLatency(0.001), rng=SeededRng(1))
+    registry = MetricsRegistry()
+    agents = {}
+    for name in ("a", "b"):
+        nic = net.attach(name)
+        agents[name] = RpcAgent(s, nic, demux=MessageDemux(nic),
+                                service_time=0.0005,
+                                traffic=registry.plane_traffic(name, "client"))
+    a, b = agents["a"], agents["b"]
+    b.register("calc", Calc())
+    assert s.run_until_settled(a.call("b", "calc", "add", 1, 1)) == 2  # warm
+
+    calls = []
+
+    def on_event(frame, event, _arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(on_event)
+    try:
+        value = s.run_until_settled(a.call("b", "calc", "add", 2, 3))
+    finally:
+        sys.setprofile(None)
+    assert value == 5
+    assert len(calls) <= 57, sorted(calls)
 
 
 def test_duplicate_service_registration_rejected():

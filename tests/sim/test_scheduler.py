@@ -1,8 +1,10 @@
 """Tests for the event scheduler and virtual clock."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sim import Scheduler, SimulationLimitExceeded
+from repro.sim.events import Event, EventQueue
 
 
 def test_clock_starts_at_zero():
@@ -120,3 +122,79 @@ def test_run_until_settled_raises_on_drained_queue():
     never = Future("never")
     with pytest.raises(RuntimeError, match="drained"):
         s.run_until_settled(never)
+
+
+# The scheduler pushes and pops its queue's heap itself (one frame per
+# event instead of three); the queue's own push/pop remain the
+# reference.  A step schedules one of the three ways, cancels the i-th
+# event scheduled so far, fires one event, or schedules a burst and
+# cancels most of it (crossing the compaction threshold).
+scheduler_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.5, 0.5, 2.5])),
+        st.tuples(st.just("schedule_at"), st.sampled_from([0.0, 1.0, 4.0])),
+        st.tuples(st.just("call_soon"), st.none()),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=400)),
+        st.tuples(st.just("step"), st.none()),
+        st.tuples(st.just("burst"), st.integers(min_value=70, max_value=120))),
+    max_size=60)
+
+
+@given(scheduler_steps)
+def test_inlined_push_and_pop_account_like_the_event_queue(steps):
+    s = Scheduler()
+    reference = EventQueue()
+    events: list[tuple[Event, Event]] = []  # (scheduled, reference twin)
+    fired: list[int] = []
+
+    def scheduled(event):
+        assert event._queue is s._queue and not event.cancelled
+        twin = Event(event.time, event.seq, fired.append, (event.seq,))
+        reference.push(twin)
+        events.append((event, twin))
+
+    def cancel(pair):
+        for event in pair:
+            event.cancel()
+
+    def agree():
+        assert len(s._queue) == len(reference)
+        assert bool(s._queue) == bool(reference)
+        assert s._queue.peek_time() == reference.peek_time()
+        assert s._queue.compactions == reference.compactions
+
+    for step, arg in steps:
+        if step == "schedule":
+            scheduled(s.schedule(arg, fired.append, "fired"))
+        elif step == "schedule_at":
+            scheduled(s.schedule_at(s.now + arg, fired.append, "fired"))
+        elif step == "call_soon":
+            event = s.call_soon(fired.append, "fired")
+            assert event.time == s.now
+            scheduled(event)
+        elif step == "burst":
+            start = len(events)
+            for i in range(arg):
+                scheduled(s.schedule(float(i % 3), fired.append, "fired"))
+            for pair in events[start:start + arg - 5]:
+                cancel(pair)
+            assert s._queue.compactions >= 1
+        elif step == "cancel" and events:
+            cancel(events[arg % len(events)])
+        elif step == "step":
+            expected = reference.pop()
+            before = s.events_fired
+            assert s.step() is (expected is not None)
+            if expected is not None:
+                expected.fn(*expected.args)
+                assert fired[-2:] == ["fired", expected.seq]
+                assert s.now == expected.time
+                assert s.events_fired == before + 1
+                fired_event = next(e for e, twin in events if twin is expected)
+                assert fired_event._queue is None
+                fired_event.cancel()  # late: must not touch the count
+        agree()
+    while s.step():
+        reference.pop()
+        agree()
+    assert reference.pop() is None and len(s._queue) == 0
