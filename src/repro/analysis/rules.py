@@ -564,7 +564,8 @@ class SyncPlaneRule(Rule):
     ``...rpc.call(...)`` or a ``client_for(...)`` client acquisition
     addresses the gated, fenced client plane: it deadlocks against
     recovery gates and steals client service time.  Use
-    ``sync_rpc``/``sync_target``/``sync_client_for`` instead.
+    ``sync_rpc``/``sync_target``, or the engine's sync-plane calls
+    (``probe_many``/``converge``), instead.
     """
 
     name = "sync-plane"
@@ -597,8 +598,8 @@ class SyncPlaneRule(Rule):
                 findings.append(self.finding(
                     module, node,
                     "maintenance code acquiring a client-plane db client "
-                    "(client_for); use sync_client_for so probes and "
-                    "installs ride the sync side door",
+                    "(client_for); use the engine's probe_many/converge "
+                    "so probes and installs ride the sync side door",
                     ident="client_for:client-plane-client"))
         return findings
 
@@ -717,7 +718,10 @@ class BatchDemuxRule(Rule):
     try/except and reports ``("err", type, msg)`` in place: a single
     exception escaping the handler fails the whole RPC, which the demux
     must then spread to every member -- one refused prepare would abort
-    its innocent batchmates' actions.  The rule covers handlers whose
+    its innocent batchmates' actions.  :func:`repro.net.batch.demux`
+    is that guard written once: a handler that hands it its items
+    holds the invariant by construction, and the helper's own loop is
+    checked like any hand-rolled one.  The rule covers handlers whose
     base verb is commit-plane vocabulary (``prepare``/``commit``/
     ``abort``/``*shadow*``); read-plane ``_many`` sweeps
     (``probe_many``, ``entry_versions_many``, ...) return plain value
@@ -732,11 +736,24 @@ class BatchDemuxRule(Rule):
 
     _COMMIT_VERBS = ("prepare", "commit", "abort")
 
+    _HELPER = "demux"
+
     def _in_scope(self, name: str) -> bool:
+        if name == self._HELPER:
+            return True
         if not name.endswith("_many") or name.startswith("_"):
             return False
         base = name[:-len("_many")]
         return base in self._COMMIT_VERBS or "shadow" in base
+
+    def _delegates(self, func: ast.AST, items: str) -> bool:
+        """Whether ``func`` hands ``items`` to the ``demux`` helper."""
+        return any(
+            isinstance(node, ast.Call)
+            and (dotted(node.func) or "").split(".")[-1] == self._HELPER
+            and any(isinstance(arg, ast.Name) and arg.id == items
+                    for arg in node.args)
+            for node in ast.walk(func))
 
     def check(self, module: ModuleSource) -> list[Finding]:
         findings: list[Finding] = []
@@ -747,12 +764,14 @@ class BatchDemuxRule(Rule):
                       if a.arg != "self"]
             if not params:
                 continue
-            items = params[0]
+            # A handler's batch is its first parameter; the helper
+            # takes the single-item handler first and the batch last.
+            items = params[-1] if func.name == self._HELPER else params[0]
             loops = [node for node in ast.walk(func)
                      if isinstance(node, (ast.For, ast.AsyncFor))
                      and isinstance(node.iter, ast.Name)
                      and node.iter.id == items]
-            guarded = False
+            guarded = self._delegates(func, items)
             for loop in loops:
                 for stmt in loop.body:
                     for node in ast.walk(stmt):
@@ -777,9 +796,9 @@ class BatchDemuxRule(Rule):
                     module, func,
                     f"batched commit-path handler {func.name} has no "
                     f"per-item try/except over {items!r}; one bad item "
-                    f"aborts every batchmate's action -- loop over the "
-                    f"items and report ('ok', ...) / ('err', type, msg) "
-                    f"per entry",
+                    f"aborts every batchmate's action -- hand the items to "
+                    f"net.batch.demux, or loop over them and report "
+                    f"('ok', ...) / ('err', type, msg) per entry",
                     ident=f"{func.name}:no-item-guard"))
         return findings
 

@@ -17,6 +17,7 @@ from typing import Any, Callable, Generator
 
 from repro.cluster.node import Node
 from repro.naming.group_view_db import SERVICE_NAME, SYNC_SERVICE_NAME
+from repro.net.batch import demux
 from repro.sim.futures import Future
 from repro.storage.objectstore import ObjectStore
 from repro.storage.uid import Uid
@@ -119,11 +120,10 @@ class StoreHost:
         return True
 
     def commit_shadow(self, uid_text: str) -> Any:
+        return self._durable(self._commit_shadow(uid_text))
+
+    def _commit_shadow(self, uid_text: str) -> bool:
         self._store.commit_shadow(Uid.parse(uid_text))
-        if self._log is not None:
-            # Generator reply: the RPC agent runs it as a process, so
-            # the ACK waits for the (possibly shared) log force.
-            return self._forced(True)
         return True
 
     def discard_shadow(self, uid_text: str) -> bool:
@@ -134,6 +134,17 @@ class StoreHost:
         self._store.install(Uid.parse(uid_text), buffer, version)
         return True
 
+    def _durable(self, value: Any) -> Any:
+        """``value``, as a reply that waits for the log force covering it.
+
+        With group commit armed this is a generator reply: the RPC
+        agent runs it as a process, so the ACK waits for the (possibly
+        shared) log force.
+        """
+        if self._log is None:
+            return value
+        return self._forced(value)
+
     def _forced(self, value: Any) -> Generator[Any, Any, Any]:
         assert self._log is not None
         yield self._log.force()
@@ -143,46 +154,19 @@ class StoreHost:
     #
     # Server half of the CommitBatcher contract: each item is one
     # batched call's argument tuple, each outcome is that item's own
-    # verdict.  An item that raises reports ("err", ...) in its slot
-    # and its batchmates proceed untouched.
+    # verdict from the single-item handler (see ``demux``).
 
     def write_shadow_many(
             self, items: list[tuple[str, bytes, int]]) -> list[tuple]:
-        outcomes: list[tuple] = []
-        for item in items:
-            try:
-                uid_text, buffer, version = item
-                self._store.write_shadow(Uid.parse(uid_text), buffer, version)
-                outcomes.append(("ok", True))
-            except Exception as exc:
-                outcomes.append(("err", type(exc).__name__, str(exc)))
-        return outcomes
+        return demux(self.write_shadow, items)
 
     def commit_shadow_many(self, items: list[tuple[str]]) -> Any:
-        outcomes: list[tuple] = []
-        for item in items:
-            try:
-                (uid_text,) = item
-                self._store.commit_shadow(Uid.parse(uid_text))
-                outcomes.append(("ok", True))
-            except Exception as exc:
-                outcomes.append(("err", type(exc).__name__, str(exc)))
-        if self._log is not None:
-            # One shared force makes the whole batch durable: group
-            # commit composes with batching instead of paying per item.
-            return self._forced(outcomes)
-        return outcomes
+        # One shared force makes the whole batch durable: group commit
+        # composes with batching instead of paying per item.
+        return self._durable(demux(self._commit_shadow, items))
 
     def discard_shadow_many(self, items: list[tuple[str]]) -> list[tuple]:
-        outcomes: list[tuple] = []
-        for item in items:
-            try:
-                (uid_text,) = item
-                self._store.discard_shadow(Uid.parse(uid_text))
-                outcomes.append(("ok", True))
-            except Exception as exc:
-                outcomes.append(("err", type(exc).__name__, str(exc)))
-        return outcomes
+        return demux(self.discard_shadow, items)
 
 
 class NameShardHost:

@@ -229,7 +229,7 @@ class GroupViewDbClient:
         self.enlist(action)
         yield from self._call("include", action.id.path, str(uid), host)
 
-    # -- lease/sync-plane calls (no action, no enlistment) --------------------
+    # -- the leased read plane (no action, no enlistment) ----------------------
 
     def read_entry_versioned(self, uid_text: str,
                              ring_epoch: int | None = None,
@@ -247,25 +247,6 @@ class GroupViewDbClient:
         return (yield self._rpc.call(self.db_node, self.service,
                                      "read_entry_versioned", uid_text,
                                      ring_epoch=ring_epoch))
-
-    def entry_versions_many(self, uid_texts: list[str],
-                            ) -> Generator[Any, Any, list[tuple[int, int]]]:
-        """Batched lock-free version probes: one RPC for a whole arc."""
-        return (yield self._rpc.call(self.db_node, self.service,
-                                     "entry_versions_many", list(uid_texts)))
-
-    def read_entry_versioned_many(self, uid_texts: list[str],
-                                  ) -> Generator[Any, Any, list[Any]]:
-        """Batched :meth:`read_entry_versioned`: one RPC, many snapshots."""
-        return (yield self._rpc.call(self.db_node, self.service,
-                                     "read_entry_versioned_many",
-                                     list(uid_texts)))
-
-    def entry_clocks_many(self, uid_texts: list[str],
-                          ) -> Generator[Any, Any, list[dict[str, int]]]:
-        """Batched per-entry vector clocks: divergence detection's probe."""
-        return (yield self._rpc.call(self.db_node, self.service,
-                                     "entry_clocks_many", list(uid_texts)))
 
     def ping(self) -> Generator[Any, Any, bool]:
         try:

@@ -450,8 +450,7 @@ class LeaseValidationRecord(AbstractRecord):
         # cannot answer, and a replica the ring has moved past is
         # fenced into the dark set -- neither may certify a lease.
         probes, _dark = yield from self.io.probe_versions(
-            self.uid_text, replicas, service=self.io.service,
-            ring_epoch=view.epoch)
+            self.uid_text, replicas, ring_epoch=view.epoch)
         if not probes:
             return self._veto("unverifiable")
         live = (max(sv for sv, _ in probes.values()),

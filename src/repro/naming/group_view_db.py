@@ -34,6 +34,7 @@ from repro.naming.db_base import ActionPath, _is_prefix
 from repro.naming.errors import UnknownObject
 from repro.naming.object_server_db import ObjectServerDatabase, ServerEntrySnapshot
 from repro.naming.object_state_db import ObjectStateDatabase
+from repro.net.batch import demux
 from repro.sim.metrics import MetricsRegistry
 from repro.storage.states import InputObjectState, OutputObjectState
 from repro.storage.uid import Uid
@@ -208,43 +209,19 @@ class GroupViewDatabase:
     # -- batched 2PC participant ----------------------------------------------
     #
     # Server half of the commit batcher: one RPC carries many actions'
-    # phase messages, one outcome tuple comes back per action.  Each
-    # item is handled under its own try/except so a single action's
-    # refusal (vote "abort", lock conflict, unknown path) never
-    # poisons its batchmates -- the ``batch-demux`` invariant.  The
-    # coordinator-side demux turns each outcome back into exactly the
-    # verdict the unbatched call would have produced, keeping every
-    # action's presumed-abort bookkeeping untouched.
+    # phase messages, one outcome tuple comes back per action -- each
+    # item runs the single-action handler under ``demux``'s per-item
+    # guard, so one action's refusal (vote "abort", lock conflict,
+    # unknown path) never poisons its batchmates.
 
     def prepare_many(self, items: list[tuple]) -> list[tuple]:
-        outcomes: list[tuple] = []
-        for item in items:
-            try:
-                (action_path,) = item
-                outcomes.append(("ok", self.prepare(action_path)))
-            except Exception as exc:
-                outcomes.append(("err", type(exc).__name__, str(exc)))
-        return outcomes
+        return demux(self.prepare, items)
 
     def commit_many(self, items: list[tuple]) -> list[tuple]:
-        outcomes: list[tuple] = []
-        for item in items:
-            try:
-                (action_path,) = item
-                outcomes.append(("ok", self.commit(action_path)))
-            except Exception as exc:
-                outcomes.append(("err", type(exc).__name__, str(exc)))
-        return outcomes
+        return demux(self.commit, items)
 
     def abort_many(self, items: list[tuple]) -> list[tuple]:
-        outcomes: list[tuple] = []
-        for item in items:
-            try:
-                (action_path,) = item
-                outcomes.append(("ok", self.abort(action_path)))
-            except Exception as exc:
-                outcomes.append(("err", type(exc).__name__, str(exc)))
-        return outcomes
+        return demux(self.abort, items)
 
     # -- liveness probe used by binding/cleanup protocols ---------------------------
 
@@ -257,8 +234,8 @@ class GroupViewDatabase:
         """Every UID with an entry in either half (RPC-exposed).
 
         Lock-free: enumerating keys is safe (an uncommitted ``define``
-        may briefly appear, but resync readers take real read locks per
-        entry and treat ``UnknownObject`` as "gone again").
+        may briefly appear, but the copiers' snapshot reads take the
+        entry's locks and report ``"unknown"`` for one gone again).
         """
         uids = {str(uid) for uid in self.server_db.all_uids()}
         uids.update(str(uid) for uid in self.state_db.all_uids())
@@ -267,9 +244,9 @@ class GroupViewDatabase:
     def entry_versions(self, uid_text: str) -> tuple[int, int]:
         """The (server, state) write versions of one entry (RPC-exposed).
 
-        Resync callers invoke this while already holding the entry's
-        read locks (from the snapshot reads of the same action), so the
-        lock-free read is consistent.
+        Plain monotonic counters read without locks: a point-in-time
+        lower bound.  Lease validation compares it with the versions a
+        cached snapshot was taken at.
         """
         uid = Uid.parse(uid_text)
         return (self.server_db.entry_version(uid),
@@ -279,9 +256,9 @@ class GroupViewDatabase:
                             ) -> list[tuple[int, int]]:
         """Batched :meth:`entry_versions` (RPC-exposed): ``probe_many``.
 
-        One round trip replaces the per-uid probe storm of anti-entropy
-        and resync sweeps.  Versions are plain monotonic counters read
-        without locks -- exactly like the single probe, each value is a
+        One round trip per node is the only version probe replica
+        maintenance (resync, anti-entropy, migration, read-repair)
+        sends.  Exactly like the single probe, each value is a
         point-in-time lower bound a version-gated install re-checks
         under locks before anything lands.
         """
@@ -351,12 +328,14 @@ class GroupViewDatabase:
             probe.run_local(probe.abort())
 
     def read_entry_versioned_many(self, uid_texts: list[str]) -> list[Any]:
-        """Batched :meth:`read_entry_versioned` (RPC-exposed): ``get_many``.
+        """Batched :meth:`read_entry_versioned` (RPC-exposed): the one
+        snapshot read of replica maintenance.
 
         Each entry is snapshotted under its own probe locks (per-entry
         consistency, exactly like the single read); the batch only
-        coalesces the round trips, so a resync copying a whole arc pays
-        one RPC instead of one per entry.
+        coalesces the round trips, so a resync copying a whole arc, or
+        a migration seeding a new owner, pays one RPC per source
+        instead of one per entry.
         """
         return [self.read_entry_versioned(uid_text) for uid_text in uid_texts]
 

@@ -16,24 +16,22 @@ repaired:
   per-UID-throttled background probe of every replica's write
   versions.
 
-Either trigger enqueues the same repair: probe ``entry_versions`` on
-every replica of the UID's arc (lock-free, cheap), then hand the
-probed versions to the shared
-:class:`~repro.naming.replica_io.ReplicaIO` engine's
-``converge_entry`` -- for every replica strictly behind the freshest
-copy on either half it reads a committed snapshot from a fresher peer
-*under a real atomic action* (read locks -- never a torn write) and
-pushes it through the target's lock-guarded, version-gated
-``guarded_install_entry``.  The same engine resync and the
-arc-migration pipeline drive, so repair can only ever move a replica
-forward.
+Either trigger enqueues the same repair: the UID's replicas are handed
+to the shared :class:`~repro.naming.replica_io.ReplicaIO` engine as
+both sources and targets -- it probes their write versions (lock-free,
+cheap), and for every replica strictly behind the freshest copy on
+either half reads a committed snapshot from a fresher peer (under
+server-local probe locks -- never a torn write, never a lock spanning
+the wire) and pushes it through the target's lock-guarded,
+version-gated ``guarded_install_entry``.  The same engine resync and
+the arc-migration pipeline drive, so repair can only ever move a
+replica forward.
 
 Repairs are fire-and-forget background processes: they never add
 latency to the triggering read, and per-UID throttling plus an
 in-flight guard bound the extra probe traffic.  Triggered UIDs are
-coalesced into one drain process that probes in *batches* -- one
-``probe_many`` per replica node covering every pending UID it hosts --
-so a burst of triggered repairs pays round trips per node, not per UID.
+coalesced into one drain process that hands the engine *batches*, so a
+burst of triggered repairs pays round trips per node, not per UID.
 """
 
 from __future__ import annotations
@@ -176,29 +174,27 @@ class ReadRepairer:
                 self._draining = False
 
     def _repair_batch(self, uids: list[str]) -> Generator[Any, Any, None]:
-        # One probe_many per replica node covering every batched UID it
-        # hosts.  Crashed or gated-out replicas simply don't answer:
-        # resync owns those; repair levels the ones serving.
+        # Every replica of the captured view's write set is both a
+        # potential source and a potential target: the engine copies
+        # from every peer strictly ahead of a laggard on either half
+        # (not just the single "best" peer -- the two halves' maxima
+        # may live on different replicas).  Crashed or gated-out
+        # replicas simply don't answer the probe: resync owns those;
+        # repair levels the ones serving.  A busy or vanished entry
+        # defers; the next triggering read re-enqueues the repair.
         view = self.router.view()
         uids_by_node: dict[str, list[str]] = {}
         for uid_text in uids:
             for node in view.write_set(uid_text, self.replication):
                 uids_by_node.setdefault(node, []).append(uid_text)
-        probes_by_uid, _dark = yield from self.io.probe_many_grouped(
-            uids_by_node)
-        for uid_text in uids:
-            probes = probes_by_uid[uid_text]
-            if len(probes) < 2:
-                continue
-            # Every probed replica is both a potential source and a
-            # potential target: the engine copies from every peer
-            # strictly ahead of a laggard on either half (not just the
-            # single "best" peer -- the two halves' maxima may live on
-            # different replicas).  A busy or vanished entry defers;
-            # the next triggering read re-enqueues the repair.
-            _outcome, copied = yield from self.io.converge_entry(
-                uid_text, sources=probes, targets=probes)
-            if copied:
-                self.entries_repaired += copied
-                self.metrics.counter(
-                    "read_repair.entries_repaired").increment(copied)
+        probes_by_uid, _dark = yield from self.io.probe_many(uids_by_node)
+        results = yield from self.io.converge(
+            {uid_text: (probes, probes)
+             for uid_text, probes in probes_by_uid.items()
+             if len(probes) > 1})
+        copied = sum(result.installed + result.repaired
+                     for result in results.values())
+        if copied:
+            self.entries_repaired += copied
+            self.metrics.counter(
+                "read_repair.entries_repaired").increment(copied)

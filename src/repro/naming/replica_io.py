@@ -36,29 +36,34 @@ and repair keep replicas convergent *across* epochs -- their traffic
 must flow even to hosts the live ring does not own yet (incoming
 owners mid-copy) or no longer owns (sources being drained), so it is
 deliberately not fenced; per-entry write versions carry correctness
-instead:
+instead.  One engine levels replicas, whoever asks:
 
-- :meth:`probe_versions` -- lock-free per-replica version probes;
-- :meth:`fetch_copy` -- one committed snapshot under a real atomic
-  action (read locks, never a torn write), versions read while those
-  locks are held;
-- :meth:`converge_entry` -- the one implementation of
-  "push committed snapshots from fresher sources through lock-guarded,
-  version-gated ``guarded_install_entry`` on every lagging target",
-  multi-source (the two version halves' maxima may live on different
-  replicas) and multi-target (a migration seeds several movers at
-  once).  Targets may be remote (installed over the sync RPC) or local
-  (a resync installing into its own database via the ``install``
-  hook).
+- :meth:`probe_many` -- lock-free write versions, one
+  ``entry_versions_many`` round trip per node;
+- :meth:`converge` -- for a batch of entries with named source and
+  target replicas: one ``read_entry_versioned_many`` per fresher
+  source (each snapshot taken under server-local probe locks that live
+  and die inside the dispatch), a lock-guarded, version-gated
+  ``guarded_install_entry`` per lagging target, then the vector-clock
+  tie-break among the replicas level at the scalar maximum -- one
+  ``entry_clocks_many`` per level node, one winner rule, and the
+  winner's snapshot force-installed with the merged clock on every
+  divergent *target*.
+
+Shard resync and anti-entropy, read-repair, and the reshard migration
+are *triggers* over that engine: each decides when to run, which
+entries, and which replicas are sources and targets.  A target may be
+the caller's own database (a resync pulling into the host it runs on):
+named in ``local``, it is probed and installed by direct call, never
+over the wire.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable
+from dataclasses import dataclass, replace
+from typing import Any, Generator, Iterable, Mapping, NamedTuple
 
-from repro.actions.action import AtomicAction, abort_on_failure
-from repro.actions.errors import LockRefused, PromotionRefused
+from repro.actions.action import AtomicAction
 from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import UnknownObject
 from repro.naming.group_view_db import SERVICE_NAME, SYNC_SERVICE_NAME
@@ -67,6 +72,12 @@ from repro.net.errors import RpcError, StaleRingEpoch
 from repro.net.rpc import RpcAgent
 from repro.sim.metrics import MetricsRegistry
 from repro.storage.uid import Uid
+
+Versions = tuple[int, int]  # (server, state) write versions of one entry
+Clock = dict[str, int]      # per-writer commit counts of one entry
+Probes = dict[str, Versions]  # replica name -> its probed versions
+# What :meth:`ReplicaIO.converge` levels: uid -> (sources, targets).
+Entries = Mapping[str, tuple[Probes, Probes]]
 
 READ_POLICIES = ("primary", "spread")
 
@@ -85,85 +96,36 @@ class EntryCopy:
     hosts: list[str]
     uses: dict[str, dict[str, int]]
     view: list[str]
-    versions: tuple[int, int]
+    versions: Versions
     # The coherence plane's verdict for the entry: "pull" (lease+TTL)
     # or "push" (register with the owner; it multicasts invalidations).
-    mode: str = "pull"
-    # The entry's per-writer vector clock, or None when the source
-    # predates clocks (a 4/5-tuple wire peer).  Divergence repair
-    # carries the merged clock here on its force-installs.
-    vclock: dict[str, int] | None = None
+    mode: str
+    # The entry's per-writer vector clock.  Divergence repair carries
+    # the merged clock here on its force-installs.
+    vclock: Clock
 
     @classmethod
     def from_wire(cls, result: Any) -> "EntryCopy":
         """Decode one ``read_entry_versioned`` wire tuple (the one
-        implementation every versioned-read consumer shares).
-
-        Accepts the 4-tuple (pre-coherence peers, and paths with no
-        mode to report), the 5-tuple carrying the entry's coherence
-        mode, and the 6-tuple carrying the vector clock too.
-        """
-        vclock = None
-        if len(result) == 6:
-            hosts, uses, view, versions, mode, vclock = result
-        elif len(result) == 5:
-            hosts, uses, view, versions, mode = result
-        else:
-            hosts, uses, view, versions = result
-            mode = "pull"
+        implementation every versioned-read consumer shares)."""
+        hosts, uses, view, versions, mode, vclock = result
         return cls(list(hosts),
                    {host: dict(counters) for host, counters in uses.items()},
-                   list(view), tuple(versions), mode,
-                   dict(vclock) if vclock is not None else None)
+                   list(view), tuple(versions), mode, dict(vclock))
 
 
-def fetch_entry_copy(rpc: RpcAgent, client: GroupViewDbClient, uid_text: str,
-                     node: str = "",
-                     ) -> Generator[Any, Any, "EntryCopy | str"]:
-    """Read one committed entry from ``client``'s shard for replication.
+class Converged(NamedTuple):
+    """What :meth:`ReplicaIO.converge` did for one entry."""
 
-    The delicate part every copier must get right, implemented once:
-    both snapshot halves are read under a real atomic action (the read
-    locks guarantee a consistent committed view, never a torn write),
-    the write versions are read lock-free *while those locks are still
-    held*, and the read-only action is then committed (prepare releases
-    the locks).  Returns an :class:`EntryCopy`, or one of the outcome
-    tags ``"locked"`` (a live action holds the entry -- retry later),
-    ``"unknown"`` (this shard disclaims the uid), or ``"unreachable"``
-    (the shard went dark mid-read).
-    """
-    uid = Uid.parse(uid_text)
-    action = AtomicAction(node=node)
-    try:
-        snapshot = yield from client.get_server_with_uses(action, uid)
-        view = yield from client.get_view(action, uid)
-        versions = yield rpc.call(client.db_node, client.service,
-                                  "entry_versions", uid_text)
-        vclock = yield rpc.call(client.db_node, client.service,
-                                "entry_clock", uid_text)
-    except (LockRefused, PromotionRefused):
-        yield from action.abort()
-        return "locked"
-    except UnknownObject:
-        yield from action.abort()
-        return "unknown"
-    except RpcError:
-        yield from action.abort()
-        return "unreachable"
-    except BaseException:
-        # Abort-on-failure: the copy probe is a top-level action of its
-        # own; an unexpected error or a process kill must not leave its
-        # read locks wedging the source entry.
-        yield from abort_on_failure(action)
-        raise
-    yield from action.commit()
-    return EntryCopy(list(snapshot.hosts),
-                     {host: dict(counters)
-                      for host, counters in snapshot.uses.items()},
-                     list(view), tuple(versions), vclock=dict(vclock))
+    # "clean" | "copied" | "settled" | "deferred" | "unknown"
+    outcome: str
+    installed: int  # version-gated installs that landed on a target
+    repaired: int   # clock-divergent targets overwritten by the winner
 
 
-Installer = Callable[[str, str, EntryCopy], Any]
+def _behind(versions: Versions, other: Versions) -> bool:
+    """Whether ``versions`` lags ``other`` on either half."""
+    return versions[0] < other[0] or versions[1] < other[1]
 
 
 class ReplicaIO:
@@ -209,9 +171,9 @@ class ReplicaIO:
         self.health = health
         # The owning node's CommitBatcher (or None): handed to every
         # client-plane GroupViewDbClient so the 2PC participant records
-        # they enlist ride the batched commit plane.  Sync-plane
-        # clients never get it -- maintenance traffic is already
-        # batched at the protocol level (probe_many/get_many).
+        # they enlist ride the batched commit plane.  The sync plane
+        # never uses it -- maintenance traffic is already batched at
+        # the protocol level (one ``_many`` call per node).
         self.batcher = batcher
         # Prepare-retry policy for the 2PC participants the client-plane
         # clients enlist (see RemoteParticipantRecord): bounded seeded-
@@ -246,15 +208,6 @@ class ReplicaIO:
     def sync_target(self, node: str) -> str:
         """The interface name ``node`` answers sync-plane RPCs on."""
         return node + self.sync_suffix
-
-    def sync_client_for(self, node: str) -> GroupViewDbClient:
-        key = (self.sync_target(node), self.sync_service)
-        client = self._clients.get(key)
-        if client is None:
-            client = GroupViewDbClient(self.sync_rpc, key[0],
-                                       service=self.sync_service)
-            self._clients[key] = client
-        return client
 
     def clients_for_service(self, service: str | None = None,
                             ) -> dict[str, GroupViewDbClient]:
@@ -594,54 +547,51 @@ class ReplicaIO:
             return EntryCopy.from_wire(result), view.epoch
         return None
 
+    # -- lease validation: fenced version probes on the client plane ---------
+
+    def probe_versions(self, uid_text: str, nodes: Iterable[str],
+                       ring_epoch: int,
+                       ) -> Generator[Any, Any, tuple[Probes, list[str]]]:
+        """Lock-free per-replica version probes certifying a lease.
+
+        Returns ``(probes, dark)``: the (server, state) write versions
+        of every node that answered, and the nodes that did not.  The
+        probes ride the *client* service, tagged with the view's
+        ``ring_epoch``: a replica held out of the serving path cannot
+        certify a lease with stale versions, and one the ring has moved
+        past (e.g. a drained owner still holding the pre-move entry
+        before GC) is fenced into the dark set instead of certifying
+        versions for an arc it no longer serves.
+        """
+        probes: Probes = {}
+        dark: list[str] = []
+        for node in nodes:
+            try:
+                versions = yield self.rpc.call(
+                    node, self.service, "entry_versions", uid_text,
+                    ring_epoch=ring_epoch)
+            except RpcError:  # includes StaleRingEpoch fencing rejections
+                dark.append(node)
+                continue
+            probes[node] = tuple(versions)
+        return probes, dark
+
     # -- the sync plane: unfenced replica-maintenance protocol ---------------
 
-    def probe_many(self, node: str, uid_texts: list[str],
-                   ) -> Generator[Any, Any,
-                                  "dict[str, tuple[int, int]] | None"]:
-        """One node's write versions for many entries in one RPC.
+    def _sync_call(self, local: Mapping[str, Any], node: str, method: str,
+                   *args: Any) -> Generator[Any, Any, Any]:
+        """One maintenance call on ``node``'s database.
 
-        The batched form of :meth:`probe_versions`, turned sideways:
-        one *node*, many uids -- anti-entropy and resync sweeps probe a
-        whole shared arc per peer round trip instead of per entry.
-        Returns ``{uid: (sv, st)}``, or ``None`` when the node is dark.
+        A direct call when the database is the caller's own (named in
+        ``local``), otherwise an RPC over the sync plane -- the seam
+        that lets one engine serve pull (resync into the local
+        database) and push (repair, migration) alike.
         """
-        if not uid_texts:
-            return {}
-        client = self.sync_client_for(node)
-        try:
-            versions = yield from client.entry_versions_many(uid_texts)
-        except RpcError:
-            return None
-        return {uid_text: tuple(entry)
-                for uid_text, entry in zip(uid_texts, versions)}
-
-    def get_many(self, node: str, uid_texts: list[str],
-                 ) -> Generator[Any, Any, "dict[str, EntryCopy | str] | None"]:
-        """Many committed snapshots from one node in one RPC.
-
-        The batched form of :meth:`fetch_copy` for bulk catch-up: each
-        entry is still snapshotted under its own server-local probe
-        locks (per-entry consistency is what matters; cross-entry
-        atomicity never did), but a resync copying a crashed host's
-        whole arc pays one round trip per source instead of one per
-        entry.  Returns ``{uid: EntryCopy | "locked" | "unknown"}``, or
-        ``None`` when the node is dark.
-        """
-        if not uid_texts:
-            return {}
-        client = self.sync_client_for(node)
-        try:
-            results = yield from client.read_entry_versioned_many(uid_texts)
-        except RpcError:
-            return None
-        copies: dict[str, EntryCopy | str] = {}
-        for uid_text, result in zip(uid_texts, results):
-            if result in ("locked", "unknown"):
-                copies[uid_text] = result
-                continue
-            copies[uid_text] = EntryCopy.from_wire(result)
-        return copies
+        db = local.get(node)
+        if db is not None:
+            return getattr(db, method)(*args)
+        return (yield self.sync_rpc.call(self.sync_target(node),
+                                         self.sync_service, method, *args))
 
     def collect_uids(self, nodes: Iterable[str],
                      ) -> Generator[Any, Any, tuple[set[str], int]]:
@@ -654,301 +604,352 @@ class ReplicaIO:
         answered = 0
         for node in nodes:
             try:
-                uids = yield self.sync_rpc.call(self.sync_target(node),
-                                                self.sync_service, "list_uids")
+                uids = yield from self._sync_call({}, node, "list_uids")
             except RpcError:
                 continue
             answered += 1
             universe.update(uids)
         return universe, answered
 
-    def probe_versions(self, uid_text: str, nodes: Iterable[str],
-                       service: str | None = None,
-                       ring_epoch: int | None = None,
-                       ) -> Generator[Any, Any,
-                                      tuple[dict[str, tuple[int, int]],
-                                            list[str]]]:
-        """Lock-free per-replica version probes for one entry.
+    def probe_many(self, uids_by_node: Mapping[str, list[str]],
+                   local: Mapping[str, Any] | None = None,
+                   ) -> Generator[Any, Any,
+                                  tuple[dict[str, Probes], set[str]]]:
+        """Write versions of many entries, one round trip per node.
 
-        Returns ``(probes, dark)``: the (server, state) write versions
-        of every node that answered, and the nodes that did not.
-        ``service`` defaults to the sync plane (replica maintenance
-        must reach gated hosts); lease validation passes the *client*
-        service instead, so a replica held out of the serving path
-        cannot certify a lease with stale versions -- and tags the
-        probe with its view's ``ring_epoch``, so a replica the ring has
-        moved past (e.g. a drained owner still holding the pre-move
-        entry before GC) is fenced into the dark set instead of
-        certifying versions for an arc it no longer serves.
+        Given the uids each node should answer for, returns
+        ``(probes_by_uid, dark_nodes)`` where ``probes_by_uid[uid][node]``
+        holds the node's (server, state) versions -- a uid simply has
+        no entry for a dark node.  Versions are lock-free lower bounds;
+        every install re-checks them under locks.  Nodes are probed in
+        the caller's order, except that ``local`` databases are read
+        last, so they are never staler than the peers they are compared
+        against.
         """
-        probes: dict[str, tuple[int, int]] = {}
-        dark: list[str] = []
-        for node in nodes:
+        local = local or {}
+        probes_by_uid: dict[str, Probes] = {
+            uid_text: {} for uids in uids_by_node.values()
+            for uid_text in uids}
+        dark: set[str] = set()
+        for node in sorted(uids_by_node, key=local.__contains__):  # stable
+            uids = uids_by_node[node]
             try:
-                if service is None:
-                    # Maintenance probe: ride the sync plane end to end.
-                    versions = yield self.sync_rpc.call(
-                        self.sync_target(node), self.sync_service,
-                        "entry_versions", uid_text, ring_epoch=ring_epoch)
-                else:
-                    # Explicit (client) service: stay on the primary
-                    # NIC, where the fence and the gate live.
-                    versions = yield self.rpc.call(
-                        node, service, "entry_versions", uid_text,
-                        ring_epoch=ring_epoch)
-            except RpcError:  # includes StaleRingEpoch fencing rejections
-                dark.append(node)
+                versions = yield from self._sync_call(
+                    local, node, "entry_versions_many", uids)
+            except RpcError:
+                dark.add(node)
                 continue
-            probes[node] = tuple(versions)
-        return probes, dark
-
-    def probe_many_grouped(self, uids_by_node: dict[str, list[str]],
-                           ) -> Generator[Any, Any,
-                                          tuple[dict[str,
-                                                     dict[str,
-                                                          tuple[int, int]]],
-                                                list[str]]]:
-        """Pivot batched probes: one :meth:`probe_many` per node, results
-        re-grouped per uid.
-
-        The shared scaffold of every batched consumer (anti-entropy,
-        resync, the read-repair drain): given the uids each node should
-        answer for, returns ``(probes_by_uid, dark_nodes)`` where
-        ``probes_by_uid[uid][node]`` holds the node's (server, state)
-        versions -- a uid absent from a dark node's map simply has no
-        entry for it.
-        """
-        probes_by_uid: dict[str, dict[str, tuple[int, int]]] = {}
-        for uids in uids_by_node.values():
-            for uid_text in uids:
-                probes_by_uid.setdefault(uid_text, {})
-        dark: list[str] = []
-        for node, uids in uids_by_node.items():
-            probed = yield from self.probe_many(node, uids)
-            if probed is None:
-                dark.append(node)
-                continue
-            for uid_text, versions in probed.items():
-                probes_by_uid[uid_text][node] = versions
+            for uid_text, entry in zip(uids, versions):
+                probes_by_uid[uid_text][node] = tuple(entry)
         return probes_by_uid, dark
 
-    def fetch_copy(self, source: str, uid_text: str,
-                   ) -> Generator[Any, Any, "EntryCopy | str"]:
-        """One committed, version-stamped snapshot from ``source``."""
-        return (yield from fetch_entry_copy(
-            self.sync_rpc, self.sync_client_for(source), uid_text,
-            node=self.sync_rpc.name))
+    def _read_many(self, local: Mapping[str, Any], node: str,
+                   uid_texts: list[str],
+                   ) -> Generator[Any, Any, "dict[str, EntryCopy | str] | None"]:
+        """Many committed snapshots from one node in one round trip.
 
-    def install_remote(self, target: str, uid_text: str, copy: EntryCopy,
-                       force: bool = False,
-                       ) -> Generator[Any, Any, "bool | None | str"]:
-        """Push one snapshot through a remote lock-guarded install.
-
-        ``force`` bypasses the scalar version gate -- only divergence
-        repair uses it, to overwrite an equal-version loser with the
-        vector-clock winner.  Returns the database's verdict (``True``
-        installed, ``False`` already fresh, ``None`` locked by a live
-        action) or ``"unreachable"`` when the target went dark.
+        Each entry is snapshotted under its own server-local probe
+        locks, taken and released inside the one dispatch (per-entry
+        consistency is what matters; cross-entry atomicity never did),
+        so no copier lock ever spans the wire.  Returns
+        ``{uid: EntryCopy | "locked" | "unknown"}``, or ``None`` when
+        the node is dark.
         """
         try:
-            installed = yield self.sync_rpc.call(
-                self.sync_target(target), self.sync_service,
-                "guarded_install_entry", uid_text,
-                copy.hosts, copy.uses, copy.view, copy.versions,
-                copy.vclock, force)
+            results = yield from self._sync_call(
+                local, node, "read_entry_versioned_many", uid_texts)
         except RpcError:
-            return "unreachable"
-        return installed
+            return None
+        return {uid_text: (result if isinstance(result, str)
+                           else EntryCopy.from_wire(result))
+                for uid_text, result in zip(uid_texts, results)}
 
-    def converge_entry(self, uid_text: str,
-                       sources: dict[str, tuple[int, int]],
-                       targets: dict[str, tuple[int, int]],
-                       install: Installer | None = None,
-                       ) -> Generator[Any, Any, tuple[str, int]]:
+    def _install(self, local: Mapping[str, Any], target: str, uid_text: str,
+                 copy: EntryCopy, force: bool = False,
+                 ) -> Generator[Any, Any, "bool | None"]:
+        """Land one snapshot through ``target``'s lock-guarded install.
+
+        ``force`` bypasses the scalar version gate -- only the clock
+        tie-break uses it, to overwrite an equal-version loser with the
+        vector-clock winner.  Returns ``True`` installed, ``False``
+        already fresh, ``None`` when the snapshot must not be forced
+        past the target: a live action there holds the entry, or the
+        target went dark.
+        """
+        try:
+            return (yield from self._sync_call(
+                local, target, "guarded_install_entry", uid_text,
+                copy.hosts, copy.uses, copy.view, copy.versions,
+                copy.vclock, force))
+        except RpcError:
+            return None
+
+    def converge_entry(self, uid_text: str, sources: Probes, targets: Probes,
+                       local: Mapping[str, Any] | None = None,
+                       ) -> Generator[Any, Any, "Converged"]:
+        """:meth:`converge` for one entry."""
+        results = yield from self.converge({uid_text: (sources, targets)},
+                                           local)
+        return results[uid_text]
+
+    def converge(self, entries: Entries, local: Mapping[str, Any] | None = None,
+                 ) -> Generator[Any, Any, dict[str, "Converged"]]:
         """Bring every lagging target level with the freshest sources.
 
-        ``sources`` and ``targets`` map replica names to probed
-        (server, state) write versions; they may overlap -- a replica
-        is never "behind" itself.  Snapshots are fetched from sources
-        in descending version order and pushed to each target still
-        behind that source; consulting more than one source matters
-        because the two version halves' maxima can live on different
-        replicas, and the version-gated install merges them per half.
-        ``install`` overrides how a target takes a snapshot (a resync
-        installing into its own database); by default targets are
-        remote and installed over the sync RPC.
+        ``entries`` maps each uid to ``(sources, targets)``, both
+        mapping replica names to probed (server, state) write versions
+        (see :meth:`probe_many`); they may overlap -- a replica is never
+        "behind" itself.  Every source strictly ahead of some target
+        answers one batched snapshot read covering all such entries,
+        and each snapshot is pushed to each target still behind it;
+        consulting more than one source matters because an equal-version
+        peer may simply share a target's staleness, and the two version
+        halves' maxima can live on different replicas (the version-gated
+        install merges them per half).  Replicas named in ``local`` are
+        read and installed by direct call.
 
-        Returns ``(outcome, installed_count)`` with outcome one of:
+        Returns one :class:`Converged` per uid, with outcome:
 
         - ``"clean"`` -- no target was behind any source: nothing to do
           (a migration treats this as the arc's convergence proof);
         - ``"copied"`` -- at least one install landed;
         - ``"settled"`` -- targets looked behind at probe time but every
           install was a version-gated no-op (they caught up mid-pass);
-        - ``"deferred"`` -- a lock, a dark replica, or a still-behind
-          target got in the way; the caller retries a later pass;
-        - ``"unknown"`` -- every consulted source disclaimed the entry
-          under locks (a define that aborted after enumeration).
+        - ``"deferred"`` -- no source answered, or a lock, a dark
+          replica, or a still-behind target got in the way; the caller
+          retries a later pass;
+        - ``"unknown"`` -- every source disclaimed the entry under
+          locks (a define that aborted after enumeration).
 
-        When every target is remote (no ``install`` override), a
-        *vector-clock phase* follows scalar convergence: replicas
-        sitting at the scalar maximum are probed for their per-writer
-        clocks, and a mismatch -- equal versions, different commit
-        histories, the partial-partition signature -- is repaired by
-        force-installing the clock winner's snapshot (with the merged
-        clock) on every divergent replica.  Local-install callers
-        (shard resync) run their own clock reconciliation instead.
+        A *vector-clock tie-break* follows scalar convergence (see
+        :meth:`_break_ties`): equal versions do not prove equal content.
         """
-        clock_phase = install is None
-        install = install or self.install_remote
-        if not sources:
-            return "deferred", 0  # nothing reachable to copy from
-        best = (max(sv for sv, _ in sources.values()),
-                max(st for _, st in sources.values()))
-        remaining = {name: versions for name, versions in targets.items()
-                     if versions[0] < best[0] or versions[1] < best[1]}
-        if not remaining:
-            return (yield from self._finish_converge(
-                uid_text, sources, targets, best, "clean", 0, clock_phase))
-        installed_count = 0
-        unknown_everywhere = True
-        for source, (source_sv, source_st) in sorted(
-                sources.items(), key=lambda item: (-item[1][0], -item[1][1])):
-            names = [name for name, (sv, st) in remaining.items()
-                     if name != source and (sv < source_sv or st < source_st)]
-            if not names:
-                unknown_everywhere = False
+        local = local or {}
+        # What each replica is known to hold: the probes, moved forward
+        # by every install that lands.
+        known = {uid_text: {**targets, **sources}
+                 for uid_text, (sources, targets) in entries.items()}
+        best: dict[str, Versions] = {}
+        lagging: set[str] = set()
+        ahead_by_source: dict[str, list[str]] = {}
+        for uid_text, (sources, targets) in entries.items():
+            if not sources:
+                continue  # nothing reachable to copy from
+            best[uid_text] = (max(sv for sv, _ in sources.values()),
+                              max(st for _, st in sources.values()))
+            for source, versions in sources.items():
+                if any(name != source and _behind(probed, versions)
+                       for name, probed in targets.items()):
+                    lagging.add(uid_text)
+                    ahead_by_source.setdefault(source, []).append(uid_text)
+
+        installed = dict.fromkeys(entries, 0)
+        deferred = {uid_text for uid_text in entries if uid_text not in best}
+        disclaimed: dict[str, int] = {}
+        for source, uids in ahead_by_source.items():
+            # An earlier source may already have pulled a target level
+            # with this one; re-check before paying the fetch.
+            wanted = {}
+            for uid_text in uids:
+                sources, targets = entries[uid_text]
+                names = [name for name in targets if name != source
+                         and _behind(known[uid_text][name], sources[source])]
+                if names:
+                    wanted[uid_text] = names
+            if not wanted:
                 continue
-            copy = yield from self.fetch_copy(source, uid_text)
-            if copy == "locked":
-                return "deferred", installed_count
-            if copy == "unknown":
-                continue  # aborted define, or only the peers hold it
-            if copy == "unreachable":
-                return "deferred", installed_count
-            unknown_everywhere = False
-            for name in names:
-                outcome = install(name, uid_text, copy)
-                if hasattr(outcome, "send"):  # a generator-based installer
-                    outcome = yield from outcome
-                if outcome == "unreachable" or outcome is None:
-                    # Target dark, or a live local action holds the
-                    # entry: the snapshot must not be forced past it.
-                    return "deferred", installed_count
-                if outcome:
-                    installed_count += 1
-                    self.metrics.counter(
-                        "replica_io.entries_installed").increment()
-                old_sv, old_st = remaining[name]
-                remaining[name] = (max(old_sv, copy.versions[0]),
-                                   max(old_st, copy.versions[1]))
-        if unknown_everywhere:
-            return "unknown", installed_count
-        if any(sv < best[0] or st < best[1]
-               for sv, st in remaining.values()):
-            return "deferred", installed_count
-        outcome = "copied" if installed_count else "settled"
-        return (yield from self._finish_converge(
-            uid_text, sources, targets, best, outcome, installed_count,
-            clock_phase))
+            copies = yield from self._read_many(local, source, list(wanted))
+            if copies is None:
+                deferred.update(wanted)  # a known-fresher source went dark
+                continue
+            for uid_text, names in wanted.items():
+                copy = copies[uid_text]
+                if copy == "locked":
+                    deferred.add(uid_text)  # busy entry; next pass retries
+                    continue
+                if copy == "unknown":
+                    # Aborted define, or only the peers hold it.
+                    disclaimed[uid_text] = disclaimed.get(uid_text, 0) + 1
+                    continue
+                for name in names:
+                    landed = yield from self._install(local, name, uid_text,
+                                                      copy)
+                    if landed is None:
+                        deferred.add(uid_text)
+                        continue
+                    if landed:
+                        installed[uid_text] += 1
+                        self.metrics.counter(
+                            "replica_io.entries_installed").increment()
+                    old_sv, old_st = known[uid_text][name]
+                    known[uid_text][name] = (max(old_sv, copy.versions[0]),
+                                             max(old_st, copy.versions[1]))
 
-    # -- vector-clock divergence repair --------------------------------------
+        results: dict[str, Converged] = {}
+        level: dict[str, list[str]] = {}
+        for uid_text, (sources, targets) in entries.items():
+            if uid_text in deferred:
+                outcome = "deferred"
+            elif disclaimed.get(uid_text) == len(sources):
+                outcome = "unknown"
+            elif any(_behind(known[uid_text][name], best[uid_text])
+                     for name in targets):
+                # An install raced a live action, or lost to a fresher
+                # source that then went dark.
+                outcome = "deferred"
+            else:
+                outcome = ("clean" if uid_text not in lagging
+                           else "copied" if installed[uid_text] else "settled")
+                nodes = sorted(name for name, versions
+                               in known[uid_text].items()
+                               if versions == best[uid_text])
+                if len(nodes) > 1:
+                    level[uid_text] = nodes
+            results[uid_text] = Converged(outcome, installed[uid_text], 0)
+        repairs = yield from self._break_ties(entries, level, local)
+        for uid_text, repaired in repairs.items():
+            if repaired is None:
+                results[uid_text] = Converged("deferred",
+                                              installed[uid_text], 0)
+            elif repaired:
+                results[uid_text] = Converged("copied", installed[uid_text],
+                                              repaired)
+        return results
 
-    def _finish_converge(self, uid_text: str,
-                         sources: dict[str, tuple[int, int]],
-                         targets: dict[str, tuple[int, int]],
-                         best: tuple[int, int], outcome: str,
-                         installed_count: int, clock_phase: bool,
-                         ) -> Generator[Any, Any, tuple[str, int]]:
-        """Scalar convergence's epilogue: the vector-clock tie-break.
+    # -- the vector-clock tie-break ------------------------------------------
 
-        Replicas whose probed versions sit at the scalar maximum may
-        still hold divergent content -- a partial partition lets each
-        side commit a different write, bumping both scalars
-        identically.  Probe their clocks; if they disagree, repair.
-        """
-        if not clock_phase:
-            return outcome, installed_count
-        level = sorted({name
-                        for name, versions in {**targets, **sources}.items()
-                        if tuple(versions) == best})
-        if len(level) < 2:
-            return outcome, installed_count
-        verdict, repairs = yield from self._repair_divergence(uid_text, level)
-        if verdict == "deferred":
-            return "deferred", installed_count
-        if repairs:
-            return "copied", installed_count + repairs
-        return outcome, installed_count
-
-    def _repair_divergence(self, uid_text: str, level: list[str],
-                           ) -> Generator[Any, Any, tuple[str, int]]:
+    def _break_ties(self, entries: Entries, level: Mapping[str, list[str]],
+                    local: Mapping[str, Any],
+                    ) -> Generator[Any, Any, "dict[str, int | None]"]:
         """Converge equal-version replicas whose clocks disagree.
 
-        Dominance installs: a clock pointwise >= every other proves its
-        holder saw every commit the others did, so its content wins
-        outright.  True concurrency (no dominator) resolves by the
-        deterministic owner order -- the first divergent replica in the
-        current view's write order -- so every repairer picks the same
-        winner.  The winner's snapshot is force-installed on every
-        divergent replica together with the pointwise-max merged clock,
-        after which the group is convergent in one pass.  Returns
-        ``("ok" | "deferred", repairs)``.
-        """
-        clocks: dict[str, dict[str, int]] = {}
-        for node in level:
-            try:
-                clock = yield self.sync_rpc.call(
-                    self.sync_target(node), self.sync_service,
-                    "entry_clock", uid_text)
-            except RpcError:
-                return "deferred", 0  # a dark replica; retry a later pass
-            clocks[node] = dict(clock)
-        if len({tuple(sorted(clock.items()))
-                for clock in clocks.values()}) <= 1:
-            return "ok", 0  # identical histories: truly convergent
-        winner = self._clock_winner(uid_text, clocks)
-        merged: dict[str, int] = {}
-        for clock in clocks.values():
-            for writer, count in clock.items():
-                if count > merged.get(writer, 0):
-                    merged[writer] = count
-        copy = yield from self.fetch_copy(winner, uid_text)
-        if isinstance(copy, str):
-            return "deferred", 0  # locked/unknown/dark; retry a later pass
-        forced = EntryCopy(copy.hosts, copy.uses, copy.view, copy.versions,
-                           copy.mode, merged)
-        repairs = 0
-        for node in level:
-            # The winner is force-installed too: its own content is a
-            # no-op overwrite, but the merged clock must land so the
-            # group's histories agree from here on.
-            verdict = yield from self.install_remote(node, uid_text, forced,
-                                                     force=True)
-            if verdict == "unreachable" or verdict is None:
-                return "deferred", repairs
-            if node != winner:
-                repairs += 1
-                self.metrics.counter(
-                    "replica_io.divergence_repairs").increment()
-        return "ok", repairs
+        ``level`` maps each uid to the replicas sitting at its scalar
+        maximum.  They may still hold divergent content -- a partial
+        partition lets each side commit a different write, bumping both
+        scalars identically -- and only their per-writer clocks can
+        tell.  The clocks are probed, one ``entry_clocks_many`` per
+        node and role, and an entry is repaired (see
+        :meth:`_repair_divergence`) as soon as its last level node has
+        answered.  Sources answer first, replicas that are only targets
+        after them (``local`` ones last of all): a commit racing the
+        probes then makes a target look *ahead* of its sources, which
+        is harmless, never behind them -- a spurious forced re-copy,
+        and for a migration under steady writes an arc that never
+        confirms.
 
-    def _clock_winner(self, uid_text: str,
-                      clocks: dict[str, dict[str, int]]) -> str:
-        """The replica whose content survives a divergence repair."""
+        Returns ``{uid: repairs}`` for the entries that needed any --
+        the divergent non-winner targets overwritten -- with ``None``
+        when a dark or locked replica deferred the repair.
+        """
+        as_source: dict[str, list[str]] = {}
+        as_target: dict[str, list[str]] = {}
+        for uid_text, nodes in level.items():
+            sources = entries[uid_text][0]
+            for node in nodes:
+                if node not in local:
+                    role = as_source if node in sources else as_target
+                    role.setdefault(node, []).append(uid_text)
+        clocks: dict[str, dict[str, Clock]] = {uid_text: {}
+                                              for uid_text in level}
+        repairs: dict[str, int | None] = {}
+        for node, uids in (*sorted(as_source.items()),
+                           *sorted(as_target.items())):
+            try:
+                answers = yield from self._sync_call(
+                    local, node, "entry_clocks_many", uids)
+            except RpcError:
+                repairs.update(dict.fromkeys(uids))  # dark; retry later
+                continue
+            cases = {}
+            for uid_text, clock in zip(uids, answers):
+                seen = clocks[uid_text]
+                seen[node] = dict(clock)
+                nodes = level[uid_text]
+                if uid_text in repairs or not all(
+                        name in seen or name in local for name in nodes):
+                    continue  # deferred, or a level node is still to answer
+                # Local clocks are read last, like local versions.
+                seen.update((name, local[name].entry_clock(uid_text))
+                            for name in nodes if name in local)
+                cases[uid_text] = (seen, [name for name in entries[uid_text][1]
+                                          if name in seen])
+            yield from self._repair_divergence(cases, local, repairs)
+        return repairs
+
+    def _repair_divergence(self, cases: Mapping[str, tuple[dict[str, Clock],
+                                                           list[str]]],
+                           local: Mapping[str, Any],
+                           repairs: dict[str, "int | None"],
+                           ) -> Generator[Any, Any, None]:
+        """Overwrite clock-divergent targets with the winner's content.
+
+        ``cases`` maps each uid to ``(clocks, targets)``: the clock of
+        every replica level at its scalar maximum, and which of those
+        replicas this pass may write.  The winner's snapshot (see
+        :meth:`_clock_winner`) is force-installed, together with the
+        pointwise-max merged clock, on every target whose clock differs
+        from the merged one -- the winner included when it is a target,
+        its content a no-op but its history now agreeing with the
+        group's -- after which the group is convergent in one pass.
+        Replicas that are sources only are never written: their own
+        trigger pulls from the winner.  Outcomes land in ``repairs``.
+        """
+        by_winner: dict[str, list[tuple[str, Clock, list[str]]]] = {}
+        for uid_text, (clocks, targets) in cases.items():
+            merged = self._merge_clocks(clocks.values())
+            divergent = [name for name in targets if clocks[name] != merged]
+            if divergent:
+                by_winner.setdefault(self._clock_winner(uid_text, clocks),
+                                     []).append((uid_text, merged, divergent))
+        for winner, losers in by_winner.items():
+            copies = yield from self._read_many(
+                local, winner, [uid_text for uid_text, _, _ in losers])
+            for uid_text, merged, divergent in losers:
+                copy = copies and copies[uid_text]
+                if not isinstance(copy, EntryCopy):
+                    repairs[uid_text] = None  # locked/unknown/dark
+                    continue
+                # The clock must cover the content: the snapshot's own
+                # clock may have moved past the probed one.
+                forced = replace(copy, vclock=self._merge_clocks(
+                    [merged, copy.vclock]))
+                repairs[uid_text] = 0
+                for name in divergent:
+                    landed = yield from self._install(
+                        local, name, uid_text, forced, force=True)
+                    if landed is None:
+                        repairs[uid_text] = None
+                        break
+                    if name != winner:
+                        repairs[uid_text] += 1
+                        self.metrics.counter(
+                            "replica_io.divergence_repairs").increment()
+
+    def _clock_winner(self, uid_text: str, clocks: dict[str, Clock]) -> str:
+        """The replica whose content survives a divergence repair.
+
+        Dominance wins: a clock pointwise >= every other proves its
+        holder saw every commit the others did.  True concurrency (no
+        dominator) resolves by the deterministic owner order -- the
+        first divergent replica in the current view's write order -- so
+        every repairer picks the same winner.
+        """
         for node in sorted(clocks):
-            clock = clocks[node]
-            if all(self._dominates(clock, other)
-                   for other in clocks.values()):
+            if all(count <= clocks[node].get(writer, 0)
+                   for other in clocks.values()
+                   for writer, count in other.items()):
                 return node
-        # Concurrent clocks: fall back to the fence-epoch + owner order
-        # every repairer shares -- the first divergent replica in the
-        # current view's write order.
         view = self.router.view()
         order = [node for node in view.write_set(uid_text, self.replication)
                  if node in clocks]
         return order[0] if order else sorted(clocks)[0]
 
     @staticmethod
-    def _dominates(a: dict[str, int], b: dict[str, int]) -> bool:
-        return all(a.get(writer, 0) >= count for writer, count in b.items())
+    def _merge_clocks(clocks: Iterable[Clock]) -> Clock:
+        """The pointwise maximum: the history that covers every clock."""
+        merged: Clock = {}
+        for clock in clocks:
+            for writer, count in clock.items():
+                if count > merged.get(writer, 0):
+                    merged[writer] = count
+        return merged

@@ -9,9 +9,10 @@ membership changes as bounded partition movements drained while both
 old and new owners serve.  :meth:`plan_rebalance` generalises the
 single-host grow/shrink to a *plan*: several hosts joining and leaving
 in one staged transition, one copy pipeline, one atomic flip -- the
-arc movement stays bounded because the pipeline copies sequentially
-and pauses :data:`COPY_PAUSE` seconds every :data:`COPY_BATCH` copies
-regardless of how many hosts the plan moves.
+arc movement stays bounded because the pipeline copies
+:data:`COPY_BATCH` arcs at a time and pauses :data:`COPY_PAUSE` seconds
+after each batch that copied anything, regardless of how many hosts
+the plan moves.
 
 One membership change is one **migration epoch**:
 
@@ -31,10 +32,12 @@ One membership change is one **migration epoch**:
    stale-routed write can land on the wrong owners.
 2. **Copy.**  Throttled passes walk the moving arcs: the engine
    (:class:`~repro.naming.replica_io.ReplicaIO`) probes both sides
-   lock-free and pushes each behind arc through the incoming owner's
-   lock-guarded, version-gated ``guarded_install_entry`` -- the same
-   fresh-over-stale discipline as
-   :class:`~repro.naming.shard_resync.ShardResyncManager`.  Once an
+   lock-free -- one round trip per host and side per pass -- and, in
+   batches of :data:`COPY_BATCH` arcs, pushes each behind arc through
+   the incoming owner's lock-guarded, version-gated
+   ``guarded_install_entry`` -- the very engine
+   :class:`~repro.naming.shard_resync.ShardResyncManager` pulls with.
+   Once an
    entry is seeded, dual-ownership writes keep it current, so each
    arc needs exactly one *confirmation*: a pass that probes its
    incoming owners (lock-free) at-or-ahead of every reachable source.
@@ -231,9 +234,10 @@ class ReshardManager:
         diff, one atomic flip -- instead of one epoch per host, so a
         2->4 scale-out pays one migration, not two.  Partition movement
         stays bounded however many hosts move: the pipeline copies
-        entries sequentially and pauses ``COPY_PAUSE`` seconds every
-        ``COPY_BATCH`` copies, so the migration bandwidth cap is
-        independent of the plan's size.  Hosts being added must already
+        ``COPY_BATCH`` arcs at a time and pauses ``COPY_PAUSE`` seconds
+        after each batch that copied anything, so the migration
+        bandwidth cap is independent of the plan's size.  Hosts being
+        added must already
         be booted and serving; the slot is claimed and the transition
         staged synchronously, exactly like :meth:`grow`.
 
@@ -402,9 +406,11 @@ class ReshardManager:
         universe, answered = yield from self.io.collect_uids(live.nodes)
         if not answered:
             raise _Deferred  # the whole old ring is dark; wait it out
-        pending = False
-        deferred = False
-        copied_since_pause = 0
+        # uid -> (current owners, incoming owners) of every arc still to
+        # confirm.
+        arcs: dict[str, tuple[list[str], list[str]]] = {}
+        by_mover: dict[str, list[str]] = {}
+        by_owner: dict[str, list[str]] = {}
         for uid_text in sorted(universe):
             if uid_text in done:
                 continue
@@ -421,50 +427,63 @@ class ReshardManager:
             movers = [h for h in new_plist if h not in old_plist]
             if not movers:
                 continue  # owners unchanged (e.g. ordering-only change)
-            # Lock-free version probes on both sides first: the common
-            # case -- a seeded mover tracking dual-ownership writes --
-            # is detected without taking a single lock or snapshot, so
-            # a converging pass never contends with live traffic.
-            mover_versions, dark_movers = yield from self.io.probe_versions(
-                uid_text, movers)
-            # An unreachable source of a *moving* arc may hold a
-            # committed write none of its reachable peers took; flipping
-            # without it could orphan that write once the arc leaves the
-            # host.  Hold the epoch open (dark movers likewise defer).
-            sources, dark_sources = yield from self.io.probe_versions(
-                uid_text, old_plist)
-            if dark_movers or dark_sources or not sources:
-                deferred = True
-                continue
-            if not mover_versions:
-                deferred = True
-                continue
-            outcome, copied = yield from self.io.converge_entry(
-                uid_text, sources=sources, targets=mover_versions)
+            arcs[uid_text] = (old_plist, movers)
+            for node in movers:
+                by_mover.setdefault(node, []).append(uid_text)
+            for node in old_plist:
+                by_owner.setdefault(node, []).append(uid_text)
+        # Lock-free version probes on both sides, one round trip per
+        # host and side for the whole pass: the common case -- seeded
+        # movers tracking dual-ownership writes -- is detected without
+        # taking a single lock or snapshot, so a converging pass never
+        # contends with live traffic.  Movers first: a write racing the
+        # probes then makes a mover look behind (one wasted copy),
+        # never falsely level.
+        mover_probes, dark = yield from self.io.probe_many(by_mover)
+        owner_probes, dark_owners = yield from self.io.probe_many(by_owner)
+        dark |= dark_owners
+        pending = False
+        deferred = False
+        uids = list(arcs)
+        for start in range(0, len(uids), COPY_BATCH):
+            entries = {}
+            for uid_text in uids[start:start + COPY_BATCH]:
+                old_plist, movers = arcs[uid_text]
+                # An unreachable source of a *moving* arc may hold a
+                # committed write none of its reachable peers took;
+                # flipping without it could orphan that write once the
+                # arc leaves the host.  Hold the epoch open (dark
+                # movers likewise defer).
+                if not dark.isdisjoint((*old_plist, *movers)):
+                    deferred = True
+                    continue
+                entries[uid_text] = (owner_probes[uid_text],
+                                     mover_probes[uid_text])
+            results = yield from self.io.converge(entries)
+            copied = 0
+            for uid_text, result in results.items():
+                copied += result.installed + result.repaired
+                if result.outcome in ("clean", "unknown"):
+                    # Clean: every incoming owner probed current and
+                    # (being seeded) rides every dual-ownership write
+                    # from here on -- the arc has confirmed convergence
+                    # and stays converged.  Unknown: every source
+                    # disclaimed the uid under locks (a define that
+                    # aborted after enumeration) -- nothing to move.
+                    done.add(uid_text)
+                elif result.outcome == "deferred":
+                    deferred = True
+                else:
+                    # "copied"/"settled" arcs stay pending until a later
+                    # pass re-probes them clean -- their confirmation
+                    # round.
+                    pending = True
             if copied:
                 self.entries_copied += copied
                 record["entries_copied"] += copied
                 self.metrics.counter(
                     "reshard.entries_copied").increment(copied)
-                copied_since_pause += 1
-                if copied_since_pause >= COPY_BATCH:
-                    copied_since_pause = 0
-                    yield Timeout(COPY_PAUSE)
-            if outcome == "clean":
-                # Every incoming owner probed current and (being seeded)
-                # rides every dual-ownership write from here on: the arc
-                # has confirmed convergence and stays converged.
-                done.add(uid_text)
-            elif outcome == "unknown":
-                # Every source disclaimed the uid under locks (a define
-                # that aborted after enumeration): nothing to move.
-                done.add(uid_text)
-            elif outcome == "deferred":
-                deferred = True
-            else:
-                # "copied"/"settled" arcs stay pending until a later
-                # pass re-probes them clean -- their confirmation round.
-                pending = True
+                yield Timeout(COPY_PAUSE)
         if deferred:
             raise _Deferred
         return not pending

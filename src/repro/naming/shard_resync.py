@@ -22,19 +22,21 @@ dance for object stores:
    longer reach us for phase 2.
 3. **Copy.**  For every UID whose preference list contains this host
    (the universe is the union of the local entries and every
-   reachable peer's ``list_uids``), read the committed entry from the
-   first live replica peer *under a real atomic action* -- the read
-   locks guarantee a consistent snapshot, never a half-applied write --
-   and install it locally.  Entries locked by live actions are retried
-   next round, like the cleanup daemon does.
+   reachable peer's ``list_uids``), hand the shared replica engine
+   (:meth:`~repro.naming.replica_io.ReplicaIO.converge`) the peers as
+   sources and the local database as the one target: it reads each
+   fresher peer's committed snapshots -- taken under server-local
+   probe locks, never a half-applied write -- installs them locally,
+   and breaks equal-version ties by vector clock.  Entries locked by
+   live actions are retried next round, like the cleanup daemon does.
 4. **Converge, then rejoin.**  Passes repeat until one applies no
    changes (writes committed mid-resync land on the peers we copy
    from), then the service is re-registered and the host serves again.
 
 The manager also runs a low-frequency **anti-entropy sweep** while the
-host is serving: the same copy pass, but each local install first
-try-locks the entry (an entry a live action holds locks on is skipped
-until the next sweep).  Crash-induced staleness is already repaired at
+host is serving: the same copy pass (each local install try-locks the
+entry, so one a live action holds locks on is skipped until the next
+sweep).  Crash-induced staleness is already repaired at
 recovery; the sweep bounds every *other* divergence -- chiefly a
 live-but-queued replica whose timed-out write was presume-aborted by
 the client -- to one sweep interval.  The sweep is also the standing
@@ -64,12 +66,10 @@ from repro.naming.group_view_db import (
     SYNC_SERVICE_NAME,
     GroupViewDatabase,
 )
-from repro.naming.replica_io import EntryCopy, ReplicaIO
+from repro.naming.replica_io import ReplicaIO
 from repro.naming.shard_router import ShardRouter
-from repro.net.errors import RpcError
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.process import Timeout
-from repro.storage.uid import Uid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (cluster -> naming)
     from repro.cluster.node import Node
@@ -110,8 +110,8 @@ class ShardResyncManager:
         self.last_resync_at: float | None = None
         self.retired = False  # drained off the ring: never serve again
         # The shared replica engine: peer probes, snapshot reads, and
-        # the converge protocol all flow through it (sync plane only --
-        # resync traffic must reach gated peers, so it is unfenced).
+        # installs all flow through it (sync plane only -- resync
+        # traffic must reach gated peers, so it is unfenced).
         self.io = ReplicaIO(node.rpc, router, replication,
                             service=service, sync_service=sync_service,
                             sync_rpc=node.sync_rpc,
@@ -163,9 +163,8 @@ class ShardResyncManager:
         for _ in range(self.max_rounds):
             if self.retired:
                 return  # drained mid-resync: stay out of the serving path
-            try:
-                changed = yield from self._sync_pass()
-            except _Deferred:
+            changed = yield from self._sync_pass()
+            if changed is None:
                 yield Timeout(self.retry_interval)
                 continue
             if not changed:
@@ -196,8 +195,9 @@ class ShardResyncManager:
         this bounds every divergence that happens *without* a crash --
         a live replica whose queued write timed out at the caller and
         was presume-aborted -- to one sweep interval.  Installs are
-        lock-guarded (see :meth:`_install`), so the sweep can never
-        clobber an entry a live action is mid-flight on.
+        lock-guarded, so the sweep can never clobber an entry a live
+        action is mid-flight on; peers dark or entries busy this time
+        wait for the next sweep.
         """
         assert self.sweep_interval is not None
         while True:
@@ -206,24 +206,24 @@ class ShardResyncManager:
                 return  # drained off the ring: nothing left to patrol
             if not self.serving:
                 continue  # a recovery resync owns the database right now
-            try:
-                yield from self._sync_pass()
-            except _Deferred:
-                pass  # peers dark or entries busy; next sweep retries
+            yield from self._sync_pass()
 
-    def _sync_pass(self) -> Generator[Any, Any, bool]:
-        """One full pass over this host's arcs; True if anything changed.
+    def _sync_pass(self) -> Generator[Any, Any, "bool | None"]:
+        """One full pass over this host's arcs.
 
-        Coalesced: instead of one version probe per (uid, peer), each
-        peer answers a single ``probe_many`` for every uid of the arcs
-        it shares with us, and catch-up snapshots come back through one
-        ``get_many`` per source -- so an in-sync sweep costs O(peers)
-        round trips, not O(entries), and a crashed host copying a whole
-        arc back pays per source, not per entry.  Consulting *all*
-        probed sources still matters: an equal-version peer may simply
-        share our staleness while a later replica holds the fresh copy,
-        and the two version halves' maxima may live on different peers
-        (the per-half version gate in the install merges them).
+        Returns whether anything changed, or ``None`` when the pass
+        could not finish (peers dark, entries busy) and must be retried.
+        The pass only decides *what* to level: every uid whose
+        preference list contains this host, with its replica peers as
+        sources and this host's own database as the one target.  The
+        engine does the rest in O(peers) round trips -- an in-sync sweep
+        reads no snapshot and takes no peer lock anywhere.  The target
+        being local matters twice: the database is read and installed by
+        direct call even while its RPC service is gated out, and its
+        lock-guarded install still refuses an entry the *colocated*
+        cleanup daemon's purge action is mid-flight on.  Peers are never
+        written: one that loses a clock tie-break pulls from us on its
+        own sweep.
         """
         me = self.node.name
         peers = [n for n in self.router.nodes if n != me]
@@ -231,12 +231,9 @@ class ShardResyncManager:
         universe, answered = yield from self.io.collect_uids(peers)
         universe.update(local)
         if peers and not answered:
-            raise _Deferred  # the whole ring is dark; wait it out
+            return None  # the whole ring is dark; wait it out
 
-        changed = False
-        deferred = False
-        mine: list[str] = []
-        shared_by_peer: dict[str, list[str]] = {}
+        uids_by_node: dict[str, list[str]] = {}
         for uid_text in sorted(universe):
             replicas = self.router.preference_list(uid_text, self.replication)
             if me not in replicas:
@@ -252,184 +249,30 @@ class ShardResyncManager:
                         self.metrics.counter(
                             f"resync.{self.node.name}.gc_leftovers").increment()
                 continue
-            mine.append(uid_text)
-            for peer in replicas:
-                if peer != me:
-                    shared_by_peer.setdefault(peer, []).append(uid_text)
+            for node in replicas:
+                uids_by_node.setdefault(node, []).append(uid_text)
 
-        # One lock-free batched probe per peer (in the common
-        # already-in-sync case no snapshot is read and no peer lock is
-        # taken anywhere in the pass).  Dark peers simply contribute no
-        # probes; their own resync levels them when they return.
-        probes_by_uid, _dark = yield from self.io.probe_many_grouped(
-            shared_by_peer)
-        for uid_text in mine:
-            probes_by_uid.setdefault(uid_text, {})
+        # Dark peers simply contribute no probes; their own resync
+        # levels them when they return.
+        own = {me: self.db}
+        probes_by_uid, _dark = yield from self.io.probe_many(
+            uids_by_node, local=own)
+        entries = {}
+        for uid_text in uids_by_node.get(me, ()):
+            sources = probes_by_uid[uid_text]
+            entries[uid_text] = (sources, {me: sources.pop(me)})
+        results = yield from self.io.converge(entries, local=own)
 
-        # Decide catch-up per uid, then fetch per *source*: every uid a
-        # source is strictly ahead of us on (either half) rides its one
-        # batched snapshot read.
-        local_versions: dict[str, tuple[int, int]] = {}
-        behind_by_source: dict[str, list[str]] = {}
-        for uid_text in mine:
-            probes = probes_by_uid[uid_text]
-            if not probes:
-                deferred = True  # this arc's peers are all dark
-                continue
-            uid = Uid.parse(uid_text)
-            local_versions[uid_text] = (self.db.server_db.entry_version(uid),
-                                        self.db.state_db.entry_version(uid))
-            for peer, (sv, st) in probes.items():
-                if (sv > local_versions[uid_text][0]
-                        or st > local_versions[uid_text][1]):
-                    behind_by_source.setdefault(peer, []).append(uid_text)
-
-        for source, uids in behind_by_source.items():
-            # An earlier source this pass may already have pulled a uid
-            # level with this one; re-check before paying the fetch.
-            wanted = [uid_text for uid_text in uids
-                      if probes_by_uid[uid_text][source][0]
-                      > local_versions[uid_text][0]
-                      or probes_by_uid[uid_text][source][1]
-                      > local_versions[uid_text][1]]
-            copies = yield from self.io.get_many(source, wanted)
-            if copies is None:
-                deferred = True  # a known-fresher peer went dark
-                continue
-            for uid_text in wanted:
-                copy = copies.get(uid_text)
-                if copy == "locked" or copy is None:
-                    deferred = True  # busy entry; next round retries
-                    continue
-                if copy == "unknown":
-                    continue  # vanished since the probe (aborted define)
-                installed = self._install_local(source, uid_text, copy)
-                if installed is None:
-                    deferred = True  # a live local action holds it
-                    continue
-                if installed:
-                    changed = True
-                    self.entries_refreshed += 1
-                    self.metrics.counter(
-                        f"resync.{self.node.name}.entries_refreshed"
-                    ).increment()
-                old = local_versions[uid_text]
-                local_versions[uid_text] = (max(old[0], copy.versions[0]),
-                                            max(old[1], copy.versions[1]))
-
-        # Vector-clock reconciliation: a peer sitting at *equal*
-        # scalars may still hold divergent content -- a partial
-        # partition lets each side commit a different write, bumping
-        # both replicas' versions identically, and the version-gated
-        # install above is blind to it.  Batch-probe the clocks of
-        # every level peer; where histories disagree, pull the peer's
-        # copy if it wins (dominance, else the arc's owner order) and
-        # force-install it with the merged clock.  When *we* win, do
-        # nothing: the peer's own sweep runs the same rule and pulls
-        # from us -- convergence in two sweeps, no push path needed.
-        level_by_peer: dict[str, list[str]] = {}
-        for uid_text in mine:
-            local_v = local_versions.get(uid_text)
-            if local_v is None:
-                continue
-            for peer, versions in probes_by_uid[uid_text].items():
-                if tuple(versions) == tuple(local_v):
-                    level_by_peer.setdefault(peer, []).append(uid_text)
-        for peer in sorted(level_by_peer):
-            uids = level_by_peer[peer]
-            try:
-                clocks = yield from self.io.sync_client_for(
-                    peer).entry_clocks_many(uids)
-            except RpcError:
-                deferred = True  # the peer went dark; next round retries
-                continue
-            wanted = []
-            for uid_text, peer_clock in zip(uids, clocks):
-                peer_clock = dict(peer_clock)
-                local_clock = self.db.entry_clock(uid_text)
-                if peer_clock != local_clock and self._adopt_peer(
-                        uid_text, local_clock, peer_clock, peer):
-                    wanted.append(uid_text)
-            if not wanted:
-                continue
-            copies = yield from self.io.get_many(peer, wanted)
-            if copies is None:
-                deferred = True
-                continue
-            for uid_text in wanted:
-                copy = copies.get(uid_text)
-                if copy == "locked" or copy is None:
-                    deferred = True  # busy entry; next round retries
-                    continue
-                if copy == "unknown" or not isinstance(copy, EntryCopy):
-                    continue  # vanished since the probe
-                merged = dict(self.db.entry_clock(uid_text))
-                for writer, count in (copy.vclock or {}).items():
-                    if count > merged.get(writer, 0):
-                        merged[writer] = count
-                installed = self.db.guarded_install_entry(
-                    uid_text, copy.hosts, copy.uses, copy.view,
-                    copy.versions, vclock=merged, force=True)
-                if installed is None:
-                    deferred = True  # a live local action holds it
-                    continue
-                if installed:
-                    changed = True
-                    self.metrics.counter(
-                        "replica_io.divergence_repairs").increment()
-                    self.metrics.counter(
-                        f"resync.{self.node.name}.divergence_repairs"
-                    ).increment()
-
-        # Anything still behind the freshest probe (an install raced a
-        # local action, a source went dark mid-fetch) waits for the
-        # next round.
-        for uid_text, versions in local_versions.items():
-            probes = probes_by_uid[uid_text]
-            if (versions[0] < max(sv for sv, _ in probes.values())
-                    or versions[1] < max(st for _, st in probes.values())):
-                deferred = True
-                break
-        if deferred:
-            raise _Deferred
-        return changed
-
-    def _install_local(self, _target: str, uid_text: str,
-                       copy: EntryCopy) -> bool | None:
-        """The engine's install hook: land one snapshot in our database.
-
-        Delegates to the database's lock-guarded install: even while
-        the RPC service is out of the serving path, the *colocated*
-        cleanup daemon writes to the same database directly, and
-        overwriting an entry whose purge action is mid-flight would
-        corrupt the action's undo closures.  A refusal means a live
-        local action holds the entry; the pass retries it next round.
-        The install itself is additionally version-gated, so only a
-        strictly fresher peer copy ever lands.
-        """
-        return self.db.guarded_install_entry(uid_text, copy.hosts, copy.uses,
-                                             copy.view, copy.versions,
-                                             vclock=copy.vclock)
-
-    def _adopt_peer(self, uid_text: str, local_clock: dict[str, int],
-                    peer_clock: dict[str, int], peer: str) -> bool:
-        """Whether a peer's equal-version divergent copy wins locally.
-
-        Dominance first (the peer saw every commit we did, and more);
-        true concurrency falls back to the arc's deterministic owner
-        order, so both sides of a divergence pick the same winner.
-        """
-        if ReplicaIO._dominates(peer_clock, local_clock):
-            return True
-        if ReplicaIO._dominates(local_clock, peer_clock):
-            return False  # we win; the peer's sweep pulls from us
-        for node in self.router.preference_list(uid_text, self.replication):
-            if node == peer:
-                return True
-            if node == self.node.name:
-                return False
-        return peer < self.node.name  # neither in the arc: stable fallback
-
-
-class _Deferred(Exception):
-    """A pass could not finish; sleep and retry."""
+        refreshed = sum(result.installed for result in results.values())
+        if refreshed:
+            self.entries_refreshed += refreshed
+            self.metrics.counter(
+                f"resync.{self.node.name}.entries_refreshed"
+            ).increment(refreshed)
+        if any(result.outcome in ("deferred", "unknown")
+               for result in results.values()):
+            # "unknown" too: the peers' probes promised an entry their
+            # snapshot reads then disclaimed; the next pass re-probes.
+            return None
+        return any(result.installed or result.repaired
+                   for result in results.values())

@@ -316,8 +316,7 @@ class ShardedGroupViewDbClient:
         view = self.router.view()
         replicas = view.read_order(uid_text, self.replication)
         probes, _dark = yield from self.io.probe_versions(
-            uid_text, replicas, service=self.io.service,
-            ring_epoch=view.epoch)
+            uid_text, replicas, ring_epoch=view.epoch)
         if not probes:
             return None
         live = (max(sv for sv, _ in probes.values()),

@@ -15,8 +15,10 @@ The server side of the contract (see ``GroupViewDatabase.prepare_many``
 and ``StoreHost.write_shadow_many``) is **per-item outcome demux**:
 a ``_many`` handler returns one ``("ok", value)`` or
 ``("err", type_name, message)`` tuple per item, never letting one
-item's exception abort the whole batch -- enforced by the
-``batch-demux`` lint rule.  The batcher demultiplexes that reply back
+item's exception abort the whole batch -- implemented once, in
+:func:`demux`, which every ``_many`` handler hands its single-item
+handler to (the ``batch-demux`` lint rule checks they do).  The
+batcher demultiplexes that reply back
 onto each caller's private future: an ``ok`` resolves it with the
 value, an ``err`` fails it with the same
 :class:`~repro.net.errors.RpcRemoteError` the unbatched call would
@@ -32,7 +34,7 @@ calls in flight to the same dark target would each have reported.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from repro.net.errors import RpcRemoteError, RpcTimeout
 from repro.net.rpc import RpcAgent
@@ -41,6 +43,26 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.scheduler import Scheduler
 
 BatchKey = tuple[str, str, str, "int | None"]
+
+
+def demux(handler: Callable[..., Any], items: Iterable[tuple]) -> list[tuple]:
+    """The server half of the contract: one outcome per batched call.
+
+    Each item is one batched call's argument tuple; ``handler(*item)``
+    is the unbatched single-item handler.  An item that raises (its
+    own refusal, or a malformed tuple) reports ``("err", type_name,
+    message)`` in its slot and its batchmates proceed untouched -- the
+    coordinator-side :meth:`CommitBatcher._demux` turns each outcome
+    back into exactly the verdict the unbatched call would have
+    produced.
+    """
+    outcomes: list[tuple] = []
+    for item in items:
+        try:
+            outcomes.append(("ok", handler(*item)))
+        except Exception as exc:
+            outcomes.append(("err", type(exc).__name__, str(exc)))
+    return outcomes
 
 
 class CommitBatcher:

@@ -76,6 +76,7 @@ def test_batch_demux_flags_whole_batch_handlers(scan_fixture):
                           rules=["batch-demux"])
     assert {f.ident for f in report.findings} == {
         "write_shadow_many:no-item-guard",
+        "discard_shadow_many:no-item-guard",
         "commit_shadow_many:handler-reraises",
     }
 

@@ -56,6 +56,30 @@ def test_discard_shadow_over_rpc():
     assert buffer == b"v1"
 
 
+def test_batched_commits_demux_per_item_and_share_one_log_force():
+    """``commit_shadow_many`` runs the single-item handler per slot (a
+    uid with no shadow reports its own error, its batchmates commit)
+    and makes the whole batch durable with ONE log force."""
+    system = DistributedSystem(SystemConfig(seed=1, log_force_interval=0.003))
+    store_node = system.add_node("t1", store=True)
+    caller = system.add_node("caller")
+    uids = [Uid("sys", n) for n in (1, 2, 3)]
+    for uid in uids:
+        store_node.object_store.install(uid, b"v1", 1)
+    outcomes = call(system, caller, "write_shadow_many",
+                    [(str(uid), b"v2", 2) for uid in uids[:2]])
+    assert outcomes == [("ok", True), ("ok", True)]
+    outcomes = call(system, caller, "commit_shadow_many",
+                    [(str(uid),) for uid in uids])
+    assert [outcome[:2] for outcome in outcomes] == [
+        ("ok", True), ("ok", True), ("err", "NoSuchShadow")]
+    assert [store_node.object_store.version_of(uid) for uid in uids] \
+        == [2, 2, 1]
+    snapshot = system.metrics.snapshot()
+    assert snapshot["store.t1.log_forces"] == 1
+    assert snapshot.get("store.t1.log_force_joins", 0) == 0
+
+
 def test_install_and_list_uids():
     system, store_node, caller = make_world()
     call(system, caller, "install", "sys:1", b"a", 1)

@@ -138,6 +138,23 @@ def arm_crash_after_prepare(system, db, node):
 
 
 @pytest.fixture
+def rpc_log(monkeypatch):
+    """Every RPC issued from here on, as ``(caller, target, service,
+    method)`` in issue order -- count messages by method, not by time."""
+    from repro.net.rpc import RpcAgent
+
+    calls = []
+    original = RpcAgent.call
+
+    def call(self, target, service, method, *args, **kwargs):
+        calls.append((self.name, target, service, method))
+        return original(self, target, service, method, *args, **kwargs)
+
+    monkeypatch.setattr(RpcAgent, "call", call)
+    return calls
+
+
+@pytest.fixture
 def counter_cls():
     return Counter
 

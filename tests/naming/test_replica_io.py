@@ -4,11 +4,16 @@ The client plane (fenced fan-out writes, failover reads) is exercised
 end-to-end by ``test_replicated_client.py``, ``test_read_repair.py``
 and ``test_fencing.py``; these tests pin the sync-plane contract every
 maintenance daemon (resync, migration, repair) now shares:
-``converge_entry``'s outcomes, its multi-source version-half merging,
-and the local-install hook a resync uses for its own database.
+``converge``'s outcomes, its multi-source version-half merging, its
+batching (round trips per node, not per entry), the local target a
+resync uses for its own database, and the rule that no copier lock
+ever spans the wire.
 """
 
+from collections import Counter
+
 from repro.actions import AtomicAction
+from repro.actions.errors import LockRefused
 from repro.naming import GroupViewDatabase, ReplicaIO, ShardRouter
 from repro.naming.group_view_db import SYNC_SERVICE_NAME
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
@@ -60,17 +65,24 @@ def bump_st(db, times=1, start=2):
         db.commit(action.id.path)
 
 
-def probe_all(s, io):
-    probes, dark = run(s, io.probe_versions(str(UID), NODES))
+def probe_all(s, io, uid=UID):
+    probes, dark = run(s, io.probe_many({node: [str(uid)] for node in NODES}))
     assert not dark
-    return probes
+    return probes[str(uid)]
 
 
-def test_converge_is_probe_only_when_nothing_lags():
+def methods(rpc_log):
+    return Counter(method for _who, _target, _service, method in rpc_log)
+
+
+def test_converge_is_probe_only_when_nothing_lags(rpc_log):
     s, dbs, agents, router, io = make_world()
     probes = probe_all(s, io)
-    outcome, copied = run(s, io.converge_entry(str(UID), probes, probes))
-    assert (outcome, copied) == ("clean", 0)
+    del rpc_log[:]
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result == ("clean", 0, 0)
+    # No snapshot read, no install: only the clock tie-break's probes.
+    assert methods(rpc_log) == {"entry_clocks_many": 3}
 
 
 def test_converge_merges_halves_from_different_sources():
@@ -84,9 +96,9 @@ def test_converge_merges_halves_from_different_sources():
     assert probes["shard-b"] == (1, 2)
     assert probes["shard-c"] == (1, 1)
 
-    outcome, copied = run(s, io.converge_entry(str(UID), probes, probes))
-    assert outcome == "copied"
-    assert copied >= 2  # c took both halves; a and b took each other's
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result.outcome == "copied"
+    assert result.installed >= 2  # c took both halves; a and b each other's
     for db in dbs.values():
         assert db.entry_versions(str(UID)) == (2, 2)
     # Content followed the versions: everyone has a's use count and b's
@@ -111,12 +123,27 @@ def test_converge_defers_on_a_locked_target():
     holder = AtomicAction()
     dbs["shard-c"].get_server(holder.id.path, str(UID))  # live local action
     probes = probe_all(s, io)
-    outcome, copied = run(s, io.converge_entry(str(UID), probes, probes))
-    assert outcome == "deferred"
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result.outcome == "deferred"
     dbs["shard-c"].abort(holder.id.path)
     probes = probe_all(s, io)
-    outcome, _ = run(s, io.converge_entry(str(UID), probes, probes))
-    assert outcome == "copied"
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result.outcome == "copied"
+
+
+def test_converge_defers_on_a_locked_source():
+    """A snapshot is never read past a live writer: the source answers
+    ``"locked"`` inside its one dispatch and the pass retries later."""
+    s, dbs, agents, router, io = make_world()
+    bump_sv(dbs["shard-a"])
+    probes = probe_all(s, io)
+    writer = AtomicAction()
+    dbs["shard-a"].increment(writer.id.path, "binder", str(UID), ["h1"])
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result == ("deferred", 0, 0)
+    dbs["shard-a"].commit(writer.id.path)
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result.outcome == "copied"
 
 
 def test_converge_settles_when_the_probe_was_stale():
@@ -127,17 +154,17 @@ def test_converge_settles_when_the_probe_was_stale():
     bump_sv(dbs["shard-a"])
     stale_probe = {"shard-b": (1, 1)}  # but b catches up before the push
     bump_sv(dbs["shard-b"])
-    outcome, copied = run(s, io.converge_entry(
+    result = run(s, io.converge_entry(
         str(UID), {"shard-a": (2, 1)}, stale_probe))
-    assert (outcome, copied) == ("settled", 0)
+    assert result == ("settled", 0, 0)
 
 
 def test_converge_reports_unknown_when_every_source_disclaims():
     s, dbs, agents, router, io = make_world()
     dbs["shard-a"].forget_entry(str(UID))
-    outcome, copied = run(s, io.converge_entry(
+    result = run(s, io.converge_entry(
         str(UID), {"shard-a": (5, 5)}, {"shard-c": (1, 1)}))
-    assert (outcome, copied) == ("unknown", 0)
+    assert result == ("unknown", 0, 0)
 
 
 def test_converge_defers_when_a_source_goes_dark_mid_pass():
@@ -145,29 +172,90 @@ def test_converge_defers_when_a_source_goes_dark_mid_pass():
     bump_sv(dbs["shard-a"])
     probes = probe_all(s, io)
     agents["shard-a"]._nic.up = False  # dark between probe and fetch
-    outcome, copied = run(s, io.converge_entry(str(UID), probes, probes))
-    assert (outcome, copied) == ("deferred", 0)
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result == ("deferred", 0, 0)
 
 
-def test_converge_with_a_local_install_hook():
-    """A resync passes a plain callable installing into its own
-    database; the engine must take both plain and generator hooks."""
+def test_converge_defers_without_a_reachable_source():
+    s, dbs, agents, router, io = make_world()
+    result = run(s, io.converge_entry(str(UID), {}, {"shard-c": (1, 1)}))
+    assert result == ("deferred", 0, 0)
+
+
+def test_a_local_target_is_probed_and_installed_by_direct_call(rpc_log):
+    """A resync names its own database as the target: the engine reads
+    and writes it in-process -- it works with the host's RPC service
+    gated out -- and only the peers see RPCs."""
     s, dbs, agents, router, io = make_world()
     bump_sv(dbs["shard-a"], times=2)
-    local = GroupViewDatabase()
-    installs = []
+    mine = dbs["shard-c"]
+    agents["shard-c"].unregister(SYNC_SERVICE_NAME)  # nothing serves it
+    own = {"shard-c": mine}
+    probes, dark = run(s, io.probe_many(
+        {node: [str(UID)] for node in NODES}, local=own))
+    assert not dark
+    sources = probes[str(UID)]
+    result = run(s, io.converge_entry(
+        str(UID), sources, {"shard-c": sources.pop("shard-c")}, local=own))
+    assert (result.outcome, result.installed) == ("copied", 1)
+    assert mine.entry_versions(str(UID)) == (3, 1)
+    assert rpc_log and all(target != "shard-c"
+                           for _who, target, _service, _method in rpc_log)
 
-    def install(target, uid_text, copy):
-        installs.append(target)
-        local.define_object((0,), uid_text, copy.hosts, copy.view)
-        local.commit((0,))
-        return True
 
-    outcome, copied = run(s, io.converge_entry(
-        str(UID), {"shard-a": (3, 1)}, {"me": (0, 0)}, install=install))
-    assert (outcome, copied) == ("copied", 1)
-    assert installs == ["me"]
-    assert local.knows(str(UID))
+def test_converge_batches_round_trips_per_node(rpc_log):
+    """Many lagging entries, one target: one snapshot read per fresher
+    source and one clock probe per level node, however many entries."""
+    s, dbs, agents, router, io = make_world()
+    uids = [str(UID)]
+    for serial in range(2, 10):
+        uid = Uid("sys", serial)
+        uids.append(str(uid))
+        for db in dbs.values():
+            boot = AtomicAction()
+            db.define_object(boot.id.path, str(uid), ["h1"], ["t1"])
+            db.commit(boot.id.path)
+    for uid_text in uids:
+        action = AtomicAction()
+        dbs["shard-a"].increment(action.id.path, "binder", uid_text, ["h1"])
+        dbs["shard-a"].commit(action.id.path)
+    probes, _dark = run(s, io.probe_many({node: uids for node in NODES}))
+    results = run(s, io.converge(
+        {uid_text: (probes[uid_text], probes[uid_text])
+         for uid_text in uids}))
+    assert {r.outcome for r in results.values()} == {"copied"}
+    assert methods(rpc_log) == {"entry_versions_many": 3,
+                       "read_entry_versioned_many": 1,
+                       "guarded_install_entry": 2 * len(uids),
+                       "entry_clocks_many": 3}
+    for db in dbs.values():
+        assert all(db.entry_versions(u) == (2, 1) for u in uids)
+
+
+def test_no_copier_lock_at_a_source_outlives_a_dispatch():
+    """While a copy of an entry is in flight its source holds no lock
+    for the copier between dispatches: a client writing the entry at
+    any instant of the copy is never refused on the copier's account."""
+    s, dbs, agents, router, io = make_world()
+    bump_sv(dbs["shard-a"])
+    probes = probe_all(s, io)
+    source = dbs["shard-a"]
+    copy = s.spawn(io.converge_entry(str(UID), probes, probes))
+    writes = 0
+    while not copy.done:
+        # Between any two events of the copy: a whole client write.
+        assert not source.server_db.locks.owners()
+        assert not source.state_db.locks.owners()
+        writer = AtomicAction()
+        try:
+            source.increment(writer.id.path, "client", str(UID), ["h1"])
+        except LockRefused:  # pragma: no cover - the regression
+            raise AssertionError("the copier's lock refused a client write")
+        source.commit(writer.id.path)
+        writes += 1
+        assert s.step(), "the copy must finish"
+    assert writes > 4, "the copy spans several round trips"
+    assert copy.result().outcome in ("copied", "settled")
 
 
 def test_collect_uids_unions_reachable_peers():

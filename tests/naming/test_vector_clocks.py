@@ -5,8 +5,12 @@ committed action, so two replicas that each committed a *different*
 write under a partial partition end up at the same scalar versions with
 different content -- invisible to every scalar probe.  The per-writer
 vector clocks exist to make exactly that state detectable, and the
-ReplicaIO clock phase to make it repairable.
+ReplicaIO clock tie-break to make it repairable -- one winner rule,
+whichever trigger (a resync pulling into its own database, a repair
+pushing to remote replicas) asks.
 """
+
+import pytest
 
 from repro.actions import AtomicAction
 from repro.naming import GroupViewDatabase, ReplicaIO, ShardRouter
@@ -129,9 +133,9 @@ def run(s, gen):
 
 
 def probe_all(s, io):
-    probes, dark = run(s, io.probe_versions(str(UID), NODES))
+    probes, dark = run(s, io.probe_many({node: [str(UID)] for node in NODES}))
     assert not dark
-    return probes
+    return probes[str(UID)]
 
 
 def hosts_at(db):
@@ -141,14 +145,18 @@ def hosts_at(db):
     return list(snapshot.hosts)
 
 
+def repairs(io):
+    return io.metrics.counter_value("replica_io.divergence_repairs")
+
+
 def test_identical_histories_need_no_repair():
     s, net, dbs, router, io = make_world()
     for db in dbs.values():
         commit_increment(db, "cA")  # same writer, same history everywhere
     probes = probe_all(s, io)
-    outcome, copied = run(s, io.converge_entry(str(UID), probes, probes))
-    assert (outcome, copied) == ("clean", 0)
-    assert io.metrics.counter_value("replica_io.divergence_repairs") == 0
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result == ("clean", 0, 0)
+    assert repairs(io) == 0
 
 
 def test_partial_partition_divergence_is_detected_and_repaired():
@@ -163,9 +171,9 @@ def test_partial_partition_divergence_is_detected_and_repaired():
     probes = probe_all(s, io)
     assert len(set(probes.values())) == 1, "scalars must tie"
 
-    outcome, copied = run(s, io.converge_entry(str(UID), probes, probes))
-    assert outcome == "copied"
-    assert io.metrics.counter_value("replica_io.divergence_repairs") == 2
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result == ("copied", 0, 2)
+    assert repairs(io) == 2
     # Concurrent clocks: the deterministic owner-order winner's content
     # lands everywhere, with the pointwise-max merged clock.
     winner = router.view().write_set(str(UID), 3)[0]
@@ -176,29 +184,47 @@ def test_partial_partition_divergence_is_detected_and_repaired():
         assert db.entry_clock(str(UID)) == merged, name
 
 
+def make_stale(db, versions):
+    """Same scalar versions, older content, a *subset* clock -- state
+    installed, clock left behind: the post-restore shape after a
+    scalar-only catch-up."""
+    assert db.guarded_install_entry(
+        str(UID), ["hStale"], {"hStale": {}}, ["t1"], versions,
+        force=True) is True
+
+
 def test_dominant_clock_wins_over_owner_order():
     s, net, dbs, router, io = make_world()
     order = router.view().write_set(str(UID), 3)
     follower = order[0]          # first in owner order, but dominated
     leader = order[1]            # saw a superset of commit history
     commit_insert(dbs[leader], "cA", "hLeader")
-    # The follower holds the same scalar versions but a *subset* clock
-    # (it missed cA's commit; state installed, clock left behind --
-    # the post-restore shape after a scalar-only catch-up).
     versions = dbs[leader].entry_versions(str(UID))
-    assert dbs[follower].guarded_install_entry(
-        str(UID), ["hStale"], {"hStale": {}}, ["t1"], versions,
-        force=True) is True
-    bystander = order[2]
-    assert dbs[bystander].guarded_install_entry(
-        str(UID), ["hStale"], {"hStale": {}}, ["t1"], versions,
-        force=True) is True
+    make_stale(dbs[follower], versions)  # missed cA's commit
+    make_stale(dbs[order[2]], versions)
 
     probes = probe_all(s, io)
-    outcome, _ = run(s, io.converge_entry(str(UID), probes, probes))
-    assert outcome == "copied"
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result.outcome == "copied"
     for name, db in dbs.items():
         assert hosts_at(db) == ["h1", "hLeader"], name
+        assert db.entry_clock(str(UID)) == {"boot": 1, "cA": 1}, name
+
+
+def test_only_replicas_that_differ_from_the_merged_clock_are_repaired():
+    """Two replicas with identical histories dominate a third: one real
+    repair, and the count says one -- the winner's twin is not
+    re-installed just for sitting at the same versions."""
+    s, net, dbs, router, io = make_world()
+    commit_insert(dbs["shard-a"], "cA", "hA")
+    commit_insert(dbs["shard-b"], "cA", "hA")
+    make_stale(dbs["shard-c"], dbs["shard-a"].entry_versions(str(UID)))
+    probes = probe_all(s, io)
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result == ("copied", 0, 1)
+    assert repairs(io) == 1
+    for name, db in dbs.items():
+        assert hosts_at(db) == ["h1", "hA"], name
         assert db.entry_clock(str(UID)) == {"boot": 1, "cA": 1}, name
 
 
@@ -211,9 +237,84 @@ def test_repair_defers_on_a_dark_replica():
     # One level replica goes dark between the scalar probe and the
     # clock probe: the pass must defer, not repair a partial group.
     net.block("client", "shard-c")
-    outcome, _ = run(s, io.converge_entry(str(UID), probes, probes))
-    assert outcome == "deferred"
-    assert io.metrics.counter_value("replica_io.divergence_repairs") == 0
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result.outcome == "deferred"
+    assert repairs(io) == 0
     net.unblock("client", "shard-c")
-    outcome, _ = run(s, io.converge_entry(str(UID), probes, probes))
-    assert outcome == "copied"
+    result = run(s, io.converge_entry(str(UID), probes, probes))
+    assert result.outcome == "copied"
+
+
+# -- one winner rule, whoever asks ------------------------------------------
+#
+# ``target`` is the replica under repair, ``peer`` the one it is
+# compared with (first in the entry's owner order, so a tie between
+# concurrent histories goes to the peer).  Each row prepares the two
+# histories at equal scalar versions and names whose content the target
+# must end up with.  The table is driven through a *pull* (the target
+# is the caller's own database and the only one written -- what a shard
+# resync does) and a *push* (both replicas are remote sources and
+# targets -- what read-repair does): same verdict from both.
+
+
+def _dominates(target, peer):
+    commit_insert(target, "cA", "hTarget")
+    make_stale(peer, target.entry_versions(str(UID)))
+
+
+def _dominated(target, peer):
+    commit_insert(peer, "cA", "hPeer")
+    make_stale(target, peer.entry_versions(str(UID)))
+
+
+def _concurrent(target, peer):
+    commit_insert(target, "cT", "hTarget")
+    commit_insert(peer, "cP", "hPeer")
+
+
+def _identical(target, peer):
+    commit_insert(target, "cA", "hShared")
+    commit_insert(peer, "cA", "hShared")
+
+
+WINNER_RULE = {
+    "dominates": (_dominates, "target"),
+    "dominated": (_dominated, "peer"),
+    "concurrent -> owner order": (_concurrent, "peer"),
+    "identical": (_identical, "target"),
+}
+
+
+@pytest.mark.parametrize("mode", ["pull", "push"])
+@pytest.mark.parametrize("case", WINNER_RULE)
+def test_one_winner_rule_for_pull_and_push(case, mode):
+    prepare, survivor = WINNER_RULE[case]
+    s, net, dbs, router, io = make_world()
+    order = router.view().write_set(str(UID), 3)
+    peer, target = order[0], order[2]
+    dbs[order[1]].forget_entry(str(UID))  # keep the pair a pair
+    prepare(dbs[target], dbs[peer])
+    content = {"peer": hosts_at(dbs[peer]), "target": hosts_at(dbs[target])}
+    merged = {**dbs[peer].entry_clock(str(UID)),
+              **dbs[target].entry_clock(str(UID))}
+
+    pair = {peer: [str(UID)], target: [str(UID)]}
+    own = {target: dbs[target]} if mode == "pull" else None
+    probes, _dark = run(s, io.probe_many(pair, local=own))
+    sources = targets = probes[str(UID)]
+    if mode == "pull":
+        targets = {target: sources.pop(target)}
+    result = run(s, io.converge_entry(str(UID), sources, targets, local=own))
+
+    assert hosts_at(dbs[target]) == content[survivor]
+    assert dbs[target].entry_clock(str(UID)) == merged
+    if mode == "push":
+        # The peer is a target too: the pair converges in one pass.
+        assert hosts_at(dbs[peer]) == content[survivor]
+        assert dbs[peer].entry_clock(str(UID)) == merged
+    else:
+        # A pull never writes its sources; a losing peer pulls for
+        # itself on its own sweep.
+        assert hosts_at(dbs[peer]) == content["peer"]
+    repaired = {"identical": 0, "dominates": int(mode == "push")}.get(case, 1)
+    assert result.repaired == repairs(io) == repaired

@@ -10,7 +10,7 @@ from repro.net import (
     RpcRemoteError,
     RpcTimeout,
 )
-from repro.net.batch import CommitBatcher
+from repro.net.batch import CommitBatcher, demux
 from repro.sim import Scheduler
 
 
@@ -25,18 +25,14 @@ class Store:
         self.plain_calls.append((key, value))
         return f"{key}={value}"
 
+    def _put(self, key, value):
+        if key == "bad":
+            raise ValueError("refused")
+        return f"{key}={value}"
+
     def put_many(self, items):
         self.many_calls.append(list(items))
-        outcomes = []
-        for item in items:
-            try:
-                (key, value) = item
-                if key == "bad":
-                    raise ValueError("refused")
-                outcomes.append(("ok", f"{key}={value}"))
-            except Exception as exc:  # noqa: BLE001 - per-item demux
-                outcomes.append(("err", type(exc).__name__, str(exc)))
-        return outcomes
+        return demux(self._put, items)
 
     def broken_many(self, items):
         # Violates the demux contract: one outcome short.
@@ -81,6 +77,17 @@ def test_mixed_outcomes_demux_per_item():
         s.run_until_settled(bad)
     assert info.value.remote_type == "ValueError"
     assert s.run_until_settled(also_good) == "z=3"
+
+
+def test_demux_reports_a_malformed_item_in_its_own_slot():
+    """The server half alone: a refusal and a wrong-arity tuple each
+    fill their own slot; the batchmates' outcomes are untouched."""
+    outcomes = demux(Store()._put, [("x", 1), ("bad", 2), ("short",),
+                                    ("z", 3)])
+    assert outcomes[0] == ("ok", "x=1")
+    assert outcomes[1] == ("err", "ValueError", "refused")
+    assert outcomes[2][:2] == ("err", "TypeError")
+    assert outcomes[3] == ("ok", "z=3")
 
 
 def test_singleton_window_ships_the_plain_call():
