@@ -8,8 +8,8 @@ benches (which rewrite ``benchmarks/results/``), then runs::
     python -m benchmarks.check_regression \
         --baseline /tmp/bench-baseline --current benchmarks/results
 
-Every numeric value whose JSON path contains ``throughput`` (or a key
-explicitly listed in ``GATED_KEYS``) is compared pathwise; a current
+Every numeric value whose leaf key contains one of ``GATED_KEYS``
+(``throughput``, ``commit_rate``) is compared pathwise; a current
 value more than ``--tolerance`` (default 20%) below its baseline fails
 the gate.  Benches present on only one side are skipped (a brand-new
 bench gains its baseline the commit it lands), as are baseline values
@@ -32,7 +32,7 @@ from pathlib import Path
 
 # Substrings of a flattened JSON path that mark a gated higher-is-better
 # metric.
-GATED_KEYS = ("throughput",)
+GATED_KEYS = ("throughput", "commit_rate")
 
 
 def flatten(value: object, path: str = "") -> dict[str, float]:

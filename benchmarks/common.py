@@ -1,9 +1,12 @@
-"""Shared machinery for the benchmark harness.
+"""What every benchmark module shares: :func:`once` and its registries.
 
-Every benchmark regenerates one paper artefact (figure or analysed
-trade-off) as a printed table plus shape assertions; the "Benchmarks"
-table in docs/architecture.md is the experiment index and
-benchmarks/results/ holds the recorded results.  Run one with::
+A benchmark runs scenarios from :mod:`repro.workload.scenarios` on the
+one runner (``boot -> script -> load -> settle -> auditors ->
+counters``), prints a table, and asserts the experiment's shape claims;
+nothing here builds a deployment or drives a stream.  The "Benchmarks"
+table in docs/architecture.md is the experiment index,
+``benchmarks/gated_benches.txt`` lists every module (all are gated),
+and benchmarks/results/ holds their baselines.  Run one with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_<name>.py -s
 
@@ -17,65 +20,9 @@ letting it evaporate into stdout tables.
 
 from __future__ import annotations
 
+import time
 from pathlib import PurePath
 from typing import Any
-
-from repro import DistributedSystem, SingleCopyPassive, SystemConfig
-from repro.sim.rng import SeededRng
-from repro.workload import TransactionStream, WorkloadReport, run_streams
-from repro.workload.scenario import Counter
-
-
-# The figure benches' workload object: the scenarios' counter under
-# the wire name these benches were recorded with.
-BenchCounter = Counter.named("bench.Counter")
-
-
-def build_system(sv, st, policy=None, clients=1, seed=7, **config_kwargs):
-    """A deployment with one BenchCounter object and N clients."""
-    system = DistributedSystem(SystemConfig(seed=seed, **config_kwargs))
-    system.registry.register(BenchCounter)
-    for host in dict.fromkeys(list(sv) + list(st)):
-        system.add_node(host, server=host in sv, store=host in st)
-    runtimes = [
-        system.add_client(f"c{i}", policy=(policy() if policy else
-                                           SingleCopyPassive()))
-        for i in range(clients)
-    ]
-    uid = system.create_object(BenchCounter(system.new_uid(), value=0),
-                               sv_hosts=list(sv), st_hosts=list(st))
-    return system, runtimes, uid
-
-
-def increment_factory(uid):
-    def factory(_index):
-        def work(txn):
-            return (yield from txn.invoke(uid, "add", 1))
-        return work
-    return factory
-
-
-def read_factory(uid):
-    def factory(_index):
-        def work(txn):
-            return (yield from txn.invoke(uid, "get"))
-        return work
-    return factory
-
-
-def run_workload(system, runtimes, uid, txns_per_client=50,
-                 mean_think_time=0.5, max_attempts=1, read_only=False,
-                 factory=None, seed=99) -> WorkloadReport:
-    factory = factory or increment_factory(uid)
-    streams = [
-        TransactionStream(runtime, factory, count=txns_per_client,
-                          rng=SeededRng(seed, f"stream{i}"),
-                          mean_think_time=mean_think_time,
-                          max_attempts=max_attempts, read_only=read_only)
-        for i, runtime in enumerate(runtimes)
-    ]
-    return run_streams(system, streams)
-
 
 # One entry per bench module that ran this session:
 # ``{module_stem: {test_name: result}}``.  Drained by
@@ -90,6 +37,25 @@ BENCH_RESULTS: dict[str, dict[str, Any]] = {}
 BENCH_WALL_CLOCK: dict[str, dict[str, float]] = {}
 
 
+def json_safe(value: Any) -> Any:
+    """``value`` with every dict key JSON can not carry made a string
+    (a ``(3, 3)`` key becomes ``"3x3"``): one experiment returning a
+    tuple-keyed matrix must not abort the session hook and take every
+    later module's ``BENCH_*.json`` with it."""
+    if isinstance(value, dict):
+        return {_json_key(key): json_safe(item)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(item) for item in value]
+    return value
+
+
+def _json_key(key: Any) -> Any:
+    if key is None or isinstance(key, (str, int, float, bool)):
+        return key
+    return "x".join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+
 def once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing.
 
@@ -98,14 +64,12 @@ def once(benchmark, fn):
     ``BENCH_<name>.json`` artifact alongside the printed table, along
     with the experiment's real wall-clock duration.
     """
-    import time
-
     started = time.perf_counter()
     result = benchmark.pedantic(fn, rounds=1, iterations=1)
     elapsed = time.perf_counter() - started
     fullname = getattr(benchmark, "fullname", "") or ""
     module = PurePath(fullname.split("::", 1)[0]).stem or "unknown"
     test = getattr(benchmark, "name", None) or "experiment"
-    BENCH_RESULTS.setdefault(module, {})[test] = result
+    BENCH_RESULTS.setdefault(module, {})[test] = json_safe(result)
     BENCH_WALL_CLOCK.setdefault(module, {})[test] = elapsed
     return result

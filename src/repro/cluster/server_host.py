@@ -400,8 +400,3 @@ _NO_ENTRY: tuple[tuple, tuple] = ((), ())
 
 def _is_prefix(prefix: tuple[int, ...], path: tuple[int, ...]) -> bool:
     return path[:len(prefix)] == prefix
-
-
-def _related(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    shorter = min(len(a), len(b))
-    return a[:shorter] == b[:shorter]

@@ -17,7 +17,3 @@ class NotQuiescent(NamingError):
     succeed when there are no clients using A" -- membership of ``Sv``
     must not change under active users.
     """
-
-
-class NoSuchEntryOperation(NamingError):
-    """An undo log entry referenced an operation the db cannot reverse."""

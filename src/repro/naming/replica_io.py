@@ -209,16 +209,6 @@ class ReplicaIO:
         """The interface name ``node`` answers sync-plane RPCs on."""
         return node + self.sync_suffix
 
-    def clients_for_service(self, service: str | None = None,
-                            ) -> dict[str, GroupViewDbClient]:
-        """The cached per-node clients of one service (default: client
-        plane), keyed by node -- an inspection surface; routing always
-        goes through :meth:`client_for`."""
-        wanted = service or self.service
-        return {node: client
-                for (node, client_service), client in self._clients.items()
-                if client_service == wanted}
-
     # -- the client plane: fenced, action-scoped operations ------------------
 
     def _note_stale(self) -> None:

@@ -41,7 +41,6 @@ from typing import Any, Generator
 
 from repro.actions.action import AtomicAction
 from repro.naming.coherence import CoherenceClient
-from repro.naming.db_client import GroupViewDbClient
 from repro.naming.entry_cache import CachedEntry, EntryCache, LeaseValidationRecord
 from repro.naming.group_view_db import SERVICE_NAME, GroupViewDatabase
 from repro.naming.object_server_db import ServerEntrySnapshot
@@ -144,26 +143,6 @@ class ShardedGroupViewDbClient:
     @property
     def repair(self) -> Any | None:
         return self.io.repair
-
-    def shard_client_for_node(self, node: str) -> GroupViewDbClient:
-        return self.io.client_for(node)
-
-    def shard_client(self, uid: Uid | str) -> GroupViewDbClient:
-        """The per-shard client owning ``uid`` (the primary replica)."""
-        return self.io.client_for(self.router.shard_for(uid))
-
-    def replicas_for(self, uid: Uid | str) -> list[str]:
-        """The shard hosts a write to ``uid`` must reach, primary first.
-
-        During a ring transition this is the *union* of the old and
-        proposed rings' preference lists -- dual-ownership writes are
-        what let the epoch flip happen without a write barrier.
-        """
-        return self.router.view().write_set(uid, self.replication)
-
-    @property
-    def shard_clients(self) -> dict[str, GroupViewDbClient]:
-        return self.io.clients_for_service(self.service)
 
     # -- the leased read plane -----------------------------------------------
 

@@ -142,10 +142,6 @@ class Network:
     def interface(self, name: str) -> NetworkInterface:
         return self._interfaces[name]
 
-    @property
-    def interface_names(self) -> list[str]:
-        return list(self._interfaces)
-
     # -- partitions and loss -------------------------------------------------
 
     def partition(self, *groups: set[str]) -> None:

@@ -9,7 +9,11 @@ available while at least one replica functions).
 
 Replicas that fail to answer within the reply window are presumed
 crashed: their bindings are broken and never repaired within the action
-(section 3.1).  If every replica is silent the action aborts.
+(section 3.1).  If every replica is silent the action aborts -- which
+is what a crash of the group's *sequencer* (its first bound member:
+every multicast is submitted through it) looks like, so that one
+member's crash is not masked; a new sequencer would be a new group
+view, i.e. a repair within the action.
 """
 
 from __future__ import annotations
@@ -62,10 +66,11 @@ class ActiveReplication(ReplicationPolicy):
         silent = [h for h in binding.live_hosts if h not in result.responders]
         for host in silent:
             binding.break_binding(host)
-            ctx.metrics.counter("policy.active.replicas_masked").increment()
-
         if not result.responders:
             raise TxnAborted(f"all_replicas_silent:{binding.uid}")
+        if silent:  # masked means absorbed: somebody answered
+            ctx.metrics.counter("policy.active.replicas_masked").increment(
+                len(silent))
         if not result.any_success:
             error_type, error_message = result.first_error()
             if error_type in ("LockRefused", "PromotionRefused"):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.actions.locks import LockMode
 from repro.cluster.system import DistributedSystem, SystemConfig
@@ -84,7 +84,9 @@ class Shape:
     Object ``i`` is homed on ``copies`` consecutive hosts starting at
     host ``i`` (round-robin).  The two service times charge only the
     name-serving hosts / only the store hosts, making that role the
-    run's single-server queueing bottleneck.
+    run's single-server queueing bottleneck.  ``policies`` maps a
+    client's name to the factory of its replication policy (a client
+    not named is single-copy passive).
     """
 
     server_hosts: int
@@ -96,6 +98,7 @@ class Shape:
     type_name: str = Counter.TYPE_NAME
     shard_service_time: float | None = None
     store_service_time: float | None = None
+    policies: Mapping[str, Callable[[], Any]] = field(default_factory=dict)
 
 
 def clients(count: int, *extra: str) -> list[str]:
@@ -173,8 +176,10 @@ class Run:
                 system.add_node(host, server=True, store=False)
             for host in self.st_hosts:
                 system.add_node(host, server=False, store=True)
-        self.clients = {name: system.add_client(name)
-                        for name in shape.clients}
+        self.clients = {
+            name: system.add_client(
+                name, policy=shape.policies.get(name, lambda: None)())
+            for name in shape.clients}
         self.runtimes = list(self.clients.values())
 
         def homes(hosts: list[str], first: int, copies: int) -> list[str]:
@@ -235,19 +240,22 @@ class Run:
 
 
 def closed_loop(run: Run, txns: int, per_client: int = 1,
-                read_only: bool = False) -> list[TransactionStream]:
+                read_only: bool = False,
+                body: Callable[[Uid], Any] | None = None
+                ) -> list[TransactionStream]:
     """``per_client`` simultaneous streams on every client.
 
     Stream ``i`` loops ``txns`` transactions (``add(1)``, or ``get``
-    when ``read_only``) on counter ``i mod objects``: one private
-    counter per stream means no entry or lock contention, fewer
-    counters than streams makes hot objects.
+    when ``read_only``, or ``body(uid)``) on counter ``i mod objects``:
+    one private counter per stream means no entry or lock contention,
+    fewer counters than streams makes hot objects.
     """
     p, op = run.p, (("get",) if read_only else ("add", 1))
+    body = body or (lambda uid: invoke(uid, *op))
     return [
         TransactionStream(run.runtimes[i // per_client],
                           lambda _index, uid=run.uids[i % len(run.uids)]:
-                              invoke(uid, *op),
+                              body(uid),
                           count=txns, rng=SeededRng(p.seed, f"stream{i}"),
                           mean_think_time=p.mean_think_time,
                           max_attempts=p.max_attempts, read_only=read_only)

@@ -15,84 +15,37 @@ replica group and crashes mid-send.
   the surviving replicas are always mutually identical.
 """
 
-from repro import ActiveReplication, DistributedSystem, SystemConfig
+from repro import ActiveReplication
 
-from tests.conftest import Counter
-
-
-def replica_states(system, uid, hosts):
-    states = {}
-    for host in hosts:
-        server_host = system.nodes[host].rpc.service("servers")
-        if server_host is not None and server_host.has_server(str(uid)):
-            buffer, _version = server_host.get_state(str(uid))
-            obj = Counter.deserialise(buffer)
-            states[host] = obj.value
-    return states
-
-
-def run_partial_delivery(reliable: bool, seed: int = 7):
-    system = DistributedSystem(SystemConfig(
-        seed=seed, reliable_multicast=reliable))
-    system.registry.register(Counter)
-    for host in ("a1", "a2"):
-        system.add_node(host, server=True)
-    system.add_node("t1", store=True)
-    client = system.add_client("c1", policy=ActiveReplication())
-    # Stagger the CLIENT's unicast emissions so a crash can split them.
-    system.nodes["c1"].mcast.stagger = 0.01
-    uid = system.create_object(Counter(system.new_uid(), value=0),
-                               sv_hosts=["a1", "a2"], st_hosts=["t1"])
-
-    def work(txn):
-        yield from txn.invoke(uid, "add", 1)  # activate + first write
-        # Second invocation: crash the client between its staggered
-        # emissions (naive) / just after its single submit (reliable).
-        system.scheduler.schedule(0.005, system.nodes["c1"].crash)
-        yield from txn.invoke(uid, "add", 1)
-
-    client.transaction(work)
-    # Observe replica states BEFORE the server-side janitor (2s period)
-    # detects the dead client and aborts the orphaned action.
-    system.run(until=1.0)
-    return system, uid
+from repro.workload.scenarios import run
+from tests.conftest import Counter, add_work, build_system
 
 
 def test_naive_multicast_diverges():
-    system, uid = run_partial_delivery(reliable=False)
-    states = replica_states(system, uid, ["a1", "a2"])
-    # a1 received the second invocation before the client died; a2 did not.
-    assert states == {"a1": 2, "a2": 1}
-    # Bonus: the orphan-action janitor eventually aborts the dead
-    # client's action at a1, rolling the divergent write back -- the
-    # cleanup protocol converges the group (on the PRE-action state).
-    system.run(until=10.0)
-    healed = replica_states(system, uid, ["a1", "a2"])
-    assert healed["a1"] == healed["a2"]
+    row = run("paper_fig1_divergence", reliable_multicast=False,
+              crash_offset=0.005, seed=7)
+    # sv0 received the second invocation before the client died; sv1 did
+    # not.  Bonus: the orphan-action janitor then aborts the dead
+    # client's action at sv0, rolling the divergent write back -- the
+    # counter reads its pre-action value, nothing lost or invented.
+    assert row["states"] == {"sv0": 2, "sv1": 1}
+    assert (row["lost_bindings"], row["stale_bindings"]) == (0, 0)
 
 
 def test_reliable_multicast_keeps_replicas_identical():
-    system, uid = run_partial_delivery(reliable=True)
-    states = replica_states(system, uid, ["a1", "a2"])
-    assert states["a1"] == states["a2"]
+    row = run("paper_fig1_divergence", crash_offset=0.005, seed=7)
+    assert set(row["states"]) == {"sv0", "sv1"} and not row["diverged"]
 
 
 def test_reliable_multicast_identical_order_under_concurrency():
     """Writes from two clients reach all replicas in the same order."""
-    system = DistributedSystem(SystemConfig(seed=11, reliable_multicast=True))
-    system.registry.register(Counter)
-    for host in ("a1", "a2", "a3"):
-        system.add_node(host, server=True)
-    system.add_node("t1", store=True)
-    c1 = system.add_client("c1", policy=ActiveReplication())
+    system, c1, uid = build_system(ActiveReplication(), st=("t1",), value=0,
+                                   seed=11, reliable_multicast=True)
     c2 = system.add_client("c2", policy=ActiveReplication())
-    uid = system.create_object(Counter(system.new_uid(), value=0),
-                               sv_hosts=["a1", "a2", "a3"], st_hosts=["t1"])
-
-    from tests.conftest import add_work
     for i in range(4):
         client = c1 if i % 2 == 0 else c2
         assert system.run_transaction(client, add_work(uid, 1)).committed
 
-    states = replica_states(system, uid, ["a1", "a2", "a3"])
-    assert set(states.values()) == {4}
+    states = [system.nodes[host].rpc.service("servers").get_state(str(uid))
+              for host in ("s1", "s2", "s3")]
+    assert [Counter.deserialise(buffer).value for buffer, _ in states] == [4] * 3

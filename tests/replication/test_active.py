@@ -74,6 +74,10 @@ def test_sequencer_crash_aborts():
 
     result = system.run_transaction(client, work)
     assert not result.committed
+    assert result.reason.startswith("all_replicas_silent")
+    # Nobody answered, so nothing was masked: the counter must not
+    # report the aborted action's three silent members as absorbed.
+    assert system.metrics.counter_value("policy.active.replicas_masked") == 0
 
 
 def test_all_replicas_crashed_aborts():

@@ -1,0 +1,62 @@
+"""The benchmark harness: what is recorded, what is gated, what is reached."""
+
+import json
+import re
+from pathlib import Path
+from types import SimpleNamespace
+
+from benchmarks import check_regression, common, conftest
+from repro.workload.scenarios import SCENARIOS
+
+BENCHMARKS = Path(common.__file__).parent
+
+
+# What :func:`benchmarks.common.once` uses of pytest-benchmark.
+_BENCHMARK = SimpleNamespace(
+    fullname="benchmarks/bench_matrix.py::test_matrix", name="test_matrix",
+    pedantic=lambda fn, rounds, iterations: fn())
+
+
+def test_a_tuple_keyed_result_cannot_abort_the_session_hook(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(common, "BENCH_RESULTS", {})
+    monkeypatch.setattr(common, "BENCH_WALL_CLOCK", {})
+    monkeypatch.setattr(conftest, "RESULTS_DIR", tmp_path)
+    matrix = {(3, 3): 0.85, (1, 1): 0.75}
+    assert common.once(_BENCHMARK, lambda: [{"cells": matrix}]) == [
+        {"cells": matrix}]
+    conftest.pytest_sessionfinish(session=None, exitstatus=0)
+    written = json.loads((tmp_path / "BENCH_matrix.json").read_text())
+    assert written["results"]["test_matrix"] == [
+        {"cells": {"3x3": 0.85, "1x1": 0.75}}]
+
+
+def test_every_bench_module_is_gated():
+    gated = set((BENCHMARKS / "gated_benches.txt").read_text().split())
+    assert gated == {f"benchmarks/{path.name}"
+                     for path in BENCHMARKS.glob("bench_*.py")}
+
+
+def test_every_scenario_is_reached_by_a_gated_bench():
+    # A scenario nothing benches has no baseline: bench it or delete it.
+    sources = "".join(path.read_text()
+                      for path in BENCHMARKS.glob("bench_*.py"))
+    assert set(SCENARIOS) <= set(re.findall(r'"(\w+)"', sources))
+
+
+def _results(tmp_path, name, commit_rate, p99):
+    directory = tmp_path / name
+    directory.mkdir()
+    (directory / "BENCH_paper_figures.json").write_text(json.dumps({
+        "results": {"test_paper_experiment[fig3]": {
+            "2": {"commit_rate": commit_rate, "p99_latency": p99}}}}))
+    return directory
+
+
+def test_commit_rate_is_gated_and_latency_is_not(tmp_path, capsys):
+    baseline = _results(tmp_path, "baseline", commit_rate=0.96, p99=1.0)
+    slower = _results(tmp_path, "slower", commit_rate=0.96, p99=9.0)
+    dropped = _results(tmp_path, "dropped", commit_rate=0.72, p99=1.0)
+    assert check_regression.compare(baseline, slower, 0.20) == []
+    [failure] = check_regression.compare(baseline, dropped, 0.20)
+    assert "fig3].2.commit_rate: 0.720 <" in failure

@@ -34,7 +34,7 @@ def test_clean_names_every_violated_expectation():
 def test_list_prints_every_scenario(capsys):
     assert cli.main(["list"]) == 0
     assert capsys.readouterr().out.split() == list(SCENARIOS)
-    assert len(SCENARIOS) == 10
+    assert len(SCENARIOS) == 23
 
 
 def test_no_command_lists_and_signals_usage(capsys):
