@@ -17,6 +17,10 @@ of zero.  Latency keys are deliberately *not* gated: simulated tail
 latencies at tiny smoke sizes are too discrete for a ratio gate, and
 the throughput floor already catches a queueing collapse.
 
+``--moved`` prints, instead of one verdict line per gated value, only
+the values that differ from their baseline (``baseline -> current``,
+rises included): what a reviewer of a PR that shifts rows needs to see.
+
 Separately from the ratio gate, every re-run bench module's recorded
 ``wall_clock_seconds`` total is held to an absolute budget
 (``--wall-budget``, default 150s): real runtime quietly ballooning is
@@ -63,7 +67,7 @@ def gated(path: str) -> bool:
 
 
 def compare(baseline_dir: Path, current_dir: Path,
-            tolerance: float) -> list[str]:
+            tolerance: float, moved_only: bool = False) -> list[str]:
     failures: list[str] = []
     compared = 0
     for baseline_path in sorted(baseline_dir.glob("BENCH_*.json")):
@@ -84,9 +88,14 @@ def compare(baseline_dir: Path, current_dir: Path,
             compared += 1
             floor = base_value * (1.0 - tolerance)
             verdict = "ok" if now >= floor else "REGRESSED"
-            print(f"{verdict:9s} {baseline_path.name}:{path}: "
-                  f"{now:.3f} vs baseline {base_value:.3f} "
-                  f"(floor {floor:.3f})")
+            if not moved_only:
+                print(f"{verdict:9s} {baseline_path.name}:{path}: "
+                      f"{now:.3f} vs baseline {base_value:.3f} "
+                      f"(floor {floor:.3f})")
+            elif now != base_value:
+                print(f"{verdict:9s} {baseline_path.name}:{path}: "
+                      f"{base_value:.3f} -> {now:.3f} "
+                      f"({now / base_value - 1.0:+.1%})")
             if now < floor:
                 failures.append(
                     f"{baseline_path.name}:{path}: {now:.3f} < "
@@ -134,8 +143,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--wall-budget", type=float, default=150.0,
                         help="absolute per-bench wall-clock cap in real "
                              "seconds (150)")
+    parser.add_argument("--moved", action="store_true",
+                        help="list only the gated values that changed")
     args = parser.parse_args(argv)
-    failures = compare(args.baseline, args.current, args.tolerance)
+    failures = compare(args.baseline, args.current, args.tolerance,
+                       moved_only=args.moved)
     failures += check_wall_budget(args.current, args.wall_budget)
     if failures:
         print("\nperf gate FAILED:")

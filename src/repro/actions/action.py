@@ -110,11 +110,10 @@ class AbstractRecord:
 
     # Eager phase starts: before driving a same-order group's phase
     # generators one by one, the action calls ``begin_<phase>`` on every
-    # record of the group.  An RPC-backed record can issue its phase
-    # message here -- into the commit batcher, typically -- so
-    # same-instant calls from the whole group coalesce instead of going
-    # out one round trip at a time.  Default: do nothing (the phase
-    # generator does all the work, exactly as before).
+    # record of the group.  An RPC-backed record issues its phase
+    # message here, so the whole group's calls go out at one virtual
+    # instant -- one round trip for the group instead of one per record.
+    # Default: do nothing (the phase generator does all the work).
 
     def begin_prepare(self, action: "AtomicAction") -> None:
         """Optionally start phase 1 early; raising vetoes like prepare."""
@@ -236,8 +235,8 @@ class AtomicAction:
                 group = list(group_iter)
                 # Same-order records have no mutual ordering contract,
                 # so the whole group may start phase 1 eagerly before
-                # any member awaits a verdict -- this is where batched
-                # records push their prepares into the commit batcher.
+                # any member awaits a verdict -- this is where RPC-backed
+                # records send their prepares, all at one instant.
                 for record in group:
                     try:
                         record.begin_prepare(self)

@@ -114,13 +114,14 @@ class RemoteParticipantRecord(AbstractRecord):
     fail-silent system cannot wait on it.  Commit-phase failures are
     surfaced to the action's heuristic list by raising.
 
-    With a ``batcher`` (the owning node's
-    :class:`~repro.net.batch.CommitBatcher`), the phase messages ride
-    the batched commit plane: the ``begin_*`` hooks push each phase's
-    RPC into the batcher eagerly, so every same-order participant of an
-    action -- and every concurrent action on this node -- lands in one
-    ``_many`` call per target.  The phase generators then merely await
-    the call's own demultiplexed verdict; votes, presumed abort, and
+    Every phase starts eagerly: the ``begin_*`` hooks issue the phase's
+    RPC for every same-order participant of an action at one virtual
+    instant, and the phase generators then merely await the call's own
+    verdict -- one round trip per 2PC phase however many participants
+    share the order.  With a ``batcher`` (the owning node's
+    :class:`~repro.net.batch.CommitBatcher`) those same-instant calls,
+    and every concurrent action's on this node, additionally coalesce
+    into one ``_many`` call per target.  Votes, presumed abort, and
     heuristic reporting are untouched.
 
     ``retries`` arms bounded prepare-phase retries for *gray*
@@ -148,8 +149,8 @@ class RemoteParticipantRecord(AbstractRecord):
             raise ValueError(f"retries must be >= 0, got {retries}")
         if retries and rng is None:
             raise ValueError("prepare retries need a seeded rng for jitter")
-        self._rpc = rpc
-        self._batcher = batcher
+        # Both expose ``call(target, service, method, *args)``.
+        self._transport = batcher or rpc
         self.target = target
         self.service = service
         self.order = order
@@ -159,11 +160,8 @@ class RemoteParticipantRecord(AbstractRecord):
         self._pending: Future | None = None
 
     def _issue(self, method: str, action: AtomicAction) -> Future:
-        if self._batcher is not None:
-            return self._batcher.call(self.target, self.service, method,
-                                      action.id.path)
-        return self._rpc.call(self.target, self.service, method,
-                              action.id.path)
+        return self._transport.call(self.target, self.service, method,
+                                    action.id.path)
 
     def _take_pending(self, method: str, action: AtomicAction) -> Future:
         future = self._pending
@@ -171,16 +169,13 @@ class RemoteParticipantRecord(AbstractRecord):
         return future if future is not None else self._issue(method, action)
 
     def begin_prepare(self, action: AtomicAction) -> None:
-        if self._batcher is not None:
-            self._pending = self._issue("prepare", action)
+        self._pending = self._issue("prepare", action)
 
     def begin_commit(self, action: AtomicAction) -> None:
-        if self._batcher is not None:
-            self._pending = self._issue("commit", action)
+        self._pending = self._issue("commit", action)
 
     def begin_abort(self, action: AtomicAction) -> None:
-        if self._batcher is not None:
-            self._pending = self._issue("abort", action)
+        self._pending = self._issue("abort", action)
 
     def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
         for attempt in range(self._retries + 1):

@@ -31,13 +31,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
 from repro.actions.action import (
-    AbstractRecord,
     ActionStatus,
     AtomicAction,
     Vote,
     abort_on_failure,
 )
 from repro.actions.errors import LockRefused
+from repro.actions.records import RemoteParticipantRecord
 from repro.cluster.errors import TxnAborted
 from repro.cluster.group_invoke import GroupInvoker
 from repro.cluster.node import Node
@@ -73,7 +73,7 @@ class _ClientService:
         return self._node.recover_count
 
 
-class _ServerParticipantRecord(AbstractRecord):
+class _ServerParticipantRecord(RemoteParticipantRecord):
     """2PC participant for one bound server host, binding-aware.
 
     A host whose binding broke during the action (it crashed and the
@@ -82,23 +82,26 @@ class _ServerParticipantRecord(AbstractRecord):
     commit or abort there.
     """
 
-    order = 500
-
     def __init__(self, ctx: TxnContext, host: str,
                  bindings: dict[Uid, PolicyBinding]) -> None:
-        self._ctx = ctx
-        self.host = host
+        super().__init__(ctx.rpc, host, SERVER_SERVICE, order=500)
         self._bindings = bindings
 
     def _is_live(self) -> bool:
-        return any(self.host in b.live_hosts for b in self._bindings.values())
+        return any(self.target in b.live_hosts
+                   for b in self._bindings.values())
+
+    def begin_prepare(self, action: AtomicAction) -> None:
+        if self._is_live():
+            self._pending = self._issue("prepare", action)
 
     def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
-        if not self._is_live():
+        # Nothing pending means ``begin_prepare`` found the host's
+        # bindings broken (or never ran: then look now).
+        if self._pending is None and not self._is_live():
             return Vote.READONLY
         try:
-            verdict = yield self._ctx.rpc.call(self.host, SERVER_SERVICE,
-                                               "prepare", action.id.path)
+            verdict = yield self._take_pending("prepare", action)
         except RpcError:
             # The host just crashed.  Break its bindings; whether the
             # action can still commit is the policy's question, answered
@@ -106,23 +109,15 @@ class _ServerParticipantRecord(AbstractRecord):
             # server?).  A crashed participant has no volatile effects
             # to lose, so this is not an automatic veto.
             for binding in self._bindings.values():
-                binding.break_binding(self.host)
+                binding.break_binding(self.target)
             return Vote.READONLY
         return Vote.OK if verdict == "ok" else Vote.READONLY
 
     def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
         try:
-            yield self._ctx.rpc.call(self.host, SERVER_SERVICE, "commit",
-                                     action.id.path)
+            yield self._take_pending("commit", action)
         except RpcError:
             pass  # crashed after prepare: volatile state already gone
-
-    def abort(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        try:
-            yield self._ctx.rpc.call(self.host, SERVER_SERVICE, "abort",
-                                     action.id.path)
-        except RpcError:
-            pass
 
 
 @dataclass

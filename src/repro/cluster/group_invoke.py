@@ -6,9 +6,11 @@ With the reliable ordered multicast member, every functioning replica
 receives every invocation in the same order; the naive member exposes
 the divergence failure mode the paper warns about.
 
-The invoker waits the full reply window before returning so that it can
-report *which* members answered -- silent members are presumed failed
-and the replication policy breaks their bindings (they are never
+The invoker reports *which* members answered: it returns as soon as
+every member of the view it multicast to has replied, and otherwise
+when the reply window closes -- the window is what a silent member
+costs, not what every invocation pays.  Silent members are presumed
+failed and the replication policy breaks their bindings (they are never
 repaired within the action, per section 3.1).
 """
 
@@ -22,6 +24,7 @@ from repro.cluster.node import Node
 from repro.cluster.server_host import GROUP_REPLY_KIND, group_name_for
 from repro.net.groups import GroupView
 from repro.net.message import Message
+from repro.sim.events import Event
 from repro.sim.futures import Future
 from repro.storage.uid import Uid
 
@@ -59,22 +62,28 @@ class GroupInvoker:
     def __init__(self, node: Node) -> None:
         self._node = node
         node.demux.route("ginv.", self._on_message)
-        self._pending: dict[int, GroupInvokeResult] = {}
-        self._windows: dict[int, Future] = {}
+        # Open invocations: request id -> (result so far, members still
+        # to answer, the future ``invoke`` waits on, the window timer).
+        self._open: dict[int, tuple[GroupInvokeResult, set[str], Future,
+                                    Event]] = {}
 
     def invoke(self, members: list[str], uid: Uid,
                action_path: tuple[int, ...], op: str, args: tuple,
                window: float | None = None) -> Generator[Any, Any, GroupInvokeResult]:
-        """Multicast ``op`` to the replica group; wait the reply window.
+        """Multicast ``op`` to the replica group; collect the replies.
 
-        ``members`` must equal the view the servers joined (the bound
-        hosts); the first member acts as sequencer.
+        Returns once every member has answered, or when the reply
+        window closes on those that have.  ``members`` must equal the
+        view the servers joined (the bound hosts); the first member
+        acts as sequencer.
         """
         request_id = next(_request_ids)
         result = GroupInvokeResult()
-        self._pending[request_id] = result
-        window_future = Future(label=f"ginv:{uid}.{op}")
-        self._windows[request_id] = window_future
+        closed = Future(label=f"ginv:{uid}.{op}")
+        deadline = window if window is not None else self._node.rpc.default_timeout
+        self._open[request_id] = (
+            result, set(members), closed,
+            self._node.scheduler.schedule(deadline, self._close, request_id))
         payload = {
             "request_id": request_id,
             "reply_to": self._node.name,
@@ -86,30 +95,33 @@ class GroupInvoker:
         }
         view = GroupView(tuple(members))
         self._node.mcast.send(group_name_for(uid), view, payload)
-        deadline = window if window is not None else self._node.rpc.default_timeout
-        self._node.scheduler.schedule(deadline, self._close_window, request_id)
-        yield window_future
+        yield closed
         return result
 
-    def _close_window(self, request_id: int) -> None:
-        future = self._windows.pop(request_id, None)
-        self._pending.pop(request_id, None)
-        if future is not None and not future.done:
-            future.resolve(None)
+    def _close(self, request_id: int) -> None:
+        entry = self._open.pop(request_id, None)
+        if entry is not None:
+            _result, _awaited, closed, timer = entry
+            timer.cancel()
+            closed.try_resolve(None)
 
     def _on_message(self, message: Message) -> None:
         if message.kind != GROUP_REPLY_KIND:
             return
         reply = message.payload
-        result = self._pending.get(reply["request_id"])
-        if result is None:
-            return  # reply after the window closed
+        entry = self._open.get(reply["request_id"])
+        if entry is None:
+            return  # reply after the invocation closed
+        result, awaited = entry[:2]
         member = reply["member"]
-        if member in result.responders:
-            return
+        if member not in awaited:
+            return  # a duplicate, or a sender outside the multicast view
+        awaited.remove(member)
         result.responders.append(member)
         if reply.get("ok"):
             result.values[member] = reply.get("value")
         else:
             result.errors[member] = (reply.get("error_type", ""),
                                      reply.get("error_message", ""))
+        if not awaited:
+            self._close(reply["request_id"])

@@ -116,6 +116,10 @@ class Node:
             CommitBatcher(scheduler, self.rpc, window=commit_batch_window,
                           metrics=self.metrics)
             if commit_batch_window is not None else None)
+        # What commit-path records ``.call(target, service, method,
+        # *args)`` through: the batcher when armed, else plain RPC.
+        self.commit_plane: CommitBatcher | RpcAgent = (
+            self.commit_batcher or self.rpc)
         if sync_plane is not None:
             throttle = (TokenBucket(sync_plane.throttle_rate,
                                     SYNC_THROTTLE_BURST)

@@ -332,13 +332,13 @@ class ServerHost:
         reported so the client can drop them from its binding.
         """
         buffer, version = self._server(uid_text).get_state()
+        installs = [(cohort, self._node.rpc.call(
+            cohort, SERVER_SERVICE, "install_state", uid_text, buffer,
+            version)) for cohort in cohort_hosts if cohort != self._node.name]
         accepted: list[str] = []
-        for cohort in cohort_hosts:
-            if cohort == self._node.name:
-                continue
+        for cohort, install in installs:
             try:
-                yield self._node.rpc.call(cohort, SERVER_SERVICE, "install_state",
-                                          uid_text, buffer, version)
+                yield install
             except RpcError:
                 continue
             accepted.append(cohort)

@@ -37,12 +37,13 @@ from __future__ import annotations
 import abc
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Protocol
+from typing import Any, Generator, Iterable, Protocol
 
 from repro.actions.action import AtomicAction, abort_on_failure
 from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import NamingError
 from repro.net.errors import RpcError
+from repro.sim.futures import Future
 from repro.sim.metrics import MetricsRegistry
 from repro.storage.uid import Uid
 
@@ -52,15 +53,18 @@ class BindFailed(NamingError):
 
 
 class Binder(Protocol):
-    """Cluster-layer callback: try to activate/bind one server.
+    """Cluster-layer callback: start activating/binding one server.
 
-    Returns a generator producing ``True`` if the server on ``host`` is
-    (now) running and bound for the action, ``False``/``RpcError`` if
-    the host is unreachable or refused.
+    Issues the attempt and returns its future at once, so a scheme can
+    have every candidate's attempt in flight together.  The future
+    resolves to something true if the server on ``host`` is (now)
+    running and bound for the action; it resolves to something false,
+    or fails with an ``RpcError``, if the host is unreachable or
+    refused.
     """
 
     def __call__(self, host: str, uid: Uid,
-                 action: AtomicAction) -> Generator[Any, Any, bool]: ...
+                 action: AtomicAction) -> Future: ...
 
 
 @dataclass
@@ -121,19 +125,32 @@ class BindingScheme(abc.ABC):
     def _attempt_binds(self, action: AtomicAction, uid: Uid, binder: Binder,
                        candidates: list[str],
                        k: int | None) -> Generator[Any, Any, tuple[list[str], list[str]]]:
-        """Try hosts in order until ``k`` are bound; returns (bound, failed)."""
+        """Bind up to ``k`` of ``candidates``; returns (bound, failed).
+
+        When every candidate must be tried anyway (``k`` is ``None`` or
+        no smaller than their number) all attempts go out at this
+        instant and are collected in list order: one round trip for the
+        whole set.  A ``k``-limited bind stays try-until-``k`` -- each
+        attempt is issued only once the previous one has failed --
+        because an attempt past the ``k``-th success would activate a
+        server nobody asked for.
+        """
         bound: list[str] = []
         failed: list[str] = []
-        for host in candidates:
-            if k is not None and len(bound) >= k:
-                break
+        attempts: Iterable[tuple[str, Future]] = (
+            (host, binder(host, uid, action)) for host in candidates)
+        if k is None or k >= len(candidates):
+            attempts = list(attempts)
+        for host, attempt in attempts:
             self.metrics.counter(f"binding.{self.name}.attempts").increment()
             try:
-                ok = yield from binder(host, uid, action)
+                ok = yield attempt
             except RpcError:
                 ok = False
             if ok:
                 bound.append(host)
+                if len(bound) == k:
+                    break
             else:
                 failed.append(host)
                 self.metrics.counter(f"binding.{self.name}.failed_attempts").increment()

@@ -43,16 +43,15 @@ class ActiveReplication(ReplicationPolicy):
                     action: AtomicAction) -> Generator[Any, Any, None]:
         """Every bound server joins the object's invocation group."""
         members = list(binding.live_hosts)
-        joined: list[str] = []
-        for host in members:
+        joins = [(host, ctx.rpc.call(host, SERVER_SERVICE, "join_group",
+                                     str(binding.uid), members))
+                 for host in members]
+        for host, join in joins:
             try:
-                yield ctx.rpc.call(host, SERVER_SERVICE, "join_group",
-                                   str(binding.uid), members)
+                yield join
             except RpcError:
                 binding.break_binding(host)
-                continue
-            joined.append(host)
-        if not joined:
+        if not binding.live_hosts:
             raise TxnAborted(f"group_join_failed:{binding.uid}")
 
     def invoke(self, ctx: TxnContext, binding: PolicyBinding,

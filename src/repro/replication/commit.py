@@ -11,16 +11,20 @@ aborts the action.
 
 The record runs in the client's top-level commit:
 
-- **prepare**: fetch the object's state from a live bound server, write
-  it as a *shadow* (version ``v+1``) to every ``St`` store; stores that
-  cannot be reached are collected and ``Exclude``d under the same
-  action.  Votes ABORT if no live server remains, if every store
-  failed, or if the exclusion's lock promotion is refused.
-- **commit**: promote the shadows to committed states.  A store that
-  crashes between the two phases loses its shadow and keeps its stale
-  state while still being listed in ``St`` -- the record closes that
-  window by running a follow-up independent top-level Exclude action
-  (heuristic repair; the recovering store will refresh and re-Include).
+- **prepare**: fetch the object's state from a live bound server that
+  holds the action's writes, write it as a *shadow* (version ``v+1``)
+  to every ``St`` store -- all at one instant, one round trip -- and
+  collect each store's own verdict; stores that stay silent are
+  ``Exclude``d under the same action.  Votes ABORT if no such server
+  remains, if every store failed, if a store *refuses* the shadow (it
+  already holds a state this new: the fetched one was stale), or if the
+  exclusion's lock promotion is refused.
+- **commit**: promote the shadows to committed states, again in one
+  round.  A store that crashes between the two phases loses its shadow
+  and keeps its stale state while still being listed in ``St`` -- the
+  record closes that window by running a follow-up independent
+  top-level Exclude action (heuristic repair; the recovering store
+  will refresh and re-Include).
 - **abort**: discard the shadows.
 
 The read optimisation of section 4.2.1 lives upstream: unmodified
@@ -40,8 +44,9 @@ from repro.actions.action import (
 from repro.actions.errors import LockRefused
 from repro.cluster.server_host import SERVER_SERVICE
 from repro.cluster.store_host import STORE_SERVICE
-from repro.net.errors import RpcError
+from repro.net.errors import RpcError, RpcTimeout
 from repro.replication.policy import PolicyBinding, TxnContext
+from repro.sim.futures import Future
 
 
 class StateDistributionRecord(AbstractRecord):
@@ -49,9 +54,13 @@ class StateDistributionRecord(AbstractRecord):
 
     order = 300  # before server hosts (500) and the naming db (600)
 
-    def __init__(self, ctx: TxnContext, binding: PolicyBinding) -> None:
+    def __init__(self, ctx: TxnContext, binding: PolicyBinding,
+                 sources: list[str] | None = None) -> None:
+        """``sources`` names the bound servers that hold the action's
+        writes, in fetch order (default: every live one)."""
         self._ctx = ctx
         self._binding = binding
+        self._sources = sources
         self.prepared_hosts: list[str] = []
         self.excluded_hosts: list[str] = []
         self.late_excluded_hosts: list[str] = []
@@ -69,35 +78,27 @@ class StateDistributionRecord(AbstractRecord):
         buffer, version = state
         self._new_version = version + 1
 
+        # One round: every store's shadow write goes out now, then each
+        # write's own verdict is collected.  Silence is the only sign of
+        # a failed store; a store that *answers* with a refusal is
+        # healthy and already holds a state at least this new -- the
+        # state fetched above was stale, and the action must not commit
+        # it anywhere, let alone Exclude the store that said so.
         failures: list[str] = []
-        batcher = ctx.node.commit_batcher
-        if batcher is not None:
-            # Batched commit plane: fan every store's shadow write into
-            # the batcher up front -- same-instant writes (this action's
-            # other replicas, and concurrent actions on this node)
-            # coalesce into one ``write_shadow_many`` per store host --
-            # then collect each write's own demultiplexed verdict.
-            in_flight = [
-                (st_host, batcher.call(st_host, STORE_SERVICE,
-                                       "write_shadow", str(uid), buffer,
-                                       self._new_version))
-                for st_host in binding.st_hosts]
-            for st_host, call in in_flight:
-                try:
-                    yield call
-                except RpcError:
-                    failures.append(st_host)
-                    continue
+        refused = False
+        for st_host, write in self._fan_out(
+                binding.st_hosts, "write_shadow", buffer, self._new_version):
+            try:
+                yield write
+            except RpcTimeout:
+                failures.append(st_host)
+            except RpcError:
+                refused = True
+            else:
                 self.prepared_hosts.append(st_host)
-        else:
-            for st_host in binding.st_hosts:
-                try:
-                    yield ctx.rpc.call(st_host, STORE_SERVICE, "write_shadow",
-                                       str(uid), buffer, self._new_version)
-                except RpcError:
-                    failures.append(st_host)
-                    continue
-                self.prepared_hosts.append(st_host)
+        if refused:
+            ctx.metrics.counter("commit.stale_state_refused").increment()
+            return Vote.ABORT
 
         if not self.prepared_hosts:
             ctx.metrics.counter("commit.all_stores_down").increment()
@@ -115,14 +116,21 @@ class StateDistributionRecord(AbstractRecord):
             ctx.metrics.counter("commit.stores_excluded").increment(len(failures))
         return Vote.OK
 
+    def _fan_out(self, hosts: list[str], method: str,
+                 *args: Any) -> list[tuple[str, Future]]:
+        """Issue ``method`` for the object to every store of ``hosts`` at
+        this instant (through the commit batcher where the node has
+        one); the caller awaits each ``(host, future)`` in list order."""
+        call = self._ctx.node.commit_plane.call
+        uid_text = str(self._binding.uid)
+        return [(st_host, call(st_host, STORE_SERVICE, method, uid_text,
+                               *args))
+                for st_host in hosts]
+
     def _fetch_state(self) -> Generator[Any, Any, tuple[bytes, int] | None]:
-        """State of the object from the first live bound server."""
+        """State of the object from the first source that answers."""
         ctx, binding = self._ctx, self._binding
-        source_order = list(binding.live_hosts)
-        if binding.coordinator_index < len(source_order):
-            # Prefer the coordinator (it alone has the writes under
-            # coordinator-cohort replication).
-            source_order.insert(0, source_order.pop(binding.coordinator_index))
+        source_order = self._sources or list(binding.live_hosts)
         for host in source_order:
             try:
                 buffer, version = yield ctx.rpc.call(
@@ -136,33 +144,21 @@ class StateDistributionRecord(AbstractRecord):
     # -- phase 2 -------------------------------------------------------------
 
     def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        ctx, binding = self._ctx, self._binding
         late_failures: list[str] = []
-        batcher = ctx.node.commit_batcher
-        if batcher is not None:
-            in_flight = [
-                (st_host, batcher.call(st_host, STORE_SERVICE,
-                                       "commit_shadow", str(binding.uid)))
-                for st_host in self.prepared_hosts]
-            for st_host, call in in_flight:
-                try:
-                    yield call
-                except RpcError:
-                    late_failures.append(st_host)
-        else:
-            for st_host in self.prepared_hosts:
-                try:
-                    yield ctx.rpc.call(st_host, STORE_SERVICE, "commit_shadow",
-                                       str(binding.uid))
-                except RpcError:
-                    late_failures.append(st_host)
+        for st_host, promote in self._fan_out(self.prepared_hosts,
+                                              "commit_shadow"):
+            try:
+                yield promote
+            except RpcError:
+                late_failures.append(st_host)
         if late_failures:
             if len(late_failures) == len(self.prepared_hosts):
                 # Every prepared store crashed between the phases: the
                 # decided state survives nowhere stable.  This is the
                 # classic 2PC window without a coordinator log; counted
                 # so experiments can report it.
-                ctx.metrics.counter("commit.durability_lost").increment()
+                self._ctx.metrics.counter(
+                    "commit.durability_lost").increment()
             yield from self._exclude_heuristically(late_failures)
 
     def _exclude_heuristically(self, hosts: list[str]) -> Generator[Any, Any, None]:
@@ -187,21 +183,9 @@ class StateDistributionRecord(AbstractRecord):
     # -- abort -------------------------------------------------------------------
 
     def abort(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        ctx, binding = self._ctx, self._binding
-        batcher = ctx.node.commit_batcher
-        if batcher is not None:
-            in_flight = [batcher.call(st_host, STORE_SERVICE,
-                                      "discard_shadow", str(binding.uid))
-                         for st_host in self.prepared_hosts]
-            for call in in_flight:
-                try:
-                    yield call
-                except RpcError:
-                    pass  # its crash already discarded the shadow
-            return
-        for st_host in self.prepared_hosts:
+        for _st_host, discard in self._fan_out(self.prepared_hosts,
+                                               "discard_shadow"):
             try:
-                yield ctx.rpc.call(st_host, STORE_SERVICE, "discard_shadow",
-                                   str(binding.uid))
+                yield discard
             except RpcError:
                 pass  # its crash already discarded the shadow

@@ -88,7 +88,10 @@ class CoordinatorCohortReplication(ReplicationPolicy):
                   action: AtomicAction) -> None:
         if not binding.modified:
             return
-        action.add_record(StateDistributionRecord(ctx, binding))
+        # Until the checkpoint below, the action's writes exist at the
+        # coordinator alone: a cohort's copy is no substitute for them.
+        action.add_record(StateDistributionRecord(
+            ctx, binding, sources=[binding.coordinator]))
         action.add_record(_CheckpointRecord(ctx, binding))
 
 

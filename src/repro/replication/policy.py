@@ -25,8 +25,8 @@ from repro.cluster.server_host import SERVER_SERVICE
 from repro.core.objects import ObjectClassRegistry
 from repro.naming.binding import BindOutcome, BindingScheme
 from repro.naming.db_client import GroupViewDbClient
-from repro.net.errors import RpcError
 from repro.net.rpc import RpcAgent
+from repro.sim.futures import Future
 from repro.sim.metrics import MetricsRegistry
 from repro.storage.uid import Uid
 
@@ -125,15 +125,12 @@ class ReplicationPolicy(abc.ABC):
         # costing up to one RPC timeout; give the activate call room.
         window = ctx.rpc.default_timeout * (len(st_hosts) + 1)
 
-        def binder(host: str, uid: Uid,
-                   action: AtomicAction) -> Generator[Any, Any, bool]:
-            try:
-                result = yield ctx.rpc.call(host, SERVER_SERVICE, "activate",
-                                            action.id.path, str(uid),
-                                            list(st_hosts), timeout=window)
-            except RpcError:
-                return False
-            return result.get("status") in ("activated", "bound")
+        def binder(host: str, uid: Uid, action: AtomicAction) -> Future:
+            # The reply is a (truthy) status record -- "activated" or
+            # already "bound"; a refusal arrives as an ``RpcError``.
+            return ctx.rpc.call(host, SERVER_SERVICE, "activate",
+                                action.id.path, str(uid), list(st_hosts),
+                                timeout=window)
         return binder
 
     def on_commit(self, ctx: TxnContext, binding: PolicyBinding,

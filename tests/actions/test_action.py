@@ -106,6 +106,29 @@ def test_prepare_exception_counts_as_veto():
     assert status is ActionStatus.ABORTED
 
 
+def test_begin_prepare_raising_aborts_with_every_records_abort_run():
+    """The eager phase start can veto too: the group's other members
+    have already started, and every record of the action is undone."""
+    log = []
+
+    class BadStart(SpyRecord):
+        def begin_prepare(self, action):
+            log.append(("begin_prepare", self.tag))
+            raise RuntimeError("could not even send it")
+
+    class Started(SpyRecord):
+        def begin_prepare(self, action):
+            log.append(("begin_prepare", self.tag))
+
+    a = AtomicAction()
+    a.add_record(Started(log, "first"))
+    a.add_record(BadStart(log, "bad"))
+    a.add_record(SpyRecord(log, "later", order=200))
+    assert drive(a.commit()) is ActionStatus.ABORTED
+    assert log == [("begin_prepare", "first"), ("begin_prepare", "bad"),
+                   ("abort", "later"), ("abort", "first"), ("abort", "bad")]
+
+
 def test_commit_phase_failure_is_heuristic_not_abort():
     log = []
     action = AtomicAction()

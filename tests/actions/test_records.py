@@ -196,6 +196,45 @@ def test_prepare_retry_reaches_a_recovering_gray_participant():
     assert "prepare" not in [c[0] for c in participant.calls]
 
 
+def test_a_dropped_eager_prepare_is_reissued_beside_its_groupmate():
+    """Two same-order participants prepare at one instant; the one whose
+    eager prepare is dropped retries on its own and the action commits."""
+    from repro.sim import SeededRng
+
+    s = Scheduler()
+    net = Network(s, FixedLatency(0.01))
+    agents, participants, issued = {}, {}, []
+    for name in ("client", "db1", "db2"):
+        nic = net.attach(name)
+        agents[name] = RpcAgent(s, nic, demux=MessageDemux(nic))
+    for name in ("db1", "db2"):
+        participants[name] = Participant()
+        agents[name].register("svc", participants[name])
+    original = agents["client"].call
+
+    def call(target, service, method, *args, **kwargs):
+        issued.append((target, method, s.now))
+        return original(target, service, method, *args, **kwargs)
+
+    agents["client"].call = call
+    net.block("client", "db2")
+    s.schedule_at(0.4, net.unblock, "client", "db2")
+    action = AtomicAction()
+    for name in ("db1", "db2"):
+        action.add_record(RemoteParticipantRecord(
+            agents["client"], name, "svc", retries=2, backoff=0.3,
+            rng=SeededRng(9).substream(name)))
+    assert run_action_in_process(s, action) is ActionStatus.COMMITTED
+
+    assert issued[:2] == [("db1", "prepare", 0.0), ("db2", "prepare", 0.0)]
+    assert [m for t, m, _at in issued if t == "db2"] == \
+        ["prepare", "prepare", "commit"]
+    commits = {at for _t, m, at in issued if m == "commit"}
+    assert len(commits) == 1
+    for participant in participants.values():
+        assert [c[0] for c in participant.calls] == ["prepare", "commit"]
+
+
 def test_prepare_retry_budget_exhausts_to_abort():
     from repro.sim import SeededRng
 

@@ -1,8 +1,10 @@
 """Tests for client-side group invocation."""
 
+import pytest
+
 from repro import ActiveReplication, DistributedSystem, SystemConfig
 from repro.cluster.group_invoke import GroupInvoker
-from repro.cluster.server_host import SERVER_SERVICE
+from repro.cluster.server_host import GROUP_REPLY_KIND, SERVER_SERVICE
 
 from tests.conftest import Counter
 
@@ -89,3 +91,59 @@ def test_late_replies_after_window_ignored():
     # Run on; stray replies must not corrupt the closed request table.
     system.run(until=system.scheduler.now + 5)
     assert len(result.responders) == 3
+
+
+# -- the reply window closes on the view, not on a head count -------------------
+
+
+WINDOW = 0.5
+
+
+def timed_invoke(system, invoker, hosts, uid, during=None):
+    """``(result, simulated seconds the invocation took)``; ``during``
+    runs a fifth of a window in, while the replies are being collected."""
+    started = system.scheduler.now
+    if during is not None:
+        system.scheduler.schedule(WINDOW / 5, during)
+    result = invoke(system, invoker, hosts, uid, "add", (1,))
+    return result, system.scheduler.now - started
+
+
+def make_windowed_world():
+    system, invoker, uid, hosts = make_world()
+    system.nodes["client"].rpc.default_timeout = WINDOW
+    return system, invoker, uid, hosts
+
+
+def test_returns_as_soon_as_every_member_has_answered():
+    system, invoker, uid, hosts = make_windowed_world()
+    result, took = timed_invoke(system, invoker, hosts, uid)
+    assert sorted(result.responders) == sorted(hosts)
+    assert took < WINDOW / 2
+
+
+def test_a_silent_member_costs_the_whole_window():
+    system, invoker, uid, hosts = make_windowed_world()
+    system.nodes["a3"].crash()
+    result, took = timed_invoke(system, invoker, hosts, uid)
+    assert set(result.responders) == {"a1", "a2"}
+    assert took == pytest.approx(WINDOW)
+
+
+def test_a_non_member_or_duplicate_reply_never_closes_the_window():
+    """a3 is silent; a stranger's reply and a second reply from a1 bring
+    the head count to three, but not the view: the window stays open."""
+    system, invoker, uid, hosts = make_windowed_world()
+    system.nodes["a3"].crash()
+
+    def forge():
+        request_id = max(invoker._open)
+        for sender, member in (("t1", "t1"), ("a1", "a1")):
+            system.nodes[sender].nic.send("client", GROUP_REPLY_KIND, {
+                "request_id": request_id, "member": member,
+                "ok": True, "value": 99})
+
+    result, took = timed_invoke(system, invoker, hosts, uid, during=forge)
+    assert sorted(result.responders) == ["a1", "a2"]
+    assert result.values == {"a1": 1, "a2": 1}
+    assert took == pytest.approx(WINDOW)

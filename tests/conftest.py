@@ -140,14 +140,16 @@ def arm_crash_after_prepare(system, db, node):
 @pytest.fixture
 def rpc_log(monkeypatch):
     """Every RPC issued from here on, as ``(caller, target, service,
-    method)`` in issue order -- count messages by method, not by time."""
+    method, issued_at)`` in issue order -- count messages by method, or
+    round trips by distinct simulated issue instant."""
     from repro.net.rpc import RpcAgent
 
     calls = []
     original = RpcAgent.call
 
     def call(self, target, service, method, *args, **kwargs):
-        calls.append((self.name, target, service, method))
+        calls.append((self.name, target, service, method,
+                      self._scheduler.now))
         return original(self, target, service, method, *args, **kwargs)
 
     monkeypatch.setattr(RpcAgent, "call", call)

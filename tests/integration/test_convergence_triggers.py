@@ -18,7 +18,7 @@ from tests.integration.test_sharded_nameserver import build
 
 def sync_rpcs(rpc_log, caller=None):
     """``(peer, method)`` of the sync-service RPCs logged so far."""
-    return [(target, method) for who, target, service, method in rpc_log
+    return [(target, method) for who, target, service, method, _at in rpc_log
             if service == SYNC_SERVICE_NAME and caller in (None, who)]
 
 

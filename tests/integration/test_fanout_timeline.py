@@ -1,0 +1,178 @@
+"""One round trip per one-to-many step, and the same verdicts under failure.
+
+The paper's protocol is one-to-many at every step: bind to every server
+in ``Sv``, join them into one invocation group, copy the new state to
+every store in ``St``, run one 2PC over all of them.  Each such step
+must cost the transaction one round trip -- every host's message issued
+at a single simulated instant -- while each host's own verdict (a
+silent store Excluded, a crashed server voting READONLY with its
+binding broken) is handled exactly as when they were walked one by one.
+"""
+
+from collections import defaultdict
+
+import pytest
+
+from repro import (
+    ActiveReplication,
+    CoordinatorCohortReplication,
+    SingleCopyPassive,
+)
+from repro.cluster.group_invoke import GroupInvoker
+from repro.cluster.server_host import SERVER_SERVICE
+from repro.cluster.store_host import STORE_SERVICE
+from repro.replication.commit import StateDistributionRecord
+
+from tests.conftest import build_system
+
+SV = ("s1", "s2", "s3")
+ST = ("t1", "t2", "t3")
+
+
+def get_then_add(uid, hook=None):
+    """The transaction body; ``hook(txn)`` runs after the last invocation,
+    i.e. just before commit processing starts."""
+    def work(txn):
+        yield from txn.invoke(uid, "get")
+        value = yield from txn.invoke(uid, "add", 1)
+        if hook is not None:
+            hook(txn)
+        return value
+    return work
+
+
+def build(policy, **config):
+    return build_system(policy=policy(), sv=SV, st=ST,
+                        enable_recovery_managers=False, **config)
+
+
+def issues(rpc_log, service, method):
+    """``{issue instant: [target, ...]}`` of one method's calls."""
+    by_instant = defaultdict(list)
+    for _who, target, svc, name, at in rpc_log:
+        if (svc, name) == (service, method):
+            by_instant[at].append(target)
+    return dict(by_instant)
+
+
+# Hosts each fanned-out step reaches, per policy, and the distinct
+# instants at which the client may issue RPCs for the whole transaction
+# (15 / 20 / 22 when every set was walked one host at a time).
+TIMELINES = [
+    (SingleCopyPassive, 11, {
+        (SERVER_SERVICE, "activate"): 1, (STORE_SERVICE, "write_shadow"): 3,
+        (SERVER_SERVICE, "prepare"): 1, (STORE_SERVICE, "commit_shadow"): 3,
+        (SERVER_SERVICE, "commit"): 1}),
+    (CoordinatorCohortReplication, 12, {
+        (SERVER_SERVICE, "activate"): 3, (STORE_SERVICE, "write_shadow"): 3,
+        (SERVER_SERVICE, "prepare"): 3, (STORE_SERVICE, "commit_shadow"): 3,
+        (SERVER_SERVICE, "commit"): 1,  # only the coordinator wrote
+        (SERVER_SERVICE, "install_state"): 2}),  # issued by the coordinator
+    (ActiveReplication, 10, {
+        (SERVER_SERVICE, "activate"): 3, (SERVER_SERVICE, "join_group"): 3,
+        (STORE_SERVICE, "write_shadow"): 3, (SERVER_SERVICE, "prepare"): 3,
+        (STORE_SERVICE, "commit_shadow"): 3, (SERVER_SERVICE, "commit"): 3}),
+]
+
+
+@pytest.mark.parametrize("policy, client_instants, fanned", TIMELINES,
+                         ids=lambda v: getattr(v, "name", None))
+def test_each_one_to_many_step_goes_out_at_a_single_instant(
+        rpc_log, policy, client_instants, fanned):
+    system, client, uid = build(policy)
+    del rpc_log[:]
+    assert system.run_transaction(client, get_then_add(uid)).committed
+
+    for (service, method), hosts in fanned.items():
+        by_instant = issues(rpc_log, service, method)
+        assert len(by_instant) == 1, (method, by_instant)
+        (targets,) = by_instant.values()
+        assert len(targets) == hosts, (method, targets)
+    assert len({at for who, *_rest, at in rpc_log
+                if who == "c1"}) <= client_instants
+
+
+def test_a_group_invocation_returns_once_all_three_members_answered(
+        monkeypatch):
+    system, client, uid = build(ActiveReplication)
+    window = system.nodes["c1"].rpc.default_timeout
+    took = []
+    original = GroupInvoker.invoke
+
+    def timed(self, *args, **kwargs):
+        started = system.scheduler.now
+        result = yield from original(self, *args, **kwargs)
+        took.append(system.scheduler.now - started)
+        return result
+
+    monkeypatch.setattr(GroupInvoker, "invoke", timed)
+    assert system.run_transaction(client, get_then_add(uid)).committed
+    assert len(took) == 2 and max(took) < window / 2
+
+
+# -- parity under failure ----------------------------------------------------------
+
+
+def distribution_record(action):
+    (record,) = [r for r in action.records
+                 if isinstance(r, StateDistributionRecord)]
+    return record
+
+
+@pytest.mark.parametrize("policy", [SingleCopyPassive,
+                                    CoordinatorCohortReplication,
+                                    ActiveReplication])
+def test_stores_down_during_the_fan_out_are_excluded_in_st_order(
+        rpc_log, policy):
+    system, client, uid = build(policy)
+    system.nodes["t1"].crash()
+    system.nodes["t3"].crash()
+    seen = {}
+    result = system.run_transaction(
+        client, get_then_add(uid, hook=lambda txn: seen.update(txn=txn)))
+    assert result.committed
+
+    record = distribution_record(seen["txn"].action)
+    assert record.excluded_hosts == ["t1", "t3"]
+    assert record.prepared_hosts == ["t2"]
+    assert system.metrics.counter_value("commit.stores_excluded") == 2
+    assert system.db_st(uid) == ["t2"]
+    # The survivors' phase 2 never waited on the dead: only t2 is told.
+    assert issues(rpc_log, STORE_SERVICE, "commit_shadow").popitem()[1] \
+        == ["t2"]
+
+
+def test_a_server_crashing_before_prepare_votes_readonly_and_loses_its_binding(
+        rpc_log):
+    system, client, uid = build(ActiveReplication)
+    seen = {}
+
+    def crash_a_member(txn):
+        seen["txn"] = txn
+        system.nodes["s2"].crash()
+
+    result = system.run_transaction(client,
+                                    get_then_add(uid, hook=crash_a_member))
+    assert result.committed
+    assert seen["txn"].bindings[uid].live_hosts == ["s1", "s3"]
+    # All three were asked to prepare together; the silent one voted
+    # READONLY, so phase 2 goes to the other two only.
+    (prepared,) = issues(rpc_log, SERVER_SERVICE, "prepare").values()
+    (committed,) = issues(rpc_log, SERVER_SERVICE, "commit").values()
+    assert prepared == ["s1", "s2", "s3"] and committed == ["s1", "s3"]
+    assert system.store_versions(uid) == {"t1": 2, "t2": 2, "t3": 2}
+
+
+def test_a_server_crashing_between_the_phases_does_not_undo_the_decision():
+    system, client, uid = build(ActiveReplication)
+    host = system.nodes["s3"].rpc.service(SERVER_SERVICE)
+    real_prepare = host.prepare
+
+    def prepare_then_die(action_path):
+        vote = real_prepare(action_path)
+        system.scheduler.call_soon(system.nodes["s3"].crash)
+        return vote
+
+    host.prepare = prepare_then_die
+    assert system.run_transaction(client, get_then_add(uid)).committed
+    assert system.store_versions(uid) == {"t1": 2, "t2": 2, "t3": 2}

@@ -16,7 +16,7 @@ from repro.naming import GroupViewDatabase
 from repro.naming.binding import IndependentTopLevelBinding
 from repro.naming.db_client import GroupViewDbClient
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
-from repro.sim import MetricsRegistry, Scheduler
+from repro.sim import Future, MetricsRegistry, Scheduler
 from repro.storage import Uid
 
 UID = Uid("sys", 1)
@@ -62,7 +62,6 @@ def test_killed_binder_releases_all_database_locks():
 
     def killing_binder(host, uid, action):
         raise Killed("client process killed mid-bind")
-        yield
 
     def body():
         action = AtomicAction(node="client")
@@ -77,8 +76,9 @@ def test_killed_unbind_releases_all_database_locks():
     world = World()
 
     def ok_binder(host, uid, action):
-        return True
-        yield
+        bound = Future()
+        bound.resolve(True)
+        return bound
 
     def bind_body():
         action = AtomicAction(node="client")

@@ -17,7 +17,7 @@ from repro.naming.binding import (
 )
 from repro.naming.db_client import GroupViewDbClient
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
-from repro.sim import MetricsRegistry, Scheduler
+from repro.sim import Future, MetricsRegistry, Scheduler
 from repro.storage import Uid
 
 UID = Uid("sys", 1)
@@ -49,8 +49,9 @@ class World:
 
     def binder(self, host, uid, action):
         self.bind_attempts.append(host)
-        return host not in self.dead_hosts
-        yield
+        bound = Future()
+        bound.resolve(host not in self.dead_hosts)
+        return bound
 
     def run_bind(self, action, k=None, read_only=False):
         def body():
@@ -120,6 +121,30 @@ def test_standard_read_only_binds_single_server():
     action = AtomicAction(node="client")
     outcome = world.run_bind(action, read_only=True)
     assert len(outcome.bound_hosts) == 1
+    assert len(world.bind_attempts) == 1  # stopped at the first success
+
+
+@pytest.mark.parametrize("k, instants", [(None, 1), (3, 1), (2, 3)])
+def test_attempts_fan_out_only_when_every_candidate_must_be_tried(k, instants):
+    """``k`` of None or >= |Sv|: all attempts in flight at once.  A
+    smaller ``k`` issues the next attempt only after the previous one
+    failed, so no server beyond the ``k``-th success is ever activated."""
+    world = World(StandardBinding, dead=("h1",))
+    issued = []
+
+    def slow_binder(host, uid, action):
+        issued.append((host, world.scheduler.now))
+        bound = Future()
+        world.scheduler.schedule(0.02, bound.resolve,
+                                 host not in world.dead_hosts)
+        return bound
+
+    world.binder = slow_binder
+    outcome = world.run_bind(AtomicAction(node="client"), k=k)
+    assert outcome.bound_hosts == ["h2", "h3"]
+    assert outcome.failed_hosts == ["h1"]
+    assert [host for host, _at in issued] == ["h1", "h2", "h3"]
+    assert len({at for _host, at in issued}) == instants
 
 
 def test_standard_all_dead_raises_bind_failed():

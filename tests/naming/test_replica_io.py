@@ -72,7 +72,7 @@ def probe_all(s, io, uid=UID):
 
 
 def methods(rpc_log):
-    return Counter(method for _who, _target, _service, method in rpc_log)
+    return Counter(method for _who, _target, _service, method, _at in rpc_log)
 
 
 def test_converge_is_probe_only_when_nothing_lags(rpc_log):
@@ -200,7 +200,7 @@ def test_a_local_target_is_probed_and_installed_by_direct_call(rpc_log):
     assert (result.outcome, result.installed) == ("copied", 1)
     assert mine.entry_versions(str(UID)) == (3, 1)
     assert rpc_log and all(target != "shard-c"
-                           for _who, target, _service, _method in rpc_log)
+                           for _who, target, _service, _method, _at in rpc_log)
 
 
 def test_converge_batches_round_trips_per_node(rpc_log):

@@ -99,3 +99,54 @@ def test_version_chain_monotonic_across_many_commits():
         system.run_transaction(client, add_work(uid, 1))
         versions = set(system.store_versions(uid).values())
         assert versions == {expected}
+
+
+def _outrun_server_copy(system, uid, host):
+    """Leave ``host``'s store holding a newer committed state than the
+    activated server's copy (what a stale state-fetch source looks like
+    from the store's side)."""
+    store = system.nodes[host].object_store
+    state = store.read_committed(uid)
+    store.install(uid, state.buffer, state.version + 5)
+    return state.version + 5
+
+
+def test_a_store_refusing_a_stale_shadow_vetoes_and_excludes_nobody():
+    """t1 answers the shadow write with a refusal -- it is healthy and
+    already newer.  The action must not commit the stale state to the
+    lagging t2, and must not Exclude the store that said so."""
+    system, client, uid = build_system(st=("t1", "t2"),
+                                       enable_recovery_managers=False)
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    newer = _outrun_server_copy(system, uid, "t1")
+
+    result = system.run_transaction(client, add_work(uid, 1))
+    assert not result.committed and result.reason == "commit_vetoed"
+    assert system.metrics.counter_value("commit.stale_state_refused") == 1
+    assert system.metrics.counter_value("commit.stores_excluded") == 0
+    assert system.db_st(uid) == ["t1", "t2"]
+    assert system.store_versions(uid) == {"t1": newer, "t2": 2}
+    assert not system.nodes["t2"].object_store.has_shadow(uid)
+
+
+def test_a_lone_refusing_store_is_not_counted_as_down():
+    system, client, uid = build_system(st=("t1",),
+                                       enable_recovery_managers=False)
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    _outrun_server_copy(system, uid, "t1")
+
+    assert not system.run_transaction(client, add_work(uid, 1)).committed
+    assert system.metrics.counter_value("commit.all_stores_down") == 0
+    assert system.metrics.counter_value("commit.stale_state_refused") == 1
+
+
+def test_a_refusal_beside_a_silent_store_still_excludes_nobody():
+    system, client, uid = build_system(st=("t1", "t2"),
+                                       enable_recovery_managers=False)
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    _outrun_server_copy(system, uid, "t1")
+    system.nodes["t2"].crash()
+
+    assert not system.run_transaction(client, add_work(uid, 1)).committed
+    assert system.metrics.counter_value("commit.stores_excluded") == 0
+    assert system.db_st(uid) == ["t1", "t2"]

@@ -101,3 +101,20 @@ def test_chain_of_failovers():
     assert result.value == 100
     assert system.metrics.counter_value(
         "policy.coordinator_cohort.failovers_masked") == 2
+
+
+def test_coordinator_crash_between_last_write_and_commit_aborts():
+    """The action's writes exist only at the coordinator until the
+    commit-time checkpoint: if it dies before its state is fetched, a
+    cohort's clean copy must not be committed in its place."""
+    system, client, uid = build_system(CoordinatorCohortReplication())
+
+    def work(txn):
+        yield from txn.invoke(uid, "add", 1)
+        system.nodes["s1"].crash()
+
+    result = system.run_transaction(client, work)
+    assert not result.committed and result.reason == "commit_vetoed"
+    assert set(system.store_versions(uid).values()) == {1}
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    assert system.run_transaction(client, get_work(uid)).value == 101

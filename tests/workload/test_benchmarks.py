@@ -60,3 +60,16 @@ def test_commit_rate_is_gated_and_latency_is_not(tmp_path, capsys):
     assert check_regression.compare(baseline, slower, 0.20) == []
     [failure] = check_regression.compare(baseline, dropped, 0.20)
     assert "fig3].2.commit_rate: 0.720 <" in failure
+
+
+def test_moved_lists_only_the_rows_that_changed_rises_included(
+        tmp_path, capsys):
+    baseline = _results(tmp_path, "baseline", commit_rate=0.80, p99=1.0)
+    same = _results(tmp_path, "same", commit_rate=0.80, p99=2.0)
+    risen = _results(tmp_path, "risen", commit_rate=0.90, p99=1.0)
+    assert check_regression.compare(baseline, same, 0.20, moved_only=True) == []
+    assert capsys.readouterr().out == ""
+    assert check_regression.compare(baseline, risen, 0.20, moved_only=True) == []
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith("ok") and "fig3].2.commit_rate" in line
+    assert line.endswith("0.800 -> 0.900 (+12.5%)")
