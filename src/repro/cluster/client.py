@@ -30,23 +30,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-from repro.actions.action import (
-    ActionStatus,
-    AtomicAction,
-    Vote,
-    abort_on_failure,
-)
+from repro.actions.action import ActionStatus, AtomicAction, abort_on_failure
 from repro.actions.errors import LockRefused
-from repro.actions.records import RemoteParticipantRecord
 from repro.cluster.errors import TxnAborted
 from repro.cluster.group_invoke import GroupInvoker
 from repro.cluster.node import Node
-from repro.cluster.server_host import SERVER_SERVICE
 from repro.core.objects import ObjectClassRegistry
-from repro.naming.binding import BindFailed, BindingScheme, NestedTopLevelBinding
+from repro.naming.binding import (
+    BindFailed,
+    BindingScheme,
+    NestedTopLevelBinding,
+    StEmpty,
+)
 from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import NamingError
 from repro.net.errors import RpcError
+from repro.replication.commit import ServerParticipantRecord
 from repro.replication.policy import PolicyBinding, ReplicationPolicy, TxnContext
 from repro.sim.process import Process
 from repro.storage.uid import Uid
@@ -71,53 +70,6 @@ class _ClientService:
 
     def epoch(self) -> int:
         return self._node.recover_count
-
-
-class _ServerParticipantRecord(RemoteParticipantRecord):
-    """2PC participant for one bound server host, binding-aware.
-
-    A host whose binding broke during the action (it crashed and the
-    policy masked it) votes READONLY instead of failing the prepare
-    round -- its volatile state died with it, so there is nothing to
-    commit or abort there.
-    """
-
-    def __init__(self, ctx: TxnContext, host: str,
-                 bindings: dict[Uid, PolicyBinding]) -> None:
-        super().__init__(ctx.rpc, host, SERVER_SERVICE, order=500)
-        self._bindings = bindings
-
-    def _is_live(self) -> bool:
-        return any(self.target in b.live_hosts
-                   for b in self._bindings.values())
-
-    def begin_prepare(self, action: AtomicAction) -> None:
-        if self._is_live():
-            self._pending = self._issue("prepare", action)
-
-    def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
-        # Nothing pending means ``begin_prepare`` found the host's
-        # bindings broken (or never ran: then look now).
-        if self._pending is None and not self._is_live():
-            return Vote.READONLY
-        try:
-            verdict = yield self._take_pending("prepare", action)
-        except RpcError:
-            # The host just crashed.  Break its bindings; whether the
-            # action can still commit is the policy's question, answered
-            # by the state-distribution record (can it find a live
-            # server?).  A crashed participant has no volatile effects
-            # to lose, so this is not an automatic veto.
-            for binding in self._bindings.values():
-                binding.break_binding(self.target)
-            return Vote.READONLY
-        return Vote.OK if verdict == "ok" else Vote.READONLY
-
-    def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        try:
-            yield self._take_pending("commit", action)
-        except RpcError:
-            pass  # crashed after prepare: volatile state already gone
 
 
 @dataclass
@@ -178,7 +130,7 @@ class Txn:
         for host in binding.live_hosts:
             if host not in self._participants:
                 self._participants.add(host)
-                self.action.add_record(_ServerParticipantRecord(
+                self.action.add_record(ServerParticipantRecord(
                     self._ctx, host, self.bindings))
         return binding
 
@@ -242,6 +194,8 @@ class ClientRuntime:
                 value = yield from work(txn)
             except TxnAborted as exc:
                 reason = exc.reason
+            except StEmpty as exc:
+                reason = f"st_empty:{exc}"
             except BindFailed as exc:
                 reason = f"bind_failed:{exc}"
             except LockRefused:

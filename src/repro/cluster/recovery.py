@@ -173,6 +173,11 @@ class RecoveryManager:
                 self.states_refreshed += 1
 
             if self.node.name not in view:
+                if view and freshest is None:
+                    # Every member of ``St`` is silent: nobody can say
+                    # this copy is current, so it stays out.
+                    yield from action.abort()
+                    return False
                 try:
                     yield from self.db.include(action, uid, self.node.name)
                 except (LockRefused, RpcError):

@@ -281,11 +281,22 @@ class ServerHost:
             return self._roots.pop(path[0], _NO_ENTRY)
         return self._roots.get(path[0], _NO_ENTRY)
 
-    def prepare(self, action_path: tuple[int, ...]) -> str:
+    def prepare(self, action_path: tuple[int, ...],
+                ) -> tuple[str, dict[str, tuple[bytes, int]]]:
+        """Vote, and hand over what the vote covers.
+
+        ``("ok", states)`` carries ``{uid: (buffer, version)}`` of every
+        object the action wrote on this host -- the state commit
+        processing copies to the stores, so the client never asks for
+        it separately.  Nothing changes here on an "ok" vote, so a
+        re-sent prepare answers the same.
+        """
         path = tuple(action_path)
         servers, _ = self._roots.get(path[0], _NO_ENTRY)
-        if any(server.wrote_under(path) for server in servers):
-            return "ok"
+        states = {str(server.obj.uid): server.get_state()
+                  for server in servers if server.wrote_under(path)}
+        if states:
+            return "ok", states
         # Read-only optimisation: release read locks at prepare.  The
         # coordinator sends a read-only participant no phase 2, so the
         # action ends here, tracked client included.
@@ -293,7 +304,7 @@ class ServerHost:
         for server in servers:
             server._release_tree(path)
         self._untrack_tree(path, tracked)
-        return "readonly"
+        return "readonly", {}
 
     def commit(self, action_path: tuple[int, ...]) -> None:
         path = tuple(action_path)
@@ -312,6 +323,8 @@ class ServerHost:
     # -- state transfer ----------------------------------------------------------------
 
     def get_state(self, uid_text: str) -> tuple[bytes, int]:
+        """Inspection only: commit processing takes the state from the
+        ``prepare`` reply, never from a call of its own."""
         return self._server(uid_text).get_state()
 
     def install_state(self, uid_text: str, buffer: bytes, version: int) -> bool:

@@ -6,10 +6,12 @@ database and binds to servers for an object:
 - :class:`StandardBinding` (figure 6, section 4.1.2): ``GetServer`` runs
   as a *nested atomic action* of the client action.  The read lock on
   the entry is inherited and held until the client's top-level action
-  ends.  ``Sv`` is treated as a static set: clients never remove nodes
-  they find dead, so every client re-discovers failed servers "the hard
-  way" at binding time.  If all clients are read-only, each may bind to
-  any single convenient server instead of the full group.
+  ends.  The one lookup returns ``St`` beside ``Sv`` (the client pays
+  the name node once per bind, not once per half).  ``Sv`` is treated
+  as a static set: clients never remove nodes they find dead, so every
+  client re-discovers failed servers "the hard way" at binding time.
+  If all clients are read-only, each may bind to any single convenient
+  server instead of the full group.
 
 - :class:`IndependentTopLevelBinding` (figure 7, section 4.1.3(i)): the
   database work runs in its own *independent top-level actions*.  The
@@ -35,9 +37,10 @@ cluster layer supplies the real binder).
 from __future__ import annotations
 
 import abc
+import functools
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Generator, Iterable, Protocol
+from typing import Any, Callable, Generator, Iterable, Protocol
 
 from repro.actions.action import AtomicAction, abort_on_failure
 from repro.naming.db_client import GroupViewDbClient
@@ -52,19 +55,25 @@ class BindFailed(NamingError):
     """The scheme could not bind the client to any server."""
 
 
+class StEmpty(BindFailed):
+    """``St`` names no store: no state to activate a server from."""
+
+
 class Binder(Protocol):
     """Cluster-layer callback: start activating/binding one server.
 
-    Issues the attempt and returns its future at once, so a scheme can
-    have every candidate's attempt in flight together.  The future
+    ``st_hosts`` is the ``St`` view the scheme read for the object (the
+    stores an activating server may load its state from).  Issues the
+    attempt and returns its future at once, so a scheme can have every
+    candidate's attempt in flight together.  The future
     resolves to something true if the server on ``host`` is (now)
     running and bound for the action; it resolves to something false,
     or fails with an ``RpcError``, if the host is unreachable or
     refused.
     """
 
-    def __call__(self, host: str, uid: Uid,
-                 action: AtomicAction) -> Future: ...
+    def __call__(self, host: str, uid: Uid, action: AtomicAction,
+                 st_hosts: list[str]) -> Future: ...
 
 
 @dataclass
@@ -75,6 +84,7 @@ class BindOutcome:
     bound_hosts: list[str] = field(default_factory=list)
     failed_hosts: list[str] = field(default_factory=list)
     sv_hosts: list[str] = field(default_factory=list)
+    st_hosts: list[str] = field(default_factory=list)
     use_lists_were_empty: bool = True
 
     @property
@@ -122,8 +132,16 @@ class BindingScheme(abc.ABC):
 
     # -- shared helpers ---------------------------------------------------
 
-    def _attempt_binds(self, action: AtomicAction, uid: Uid, binder: Binder,
-                       candidates: list[str],
+    def _over_stores(self, binder: Binder, uid: Uid,
+                     st_hosts: list[str]) -> Callable[..., Future]:
+        """``binder`` with the ``St`` view just read filled in; an empty
+        view holds no state to activate a server from."""
+        if not st_hosts:
+            raise StEmpty(str(uid))
+        return functools.partial(binder, st_hosts=st_hosts)
+
+    def _attempt_binds(self, action: AtomicAction, uid: Uid,
+                       binder: Callable[..., Future], candidates: list[str],
                        k: int | None) -> Generator[Any, Any, tuple[list[str], list[str]]]:
         """Bind up to ``k`` of ``candidates``; returns (bound, failed).
 
@@ -170,13 +188,18 @@ class StandardBinding(BindingScheme):
     def bind(self, action: AtomicAction, uid: Uid, binder: Binder,
              k: int | None = None,
              read_only: bool = False) -> Generator[Any, Any, BindOutcome]:
+        # One lookup: ``Sv`` under the nested GetServer action, ``St``
+        # under the client action itself -- its read lock on ``St`` is
+        # the one a commit-time Exclude promotes.
         nested = AtomicAction(node=self.client_node, parent=action)
         try:
-            sv = yield from self.db.get_server(nested, uid)
+            sv, st = yield from self.db.get_binding(nested, uid,
+                                                    view_action=action)
         except RpcError:
             yield from nested.abort()
-            raise BindFailed(f"object server database unreachable for {uid}")
+            raise
         yield from nested.commit()
+        binder = self._over_stores(binder, uid, st)
 
         if read_only and self.read_only_single_server:
             # Read optimisation (end of section 4.1.2): concurrent readers
@@ -192,7 +215,8 @@ class StandardBinding(BindingScheme):
             bound, failed = yield from self._attempt_binds(
                 action, uid, binder, list(sv), k)
 
-        outcome = BindOutcome(uid, bound, failed, sv_hosts=list(sv))
+        outcome = BindOutcome(uid, bound, failed, sv_hosts=list(sv),
+                              st_hosts=list(st))
         if not outcome.bound:
             raise BindFailed(
                 f"no server for {uid} reachable (tried {len(failed)} hosts)")
@@ -216,6 +240,10 @@ class IndependentTopLevelBinding(BindingScheme):
     def bind(self, action: AtomicAction, uid: Uid, binder: Binder,
              k: int | None = None,
              read_only: bool = False) -> Generator[Any, Any, BindOutcome]:
+        # ``St`` is read under the client action (it holds the read lock
+        # to its end); the use-list work below is another action's.
+        st = yield from self.db.get_view(action, uid)
+        binder = self._over_stores(binder, uid, st)
         first = self._db_action(action)
         try:
             snapshot = yield from self.db.get_server_with_uses(first, uid,
@@ -257,6 +285,7 @@ class IndependentTopLevelBinding(BindingScheme):
             raise BindFailed(f"binding action aborted for {uid}")
 
         outcome = BindOutcome(uid, bound, failed, sv_hosts=list(snapshot.hosts),
+                              st_hosts=list(st),
                               use_lists_were_empty=snapshot.all_uses_empty)
         if not outcome.bound:
             raise BindFailed(f"no server for {uid} reachable")

@@ -177,10 +177,15 @@ class GroupViewDbClient:
         yield from self._call("define_object", action.id.path, str(uid),
                               list(sv_hosts), list(st_hosts))
 
-    def get_server(self, action: AtomicAction,
-                   uid: Uid) -> Generator[Any, Any, list[str]]:
+    def get_binding(self, action: AtomicAction, uid: Uid,
+                    view_action: AtomicAction,
+                    ) -> Generator[Any, Any, tuple[list[str], list[str]]]:
+        """``(Sv, St)`` of one entry in one round trip: ``Sv`` is read
+        under ``action``, ``St`` under ``view_action`` (the client
+        action, whose read lock a commit-time Exclude promotes)."""
         self.enlist(action)
-        return (yield from self._call("get_server", action.id.path, str(uid)))
+        return (yield from self._call("get_binding", action.id.path,
+                                      str(uid), view_action.id.path))
 
     def get_server_with_uses(self, action: AtomicAction, uid: Uid,
                              for_update: bool = False,

@@ -141,8 +141,20 @@ class GroupViewDatabase:
 
     # -- object server database operations --------------------------------------
 
-    def get_server(self, action_path: ActionPath, uid_text: str) -> list[str]:
-        return self.server_db.get_server(action_path, Uid.parse(uid_text))
+    def get_binding(self, action_path: ActionPath, uid_text: str,
+                    view_path: ActionPath) -> tuple[list[str], list[str]]:
+        """``(Sv, St)`` of one entry: everything a bind reads, in one call.
+
+        Two owners, as when the two halves were read by two calls:
+        ``view_path`` (the client action) takes the ``St`` read lock --
+        the lock a commit-time ``Exclude`` promotes -- and
+        ``action_path`` (the nested GetServer action of figure 6) takes
+        the ``Sv`` one.  ``St`` is read first, so a refusal there leaves
+        nothing locked on ``Sv``.
+        """
+        uid = Uid.parse(uid_text)
+        view = self.state_db.get_view(view_path, uid)
+        return self.server_db.get_server(action_path, uid), view
 
     def get_server_with_uses(self, action_path: ActionPath, uid_text: str,
                              for_update: bool = False) -> ServerEntrySnapshot:

@@ -53,8 +53,11 @@ class HybridNameService:
 
     # -- server-side operations (non-atomic) ----------------------------------
 
-    def get_server(self, action_path: ActionPath, uid_text: str) -> list[str]:
-        return self.server_side.get_server(action_path, uid_text)
+    def get_binding(self, action_path: ActionPath, uid_text: str,
+                    view_path: ActionPath) -> tuple[list[str], list[str]]:
+        """``(Sv, St)`` in one call; only the ``St`` half takes a lock."""
+        view = self.state_db.get_view(view_path, Uid.parse(uid_text))
+        return self.server_side.get_server(action_path, uid_text), view
 
     def get_server_with_uses(self, action_path: ActionPath, uid_text: str,
                              for_update: bool = False) -> ServerEntrySnapshot:

@@ -44,7 +44,7 @@ from repro.naming.coherence import CoherenceClient
 from repro.naming.entry_cache import CachedEntry, EntryCache, LeaseValidationRecord
 from repro.naming.group_view_db import SERVICE_NAME, GroupViewDatabase
 from repro.naming.object_server_db import ServerEntrySnapshot
-from repro.naming.replica_io import READ_POLICIES, ReplicaIO
+from repro.naming.replica_io import READ_POLICIES, EntryCopy, ReplicaIO
 from repro.naming.shard_router import ShardRouter
 from repro.net.rpc import RpcAgent
 from repro.storage.uid import Uid
@@ -60,7 +60,7 @@ class ShardedGroupViewDbClient:
     """Routes the :class:`GroupViewDbClient` surface over a shard ring.
 
     With an :class:`~repro.naming.entry_cache.EntryCache` attached, the
-    hot ``get_server`` path becomes the *leased read plane*: a cache
+    hot ``get_binding`` path becomes the *leased read plane*: a cache
     hit within its lease + fence-epoch bounds skips the network
     entirely; a miss repopulates through the engine's lock-free
     ``read_versioned`` (no read locks, no 2PC enlistment) and only
@@ -109,7 +109,7 @@ class ShardedGroupViewDbClient:
         if coherence_node is not None and cache is not None:
             self.coherence = CoherenceClient(coherence_node, self.io, cache,
                                              metrics=metrics)
-        # With a clock attached, every get_server is timed into the
+        # With a clock attached, every get_binding is timed into the
         # ``naming.get_server_latency`` histogram -- the read-latency
         # series benchmarks pull p50/p95/p99 from.
         self.clock = clock or (cache.clock if cache is not None else None)
@@ -196,31 +196,31 @@ class ShardedGroupViewDbClient:
         self._validation_records[key] = record
         root.add_record(record)
 
-    def _leased_read(self, action: AtomicAction, uid: Uid, part: str,
-                     ) -> Generator[Any, Any, "list[str] | None"]:
-        """Serve ``get_server``/``get_view`` from the leased plane.
+    def _leased_read(self, action: AtomicAction, uid: Uid,
+                     ) -> Generator[Any, Any, "CachedEntry | EntryCopy | None"]:
+        """Serve ``get_binding``/``get_view`` from the leased plane.
 
-        ``part`` picks the half of the cached snapshot: ``"hosts"``
-        (the Sv set) or ``"view"`` (the St set) -- both ride the same
-        entry, lease, and fence bounds, and both arm the same
-        validate-at-commit record when validation is on.  A hit serves
-        straight from memory; a miss tries the lock-free versioned read
-        and repopulates.  Returning ``None`` means the caller must take
-        the authoritative locking path (entry busy, replicas dark, uid
-        unknown, or ring moved mid-read) -- which also owns raising the
-        proper error.
+        The snapshot returned carries both halves -- ``hosts`` (the Sv
+        set) and ``view`` (the St set) ride one entry, lease, and fence
+        bound, and arm one validate-at-commit record when validation is
+        on -- so a bind costs one lookup, not one per half.  A hit
+        serves straight from memory; a miss tries the lock-free
+        versioned read and repopulates.  Returning ``None`` means the
+        caller must take the authoritative locking path (entry busy,
+        replicas dark, uid unknown, or ring moved mid-read) -- which
+        also owns raising the proper error.
         """
         assert self.cache is not None
         uid_text = str(uid)
         entry = self.cache.lookup(uid_text)
         if entry is not None:
             self._attach_validation(action, uid_text, entry.versions)
-            return list(getattr(entry, part))
+            return entry
         if self.cache.renewal:
             renewed = yield from self._try_renew(uid_text)
             if renewed is not None:
                 self._attach_validation(action, uid_text, renewed.versions)
-                return list(getattr(renewed, part))
+                return renewed
         # Capture the invalidation token and the clock before
         # suspending on the read: a write-through invalidation landing
         # mid-flight advances the token so the conditional store
@@ -245,7 +245,7 @@ class ShardedGroupViewDbClient:
                 ttl, reg_versions = reg
                 if tuple(reg_versions) != tuple(copy.versions):
                     self._attach_validation(action, uid_text, copy.versions)
-                    return list(getattr(copy, part))
+                    return copy
                 stored = self.cache.store(uid_text, copy.hosts, copy.view,
                                           copy.versions, ring_epoch=epoch,
                                           token=token, fetched_at=started,
@@ -253,7 +253,7 @@ class ShardedGroupViewDbClient:
                 if stored is None:
                     return None
                 self._attach_validation(action, uid_text, stored.versions)
-                return list(getattr(stored, part))
+                return stored
             # Owner dark mid-registration: fall back to a plain pull
             # store -- the ordinary TTL bounds staleness without pushes.
         stored = self.cache.store(uid_text, copy.hosts, copy.view,
@@ -262,7 +262,7 @@ class ShardedGroupViewDbClient:
         if stored is None:
             return None  # a write raced us; the locking read serializes
         self._attach_validation(action, uid_text, stored.versions)
-        return list(getattr(stored, part))
+        return stored
 
     def _try_renew(self, uid_text: str,
                    ) -> Generator[Any, Any, "CachedEntry | None"]:
@@ -313,19 +313,25 @@ class ShardedGroupViewDbClient:
         yield from self.io.write(action, uid, "define_object", str(uid),
                                  list(sv_hosts), list(st_hosts))
 
-    def get_server(self, action: AtomicAction,
-                   uid: Uid) -> Generator[Any, Any, list[str]]:
+    def get_binding(self, action: AtomicAction, uid: Uid,
+                    view_action: AtomicAction,
+                    ) -> Generator[Any, Any, tuple[list[str], list[str]]]:
+        """``(Sv, St)`` of one entry: one leased lookup, or one
+        authoritative walk (``Sv`` locked under ``action``, ``St``
+        under ``view_action``)."""
         started = self.clock() if self.clock is not None else None
-        hosts: list[str] | None = None
+        entry = None
         if self.cache is not None:
-            hosts = yield from self._leased_read(action, uid, "hosts")
-        if hosts is None:
-            hosts = yield from self.io.read(action, uid, "get_server",
-                                            str(uid))
+            entry = yield from self._leased_read(action, uid)
+        if entry is not None:
+            binding = list(entry.hosts), list(entry.view)
+        else:
+            binding = yield from self.io.read(action, uid, "get_binding",
+                                              str(uid), view_action.id.path)
         if started is not None:
             self.io.metrics.histogram("naming.get_server_latency").observe(
                 self.clock() - started)
-        return hosts
+        return binding
 
     def get_server_with_uses(self, action: AtomicAction, uid: Uid,
                              for_update: bool = False,
@@ -358,9 +364,9 @@ class ShardedGroupViewDbClient:
     def get_view(self, action: AtomicAction,
                  uid: Uid) -> Generator[Any, Any, list[str]]:
         if self.cache is not None:
-            view = yield from self._leased_read(action, uid, "view")
-            if view is not None:
-                return view
+            entry = yield from self._leased_read(action, uid)
+            if entry is not None:
+                return list(entry.view)
         return (yield from self.io.read(action, uid, "get_view", str(uid)))
 
     def include(self, action: AtomicAction, uid: Uid,
@@ -451,10 +457,6 @@ class ShardedGroupViewDatabase:
     def knows(self, uid_text: str) -> bool:
         return any(db.knows(uid_text)
                    for db in self.replica_dbs(uid_text).values())
-
-    def get_server(self, action_path: tuple[int, ...],
-                   uid_text: str) -> list[str]:
-        return self.shard_db(uid_text).get_server(action_path, uid_text)
 
     def get_server_with_uses(self, action_path: tuple[int, ...], uid_text: str,
                              for_update: bool = False) -> ServerEntrySnapshot:

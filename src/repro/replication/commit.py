@@ -11,14 +11,17 @@ aborts the action.
 
 The record runs in the client's top-level commit:
 
-- **prepare**: fetch the object's state from a live bound server that
-  holds the action's writes, write it as a *shadow* (version ``v+1``)
-  to every ``St`` store -- all at one instant, one round trip -- and
-  collect each store's own verdict; stores that stay silent are
-  ``Exclude``d under the same action.  Votes ABORT if no such server
-  remains, if every store failed, if a store *refuses* the shadow (it
-  already holds a state this new: the fetched one was stale), or if the
-  exclusion's lock promotion is refused.
+- **prepare**: take the object's state from the prepare reply of a
+  live bound server that holds the action's writes -- the copy is of
+  the state that server is being asked to prepare, so its ``ok`` vote
+  carries it and the bound server hosts are sent ``prepare`` at this
+  record's first instant (:class:`ServerParticipantRecord`) -- write it
+  as a *shadow* (version ``v+1``) to every ``St`` store, all at one
+  instant, one round trip, and collect each store's own verdict; stores
+  that stay silent are ``Exclude``d under the same action.  Votes ABORT
+  if no such server remains, if every store failed, if a store
+  *refuses* the shadow (it already holds a state this new: the server's
+  was stale), or if the exclusion's lock promotion is refused.
 - **commit**: promote the shadows to committed states, again in one
   round.  A store that crashes between the two phases loses its shadow
   and keeps its stale state while still being listed in ``St`` -- the
@@ -42,11 +45,82 @@ from repro.actions.action import (
     abort_on_failure,
 )
 from repro.actions.errors import LockRefused
+from repro.actions.records import RemoteParticipantRecord
 from repro.cluster.server_host import SERVER_SERVICE
 from repro.cluster.store_host import STORE_SERVICE
 from repro.net.errors import RpcError, RpcTimeout
 from repro.replication.policy import PolicyBinding, TxnContext
 from repro.sim.futures import Future
+from repro.storage.uid import Uid
+
+
+class ServerParticipantRecord(RemoteParticipantRecord):
+    """2PC participant for one bound server host, binding-aware.
+
+    A host whose binding broke during the action (it crashed and the
+    policy masked it) votes READONLY instead of failing the prepare
+    round -- its volatile state died with it, so there is nothing to
+    commit or abort there.
+
+    The host's ``ok`` reply carries the state of every object the
+    action wrote there (:attr:`states`), which state distribution
+    (order 300) needs before its own phase 1.  That record therefore
+    starts this one's prepare early and asks for the vote first; the
+    vote is kept, so when the action reaches order 500 there is nothing
+    left to send.
+    """
+
+    def __init__(self, ctx: TxnContext, host: str,
+                 bindings: dict[Uid, PolicyBinding]) -> None:
+        super().__init__(ctx.rpc, host, SERVER_SERVICE, order=500)
+        self._bindings = bindings
+        self._vote: Vote | None = None
+        self.states: dict[str, tuple[bytes, int]] = {}
+
+    def _is_live(self) -> bool:
+        return any(self.target in b.live_hosts
+                   for b in self._bindings.values())
+
+    def begin_prepare(self, action: AtomicAction) -> None:
+        if self._vote is None and self._pending is None and self._is_live():
+            self._pending = self._issue("prepare", action)
+
+    def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
+        if self._vote is None:
+            self._vote = yield from self._ask(action)
+        return self._vote
+
+    def _ask(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
+        # Nothing pending means ``begin_prepare`` found the host's
+        # bindings broken (or never ran: then look now).
+        if self._pending is None and not self._is_live():
+            return Vote.READONLY
+        try:
+            verdict, states = yield self._take_pending("prepare", action)
+        except RpcError:
+            # The host just crashed.  Break its bindings; whether the
+            # action can still commit is the policy's question, answered
+            # by the state-distribution record (did a live server hand
+            # over the state?).  A crashed participant has no volatile
+            # effects to lose, so this is not an automatic veto.
+            for binding in self._bindings.values():
+                binding.break_binding(self.target)
+            return Vote.READONLY
+        if verdict != "ok":
+            return Vote.READONLY
+        self.states = states
+        return Vote.OK
+
+    def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
+        try:
+            yield self._take_pending("commit", action)
+        except RpcError:
+            pass  # crashed after prepare: volatile state already gone
+
+
+def _server_participants(action: AtomicAction) -> list[ServerParticipantRecord]:
+    return [record for record in action.records
+            if isinstance(record, ServerParticipantRecord)]
 
 
 class StateDistributionRecord(AbstractRecord):
@@ -57,7 +131,7 @@ class StateDistributionRecord(AbstractRecord):
     def __init__(self, ctx: TxnContext, binding: PolicyBinding,
                  sources: list[str] | None = None) -> None:
         """``sources`` names the bound servers that hold the action's
-        writes, in fetch order (default: every live one)."""
+        writes, in order of preference (default: every live one)."""
         self._ctx = ctx
         self._binding = binding
         self._sources = sources
@@ -68,11 +142,17 @@ class StateDistributionRecord(AbstractRecord):
 
     # -- phase 1 ---------------------------------------------------------
 
+    def begin_prepare(self, action: AtomicAction) -> None:
+        # The server hosts' prepare reply is the state fetch: ask every
+        # bound host now, at this record's first instant.
+        for participant in _server_participants(action):
+            participant.begin_prepare(action)
+
     def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
         ctx, binding = self._ctx, self._binding
         uid = binding.uid
 
-        state = yield from self._fetch_state()
+        state = yield from self._prepared_state(action)
         if state is None:
             return Vote.ABORT
         buffer, version = state
@@ -82,7 +162,7 @@ class StateDistributionRecord(AbstractRecord):
         # write's own verdict is collected.  Silence is the only sign of
         # a failed store; a store that *answers* with a refusal is
         # healthy and already holds a state at least this new -- the
-        # state fetched above was stale, and the action must not commit
+        # state taken above was stale, and the action must not commit
         # it anywhere, let alone Exclude the store that said so.
         failures: list[str] = []
         refused = False
@@ -127,18 +207,24 @@ class StateDistributionRecord(AbstractRecord):
                                *args))
                 for st_host in hosts]
 
-    def _fetch_state(self) -> Generator[Any, Any, tuple[bytes, int] | None]:
-        """State of the object from the first source that answers."""
-        ctx, binding = self._ctx, self._binding
-        source_order = self._sources or list(binding.live_hosts)
-        for host in source_order:
-            try:
-                buffer, version = yield ctx.rpc.call(
-                    host, SERVER_SERVICE, "get_state", str(binding.uid))
-            except RpcError:
-                binding.break_binding(host)
-                continue
-            return buffer, version
+    def _prepared_state(self, action: AtomicAction,
+                        ) -> Generator[Any, Any, tuple[bytes, int] | None]:
+        """State of the object from the first source that voted ``ok``.
+
+        A failover walk over votes already asked for together: the next
+        source's reply is read only because the previous host stayed
+        silent or no longer holds the action's writes -- either way its
+        binding is broken.
+        """
+        binding = self._binding
+        participants = {p.target: p for p in _server_participants(action)}
+        for host in self._sources or list(binding.live_hosts):
+            participant = participants[host]
+            yield from participant.prepare(action)
+            state = participant.states.get(str(binding.uid))
+            if state is not None:
+                return state
+            binding.break_binding(host)
         return None
 
     # -- phase 2 -------------------------------------------------------------

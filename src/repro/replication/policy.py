@@ -16,11 +16,11 @@ with the action.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 from typing import Any, Generator, TYPE_CHECKING
 
 from repro.actions.action import AtomicAction
-from repro.cluster.errors import TxnAborted
 from repro.cluster.server_host import SERVER_SERVICE
 from repro.core.objects import ObjectClassRegistry
 from repro.naming.binding import BindOutcome, BindingScheme
@@ -91,26 +91,24 @@ class ReplicationPolicy(abc.ABC):
     def invoke(self, ctx: TxnContext, binding: PolicyBinding,
                action: AtomicAction, op: str, args: tuple,
                is_write: bool) -> Generator[Any, Any, Any]:
-        """Route one invocation; raises :class:`TxnAborted` when the
-        object has become unusable for this action."""
+        """Route one invocation; raises
+        :class:`~repro.cluster.errors.TxnAborted` when the object has
+        become unusable for this action."""
 
     def bind(self, ctx: TxnContext, action: AtomicAction, uid: Uid,
              read_only: bool = False) -> Generator[Any, Any, PolicyBinding]:
         """Bind the action to servers for ``uid`` via the binding scheme.
 
-        Reads the ``St`` view first (under the action -- read lock on
-        the entry, as the paper's figure-6 discussion prescribes for a
-        freshly created server), then lets the binding scheme select and
-        activate servers.
+        The scheme reads the entry (``St`` under the action itself --
+        read lock on the entry, as the paper's figure-6 discussion
+        prescribes for a freshly created server), then selects and
+        activates servers through :meth:`_activate`.
         """
-        st_hosts = yield from ctx.db.get_view(action, uid)
-        if not st_hosts:
-            raise TxnAborted(f"st_empty:{uid}")
-        binder = self._make_binder(ctx, st_hosts)
         outcome = yield from ctx.scheme.bind(
-            action, uid, binder, k=self.activation_degree(), read_only=read_only)
+            action, uid, functools.partial(self._activate, ctx),
+            k=self.activation_degree(), read_only=read_only)
         binding = PolicyBinding(uid, outcome, list(outcome.bound_hosts),
-                                list(st_hosts))
+                                list(outcome.st_hosts))
         yield from self._after_bind(ctx, binding, action)
         return binding
 
@@ -120,18 +118,19 @@ class ReplicationPolicy(abc.ABC):
         return
         yield  # pragma: no cover
 
-    def _make_binder(self, ctx: TxnContext, st_hosts: list[str]):
-        # Activation may fall back across several stores server-side, each
-        # costing up to one RPC timeout; give the activate call room.
-        window = ctx.rpc.default_timeout * (len(st_hosts) + 1)
+    def _activate(self, ctx: TxnContext, host: str, uid: Uid,
+                  action: AtomicAction, st_hosts: list[str]) -> Future:
+        """Start activating the server on ``host`` (the scheme's binder).
 
-        def binder(host: str, uid: Uid, action: AtomicAction) -> Future:
-            # The reply is a (truthy) status record -- "activated" or
-            # already "bound"; a refusal arrives as an ``RpcError``.
-            return ctx.rpc.call(host, SERVER_SERVICE, "activate",
-                                action.id.path, str(uid), list(st_hosts),
-                                timeout=window)
-        return binder
+        The reply is a (truthy) status record -- "activated" or already
+        "bound"; a refusal arrives as an ``RpcError``.  Activation may
+        fall back across several stores server-side, each costing up to
+        one RPC timeout; give the call room.
+        """
+        window = ctx.rpc.default_timeout * (len(st_hosts) + 1)
+        return ctx.rpc.call(host, SERVER_SERVICE, "activate",
+                            action.id.path, str(uid), list(st_hosts),
+                            timeout=window)
 
     def on_commit(self, ctx: TxnContext, binding: PolicyBinding,
                   action: AtomicAction) -> None:

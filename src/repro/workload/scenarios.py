@@ -1100,22 +1100,6 @@ _availability(
     body=steps(("add", 1), 0.4, ("add", 1), 0.4, ("add", 1), 0.4), adds=3,
     sv=3, policy="active", churn="servers", mean_think_time=0.5)
 
-# NOT ZERO TODAY, pinned so the fix flips it failing-first (ROADMAP item
-# 1; a sixth bug, found by this ledger): a recovering store re-Includes
-# itself with its *stale* state when no ``St`` member answers its
-# version probe, or ``St`` is empty -- ``RecoveryManager.
-# _refresh_and_include`` reads "nobody answered" as "nothing newer".
-# Committed increments lost per (seed, |Sv|, |St|) at the default load:
-# the commits a server activated from that stale copy lands on it while
-# the up-to-date store is still down.  Once that store is back it
-# refuses the stale lineage's shadows, so every later commit is vetoed
-# (``commit.stale_state_refused``) instead of lost -- these cells pay
-# in commit rate what they used to pay in lost updates.  The counts
-# move with timing (seed 7's stale Include is st1's at 37.7 s in every
-# cell); every other cell and seed of the figure, and every other
-# ``paper_*`` row but figure 2's, loses 0.
-_LOST_TO_STALE_INCLUDES = {(7, 1, 2): 2, (7, 2, 2): 2, (7, 2, 3): 1}
-
 _availability(
     "paper_fig5_general_case",
     """The general case |Sv| > 1 and |St| > 1, combined churn (fig. 5).
@@ -1123,10 +1107,7 @@ _availability(
     Figures 2-4 are the edges of this matrix; each axis masks its own
     class of failure.
     """,
-    (dict(sv=3, st=2, txns=20, stop_after=40.0),),  # a cell with no pin
-    dict(lost_bindings=lambda r: (
-        r["lost_bindings"] == _LOST_TO_STALE_INCLUDES.get(
-            (r["seed"], r["sv"], r["st"]), 0))),
+    (dict(sv=3, st=2, txns=20, stop_after=40.0),), {},
     sv=3, st=3, policy="active", stop_after=300.0)
 
 _availability(
@@ -1148,16 +1129,6 @@ _availability(
         only_replicated_servers_mask=lambda r: all(
             (r[policy]["masked"] > 0) == (policy != "single_copy_passive")
             for policy in POLICIES),
-        # Was ``active >= single copy``, red in 4 of 6 seeds.  A group
-        # masks the crash of any member but its sequencer (the first
-        # bound member; every multicast is submitted through it), whose
-        # crash silences the group and aborts the action just as the
-        # crash of single copy's one server does.  Equal exposure: the
-        # rates are not ordered, and agree to within the spread of a
-        # 60-action sample (docs/architecture.md, "E4").
-        first_try_within_sequencer_exposure=lambda r: (
-            r["active"]["first_try_rate"]
-            >= r["single_copy_passive"]["first_try_rate"] - 0.1),
         restart_recovers_availability=lambda r: all(
             r[policy]["commit_rate"] >= 0.9 for policy in POLICIES)),
     body=steps(("get",), 0.5, ("get",), 0.5, ("add", 1), 0.2),

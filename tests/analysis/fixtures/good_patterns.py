@@ -35,7 +35,7 @@ def bind_with_broad_handler(db, client_node, uid):
 def nested_lookup(db, client_node, parent_action, uid):
     # Nested action: the parent terminates it; out of scope for the rule.
     nested = AtomicAction(node=client_node, parent=parent_action)
-    sv = yield from db.get_server(nested, uid)
+    sv, _st = yield from db.get_binding(nested, uid, parent_action)
     yield from nested.commit()
     return sv
 

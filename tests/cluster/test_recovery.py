@@ -42,6 +42,28 @@ def test_multiple_commits_while_down_still_one_refresh():
     assert versions["t2"] == versions["t1"] == 4
 
 
+def test_stale_store_stays_out_while_every_st_member_is_silent():
+    """ "No ``St`` member answered my version probe" is not "nothing is
+    newer": a store that was Excluded and recovers while the only
+    current copy is down must not Include its stale state -- a server
+    activated from it would commit on a lineage the current store
+    refuses when it returns (figure 5's lost increments at seed 7)."""
+    system, client, uid = build_system(st=("t1", "t2"))
+    system.nodes["t2"].crash()
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    assert system.db_st(uid) == ["t1"]
+    system.nodes["t1"].crash()
+    system.nodes["t2"].recover()
+    system.run(until=system.scheduler.now + 10)
+    assert system.db_st(uid) == ["t1"]
+    assert system.recovery_managers["t2"].states_refreshed == 0
+    system.nodes["t1"].recover()
+    system.run(until=system.scheduler.now + 10)
+    assert sorted(system.db_st(uid)) == ["t1", "t2"]
+    versions = system.store_versions(uid)
+    assert versions["t2"] == versions["t1"] == 2
+
+
 def test_server_node_reinsert_waits_for_quiescence():
     """A recovering server node must not serve while the object is active."""
     system, client, uid = build_system(sv=("s1", "s2"), st=("t1",),

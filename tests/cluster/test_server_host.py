@@ -145,7 +145,10 @@ def server_calls(monkeypatch):
 def test_commit_visits_exactly_the_one_server_the_action_touched(server_calls):
     host, uids = make_host(servers=64)
     assert host.invoke((1,), uids[17], "add", (5,)) == 15
-    assert host.prepare((1,)) == "ok"
+    # The vote carries the state of exactly the object written: what
+    # commit processing copies to the stores.
+    assert host.prepare((1,)) == (
+        "ok", {uids[17]: (Counter(Uid.parse(uids[17]), 15).serialise(), 1)})
     assert server_calls["wrote_under"] == 1
     host.commit((1,))
     # commit's own wrote_under is the second one; 63 servers saw nothing.
@@ -203,7 +206,8 @@ def test_two_roots_interleaved_on_one_server_end_independently():
     with pytest.raises(LockRefused):  # root 2 still reads it
         host.invoke((4,), shared, "add", (1,))
     host.abort((4,))
-    assert host.prepare((2,)) == "ok"
+    verdict, states = host.prepare((2,))
+    assert verdict == "ok" and set(states) == {uids[1]}  # only what it wrote
     host.commit((2,))
     assert host.invoke((5,), shared, "add", (1,)) == 11
     host.commit((5,))
@@ -211,13 +215,26 @@ def test_two_roots_interleaved_on_one_server_end_independently():
     assert all(server.quiescent for server in host._servers.values())
 
 
+def test_a_resent_prepare_answers_with_the_same_vote_and_state():
+    """The reply to a prepare can be lost; the re-sent one must hand
+    over the same state, or the stores would be sent something else."""
+    host, uids = make_host(servers=4)
+    host.invoke((1,), uids[0], "add", (5,))
+    host.invoke((1,), uids[1], "get", ())
+    first = host.prepare((1,))
+    assert first == host.prepare((1,))
+    assert first[0] == "ok" and set(first[1]) == {uids[0]}
+    host.invoke((2,), uids[2], "get", ())
+    assert host.prepare((2,)) == host.prepare((2,)) == ("readonly", {})
+
+
 def _end_by_readonly_prepare(host):
-    assert host.prepare((1,)) == "readonly"
+    assert host.prepare((1,)) == ("readonly", {})
 
 
 def _end_by_passivation(host):
     uid_text = str(next(iter(host._servers)))
-    assert host.prepare((1,)) == "readonly"
+    assert host.prepare((1,)) == ("readonly", {})
     assert host.passivate_if_quiescent(uid_text)
     host.install_state(uid_text, Counter(Uid.parse(uid_text)).serialise(), 1)
 

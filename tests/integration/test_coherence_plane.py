@@ -66,6 +66,18 @@ def drive_rounds(system, runtimes, hot, uids, rounds):
     return committed
 
 
+def reuse_hits(system, runtimes, uid):
+    """Every client binds ``uid`` twice in a row; returns the cache hits
+    that earned.  A bind is one lookup, so a hit is a real re-use: the
+    second transaction served from what the first one fetched."""
+    before = audit_ledgers(system)
+    for runtime in runtimes:
+        for _ in range(2):
+            assert system.run_transaction(runtime, get_work(uid),
+                                          timeout=30.0).committed
+    return audit_ledgers(system) - before
+
+
 @pytest.mark.parametrize("two_planes", [True, False],
                          ids=["dedicated-sync-nic", "single-plane"])
 def test_write_hot_entry_flips_to_push_and_writes_evict(two_planes):
@@ -99,7 +111,9 @@ def test_write_hot_entry_flips_to_push_and_writes_evict(two_planes):
     assert all(cache.peek(str(hot)) is None
                for cache in system.entry_caches.values())
 
-    assert audit_ledgers(system) > 0
+    # Each evicted lessee refetches and re-registers once, and its next
+    # bind is served from that push-mode copy, inside every bound.
+    assert reuse_hits(system, runtimes, hot) == len(runtimes)
 
 
 def test_renewal_extends_pull_entries_in_place():
@@ -110,14 +124,14 @@ def test_renewal_extends_pull_entries_in_place():
         nameserver_replication=2, nameserver_lease=LEASE,
         nameserver_cache_ledger=True, nameserver_renewal=True,
         enable_recovery_managers=False)
+    hits = 0
     for _ in range(8):
-        for runtime in runtimes:
-            for uid in uids:
-                assert system.run_transaction(runtime, get_work(uid),
-                                              timeout=30.0).committed
+        for uid in uids:
+            hits += reuse_hits(system, runtimes, uid)
         system.run(until=system.scheduler.now + LEASE * 0.8)
     assert counter_sum(system, "entry_cache.renewed") > 0
-    assert audit_ledgers(system) > 0
+    # A renewed entry is served again: the second bind of every pair hit.
+    assert hits == 8 * len(uids) * len(runtimes)
 
 
 def test_owner_crash_resets_the_plane_and_lessees_reattach():

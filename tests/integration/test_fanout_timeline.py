@@ -21,6 +21,7 @@ from repro import (
 from repro.cluster.group_invoke import GroupInvoker
 from repro.cluster.server_host import SERVER_SERVICE
 from repro.cluster.store_host import STORE_SERVICE
+from repro.naming.group_view_db import SERVICE_NAME as NAMING_SERVICE
 from repro.replication.commit import StateDistributionRecord
 
 from tests.conftest import build_system
@@ -55,30 +56,35 @@ def issues(rpc_log, service, method):
     return dict(by_instant)
 
 
-# Hosts each fanned-out step reaches, per policy, and the distinct
-# instants at which the client may issue RPCs for the whole transaction
-# (15 / 20 / 22 when every set was walked one host at a time).
+# Hosts each fanned-out step reaches, per policy; the distinct instants
+# at which the client issues RPCs for the whole transaction (15 / 20 /
+# 22 when every set was walked one host at a time, 11 / 12 / 10 while
+# binding asked the name node twice and commit asked a server for the
+# state it was about to prepare); and the RPCs the transaction costs in
+# all, the servers' own included (their activation reads, the
+# coordinator's ``install_state``).  Exact: one more round trip, or one
+# more RPC, is a regression that fails here without running ``perf/``.
 TIMELINES = [
-    (SingleCopyPassive, 11, {
+    (SingleCopyPassive, 9, 14, {
         (SERVER_SERVICE, "activate"): 1, (STORE_SERVICE, "write_shadow"): 3,
         (SERVER_SERVICE, "prepare"): 1, (STORE_SERVICE, "commit_shadow"): 3,
         (SERVER_SERVICE, "commit"): 1}),
-    (CoordinatorCohortReplication, 12, {
+    (CoordinatorCohortReplication, 10, 23, {
         (SERVER_SERVICE, "activate"): 3, (STORE_SERVICE, "write_shadow"): 3,
         (SERVER_SERVICE, "prepare"): 3, (STORE_SERVICE, "commit_shadow"): 3,
         (SERVER_SERVICE, "commit"): 1,  # only the coordinator wrote
         (SERVER_SERVICE, "install_state"): 2}),  # issued by the coordinator
-    (ActiveReplication, 10, {
+    (ActiveReplication, 8, 23, {
         (SERVER_SERVICE, "activate"): 3, (SERVER_SERVICE, "join_group"): 3,
         (STORE_SERVICE, "write_shadow"): 3, (SERVER_SERVICE, "prepare"): 3,
         (STORE_SERVICE, "commit_shadow"): 3, (SERVER_SERVICE, "commit"): 3}),
 ]
 
 
-@pytest.mark.parametrize("policy, client_instants, fanned", TIMELINES,
+@pytest.mark.parametrize("policy, client_instants, rpcs, fanned", TIMELINES,
                          ids=lambda v: getattr(v, "name", None))
 def test_each_one_to_many_step_goes_out_at_a_single_instant(
-        rpc_log, policy, client_instants, fanned):
+        rpc_log, policy, client_instants, rpcs, fanned):
     system, client, uid = build(policy)
     del rpc_log[:]
     assert system.run_transaction(client, get_then_add(uid)).committed
@@ -89,7 +95,30 @@ def test_each_one_to_many_step_goes_out_at_a_single_instant(
         (targets,) = by_instant.values()
         assert len(targets) == hosts, (method, targets)
     assert len({at for who, *_rest, at in rpc_log
-                if who == "c1"}) <= client_instants
+                if who == "c1"}) == client_instants
+    assert len(rpc_log) == rpcs
+
+
+@pytest.mark.parametrize("policy", [SingleCopyPassive,
+                                    CoordinatorCohortReplication,
+                                    ActiveReplication])
+def test_binding_asks_the_name_node_once_and_commit_never_asks_for_state(
+        rpc_log, policy):
+    """``Sv`` and ``St`` are one lookup, and the state copied to the
+    stores arrives with the servers' prepare votes -- which therefore go
+    out first, before the shadow writes."""
+    system, client, uid = build(policy)
+    del rpc_log[:]
+    assert system.run_transaction(client, get_then_add(uid)).committed
+
+    naming = [method for _who, _target, service, method, _at in rpc_log
+              if service == NAMING_SERVICE]
+    assert naming == ["get_binding", "prepare"]
+    assert not issues(rpc_log, SERVER_SERVICE, "get_state")
+    (prepared_at,) = issues(rpc_log, SERVER_SERVICE, "prepare")
+    (shadowed_at,) = issues(rpc_log, STORE_SERVICE, "write_shadow")
+    (naming_prepared_at,) = issues(rpc_log, NAMING_SERVICE, "prepare")
+    assert prepared_at < shadowed_at < naming_prepared_at
 
 
 def test_a_group_invocation_returns_once_all_three_members_answered(
@@ -163,15 +192,49 @@ def test_a_server_crashing_before_prepare_votes_readonly_and_loses_its_binding(
     assert system.store_versions(uid) == {"t1": 2, "t2": 2, "t3": 2}
 
 
+@pytest.mark.parametrize("policy, commits", [
+    (SingleCopyPassive, False),             # the only copy: veto
+    (CoordinatorCohortReplication, False),  # never a cohort's clean copy
+    (ActiveReplication, True),              # masked by the next member
+], ids=lambda v: getattr(v, "name", None))
+def test_the_state_source_crashing_before_prepare(rpc_log, policy, commits):
+    """s1 is the first source of the state under every policy.  Silent
+    at prepare, it votes READONLY and loses its binding; the state then
+    comes from the next member that voted ``ok`` *and wrote under the
+    action* -- which only active replication has."""
+    system, client, uid = build(policy)
+    seen = {}
+
+    def crash_the_source(txn):
+        seen["txn"] = txn
+        system.nodes["s1"].crash()
+
+    result = system.run_transaction(
+        client, get_then_add(uid, hook=crash_the_source))
+    assert result.committed is commits
+    binding = seen["txn"].bindings[uid]
+    assert "s1" not in binding.live_hosts
+    assert system.db_st(uid) == list(ST)  # nobody Excluded either way
+    if commits:
+        assert binding.live_hosts == ["s2", "s3"]
+        assert system.store_versions(uid) == {"t1": 2, "t2": 2, "t3": 2}
+        (committed,) = issues(rpc_log, SERVER_SERVICE, "commit").values()
+        assert committed == ["s2", "s3"]
+    else:
+        assert result.reason == "commit_vetoed"
+        assert system.store_versions(uid) == {"t1": 1, "t2": 1, "t3": 1}
+        assert not issues(rpc_log, STORE_SERVICE, "write_shadow")
+
+
 def test_a_server_crashing_between_the_phases_does_not_undo_the_decision():
     system, client, uid = build(ActiveReplication)
     host = system.nodes["s3"].rpc.service(SERVER_SERVICE)
     real_prepare = host.prepare
 
     def prepare_then_die(action_path):
-        vote = real_prepare(action_path)
+        reply = real_prepare(action_path)
         system.scheduler.call_soon(system.nodes["s3"].crash)
-        return vote
+        return reply
 
     host.prepare = prepare_then_die
     assert system.run_transaction(client, get_then_add(uid)).committed

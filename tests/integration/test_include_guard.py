@@ -6,6 +6,8 @@ recovery pass finished, so nothing would ever Include the store back.
 The periodic include guard on store nodes repairs this.
 """
 
+import pytest
+
 from tests.conftest import add_work, build_system, get_work
 
 
@@ -84,3 +86,52 @@ def test_guard_does_nothing_when_membership_correct():
     system.run(until=system.scheduler.now + 10.0)
     for name in ("t1", "t2"):
         assert system.recovery_managers[name].guard_reinclusions == 0
+
+
+def _include_during_a_commit(offset):
+    """t2 (Excluded, one version behind, back up) starts its
+    refresh-and-Include ``offset`` seconds into a transaction that is
+    committing the next version to ``St`` = [t1].  Returns the ``St``
+    members left holding less than the newest committed version."""
+    from repro.cluster.recovery import RecoveryManager
+    from repro.sim.process import Timeout
+
+    system, client, uid = build_system(sv=("s1",), st=("t1", "t2"),
+                                       enable_recovery_managers=False)
+    system.nodes["t2"].crash()
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    assert system.db_st(uid) == ["t1"]
+    system.nodes["t2"].recover()
+    manager = RecoveryManager(
+        system.nodes["t2"], "namenode", serves=[], guard_interval=None,
+        db_client=system._make_db_client(system.nodes["t2"]))
+
+    def recover():
+        yield Timeout(offset)
+        yield from manager._refresh_and_include(uid)
+
+    system.nodes["t2"].spawn(recover(), name="refresh-and-include")
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    system.run(until=system.scheduler.now + 1.0)
+    versions = system.store_versions(uid)
+    newest = max(versions.values())
+    return [host for host in system.db_st(uid) if versions[host] < newest]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a read-only name node drops the St read lock with its vote, before "
+    "commit_shadow: docs/architecture.md, 'Ledgers that are not zero'"))
+def test_include_cannot_slip_between_a_readonly_vote_and_commit_shadow():
+    """No Exclude means the name node has nothing to commit: it votes
+    ``readonly`` and releases the client action's read lock on ``St``
+    there and then -- one round trip *before* ``commit_shadow`` reaches
+    the stores.  An Include whose write lock was refused all through
+    the action is granted in that gap, for a copy refreshed from stores
+    that still show the old version.  Swept over every start offset
+    across the transaction so the test does not depend on the timeline;
+    today the offsets that put the refresh before ``commit_shadow`` and
+    the Include after the vote leave t2 in ``St`` one version behind."""
+    stale = {offset: members
+             for offset in (step * 0.01 for step in range(25))
+             if (members := _include_during_a_commit(offset))}
+    assert stale == {}

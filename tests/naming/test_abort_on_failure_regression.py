@@ -12,6 +12,7 @@ lock tables come back empty.
 import pytest
 
 from repro.actions import AtomicAction
+from repro.actions.action import abort_on_failure
 from repro.naming import GroupViewDatabase
 from repro.naming.binding import IndependentTopLevelBinding
 from repro.naming.db_client import GroupViewDbClient
@@ -60,12 +61,18 @@ def test_killed_binder_releases_all_database_locks():
     # entry (for_update=True) when the binder raises the kill.
     world = World()
 
-    def killing_binder(host, uid, action):
+    def killing_binder(host, uid, action, st_hosts):
         raise Killed("client process killed mid-bind")
 
     def body():
         action = AtomicAction(node="client")
-        yield from world.scheme.bind(action, UID, killing_binder)
+        try:
+            yield from world.scheme.bind(action, UID, killing_binder)
+        except BaseException:
+            # The client runtime's half: the scheme read ``St`` under
+            # the client action, which its owner terminates.
+            yield from abort_on_failure(action)
+            raise
 
     with pytest.raises(Killed):
         world.run(body())
@@ -75,7 +82,7 @@ def test_killed_binder_releases_all_database_locks():
 def test_killed_unbind_releases_all_database_locks():
     world = World()
 
-    def ok_binder(host, uid, action):
+    def ok_binder(host, uid, action, st_hosts):
         bound = Future()
         bound.resolve(True)
         return bound

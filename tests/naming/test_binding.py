@@ -47,8 +47,9 @@ class World:
         self.dead_hosts = set(dead)
         self.bind_attempts = []
 
-    def binder(self, host, uid, action):
+    def binder(self, host, uid, action, st_hosts):
         self.bind_attempts.append(host)
+        self.st_seen = st_hosts
         bound = Future()
         bound.resolve(host not in self.dead_hosts)
         return bound
@@ -75,7 +76,7 @@ class World:
 
     def sv_now(self):
         probe = AtomicAction()
-        hosts = self.db.get_server(probe.id.path, str(UID))
+        hosts = self.db.server_db.get_server(probe.id.path, UID)
         self.db.abort(probe.id.path)
         return hosts
 
@@ -95,6 +96,8 @@ def test_standard_binds_all_functioning_hosts():
     outcome = world.run_bind(action)
     assert outcome.bound_hosts == ["h1", "h2", "h3"]
     assert outcome.failed_hosts == []
+    # St came back with Sv and reaches both the binder and the outcome.
+    assert world.st_seen == outcome.st_hosts == ["t1"]
 
 
 def test_standard_discovers_dead_servers_the_hard_way():
@@ -132,7 +135,7 @@ def test_attempts_fan_out_only_when_every_candidate_must_be_tried(k, instants):
     world = World(StandardBinding, dead=("h1",))
     issued = []
 
-    def slow_binder(host, uid, action):
+    def slow_binder(host, uid, action, st_hosts):
         issued.append((host, world.scheduler.now))
         bound = Future()
         world.scheduler.schedule(0.02, bound.resolve,

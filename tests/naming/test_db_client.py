@@ -50,7 +50,7 @@ def test_lock_refused_mapped_back():
     action = AtomicAction(node="client")
 
     def body():
-        return (yield from client.get_server(action, UID))
+        return (yield from client.get_binding(action, UID, action))
 
     with pytest.raises(LockRefused):
         run(s, body())
@@ -75,7 +75,7 @@ def test_enlists_participant_once_per_top_level_action():
     action = AtomicAction(node="client")
 
     def body():
-        yield from client.get_server(action, UID)
+        yield from client.get_binding(action, UID, action)
         yield from client.get_view(action, UID)
         nested = AtomicAction(node="client", parent=action)
         yield from client.get_view(nested, UID)
@@ -112,7 +112,7 @@ def test_abort_over_rpc_rolls_back():
 
     run(s, body())
     probe = AtomicAction()
-    assert db.get_server(probe.id.path, str(UID)) == ["h1", "h2"]
+    assert db.server_db.get_server(probe.id.path, UID) == ["h1", "h2"]
 
 
 def test_ping():
@@ -141,4 +141,4 @@ def test_define_object_via_client():
 
     run(s, body())
     probe = AtomicAction()
-    assert db.get_server(probe.id.path, str(new_uid)) == ["h9"]
+    assert db.server_db.get_server(probe.id.path, new_uid) == ["h9"]

@@ -76,11 +76,11 @@ def advance(s, dt):
     run(s, body())
 
 
-def one_get_server(s, client):
+def one_lookup(s, client):
     action = AtomicAction(node="client")
 
     def body():
-        result = yield from client.get_server(action, UID)
+        result, _view = yield from client.get_binding(action, UID, action)
         status = yield from action.commit()
         return result, status
 
@@ -94,13 +94,13 @@ def served_reads(dbs):
 
 def test_miss_populates_and_hit_serves_without_any_rpc():
     s, dbs, agents, router, client, agent = make_world()
-    hosts, status = one_get_server(s, client)
+    hosts, status = one_lookup(s, client)
     assert hosts == ["h1", "h2"] and status is ActionStatus.COMMITTED
     assert client.cache.misses == 1 and client.cache.hits == 0
 
     issued_before = agent.calls_issued
     for _ in range(5):
-        hosts, status = one_get_server(s, client)
+        hosts, status = one_lookup(s, client)
         assert hosts == ["h1", "h2"] and status is ActionStatus.COMMITTED
     assert agent.calls_issued == issued_before, \
         "a cache hit must not touch the network at all"
@@ -115,7 +115,7 @@ def test_miss_read_enlists_no_participant_and_leaves_no_lock():
     action = AtomicAction(node="client")
 
     def body():
-        result = yield from client.get_server(action, UID)
+        result, _view = yield from client.get_binding(action, UID, action)
         status = yield from action.commit()
         return result, status
 
@@ -133,7 +133,7 @@ def test_miss_read_enlists_no_participant_and_leaves_no_lock():
 
 def test_fence_epoch_advance_invalidates_on_next_lookup():
     s, dbs, agents, router, client, agent = make_world()
-    one_get_server(s, client)
+    one_lookup(s, client)
     assert client.cache.lookup(str(UID)) is not None
 
     router.add_node("shard-d")  # any membership change advances the fence
@@ -144,10 +144,10 @@ def test_fence_epoch_advance_invalidates_on_next_lookup():
 
 def test_lease_expiry_falls_back_and_repopulates():
     s, dbs, agents, router, client, agent = make_world()
-    one_get_server(s, client)
+    one_lookup(s, client)
     advance(s, LEASE + 0.1)
 
-    hosts, status = one_get_server(s, client)
+    hosts, status = one_lookup(s, client)
     assert hosts == ["h1", "h2"] and status is ActionStatus.COMMITTED
     assert client.cache.expired == 1
     entry = client.cache.lookup(str(UID))
@@ -157,7 +157,7 @@ def test_lease_expiry_falls_back_and_repopulates():
 
 def test_own_mutation_invalidates_write_through():
     s, dbs, agents, router, client, agent = make_world()
-    one_get_server(s, client)
+    one_lookup(s, client)
     assert client.cache.lookup(str(UID)) is not None
 
     action = AtomicAction(node="client")
@@ -171,7 +171,7 @@ def test_own_mutation_invalidates_write_through():
     assert len(client.cache) == 0, \
         "the owner must drop the binding it just changed"
 
-    hosts, status = one_get_server(s, client)
+    hosts, status = one_lookup(s, client)
     assert status is ActionStatus.COMMITTED
     entry = client.cache.lookup(str(UID))
     assert entry is not None
@@ -181,12 +181,12 @@ def test_own_mutation_invalidates_write_through():
 
 def test_same_action_read_after_write_sees_own_provisional_state():
     s, dbs, agents, router, client, agent = make_world()
-    one_get_server(s, client)
+    one_lookup(s, client)
     action = AtomicAction(node="client")
 
     def body():
         yield from client.insert(action, UID, "h3")
-        hosts = yield from client.get_server(action, UID)
+        hosts, _view = yield from client.get_binding(action, UID, action)
         status = yield from action.commit()
         return hosts, status
 
@@ -211,7 +211,7 @@ def test_write_racing_a_repopulation_cannot_resurrect_the_stale_binding():
     def reader():
         action = AtomicAction(node="client")
         try:
-            outcomes["read"] = yield from client.get_server(action, UID)
+            outcomes["read"], _view = yield from client.get_binding(action, UID, action)
             yield from action.commit()
         except LockRefused:
             yield from action.abort()
@@ -227,7 +227,7 @@ def test_write_racing_a_repopulation_cannot_resurrect_the_stale_binding():
     s.run(until=10.0)
     assert outcomes["write"] is ActionStatus.COMMITTED
 
-    hosts, status = one_get_server(s, client)
+    hosts, status = one_lookup(s, client)
     assert status is ActionStatus.COMMITTED
     assert hosts == ["h1", "h2", "h3"], \
         "the pre-write snapshot must not have been cached over the write"
@@ -249,7 +249,7 @@ def test_busy_entry_falls_back_to_the_authoritative_read():
 
     def body():
         try:
-            yield from client.get_server(action, UID)
+            yield from client.get_binding(action, UID, action)
         except LockRefused:
             yield from action.abort()
             return "refused"
@@ -267,7 +267,7 @@ def test_busy_entry_falls_back_to_the_authoritative_read():
 
 def test_validation_vetoes_a_commit_over_a_moved_binding():
     s, dbs, agents, router, client, agent = make_world(validate=True)
-    one_get_server(s, client)  # populate the cache
+    one_lookup(s, client)  # populate the cache
 
     # The binding moves behind the client's back (another client's
     # committed Increment on every replica).
@@ -279,7 +279,7 @@ def test_validation_vetoes_a_commit_over_a_moved_binding():
     action = AtomicAction(node="client")
 
     def body():
-        hosts = yield from client.get_server(action, UID)
+        hosts, _view = yield from client.get_binding(action, UID, action)
         status = yield from action.commit()
         return hosts, status
 
@@ -297,17 +297,17 @@ def test_veto_purges_the_entry_so_the_retry_commits():
     from the cache, so the re-run misses, refetches the moved binding,
     and validates clean -- not abort forever until the lease expires."""
     s, dbs, agents, router, client, agent = make_world(validate=True)
-    one_get_server(s, client)
+    one_lookup(s, client)
     other = AtomicAction(node="other")
     for name in router.preference_list(UID, 2):
         dbs[name].increment(other.id.path, "other", str(UID), ["h1"])
         dbs[name].commit(other.id.path)
 
-    _hosts, status = one_get_server(s, client)
+    _hosts, status = one_lookup(s, client)
     assert status is ActionStatus.ABORTED
     assert len(client.cache) == 0, "the vetoed entry must be purged"
 
-    hosts, status = one_get_server(s, client)  # the retry
+    hosts, status = one_lookup(s, client)  # the retry
     assert hosts == ["h1", "h2"]
     assert status is ActionStatus.COMMITTED, \
         "the retry must refetch and validate clean"
@@ -320,11 +320,11 @@ def test_own_write_after_leased_read_does_not_self_veto():
     from that point -- the validation record is disarmed, not left to
     read the bump as 'the binding moved' and veto every retry."""
     s, dbs, agents, router, client, agent = make_world(validate=True)
-    one_get_server(s, client)  # populate
+    one_lookup(s, client)  # populate
     action = AtomicAction(node="client")
 
     def body():
-        yield from client.get_server(action, UID)   # leased hit, armed
+        yield from client.get_binding(action, UID, action)   # leased hit, armed
         yield from client.insert(action, UID, "h3")  # own write, same uid
         return (yield from action.commit())
 
@@ -356,7 +356,7 @@ def test_gated_replica_cannot_seed_a_lease():
 
     def body():
         try:
-            yield from client.get_server(action, UID)
+            yield from client.get_binding(action, UID, action)
         except RpcError:
             yield from action.abort()
             return "unavailable"
@@ -371,8 +371,8 @@ def test_gated_replica_cannot_seed_a_lease():
 
 def test_validation_passes_while_the_binding_is_unchanged():
     s, dbs, agents, router, client, agent = make_world(validate=True)
-    one_get_server(s, client)
-    hosts, status = one_get_server(s, client)
+    one_lookup(s, client)
+    hosts, status = one_lookup(s, client)
     assert hosts == ["h1", "h2"]
     assert status is ActionStatus.COMMITTED, \
         "an unchanged binding must validate clean"
@@ -392,7 +392,7 @@ def test_leased_miss_reports_stale_missing_replicas_for_repair():
     del dbs[head].server_db._entries[parsed]  # stale-missing replica
     del dbs[head].state_db._entries[parsed]
 
-    hosts, status = one_get_server(s, client)  # miss -> versioned walk
+    hosts, status = one_lookup(s, client)  # miss -> versioned walk
     assert hosts == ["h1", "h2"]
     assert repairer.repairs_triggered == 1, \
         "the stepped-past disclaiming replica must be reported"
@@ -403,9 +403,9 @@ def test_leased_miss_reports_stale_missing_replicas_for_repair():
 
 def test_ledger_records_every_hit_within_bounds():
     s, dbs, agents, router, client, agent = make_world()
-    one_get_server(s, client)
+    one_lookup(s, client)
     for _ in range(4):
-        one_get_server(s, client)
+        one_lookup(s, client)
     assert len(client.cache.ledger) == 4
     assert client.cache.ledger_violations() == []
     for record in client.cache.ledger:
@@ -452,14 +452,14 @@ def test_lease_skew_anchors_at_receive_and_stretches_staleness():
     and in the entry's later-than-honest expiry."""
     s, dbs, agents, router, client, agent = make_world()
     cache = client.cache
-    one_get_server(s, client)  # honest send-anchored populate
+    one_lookup(s, client)  # honest send-anchored populate
     honest = cache.peek(str(UID))
     assert cache.skewed_stores == 0
 
     cache.invalidate(str(UID))
     cache.anchor = "receive"  # the FaultPlan skew event's effect
     before = s.now
-    one_get_server(s, client)
+    one_lookup(s, client)
     skewed = cache.peek(str(UID))
     assert cache.skewed_stores == 1
     # Send-anchored leases start at the probe-send clock; the skewed
@@ -469,6 +469,6 @@ def test_lease_skew_anchors_at_receive_and_stretches_staleness():
 
     cache.anchor = "send"  # unskew restores the honest discipline
     cache.invalidate(str(UID))
-    one_get_server(s, client)
+    one_lookup(s, client)
     assert cache.skewed_stores == 1
     assert honest is not None

@@ -110,7 +110,7 @@ def test_read_fenced_mid_flight_refreshes_and_serves():
     action = AtomicAction(node="client")
 
     def body():
-        hosts = yield from client.get_server(action, UID)
+        hosts, _view = yield from client.get_binding(action, UID, action)
         yield from action.commit()
         return hosts
 

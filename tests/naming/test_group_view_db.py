@@ -3,6 +3,7 @@
 import pytest
 
 from repro.actions import AtomicAction
+from repro.actions.errors import LockRefused
 from repro.naming import GroupViewDatabase
 from repro.storage import Uid
 
@@ -18,8 +19,8 @@ def make_db():
 def test_define_object_populates_both_halves():
     db = make_db()
     action = AtomicAction()
-    assert db.get_server(action.id.path, "sys:1") == ["alpha", "beta"]
-    assert db.get_view(action.id.path, "sys:1") == ["beta", "gamma"]
+    assert db.get_binding(action.id.path, "sys:1", action.id.path) == (
+        ["alpha", "beta"], ["beta", "gamma"])
     assert db.knows("sys:1")
     assert not db.knows("sys:9")
 
@@ -39,8 +40,8 @@ def test_single_commit_spans_both_halves():
     assert db.prepare(action.id.path) == "ok"
     db.commit(action.id.path)
     check = AtomicAction()
-    assert db.get_server(check.id.path, "sys:1") == ["alpha", "beta", "delta"]
-    assert db.get_view(check.id.path, "sys:1") == ["beta"]
+    assert db.get_binding(check.id.path, "sys:1", check.id.path) == (
+        ["alpha", "beta", "delta"], ["beta"])
 
 
 def test_single_abort_spans_both_halves():
@@ -50,14 +51,14 @@ def test_single_abort_spans_both_halves():
     db.exclude(action.id.path, [("sys:1", ["gamma"])])
     db.abort(action.id.path)
     check = AtomicAction()
-    assert db.get_server(check.id.path, "sys:1") == ["alpha", "beta"]
-    assert db.get_view(check.id.path, "sys:1") == ["beta", "gamma"]
+    assert db.get_binding(check.id.path, "sys:1", check.id.path) == (
+        ["alpha", "beta"], ["beta", "gamma"])
 
 
 def test_prepare_readonly_when_nothing_written():
     db = make_db()
     action = AtomicAction()
-    db.get_server(action.id.path, "sys:1")
+    db.get_binding(action.id.path, "sys:1", action.id.path)
     assert db.prepare(action.id.path) == "readonly"
 
 
@@ -73,8 +74,8 @@ def test_persistence_roundtrip():
     buffer = db.save_state()
     restored = GroupViewDatabase.restore_state(buffer)
     check = AtomicAction()
-    assert restored.get_server(check.id.path, "sys:1") == ["alpha", "beta"]
-    assert restored.get_view(check.id.path, "sys:1") == ["beta", "gamma"]
+    assert restored.get_binding(check.id.path, "sys:1", check.id.path) == (
+        ["alpha", "beta"], ["beta", "gamma"])
     snapshot = restored.get_server_with_uses(check.id.path, "sys:1")
     assert snapshot.uses["alpha"] == {"cn": 1}
 
@@ -86,3 +87,45 @@ def test_quiescence_via_combined_interface():
     db.increment(user.id.path, "cn", "sys:1", ["alpha"])
     db.commit(user.id.path)
     assert not db.is_quiescent("sys:1")
+
+
+def test_get_binding_returns_both_halves_in_one_call():
+    db = make_db()
+    action = AtomicAction()
+    assert db.get_binding(action.id.path, "sys:1", action.id.path) == (
+        ["alpha", "beta"], ["beta", "gamma"])
+    assert db.metrics.counter_value("server_db.get_server") == 1
+    assert db.metrics.counter_value("state_db.get_view") == 1
+
+
+def test_get_binding_splits_lock_ownership_between_nested_and_client_action():
+    """GetServer runs nested (figure 6) but the ``St`` read lock is the
+    client action's: the commit-time Exclude promotes *that* lock, so it
+    must be refused or granted exactly as if the client had read ``St``
+    itself.  Only the ``Sv`` lock belongs to the nested action."""
+    db = make_db()
+    uid = Uid.parse("sys:1")
+    client = AtomicAction()
+    nested = AtomicAction(parent=client)
+    db.get_binding(nested.id.path, "sys:1", client.id.path)
+
+    (sv_owner, _mode), = db.server_db.locks.holders_of(("sv", uid))
+    (st_owner, _mode), = db.state_db.locks.holders_of(("st", uid))
+    assert sv_owner.path == nested.id.path
+    assert st_owner.path == client.id.path
+
+    db.abort(nested.id.path)  # releases the nested action's lock only
+    assert not db.server_db.locks.is_locked(("sv", uid))
+    assert [owner.path for owner, _ in
+            db.state_db.locks.holders_of(("st", uid))] == [client.id.path]
+
+
+def test_get_binding_refused_on_st_takes_no_sv_lock():
+    db = make_db()
+    uid = Uid.parse("sys:1")
+    includer, client = AtomicAction(), AtomicAction()
+    db.include(includer.id.path, "sys:1", "delta")  # write lock on St
+    nested = AtomicAction(parent=client)
+    with pytest.raises(LockRefused):
+        db.get_binding(nested.id.path, "sys:1", client.id.path)
+    assert not db.server_db.locks.is_locked(("sv", uid))

@@ -20,7 +20,7 @@ def test_server_side_is_nonatomic():
     service = make_service()
     service.insert((5,), UID_TEXT, "h3")
     service.abort((5,))  # nothing rolled back on the server side
-    assert "h3" in service.get_server((6,), UID_TEXT)
+    assert "h3" in service.get_binding((6,), UID_TEXT, (6,))[0]
 
 
 def test_state_side_is_atomic():
@@ -43,7 +43,7 @@ def test_state_side_locks_enforced():
 
 def test_server_side_never_locks():
     service = make_service()
-    service.get_server((1,), UID_TEXT)
+    service.server_side.get_server((1,), UID_TEXT)
     service.insert((2,), UID_TEXT, "h9")   # would be refused if locked
     service.remove((3,), UID_TEXT, "h9")
 

@@ -57,13 +57,13 @@ def run(s, gen):
     return s.run_until_settled(s.spawn(gen), until=100.0)
 
 
-def one_read(s, client, method="get_server"):
+def one_read(s, client):
     action = AtomicAction(node="client")
 
     def body():
-        result = yield from getattr(client, method)(action, UID)
+        hosts, _view = yield from client.get_binding(action, UID, action)
         yield from action.commit()
-        return result
+        return hosts
 
     return run(s, body())
 

@@ -121,7 +121,7 @@ def test_converge_defers_on_a_locked_target():
     s, dbs, agents, router, io = make_world()
     bump_sv(dbs["shard-a"])
     holder = AtomicAction()
-    dbs["shard-c"].get_server(holder.id.path, str(UID))  # live local action
+    dbs["shard-c"].server_db.get_server(holder.id.path, UID)  # live local action
     probes = probe_all(s, io)
     result = run(s, io.converge_entry(str(UID), probes, probes))
     assert result.outcome == "deferred"

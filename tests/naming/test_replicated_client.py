@@ -93,7 +93,7 @@ def test_stray_read_lock_on_slow_primary_is_released():
     action = AtomicAction(node="client")
 
     def body():
-        hosts = yield from client.get_server(action, UID)
+        hosts, _view = yield from client.get_binding(action, UID, action)
         yield from action.commit()
         return hosts
 

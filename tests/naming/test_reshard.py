@@ -90,13 +90,13 @@ def test_guarded_install_entry_respects_local_locks():
     db = GroupViewDatabase()
     uid_text = _committed_entry(db)
     holder = AtomicAction()
-    db.get_server(holder.id.path, uid_text)  # read lock held by a live action
+    db.get_binding(holder.id.path, uid_text, holder.id.path)  # read locks of a live action
     assert db.guarded_install_entry(uid_text, ["h2"], {"h2": {}}, ["h2"],
                                     (9, 9)) is None
     db.abort(holder.id.path)
     assert db.guarded_install_entry(uid_text, ["h2"], {"h2": {}}, ["h2"],
                                     (9, 9)) is True
-    assert db.get_server((0,), uid_text) == ["h2"]
+    assert db.get_binding((0,), uid_text, (0,)) == (["h2"], ["h2"])
 
 
 def test_guarded_install_entry_is_version_gated():
@@ -105,7 +105,7 @@ def test_guarded_install_entry_is_version_gated():
     # Same-or-older versions must not land (fresh-over-stale only).
     assert db.guarded_install_entry(uid_text, ["h9"], {"h9": {}}, ["h9"],
                                     (1, 1)) is False
-    assert db.get_server((0,), uid_text) == ["h1"]
+    assert db.get_binding((0,), uid_text, (0,)) == (["h1"], ["h1"])
 
 
 def test_forget_entry_removes_both_halves():
