@@ -55,6 +55,11 @@ def default_paths() -> list[Path]:
 
 def main(argv: list[str]) -> int:
     paths = [Path(arg) for arg in argv] or default_paths()
+    missing = [str(path) for path in paths if not path.exists()]
+    if missing:
+        print(f"code_lines: no such file or directory: {', '.join(missing)}",
+              file=sys.stderr)
+        return 2
     print("| path | files | code lines |")
     print("|---|---:|---:|")
     total = 0

@@ -17,9 +17,9 @@ knowledge are gone, exactly as the paper's failure assumptions dictate
 (section 2.1).
 
 **The sync plane.**  A node built with a :class:`SyncPlaneConfig` gets a
-*second* NIC named ``f"{name}.sync"`` with its own latency model,
-optional token-bucket throttle, and its own :class:`RpcAgent` (its own
-single-server queue) -- the simulated equivalent of Swift's dedicated
+*second* NIC named ``f"{name}.sync"`` and its own :class:`RpcAgent`
+(its own single-server queue, its own service time) on the network's
+one latency model -- the simulated equivalent of Swift's dedicated
 replication network.  Maintenance traffic (resync, anti-entropy,
 migration copies, read repair) routed at ``node.sync_rpc`` /
 ``"<host>.sync"`` then never queues behind client requests.  Without the
@@ -36,7 +36,6 @@ from typing import Any, Callable, Generator
 
 from repro.net.batch import CommitBatcher
 from repro.net.demux import MessageDemux
-from repro.net.latency import LatencyModel, TokenBucket
 from repro.net.multicast import (
     MulticastMember,
     NaiveMulticastMember,
@@ -56,24 +55,18 @@ BootHook = Callable[["Node"], None]
 # Interface-name suffix of the dedicated replication NIC.  The sync
 # plane of host ``h`` answers at ``h + SYNC_NIC_SUFFIX``.
 SYNC_NIC_SUFFIX = ".sync"
-SYNC_THROTTLE_BURST = 8.0  # token-bucket capacity of a throttled sync NIC
 
 
 @dataclass
 class SyncPlaneConfig:
     """Knobs for a node's dedicated replication NIC.
 
-    ``latency``/``service_time``/``rpc_timeout`` default (``None``) to
-    the primary plane's values; ``throttle_rate`` (messages per unit
-    virtual time), when set, installs a :class:`TokenBucket` of
-    :data:`SYNC_THROTTLE_BURST` capacity on the sync NIC -- the
-    bandwidth cap of the replication link.
+    A plane is a second interface name plus a second RPC agent with its
+    own service queue; ``service_time`` (``None`` -> the primary
+    plane's) is what that queue charges per request.
     """
 
-    latency: LatencyModel | None = None
     service_time: float | None = None
-    rpc_timeout: float | None = None
-    throttle_rate: float | None = None
 
 
 class Node:
@@ -121,22 +114,14 @@ class Node:
         self.commit_plane: CommitBatcher | RpcAgent = (
             self.commit_batcher or self.rpc)
         if sync_plane is not None:
-            throttle = (TokenBucket(sync_plane.throttle_rate,
-                                    SYNC_THROTTLE_BURST)
-                        if sync_plane.throttle_rate is not None else None)
             self.sync_nic: "NetworkInterface | None" = network.attach(
-                name + SYNC_NIC_SUFFIX, latency=sync_plane.latency,
-                throttle=throttle)
+                name + SYNC_NIC_SUFFIX)
             self.sync_demux: MessageDemux | None = MessageDemux(self.sync_nic)
-            sync_timeout = sync_plane.rpc_timeout
-            if sync_timeout is None:
-                sync_timeout = (sync_plane.latency.typical * 6 + 0.05
-                                if sync_plane.latency is not None else timeout)
             sync_service_time = (sync_plane.service_time
                                  if sync_plane.service_time is not None
                                  else service_time)
             self.sync_rpc = RpcAgent(
-                scheduler, self.sync_nic, default_timeout=sync_timeout,
+                scheduler, self.sync_nic, default_timeout=timeout,
                 service_time=sync_service_time,
                 demux=self.sync_demux,
                 traffic=self.metrics.plane_traffic(name, "sync"))

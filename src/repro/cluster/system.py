@@ -78,7 +78,6 @@ class SystemConfig:
 
     seed: int = 42
     fixed_latency: float | None = 0.01       # None -> uniform 5-20 ms
-    drop_probability: float = 0.0
     rpc_timeout: float | None = None         # None -> derived from latency
     service_time: float = 0.0
     reliable_multicast: bool = True
@@ -107,7 +106,6 @@ class SystemConfig:
     # lease boots the sharded name service even at one shard -- the
     # plane lives in the sharded client.
     nameserver_lease: float | None = None
-    nameserver_lease_validate: bool = False  # validate-at-commit records
     nameserver_cache_ledger: bool = False    # record every cache-served read
     # The write-hot coherence plane: each owning shard host tracks the
     # live lessees of its entries and *pushes* versioned invalidations
@@ -120,26 +118,19 @@ class SystemConfig:
     nameserver_push_invalidation: bool = False
     nameserver_hot_write_rate: float = 1.0   # writes/sec: pull -> push flip
     # Lease renewal: an expired entry whose versions still match the
-    # replicas (validation probe or re-registration) has its lease
+    # replicas (version probe or re-registration) has its lease
     # extended in place instead of being refetched.
     nameserver_renewal: bool = False
     nameserver_registration_ttl: float | None = None  # None -> 8x lease
-    read_repair_interval: float | None = None  # per-uid sampled version verify
     shard_antientropy_interval: float | None = 10.0  # None disables the sweep
-    # Per-shard-host ring weights by boot index (empty -> all 1.0).  A
-    # host with weight 2.0 claims twice the vnodes, so roughly twice
-    # the partitions -- capacity-proportional placement.
-    shard_weights: tuple[float, ...] = ()
     # The two-plane network: give every shard host a second NIC
     # (``<name>.sync``) and route all replica-maintenance traffic
     # (resync, anti-entropy, migration copies, read repair) over it so
-    # sync storms never queue behind client requests.  The sync plane
-    # may run its own latency model, per-request service time, and a
-    # token-bucket bandwidth throttle.
+    # sync storms never queue behind client requests.  A plane is a
+    # second NIC name and a second RPC agent with its own service
+    # queue, on the network's one latency model.
     dedicated_sync_nic: bool = False
-    sync_latency: float | None = None        # None -> primary-plane model
     sync_service_time: float | None = None   # None -> primary service_time
-    sync_throttle_rate: float | None = None  # msgs/sec; None -> unthrottled
     # The raw-speed commit plane.  ``commit_batching`` gives every node
     # a CommitBatcher: 2PC phase messages and shadow writes issued
     # within ``commit_batch_window`` of each other to the same target
@@ -176,9 +167,7 @@ class DistributedSystem:
             latency = FixedLatency(self.config.fixed_latency)
         else:
             latency = UniformLatency(self.rng, 0.005, 0.02)
-        self.network = Network(self.scheduler, latency,
-                               drop_probability=self.config.drop_probability,
-                               rng=self.rng)
+        self.network = Network(self.scheduler, latency, rng=self.rng)
 
         self.nodes: dict[str, Node] = {}
         self.clients: dict[str, ClientRuntime] = {}
@@ -282,14 +271,7 @@ class DistributedSystem:
         """
         names = [f"{NAME_NODE}{i}" for i in range(shard_count)]
         replication = self.config.nameserver_replication
-        weights = None
-        if self.config.shard_weights:
-            if len(self.config.shard_weights) != shard_count:
-                raise ValueError(
-                    f"shard_weights has {len(self.config.shard_weights)} "
-                    f"entries for {shard_count} shards")
-            weights = dict(zip(names, self.config.shard_weights))
-        self.shard_router = ShardRouter(names, weights=weights)
+        self.shard_router = ShardRouter(names)
         shard_dbs = {name: self._boot_shard_host(name) for name in names}
         self.name_node = self.nodes[names[0]]
         self.db = ShardedGroupViewDatabase(self.shard_router, shard_dbs,
@@ -393,7 +375,6 @@ class DistributedSystem:
                 repair = ReadRepairer(
                     self.scheduler, node.rpc, self.shard_router, replication,
                     spawn=node.spawn,
-                    verify_interval=self.config.read_repair_interval,
                     sync_suffix=self.sync_suffix,
                     metrics=self.metrics)
             cache = None
@@ -436,7 +417,6 @@ class DistributedSystem:
                 node.rpc, self.shard_router, replication=replication,
                 read_policy=self.config.nameserver_read_policy,
                 repair=repair, cache=cache,
-                validate_leases=self.config.nameserver_lease_validate,
                 clock=lambda: self.scheduler.now,
                 sync_suffix=self.sync_suffix,
                 coherence_node=(node if self.config.nameserver_push_invalidation
@@ -658,13 +638,8 @@ class DistributedSystem:
                    sync_plane: bool = False) -> Node:
         sync_config = None
         if sync_plane and self.config.dedicated_sync_nic:
-            sync_latency: LatencyModel | None = None
-            if self.config.sync_latency is not None:
-                sync_latency = FixedLatency(self.config.sync_latency)
             sync_config = SyncPlaneConfig(
-                latency=sync_latency,
-                service_time=self.config.sync_service_time,
-                throttle_rate=self.config.sync_throttle_rate)
+                service_time=self.config.sync_service_time)
         node = Node(self.scheduler, self.network, name, has_store=has_store,
                     reliable_multicast=self.config.reliable_multicast,
                     rpc_timeout=self.config.rpc_timeout,

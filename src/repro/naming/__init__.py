@@ -54,7 +54,7 @@ from repro.naming.binding import (
     StandardBinding,
 )
 from repro.naming.cleanup import UseListCleaner
-from repro.naming.entry_cache import EntryCache, LeaseValidationRecord
+from repro.naming.entry_cache import EntryCache
 from repro.naming.nonatomic import NonAtomicNameServer
 from repro.naming.read_repair import ReadRepairer
 from repro.naming.replica_io import EntryCopy, ReplicaIO
@@ -78,7 +78,6 @@ __all__ = [
     "GroupViewDatabase",
     "GroupViewDbClient",
     "IndependentTopLevelBinding",
-    "LeaseValidationRecord",
     "NamingError",
     "NestedTopLevelBinding",
     "NonAtomicNameServer",

@@ -38,23 +38,21 @@ must never do is *exceed* its declared bounds; the optional
 bounds re-checked at serve time, so churn harnesses can prove no hit
 ever escaped them.
 
-**Serializability.**  A cache hit takes no read lock, so by default a
-transaction acting on it gets lease consistency, not serializability
-(the same deal the paper's section-5 non-atomic variant offers).
-Callers that need the stronger contract attach a
-:class:`LeaseValidationRecord` to their action: at prepare it probes
-the entry's live write versions over the gated client service and
-vetoes the commit if the binding moved past the cached snapshot --
-optimistic concurrency control over naming data.
+**Serializability.**  A cache hit takes no read lock, so a transaction
+acting on it gets lease consistency, not serializability (the same deal
+the paper's section-5 non-atomic variant offers): *lease and fence
+epoch* is the plane's one contract.  A deployment that needs
+serializable naming reads runs without the plane
+(``nameserver_lease=None``), where every read takes its lock under the
+calling action.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Generator
+from dataclasses import dataclass, replace
+from typing import Callable
 
-from repro.actions.action import AbstractRecord, AtomicAction, Vote
 from repro.sim.metrics import MetricsRegistry
 
 DEFAULT_CACHE_CAPACITY = 512
@@ -365,117 +363,3 @@ class EntryCache:
         """
         return [record for record in self.ledger if record.violates_bounds()]
 
-
-@dataclass
-class LeaseValidationRecord(AbstractRecord):
-    """Optimistic validate-at-commit for cache-served naming reads.
-
-    Added to a transaction's top-level root once per (root, uid) when a
-    cached entry is served into it with validation enabled.  At prepare
-    it probes the entry's live write versions on the uid's replicas
-    over the gated client service and votes:
-
-    - ``READONLY`` when the freshest reachable versions still equal the
-      cached snapshot's (the lock-free read was serializable after
-      all);
-    - ``ABORT`` when any replica proves the binding moved past the
-      snapshot, or when *no* replica answers -- an unverifiable read
-      cannot be certified, and the strict mode exists precisely to
-      refuse that.
-
-    The probe takes no locks and enlists nothing, so validation costs
-    one batched round trip per uid at prepare -- the optimistic
-    trade: hot, stable bindings commit without ever locking the name
-    service; a binding that moved re-runs its transaction.  Either
-    veto also drops the entry from ``cache``, so the re-run misses and
-    refetches instead of aborting against the same dead snapshot until
-    its lease runs out.
-
-    A record is **disarmed** when its own action later *writes* the
-    same uid: the write takes real locks and enlists the shard as a
-    2PC participant, so pessimistic concurrency control now owns that
-    uid's serialization -- and the write's provisional version bump
-    would otherwise read as "the binding moved" and self-veto the
-    action deterministically on every retry.  The probe rides the
-    *client* (gated, fenced) service, never the sync side door: a
-    recovering replica held out of the serving path must not be able
-    to certify a lease with its pre-crash versions.  ``release`` is
-    called once the record resolves (either phase), so the owning
-    client's dedupe table stays bounded by the live actions.
-    """
-
-    io: Any                     # the client's ReplicaIO engine
-    uid_text: str
-    versions: tuple[int, int]
-    replication: int
-    cache: Any = None           # the serving EntryCache, purged on veto
-    release: Any = None         # dedupe-table cleanup callback
-    order: int = 450            # validate before remote participants prepare
-    outcome: str = field(default="unresolved", init=False)
-    disarmed: bool = field(default=False, init=False)
-
-    def disarm(self) -> None:
-        """The action wrote this uid itself: its locks take over."""
-        self.disarmed = True
-
-    def _release(self) -> None:
-        if self.release is not None:
-            self.release()
-
-    def _veto(self, outcome: str) -> Vote:
-        self.outcome = outcome
-        self.io.metrics.counter(f"entry_cache.validation_{outcome}").increment()
-        if self.cache is not None:
-            self.cache.invalidate(self.uid_text)
-        return Vote.ABORT
-
-    def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
-        self._release()
-        if self.disarmed:
-            self.outcome = "superseded"
-            self.io.metrics.counter(
-                "entry_cache.validation_superseded").increment()
-            return Vote.READONLY
-        view = self.io.router.view()
-        replicas = view.read_order(self.uid_text, self.replication)
-        # Renewal piggyback: capture the probe-send clock and token
-        # *before* suspending, exactly like a repopulating read -- a
-        # version match below doubles as a lease extension anchored
-        # here, and any invalidation landing mid-probe refuses it.
-        started = token = None
-        if self.cache is not None and getattr(self.cache, "renewal", False):
-            started = self.cache.clock()
-            token = self.cache.invalidation_token(self.uid_text)
-        # Client service + fence tag: a gated (mid-resync) replica
-        # cannot answer, and a replica the ring has moved past is
-        # fenced into the dark set -- neither may certify a lease.
-        probes, _dark = yield from self.io.probe_versions(
-            self.uid_text, replicas, ring_epoch=view.epoch)
-        if not probes:
-            return self._veto("unverifiable")
-        live = (max(sv for sv, _ in probes.values()),
-                max(st for _, st in probes.values()))
-        if live != tuple(self.versions):
-            return self._veto("stale")
-        self.outcome = "validated"
-        self.io.metrics.counter("entry_cache.validated").increment()
-        if started is not None:
-            # Only pull-mode entries renew here: a push-mode lease span
-            # mirrors a server-side registration, and extending it
-            # without re-registering would outlive the owner's registry
-            # entry -- a client the owner no longer pushes to.
-            entry = self.cache.peek(self.uid_text)
-            if (entry is not None and entry.mode == "pull"
-                    and entry.versions == tuple(self.versions)):
-                self.cache.renew(self.uid_text, fetched_at=started,
-                                 token=token)
-        return Vote.READONLY
-
-    def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        return
-        yield  # pragma: no cover
-
-    def abort(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        self._release()
-        return
-        yield  # pragma: no cover

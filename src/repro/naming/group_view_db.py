@@ -257,7 +257,7 @@ class GroupViewDatabase:
         """The (server, state) write versions of one entry (RPC-exposed).
 
         Plain monotonic counters read without locks: a point-in-time
-        lower bound.  Lease validation compares it with the versions a
+        lower bound.  Lease renewal compares it with the versions a
         cached snapshot was taken at.
         """
         uid = Uid.parse(uid_text)

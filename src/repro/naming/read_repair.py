@@ -6,19 +6,17 @@ that commits between a resync's last convergence probe and the
 host's re-registration is missing from the rejoined replica until the
 next sweep, and a presume-aborted stray leaves the same gap.  Reads
 are where staleness becomes visible, so reads are where it is
-repaired:
+repaired.
 
-- a **failover read** that steps past a replica disclaiming an entry
-  its peers hold has *proof* of staleness -- the client reports the
-  UID immediately;
-- a **routine replicated read** (primary or spread policy) can carry
-  no such proof, so the repairer optionally *verifies* it: a sampled,
-  per-UID-throttled background probe of every replica's write
-  versions.
+A **failover read** that steps past a replica disclaiming an entry its
+peers hold has *proof* of staleness -- the client reports the UID
+immediately (:meth:`ReadRepairer.note_stale`, the one trigger; a
+routine read that found its entry carries no such proof and costs the
+repairer nothing).
 
-Either trigger enqueues the same repair: the UID's replicas are handed
-to the shared :class:`~repro.naming.replica_io.ReplicaIO` engine as
-both sources and targets -- it probes their write versions (lock-free,
+The report enqueues a repair: the UID's replicas are handed to the
+shared :class:`~repro.naming.replica_io.ReplicaIO` engine as both
+sources and targets -- it probes their write versions (lock-free,
 cheap), and for every replica strictly behind the freshest copy on
 either half reads a committed snapshot from a fresher peer (under
 server-local probe locks -- never a torn write, never a lock spanning
@@ -59,7 +57,6 @@ class ReadRepairer:
                  service: str = SYNC_SERVICE_NAME,
                  spawn: Callable[..., Any] | None = None,
                  min_interval: float = 0.5,
-                 verify_interval: float | None = None,
                  sync_suffix: str = "",
                  metrics: MetricsRegistry | None = None) -> None:
         if replication < 2:
@@ -71,7 +68,6 @@ class ReadRepairer:
         self.replication = replication
         self.service = service
         self.min_interval = min_interval
-        self.verify_interval = verify_interval
         self.metrics = metrics or MetricsRegistry()
         self.repairs_triggered = 0
         self.entries_repaired = 0
@@ -100,24 +96,17 @@ class ReadRepairer:
     # How many pending UIDs one drain round batches together.
     batch_size = 16
 
-    # -- triggers (called synchronously from the read path) -----------------
+    # -- the trigger (called synchronously from the read path) --------------
 
     def note_stale(self, uid: Uid | str) -> None:
         """A read proved a replica stale (UnknownObject failover)."""
-        self._maybe_repair(str(uid), self.min_interval)
-
-    def observe(self, uid: Uid | str) -> None:
-        """A routine replicated read; verify it if sampling is on."""
-        if self.verify_interval is not None:
-            self._maybe_repair(str(uid), self.verify_interval)
-
-    def _maybe_repair(self, uid_text: str, interval: float) -> None:
+        uid_text = str(uid)
         now = self.scheduler.now
         started = self._inflight.get(uid_text)
         if started is not None and now - started < _INFLIGHT_TIMEOUT:
             return
         last = self._last_checked.get(uid_text)
-        if last is not None and now - last < interval:
+        if last is not None and now - last < self.min_interval:
             return
         self._last_checked[uid_text] = now
         self._inflight[uid_text] = now

@@ -371,17 +371,11 @@ class ReplicaIO:
                     continue
                 if self.health is not None:
                     self.health.observe(node, self.health.clock() - started)
-                if self.repair is not None:
-                    if unknown is not None:
-                        # We stepped past a replica disclaiming the
-                        # entry -- on this walk or one a fence retry
-                        # restarted: it is stale-missing; queue a
-                        # lock-guarded re-seed.
-                        self.repair.note_stale(uid)
-                    else:
-                        # Routine replicated read: sampled version
-                        # verify (no-op unless verification is on).
-                        self.repair.observe(uid)
+                if unknown is not None and self.repair is not None:
+                    # We stepped past a replica disclaiming the entry
+                    # -- on this walk or one a fence retry restarted:
+                    # it is stale-missing; queue a lock-guarded re-seed.
+                    self.repair.note_stale(uid)
                 return result
             if stale is None:
                 break
@@ -529,15 +523,12 @@ class ReplicaIO:
             if self.router.fence_epoch != view.epoch:
                 return None  # the ring moved between dispatch and reply
             self.metrics.counter("replica_io.versioned_reads").increment()
-            if self.repair is not None:
-                if unknown_seen:
-                    self.repair.note_stale(uid)
-                else:
-                    self.repair.observe(uid)
+            if unknown_seen and self.repair is not None:
+                self.repair.note_stale(uid)
             return EntryCopy.from_wire(result), view.epoch
         return None
 
-    # -- lease validation: fenced version probes on the client plane ---------
+    # -- lease renewal: fenced version probes on the client plane ------------
 
     def probe_versions(self, uid_text: str, nodes: Iterable[str],
                        ring_epoch: int,

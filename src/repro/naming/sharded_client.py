@@ -41,7 +41,7 @@ from typing import Any, Generator
 
 from repro.actions.action import AtomicAction
 from repro.naming.coherence import CoherenceClient
-from repro.naming.entry_cache import CachedEntry, EntryCache, LeaseValidationRecord
+from repro.naming.entry_cache import CachedEntry, EntryCache
 from repro.naming.group_view_db import SERVICE_NAME, GroupViewDatabase
 from repro.naming.object_server_db import ServerEntrySnapshot
 from repro.naming.replica_io import READ_POLICIES, EntryCopy, ReplicaIO
@@ -67,11 +67,9 @@ class ShardedGroupViewDbClient:
     falls back to the authoritative locking read when a live action
     holds the entry or the ring moves mid-read.  The client's own
     mutations invalidate its cached copy write-through, so an owner
-    never serves itself a binding it knows it changed.  With
-    ``validate_leases`` every cache-served read also attaches a
-    :class:`~repro.naming.entry_cache.LeaseValidationRecord` to the
-    calling action's root, restoring serializability optimistically
-    (version probe at prepare, abort on mismatch).
+    never serves itself a binding it knows it changed.  Cache-served
+    reads are lease-consistent, not serializable; without a cache every
+    read locks under the calling action.
     """
 
     def __init__(self, rpc: RpcAgent, router: ShardRouter,
@@ -79,7 +77,6 @@ class ShardedGroupViewDbClient:
                  read_policy: str = "primary",
                  repair: Any | None = None,
                  cache: EntryCache | None = None,
-                 validate_leases: bool = False,
                  clock: Any | None = None,
                  sync_suffix: str = "",
                  coherence_node: Any | None = None,
@@ -100,7 +97,6 @@ class ShardedGroupViewDbClient:
         # demotions; the engine owns feeding and consulting it.
         self.health = health
         self.cache = cache
-        self.validate_leases = validate_leases
         # The coherence plane's client half: with a node handle and a
         # cache attached, push-mode entries register as lessees with
         # their owning shard host and receive multicast invalidations
@@ -113,12 +109,6 @@ class ShardedGroupViewDbClient:
         # ``naming.get_server_latency`` histogram -- the read-latency
         # series benchmarks pull p50/p95/p99 from.
         self.clock = clock or (cache.clock if cache is not None else None)
-        # Live validation records keyed (root serial, uid): dedupe for
-        # repeat reads, the disarm channel for the root's own writes.
-        # Entries release themselves when their record resolves, so
-        # the table is bounded by the in-flight actions.
-        self._validation_records: dict[tuple[int, str],
-                                       LeaseValidationRecord] = {}
         for node in router.nodes:
             self.io.client_for(node)
 
@@ -146,15 +136,7 @@ class ShardedGroupViewDbClient:
 
     # -- the leased read plane -----------------------------------------------
 
-    @staticmethod
-    def _root(action: AtomicAction) -> AtomicAction:
-        root = action
-        while root.parent is not None:
-            root = root.parent
-        return root
-
-    def _invalidate(self, uid: Uid | str,
-                    action: AtomicAction | None = None) -> None:
+    def _invalidate(self, uid: Uid | str) -> None:
         """Write-through: drop our cached copy of an entry we mutate.
 
         Called at write time, not commit time: between the provisional
@@ -165,45 +147,17 @@ class ShardedGroupViewDbClient:
         action holds -- give it its own provisional state, exactly as
         before the cache existed.  If the action later aborts, the cost
         was one spurious miss.
-
-        A validation record this root armed for the same uid is
-        *disarmed*: the write's real locks and 2PC enlistment now own
-        the uid's serialization, and the provisional version bump would
-        otherwise read as "the binding moved" at prepare and self-veto
-        the action on every retry.
         """
         if self.cache is not None:
             self.cache.invalidate(str(uid))
-        if action is not None and self._validation_records:
-            key = (self._root(action).id.top_level_serial, str(uid))
-            record = self._validation_records.get(key)
-            if record is not None:
-                record.disarm()
 
-    def _attach_validation(self, action: AtomicAction, uid_text: str,
-                           versions: tuple[int, int]) -> None:
-        """Arm validate-at-commit for one cache-served read (deduped)."""
-        if not self.validate_leases:
-            return
-        root = self._root(action)
-        key = (root.id.top_level_serial, uid_text)
-        if key in self._validation_records:
-            return
-        record = LeaseValidationRecord(
-            self.io, uid_text, tuple(versions), self.replication,
-            cache=self.cache,
-            release=lambda: self._validation_records.pop(key, None))
-        self._validation_records[key] = record
-        root.add_record(record)
-
-    def _leased_read(self, action: AtomicAction, uid: Uid,
+    def _leased_read(self, uid: Uid,
                      ) -> Generator[Any, Any, "CachedEntry | EntryCopy | None"]:
         """Serve ``get_binding``/``get_view`` from the leased plane.
 
         The snapshot returned carries both halves -- ``hosts`` (the Sv
         set) and ``view`` (the St set) ride one entry, lease, and fence
-        bound, and arm one validate-at-commit record when validation is
-        on -- so a bind costs one lookup, not one per half.  A hit
+        bound -- so a bind costs one lookup, not one per half.  A hit
         serves straight from memory; a miss tries the lock-free
         versioned read and repopulates.  Returning ``None`` means the
         caller must take the authoritative locking path (entry busy,
@@ -214,12 +168,10 @@ class ShardedGroupViewDbClient:
         uid_text = str(uid)
         entry = self.cache.lookup(uid_text)
         if entry is not None:
-            self._attach_validation(action, uid_text, entry.versions)
             return entry
         if self.cache.renewal:
             renewed = yield from self._try_renew(uid_text)
             if renewed is not None:
-                self._attach_validation(action, uid_text, renewed.versions)
                 return renewed
         # Capture the invalidation token and the clock before
         # suspending on the read: a write-through invalidation landing
@@ -244,25 +196,17 @@ class ShardedGroupViewDbClient:
             if reg is not None:
                 ttl, reg_versions = reg
                 if tuple(reg_versions) != tuple(copy.versions):
-                    self._attach_validation(action, uid_text, copy.versions)
                     return copy
-                stored = self.cache.store(uid_text, copy.hosts, copy.view,
-                                          copy.versions, ring_epoch=epoch,
-                                          token=token, fetched_at=started,
-                                          lease=ttl, mode="push")
-                if stored is None:
-                    return None
-                self._attach_validation(action, uid_text, stored.versions)
-                return stored
+                return self.cache.store(uid_text, copy.hosts, copy.view,
+                                        copy.versions, ring_epoch=epoch,
+                                        token=token, fetched_at=started,
+                                        lease=ttl, mode="push")
             # Owner dark mid-registration: fall back to a plain pull
             # store -- the ordinary TTL bounds staleness without pushes.
-        stored = self.cache.store(uid_text, copy.hosts, copy.view,
-                                  copy.versions, ring_epoch=epoch,
-                                  token=token, fetched_at=started)
-        if stored is None:
-            return None  # a write raced us; the locking read serializes
-        self._attach_validation(action, uid_text, stored.versions)
-        return stored
+        # None when a write raced us: the locking read serializes.
+        return self.cache.store(uid_text, copy.hosts, copy.view,
+                                copy.versions, ring_epoch=epoch,
+                                token=token, fetched_at=started)
 
     def _try_renew(self, uid_text: str,
                    ) -> Generator[Any, Any, "CachedEntry | None"]:
@@ -309,7 +253,7 @@ class ShardedGroupViewDbClient:
 
     def define_object(self, action: AtomicAction, uid: Uid, sv_hosts: list[str],
                       st_hosts: list[str]) -> Generator[Any, Any, None]:
-        self._invalidate(uid, action)
+        self._invalidate(uid)
         yield from self.io.write(action, uid, "define_object", str(uid),
                                  list(sv_hosts), list(st_hosts))
 
@@ -322,7 +266,7 @@ class ShardedGroupViewDbClient:
         started = self.clock() if self.clock is not None else None
         entry = None
         if self.cache is not None:
-            entry = yield from self._leased_read(action, uid)
+            entry = yield from self._leased_read(uid)
         if entry is not None:
             binding = list(entry.hosts), list(entry.view)
         else:
@@ -341,37 +285,37 @@ class ShardedGroupViewDbClient:
 
     def insert(self, action: AtomicAction, uid: Uid,
                host: str) -> Generator[Any, Any, None]:
-        self._invalidate(uid, action)
+        self._invalidate(uid)
         yield from self.io.write(action, uid, "insert", str(uid), host)
 
     def remove(self, action: AtomicAction, uid: Uid,
                host: str) -> Generator[Any, Any, None]:
-        self._invalidate(uid, action)
+        self._invalidate(uid)
         yield from self.io.write(action, uid, "remove", str(uid), host)
 
     def increment(self, action: AtomicAction, client_node: str, uid: Uid,
                   hosts: list[str]) -> Generator[Any, Any, None]:
-        self._invalidate(uid, action)
+        self._invalidate(uid)
         yield from self.io.write(action, uid, "increment", client_node,
                                  str(uid), list(hosts))
 
     def decrement(self, action: AtomicAction, client_node: str, uid: Uid,
                   hosts: list[str]) -> Generator[Any, Any, None]:
-        self._invalidate(uid, action)
+        self._invalidate(uid)
         yield from self.io.write(action, uid, "decrement", client_node,
                                  str(uid), list(hosts))
 
     def get_view(self, action: AtomicAction,
                  uid: Uid) -> Generator[Any, Any, list[str]]:
         if self.cache is not None:
-            entry = yield from self._leased_read(action, uid)
+            entry = yield from self._leased_read(uid)
             if entry is not None:
                 return list(entry.view)
         return (yield from self.io.read(action, uid, "get_view", str(uid)))
 
     def include(self, action: AtomicAction, uid: Uid,
                 host: str) -> Generator[Any, Any, None]:
-        self._invalidate(uid, action)
+        self._invalidate(uid)
         yield from self.io.write(action, uid, "include", str(uid), host)
 
     # -- multi-UID operations (fanned out per shard) ------------------------
@@ -380,7 +324,7 @@ class ShardedGroupViewDbClient:
                 exclusions: list[tuple[Uid, list[str]]],
                 ) -> Generator[Any, Any, None]:
         for uid, _hosts in exclusions:
-            self._invalidate(uid, action)
+            self._invalidate(uid)
         yield from self.io.exclude(action, exclusions)
 
     def ping(self) -> Generator[Any, Any, bool]:

@@ -25,10 +25,8 @@ from repro.net.errors import (
     UnknownService,
 )
 from repro.net.latency import (
-    ExponentialLatency,
     FixedLatency,
     LatencyModel,
-    TokenBucket,
     UniformLatency,
 )
 from repro.net.message import Message
@@ -45,7 +43,6 @@ from repro.net.multicast import (
 )
 
 __all__ = [
-    "ExponentialLatency",
     "FixedLatency",
     "GroupView",
     "LatencyModel",
@@ -66,7 +63,6 @@ __all__ = [
     "RpcRequest",
     "RpcTimeout",
     "StaleRingEpoch",
-    "TokenBucket",
     "UnknownMethod",
     "UnknownService",
 ]

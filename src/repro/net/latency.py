@@ -1,15 +1,8 @@
-"""Message latency models and the per-interface token bucket.
+"""Message latency models.
 
-A latency model maps each transmission to a delay in virtual time.  The
-network applies one model to all messages by default; an interface
-attached with its own model (a second *plane*, e.g. a dedicated
-replication NIC) overrides it for traffic it terminates or originates.
+A latency model maps each transmission to a delay in virtual time; the
+network applies its one model to every message on every interface.
 Stochastic models draw from a seeded stream so runs stay reproducible.
-
-:class:`TokenBucket` is the bandwidth knob for such a plane: a
-deterministic rate limiter whose debt converts directly into extra
-delivery delay, so a throttled sync NIC exhibits growing queueing delay
-under load without any randomness.
 """
 
 from __future__ import annotations
@@ -64,57 +57,3 @@ class UniformLatency(LatencyModel):
     @property
     def typical(self) -> float:
         return self.high
-
-
-class TokenBucket:
-    """A deterministic rate limiter expressed as added delivery delay.
-
-    The bucket refills at ``rate`` tokens per unit of virtual time and
-    holds at most ``burst`` tokens.  Each reservation spends ``cost``
-    tokens; the balance may go *negative*, in which case the returned
-    delay is the time until the debt is repaid.  Back-to-back traffic
-    beyond the sustained rate therefore sees linearly growing delay --
-    the behaviour of a saturated link -- while an idle plane recovers
-    its burst headroom.  No randomness: same arrivals, same delays.
-    """
-
-    __slots__ = ("rate", "burst", "_tokens", "_last")
-
-    def __init__(self, rate: float, burst: float = 1.0) -> None:
-        if rate <= 0:
-            raise ValueError(f"token rate must be positive: {rate}")
-        if burst < 1.0:
-            raise ValueError(f"burst must allow at least one message: {burst}")
-        self.rate = rate
-        self.burst = burst
-        self._tokens = burst
-        self._last = 0.0
-
-    def reserve(self, now: float, cost: float = 1.0) -> float:
-        """Spend ``cost`` tokens at time ``now``; return the extra delay."""
-        if now > self._last:
-            self._tokens = min(self.burst,
-                               self._tokens + (now - self._last) * self.rate)
-            self._last = now
-        self._tokens -= cost
-        if self._tokens >= 0:
-            return 0.0
-        return -self._tokens / self.rate
-
-
-class ExponentialLatency(LatencyModel):
-    """Exponential delays with a floor, modelling occasional stragglers."""
-
-    def __init__(self, rng: SeededRng, mean: float = 0.01, floor: float = 0.001) -> None:
-        if mean <= 0 or floor < 0:
-            raise ValueError("mean must be positive and floor non-negative")
-        self._rng = rng.substream("latency")
-        self.mean = mean
-        self.floor = floor
-
-    def sample(self, sender: str, target: str) -> float:
-        return self.floor + self._rng.exponential(self.mean)
-
-    @property
-    def typical(self) -> float:
-        return self.floor + 4 * self.mean

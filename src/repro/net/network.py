@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.net.latency import FixedLatency, LatencyModel, TokenBucket
+from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import Message
 from repro.sim.rng import SeededRng
 from repro.sim.scheduler import Scheduler
@@ -44,23 +44,16 @@ class NetworkInterface:
     crashes and recovers.  While an interface is down it neither sends
     nor receives.
 
-    An interface may carry its own :attr:`latency` model and
-    :attr:`throttle` (token bucket): that is what makes it a distinct
-    network *plane* rather than just a second name.  Messages touching
-    such an interface take its latency instead of the network default,
-    and pay the bucket's queueing delay on top (see
-    :meth:`Network._transmit` for the resolution order).
+    A host's second *plane* (its ``.sync`` replication NIC) is just a
+    second interface: another name with its own listener.  Every
+    interface shares the network's one latency model.
     """
 
-    def __init__(self, network: "Network", name: str,
-                 latency: LatencyModel | None = None,
-                 throttle: TokenBucket | None = None) -> None:
+    def __init__(self, network: "Network", name: str) -> None:
         self._network = network
         self.name = name
         self.up = True
         self.on_message: DeliverFn | None = None
-        self.latency = latency
-        self.throttle = throttle
         self.sent_count = 0
         self.received_count = 0
 
@@ -124,18 +117,11 @@ class Network:
 
     # -- topology ----------------------------------------------------------
 
-    def attach(self, name: str, latency: LatencyModel | None = None,
-               throttle: TokenBucket | None = None) -> NetworkInterface:
-        """Create the interface for a new node name (must be unique).
-
-        ``latency`` and ``throttle`` make the interface a distinct
-        plane: messages it terminates (or, failing that, originates)
-        use its latency model instead of the network default, and queue
-        behind its token bucket.
-        """
+    def attach(self, name: str) -> NetworkInterface:
+        """Create the interface for a new node name (must be unique)."""
         if name in self._interfaces:
             raise ValueError(f"interface name already attached: {name!r}")
-        nic = NetworkInterface(self, name, latency=latency, throttle=throttle)
+        nic = NetworkInterface(self, name)
         self._interfaces[name] = nic
         return nic
 
@@ -235,8 +221,7 @@ class Network:
 
     def _transmit(self, message: Message) -> None:
         self.messages_sent += 1
-        target_nic = self._interfaces.get(message.target)
-        if target_nic is None:
+        if message.target not in self._interfaces:
             self.messages_dropped += 1
             return
         if self._drop_rules and any(
@@ -250,15 +235,7 @@ class Network:
                 and self._rng.random() < self._drop_probability):
             self.messages_dropped += 1
             return
-        # Plane resolution: the target interface's own model wins (sync
-        # traffic into a host's replication NIC takes the sync plane's
-        # latency even from a single-NIC sender), then the sender's,
-        # then the network default.  Same order for the throttle.
-        sender_nic = self._interfaces.get(message.sender)
-        model = target_nic.latency or (
-            sender_nic.latency if sender_nic is not None else None
-        ) or self.latency
-        delay = model.sample(message.sender, message.target)
+        delay = self.latency.sample(message.sender, message.target)
         # Gray hosts: either endpoint's degradation slows the message
         # (factors compound) and may drop it outright.  One rng draw
         # per degraded message keeps the stream count stable for
@@ -273,10 +250,6 @@ class Network:
                     self.messages_degraded_dropped += 1
                     return
             delay *= s_factor * t_factor
-        throttle = target_nic.throttle or (
-            sender_nic.throttle if sender_nic is not None else None)
-        if throttle is not None:
-            delay += throttle.reserve(self._scheduler.now)
         self._scheduler.schedule(delay, self._deliver, message)
 
     def _deliver(self, message: Message) -> None:

@@ -125,11 +125,11 @@ class RpcAgent:
         # Connection-level pipelining: with ``pipeline=True``, requests
         # issued back to back (same virtual instant) to one target are
         # buffered and shipped as a single FRAME_KIND message -- they
-        # share one in-flight transmission (one latency draw, one
-        # throttle token) instead of serialising on request/reply
-        # ping-pong.  Replies stay individual, and each request keeps
-        # its own timeout timer and its own service-time charge at the
-        # target, so the queueing model is unchanged.
+        # share one in-flight transmission (one latency draw) instead
+        # of serialising on request/reply ping-pong.  Replies stay
+        # individual, and each request keeps its own timeout timer and
+        # its own service-time charge at the target, so the queueing
+        # model is unchanged.
         self.pipeline = pipeline
         self._outbox: dict[str, list[RpcRequest]] = {}
         self.frames_sent = 0

@@ -11,9 +11,10 @@ the per-plane traffic meters actually separate the two kinds of load.
 
 import pytest
 
-from repro import DistributedSystem, SystemConfig
-from repro.cluster.node import SYNC_NIC_SUFFIX
+from repro.cluster.node import SYNC_NIC_SUFFIX, Node, SyncPlaneConfig
 from repro.naming.group_view_db import SERVICE_NAME, SYNC_SERVICE_NAME
+from repro.net import FixedLatency, Network
+from repro.sim import Scheduler
 
 from tests.conftest import add_work, get_work
 from tests.integration.test_sharded_nameserver import build
@@ -122,16 +123,36 @@ def test_traffic_meters_split_client_and_sync_planes():
     assert snapshot.get(f"traffic.{victim}.sync.bytes_out", 0) > 0
 
 
-def test_sync_plane_latency_and_throttle_knobs_apply():
-    system, _, _ = build_two_plane(sync_latency=0.003,
-                                   sync_throttle_rate=500.0,
-                                   sync_service_time=0.0005)
-    for name in system.shard_hosts:
-        node = system.nodes[name]
-        assert node.sync_nic.latency is not None
-        assert node.sync_nic.latency.typical == pytest.approx(0.003)
-        assert node.sync_nic.throttle is not None
-        assert node.sync_nic.throttle.rate == 500.0
+def test_a_plane_is_the_one_latency_model_and_its_own_service_queue():
+    """What ``sync_plane`` relies on: a message to a host's ``.sync``
+    NIC takes the network's latency like any other, and queues only
+    behind other *sync* requests -- never behind the client plane."""
+    class Echo:
+        def echo(self, value):
+            return value
+
+    s = Scheduler()
+    net = Network(s, FixedLatency(0.01))
+    host = Node(s, net, "h", service_time=1.0,
+                sync_plane=SyncPlaneConfig(service_time=0.1))
+    caller = Node(s, net, "c")
+    host.rpc.register("echo", Echo())
+    host.sync_rpc.register("echo", Echo())
+
+    done = {}
+    calls = [("client", "h"), ("sync-1", "h.sync"), ("sync-2", "h.sync")]
+    for label, target in calls:
+        future = caller.rpc.call(target, "echo", "echo", label, timeout=10.0)
+        future.add_callback(
+            lambda f, label=label: done.setdefault(label, s.now))
+    s.run(until=5.0)
+
+    # One wire delay each way plus the serving agent's queue: the sync
+    # calls pay 0.1 s apiece in their own queue while the client plane
+    # is still busy with its 1 s request.
+    assert done == {"sync-1": pytest.approx(0.12),
+                    "sync-2": pytest.approx(0.22),
+                    "client": pytest.approx(1.02)}
 
 
 def test_weight_only_rebalance_moves_entries_and_loses_nothing():
@@ -173,12 +194,3 @@ def test_add_shard_host_with_weight_takes_a_larger_share():
     for uid in uids:
         result = system.run_transaction(client, get_work(uid))
         assert result.committed and result.value == 1
-
-
-def test_boot_weights_flow_from_config():
-    system, _, _ = build(shards=3, objects=0, shard_weights=(1.0, 2.0, 1.0))
-    assert system.shard_router.weights == {
-        "namenode0": 1.0, "namenode1": 2.0, "namenode2": 1.0}
-    with pytest.raises(ValueError):
-        DistributedSystem(SystemConfig(nameserver_shards=3,
-                                       shard_weights=(1.0, 2.0)))

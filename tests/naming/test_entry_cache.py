@@ -11,9 +11,7 @@ The contract under test, bound by bound:
 - the owner's **own mutations invalidate write-through**, so a client
   never serves itself a binding it knows it changed;
 - a **busy entry** (live action mid-flight) refuses the lock-free read
-  and the client falls back to the authoritative locking path;
-- with validation on, a cached read whose binding moved is **vetoed at
-  prepare** (optimistic serializability).
+  and the client falls back to the authoritative locking path.
 """
 
 import pytest
@@ -32,8 +30,7 @@ NODES = ("shard-a", "shard-b", "shard-c")
 LEASE = 5.0
 
 
-def make_world(replication=2, lease=LEASE, validate=False, capacity=64,
-               keep_ledger=True):
+def make_world(replication=2, lease=LEASE, capacity=64, keep_ledger=True):
     s = Scheduler()
     net = Network(s, FixedLatency(0.01))
     dbs, agents = {}, {}
@@ -57,7 +54,7 @@ def make_world(replication=2, lease=LEASE, validate=False, capacity=64,
                        keep_ledger=keep_ledger)
     client = ShardedGroupViewDbClient(client_agent, router,
                                       replication=replication,
-                                      cache=cache, validate_leases=validate)
+                                      cache=cache)
     return s, dbs, agents, router, client, client_agent
 
 
@@ -265,77 +262,6 @@ def test_busy_entry_falls_back_to_the_authoritative_read():
     dbs[primary].abort(writer.id.path)
 
 
-def test_validation_vetoes_a_commit_over_a_moved_binding():
-    s, dbs, agents, router, client, agent = make_world(validate=True)
-    one_lookup(s, client)  # populate the cache
-
-    # The binding moves behind the client's back (another client's
-    # committed Increment on every replica).
-    other = AtomicAction(node="other")
-    for name in router.preference_list(UID, 2):
-        dbs[name].increment(other.id.path, "other", str(UID), ["h1"])
-        dbs[name].commit(other.id.path)
-
-    action = AtomicAction(node="client")
-
-    def body():
-        hosts, _view = yield from client.get_binding(action, UID, action)
-        status = yield from action.commit()
-        return hosts, status
-
-    hosts, status = run(s, body())
-    assert hosts == ["h1", "h2"], "the hit itself serves the cached Sv"
-    assert status is ActionStatus.ABORTED, \
-        "validate-at-commit must veto the stale lease"
-    record = next(r for r in action.records
-                  if type(r).__name__ == "LeaseValidationRecord")
-    assert record.outcome == "stale"
-
-
-def test_veto_purges_the_entry_so_the_retry_commits():
-    """The optimistic loop must converge: a vetoed lease is dropped
-    from the cache, so the re-run misses, refetches the moved binding,
-    and validates clean -- not abort forever until the lease expires."""
-    s, dbs, agents, router, client, agent = make_world(validate=True)
-    one_lookup(s, client)
-    other = AtomicAction(node="other")
-    for name in router.preference_list(UID, 2):
-        dbs[name].increment(other.id.path, "other", str(UID), ["h1"])
-        dbs[name].commit(other.id.path)
-
-    _hosts, status = one_lookup(s, client)
-    assert status is ActionStatus.ABORTED
-    assert len(client.cache) == 0, "the vetoed entry must be purged"
-
-    hosts, status = one_lookup(s, client)  # the retry
-    assert hosts == ["h1", "h2"]
-    assert status is ActionStatus.COMMITTED, \
-        "the retry must refetch and validate clean"
-
-
-def test_own_write_after_leased_read_does_not_self_veto():
-    """A leased read followed by the same action writing that uid must
-    commit: the write's provisional version bump is the action's *own*,
-    and its real locks + 2PC enlistment own the uid's serialization
-    from that point -- the validation record is disarmed, not left to
-    read the bump as 'the binding moved' and veto every retry."""
-    s, dbs, agents, router, client, agent = make_world(validate=True)
-    one_lookup(s, client)  # populate
-    action = AtomicAction(node="client")
-
-    def body():
-        yield from client.get_binding(action, UID, action)   # leased hit, armed
-        yield from client.insert(action, UID, "h3")  # own write, same uid
-        return (yield from action.commit())
-
-    assert run(s, body()) is ActionStatus.COMMITTED
-    record = next(r for r in action.records
-                  if type(r).__name__ == "LeaseValidationRecord")
-    assert record.outcome == "superseded"
-    assert client._validation_records == {}, \
-        "resolved records must release their dedupe entries"
-
-
 def test_gated_replica_cannot_seed_a_lease():
     """A recovering host is held out of the client serving path while
     its sync side door stays open for resync traffic.  The leased
@@ -367,15 +293,6 @@ def test_gated_replica_cannot_seed_a_lease():
         "only gated/dark replicas remain: the read must fail, not serve"
     assert len(client.cache) == 0, \
         "nothing may seed a lease from a gated replica"
-
-
-def test_validation_passes_while_the_binding_is_unchanged():
-    s, dbs, agents, router, client, agent = make_world(validate=True)
-    one_lookup(s, client)
-    hosts, status = one_lookup(s, client)
-    assert hosts == ["h1", "h2"]
-    assert status is ActionStatus.COMMITTED, \
-        "an unchanged binding must validate clean"
 
 
 def test_leased_miss_reports_stale_missing_replicas_for_repair():

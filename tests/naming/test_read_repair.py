@@ -4,8 +4,8 @@ The spread policy must rotate hot-arc reads across the whole replica
 set (that is the load-balancing win) without ever serving a
 transition's not-yet-copied incoming owners; read-repair must turn the
 staleness a read *observes* -- a replica disclaiming an entry its
-peers hold, or a lagging write version caught by the sampled verify --
-into a lock-guarded, version-gated install on the laggard.
+peers hold -- into a lock-guarded, version-gated install on the
+laggard.
 """
 
 from repro.actions import ActionStatus, AtomicAction
@@ -22,8 +22,7 @@ UID = Uid("sys", 1)
 NODES = ("shard-a", "shard-b", "shard-c")
 
 
-def make_ring_world(replication=3, read_policy="primary", repair=False,
-                    verify_interval=None):
+def make_ring_world(replication=3, read_policy="primary", repair=False):
     s = Scheduler()
     net = Network(s, FixedLatency(0.01))
     dbs, agents = {}, {}
@@ -44,8 +43,7 @@ def make_ring_world(replication=3, read_policy="primary", repair=False,
     repairer = None
     if repair:
         repairer = ReadRepairer(s, client_agent, router, replication,
-                                min_interval=0.0,
-                                verify_interval=verify_interval)
+                                min_interval=0.0)
     client = ShardedGroupViewDbClient(client_agent, router,
                                       replication=replication,
                                       read_policy=read_policy,
@@ -172,30 +170,6 @@ def test_unknown_object_failover_triggers_a_reseed():
     assert dbs[head].knows(str(UID)), \
         "the failover's evidence must re-seed the stale replica"
     assert client.repair.entries_repaired >= 1
-
-
-def test_sampled_verify_repairs_a_silently_lagging_replica():
-    """The residual resync window: a replica that serves while behind
-    answers reads without any error.  The sampled version verify is
-    what catches it."""
-    s, dbs, agents, router, client = make_ring_world(repair=True,
-                                                     verify_interval=0.0)
-    plist = router.preference_list(UID, 3)
-    head, laggard = plist[0], plist[1]
-    # A committed write that only the head (and third replica) took.
-    action = AtomicAction(node="test")
-    for name in plist:
-        if name != laggard:
-            dbs[name].increment(action.id.path, "binder", str(UID), ["h1"])
-            dbs[name].commit(action.id.path)
-
-    assert one_read(s, client) == ["h1", "h2"]  # head serves, no error
-    s.run(until=s.now + 5.0)
-    snapshot = dbs[laggard].server_db.get_server_with_uses((0,),
-                                                           Uid.parse(str(UID)))
-    dbs[laggard].server_db.locks.release_all(ActionId((0,)))
-    assert dict(snapshot.uses["h1"]) == {"binder": 1}, \
-        "the verify must pull the laggard level with its peers"
 
 
 def test_repairs_are_throttled_per_uid():

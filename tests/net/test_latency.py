@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import ExponentialLatency, FixedLatency, UniformLatency
+from repro.net import FixedLatency, UniformLatency
 from repro.sim import SeededRng
 
 
@@ -34,59 +34,3 @@ def test_uniform_latency_deterministic_per_seed():
     b = UniformLatency(SeededRng(7), 0.0, 1.0)
     assert [a.sample("x", "y") for _ in range(5)] == [
         b.sample("x", "y") for _ in range(5)]
-
-
-def test_exponential_latency_floor():
-    model = ExponentialLatency(SeededRng(2), mean=0.01, floor=0.005)
-    for _ in range(200):
-        assert model.sample("a", "b") >= 0.005
-    assert model.typical > 0.005
-
-
-def test_exponential_latency_validation():
-    with pytest.raises(ValueError):
-        ExponentialLatency(SeededRng(1), mean=0.0)
-    with pytest.raises(ValueError):
-        ExponentialLatency(SeededRng(1), mean=0.01, floor=-0.1)
-
-
-def test_token_bucket_under_rate_is_free():
-    from repro.net import TokenBucket
-    bucket = TokenBucket(rate=10.0, burst=2.0)
-    # Messages arriving slower than the refill rate never wait.
-    assert bucket.reserve(0.0) == 0.0
-    assert bucket.reserve(0.5) == 0.0
-    assert bucket.reserve(1.0) == 0.0
-
-
-def test_token_bucket_backlog_grows_linearly():
-    from repro.net import TokenBucket
-    bucket = TokenBucket(rate=2.0, burst=1.0)
-    # A burst at t=0: the first message spends the burst allowance,
-    # each further message owes another 1/rate of delay.
-    assert bucket.reserve(0.0) == 0.0
-    assert bucket.reserve(0.0) == pytest.approx(0.5)
-    assert bucket.reserve(0.0) == pytest.approx(1.0)
-    assert bucket.reserve(0.0) == pytest.approx(1.5)
-
-
-def test_token_bucket_refills_up_to_burst_only():
-    from repro.net import TokenBucket
-    bucket = TokenBucket(rate=1.0, burst=2.0)
-    bucket.reserve(0.0)
-    bucket.reserve(0.0)
-    # A long idle period refills to the burst cap, not beyond: two
-    # free messages, then the meter bites again.
-    assert bucket.reserve(100.0) == 0.0
-    assert bucket.reserve(100.0) == 0.0
-    assert bucket.reserve(100.0) == pytest.approx(1.0)
-
-
-def test_token_bucket_validation():
-    from repro.net import TokenBucket
-    with pytest.raises(ValueError):
-        TokenBucket(rate=0.0)
-    with pytest.raises(ValueError):
-        TokenBucket(rate=-5.0)
-    with pytest.raises(ValueError):
-        TokenBucket(rate=1.0, burst=0.5)

@@ -190,55 +190,3 @@ def test_message_counters():
     assert net.messages_delivered == 2
     assert a.sent_count == 2
     assert b.received_count == 2
-
-
-def test_target_interface_latency_overrides_network_default():
-    s, net = make_net(0.5)
-    a = net.attach("a")
-    b = net.attach("b.sync", latency=FixedLatency(0.05))
-    received = []
-    b.on_message = lambda m: received.append((s.now, m.payload))
-    a.send("b.sync", "k", "fast-plane")
-    s.run()
-    assert received == [(0.05, "fast-plane")]
-
-
-def test_sender_interface_latency_used_when_target_has_none():
-    s, net = make_net(0.5)
-    a = net.attach("a.sync", latency=FixedLatency(0.02))
-    b = net.attach("b")
-    received = []
-    b.on_message = lambda m: received.append((s.now, m.payload))
-    a.send("b", "k", "x")
-    s.run()
-    assert received == [(0.02, "x")]
-
-
-def test_interface_throttle_spaces_out_a_burst():
-    from repro.net import TokenBucket
-    s, net = make_net(0.01)
-    a = net.attach("a")
-    b = net.attach("b", throttle=TokenBucket(rate=10.0, burst=1.0))
-    received = []
-    b.on_message = lambda m: received.append(s.now)
-    for _ in range(3):
-        a.send("b", "k", "x")
-    s.run()
-    # First message pays latency only; each further one queues an
-    # extra 1/rate behind the bucket.
-    assert received == [
-        pytest.approx(0.01), pytest.approx(0.11), pytest.approx(0.21)]
-
-
-def test_unthrottled_interfaces_share_no_bucket():
-    from repro.net import TokenBucket
-    s, net = make_net(0.01)
-    a = net.attach("a")
-    net.attach("b", throttle=TokenBucket(rate=10.0, burst=1.0))
-    c = net.attach("c")
-    received = []
-    c.on_message = lambda m: received.append(s.now)
-    for _ in range(3):
-        a.send("c", "k", "x")
-    s.run()
-    assert received == [pytest.approx(0.01)] * 3

@@ -1,11 +1,14 @@
 """The benchmark harness: what is recorded, what is gated, what is reached."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 from types import SimpleNamespace
 
 from benchmarks import check_regression, common, conftest
+from repro.cluster.system import SystemConfig
+from repro.workload.scenario import ALIASES
 from repro.workload.scenarios import SCENARIOS
 
 BENCHMARKS = Path(common.__file__).parent
@@ -73,3 +76,27 @@ def test_moved_lists_only_the_rows_that_changed_rises_included(
     [line] = capsys.readouterr().out.splitlines()
     assert line.startswith("ok") and "fig3].2.commit_rate" in line
     assert line.endswith("0.800 -> 0.900 (+12.5%)")
+
+
+# ``ShadowResolver`` is recovery code (cooperative termination of
+# orphaned shadows), not an optional plane: whether it becomes default-on
+# or gets a ``paper_*`` row belongs to ROADMAP item 1's coordinator-crash
+# bugs, so it is the one field allowed to have no row.
+_FIELDS_WITHOUT_A_ROW = {"enable_shadow_resolvers"}
+
+
+def test_every_config_field_is_set_by_a_scenario():
+    # A knob nothing sets has no row: give it one or delete it.
+    reached = set()
+    for declared in SCENARIOS.values():
+        for scenario in (declared, *declared.modes.values()):
+            for case in ({}, *scenario.tiny):
+                mode = case.get("mode", scenario.params.get("mode"))
+                target = (scenario if mode == scenario.params.get("mode")
+                          else scenario.modes[mode])
+                p = target.bind(case)
+                reached |= {ALIASES.get(name, name) for name in vars(p)}
+                reached |= set(target.config(p))
+    unset = {f.name for f in dataclasses.fields(SystemConfig)} - reached
+    assert unset == _FIELDS_WITHOUT_A_ROW, (
+        f"no scenario sets {sorted(unset - _FIELDS_WITHOUT_A_ROW)}")
