@@ -8,10 +8,12 @@ benches (which rewrite ``benchmarks/results/``), then runs::
     python -m benchmarks.check_regression \
         --baseline /tmp/bench-baseline --current benchmarks/results
 
-Every numeric value whose leaf key contains one of ``GATED_KEYS``
-(``throughput``, ``commit_rate``) is compared pathwise; a current
-value more than ``--tolerance`` (default 20%) below its baseline fails
-the gate.  Benches present on only one side are skipped (a brand-new
+Every numeric value whose leaf key contains one of ``GATED_KEYS`` is
+compared pathwise, in the key's own direction: ``throughput`` and
+``commit_rate`` fail more than ``--tolerance`` (default 20%) *below*
+their baseline, ``rpcs_sent`` -- an exact count of messages, so the
+ratio is not at the mercy of a discrete sample -- more than that
+*above* it.  Benches present on only one side are skipped (a brand-new
 bench gains its baseline the commit it lands), as are baseline values
 of zero.  Latency keys are deliberately *not* gated: simulated tail
 latencies at tiny smoke sizes are too discrete for a ratio gate, and
@@ -34,9 +36,10 @@ import json
 import sys
 from pathlib import Path
 
-# Substrings of a flattened JSON path that mark a gated higher-is-better
-# metric.
-GATED_KEYS = ("throughput", "commit_rate")
+# Substrings of a flattened JSON path's leaf key that mark a gated
+# metric, with the direction in which it gets better: +1 higher, -1
+# lower.
+GATED_KEYS = {"throughput": +1, "commit_rate": +1, "rpcs_sent": -1}
 
 
 def flatten(value: object, path: str = "") -> dict[str, float]:
@@ -55,15 +58,17 @@ def flatten(value: object, path: str = "") -> dict[str, float]:
     return out
 
 
-def gated(path: str) -> bool:
+def gated(path: str) -> int:
+    """The direction ``path`` is gated in (+1 / -1), or 0: not gated."""
     # Only the leaf key decides: a *test name* containing "throughput"
     # must not drag its unrelated row fields into the gate.  Wall-clock
-    # entries are keyed by test name too, and are lower-is-better --
-    # they get their own absolute budget below, never the ratio gate.
+    # entries are keyed by test name too -- they get their own absolute
+    # budget below, never the ratio gate.
     if path.startswith("wall_clock_seconds"):
-        return False
+        return 0
     leaf = path.rsplit(".", 1)[-1].lower()
-    return any(key in leaf for key in GATED_KEYS)
+    return next((better for key, better in GATED_KEYS.items()
+                 if key in leaf), 0)
 
 
 def compare(baseline_dir: Path, current_dir: Path,
@@ -78,7 +83,8 @@ def compare(baseline_dir: Path, current_dir: Path,
         baseline = flatten(json.loads(baseline_path.read_text()))
         current = flatten(json.loads(current_path.read_text()))
         for path, base_value in sorted(baseline.items()):
-            if not gated(path) or base_value <= 0:
+            better = gated(path)
+            if not better or base_value <= 0:
                 continue
             now = current.get(path)
             if now is None:
@@ -86,20 +92,24 @@ def compare(baseline_dir: Path, current_dir: Path,
                       f"gone from current results")
                 continue
             compared += 1
-            floor = base_value * (1.0 - tolerance)
-            verdict = "ok" if now >= floor else "REGRESSED"
+            # A floor for a higher-is-better value, a ceiling otherwise.
+            limit = base_value * (1.0 - better * tolerance)
+            regressed = (now - limit) * better < 0
+            verdict = "REGRESSED" if regressed else "ok"
+            bound, side, sign = (("floor", "below", "<") if better > 0
+                                 else ("ceiling", "above", ">"))
             if not moved_only:
                 print(f"{verdict:9s} {baseline_path.name}:{path}: "
                       f"{now:.3f} vs baseline {base_value:.3f} "
-                      f"(floor {floor:.3f})")
+                      f"({bound} {limit:.3f})")
             elif now != base_value:
                 print(f"{verdict:9s} {baseline_path.name}:{path}: "
                       f"{base_value:.3f} -> {now:.3f} "
                       f"({now / base_value - 1.0:+.1%})")
-            if now < floor:
+            if regressed:
                 failures.append(
-                    f"{baseline_path.name}:{path}: {now:.3f} < "
-                    f"{floor:.3f} ({tolerance:.0%} below {base_value:.3f})")
+                    f"{baseline_path.name}:{path}: {now:.3f} {sign} "
+                    f"{limit:.3f} ({tolerance:.0%} {side} {base_value:.3f})")
     if compared == 0:
         failures.append("no gated metrics compared -- baseline or current "
                         "results missing entirely")
@@ -139,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--current", type=Path, required=True,
                         help="directory of freshly-generated BENCH_*.json")
     parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional throughput drop (0.20)")
+                        help="allowed fractional move the wrong way (0.20)")
     parser.add_argument("--wall-budget", type=float, default=150.0,
                         help="absolute per-bench wall-clock cap in real "
                              "seconds (150)")

@@ -104,6 +104,10 @@ class CallbackRecord(AbstractRecord):
         yield  # pragma: no cover
 
 
+def _nobody_to_tell() -> None:
+    """Default ``on_resolved`` of a :class:`RemoteParticipantRecord`."""
+
+
 class RemoteParticipantRecord(AbstractRecord):
     """2PC participant reached over RPC.
 
@@ -138,13 +142,26 @@ class RemoteParticipantRecord(AbstractRecord):
     commit/abort consume, so a duplicate prepare re-produces the same
     verdict.  Commit/abort phases are untouched: commit failures must
     surface as heuristics, and abort is already best-effort.
+
+    That same property makes most prepares redundant: a participant
+    that has just *acknowledged a write under this action* can only
+    answer ``ok``, so the acknowledgement is taken as the vote
+    (:meth:`note_write_acknowledged`) and phase 1 sends it nothing --
+    ``commit`` follows the last write directly.  A participant the
+    action only read at is still asked: its ``readonly`` vote is its
+    lock release.
+
+    ``on_resolved`` is called once the participant's part is over --
+    after its ``commit`` or ``abort``, or on its read-only vote, which
+    has no phase 2 -- so whoever enlisted the record can forget it.
     """
 
     def __init__(self, rpc: RpcAgent, target: str, service: str,
                  order: int = 500,
                  batcher: CommitBatcher | None = None,
                  retries: int = 0, backoff: float = 0.05,
-                 rng: SeededRng | None = None) -> None:
+                 rng: SeededRng | None = None,
+                 on_resolved: Callable[[], None] | None = None) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if retries and rng is None:
@@ -157,7 +174,13 @@ class RemoteParticipantRecord(AbstractRecord):
         self._retries = retries
         self._backoff = backoff
         self._rng = rng
+        self._resolved = on_resolved or _nobody_to_tell
         self._pending: Future | None = None
+        self._voted = False
+
+    def note_write_acknowledged(self) -> None:
+        """The participant applied a write of this action: it has voted."""
+        self._voted = True
 
     def _issue(self, method: str, action: AtomicAction) -> Future:
         return self._transport.call(self.target, self.service, method,
@@ -169,7 +192,8 @@ class RemoteParticipantRecord(AbstractRecord):
         return future if future is not None else self._issue(method, action)
 
     def begin_prepare(self, action: AtomicAction) -> None:
-        self._pending = self._issue("prepare", action)
+        if not self._voted:
+            self._pending = self._issue("prepare", action)
 
     def begin_commit(self, action: AtomicAction) -> None:
         self._pending = self._issue("commit", action)
@@ -178,6 +202,8 @@ class RemoteParticipantRecord(AbstractRecord):
         self._pending = self._issue("abort", action)
 
     def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
+        if self._voted:
+            return Vote.OK
         for attempt in range(self._retries + 1):
             try:
                 verdict = yield self._take_pending("prepare", action)
@@ -189,15 +215,21 @@ class RemoteParticipantRecord(AbstractRecord):
                 yield Timeout(delay + self._rng.uniform(0.0, delay))
                 continue
             if verdict == "readonly":
+                self._resolved()
                 return Vote.READONLY
             return Vote.OK if verdict == "ok" else Vote.ABORT
         return Vote.ABORT  # pragma: no cover - loop always returns
 
     def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        yield self._take_pending("commit", action)
+        try:
+            yield self._take_pending("commit", action)
+        finally:
+            self._resolved()
 
     def abort(self, action: AtomicAction) -> Generator[Any, Any, None]:
         try:
             yield self._take_pending("abort", action)
         except RpcError:
             pass  # participant down; its crash already undid volatile state
+        finally:
+            self._resolved()

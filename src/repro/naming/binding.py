@@ -15,7 +15,8 @@ database and binds to servers for an object:
 
 - :class:`IndependentTopLevelBinding` (figure 7, section 4.1.3(i)): the
   database work runs in its own *independent top-level actions*.  The
-  first returns ``Sv`` plus use lists; if all use lists are empty the
+  first returns ``Sv`` plus use lists (the same lookup reads ``St``
+  under the client action); if all use lists are empty the
   client may pick any subset to activate, otherwise it must bind to the
   servers already in use (non-zero counters).  Failed servers are
   ``Remove``d and successful bindings ``Increment``ed before that first
@@ -240,14 +241,14 @@ class IndependentTopLevelBinding(BindingScheme):
     def bind(self, action: AtomicAction, uid: Uid, binder: Binder,
              k: int | None = None,
              read_only: bool = False) -> Generator[Any, Any, BindOutcome]:
-        # ``St`` is read under the client action (it holds the read lock
-        # to its end); the use-list work below is another action's.
-        st = yield from self.db.get_view(action, uid)
-        binder = self._over_stores(binder, uid, st)
+        # One lookup, two owners: ``St`` is read under the client action
+        # (it holds the read lock to its end), ``Sv`` and its use lists
+        # under ``first``, write-locked for the Increment to come.
         first = self._db_action(action)
         try:
-            snapshot = yield from self.db.get_server_with_uses(first, uid,
-                                                            for_update=True)
+            snapshot, st = yield from self.db.get_binding_with_uses(
+                first, uid, view_action=action)
+            binder = self._over_stores(binder, uid, st)
             if snapshot.all_uses_empty:
                 candidates = list(snapshot.hosts)
                 limit = k

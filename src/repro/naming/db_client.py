@@ -5,7 +5,9 @@ Wraps the RPC surface of
 methods usable from simulation processes, translates remote errors back
 into their naming/locking exception types, and automatically enlists
 the database as a two-phase-commit participant of the calling action's
-top-level root (once per top-level action).
+top-level root -- once per top-level action, forgotten again when that
+action resolves.  A write the database acknowledges is its vote: the
+participant record is told, and sends no ``prepare`` at commit.
 
 Calls issued on behalf of a captured ring view carry its fence token
 (``ring_epoch``); the replica-copy read protocol itself lives in
@@ -15,6 +17,7 @@ consumer shares.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Generator
 
 from repro.actions.action import AtomicAction
@@ -72,7 +75,9 @@ class GroupViewDbClient:
         self.service = service
         self.participant_retries = participant_retries
         self._retry_rng = retry_rng
-        self._enlisted_roots: set[int] = set()
+        # Top-level serial -> the record enlisted for that root, from
+        # enlistment until the record's commit, abort or read-only vote.
+        self._participants: dict[int, RemoteParticipantRecord] = {}
 
     # -- enlistment ----------------------------------------------------------
 
@@ -83,20 +88,25 @@ class GroupViewDbClient:
             root = root.parent
         return root
 
-    def enlist(self, action: AtomicAction) -> None:
+    def enlist(self, action: AtomicAction) -> RemoteParticipantRecord:
         """Make the db a 2PC participant of the action's top-level root."""
         root = self._root(action)
-        if root.id.top_level_serial in self._enlisted_roots:
-            return
-        self._enlisted_roots.add(root.id.top_level_serial)
-        root.add_record(RemoteParticipantRecord(
-            self._rpc, self.db_node, self.service, order=600,
-            batcher=self._batcher, retries=self.participant_retries,
-            rng=self._retry_rng))
+        serial = root.id.top_level_serial
+        record = self._participants.get(serial)
+        if record is None:
+            record = RemoteParticipantRecord(
+                self._rpc, self.db_node, self.service, order=600,
+                batcher=self._batcher, retries=self.participant_retries,
+                rng=self._retry_rng,
+                on_resolved=functools.partial(self._participants.pop,
+                                              serial, None))
+            root.add_record(record)
+            self._participants[serial] = record
+        return record
 
     def is_enlisted(self, action: AtomicAction) -> bool:
-        """Whether this shard already participates in the action's root."""
-        return self._root(action).id.top_level_serial in self._enlisted_roots
+        """Whether this shard participates in the action's (live) root."""
+        return self._root(action).id.top_level_serial in self._participants
 
     def abort_stray(self, action: AtomicAction) -> None:
         """Presumed abort for an op whose RPC failed before enlistment.
@@ -117,17 +127,9 @@ class GroupViewDbClient:
 
     # -- calls ----------------------------------------------------------------
 
-    def _call(self, method: str, *args: Any,
-              ring_epoch: int | None = None) -> Generator[Any, Any, Any]:
-        try:
-            result = yield self._rpc.call(self.db_node, self.service, method,
-                                          *args, ring_epoch=ring_epoch)
-        except RpcRemoteError as exc:
-            raise_mapped(exc)
-        return result
-
     def call_enlisted(self, action: AtomicAction, method: str, *args: Any,
-                      ring_epoch: int | None = None,
+                      ring_epoch: int | None = None, write: bool = False,
+                      view_action: AtomicAction | None = None,
                       ) -> Generator[Any, Any, Any]:
         """One db operation with eager enlistment (the single-home path).
 
@@ -139,13 +141,25 @@ class GroupViewDbClient:
         rejection (``StaleRingEpoch``) leaves the shard enlisted but is
         harmless: the rejected request never executed, and an abort to
         an untouched participant is a no-op.
+
+        ``write`` and ``view_action`` are :meth:`call_reached`'s; only
+        ``action`` is enlisted eagerly.  A ``view_action`` the shard was
+        not seen to reach gets the presumed abort instead, so a dark
+        shard costs the caller one abort round trip, not one per root.
         """
         self.enlist(action)
-        return (yield from self._call(method, action.id.path, *args,
-                                      ring_epoch=ring_epoch))
+        try:
+            return (yield from self.call_reached(
+                action, method, *args, ring_epoch=ring_epoch, write=write,
+                view_action=view_action))
+        except RpcError:
+            if view_action is not None and not self.is_enlisted(view_action):
+                self.abort_stray(view_action)
+            raise
 
     def call_reached(self, action: AtomicAction, method: str, *args: Any,
-                     ring_epoch: int | None = None,
+                     ring_epoch: int | None = None, write: bool = False,
+                     view_action: AtomicAction | None = None,
                      ) -> Generator[Any, Any, Any]:
         """One db operation, enlisting the shard only if it was *reached*.
 
@@ -159,6 +173,13 @@ class GroupViewDbClient:
         -- raises without enlisting, letting the caller fail over; so
         does a fencing rejection (the server refused before dispatch,
         so it holds nothing of this action's).
+
+        ``write`` says the operation mutates: its acknowledgement is the
+        shard's vote, and the participant record is told.  A refused or
+        failed write marks nothing.  ``view_action`` is a second action
+        the operation takes locks under (see
+        :meth:`get_binding_with_uses`): a shard that was reached is
+        enlisted for its root too.
         """
         try:
             result = yield self._rpc.call(self.db_node, self.service, method,
@@ -166,16 +187,25 @@ class GroupViewDbClient:
                                           ring_epoch=ring_epoch)
         except RpcRemoteError as exc:
             if exc.remote_type in _ERROR_TYPES:
-                self.enlist(action)
+                self._enlist_reached(action, view_action)
             raise_mapped(exc)
-        self.enlist(action)
+        record = self._enlist_reached(action, view_action)
+        if write:
+            record.note_write_acknowledged()
         return result
+
+    def _enlist_reached(self, action: AtomicAction,
+                        view_action: AtomicAction | None,
+                        ) -> RemoteParticipantRecord:
+        if view_action is not None:
+            self.enlist(view_action)
+        return self.enlist(action)
 
     def define_object(self, action: AtomicAction, uid: Uid, sv_hosts: list[str],
                       st_hosts: list[str]) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("define_object", action.id.path, str(uid),
-                              list(sv_hosts), list(st_hosts))
+        yield from self.call_enlisted(action, "define_object", str(uid),
+                                      list(sv_hosts), list(st_hosts),
+                                      write=True)
 
     def get_binding(self, action: AtomicAction, uid: Uid,
                     view_action: AtomicAction,
@@ -183,56 +213,63 @@ class GroupViewDbClient:
         """``(Sv, St)`` of one entry in one round trip: ``Sv`` is read
         under ``action``, ``St`` under ``view_action`` (the client
         action, whose read lock a commit-time Exclude promotes)."""
-        self.enlist(action)
-        return (yield from self._call("get_binding", action.id.path,
-                                      str(uid), view_action.id.path))
+        return (yield from self.call_enlisted(
+            action, "get_binding", str(uid), view_action.id.path))
+
+    def get_binding_with_uses(
+            self, action: AtomicAction, uid: Uid, view_action: AtomicAction,
+            ) -> Generator[Any, Any, tuple[ServerEntrySnapshot, list[str]]]:
+        """``(Sv with use lists, St)`` in one round trip, for the
+        use-list schemes: ``Sv`` is *write*-locked under ``action`` (an
+        independent top-level action), ``St`` read-locked under
+        ``view_action``.  Two roots hold locks here afterwards, so the
+        db is enlisted for both -- the client action's read-only
+        ``prepare`` is what releases its ``St`` lock."""
+        return (yield from self.call_enlisted(
+            action, "get_binding_with_uses", str(uid), view_action.id.path,
+            view_action=view_action))
 
     def get_server_with_uses(self, action: AtomicAction, uid: Uid,
                              for_update: bool = False,
                              ) -> Generator[Any, Any, ServerEntrySnapshot]:
-        self.enlist(action)
-        return (yield from self._call("get_server_with_uses",
-                                      action.id.path, str(uid), for_update))
+        return (yield from self.call_enlisted(
+            action, "get_server_with_uses", str(uid), for_update))
 
     def insert(self, action: AtomicAction, uid: Uid,
                host: str) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("insert", action.id.path, str(uid), host)
+        yield from self.call_enlisted(action, "insert", str(uid), host,
+                                      write=True)
 
     def remove(self, action: AtomicAction, uid: Uid,
                host: str) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("remove", action.id.path, str(uid), host)
+        yield from self.call_enlisted(action, "remove", str(uid), host,
+                                      write=True)
 
     def increment(self, action: AtomicAction, client_node: str, uid: Uid,
                   hosts: list[str]) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("increment", action.id.path, client_node,
-                              str(uid), list(hosts))
+        yield from self.call_enlisted(action, "increment", client_node,
+                                      str(uid), list(hosts), write=True)
 
     def decrement(self, action: AtomicAction, client_node: str, uid: Uid,
                   hosts: list[str]) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("decrement", action.id.path, client_node,
-                              str(uid), list(hosts))
+        yield from self.call_enlisted(action, "decrement", client_node,
+                                      str(uid), list(hosts), write=True)
 
     def get_view(self, action: AtomicAction,
                  uid: Uid) -> Generator[Any, Any, list[str]]:
-        self.enlist(action)
-        return (yield from self._call("get_view", action.id.path, str(uid)))
+        return (yield from self.call_enlisted(action, "get_view", str(uid)))
 
     def exclude(self, action: AtomicAction,
                 exclusions: list[tuple[Uid, list[str]]],
                 ring_epoch: int | None = None) -> Generator[Any, Any, None]:
-        self.enlist(action)
         wire = [(str(uid), list(hosts)) for uid, hosts in exclusions]
-        yield from self._call("exclude", action.id.path, wire,
-                              ring_epoch=ring_epoch)
+        yield from self.call_enlisted(action, "exclude", wire,
+                                      ring_epoch=ring_epoch, write=True)
 
     def include(self, action: AtomicAction, uid: Uid,
                 host: str) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("include", action.id.path, str(uid), host)
+        yield from self.call_enlisted(action, "include", str(uid), host,
+                                      write=True)
 
     # -- the leased read plane (no action, no enlistment) ----------------------
 

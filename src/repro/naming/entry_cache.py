@@ -64,9 +64,10 @@ class CachedEntry:
 
     Exactly what the plane serves -- the Sv hosts and the St view,
     version-stamped.  Use lists are deliberately *not* cached: the
-    use-list reads (``get_server_with_uses``) are write-intent reads
-    that always take the authoritative locking path, so caching them
-    would be dead weight copied on every repopulation.
+    use-list reads (``get_binding_with_uses``, ``get_server_with_uses``)
+    are write-intent reads that always take the authoritative locking
+    path, so caching them would be dead weight copied on every
+    repopulation.
     """
 
     hosts: tuple[str, ...]

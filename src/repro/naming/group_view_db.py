@@ -156,6 +156,21 @@ class GroupViewDatabase:
         view = self.state_db.get_view(view_path, uid)
         return self.server_db.get_server(action_path, uid), view
 
+    def get_binding_with_uses(self, action_path: ActionPath, uid_text: str,
+                              view_path: ActionPath,
+                              ) -> tuple[ServerEntrySnapshot, list[str]]:
+        """:meth:`get_binding` for the use-list schemes (figures 7, 8).
+
+        ``action_path`` is their independent top-level action, which
+        goes on to ``Increment``: it takes the ``Sv`` *write* lock and
+        gets the use lists too.  ``view_path`` (the client action) takes
+        the ``St`` read lock, first, as there.
+        """
+        uid = Uid.parse(uid_text)
+        view = self.state_db.get_view(view_path, uid)
+        return self.server_db.get_server_with_uses(action_path, uid,
+                                                   for_update=True), view
+
     def get_server_with_uses(self, action_path: ActionPath, uid_text: str,
                              for_update: bool = False) -> ServerEntrySnapshot:
         return self.server_db.get_server_with_uses(

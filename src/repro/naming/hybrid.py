@@ -59,6 +59,14 @@ class HybridNameService:
         view = self.state_db.get_view(view_path, Uid.parse(uid_text))
         return self.server_side.get_server(action_path, uid_text), view
 
+    def get_binding_with_uses(self, action_path: ActionPath, uid_text: str,
+                              view_path: ActionPath,
+                              ) -> tuple[ServerEntrySnapshot, list[str]]:
+        """``(Sv with use lists, St)`` in one call; ``St`` alone locks."""
+        view = self.state_db.get_view(view_path, Uid.parse(uid_text))
+        return (self.server_side.get_server_with_uses(action_path, uid_text),
+                view)
+
     def get_server_with_uses(self, action_path: ActionPath, uid_text: str,
                              for_update: bool = False) -> ServerEntrySnapshot:
         return self.server_side.get_server_with_uses(action_path, uid_text)

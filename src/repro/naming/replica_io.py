@@ -216,17 +216,19 @@ class ReplicaIO:
         self.metrics.counter("replica_io.stale_ring_retries").increment()
 
     def _disown_stray(self, client: GroupViewDbClient,
-                      action: AtomicAction) -> None:
-        """After a failed op: presume-abort a replica we never enlisted.
+                      *actions: AtomicAction | None) -> None:
+        """After a failed op: presume-abort a replica we never enlisted
+        (for each action the op would have taken locks under).
 
         A timed-out request to a live-but-queued replica still executes
         when its FIFO queue drains; the fired abort (queued behind it)
         rolls that stray back.  An *enlisted* replica is left alone --
-        its fate belongs to the action's 2PC (prepare will reach it, or
-        veto the action if it cannot).
+        its fate belongs to the action's 2PC, whose phase messages queue
+        behind the stray the same way.
         """
-        if not client.is_enlisted(action):
-            client.abort_stray(action)
+        for action in actions:
+            if action is not None and not client.is_enlisted(action):
+                client.abort_stray(action)
 
     def write(self, action: AtomicAction, uid: Uid | str, method: str,
               *args: Any) -> Generator[Any, Any, Any]:
@@ -264,7 +266,8 @@ class ReplicaIO:
                 client = self.client_for(view.primary(uid))
                 try:
                     return (yield from client.call_enlisted(
-                        action, method, *args, ring_epoch=view.epoch))
+                        action, method, *args, ring_epoch=view.epoch,
+                        write=True))
                 except StaleRingEpoch as exc:
                     self._note_stale()
                     stale = exc
@@ -275,7 +278,8 @@ class ReplicaIO:
                 client = self.client_for(node)
                 try:
                     result = yield from client.call_reached(
-                        action, method, *args, ring_epoch=view.epoch)
+                        action, method, *args, ring_epoch=view.epoch,
+                        write=True)
                     reached = True
                     applied.add(node)
                 except StaleRingEpoch as exc:
@@ -312,8 +316,13 @@ class ReplicaIO:
         return result
 
     def read(self, action: AtomicAction, uid: Uid | str, method: str,
-             *args: Any) -> Generator[Any, Any, Any]:
+             *args: Any, view_action: AtomicAction | None = None,
+             ) -> Generator[Any, Any, Any]:
         """Serve a read from the first live replica in preference order.
+
+        ``view_action`` names a second action the read takes locks
+        under: the replica that answers is enlisted for its root as
+        well as ``action``'s, or that lock would never be released.
 
         ``UnknownObject`` fails over like an RPC error -- a stale
         replica missing the entry must not mask peers that hold it --
@@ -336,7 +345,8 @@ class ReplicaIO:
                 client = self.client_for(view.primary(uid))
                 try:
                     return (yield from client.call_enlisted(
-                        action, method, *args, ring_epoch=view.epoch))
+                        action, method, *args, ring_epoch=view.epoch,
+                        view_action=view_action))
                 except StaleRingEpoch as exc:
                     self._note_stale()
                     stale = exc
@@ -352,7 +362,8 @@ class ReplicaIO:
                            if self.health is not None else 0.0)
                 try:
                     result = yield from client.call_reached(
-                        action, method, *args, ring_epoch=view.epoch)
+                        action, method, *args, ring_epoch=view.epoch,
+                        view_action=view_action)
                 except StaleRingEpoch as exc:
                     self._note_stale()
                     stale = exc
@@ -361,7 +372,7 @@ class ReplicaIO:
                     if self.health is not None:
                         self.health.timeout(node)
                     unreachable = exc
-                    self._disown_stray(client, action)
+                    self._disown_stray(client, action, view_action)
                     continue
                 except UnknownObject as exc:
                     if self.health is not None:
@@ -430,7 +441,8 @@ class ReplicaIO:
                         wire = [(str(uid), list(hosts))
                                 for uid, hosts in lots]
                         yield from client.call_reached(
-                            action, "exclude", wire, ring_epoch=view.epoch)
+                            action, "exclude", wire, ring_epoch=view.epoch,
+                            write=True)
                 except StaleRingEpoch as exc:
                     self._note_stale()
                     stale = exc

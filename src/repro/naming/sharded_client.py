@@ -277,6 +277,17 @@ class ShardedGroupViewDbClient:
                 self.clock() - started)
         return binding
 
+    def get_binding_with_uses(
+            self, action: AtomicAction, uid: Uid, view_action: AtomicAction,
+            ) -> Generator[Any, Any, tuple[ServerEntrySnapshot, list[str]]]:
+        """``(Sv with use lists, St)`` from one authoritative walk --
+        never the leased plane: this is a write-intent read, ``Sv``
+        write-locked under ``action`` and ``St`` read-locked under
+        ``view_action``, the answering replica enlisted for both."""
+        return (yield from self.io.read(action, uid, "get_binding_with_uses",
+                                        str(uid), view_action.id.path,
+                                        view_action=view_action))
+
     def get_server_with_uses(self, action: AtomicAction, uid: Uid,
                              for_update: bool = False,
                              ) -> Generator[Any, Any, ServerEntrySnapshot]:

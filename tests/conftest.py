@@ -117,23 +117,29 @@ def assert_shard_replicas_agree(system, uid, replication=2):
         f"replicas diverge for {uid}: {dict(zip(replicas, states))}"
 
 
-def arm_crash_after_prepare(system, db, node):
-    """Doctor ``db.prepare`` to crash ``node`` right after its first
-    "ok" vote -- the reply is already on the wire, so the crash lands
-    exactly between the two commit phases.  Returns the list of action
-    paths it fired on; restore the method with ``del db.prepare``.
+def arm_crash_after_write_ack(system, db, node, method="increment",
+                              back_after=None):
+    """Doctor ``db.<method>`` to crash ``node`` right after it first
+    applies the write -- the acknowledgement, which is the shard's vote,
+    is already on the wire, so the crash lands between the write ack
+    and ``commit``.  With ``back_after`` the node recovers that much
+    later (a restart inside the window, not an outage).  Returns the
+    list of action paths it fired on; restore the method with
+    ``delattr(db, method)``.
     """
-    real_prepare = db.prepare
+    real_write = getattr(db, method)
     fired = []
 
-    def prepare_then_die(action_path):
-        vote = real_prepare(action_path)
-        if vote == "ok" and not fired:
+    def write_then_die(action_path, *args):
+        result = real_write(action_path, *args)
+        if not fired:
             fired.append(tuple(action_path))
             system.scheduler.schedule(0.0, node.crash)
-        return vote
+            if back_after is not None:
+                system.scheduler.schedule(back_after, node.recover)
+        return result
 
-    db.prepare = prepare_then_die
+    setattr(db, method, write_then_die)
     return fired
 
 

@@ -56,6 +56,12 @@ def issues(rpc_log, service, method):
     return dict(by_instant)
 
 
+def naming_traffic(rpc_log):
+    """The name service's methods, in issue order."""
+    return [method for _who, _target, service, method, _at in rpc_log
+            if service == NAMING_SERVICE]
+
+
 # Hosts each fanned-out step reaches, per policy; the distinct instants
 # at which the client issues RPCs for the whole transaction (15 / 20 /
 # 22 when every set was walked one host at a time, 11 / 12 / 10 while
@@ -111,14 +117,61 @@ def test_binding_asks_the_name_node_once_and_commit_never_asks_for_state(
     del rpc_log[:]
     assert system.run_transaction(client, get_then_add(uid)).committed
 
-    naming = [method for _who, _target, service, method, _at in rpc_log
-              if service == NAMING_SERVICE]
-    assert naming == ["get_binding", "prepare"]
+    assert naming_traffic(rpc_log) == ["get_binding", "prepare"]
     assert not issues(rpc_log, SERVER_SERVICE, "get_state")
     (prepared_at,) = issues(rpc_log, SERVER_SERVICE, "prepare")
     (shadowed_at,) = issues(rpc_log, STORE_SERVICE, "write_shadow")
     (naming_prepared_at,) = issues(rpc_log, NAMING_SERVICE, "prepare")
     assert prepared_at < shadowed_at < naming_prepared_at
+
+
+# The use-list schemes (figures 7 and 8) on a sharded, twice-replicated
+# name service: one lookup per bind, and a name node's acknowledgement
+# of a write is its vote -- the bind and unbind actions' phase 2 follows
+# their last write directly, and the only ``prepare`` any name node sees
+# is the client action's, which merely read ``St`` there (its vote is
+# its lock release).  18 instants / 27 RPCs while the bind looked up
+# ``St`` and the use lists separately and every writer was asked to vote.
+USE_LIST_TIMELINES = [
+    ("independent", 15, 22, [
+        "get_binding_with_uses", "increment", "increment", "commit",
+        "commit", "prepare", "decrement", "decrement", "commit", "commit"]),
+    # Figure 8 unbinds inside the client action, before it commits.
+    ("nested_top_level", 15, 22, [
+        "get_binding_with_uses", "increment", "increment", "commit",
+        "commit", "decrement", "decrement", "commit", "commit", "prepare"]),
+]
+
+
+@pytest.mark.parametrize("scheme, client_instants, rpcs, naming",
+                         USE_LIST_TIMELINES, ids=lambda v: v if isinstance(
+                             v, str) else None)
+def test_a_use_list_transaction_asks_no_writer_to_vote(
+        rpc_log, scheme, client_instants, rpcs, naming):
+    system, client, uid = build(SingleCopyPassive, scheme=scheme,
+                                nameserver_shards=4,
+                                nameserver_replication=2)
+    del rpc_log[:]
+    assert system.run_transaction(client, get_then_add(uid)).committed
+
+    assert naming_traffic(rpc_log) == naming
+    for method in ("increment", "decrement"):  # primary first: lock order
+        assert len(issues(rpc_log, NAMING_SERVICE, method)) == 2
+    assert len({at for who, *_rest, at in rpc_log
+                if who == "c1"}) == client_instants
+    assert len(rpc_log) == rpcs
+
+
+def test_a_name_node_that_took_the_exclude_has_voted(rpc_log):
+    """Standard scheme: ``write_shadow`` meets a silent store, the
+    client Excludes it under its own action, and the name node's
+    acknowledgement of that write is its vote -- ``commit`` follows."""
+    system, client, uid = build(SingleCopyPassive)
+    system.nodes["t2"].crash()
+    del rpc_log[:]
+    assert system.run_transaction(client, get_then_add(uid)).committed
+    assert naming_traffic(rpc_log) == ["get_binding", "exclude", "commit"]
+    assert system.db_st(uid) == ["t1", "t3"]
 
 
 def test_a_group_invocation_returns_once_all_three_members_answered(

@@ -14,7 +14,7 @@ from repro.naming.group_view_db import SERVICE_NAME
 
 from tests.conftest import (
     add_work,
-    arm_crash_after_prepare,
+    arm_crash_after_write_ack,
     assert_shard_replicas_agree as assert_replicas_agree,
     get_work,
 )
@@ -171,11 +171,11 @@ def test_faultplan_scripted_rolling_shard_outages():
         assert_replicas_agree(system, uid)
 
 
-def test_bare_ring_shard_recovery_drops_volatile_state():
+def test_bare_ring_crash_between_write_ack_and_commit_drops_state():
     """With replication=1 a crashed shard host has no peers to resync
     from, but the fail-silent contract still holds: its pre-crash lock
-    table and provisional (never-decided) writes must not resurrect on
-    recovery."""
+    table and provisional (acknowledged, never-decided) writes must not
+    resurrect on recovery."""
     system, (client,), uids = build(shards=2, objects=3,
                                     scheme="independent")
     uid = uids[0]
@@ -183,13 +183,13 @@ def test_bare_ring_shard_recovery_drops_volatile_state():
     home_node = system.nodes[home]
     db = system.db.shards[home]
 
-    fired = arm_crash_after_prepare(system, db, home_node)
+    fired = arm_crash_after_write_ack(system, db, home_node)
     result = system.run_transaction(client, add_work(uid, 1))
-    del db.prepare
+    del db.increment
     assert fired and home_node.crashed
     assert not result.committed, "the lone home's silence dooms the txn"
     assert db.server_db.pending_undo_count > 0, \
-        "the crash must strand a prepared-but-undecided write"
+        "the crash must strand an acknowledged-but-undecided write"
 
     home_node.recover()
     assert db.server_db.pending_undo_count == 0, \

@@ -20,7 +20,7 @@ from repro.naming import ShardedGroupViewDatabase
 from tests.conftest import (
     Counter,
     add_work,
-    arm_crash_after_prepare,
+    arm_crash_after_write_ack,
     assert_shard_replicas_agree,
     get_work,
 )
@@ -165,17 +165,17 @@ def test_sharding_rejects_invalid_configs():
                                        nonatomic_name_server=True))
 
 
-def test_shard_crash_between_prepare_and_commit_resolves_consistently():
-    """An Increment whose shard participant dies between prepare and
-    commit must resolve consistently on every replica: the survivors
-    commit the decided action, the casualty's prepared-but-undecided
-    state dies with its volatile memory, and resync re-copies the
-    committed entry before the host serves again."""
+def test_shard_crash_between_write_ack_and_commit_resolves():
+    """An Increment whose shard participant dies between acknowledging
+    the write (its vote) and commit must resolve consistently on every
+    replica: the survivors commit the decided action, the casualty's
+    acknowledged-but-undecided state dies with its volatile memory, and
+    resync re-copies the committed entry before the host serves again."""
     from repro import FaultPlan
 
     # The independent scheme (figure 7) Increments under its own
-    # top-level bind action, so the shard participant votes "ok" --
-    # standard binding never writes the db and would prepare read-only.
+    # top-level bind action, so the shard participant has a write to
+    # acknowledge -- standard binding never writes the db.
     system, (client,), uids = build(shards=3, objects=3,
                                     scheme="independent",
                                     nameserver_replication=2)
@@ -185,11 +185,11 @@ def test_shard_crash_between_prepare_and_commit_resolves_consistently():
     victim_node = system.nodes[victim]
     db = system.db.shards[victim]
 
-    fired = arm_crash_after_prepare(system, db, victim_node)
+    fired = arm_crash_after_write_ack(system, db, victim_node)
     result = system.run_transaction(client, add_work(uid, 1))
-    del db.prepare
+    del db.increment
 
-    assert fired, "the doctored prepare must have fired"
+    assert fired, "the doctored increment must have fired"
     assert victim_node.crashed
     # The bind action resolves *committed*: the survivor took phase 2,
     # the victim's missed commit is a recorded heuristic.  The client
@@ -228,3 +228,43 @@ def test_active_replication_on_the_ring():
 
     result = system.run_transaction(client, work)
     assert result.committed and result.value == 2
+
+
+def test_no_shard_client_remembers_a_resolved_action():
+    """Each per-shard db client keeps a root -> participant table for
+    the actions in flight; 200 committed and 20 aborted use-list
+    transactions (client, bind and unbind action each reach two
+    replicas) must leave every table empty."""
+    system, clients, uids = build(shards=4, objects=6, clients=2,
+                                  scheme="independent",
+                                  nameserver_replication=2)
+
+    def give_up(uid):
+        def work(txn):
+            yield from txn.invoke(uid, "add", 1)
+            txn.abort()
+        return work
+
+    committed = aborted = 0
+    for i in range(220):
+        client, uid = clients[i % 2], uids[i % len(uids)]
+        if i % 11 == 10:
+            result = system.run_transaction(client, give_up(uid))
+            aborted += not result.committed
+        else:
+            committed += system.run_transaction(client,
+                                                add_work(uid, 1)).committed
+    assert (committed, aborted) == (200, 20)
+
+    def tables(db):
+        return [shard_client._participants
+                for shard_client in db.io._clients.values()]
+
+    for client in clients:
+        assert len(tables(client._ctx.db)) == 4
+        assert not any(tables(client._ctx.db))
+    # The include guards never stop probing: at most the one probe
+    # action in flight when the run stopped is still remembered.
+    for manager in system.recovery_managers.values():
+        assert sum(map(len, tables(manager.db))) <= 1
+    assert all(system.db.is_quiescent(str(uid)) for uid in uids)

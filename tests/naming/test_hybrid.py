@@ -71,3 +71,18 @@ def test_knows_and_ping():
     assert service.knows(UID_TEXT)
     assert not service.knows("sys:404")
     assert service.ping() == "pong"
+
+
+def test_get_binding_with_uses_locks_only_the_state_side():
+    """The hybrid service answers the use-list schemes' one lookup too
+    (every bind of ``paper_client_crash`` asks it)."""
+    service = make_service()
+    first, client = AtomicAction(), AtomicAction()
+    service.increment(first.id.path, "cn", UID_TEXT, ["h1"])
+    snapshot, view = service.get_binding_with_uses(first.id.path, UID_TEXT,
+                                                   client.id.path)
+    assert snapshot.used_hosts() == ["h1"]
+    assert view == ["t1", "t2"]
+    assert service.prepare(first.id.path) == "readonly"  # no lock, no undo
+    holders = service.state_db.locks.holders_of(("st", Uid.parse(UID_TEXT)))
+    assert [owner.path for owner, _ in holders] == [client.id.path]

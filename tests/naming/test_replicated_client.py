@@ -103,3 +103,35 @@ def test_stray_read_lock_on_slow_primary_is_released():
     assert not dbs[primary].server_db.locks.is_locked(("sv", UID)), \
         "the timed-out read's stray lock must be presume-aborted"
     assert dbs[primary].server_db.pending_undo_count == 0
+
+
+def test_the_replica_answering_the_one_lookup_is_enlisted_for_both_roots():
+    """The use-list bind reads ``St`` under the client action and
+    ``Sv`` under its own top-level action in one call: the replica that
+    answers holds a lock for each root and must hear from both 2PCs; a
+    slow replica stepped past is presume-aborted for both."""
+    s, dbs, agents, router, client = make_ring_world()
+    primary, successor = router.preference_list(UID, 2)
+    agents[primary].service_time = 0.2
+    action, first = AtomicAction(node="client"), AtomicAction(node="client")
+
+    def bind():
+        snapshot, view = yield from client.get_binding_with_uses(
+            first, UID, view_action=action)
+        yield from first.commit()
+        return list(snapshot.hosts), view
+
+    assert run(s, bind()) == (["h1", "h2"], ["t1"])  # failover: successor
+    answered = client.io.client_for(successor)
+    assert answered.is_enlisted(action) and not answered.is_enlisted(first)
+    assert not dbs[successor].server_db.locks.is_locked(("sv", UID))
+    assert [owner.path for owner, _ in dbs[successor].state_db.locks
+            .holders_of(("st", UID))] == [action.id.path]
+
+    run(s, action.commit())
+    assert not dbs[successor].state_db.locks.is_locked(("st", UID))
+    s.run(until=10.0)  # the slow primary drains: stray lookup, two aborts
+    assert not dbs[primary].server_db.locks.is_locked(("sv", UID))
+    assert not dbs[primary].state_db.locks.is_locked(("st", UID)), \
+        "the stray St read lock belongs to the client action's root"
+    assert not client.io.client_for(primary).is_enlisted(action)

@@ -47,12 +47,13 @@ def test_every_scenario_is_reached_by_a_gated_bench():
     assert set(SCENARIOS) <= set(re.findall(r'"(\w+)"', sources))
 
 
-def _results(tmp_path, name, commit_rate, p99):
+def _results(tmp_path, name, commit_rate, p99, rpcs_sent=1000):
     directory = tmp_path / name
     directory.mkdir()
     (directory / "BENCH_paper_figures.json").write_text(json.dumps({
         "results": {"test_paper_experiment[fig3]": {
-            "2": {"commit_rate": commit_rate, "p99_latency": p99}}}}))
+            "2": {"commit_rate": commit_rate, "p99_latency": p99,
+                  "rpcs_sent": rpcs_sent}}}}))
     return directory
 
 
@@ -63,6 +64,21 @@ def test_commit_rate_is_gated_and_latency_is_not(tmp_path, capsys):
     assert check_regression.compare(baseline, slower, 0.20) == []
     [failure] = check_regression.compare(baseline, dropped, 0.20)
     assert "fig3].2.commit_rate: 0.720 <" in failure
+
+
+def test_a_rise_in_rpcs_sent_fails_the_gate(tmp_path):
+    baseline = _results(tmp_path, "baseline", 0.96, 1.0, rpcs_sent=1000)
+    within = _results(tmp_path, "within", 0.96, 1.0, rpcs_sent=1200)
+    more = _results(tmp_path, "more", 0.96, 1.0, rpcs_sent=1250)
+    assert check_regression.compare(baseline, within, 0.20) == []
+    [failure] = check_regression.compare(baseline, more, 0.20)
+    assert "fig3].2.rpcs_sent: 1250.000 > 1200.000" in failure
+
+
+def test_a_fall_in_rpcs_sent_passes_however_large(tmp_path):
+    baseline = _results(tmp_path, "baseline", 0.96, 1.0, rpcs_sent=1000)
+    tenth = _results(tmp_path, "tenth", 0.96, 1.0, rpcs_sent=100)
+    assert check_regression.compare(baseline, tenth, 0.20) == []
 
 
 def test_moved_lists_only_the_rows_that_changed_rises_included(
