@@ -13,11 +13,15 @@ compared pathwise, in the key's own direction: ``throughput`` and
 ``commit_rate`` fail more than ``--tolerance`` (default 20%) *below*
 their baseline, ``rpcs_sent`` -- an exact count of messages, so the
 ratio is not at the mercy of a discrete sample -- more than that
-*above* it.  Benches present on only one side are skipped (a brand-new
-bench gains its baseline the commit it lands), as are baseline values
-of zero.  Latency keys are deliberately *not* gated: simulated tail
-latencies at tiny smoke sizes are too discrete for a ratio gate, and
-the throughput floor already catches a queueing collapse.
+*above* it.  ``p99_latency`` is gated lower-is-better with a tolerance
+of its own (50%): at smoke sizes a tail is a handful of samples, so one
+of them changing rank moves it by tens of percent, while what the gate
+is there to catch -- a timeout landing on a row, a queue that no longer
+drains -- multiplies it.  Benches present on only one side are skipped
+(a brand-new bench gains its baseline the commit it lands), as are
+baseline values of zero.  The other latency keys (mean, p50, p95) are
+deliberately *not* gated: too discrete at these sizes for a ratio gate,
+and the throughput floor already catches a queueing collapse.
 
 ``--moved`` prints, instead of one verdict line per gated value, only
 the values that differ from their baseline (``baseline -> current``,
@@ -37,9 +41,12 @@ import sys
 from pathlib import Path
 
 # Substrings of a flattened JSON path's leaf key that mark a gated
-# metric, with the direction in which it gets better: +1 higher, -1
-# lower.
-GATED_KEYS = {"throughput": +1, "commit_rate": +1, "rpcs_sent": -1}
+# metric, with the direction in which it gets better (+1 higher, -1
+# lower) and the fraction it may move the other way; ``None`` is the
+# ``--tolerance`` argument.
+GATED_KEYS: dict[str, tuple[int, float | None]] = {
+    "throughput": (+1, None), "commit_rate": (+1, None),
+    "rpcs_sent": (-1, None), "p99_latency": (-1, 0.50)}
 
 
 def flatten(value: object, path: str = "") -> dict[str, float]:
@@ -58,17 +65,18 @@ def flatten(value: object, path: str = "") -> dict[str, float]:
     return out
 
 
-def gated(path: str) -> int:
-    """The direction ``path`` is gated in (+1 / -1), or 0: not gated."""
+def gated(path: str) -> tuple[int, float | None]:
+    """``(direction, own tolerance)`` of a gated ``path``; direction 0
+    means not gated."""
     # Only the leaf key decides: a *test name* containing "throughput"
     # must not drag its unrelated row fields into the gate.  Wall-clock
     # entries are keyed by test name too -- they get their own absolute
     # budget below, never the ratio gate.
     if path.startswith("wall_clock_seconds"):
-        return 0
+        return 0, None
     leaf = path.rsplit(".", 1)[-1].lower()
-    return next((better for key, better in GATED_KEYS.items()
-                 if key in leaf), 0)
+    return next((rule for key, rule in GATED_KEYS.items() if key in leaf),
+                (0, None))
 
 
 def compare(baseline_dir: Path, current_dir: Path,
@@ -83,9 +91,10 @@ def compare(baseline_dir: Path, current_dir: Path,
         baseline = flatten(json.loads(baseline_path.read_text()))
         current = flatten(json.loads(current_path.read_text()))
         for path, base_value in sorted(baseline.items()):
-            better = gated(path)
+            better, own_tolerance = gated(path)
             if not better or base_value <= 0:
                 continue
+            allowed = tolerance if own_tolerance is None else own_tolerance
             now = current.get(path)
             if now is None:
                 print(f"skip {baseline_path.name}:{path}: "
@@ -93,7 +102,7 @@ def compare(baseline_dir: Path, current_dir: Path,
                 continue
             compared += 1
             # A floor for a higher-is-better value, a ceiling otherwise.
-            limit = base_value * (1.0 - better * tolerance)
+            limit = base_value * (1.0 - better * allowed)
             regressed = (now - limit) * better < 0
             verdict = "REGRESSED" if regressed else "ok"
             bound, side, sign = (("floor", "below", "<") if better > 0
@@ -109,7 +118,7 @@ def compare(baseline_dir: Path, current_dir: Path,
             if regressed:
                 failures.append(
                     f"{baseline_path.name}:{path}: {now:.3f} {sign} "
-                    f"{limit:.3f} ({tolerance:.0%} {side} {base_value:.3f})")
+                    f"{limit:.3f} ({allowed:.0%} {side} {base_value:.3f})")
     if compared == 0:
         failures.append("no gated metrics compared -- baseline or current "
                         "results missing entirely")

@@ -38,7 +38,12 @@ from repro.actions.action import (
     Vote,
     abort_on_failure,
 )
-from repro.actions.records import CallbackRecord, LockReleaseRecord, RemoteParticipantRecord
+from repro.actions.records import (
+    CallbackRecord,
+    LockReleaseRecord,
+    RemoteParticipantRecord,
+    ToldParticipantRecord,
+)
 
 __all__ = [
     "AbstractRecord",
@@ -56,6 +61,7 @@ __all__ = [
     "PrepareVetoed",
     "PromotionRefused",
     "RemoteParticipantRecord",
+    "ToldParticipantRecord",
     "Vote",
     "abort_on_failure",
     "lock_compatible",

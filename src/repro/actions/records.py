@@ -9,6 +9,8 @@
 - :class:`RemoteParticipantRecord` -- drives a remote 2PC participant
   (a service exposing ``prepare``/``commit``/``abort`` methods keyed by
   action id) over RPC.
+- :class:`ToldParticipantRecord` -- the same participant when its vote
+  is known beforehand: never sent ``prepare``, told the outcome.
 """
 
 from __future__ import annotations
@@ -105,11 +107,11 @@ class CallbackRecord(AbstractRecord):
 
 
 def _nobody_to_tell() -> None:
-    """Default ``on_resolved`` of a :class:`RemoteParticipantRecord`."""
+    """Default ``on_resolved`` of a :class:`ToldParticipantRecord`."""
 
 
 class RemoteParticipantRecord(AbstractRecord):
-    """2PC participant reached over RPC.
+    """2PC participant reached over RPC and asked for its vote.
 
     The remote service must expose ``prepare(action_id_path)``,
     ``commit(action_id_path)`` and ``abort(action_id_path)`` methods
@@ -128,59 +130,20 @@ class RemoteParticipantRecord(AbstractRecord):
     into one ``_many`` call per target.  Votes, presumed abort, and
     heuristic reporting are untouched.
 
-    ``retries`` arms bounded prepare-phase retries for *gray*
-    participants: a degraded host drops or delays RPCs without being
-    down, and a single lost prepare would otherwise instantly doom the
-    action.  Each retry backs off exponentially from ``backoff`` with
-    seeded jitter drawn from ``rng`` (a
-    :class:`~repro.sim.rng.SeededRng` substream -- determinism is an
-    invariant), and the retry budget is deliberately small: a
-    participant still dark after the budget trips the normal abort
-    vote, so the caller aborts-and-retries-elsewhere instead of
-    wedging on the gray host.  Prepare is safe to re-send -- the
-    participant databases vote from their undo logs, which only
-    commit/abort consume, so a duplicate prepare re-produces the same
-    verdict.  Commit/abort phases are untouched: commit failures must
-    surface as heuristics, and abort is already best-effort.
-
-    That same property makes most prepares redundant: a participant
-    that has just *acknowledged a write under this action* can only
-    answer ``ok``, so the acknowledgement is taken as the vote
-    (:meth:`note_write_acknowledged`) and phase 1 sends it nothing --
-    ``commit`` follows the last write directly.  A participant the
-    action only read at is still asked: its ``readonly`` vote is its
-    lock release.
-
-    ``on_resolved`` is called once the participant's part is over --
-    after its ``commit`` or ``abort``, or on its read-only vote, which
-    has no phase 2 -- so whoever enlisted the record can forget it.
+    This is the generic participant, whose vote the coordinator cannot
+    know in advance (a server host: did the action write there?).  One
+    whose vote it *does* know is a :class:`ToldParticipantRecord`.
     """
 
     def __init__(self, rpc: RpcAgent, target: str, service: str,
                  order: int = 500,
-                 batcher: CommitBatcher | None = None,
-                 retries: int = 0, backoff: float = 0.05,
-                 rng: SeededRng | None = None,
-                 on_resolved: Callable[[], None] | None = None) -> None:
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if retries and rng is None:
-            raise ValueError("prepare retries need a seeded rng for jitter")
+                 batcher: CommitBatcher | None = None) -> None:
         # Both expose ``call(target, service, method, *args)``.
         self._transport = batcher or rpc
         self.target = target
         self.service = service
         self.order = order
-        self._retries = retries
-        self._backoff = backoff
-        self._rng = rng
-        self._resolved = on_resolved or _nobody_to_tell
         self._pending: Future | None = None
-        self._voted = False
-
-    def note_write_acknowledged(self) -> None:
-        """The participant applied a write of this action: it has voted."""
-        self._voted = True
 
     def _issue(self, method: str, action: AtomicAction) -> Future:
         return self._transport.call(self.target, self.service, method,
@@ -192,8 +155,7 @@ class RemoteParticipantRecord(AbstractRecord):
         return future if future is not None else self._issue(method, action)
 
     def begin_prepare(self, action: AtomicAction) -> None:
-        if not self._voted:
-            self._pending = self._issue("prepare", action)
+        self._pending = self._issue("prepare", action)
 
     def begin_commit(self, action: AtomicAction) -> None:
         self._pending = self._issue("commit", action)
@@ -202,34 +164,95 @@ class RemoteParticipantRecord(AbstractRecord):
         self._pending = self._issue("abort", action)
 
     def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
-        if self._voted:
-            return Vote.OK
-        for attempt in range(self._retries + 1):
-            try:
-                verdict = yield self._take_pending("prepare", action)
-            except RpcError:
-                if attempt >= self._retries:
-                    return Vote.ABORT
-                delay = self._backoff * (2 ** attempt)
-                assert self._rng is not None  # enforced in __init__
-                yield Timeout(delay + self._rng.uniform(0.0, delay))
-                continue
-            if verdict == "readonly":
-                self._resolved()
-                return Vote.READONLY
-            return Vote.OK if verdict == "ok" else Vote.ABORT
-        return Vote.ABORT  # pragma: no cover - loop always returns
+        try:
+            verdict = yield self._take_pending("prepare", action)
+        except RpcError:
+            return Vote.ABORT
+        if verdict == "readonly":
+            return Vote.READONLY
+        return Vote.OK if verdict == "ok" else Vote.ABORT
 
     def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        try:
-            yield self._take_pending("commit", action)
-        finally:
-            self._resolved()
+        yield self._take_pending("commit", action)
 
     def abort(self, action: AtomicAction) -> Generator[Any, Any, None]:
         try:
             yield self._take_pending("abort", action)
         except RpcError:
             pass  # participant down; its crash already undid volatile state
+
+
+class ToldParticipantRecord(RemoteParticipantRecord):
+    """2PC participant that is never polled: it is told the outcome.
+
+    For a participant whose vote the coordinator already holds -- the
+    naming database.  One that *acknowledged a write* under the action
+    can only answer ``ok`` (it votes from its undo log, which only
+    commit/abort consume), so the acknowledgement was the vote; one the
+    action merely *read* at has nothing to vote on.  Phase 1 therefore
+    sends nothing, and the outcome goes out with the rest of the
+    record's order: at the default 500 that is the servers' ``commit``
+    instant, *after* the stores promoted their shadows, so the read
+    locks the participant holds for the action outlive the promotion.
+
+    ``commit`` does go out to a participant that was only read at --
+    where a polled one would have released its locks on a ``readonly``
+    vote -- and there it is the action's lock release.  ``retries``
+    bounds re-sends of it for *gray* participants: a degraded host drops
+    or delays RPCs without being down, and one lost message would leak
+    those locks.  Each re-send backs off exponentially from ``backoff``
+    with seeded jitter drawn from ``rng`` (a
+    :class:`~repro.sim.rng.SeededRng` substream -- determinism is an
+    invariant); ``commit`` is idempotent at the database.  A
+    participant still dark after the budget is a heuristic
+    (``commit_failures``), never an abort: the decision is taken.
+    Abort stays best-effort.
+
+    ``on_resolved`` is called once the participant's part is over --
+    after its ``commit`` or ``abort`` -- so whoever enlisted the record
+    can forget it.
+    """
+
+    def __init__(self, rpc: RpcAgent, target: str, service: str,
+                 order: int = 500,
+                 batcher: CommitBatcher | None = None,
+                 retries: int = 0, backoff: float = 0.05,
+                 rng: SeededRng | None = None,
+                 on_resolved: Callable[[], None] | None = None) -> None:
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        if retries and rng is None:
+            raise ValueError("outcome retries need a seeded rng for jitter")
+        super().__init__(rpc, target, service, order=order, batcher=batcher)
+        self._retries = retries
+        self._backoff = backoff
+        self._rng = rng
+        self._resolved = on_resolved or _nobody_to_tell
+
+    def begin_prepare(self, action: AtomicAction) -> None:
+        pass
+
+    def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
+        return Vote.OK
+        yield  # pragma: no cover
+
+    def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
+        try:
+            for attempt in range(self._retries + 1):
+                try:
+                    yield self._take_pending("commit", action)
+                    return
+                except RpcError:
+                    if attempt == self._retries:
+                        raise
+                delay = self._backoff * (2 ** attempt)
+                assert self._rng is not None  # enforced in __init__
+                yield Timeout(delay + self._rng.uniform(0.0, delay))
+        finally:
+            self._resolved()
+
+    def abort(self, action: AtomicAction) -> Generator[Any, Any, None]:
+        try:
+            yield from super().abort(action)
         finally:
             self._resolved()

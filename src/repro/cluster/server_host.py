@@ -103,10 +103,14 @@ class ObjectServer:
     def get_state(self) -> tuple[bytes, int]:
         return self.obj.serialise(), self.version
 
-    def install_state(self, buffer: bytes, version: int) -> None:
-        """Checkpoint install (coordinator-cohort replication)."""
+    def install_state(self, buffer: bytes, version: int) -> bool:
+        """Checkpoint install (coordinator-cohort replication): only a
+        version newer than the one held, as the stores treat a shadow."""
+        if version <= self.version:
+            return False
         self.obj = type(self.obj).deserialise(buffer)
         self.version = version
+        return True
 
     @property
     def quiescent(self) -> bool:
@@ -328,34 +332,15 @@ class ServerHost:
         return self._server(uid_text).get_state()
 
     def install_state(self, uid_text: str, buffer: bytes, version: int) -> bool:
+        """Whether the state was installed: two clients' checkpoints can
+        arrive out of order, and the older one must not win."""
         uid = Uid.parse(uid_text)
         server = self._servers.get(uid)
         if server is None:
             obj = self._registry.instantiate(buffer)
             self._servers[uid] = ObjectServer(self._node, obj, version)
-        else:
-            server.install_state(buffer, version)
-        return True
-
-    def checkpoint_to(self, uid_text: str,
-                      cohort_hosts: list[str]) -> Generator[Any, Any, list[str]]:
-        """Coordinator-cohort: push current state to each cohort.
-
-        Returns the cohorts that accepted; unreachable cohorts are
-        reported so the client can drop them from its binding.
-        """
-        buffer, version = self._server(uid_text).get_state()
-        installs = [(cohort, self._node.rpc.call(
-            cohort, SERVER_SERVICE, "install_state", uid_text, buffer,
-            version)) for cohort in cohort_hosts if cohort != self._node.name]
-        accepted: list[str] = []
-        for cohort, install in installs:
-            try:
-                yield install
-            except RpcError:
-                continue
-            accepted.append(cohort)
-        return accepted
+            return True
+        return server.install_state(buffer, version)
 
     # -- passivation (paper section 2.3: quiescent objects passivate) ----------------
 

@@ -94,10 +94,10 @@ class SystemConfig:
     # them; writes still fan out to every replica.  Only meaningful
     # with nameserver_replication > 1 (reads need somewhere to go).
     nameserver_peer_health: bool = False
-    # Bounded prepare-phase retries for remote 2PC participants: a
-    # gray shard's dropped prepare gets this many more chances (with
-    # exponential seeded-jitter backoff) before the coordinator votes
-    # abort.  0 keeps fail-fast 2PC.
+    # Bounded re-sends of a name node's 2PC outcome message (it is
+    # never sent ``prepare``): a gray shard's dropped ``commit`` gets
+    # this many more chances (with exponential seeded-jitter backoff)
+    # before the action's lock release there is filed as a heuristic.
     participant_retries: int = 0
     # The leased read plane: a per-client LRU of entry snapshots, each
     # served RPC- and lock-free while its lease TTL holds and the ring's

@@ -6,8 +6,11 @@ methods usable from simulation processes, translates remote errors back
 into their naming/locking exception types, and automatically enlists
 the database as a two-phase-commit participant of the calling action's
 top-level root -- once per top-level action, forgotten again when that
-action resolves.  A write the database acknowledges is its vote: the
-participant record is told, and sends no ``prepare`` at commit.
+action resolves.  The database is never asked to vote: a write it
+acknowledged was its vote and a read leaves it nothing to vote on, so
+the participant record sends no ``prepare`` and tells it the outcome in
+the servers' fan-out, after the stores have promoted their shadows --
+the locks it holds for the action outlive the promotion.
 
 Calls issued on behalf of a captured ring view carry its fence token
 (``ring_epoch``); the replica-copy read protocol itself lives in
@@ -22,7 +25,7 @@ from typing import Any, Generator
 
 from repro.actions.action import AtomicAction
 from repro.actions.errors import LockRefused, PromotionRefused
-from repro.actions.records import RemoteParticipantRecord
+from repro.actions.records import ToldParticipantRecord
 from repro.naming.errors import NamingError, NotQuiescent, UnknownObject
 from repro.naming.group_view_db import SERVICE_NAME
 from repro.naming.object_server_db import ServerEntrySnapshot
@@ -56,12 +59,11 @@ class GroupViewDbClient:
     plane; the provisional operations themselves stay unbatched -- they
     are latency-bound request/reply pairs, not fan-out.
 
-    ``participant_retries``/``retry_rng``
-    configure the prepare-phase retry policy of those records (see
-    :class:`~repro.actions.records.RemoteParticipantRecord`): bounded
-    seeded-jitter retries so a *gray* participant's dropped prepare
-    trips abort-and-retry-elsewhere instead of instantly dooming the
-    action.  The defaults (0 retries) preserve the fail-fast 2PC.
+    ``participant_retries``/``retry_rng`` bound the re-sends of those
+    records' ``commit`` (see
+    :class:`~repro.actions.records.ToldParticipantRecord`): seeded-jitter
+    retries so a *gray* shard's dropped outcome message does not leak
+    the action's locks there.  The default sends it once.
     """
 
     def __init__(self, rpc: RpcAgent, db_node: str,
@@ -76,8 +78,8 @@ class GroupViewDbClient:
         self.participant_retries = participant_retries
         self._retry_rng = retry_rng
         # Top-level serial -> the record enlisted for that root, from
-        # enlistment until the record's commit, abort or read-only vote.
-        self._participants: dict[int, RemoteParticipantRecord] = {}
+        # enlistment until the record's commit or abort.
+        self._participants: dict[int, ToldParticipantRecord] = {}
 
     # -- enlistment ----------------------------------------------------------
 
@@ -88,21 +90,20 @@ class GroupViewDbClient:
             root = root.parent
         return root
 
-    def enlist(self, action: AtomicAction) -> RemoteParticipantRecord:
+    def enlist(self, action: AtomicAction) -> None:
         """Make the db a 2PC participant of the action's top-level root."""
         root = self._root(action)
         serial = root.id.top_level_serial
         record = self._participants.get(serial)
         if record is None:
-            record = RemoteParticipantRecord(
-                self._rpc, self.db_node, self.service, order=600,
+            record = ToldParticipantRecord(
+                self._rpc, self.db_node, self.service,
                 batcher=self._batcher, retries=self.participant_retries,
                 rng=self._retry_rng,
                 on_resolved=functools.partial(self._participants.pop,
                                               serial, None))
             root.add_record(record)
             self._participants[serial] = record
-        return record
 
     def is_enlisted(self, action: AtomicAction) -> bool:
         """Whether this shard participates in the action's (live) root."""
@@ -128,7 +129,7 @@ class GroupViewDbClient:
     # -- calls ----------------------------------------------------------------
 
     def call_enlisted(self, action: AtomicAction, method: str, *args: Any,
-                      ring_epoch: int | None = None, write: bool = False,
+                      ring_epoch: int | None = None,
                       view_action: AtomicAction | None = None,
                       ) -> Generator[Any, Any, Any]:
         """One db operation with eager enlistment (the single-home path).
@@ -142,15 +143,15 @@ class GroupViewDbClient:
         harmless: the rejected request never executed, and an abort to
         an untouched participant is a no-op.
 
-        ``write`` and ``view_action`` are :meth:`call_reached`'s; only
-        ``action`` is enlisted eagerly.  A ``view_action`` the shard was
+        ``view_action`` is :meth:`call_reached`'s; only ``action`` is
+        enlisted eagerly.  A ``view_action`` the shard was
         not seen to reach gets the presumed abort instead, so a dark
         shard costs the caller one abort round trip, not one per root.
         """
         self.enlist(action)
         try:
             return (yield from self.call_reached(
-                action, method, *args, ring_epoch=ring_epoch, write=write,
+                action, method, *args, ring_epoch=ring_epoch,
                 view_action=view_action))
         except RpcError:
             if view_action is not None and not self.is_enlisted(view_action):
@@ -158,7 +159,7 @@ class GroupViewDbClient:
             raise
 
     def call_reached(self, action: AtomicAction, method: str, *args: Any,
-                     ring_epoch: int | None = None, write: bool = False,
+                     ring_epoch: int | None = None,
                      view_action: AtomicAction | None = None,
                      ) -> Generator[Any, Any, Any]:
         """One db operation, enlisting the shard only if it was *reached*.
@@ -174,12 +175,9 @@ class GroupViewDbClient:
         does a fencing rejection (the server refused before dispatch,
         so it holds nothing of this action's).
 
-        ``write`` says the operation mutates: its acknowledgement is the
-        shard's vote, and the participant record is told.  A refused or
-        failed write marks nothing.  ``view_action`` is a second action
-        the operation takes locks under (see
-        :meth:`get_binding_with_uses`): a shard that was reached is
-        enlisted for its root too.
+        ``view_action`` is a second action the operation takes locks
+        under (see :meth:`get_binding_with_uses`): a shard that was
+        reached is enlisted for its root too.
         """
         try:
             result = yield self._rpc.call(self.db_node, self.service, method,
@@ -189,23 +187,19 @@ class GroupViewDbClient:
             if exc.remote_type in _ERROR_TYPES:
                 self._enlist_reached(action, view_action)
             raise_mapped(exc)
-        record = self._enlist_reached(action, view_action)
-        if write:
-            record.note_write_acknowledged()
+        self._enlist_reached(action, view_action)
         return result
 
     def _enlist_reached(self, action: AtomicAction,
-                        view_action: AtomicAction | None,
-                        ) -> RemoteParticipantRecord:
+                        view_action: AtomicAction | None) -> None:
         if view_action is not None:
             self.enlist(view_action)
-        return self.enlist(action)
+        self.enlist(action)
 
     def define_object(self, action: AtomicAction, uid: Uid, sv_hosts: list[str],
                       st_hosts: list[str]) -> Generator[Any, Any, None]:
         yield from self.call_enlisted(action, "define_object", str(uid),
-                                      list(sv_hosts), list(st_hosts),
-                                      write=True)
+                                      list(sv_hosts), list(st_hosts))
 
     def get_binding(self, action: AtomicAction, uid: Uid,
                     view_action: AtomicAction,
@@ -223,8 +217,8 @@ class GroupViewDbClient:
         use-list schemes: ``Sv`` is *write*-locked under ``action`` (an
         independent top-level action), ``St`` read-locked under
         ``view_action``.  Two roots hold locks here afterwards, so the
-        db is enlisted for both -- the client action's read-only
-        ``prepare`` is what releases its ``St`` lock."""
+        db is enlisted for both -- each root's ``commit`` releases its
+        own."""
         return (yield from self.call_enlisted(
             action, "get_binding_with_uses", str(uid), view_action.id.path,
             view_action=view_action))
@@ -237,23 +231,21 @@ class GroupViewDbClient:
 
     def insert(self, action: AtomicAction, uid: Uid,
                host: str) -> Generator[Any, Any, None]:
-        yield from self.call_enlisted(action, "insert", str(uid), host,
-                                      write=True)
+        yield from self.call_enlisted(action, "insert", str(uid), host)
 
     def remove(self, action: AtomicAction, uid: Uid,
                host: str) -> Generator[Any, Any, None]:
-        yield from self.call_enlisted(action, "remove", str(uid), host,
-                                      write=True)
+        yield from self.call_enlisted(action, "remove", str(uid), host)
 
     def increment(self, action: AtomicAction, client_node: str, uid: Uid,
                   hosts: list[str]) -> Generator[Any, Any, None]:
         yield from self.call_enlisted(action, "increment", client_node,
-                                      str(uid), list(hosts), write=True)
+                                      str(uid), list(hosts))
 
     def decrement(self, action: AtomicAction, client_node: str, uid: Uid,
                   hosts: list[str]) -> Generator[Any, Any, None]:
         yield from self.call_enlisted(action, "decrement", client_node,
-                                      str(uid), list(hosts), write=True)
+                                      str(uid), list(hosts))
 
     def get_view(self, action: AtomicAction,
                  uid: Uid) -> Generator[Any, Any, list[str]]:
@@ -264,12 +256,11 @@ class GroupViewDbClient:
                 ring_epoch: int | None = None) -> Generator[Any, Any, None]:
         wire = [(str(uid), list(hosts)) for uid, hosts in exclusions]
         yield from self.call_enlisted(action, "exclude", wire,
-                                      ring_epoch=ring_epoch, write=True)
+                                      ring_epoch=ring_epoch)
 
     def include(self, action: AtomicAction, uid: Uid,
                 host: str) -> Generator[Any, Any, None]:
-        yield from self.call_enlisted(action, "include", str(uid), host,
-                                      write=True)
+        yield from self.call_enlisted(action, "include", str(uid), host)
 
     # -- the leased read plane (no action, no enlistment) ----------------------
 

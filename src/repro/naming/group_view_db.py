@@ -239,10 +239,8 @@ class GroupViewDatabase:
     # phase messages, one outcome tuple comes back per action -- each
     # item runs the single-action handler under ``demux``'s per-item
     # guard, so one action's refusal (vote "abort", lock conflict,
-    # unknown path) never poisons its batchmates.
-
-    def prepare_many(self, items: list[tuple]) -> list[tuple]:
-        return demux(self.prepare, items)
+    # unknown path) never poisons its batchmates.  There is no
+    # ``prepare_many``: no client sends a name node ``prepare``.
 
     def commit_many(self, items: list[tuple]) -> list[tuple]:
         return demux(self.commit, items)

@@ -175,10 +175,10 @@ class ReplicaIO:
         # never uses it -- maintenance traffic is already batched at
         # the protocol level (one ``_many`` call per node).
         self.batcher = batcher
-        # Prepare-retry policy for the 2PC participants the client-plane
-        # clients enlist (see RemoteParticipantRecord): bounded seeded-
-        # jitter retries so a gray shard's dropped prepare does not
-        # instantly doom the action.  0 retries = baseline fail-fast.
+        # Re-send budget for the outcome message of the 2PC participants
+        # the client-plane clients enlist (see ToldParticipantRecord):
+        # bounded seeded-jitter retries so a gray shard's dropped
+        # ``commit`` does not leak the action's locks there.
         self.participant_retries = participant_retries
         self.retry_rng = retry_rng
         self.max_stale_retries = max_stale_retries
@@ -266,8 +266,7 @@ class ReplicaIO:
                 client = self.client_for(view.primary(uid))
                 try:
                     return (yield from client.call_enlisted(
-                        action, method, *args, ring_epoch=view.epoch,
-                        write=True))
+                        action, method, *args, ring_epoch=view.epoch))
                 except StaleRingEpoch as exc:
                     self._note_stale()
                     stale = exc
@@ -278,8 +277,7 @@ class ReplicaIO:
                 client = self.client_for(node)
                 try:
                     result = yield from client.call_reached(
-                        action, method, *args, ring_epoch=view.epoch,
-                        write=True)
+                        action, method, *args, ring_epoch=view.epoch)
                     reached = True
                     applied.add(node)
                 except StaleRingEpoch as exc:
@@ -441,8 +439,7 @@ class ReplicaIO:
                         wire = [(str(uid), list(hosts))
                                 for uid, hosts in lots]
                         yield from client.call_reached(
-                            action, "exclude", wire, ring_epoch=view.epoch,
-                            write=True)
+                            action, "exclude", wire, ring_epoch=view.epoch)
                 except StaleRingEpoch as exc:
                     self._note_stale()
                     stale = exc

@@ -1,7 +1,8 @@
 """The commit-plane batcher: coalesce per-action RPCs into ``_many`` calls.
 
 Every top-level action pays a prepare round and a commit (or abort)
-round to each enlisted shard and store host.  Under concurrency the
+round to each store host, and an outcome message to each enlisted
+shard.  Under concurrency the
 same (coordinator, target, phase) triple carries many of those messages
 at the same virtual instant -- one per action -- and each one charges
 the target's single-server queue separately.  A :class:`CommitBatcher`
@@ -11,7 +12,7 @@ within ``window`` of each other are shipped as a single
 ``<method>_many`` RPC whose payload is the list of the batched calls'
 argument tuples.
 
-The server side of the contract (see ``GroupViewDatabase.prepare_many``
+The server side of the contract (see ``GroupViewDatabase.commit_many``
 and ``StoreHost.write_shadow_many``) is **per-item outcome demux**:
 a ``_many`` handler returns one ``("ok", value)`` or
 ``("err", type_name, message)`` tuple per item, never letting one

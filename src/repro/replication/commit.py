@@ -126,7 +126,10 @@ def _server_participants(action: AtomicAction) -> list[ServerParticipantRecord]:
 class StateDistributionRecord(AbstractRecord):
     """Copies a modified object's state to its ``St`` stores at commit."""
 
-    order = 300  # before server hosts (500) and the naming db (600)
+    # Before the outcome fan-out (500: server hosts, name nodes,
+    # cohorts): a passive server activating elsewhere reads the stores,
+    # and the name node's ``St`` lock must outlive the promotion.
+    order = 300
 
     def __init__(self, ctx: TxnContext, binding: PolicyBinding,
                  sources: list[str] | None = None) -> None:
@@ -138,7 +141,8 @@ class StateDistributionRecord(AbstractRecord):
         self.prepared_hosts: list[str] = []
         self.excluded_hosts: list[str] = []
         self.late_excluded_hosts: list[str] = []
-        self._new_version: int | None = None
+        # ``(buffer, version)`` as shadowed at the stores, once prepared.
+        self.new_state: tuple[bytes, int] | None = None
 
     # -- phase 1 ---------------------------------------------------------
 
@@ -156,7 +160,7 @@ class StateDistributionRecord(AbstractRecord):
         if state is None:
             return Vote.ABORT
         buffer, version = state
-        self._new_version = version + 1
+        self.new_state = buffer, version + 1
 
         # One round: every store's shadow write goes out now, then each
         # write's own verdict is collected.  Silence is the only sign of
@@ -167,7 +171,7 @@ class StateDistributionRecord(AbstractRecord):
         failures: list[str] = []
         refused = False
         for st_host, write in self._fan_out(
-                binding.st_hosts, "write_shadow", buffer, self._new_version):
+                binding.st_hosts, "write_shadow", *self.new_state):
             try:
                 yield write
             except RpcTimeout:
@@ -256,7 +260,10 @@ class StateDistributionRecord(AbstractRecord):
             yield from ctx.db.exclude(repair, [(binding.uid, hosts)])
         except (LockRefused, RpcError):
             yield from repair.abort()
-            # The cleanup/recovery protocols remain the backstop.
+            # Refused, under plain write locks, by this action's own
+            # ``St`` read lock (held until the outcome fan-out).  The
+            # next commit's Exclude and the store's recovery remain the
+            # backstop.
             return
         except BaseException:
             # Abort-on-failure: the independent Exclude action must

@@ -4,9 +4,10 @@ Several copies are activated but only one -- the coordinator -- carries
 out processing; it checkpoints its state to the cohorts.  If the
 coordinator fails, a cohort takes over.
 
-Checkpointing granularity in this implementation: the coordinator
-pushes its state to the cohorts as part of commit processing (so
-cohorts always hold the last *committed* state).  Consequently a
+Checkpointing granularity in this implementation: the state the
+coordinator prepared travels to the cohorts in the action's last
+fan-out, sent by the client that already holds it (so cohorts hold the
+last *committed* state).  Consequently a
 coordinator failure is masked transparently only while the current
 action has not yet updated the object; once the action holds dirty
 state that existed solely at the coordinator, its failure forces an
@@ -18,13 +19,14 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.actions.action import AbstractRecord, AtomicAction
+from repro.actions.action import AbstractRecord, AtomicAction, Vote
 from repro.actions.errors import LockRefused
 from repro.cluster.errors import TxnAborted
 from repro.cluster.server_host import SERVER_SERVICE
 from repro.naming.db_client import raise_mapped
 from repro.net.errors import RpcError, RpcRemoteError
 from repro.replication.commit import StateDistributionRecord
+from repro.sim.futures import Future
 from repro.replication.policy import PolicyBinding, ReplicationPolicy, TxnContext
 
 
@@ -90,43 +92,49 @@ class CoordinatorCohortReplication(ReplicationPolicy):
             return
         # Until the checkpoint below, the action's writes exist at the
         # coordinator alone: a cohort's copy is no substitute for them.
-        action.add_record(StateDistributionRecord(
-            ctx, binding, sources=[binding.coordinator]))
-        action.add_record(_CheckpointRecord(ctx, binding))
+        distribution = StateDistributionRecord(
+            ctx, binding, sources=[binding.coordinator])
+        action.add_record(distribution)
+        action.add_record(_CheckpointRecord(ctx, binding, distribution))
 
 
 class _CheckpointRecord(AbstractRecord):
-    """Pushes the committed state from coordinator to cohorts at commit.
+    """Installs the committed state at the cohorts, from the client.
 
-    Runs *after* the server hosts commit (order 700 > 500) so the
-    coordinator has already installed the new version; cohorts then
-    receive state and version stamps that match the object stores.
+    The state and version are the ones state distribution took from the
+    coordinator's vote and shadowed at the stores, so the client sends
+    them itself, in the outcome fan-out (order 500): the cohorts'
+    ``install_state`` leaves at the instant of the coordinator's
+    ``commit``, after the stores have promoted the same version.
     """
 
-    order = 700
+    order = 500
 
-    def __init__(self, ctx: TxnContext, binding: PolicyBinding) -> None:
+    def __init__(self, ctx: TxnContext, binding: PolicyBinding,
+                 distribution: StateDistributionRecord) -> None:
         self._ctx = ctx
         self._binding = binding
+        self._distribution = distribution
+        self._installs: list[Future] = []
 
-    def prepare(self, action: AtomicAction):
-        from repro.actions.action import Vote
+    def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
         return Vote.OK
         yield  # pragma: no cover
 
+    def begin_commit(self, action: AtomicAction) -> None:
+        binding = self._binding
+        self._installs = [
+            self._ctx.rpc.call(cohort, SERVER_SERVICE, "install_state",
+                               str(binding.uid), *self._distribution.new_state)
+            for cohort in binding.live_hosts if cohort != binding.coordinator]
+
     def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        ctx, binding = self._ctx, self._binding
-        if not binding.live_hosts:
-            return
-        coordinator = binding.coordinator
-        cohorts = [h for h in binding.live_hosts if h != coordinator]
-        if not cohorts:
-            return
-        try:
-            accepted = yield ctx.rpc.call(coordinator, SERVER_SERVICE,
-                                          "checkpoint_to", str(binding.uid),
-                                          cohorts)
-        except RpcError:
-            return  # cohorts will refresh at their next activation
-        ctx.metrics.counter(
-            "policy.coordinator_cohort.checkpoints").increment(len(accepted))
+        accepted = 0
+        for install in self._installs:
+            try:
+                accepted += bool((yield install))
+            except RpcError:
+                pass  # the cohort will refresh at its next activation
+        if accepted:
+            self._ctx.metrics.counter(
+                "policy.coordinator_cohort.checkpoints").increment(accepted)

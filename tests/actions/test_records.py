@@ -7,6 +7,7 @@ from repro.actions import (
     LockMode,
     LockReleaseRecord,
     RemoteParticipantRecord,
+    ToldParticipantRecord,
 )
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
@@ -153,7 +154,29 @@ def test_abort_tolerates_unreachable_participant():
     assert status is ActionStatus.ABORTED
 
 
-# -- prepare retries (the gray-participant path) -----------------------------
+# -- the participant that is told, not polled ---------------------------------
+
+
+def told_record(agents, target="db", **kwargs):
+    from repro.sim import SeededRng
+
+    if kwargs.get("retries"):
+        kwargs.setdefault("rng", SeededRng(9).substream(target))
+    return ToldParticipantRecord(agents["client"], target, "svc", **kwargs)
+
+
+def test_a_told_participant_is_sent_the_outcome_and_no_prepare():
+    for do, sent in (("commit", ["commit"]), ("abort", ["abort"])):
+        s, _, agents = make_rpc_world()
+        participant = Participant()
+        agents["db"].register("svc", participant)
+        resolved = []
+        action = AtomicAction()
+        action.add_record(told_record(
+            agents, on_resolved=lambda: resolved.append(True)))
+        run_action_in_process(s, action, do=do)
+        assert [c[0] for c in participant.calls] == sent
+        assert resolved == [True]
 
 
 def test_retries_need_a_seeded_rng():
@@ -161,16 +184,15 @@ def test_retries_need_a_seeded_rng():
 
     s, _, agents = make_rpc_world()
     with pytest.raises(ValueError, match="seeded rng"):
-        RemoteParticipantRecord(agents["client"], "db", "svc", retries=2)
+        ToldParticipantRecord(agents["client"], "db", "svc", retries=2)
     with pytest.raises(ValueError):
-        RemoteParticipantRecord(agents["client"], "db", "svc", retries=-1)
+        ToldParticipantRecord(agents["client"], "db", "svc", retries=-1)
 
 
-def test_prepare_retry_reaches_a_recovering_gray_participant():
-    """The gray window: drop every prepare for a while, then deliver.
-    With retries the action commits; without, it aborts instantly."""
-    from repro.sim import SeededRng
-
+def test_outcome_retry_reaches_a_recovering_gray_participant():
+    """The gray window: drop every message for a while, then deliver.
+    With retries the participant hears the outcome; without, its lock
+    release is lost -- a heuristic either way never an abort."""
     def attempt(retries):
         s, net, agents = make_rpc_world()
         participant = Participant()
@@ -179,28 +201,22 @@ def test_prepare_retry_reaches_a_recovering_gray_participant():
         net.block("client", "db")
         s.schedule_at(0.4, net.unblock, "client", "db")
         action = AtomicAction()
-        rng = SeededRng(9).substream("retry") if retries else None
-        action.add_record(RemoteParticipantRecord(
-            agents["client"], "db", "svc", retries=retries,
-            backoff=0.3, rng=rng))
-        return run_action_in_process(s, action), participant
+        action.add_record(told_record(agents, retries=retries, backoff=0.3))
+        return run_action_in_process(s, action), action, participant
 
-    status, participant = attempt(retries=3)
+    status, action, participant = attempt(retries=3)
+    assert status is ActionStatus.COMMITTED and not action.commit_failures
+    assert [c[0] for c in participant.calls] == ["commit"]
+
+    status, action, participant = attempt(retries=0)
     assert status is ActionStatus.COMMITTED
-    assert [c[0] for c in participant.calls] == ["prepare", "commit"]
-
-    status, participant = attempt(retries=0)
-    assert status is ActionStatus.ABORTED
-    # Fail-fast baseline: no prepare ever got through (a post-heal
-    # presumed abort to the untouched participant is a no-op).
-    assert "prepare" not in [c[0] for c in participant.calls]
+    assert len(action.commit_failures) == 1
+    assert participant.calls == []
 
 
-def test_a_dropped_eager_prepare_is_reissued_beside_its_groupmate():
-    """Two same-order participants prepare at one instant; the one whose
-    eager prepare is dropped retries on its own and the action commits."""
-    from repro.sim import SeededRng
-
+def test_a_dropped_outcome_is_reissued_beside_its_groupmate():
+    """Two same-order participants are told at one instant; the one
+    whose ``commit`` is dropped is re-sent it on its own."""
     s = Scheduler()
     net = Network(s, FixedLatency(0.01))
     agents, participants, issued = {}, {}, []
@@ -221,29 +237,23 @@ def test_a_dropped_eager_prepare_is_reissued_beside_its_groupmate():
     s.schedule_at(0.4, net.unblock, "client", "db2")
     action = AtomicAction()
     for name in ("db1", "db2"):
-        action.add_record(RemoteParticipantRecord(
-            agents["client"], name, "svc", retries=2, backoff=0.3,
-            rng=SeededRng(9).substream(name)))
+        action.add_record(told_record(agents, name, retries=2, backoff=0.3))
     assert run_action_in_process(s, action) is ActionStatus.COMMITTED
 
-    assert issued[:2] == [("db1", "prepare", 0.0), ("db2", "prepare", 0.0)]
-    assert [m for t, m, _at in issued if t == "db2"] == \
-        ["prepare", "prepare", "commit"]
-    commits = {at for _t, m, at in issued if m == "commit"}
-    assert len(commits) == 1
+    assert issued[:2] == [("db1", "commit", 0.0), ("db2", "commit", 0.0)]
+    assert [m for t, m, _at in issued if t == "db2"] == ["commit", "commit"]
+    assert not action.commit_failures
     for participant in participants.values():
-        assert [c[0] for c in participant.calls] == ["prepare", "commit"]
+        assert [c[0] for c in participant.calls] == ["commit"]
 
 
-def test_prepare_retry_budget_exhausts_to_abort():
-    from repro.sim import SeededRng
-
+def test_outcome_retry_budget_exhausts_to_a_heuristic_never_an_abort():
     s, net, agents = make_rpc_world()
     agents["db"].register("svc", Participant())
     net.interface("db").up = False  # dark for good, not just gray
     action = AtomicAction()
-    action.add_record(RemoteParticipantRecord(
-        agents["client"], "db", "svc", retries=2, backoff=0.05,
-        rng=SeededRng(9).substream("retry")))
+    record = told_record(agents, retries=2, backoff=0.05)
+    action.add_record(record)
     status = run_action_in_process(s, action)
-    assert status is ActionStatus.ABORTED
+    assert status is ActionStatus.COMMITTED
+    assert [failed for failed, _exc in action.commit_failures] == [record]

@@ -108,9 +108,26 @@ def test_get_state_install_state_roundtrip():
     server = make_object_server(42)
     buffer, version = server.get_state()
     other = make_object_server(0)
-    other.install_state(buffer, version)
+    assert other.install_state(buffer, version + 1)
     assert other.invoke((9,), "get", ()) == 42
-    assert other.version == version
+    assert other.version == version + 1
+
+
+def test_install_state_never_goes_backwards():
+    """Two clients' checkpoints can arrive out of order: v+2 then v+1
+    leaves v+2, and the host says which install it took.  A host with
+    no server for the uid (it restarted) is instantiated from the
+    buffer, whatever the version."""
+    host, (uid_text,) = make_host(servers=1, value=10)
+    uid = Uid.parse(uid_text)
+    assert host.install_state(uid_text, Counter(uid, value=12).serialise(), 3)
+    assert not host.install_state(uid_text, Counter(uid, value=11).serialise(), 2)
+    assert not host.install_state(uid_text, Counter(uid, value=12).serialise(), 3)
+    assert host.get_state(uid_text) == (Counter(uid, value=12).serialise(), 3)
+
+    assert host.passivate_if_quiescent(uid_text)
+    assert host.install_state(uid_text, Counter(uid, value=11).serialise(), 2)
+    assert host.get_state(uid_text)[1] == 2
 
 
 # -- ServerHost: 2PC visits what the action's root touched, by count ------------

@@ -66,21 +66,23 @@ def naming_traffic(rpc_log):
 # at which the client issues RPCs for the whole transaction (15 / 20 /
 # 22 when every set was walked one host at a time, 11 / 12 / 10 while
 # binding asked the name node twice and commit asked a server for the
-# state it was about to prepare); and the RPCs the transaction costs in
-# all, the servers' own included (their activation reads, the
-# coordinator's ``install_state``).  Exact: one more round trip, or one
-# more RPC, is a regression that fails here without running ``perf/``.
+# state it was about to prepare, 9 / 10 / 8 while the name node was
+# polled for a read-only vote and the coordinator relayed the cohorts'
+# checkpoint); and the RPCs the transaction costs in all, the servers'
+# own included (their activation reads).  Exact: one more round trip,
+# or one more RPC, is a regression that fails here without running
+# ``perf/``.
 TIMELINES = [
-    (SingleCopyPassive, 9, 14, {
+    (SingleCopyPassive, 8, 14, {
         (SERVER_SERVICE, "activate"): 1, (STORE_SERVICE, "write_shadow"): 3,
         (SERVER_SERVICE, "prepare"): 1, (STORE_SERVICE, "commit_shadow"): 3,
         (SERVER_SERVICE, "commit"): 1}),
-    (CoordinatorCohortReplication, 10, 23, {
+    (CoordinatorCohortReplication, 8, 22, {
         (SERVER_SERVICE, "activate"): 3, (STORE_SERVICE, "write_shadow"): 3,
         (SERVER_SERVICE, "prepare"): 3, (STORE_SERVICE, "commit_shadow"): 3,
         (SERVER_SERVICE, "commit"): 1,  # only the coordinator wrote
-        (SERVER_SERVICE, "install_state"): 2}),  # issued by the coordinator
-    (ActiveReplication, 8, 23, {
+        (SERVER_SERVICE, "install_state"): 2}),  # the cohorts, by the client
+    (ActiveReplication, 7, 23, {
         (SERVER_SERVICE, "activate"): 3, (SERVER_SERVICE, "join_group"): 3,
         (STORE_SERVICE, "write_shadow"): 3, (SERVER_SERVICE, "prepare"): 3,
         (STORE_SERVICE, "commit_shadow"): 3, (SERVER_SERVICE, "commit"): 3}),
@@ -103,6 +105,9 @@ def test_each_one_to_many_step_goes_out_at_a_single_instant(
     assert len({at for who, *_rest, at in rpc_log
                 if who == "c1"}) == client_instants
     assert len(rpc_log) == rpcs
+    assert {who for who, _target, _svc, method, _at in rpc_log
+            if method == "install_state"} <= {"c1"}
+    assert not issues(rpc_log, SERVER_SERVICE, "checkpoint_to")
 
 
 @pytest.mark.parametrize("policy", [SingleCopyPassive,
@@ -112,34 +117,42 @@ def test_binding_asks_the_name_node_once_and_commit_never_asks_for_state(
         rpc_log, policy):
     """``Sv`` and ``St`` are one lookup, and the state copied to the
     stores arrives with the servers' prepare votes -- which therefore go
-    out first, before the shadow writes."""
+    out first, before the shadow writes.  The name node is never polled:
+    once the stores have promoted their shadows, everybody who is only
+    waiting for the outcome is told it at one instant."""
     system, client, uid = build(policy)
     del rpc_log[:]
     assert system.run_transaction(client, get_then_add(uid)).committed
 
-    assert naming_traffic(rpc_log) == ["get_binding", "prepare"]
+    assert naming_traffic(rpc_log) == ["get_binding", "commit"]
     assert not issues(rpc_log, SERVER_SERVICE, "get_state")
     (prepared_at,) = issues(rpc_log, SERVER_SERVICE, "prepare")
     (shadowed_at,) = issues(rpc_log, STORE_SERVICE, "write_shadow")
-    (naming_prepared_at,) = issues(rpc_log, NAMING_SERVICE, "prepare")
-    assert prepared_at < shadowed_at < naming_prepared_at
+    (promoted_at,) = issues(rpc_log, STORE_SERVICE, "commit_shadow")
+    (told_at,) = issues(rpc_log, NAMING_SERVICE, "commit")
+    assert prepared_at < shadowed_at < promoted_at < told_at
+    outcome = {told_at, *issues(rpc_log, SERVER_SERVICE, "commit"),
+               *issues(rpc_log, SERVER_SERVICE, "install_state")}
+    assert outcome == {told_at}
 
 
 # The use-list schemes (figures 7 and 8) on a sharded, twice-replicated
-# name service: one lookup per bind, and a name node's acknowledgement
-# of a write is its vote -- the bind and unbind actions' phase 2 follows
-# their last write directly, and the only ``prepare`` any name node sees
-# is the client action's, which merely read ``St`` there (its vote is
-# its lock release).  18 instants / 27 RPCs while the bind looked up
-# ``St`` and the use lists separately and every writer was asked to vote.
+# name service: one lookup per bind, and no name node is ever sent
+# ``prepare`` -- the bind and unbind actions' phase 2 follows their last
+# write directly (the acknowledgement was the vote), and the client
+# action, which merely read ``St`` there, releases that lock with the
+# ``commit`` of its last fan-out.  18 instants / 27 RPCs while the bind
+# looked up ``St`` and the use lists separately and every writer was
+# asked to vote; 15 while the client action's name node voted
+# ``readonly`` a trip before the servers' ``commit``.
 USE_LIST_TIMELINES = [
-    ("independent", 15, 22, [
+    ("independent", 14, 22, [
         "get_binding_with_uses", "increment", "increment", "commit",
-        "commit", "prepare", "decrement", "decrement", "commit", "commit"]),
+        "commit", "commit", "decrement", "decrement", "commit", "commit"]),
     # Figure 8 unbinds inside the client action, before it commits.
-    ("nested_top_level", 15, 22, [
+    ("nested_top_level", 14, 22, [
         "get_binding_with_uses", "increment", "increment", "commit",
-        "commit", "decrement", "decrement", "commit", "commit", "prepare"]),
+        "commit", "decrement", "decrement", "commit", "commit", "commit"]),
 ]
 
 
@@ -155,6 +168,7 @@ def test_a_use_list_transaction_asks_no_writer_to_vote(
     assert system.run_transaction(client, get_then_add(uid)).committed
 
     assert naming_traffic(rpc_log) == naming
+    assert not issues(rpc_log, NAMING_SERVICE, "prepare")
     for method in ("increment", "decrement"):  # primary first: lock order
         assert len(issues(rpc_log, NAMING_SERVICE, method)) == 2
     assert len({at for who, *_rest, at in rpc_log
@@ -292,3 +306,66 @@ def test_a_server_crashing_between_the_phases_does_not_undo_the_decision():
     host.prepare = prepare_then_die
     assert system.run_transaction(client, get_then_add(uid)).committed
     assert system.store_versions(uid) == {"t1": 2, "t2": 2, "t3": 2}
+
+
+# -- who is only waiting for the outcome --------------------------------------------
+
+
+def test_a_name_node_dark_from_bind_to_the_end_cannot_veto(rpc_log):
+    """The action only read there, and a name node is not polled: the
+    decision is the stores' and servers', and the release that meets
+    silence is a heuristic (the node's lock table died with it)."""
+    system, client, uid = build(SingleCopyPassive)
+    seen = {}
+
+    def crash_the_name_node(txn):
+        seen["txn"] = txn
+        system.nodes["namenode"].crash()
+
+    result = system.run_transaction(
+        client, get_then_add(uid, hook=crash_the_name_node))
+    assert result.committed
+    assert system.store_versions(uid) == {"t1": 2, "t2": 2, "t3": 2}
+    assert [record.target for record, _exc
+            in seen["txn"].action.commit_failures] == ["namenode"]
+    assert not issues(rpc_log, NAMING_SERVICE, "prepare")
+
+
+def test_a_cohort_down_at_the_last_fan_out_misses_only_its_checkpoint(
+        rpc_log):
+    system, client, uid = build(CoordinatorCohortReplication)
+    host = system.nodes["s3"].rpc.service(SERVER_SERVICE)
+    real_prepare = host.prepare
+
+    def prepare_then_die(action_path):
+        reply = real_prepare(action_path)
+        system.scheduler.call_soon(system.nodes["s3"].crash)
+        return reply
+
+    host.prepare = prepare_then_die
+    assert system.run_transaction(client, get_then_add(uid)).committed
+    assert system.store_versions(uid) == {"t1": 2, "t2": 2, "t3": 2}
+    (installed,) = issues(rpc_log, SERVER_SERVICE, "install_state").values()
+    assert installed == ["s2", "s3"]
+    assert system.metrics.counter_value(
+        "policy.coordinator_cohort.checkpoints") == 1  # acceptors only
+    states = {name: system.nodes[name].rpc.service(SERVER_SERVICE)
+              .get_state(str(uid)) for name in ("s1", "s2")}
+    assert states["s1"] == states["s2"] and states["s2"][1] == 2
+
+
+def test_an_aborting_transaction_tells_name_node_and_servers_together(
+        rpc_log):
+    """A store that answers ``write_shadow`` with a refusal vetoes the
+    commit; the abort is two fan-outs -- everybody who holds locks for
+    the action, then the stores that took a shadow."""
+    system, client, uid = build(SingleCopyPassive)
+    newer = system.nodes["t1"].object_store.read_committed(uid).buffer
+    system.nodes["t2"].object_store.install(uid, newer, version=5)
+    result = system.run_transaction(client, get_then_add(uid))
+    assert result.reason == "commit_vetoed"
+    (told_at,) = issues(rpc_log, NAMING_SERVICE, "abort")
+    (servers_at,) = issues(rpc_log, SERVER_SERVICE, "abort")
+    (discarded_at,) = issues(rpc_log, STORE_SERVICE, "discard_shadow")
+    assert told_at == servers_at < discarded_at
+    assert not system.db.state_db.locks.is_locked(("st", uid))

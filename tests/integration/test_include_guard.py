@@ -6,8 +6,6 @@ recovery pass finished, so nothing would ever Include the store back.
 The periodic include guard on store nodes repairs this.
 """
 
-import pytest
-
 from tests.conftest import add_work, build_system, get_work
 
 
@@ -118,20 +116,35 @@ def _include_during_a_commit(offset):
     return [host for host in system.db_st(uid) if versions[host] < newest]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a read-only name node drops the St read lock with its vote, before "
-    "commit_shadow: docs/architecture.md, 'Ledgers that are not zero'"))
-def test_include_cannot_slip_between_a_readonly_vote_and_commit_shadow():
-    """No Exclude means the name node has nothing to commit: it votes
-    ``readonly`` and releases the client action's read lock on ``St``
-    there and then -- one round trip *before* ``commit_shadow`` reaches
-    the stores.  An Include whose write lock was refused all through
-    the action is granted in that gap, for a copy refreshed from stores
-    that still show the old version.  Swept over every start offset
-    across the transaction so the test does not depend on the timeline;
-    today the offsets that put the refresh before ``commit_shadow`` and
-    the Include after the vote leave t2 in ``St`` one version behind."""
+def test_the_st_read_lock_outlives_commit_shadow_so_no_include_slips_in(
+        rpc_log):
+    """A name node is never polled: the client action's read lock on
+    ``St`` is released by the ``commit`` of the last fan-out, which
+    leaves only once every store has acknowledged ``commit_shadow``.  An
+    Include whose write lock was refused all through the action can
+    therefore only be granted after the stores show the new version, so
+    the copy it refreshed is never one behind.  Swept over every start
+    offset across the transaction so the test does not depend on the
+    timeline (while the name node voted ``readonly`` a trip *before*
+    ``commit_shadow``, the offsets that put the refresh before the
+    promotion and the Include after the vote left t2 in ``St`` one
+    version behind)."""
     stale = {offset: members
              for offset in (step * 0.01 for step in range(25))
              if (members := _include_during_a_commit(offset))}
     assert stale == {}
+
+    # And directly, on the timeline: the release leaves with the
+    # servers' ``commit``, strictly after the promotion.
+    system, client, uid = build_system(sv=("s1",), st=("t1", "t2"),
+                                       enable_recovery_managers=False)
+    del rpc_log[:]
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    issued = {}
+    for _who, _target, service, method, at in rpc_log:
+        issued.setdefault((service, method), set()).add(at)
+    assert ("group_view_db", "prepare") not in issued
+    (promoted_at,) = issued["store", "commit_shadow"]
+    (released_at,) = issued["group_view_db", "commit"]
+    assert issued["servers", "commit"] == {released_at}
+    assert promoted_at < released_at

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.actions import ActionStatus, AtomicAction, LockRefused, PromotionRefused
-from repro.actions.records import RemoteParticipantRecord
+from repro.actions.records import ToldParticipantRecord
 from repro.naming import GroupViewDatabase, NotQuiescent, UnknownObject
 from repro.naming.db_client import GroupViewDbClient
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
@@ -83,7 +83,7 @@ def test_enlists_participant_once_per_top_level_action():
 
     run(s, body())
     participants = [r for r in action.records
-                    if isinstance(r, RemoteParticipantRecord)]
+                    if isinstance(r, ToldParticipantRecord)]
     assert len(participants) == 1
 
 
@@ -153,7 +153,7 @@ def naming_methods(rpc_log):
 
 def participant(action):
     (record,) = [r for r in action.records
-                 if isinstance(r, RemoteParticipantRecord)]
+                 if isinstance(r, ToldParticipantRecord)]
     return record
 
 
@@ -171,9 +171,9 @@ def test_an_acknowledged_write_is_the_vote(rpc_log):
     assert not db.server_db.locks.is_locked(("sv", UID))
 
 
-def test_a_participant_only_read_at_still_votes_by_prepare(rpc_log):
-    """Its ``readonly`` vote is its lock release -- including a
-    ``for_update`` read that no write followed."""
+def test_a_participant_only_read_at_is_told_the_outcome_not_polled(rpc_log):
+    """Its ``commit`` is its lock release -- including a ``for_update``
+    read that no write followed."""
     s, net, db, client = make_world()
     action = AtomicAction(node="client")
 
@@ -184,7 +184,7 @@ def test_a_participant_only_read_at_still_votes_by_prepare(rpc_log):
 
     assert run(s, body()) is ActionStatus.COMMITTED
     assert naming_methods(rpc_log) == ["get_view", "get_server_with_uses",
-                                       "prepare"]
+                                       "commit"]
     assert not db.server_db.locks.is_locked(("sv", UID))
     assert not db.state_db.locks.is_locked(("st", UID))
 
@@ -209,7 +209,8 @@ def test_a_refused_write_marks_nothing_and_the_abort_reaches_the_db(rpc_log):
     assert naming_methods(rpc_log)[-1] == "abort"
     assert not db.server_db.locks.is_locked(("sv", UID))
 
-    # Committing regardless shows the record unvoted: the db is asked.
+    # Committing regardless: the db is still not polled, and the
+    # ``commit`` releases what the action read before the refusal.
     del rpc_log[:]
 
     def commit_it():
@@ -217,7 +218,8 @@ def test_a_refused_write_marks_nothing_and_the_abort_reaches_the_db(rpc_log):
         return (yield from stubborn.commit())
 
     assert run(s, commit_it()) is ActionStatus.COMMITTED
-    assert naming_methods(rpc_log)[-1] == "prepare"
+    assert naming_methods(rpc_log)[-1] == "commit"
+    assert "prepare" not in naming_methods(rpc_log)
     assert not db.server_db.locks.is_locked(("sv", UID))
 
 
@@ -233,7 +235,7 @@ def test_the_enlistment_table_forgets_a_root_once_it_resolves():
         seen["live"] = [client.is_enlisted(a)
                         for a in (writer, reader, quitter)]
         yield from writer.commit()    # phase 2 resolves it
-        yield from reader.commit()    # the read-only vote has no phase 2
+        yield from reader.commit()    # a reader's phase 2 is its release
         yield from quitter.abort()
 
     run(s, body())
@@ -278,7 +280,7 @@ def test_the_one_lookup_enlists_the_db_for_both_roots(rpc_log):
             db.state_db.locks.holders_of(("st", UID))] == [action.id.path]
 
     run(s, action.commit())
-    assert naming_methods(rpc_log)[-1] == "prepare"  # read-only: it votes
+    assert naming_methods(rpc_log)[-2:] == ["commit", "commit"]  # no prepare
     assert not db.state_db.locks.is_locked(("st", UID))
     assert client._participants == {}
 

@@ -30,6 +30,33 @@ def test_late_store_crash_between_phases_is_heuristically_excluded():
     assert system.store_versions(uid)["t1"] == 2
 
 
+def test_late_exclude_under_plain_write_locks_is_left_to_the_backstop():
+    """Without the exclude-write lock the late Exclude asks for plain
+    WRITE while the client action still holds its ``St`` read lock (the
+    name node is told the outcome only after ``commit_shadow``): it is
+    refused and t2 stays listed -- until the next commit meets its
+    silence and Excludes it under its own action."""
+    system, client, uid = build_system(st=("t1", "t2"),
+                                       use_exclude_write_lock=False,
+                                       enable_recovery_managers=False)
+    t2_store = system.nodes["t2"].object_store
+    original_write = t2_store.write_shadow
+
+    def write_and_die(uid_, buffer, version):
+        original_write(uid_, buffer, version)
+        system.scheduler.call_soon(system.nodes["t2"].crash)
+
+    t2_store.write_shadow = write_and_die
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    assert system.metrics.counter_value("commit.late_exclusions") == 1
+    assert system.db_st(uid) == ["t1", "t2"]
+    assert not system.db.state_db.locks.is_locked(("st", uid))
+
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    assert system.db_st(uid) == ["t1"]
+    assert system.store_versions(uid) == {"t1": 3}
+
+
 def test_durability_loss_window_is_counted():
     """|St| = 1 and the only store dies between phases: the decided
     state is lost; the system records it rather than hiding it."""

@@ -47,23 +47,39 @@ def test_every_scenario_is_reached_by_a_gated_bench():
     assert set(SCENARIOS) <= set(re.findall(r'"(\w+)"', sources))
 
 
-def _results(tmp_path, name, commit_rate, p99, rpcs_sent=1000):
+def _results(tmp_path, name, commit_rate, p99, rpcs_sent=1000, p95=0.5):
     directory = tmp_path / name
     directory.mkdir()
     (directory / "BENCH_paper_figures.json").write_text(json.dumps({
         "results": {"test_paper_experiment[fig3]": {
             "2": {"commit_rate": commit_rate, "p99_latency": p99,
-                  "rpcs_sent": rpcs_sent}}}}))
+                  "p95_latency": p95, "rpcs_sent": rpcs_sent}}}}))
     return directory
 
 
 def test_commit_rate_is_gated_and_latency_is_not(tmp_path, capsys):
+    """Below the tail, that is: mean / p50 / p95 are too discrete."""
     baseline = _results(tmp_path, "baseline", commit_rate=0.96, p99=1.0)
-    slower = _results(tmp_path, "slower", commit_rate=0.96, p99=9.0)
+    slower = _results(tmp_path, "slower", commit_rate=0.96, p99=1.0, p95=4.5)
     dropped = _results(tmp_path, "dropped", commit_rate=0.72, p99=1.0)
     assert check_regression.compare(baseline, slower, 0.20) == []
     [failure] = check_regression.compare(baseline, dropped, 0.20)
     assert "fig3].2.commit_rate: 0.720 <" in failure
+
+
+def test_a_rise_in_p99_latency_fails_past_its_own_tolerance(tmp_path):
+    baseline = _results(tmp_path, "baseline", 0.96, p99=1.0)
+    within = _results(tmp_path, "within", 0.96, p99=1.5)  # > 20%, <= 50%
+    timeout = _results(tmp_path, "timeout", 0.96, p99=5.2)
+    assert check_regression.compare(baseline, within, 0.20) == []
+    [failure] = check_regression.compare(baseline, timeout, 0.20)
+    assert "fig3].2.p99_latency: 5.200 > 1.500 (50% above" in failure
+
+
+def test_a_fall_in_p99_latency_passes_however_large(tmp_path):
+    baseline = _results(tmp_path, "baseline", 0.96, p99=5.2)
+    tenth = _results(tmp_path, "tenth", 0.96, p99=0.5)
+    assert check_regression.compare(baseline, tenth, 0.20) == []
 
 
 def test_a_rise_in_rpcs_sent_fails_the_gate(tmp_path):
@@ -84,7 +100,7 @@ def test_a_fall_in_rpcs_sent_passes_however_large(tmp_path):
 def test_moved_lists_only_the_rows_that_changed_rises_included(
         tmp_path, capsys):
     baseline = _results(tmp_path, "baseline", commit_rate=0.80, p99=1.0)
-    same = _results(tmp_path, "same", commit_rate=0.80, p99=2.0)
+    same = _results(tmp_path, "same", commit_rate=0.80, p99=1.0, p95=2.0)
     risen = _results(tmp_path, "risen", commit_rate=0.90, p99=1.0)
     assert check_regression.compare(baseline, same, 0.20, moved_only=True) == []
     assert capsys.readouterr().out == ""
