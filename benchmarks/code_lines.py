@@ -25,6 +25,11 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
 
 def code_lines(source: str) -> int:
     """Lines of ``source`` that hold code."""
+    return len(code_line_numbers(source))
+
+
+def code_line_numbers(source: str) -> set[int]:
+    """The 1-based numbers of the lines of ``source`` that hold code."""
     docstrings: set[int] = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
@@ -38,7 +43,7 @@ def code_lines(source: str) -> int:
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _NOT_CODE:
             lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines - docstrings)
+    return lines - docstrings
 
 
 def count(path: Path) -> tuple[int, int]:

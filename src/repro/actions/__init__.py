@@ -13,7 +13,7 @@ implements:
   4.1.3, figures 6-8), with an intention-record list driving two-phase
   commit;
 - :mod:`~repro.actions.records` -- reusable intention records
-  (lock release, callbacks, remote participants).
+  (callbacks, remote participants).
 
 Commit and abort are generators: they may perform RPCs, so they run
 inside a simulation process (``yield from action.commit()``).  The same
@@ -40,7 +40,6 @@ from repro.actions.action import (
 )
 from repro.actions.records import (
     CallbackRecord,
-    LockReleaseRecord,
     RemoteParticipantRecord,
     ToldParticipantRecord,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "LockManager",
     "LockMode",
     "LockRefused",
-    "LockReleaseRecord",
     "PrepareVetoed",
     "PromotionRefused",
     "RemoteParticipantRecord",

@@ -8,8 +8,8 @@ commit over the records:
   exception aborts the whole action), then ``commit`` on the survivors;
 - *nested* commit performs no 2PC: records are merged into the parent,
   so their effects remain provisional until the top-level action
-  resolves (locks are inherited, not released -- strict two-phase
-  locking across the nesting hierarchy);
+  resolves (nothing releases a lock at nested commit -- strict
+  two-phase locking across the nesting hierarchy);
 - abort runs ``abort`` on every record in reverse order.
 
 ``commit``/``abort`` are generators because records may need RPCs (e.g.
@@ -53,10 +53,6 @@ class ActionId:
     def related(self, other: "ActionId") -> bool:
         shorter = min(len(self.path), len(other.path))
         return self.path[:shorter] == other.path[:shorter]
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
 
     @property
     def top_level_serial(self) -> int:
@@ -158,10 +154,6 @@ class AtomicAction:
     @property
     def is_top_level(self) -> bool:
         return self.parent is None
-
-    @property
-    def is_nested_top_level(self) -> bool:
-        return self.independent and self.invoker is not None
 
     @property
     def records(self) -> list[AbstractRecord]:

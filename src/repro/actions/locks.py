@@ -26,9 +26,10 @@ is ablated in the benchmarks.)
 
 Lock owners are :class:`~repro.actions.action.ActionId` values.  An
 action never conflicts with its own ancestors or descendants: a nested
-action may read what its parent wrote.  On nested commit, locks are
-*inherited* by the parent (two-phase locking across the nesting
-hierarchy, as in Arjuna); on nested abort they are released.
+action may read what its parent wrote.  Nothing moves on nested commit:
+a lock keeps its nested owner until the table's holder releases a whole
+action sub-tree at once -- at top-level commit, or when the nested
+action aborts (see :mod:`repro.naming.db_base`).
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class LockManager:
                 raise LockRefused(
                     f"{mode.value} lock refused: {held.owner} holds {held.mode.value}")
 
-    # -- release and inheritance ---------------------------------------------
+    # -- release ---------------------------------------------------------------
 
     def release_all(self, owner: "ActionId") -> int:
         """Release every lock held by ``owner``; returns how many."""
@@ -143,40 +144,7 @@ class LockManager:
                 del self._table[resource]
         return released
 
-    def release(self, owner: "ActionId", resource: Hashable) -> bool:
-        holders = self._table.get(resource, [])
-        before = len(holders)
-        holders[:] = [h for h in holders if h.owner != owner]
-        if not holders:
-            self._table.pop(resource, None)
-        return len(holders) < before
-
-    def inherit(self, child: "ActionId", parent: "ActionId") -> int:
-        """Transfer the child's locks to the parent (nested commit)."""
-        moved = 0
-        for holders in self._table.values():
-            parent_held = self._find(holders, parent)
-            child_held = self._find(holders, child)
-            if child_held is None:
-                continue
-            if parent_held is None:
-                child_held.owner = parent
-            else:
-                # Parent keeps the stronger of the two modes.
-                if _STRENGTH[child_held.mode] > _STRENGTH[parent_held.mode]:
-                    parent_held.mode = child_held.mode
-                holders.remove(child_held)
-            moved += 1
-        return moved
-
     # -- inspection ----------------------------------------------------------
-
-    def holders_of(self, resource: Hashable) -> list[tuple["ActionId", LockMode]]:
-        return [(h.owner, h.mode) for h in self._table.get(resource, [])]
-
-    def mode_held(self, owner: "ActionId", resource: Hashable) -> LockMode | None:
-        held = self._find(self._table.get(resource, []), owner)
-        return held.mode if held else None
 
     def is_locked(self, resource: Hashable) -> bool:
         return bool(self._table.get(resource))

@@ -1,16 +1,13 @@
 """Reusable intention records.
 
-- :class:`LockReleaseRecord` -- ties a :class:`~repro.actions.locks.LockManager`
-  to an action: locks are inherited by the parent on nested commit and
-  released when the enclosing top-level action resolves (strict 2PL).
 - :class:`CallbackRecord` -- adapts plain callables into a record; used
   by layers that need ad-hoc prepare/commit/abort behaviour without a
   dedicated class.
-- :class:`RemoteParticipantRecord` -- drives a remote 2PC participant
-  (a service exposing ``prepare``/``commit``/``abort`` methods keyed by
-  action id) over RPC.
-- :class:`ToldParticipantRecord` -- the same participant when its vote
-  is known beforehand: never sent ``prepare``, told the outcome.
+- :class:`RemoteParticipantRecord` -- the RPC plumbing shared by every
+  remote 2PC participant (a service exposing ``commit``/``abort``, and
+  perhaps ``prepare``, keyed by action id); subclasses decide the vote.
+- :class:`ToldParticipantRecord` -- a participant whose vote is known
+  beforehand: never sent ``prepare``, told the outcome.
 """
 
 from __future__ import annotations
@@ -18,51 +15,12 @@ from __future__ import annotations
 from typing import Any, Callable, Generator
 
 from repro.actions.action import AbstractRecord, AtomicAction, Vote
-from repro.actions.locks import LockManager
 from repro.net.batch import CommitBatcher
 from repro.net.errors import RpcError
 from repro.net.rpc import RpcAgent
 from repro.sim.futures import Future
 from repro.sim.process import Timeout
 from repro.sim.rng import SeededRng
-
-
-class LockReleaseRecord(AbstractRecord):
-    """Releases (or inherits) an action's locks in a local lock manager.
-
-    ``owner`` is the action id under which the locks were acquired --
-    normally the id of the action the record is added to.  On nested
-    commit the locks are re-owned by the parent and the parent gains an
-    equivalent release record; on abort or top-level commit they are
-    released.
-    """
-
-    order = 900  # locks go last: everything else may still need them
-
-    def __init__(self, lock_manager: LockManager, owner) -> None:
-        self._locks = lock_manager
-        self._owner = owner
-
-    def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
-        return Vote.OK
-        yield  # pragma: no cover
-
-    def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        self._locks.release_all(self._owner)
-        return
-        yield  # pragma: no cover
-
-    def abort(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        self._locks.release_all(self._owner)
-        return
-        yield  # pragma: no cover
-
-    def merge_into_parent(self, parent: AtomicAction) -> None:
-        self._locks.inherit(self._owner, parent.id)
-        already = any(isinstance(r, LockReleaseRecord) and r._locks is self._locks
-                      and r._owner == parent.id for r in parent.records)
-        if not already:
-            parent.add_record(LockReleaseRecord(self._locks, parent.id))
 
 
 class CallbackRecord(AbstractRecord):
@@ -106,19 +64,15 @@ class CallbackRecord(AbstractRecord):
         yield  # pragma: no cover
 
 
-def _nobody_to_tell() -> None:
-    """Default ``on_resolved`` of a :class:`ToldParticipantRecord`."""
-
-
 class RemoteParticipantRecord(AbstractRecord):
-    """2PC participant reached over RPC and asked for its vote.
+    """The RPC plumbing of a 2PC participant reached over the network.
 
-    The remote service must expose ``prepare(action_id_path)``,
-    ``commit(action_id_path)`` and ``abort(action_id_path)`` methods
-    (action ids travel as their path tuples).  A prepare-phase RPC
-    failure is an abort vote -- the participant may be down, and a
-    fail-silent system cannot wait on it.  Commit-phase failures are
-    surfaced to the action's heuristic list by raising.
+    The remote service exposes ``commit(action_id_path)`` and
+    ``abort(action_id_path)`` (action ids travel as their path tuples);
+    how the vote is had is the subclass's: a
+    :class:`ToldParticipantRecord` already holds it, and
+    :class:`~repro.replication.commit.ServerParticipantRecord` asks the
+    server host.  An unreachable participant's abort is ignored.
 
     Every phase starts eagerly: the ``begin_*`` hooks issue the phase's
     RPC for every same-order participant of an action at one virtual
@@ -129,10 +83,6 @@ class RemoteParticipantRecord(AbstractRecord):
     and every concurrent action's on this node, additionally coalesce
     into one ``_many`` call per target.  Votes, presumed abort, and
     heuristic reporting are untouched.
-
-    This is the generic participant, whose vote the coordinator cannot
-    know in advance (a server host: did the action write there?).  One
-    whose vote it *does* know is a :class:`ToldParticipantRecord`.
     """
 
     def __init__(self, rpc: RpcAgent, target: str, service: str,
@@ -154,26 +104,11 @@ class RemoteParticipantRecord(AbstractRecord):
         self._pending = None
         return future if future is not None else self._issue(method, action)
 
-    def begin_prepare(self, action: AtomicAction) -> None:
-        self._pending = self._issue("prepare", action)
-
     def begin_commit(self, action: AtomicAction) -> None:
         self._pending = self._issue("commit", action)
 
     def begin_abort(self, action: AtomicAction) -> None:
         self._pending = self._issue("abort", action)
-
-    def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
-        try:
-            verdict = yield self._take_pending("prepare", action)
-        except RpcError:
-            return Vote.ABORT
-        if verdict == "readonly":
-            return Vote.READONLY
-        return Vote.OK if verdict == "ok" else Vote.ABORT
-
-    def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        yield self._take_pending("commit", action)
 
     def abort(self, action: AtomicAction) -> Generator[Any, Any, None]:
         try:
@@ -227,10 +162,7 @@ class ToldParticipantRecord(RemoteParticipantRecord):
         self._retries = retries
         self._backoff = backoff
         self._rng = rng
-        self._resolved = on_resolved or _nobody_to_tell
-
-    def begin_prepare(self, action: AtomicAction) -> None:
-        pass
+        self._resolved = on_resolved
 
     def prepare(self, action: AtomicAction) -> Generator[Any, Any, Vote]:
         return Vote.OK
@@ -249,10 +181,12 @@ class ToldParticipantRecord(RemoteParticipantRecord):
                 assert self._rng is not None  # enforced in __init__
                 yield Timeout(delay + self._rng.uniform(0.0, delay))
         finally:
-            self._resolved()
+            if self._resolved is not None:
+                self._resolved()
 
     def abort(self, action: AtomicAction) -> Generator[Any, Any, None]:
         try:
             yield from super().abort(action)
         finally:
-            self._resolved()
+            if self._resolved is not None:
+                self._resolved()

@@ -2,11 +2,11 @@
 
 A :class:`Node` bundles the per-machine pieces: network interface,
 message demux, RPC agent, multicast member, optional stable object
-store, volatile memory, and a set of *boot hooks* that (re)register the
-node's services.  Crashing a node:
+store, and a set of *boot hooks* that (re)register the node's services.
+Crashing a node:
 
 - takes its network interface down (messages in flight to it vanish);
-- wipes volatile memory and all RPC service registrations;
+- drops all RPC service registrations and multicast group state;
 - discards object-store shadows (committed states survive -- stable
   storage);
 - kills every simulation process spawned through the node.
@@ -48,7 +48,6 @@ from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
 from repro.storage.objectstore import ObjectStore
 from repro.storage.uid import UidFactory
-from repro.storage.volatile import VolatileStore
 
 BootHook = Callable[["Node"], None]
 
@@ -148,7 +147,6 @@ class Node:
             self.sync_mcast = self.mcast
         self.object_store: ObjectStore | None = (
             ObjectStore(name) if has_store else None)
-        self.volatile = VolatileStore(name)
         self.uids = UidFactory(name)
         self.boot_hooks: list[BootHook] = []
         # Live processes in spawn order (crash() kills them in it); each
@@ -167,10 +165,6 @@ class Node:
     def sync_suffix(self) -> str:
         """Target-name suffix of this node's sync plane ("" when shared)."""
         return SYNC_NIC_SUFFIX if self.sync_nic is not None else ""
-
-    def sync_target(self, host: str) -> str:
-        """The interface name peers of this node answer sync RPCs on."""
-        return host + self.sync_suffix
 
     def add_boot_hook(self, hook: BootHook, run_now: bool = True) -> None:
         """Register a service-installing hook; runs now and on recovery."""
@@ -201,7 +195,6 @@ class Node:
         self.mcast.reset()
         if self.sync_mcast is not self.mcast:
             self.sync_mcast.reset()
-        self.volatile.wipe()
         if self.object_store is not None:
             self.object_store.mark_down()
         processes, self._processes = self._processes, {}

@@ -112,10 +112,6 @@ class ObjectServer:
         self.version = version
         return True
 
-    @property
-    def quiescent(self) -> bool:
-        return not self.locks.owners() and not self._images
-
 
 class ServerHost:
     """Per-node service managing that node's activated object servers."""
@@ -341,22 +337,6 @@ class ServerHost:
             self._servers[uid] = ObjectServer(self._node, obj, version)
             return True
         return server.install_state(buffer, version)
-
-    # -- passivation (paper section 2.3: quiescent objects passivate) ----------------
-
-    def passivate_if_quiescent(self, uid_text: str) -> bool:
-        uid = Uid.parse(uid_text)
-        server = self._servers.get(uid)
-        if server is not None and server.quiescent:
-            del self._servers[uid]
-            for servers, _ in self._roots.values():
-                servers.pop(server, None)
-            group = group_name_for(uid)
-            if group in self._groups_joined:
-                self._node.mcast.leave(group)
-                del self._groups_joined[group]
-            return True
-        return False
 
     # -- group invocation (active replication) ----------------------------------------
 

@@ -107,9 +107,6 @@ class StoreHost:
     def version_of(self, uid_text: str) -> int:
         return self._store.version_of(Uid.parse(uid_text))
 
-    def list_uids(self) -> list[str]:
-        return [str(uid) for uid in self._store.uids()]
-
     def ping(self) -> str:
         return "pong"
 
@@ -128,10 +125,6 @@ class StoreHost:
 
     def discard_shadow(self, uid_text: str) -> bool:
         self._store.discard_shadow(Uid.parse(uid_text))
-        return True
-
-    def install(self, uid_text: str, buffer: bytes, version: int) -> bool:
-        self._store.install(Uid.parse(uid_text), buffer, version)
         return True
 
     def _durable(self, value: Any) -> Any:

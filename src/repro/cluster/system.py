@@ -52,7 +52,7 @@ from repro.naming.sharded_client import (
     ShardedGroupViewDatabase,
     ShardedGroupViewDbClient,
 )
-from repro.net.latency import FixedLatency, LatencyModel, UniformLatency
+from repro.net.latency import FixedLatency
 from repro.net.network import Network
 from repro.replication.policy import ReplicationPolicy
 from repro.replication.single_copy_passive import SingleCopyPassive
@@ -77,7 +77,7 @@ class SystemConfig:
     """Knobs for one simulated system."""
 
     seed: int = 42
-    fixed_latency: float | None = 0.01       # None -> uniform 5-20 ms
+    fixed_latency: float = 0.01              # every message's one-way delay
     rpc_timeout: float | None = None         # None -> derived from latency
     service_time: float = 0.0
     reliable_multicast: bool = True
@@ -162,12 +162,9 @@ class DistributedSystem:
         self.type_names: dict[Uid, str] = {}
         self._uid_factory = UidFactory("sys")
 
-        latency: LatencyModel
-        if self.config.fixed_latency is not None:
-            latency = FixedLatency(self.config.fixed_latency)
-        else:
-            latency = UniformLatency(self.rng, 0.005, 0.02)
-        self.network = Network(self.scheduler, latency, rng=self.rng)
+        self.network = Network(self.scheduler,
+                               FixedLatency(self.config.fixed_latency),
+                               rng=self.rng)
 
         self.nodes: dict[str, Node] = {}
         self.clients: dict[str, ClientRuntime] = {}
@@ -453,16 +450,6 @@ class DistributedSystem:
         if name is None:
             [name] = self._new_shard_names(1)
         return self.plan_rebalance(add=[name], weights={name: weight})
-
-    def set_shard_weight(self, name: str, weight: float) -> Process:
-        """Re-weight a live shard host through a staged migration epoch.
-
-        No host joins or leaves: the re-weighted target ring is staged,
-        only the partitions whose preference lists change are copied,
-        and the atomic flip applies the new weight to the live router.
-        Returns the migration process.
-        """
-        return self.plan_rebalance(weights={name: weight})
 
     def drain_shard_host(self, name: str) -> Process:
         """Shrink the shard ring by one host, live, under traffic.
@@ -802,6 +789,3 @@ class DistributedSystem:
             if version:
                 versions[name] = version
         return versions
-
-    def snapshot_metrics(self) -> dict[str, Any]:
-        return self.metrics.snapshot()

@@ -128,9 +128,6 @@ class ObjectClassRegistry:
         instance.restore_state(InputObjectState(buffer))
         return instance
 
-    def known_types(self) -> list[str]:
-        return sorted(self._classes)
-
     def class_for(self, type_name: str) -> Type[PersistentObject]:
         cls = self._classes.get(type_name)
         if cls is None:

@@ -193,13 +193,6 @@ class LesseeRegistry:
     def register(self, uid_text: str, client: str) -> None:
         self._leases.setdefault(uid_text, {})[client] = self.clock() + self.ttl
 
-    def unregister(self, uid_text: str, client: str) -> None:
-        holders = self._leases.get(uid_text)
-        if holders is not None:
-            holders.pop(client, None)
-            if not holders:
-                del self._leases[uid_text]
-
     def _prune(self, uid_text: str) -> dict[str, float]:
         holders = self._leases.get(uid_text, {})
         now = self.clock()
@@ -244,19 +237,15 @@ class LesseeRegistry:
     def clear(self) -> None:
         self._leases.clear()
 
-    def __len__(self) -> int:
-        return sum(1 for uid_text in list(self._leases)
-                   if self._prune(uid_text))
-
 
 class CoherenceHost:
     """The owner side: registry, detector, and the invalidation pusher.
 
     Installed next to :class:`~repro.cluster.store_host.NameShardHost`
     on every shard host.  The RPC surface
-    (:meth:`register_lessee` / :meth:`unregister_lessee` /
-    :meth:`export_coherence` / :meth:`install_coherence`) is registered
-    on the node's **sync** agent only, and pushes leave through the
+    (:meth:`register_lessee` / :meth:`export_coherence` /
+    :meth:`install_coherence`) is registered on the node's **sync**
+    agent only, and pushes leave through the
     node's **sync** multicast member -- coherence is maintenance
     traffic and never queues behind client requests.
 
@@ -358,11 +347,6 @@ class CoherenceHost:
         return (self.registration_ttl, list(view.members), view.version,
                 self._mcast.next_send_seq(self.group),
                 tuple(self.db.entry_versions(uid_text)))
-
-    def unregister_lessee(self, client: str, uid_text: str) -> bool:
-        self.registry.unregister(uid_text, client)
-        self._sync_view()
-        return True
 
     def export_coherence(self, uid_texts: list[str]) -> dict[str, Any]:
         """Registry + detector state for a reshard handover (RPC)."""
@@ -518,14 +502,3 @@ class CoherenceClient:
             self._mcast.join(group, view, self.handle, from_seq=start)
         self.metrics.counter("coherence.registered").increment()
         return ttl, tuple(versions)
-
-    def unregister(self, uid_text: str) -> Generator[Any, Any, bool]:
-        """Best-effort deregistration (the TTL ages us out anyway)."""
-        owner = self.owner_of(uid_text)
-        try:
-            yield self.io.sync_rpc.call(
-                self.io.sync_target(owner), COHERENCE_SERVICE_NAME,
-                "unregister_lessee", self.node.name, uid_text)
-        except RpcError:
-            return False
-        return True

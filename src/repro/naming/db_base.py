@@ -12,8 +12,9 @@ atomic actions (paper section 3.1).  The concrete model:
   undo log, so aborting an action (or any nested sub-tree of one)
   rolls its effects back;
 - the database is a two-phase-commit participant: ``prepare``/``commit``
-  /``abort`` keyed by action path, matching
-  :class:`~repro.actions.records.RemoteParticipantRecord`.
+  /``abort`` keyed by action path; clients enlist it as a
+  :class:`~repro.actions.records.ToldParticipantRecord`, which sends
+  only the outcome.
 
 Because locks are owned by :class:`ActionId` values whose paths encode
 nesting, a nested action's read lock is automatically *inherited* to
@@ -108,12 +109,6 @@ class ActionDatabase:
         entries reversed newest-first, every lock released.
         """
         self.abort(())
-
-    # -- diagnostics ---------------------------------------------------------
-
-    @property
-    def pending_undo_count(self) -> int:
-        return len(self._undo)
 
 
 def _is_prefix(prefix: ActionPath, path: ActionPath) -> bool:

@@ -159,14 +159,6 @@ class EntryCache:
         self._store_gen = 0
         self._tokens: dict[str, int] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     # -- the read path -------------------------------------------------------
 
     def lookup(self, uid_text: str) -> CachedEntry | None:
@@ -347,10 +339,6 @@ class EntryCache:
             # in-flight capture refusable despite the reset counters.
             self._tokens.clear()
             self._store_gen += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._store_gen += 1
 
     # -- proof surface -------------------------------------------------------
 

@@ -10,9 +10,7 @@ independently concurrency-controlled (the lock resources are keyed
 ``("sv", uid)`` and ``("st", uid)``).
 
 Action ids arrive as path tuples (the RPC wire form); every method is
-safe to expose as an RPC service.  The object is itself persistent:
-:meth:`save_state`/:meth:`restore_state` serialise the full mapping
-through the standard state buffers.
+safe to expose as an RPC service.
 
 Beyond the paper's surface, the database serves the *leased read
 plane* and the batched replica-maintenance protocol on the sync
@@ -36,7 +34,6 @@ from repro.naming.object_server_db import ObjectServerDatabase, ServerEntrySnaps
 from repro.naming.object_state_db import ObjectStateDatabase
 from repro.net.batch import demux
 from repro.sim.metrics import MetricsRegistry
-from repro.storage.states import InputObjectState, OutputObjectState
 from repro.storage.uid import Uid
 
 SERVICE_NAME = "group_view_db"
@@ -57,8 +54,6 @@ SYNC_SERVICE_NAME = "group_view_db_sync"
 class GroupViewDatabase:
     """Single object combining the server and state databases."""
 
-    TYPE_NAME = "repro.naming.GroupViewDatabase"
-
     # Opt in to the RPC layer stamping the calling host before each
     # dispatch (see RpcAgent._execute): commits bump the per-entry
     # vector clock under the *writer's* identity, and every replica of
@@ -66,10 +61,8 @@ class GroupViewDatabase:
     # identical commit histories always produce identical clocks.
     accepts_rpc_caller = True
 
-    def __init__(self, uid: Uid | None = None,
-                 use_exclude_write_lock: bool = True,
+    def __init__(self, use_exclude_write_lock: bool = True,
                  metrics: MetricsRegistry | None = None) -> None:
-        self.uid = uid or Uid("system", 0)
         shared_metrics = metrics or MetricsRegistry()
         self.server_db = ObjectServerDatabase(metrics=shared_metrics)
         self.state_db = ObjectStateDatabase(
@@ -475,58 +468,3 @@ class GroupViewDatabase:
         # pulls it toward the survivors rather than trusting it.
         self._vclocks.clear()
         self.rpc_caller = ""
-
-    # -- persistence -------------------------------------------------------------------
-
-    def save_state(self) -> bytes:
-        """Serialise every entry (committed data only; locks and undo
-        logs are volatile by definition)."""
-        out = OutputObjectState(self.uid, self.TYPE_NAME)
-        sv_uids = self.server_db.all_uids()
-        out.pack_int(len(sv_uids))
-        for uid in sv_uids:
-            snapshot = self.server_db.get_server_with_uses((0,), uid)
-            self.server_db.locks.release_all(_BOOT_OWNER)
-            out.pack_string(str(uid))
-            out.pack_string_list(list(snapshot.hosts))
-            out.pack_int(sum(len(c) for c in snapshot.uses.values()))
-            for host, counters in snapshot.uses.items():
-                for client, count in counters.items():
-                    out.pack_string(host)
-                    out.pack_string(client)
-                    out.pack_int(count)
-        st_uids = self.state_db.all_uids()
-        out.pack_int(len(st_uids))
-        for uid in st_uids:
-            hosts = self.state_db.get_view((0,), uid)
-            self.state_db.locks.release_all(_BOOT_OWNER)
-            out.pack_string(str(uid))
-            out.pack_string_list(hosts)
-        return out.buffer()
-
-    @classmethod
-    def restore_state(cls, buffer: bytes, **kwargs) -> "GroupViewDatabase":
-        state = InputObjectState(buffer)
-        db = cls(uid=state.uid, **kwargs)
-        sv_count = state.unpack_int()
-        for _ in range(sv_count):
-            uid = Uid.parse(state.unpack_string())
-            hosts = state.unpack_string_list()
-            db.server_db.define((0,), uid, hosts)
-            use_count = state.unpack_int()
-            for _ in range(use_count):
-                host = state.unpack_string()
-                client = state.unpack_string()
-                count = state.unpack_int()
-                for _ in range(count):
-                    db.server_db.increment((0,), client, uid, [host])
-        st_count = state.unpack_int()
-        for _ in range(st_count):
-            uid = Uid.parse(state.unpack_string())
-            hosts = state.unpack_string_list()
-            db.state_db.define((0,), uid, hosts)
-        db.commit((0,))
-        return db
-
-
-_BOOT_OWNER = ActionId((0,))

@@ -60,9 +60,6 @@ class ServerEntrySnapshot:
         """Hosts whose use list has at least one non-zero counter."""
         return [h for h in self.hosts if self.uses.get(h)]
 
-    def total_users(self, host: str) -> int:
-        return sum(self.uses.get(host, {}).values())
-
 
 class ObjectServerDatabase(ActionDatabase):
     """``UID -> Sv`` mappings with per-entry locking and use lists."""

@@ -150,24 +150,6 @@ class ReshardManager:
 
     # -- the public membership changes --------------------------------------
 
-    def grow(self, new_node: str) -> Generator[Any, Any, dict[str, Any]]:
-        """Migrate the ring to include ``new_node`` (already booted).
-
-        The host must already serve the naming RPC service (empty is
-        fine); it owns nothing until the epoch flips.  The migration
-        slot is claimed and the transition staged *synchronously* at
-        this call -- two same-instant requests cannot both pass -- so
-        the returned generator must be driven to completion.
-        """
-        return self.plan_rebalance(add=[new_node], remove=[])
-
-    def shrink(self, node_name: str) -> Generator[Any, Any, dict[str, Any]]:
-        """Drain ``node_name`` off the ring, then garbage-collect it.
-
-        Claims the migration slot synchronously, like :meth:`grow`.
-        """
-        return self.plan_rebalance(add=[], remove=[node_name])
-
     def validate_plan(self, add: Sequence[str] = (),
                       remove: Sequence[str] = (),
                       weights: "Mapping[str, float] | None" = None,
@@ -237,9 +219,11 @@ class ReshardManager:
         ``COPY_BATCH`` arcs at a time and pauses ``COPY_PAUSE`` seconds
         after each batch that copied anything, so the migration
         bandwidth cap is independent of the plan's size.  Hosts being
-        added must already
-        be booted and serving; the slot is claimed and the transition
-        staged synchronously, exactly like :meth:`grow`.
+        added must already be booted and serving (empty is fine: a host
+        owns nothing until the epoch flips).  The migration slot is
+        claimed and the transition staged *synchronously* at this call
+        -- two same-instant requests cannot both pass -- so the returned
+        generator must be driven to completion.
 
         A weight-only plan (``weights`` naming live hosts, nothing
         added or removed) runs the very same staged-epoch flow: the

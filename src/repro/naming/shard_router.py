@@ -90,9 +90,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Hashable, Iterable, Mapping, TypeVar
+from typing import Hashable, Iterable, Mapping
 
-T = TypeVar("T")
 
 DEFAULT_RING_REPLICAS = 64
 
@@ -226,11 +225,6 @@ class ShardRouter:
     def nodes(self) -> list[str]:
         """The shard hosts, in insertion order."""
         return list(self._nodes)
-
-    @property
-    def weights(self) -> dict[str, float]:
-        """Per-host weights (1.0 unless set otherwise)."""
-        return dict(self._weights)
 
     def weight_of(self, node: str) -> float:
         if node not in self._weights:
@@ -519,13 +513,6 @@ class ShardRouter:
             _extend_with_ring(owners, self.transition.target, key, n)
         return owners
 
-    def partition(self, keys: Iterable[T]) -> dict[str, list[T]]:
-        """Group ``keys`` by owning shard (shards with no keys omitted)."""
-        groups: dict[str, list[T]] = {}
-        for key in keys:
-            groups.setdefault(self.shard_for(key), []).append(key)
-        return groups
-
     def spread(self, keys: Iterable[Hashable]) -> dict[str, int]:
         """Keys-per-shard histogram over every shard (zeros included)."""
         counts = {node: 0 for node in self._nodes}
@@ -590,19 +577,12 @@ class RingView:
         return halves
 
     @property
-    def nodes(self) -> list[str]:
-        return self.ring.nodes
-
-    @property
     def in_transition(self) -> bool:
         """Whether a membership change was staged at capture time."""
         return self.target is not None
 
     def primary(self, key: Hashable) -> str:
         return self.ring.shard_for(key)
-
-    def preference_list(self, key: Hashable, n: int) -> list[str]:
-        return self.ring.preference_list(key, n)
 
     def write_set(self, key: Hashable, n: int) -> list[str]:
         """The replicas a write must reach: both epochs' owners, old first.

@@ -119,20 +119,8 @@ class ShardedGroupViewDbClient:
         return self.io.router
 
     @property
-    def service(self) -> str:
-        return self.io.service
-
-    @property
     def replication(self) -> int:
         return self.io.replication
-
-    @property
-    def read_policy(self) -> str:
-        return self.io.read_policy
-
-    @property
-    def repair(self) -> Any | None:
-        return self.io.repair
 
     # -- the leased read plane -----------------------------------------------
 

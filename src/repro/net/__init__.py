@@ -5,7 +5,8 @@ Models a local-area network of fail-silent workstations (paper section
 
 - :class:`~repro.net.network.Network` and
   :class:`~repro.net.network.NetworkInterface` -- datagram delivery with
-  pluggable latency models, message-drop probability and partitions.
+  a pluggable latency model, message-drop probability and directional
+  blocks.
 - :class:`~repro.net.rpc.RpcAgent` -- request/reply remote procedure
   calls with timeouts, the paper's object-invocation mechanism (2.2).
 - :mod:`~repro.net.multicast` -- reliable, totally-ordered group
@@ -24,11 +25,7 @@ from repro.net.errors import (
     UnknownMethod,
     UnknownService,
 )
-from repro.net.latency import (
-    FixedLatency,
-    LatencyModel,
-    UniformLatency,
-)
+from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import Message
 from repro.net.network import Network, NetworkInterface
 from repro.net.demux import MessageDemux

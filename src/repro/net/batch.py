@@ -85,11 +85,6 @@ class CommitBatcher:
         self._batched_rpcs = metrics.counter("commit_batch.batched_rpcs")
         self._sizes = metrics.histogram("commit_batch.batch_size")
 
-    @property
-    def pending_items(self) -> int:
-        """Calls buffered but not yet flushed (inspection/testing)."""
-        return sum(len(queue) for queue in self._queues.values())
-
     def call(self, target: str, service: str, method: str, *args: Any,
              timeout: float | None = None,
              ring_epoch: int | None = None) -> Future:

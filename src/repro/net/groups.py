@@ -30,24 +30,8 @@ class GroupView:
     def of(*members: str) -> "GroupView":
         return GroupView(tuple(members), version=0)
 
-    def with_member(self, name: str) -> "GroupView":
-        """A new view including ``name`` (appended), version bumped."""
-        if name in self.members:
-            return self
-        return GroupView(self.members + (name,), self.version + 1)
-
-    def without_member(self, name: str) -> "GroupView":
-        """A new view excluding ``name``, version bumped."""
-        if name not in self.members:
-            return self
-        remaining = tuple(m for m in self.members if m != name)
-        return GroupView(remaining, self.version + 1)
-
     def __contains__(self, name: str) -> bool:
         return name in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
 
     def __iter__(self):
         return iter(self.members)

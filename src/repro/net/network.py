@@ -3,25 +3,23 @@
 The :class:`Network` owns a set of :class:`NetworkInterface` objects (one
 per node).  Sending is fire-and-forget: the network samples a latency,
 schedules delivery, and at delivery time checks that the target interface
-is up and reachable (not separated by a partition).  Messages to down or
-unreachable targets vanish silently -- fail-silent nodes give senders no
+is up and that the direction is not blocked.  Messages to down or
+cut-off targets vanish silently -- fail-silent nodes give senders no
 error signal; failure detection is the job of timeouts above (RPC layer).
-
-Partitions are expressed as a grouping of interface names; interfaces in
-different groups cannot exchange messages until :meth:`Network.heal` is
-called.  Tests can also install targeted drop rules to force specific
-loss scenarios (e.g. "drop B's second reply" for figure 1).
+Tests can also install targeted drop rules to force specific loss
+scenarios (e.g. "drop B's second reply" for figure 1).
 
 Beyond the fail-silent model, the network also injects *gray*
 failures: :meth:`Network.degrade` marks a host's interfaces slow --
 every message touching them pays a service-time multiplier on its
 sampled latency and a per-message drop probability -- and
 :meth:`Network.block` cuts a single *direction* between two hosts (a
-partial partition: A's messages to B vanish while B still reaches A).
-Both resolve per interface at transmission time, cover a host's every
-plane (the primary NIC and its ``.sync`` replication NIC alike), and
-are what :class:`repro.sim.failures.FaultPlan` degrade/partition
-events drive.
+partial partition: A's messages to B vanish while B still reaches A; a
+symmetric partition is a block in both directions between every pair
+across the cut).  Both resolve per interface at transmission time,
+cover a host's every plane (the primary NIC and its ``.sync``
+replication NIC alike), and are what
+:class:`repro.sim.failures.FaultPlan` degrade/partition events drive.
 """
 
 from __future__ import annotations
@@ -83,7 +81,7 @@ class NetworkInterface:
 
 
 class Network:
-    """Datagram delivery with latency, loss, and partitions."""
+    """Datagram delivery with latency, loss, and directional blocks."""
 
     def __init__(
         self,
@@ -102,7 +100,6 @@ class Network:
         self._drop_probability = drop_probability
         self._rng = rng.substream("network") if rng else None
         self._interfaces: dict[str, NetworkInterface] = {}
-        self._partition_groups: list[set[str]] | None = None
         self._drop_rules: list[DropRule] = []
         # Gray-failure state, keyed by *host* name so one call covers
         # every plane of a host (resolution strips the ".sync"-style
@@ -125,37 +122,7 @@ class Network:
         self._interfaces[name] = nic
         return nic
 
-    def interface(self, name: str) -> NetworkInterface:
-        return self._interfaces[name]
-
-    # -- partitions and loss -------------------------------------------------
-
-    def partition(self, *groups: set[str]) -> None:
-        """Split the network; interfaces in different groups can't talk.
-
-        Interfaces not named in any group form an implicit extra group.
-        """
-        named = set().union(*groups) if groups else set()
-        unknown = named - set(self._interfaces)
-        if unknown:
-            raise ValueError(f"partition names unknown interfaces: {sorted(unknown)}")
-        rest = set(self._interfaces) - named
-        self._partition_groups = [set(g) for g in groups if g]
-        if rest:
-            self._partition_groups.append(rest)
-
-    def heal(self) -> None:
-        """Remove any partition."""
-        self._partition_groups = None
-
-    def reachable(self, a: str, b: str) -> bool:
-        """Whether interfaces ``a`` and ``b`` are in the same partition."""
-        if self._partition_groups is None:
-            return True
-        for group in self._partition_groups:
-            if a in group:
-                return b in group
-        return False
+    # -- loss ----------------------------------------------------------------
 
     def add_drop_rule(self, rule: DropRule) -> None:
         """Install a predicate that force-drops matching messages."""
@@ -189,9 +156,6 @@ class Network:
     def restore(self, host: str) -> None:
         """Lift a :meth:`degrade`; unknown hosts are a no-op."""
         self._degraded.pop(host, None)
-
-    def degraded(self, host: str) -> bool:
-        return host in self._degraded
 
     def block(self, src: str, dst: str) -> None:
         """Cut the ``src -> dst`` direction only (a partial partition).
@@ -255,10 +219,6 @@ class Network:
     def _deliver(self, message: Message) -> None:
         nic = self._interfaces.get(message.target)
         if nic is None or not nic.up:
-            self.messages_dropped += 1
-            return
-        if self._partition_groups is not None and not self.reachable(
-                message.sender, message.target):
             self.messages_dropped += 1
             return
         if self._blocked and (

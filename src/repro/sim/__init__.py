@@ -23,7 +23,7 @@ built on top of it (see :mod:`repro.net` and :mod:`repro.cluster`).
 
 from repro.sim.errors import ProcessKilled, SimulationLimitExceeded, SimError
 from repro.sim.events import Event
-from repro.sim.futures import Future, FutureState, all_of, any_of
+from repro.sim.futures import Future, FutureState
 from repro.sim.process import Process, Timeout
 from repro.sim.scheduler import Scheduler
 from repro.sim.rng import SeededRng
@@ -34,7 +34,7 @@ from repro.sim.failures import (
     FaultPlanError,
     StochasticFaultInjector,
 )
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
+from repro.sim.metrics import Counter, Histogram, MetricsRegistry, TimeSeries
 
 __all__ = [
     "Counter",
@@ -45,7 +45,6 @@ __all__ = [
     "FaultPlanError",
     "Future",
     "FutureState",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Process",
@@ -57,6 +56,4 @@ __all__ = [
     "StochasticFaultInjector",
     "TimeSeries",
     "Timeout",
-    "all_of",
-    "any_of",
 ]

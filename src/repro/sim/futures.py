@@ -46,14 +46,6 @@ class Future:
         self.label = label
 
     @property
-    def state(self) -> FutureState:
-        return self._state
-
-    @property
-    def pending(self) -> bool:
-        return self._state is FutureState.PENDING
-
-    @property
     def failed(self) -> bool:
         return self._state is FutureState.FAILED
 
@@ -119,61 +111,3 @@ class Future:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Future {self.label!r} {self._state.value}>"
-
-
-def all_of(futures: list[Future], label: str = "all_of") -> Future:
-    """Return a future resolving to the list of results of ``futures``.
-
-    The combined future fails with the first failure encountered (in list
-    order of settlement); remaining results are discarded.  An empty list
-    yields an immediately-resolved future with an empty list value.
-    """
-    combined = Future(label)
-    results: dict[int, Any] = {}
-    remaining = len(futures)
-    if remaining == 0:
-        combined.resolve([])
-        return combined
-
-    def on_settle(index: int, fut: Future) -> None:
-        nonlocal remaining
-        if combined.done:
-            return
-        if fut.failed:
-            combined.fail(fut.exception())  # type: ignore[arg-type]
-            return
-        results[index] = fut.result()
-        remaining -= 1
-        if remaining == 0:
-            combined.resolve([results[i] for i in range(len(futures))])
-
-    for i, fut in enumerate(futures):
-        fut.add_callback(lambda f, i=i: on_settle(i, f))
-    return combined
-
-
-def any_of(futures: list[Future], label: str = "any_of") -> Future:
-    """Return a future resolving to ``(index, value)`` of the first success.
-
-    If every input future fails, the combined future fails with the last
-    failure.  An empty list fails immediately.
-    """
-    combined = Future(label)
-    remaining = len(futures)
-    if remaining == 0:
-        combined.fail(ValueError("any_of() of no futures"))
-        return combined
-
-    def on_settle(index: int, fut: Future) -> None:
-        nonlocal remaining
-        if combined.done:
-            return
-        remaining -= 1
-        if not fut.failed:
-            combined.resolve((index, fut.result()))
-        elif remaining == 0:
-            combined.fail(fut.exception())  # type: ignore[arg-type]
-
-    for i, fut in enumerate(futures):
-        fut.add_callback(lambda f, i=i: on_settle(i, f))
-    return combined

@@ -30,22 +30,6 @@ class Counter:
         return f"<Counter {self.name}={self.value}>"
 
 
-class Gauge:
-    """A value that can move in both directions (e.g. active servers)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, amount: float) -> None:
-        self.value += amount
-
-
 class Histogram:
     """Collects observations; computes summary statistics on demand."""
 
@@ -66,10 +50,6 @@ class Histogram:
     def mean(self) -> float:
         return sum(self.values) / len(self.values) if self.values else math.nan
 
-    @property
-    def total(self) -> float:
-        return sum(self.values)
-
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile, ``p`` in [0, 100]."""
         if not self.values:
@@ -83,10 +63,6 @@ class Histogram:
     @property
     def maximum(self) -> float:
         return max(self.values) if self.values else math.nan
-
-    @property
-    def minimum(self) -> float:
-        return min(self.values) if self.values else math.nan
 
     def summary(self) -> dict[str, float]:
         return {
@@ -111,33 +87,6 @@ class TimeSeries:
     def record(self, time: float, value: float) -> None:
         self.samples.append((time, value))
 
-    def values_between(self, start: float, end: float) -> list[float]:
-        return [v for t, v in self.samples if start <= t <= end]
-
-    def time_weighted_mean(self, end_time: float) -> float:
-        """Mean of a step function defined by the samples, up to ``end_time``."""
-        if not self.samples:
-            return math.nan
-        total = 0.0
-        for (t0, v0), (t1, _) in zip(self.samples, self.samples[1:]):
-            total += v0 * (t1 - t0)
-        last_t, last_v = self.samples[-1]
-        total += last_v * max(0.0, end_time - last_t)
-        span = end_time - self.samples[0][0]
-        return total / span if span > 0 else self.samples[0][1]
-
-
-def wire_size(payload: Any) -> int:
-    """A deterministic stand-in for a payload's size on the wire.
-
-    The simulator never serialises messages, so "bytes" here means the
-    length of the payload's ``repr`` -- stable across runs for the
-    dataclass/tuple/dict payloads the RPC layer ships, and good enough
-    to compare the *relative* volume of the client and sync planes.
-    """
-    return len(repr(payload))
-
-
 # Fixed-cost payload types, keyed by exact ``type()`` (``str`` is sized
 # by length and tested first).
 _SCALAR_SIZE = {type(None): 4, bool: 4, int: 8, float: 8}
@@ -149,11 +98,11 @@ _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 def estimate_size(payload: Any, depth: int = 4) -> int:
     """A cheap, repr-free estimate of a payload's wire size.
 
-    ``wire_size`` formats the whole payload (``len(repr(...))``) on
-    every recorded message -- a measured hot-path cost at 10^5+ offered
-    ops.  This walks the payload structurally instead: fixed costs for
-    scalars, lengths for strings/bytes, shallow depth-bounded recursion
-    for containers and dataclasses.  Still deterministic (no ids or
+    Formatting the whole payload (``len(repr(...))``) on every recorded
+    message was a measured hot-path cost at 10^5+ offered ops.  This
+    walks the payload structurally instead: fixed costs for scalars,
+    lengths for strings/bytes, shallow depth-bounded recursion for
+    containers and dataclasses.  Still deterministic (no ids or
     hashes), still proportional to payload volume, but never formats a
     character.  Beyond ``depth`` a container is charged a flat per-item
     cost, which keeps one record O(small) no matter how deep the
@@ -218,8 +167,9 @@ def _estimate_subclass(payload: Any, depth: int) -> int:
     if fields is not None:
         _FIELD_NAMES[type(payload)] = tuple(fields)
         return estimate_size(payload, depth)
-    # Rare non-structured payload: fall back to the exact formatter.
-    return wire_size(payload)
+    # Rare non-structured payload: its ``repr`` length, deterministic
+    # for the values the simulation ships.
+    return len(repr(payload))
 
 
 class PlaneTraffic:
@@ -288,30 +238,6 @@ class PlaneTraffic:
         self._bytes_in.value += (estimate_size(payload) if size is None
                                  else size)
 
-    @property
-    def mcasts_out(self) -> int:
-        return self._mcasts_out.value
-
-    @property
-    def mcasts_in(self) -> int:
-        return self._mcasts_in.value
-
-    @property
-    def rpcs_out(self) -> int:
-        return self._rpcs_out.value
-
-    @property
-    def rpcs_in(self) -> int:
-        return self._rpcs_in.value
-
-    @property
-    def bytes_out(self) -> int:
-        return self._bytes_out.value
-
-    @property
-    def bytes_in(self) -> int:
-        return self._bytes_in.value
-
 
 class ScopedMetrics:
     """A registry view that prefixes every instrument name.
@@ -321,8 +247,8 @@ class ScopedMetrics:
     measurements apart: a shard handed ``registry.scoped("shard.n0.")``
     records ``server_db.get_server`` as ``shard.n0.server_db.get_server``.
     Instruments still live in the parent registry, so a whole-system
-    snapshot sees every shard; :meth:`snapshot` gives the scope-local
-    view with the prefix stripped.
+    snapshot sees every shard.  Only counters are scoped: they are all
+    the scoped components record.
     """
 
     __slots__ = ("_registry", "_prefix")
@@ -331,34 +257,8 @@ class ScopedMetrics:
         self._registry = registry
         self._prefix = prefix
 
-    @property
-    def prefix(self) -> str:
-        return self._prefix
-
     def counter(self, name: str) -> Counter:
         return self._registry.counter(self._prefix + name)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._registry.gauge(self._prefix + name)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._registry.histogram(self._prefix + name)
-
-    def timeseries(self, name: str) -> TimeSeries:
-        return self._registry.timeseries(self._prefix + name)
-
-    def scoped(self, prefix: str) -> "ScopedMetrics":
-        return ScopedMetrics(self._registry, self._prefix + prefix)
-
-    def counter_value(self, name: str) -> int:
-        return self._registry.counter_value(self._prefix + name)
-
-    def snapshot(self) -> dict[str, Any]:
-        """This scope's instruments only, prefix stripped."""
-        start = len(self._prefix)
-        return {name[start:]: value
-                for name, value in self._registry.snapshot().items()
-                if name.startswith(self._prefix)}
 
 
 class MetricsRegistry:
@@ -366,15 +266,11 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._series: dict[str, TimeSeries] = {}
 
     def counter(self, name: str) -> Counter:
         return self._counters.setdefault(name, Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self._gauges.setdefault(name, Gauge(name))
 
     def histogram(self, name: str) -> Histogram:
         return self._histograms.setdefault(name, Histogram(name))
@@ -387,8 +283,6 @@ class MetricsRegistry:
         out: dict[str, Any] = {}
         for name, counter in self._counters.items():
             out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
         for name, histogram in self._histograms.items():
             out[name] = histogram.summary()
         for name, series in self._series.items():

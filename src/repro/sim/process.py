@@ -56,10 +56,6 @@ class Process(Future):
         self._waiting_on: Future | None = None
         self._sleep_event = None
 
-    @property
-    def name(self) -> str:
-        return self.label
-
     def kill(self, reason: str = "killed") -> None:
         """Throw :class:`ProcessKilled` into the process.
 
@@ -118,7 +114,7 @@ class Process(Future):
             self._waiting_on = yielded
             yielded.add_callback(self._wake_from_future)
             return
-        self.try_fail(TypeError(f"process {self.name!r} yielded unsupported value {yielded!r}"))
+        self.try_fail(TypeError(f"process {self.label!r} yielded unsupported value {yielded!r}"))
 
     def _wake_from_sleep(self) -> None:
         self._sleep_event = None
@@ -134,4 +130,4 @@ class Process(Future):
             self._step_send(fut.result())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Process {self.name!r} {self.state.value}>"
+        return f"<Process {self.label!r} {self.state.value}>"

@@ -44,10 +44,6 @@ class SeededRng:
             raise ValueError(f"mean must be positive: {mean}")
         return self._random.expovariate(1.0 / mean)
 
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high]`` inclusive."""
-        return self._random.randint(low, high)
-
     def chance(self, probability: float) -> bool:
         """Bernoulli draw: ``True`` with the given probability."""
         if not 0.0 <= probability <= 1.0:
@@ -56,9 +52,6 @@ class SeededRng:
 
     def choice(self, seq: Sequence[Any]) -> Any:
         return self._random.choice(seq)
-
-    def sample(self, seq: Sequence[Any], k: int) -> list[Any]:
-        return self._random.sample(list(seq), k)
 
     def shuffled(self, seq: Sequence[Any]) -> list[Any]:
         """Return a shuffled copy, leaving the input untouched."""

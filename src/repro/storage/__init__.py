@@ -13,8 +13,6 @@ identifiers.
 - :class:`~repro.storage.objectstore.ObjectStore` -- a per-node stable
   store with shadow-copy atomic writes: prepared states become visible
   only at commit, and incomplete writes never survive a crash.
-- :class:`~repro.storage.volatile.VolatileStore` -- per-node volatile
-  memory, wiped by a crash.
 """
 
 from repro.storage.errors import (
@@ -27,7 +25,6 @@ from repro.storage.errors import (
 from repro.storage.objectstore import ObjectStore, StoredState
 from repro.storage.states import InputObjectState, OutputObjectState
 from repro.storage.uid import Uid, UidFactory
-from repro.storage.volatile import VolatileStore
 
 __all__ = [
     "DeserialisationError",
@@ -41,5 +38,4 @@ __all__ = [
     "StoredState",
     "Uid",
     "UidFactory",
-    "VolatileStore",
 ]

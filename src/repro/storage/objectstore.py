@@ -48,10 +48,6 @@ class ObjectStore:
 
     # -- availability (driven by the owning node) ---------------------------
 
-    @property
-    def available(self) -> bool:
-        return self._available
-
     def mark_down(self) -> None:
         """Node crash: shadows are lost, committed states survive."""
         self._available = False
@@ -144,12 +140,6 @@ class ObjectStore:
                 f"refusing to regress {uid} from version "
                 f"{self.version_of(uid)} to {version}")
         self._committed[uid] = StoredState(uid, buffer, version)
-
-    def remove(self, uid: Uid) -> None:
-        """Delete an object's committed state (object deletion)."""
-        self._check_up()
-        self._committed.pop(uid, None)
-        self._shadows.pop(uid, None)
 
     # -- internals -------------------------------------------------------------
 

@@ -17,13 +17,7 @@ from repro.storage.errors import DeserialisationError
 from repro.storage.uid import Uid
 
 _TAG_INT = b"i"
-_TAG_FLOAT = b"f"
-_TAG_BOOL = b"b"
 _TAG_STRING = b"s"
-_TAG_BYTES = b"y"
-_TAG_NONE = b"n"
-_TAG_UID = b"u"
-_TAG_LIST = b"l"
 
 
 class OutputObjectState:
@@ -38,34 +32,9 @@ class OutputObjectState:
         self._chunks.append(_TAG_INT + struct.pack(">q", value))
         return self
 
-    def pack_float(self, value: float) -> "OutputObjectState":
-        self._chunks.append(_TAG_FLOAT + struct.pack(">d", value))
-        return self
-
-    def pack_bool(self, value: bool) -> "OutputObjectState":
-        self._chunks.append(_TAG_BOOL + (b"\x01" if value else b"\x00"))
-        return self
-
     def pack_string(self, value: str) -> "OutputObjectState":
         raw = value.encode("utf-8")
         self._chunks.append(_TAG_STRING + struct.pack(">I", len(raw)) + raw)
-        return self
-
-    def pack_bytes(self, value: bytes) -> "OutputObjectState":
-        self._chunks.append(_TAG_BYTES + struct.pack(">I", len(value)) + value)
-        return self
-
-    def pack_none(self) -> "OutputObjectState":
-        self._chunks.append(_TAG_NONE)
-        return self
-
-    def pack_uid(self, value: Uid) -> "OutputObjectState":
-        return self._chunks.append(_TAG_UID) or self.pack_string(str(value))
-
-    def pack_string_list(self, values: list[str]) -> "OutputObjectState":
-        self._chunks.append(_TAG_LIST + struct.pack(">I", len(values)))
-        for value in values:
-            self.pack_string(value)
         return self
 
     def buffer(self) -> bytes:
@@ -97,40 +66,9 @@ class InputObjectState:
         self._expect_tag(_TAG_INT)
         return struct.unpack_from(">q", self._take(8))[0]
 
-    def unpack_float(self) -> float:
-        self._expect_tag(_TAG_FLOAT)
-        return struct.unpack_from(">d", self._take(8))[0]
-
-    def unpack_bool(self) -> bool:
-        self._expect_tag(_TAG_BOOL)
-        return self._take(1) == b"\x01"
-
     def unpack_string(self) -> str:
         self._expect_tag(_TAG_STRING)
         return self._read_raw_string()
-
-    def unpack_bytes(self) -> bytes:
-        self._expect_tag(_TAG_BYTES)
-        (length,) = struct.unpack_from(">I", self._take(4))
-        return self._take(length)
-
-    def unpack_none(self) -> None:
-        self._expect_tag(_TAG_NONE)
-        return None
-
-    def unpack_uid(self) -> Uid:
-        self._expect_tag(_TAG_UID)
-        return Uid.parse(self.unpack_string())
-
-    def unpack_string_list(self) -> list[str]:
-        self._expect_tag(_TAG_LIST)
-        (count,) = struct.unpack_from(">I", self._take(4))
-        return [self.unpack_string() for _ in range(count)]
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether every packed value has been read back."""
-        return self._offset >= len(self._buffer)
 
     # -- internals --------------------------------------------------------
 

@@ -17,13 +17,12 @@ imported on demand and not from here.
 """
 
 from repro.workload.generator import TransactionStream, WorkloadReport, run_streams
-from repro.workload.sweep import Table, mean_and_spread, sweep
+from repro.workload.sweep import Table, sweep
 
 __all__ = [
     "Table",
     "TransactionStream",
     "WorkloadReport",
-    "mean_and_spread",
     "run_streams",
     "sweep",
 ]

@@ -34,17 +34,6 @@ def percentile(values: Sequence[float], fraction: float) -> float:
     return ordered[rank]
 
 
-def mean_and_spread(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample standard deviation (0 for fewer than 2 points)."""
-    if not values:
-        return math.nan, math.nan
-    mean = sum(values) / len(values)
-    if len(values) < 2:
-        return mean, 0.0
-    variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, math.sqrt(variance)
-
-
 class Table:
     """A fixed-column plain-text table."""
 

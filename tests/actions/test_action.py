@@ -60,7 +60,7 @@ def test_action_id_lineage():
     stranger = ActionId((3,))
     assert parent.related(child) and child.related(parent)
     assert not parent.related(stranger)
-    assert child.depth == 2
+    assert len(child.path) == 2
     assert child.top_level_serial == 1
     assert str(child) == "A1.2"
 
@@ -180,8 +180,8 @@ def test_nested_top_level_action_is_independent():
     outer = AtomicAction()
     inner = AtomicAction(parent=outer, independent=True)
     assert inner.is_top_level
-    assert inner.is_nested_top_level
-    assert inner.id.depth == 1
+    assert inner.independent and inner.invoker is outer
+    assert inner.id.path == (inner.id.top_level_serial,)
     log = []
     inner.add_record(SpyRecord(log, "inner"))
     drive(inner.commit())

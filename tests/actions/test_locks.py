@@ -11,6 +11,8 @@ from repro.actions import (
     lock_compatible,
 )
 
+from tests.conftest import lock_holders, mode_held
+
 A1 = ActionId((1,))
 A2 = ActionId((2,))
 A3 = ActionId((3,))
@@ -35,7 +37,7 @@ def test_shared_reads():
     lm = LockManager()
     lm.try_lock(A1, "e", LockMode.READ)
     lm.try_lock(A2, "e", LockMode.READ)
-    assert len(lm.holders_of("e")) == 2
+    assert len(lock_holders(lm, "e")) == 2
 
 
 def test_write_excludes_read():
@@ -56,7 +58,7 @@ def test_promotion_read_to_write_sole_holder():
     lm = LockManager()
     lm.try_lock(A1, "e", LockMode.READ)
     lm.try_lock(A1, "e", LockMode.WRITE)  # promotion succeeds
-    assert lm.mode_held(A1, "e") is LockMode.WRITE
+    assert mode_held(lm, A1, "e") is LockMode.WRITE
     assert lm.promotions == 1
 
 
@@ -69,7 +71,7 @@ def test_promotion_refused_with_other_readers():
     with pytest.raises(PromotionRefused):
         lm.try_lock(A1, "e", LockMode.WRITE)
     assert lm.promotion_refusals == 1
-    assert lm.mode_held(A1, "e") is LockMode.READ  # unchanged
+    assert mode_held(lm, A1, "e") is LockMode.READ  # unchanged
 
 
 def test_exclude_write_promotion_succeeds_with_readers():
@@ -78,7 +80,7 @@ def test_exclude_write_promotion_succeeds_with_readers():
     lm.try_lock(A1, "e", LockMode.READ)
     lm.try_lock(A2, "e", LockMode.READ)
     lm.try_lock(A1, "e", LockMode.EXCLUDE_WRITE)
-    assert lm.mode_held(A1, "e") is LockMode.EXCLUDE_WRITE
+    assert mode_held(lm, A1, "e") is LockMode.EXCLUDE_WRITE
     # And a third reader can still join.
     lm.try_lock(A3, "e", LockMode.READ)
 
@@ -94,7 +96,7 @@ def test_rerequest_weaker_mode_is_noop():
     lm = LockManager()
     lm.try_lock(A1, "e", LockMode.WRITE)
     lm.try_lock(A1, "e", LockMode.READ)
-    assert lm.mode_held(A1, "e") is LockMode.WRITE
+    assert mode_held(lm, A1, "e") is LockMode.WRITE
 
 
 def test_ancestors_and_descendants_never_conflict():
@@ -112,72 +114,9 @@ def test_release_all():
     lm.try_lock(A1, "e2", LockMode.WRITE)
     lm.try_lock(A2, "e1", LockMode.READ)
     assert lm.release_all(A1) == 2
-    assert lm.mode_held(A1, "e1") is None
-    assert lm.mode_held(A2, "e1") is LockMode.READ
+    assert mode_held(lm, A1, "e1") is None
+    assert mode_held(lm, A2, "e1") is LockMode.READ
     lm.try_lock(A2, "e2", LockMode.WRITE)  # e2 now free
-
-
-def test_release_single_resource():
-    lm = LockManager()
-    lm.try_lock(A1, "e", LockMode.READ)
-    assert lm.release(A1, "e") is True
-    assert lm.release(A1, "e") is False
-    assert not lm.is_locked("e")
-
-
-def test_inherit_transfers_to_parent():
-    lm = LockManager()
-    parent, child = A1, A1_CHILD
-    lm.try_lock(child, "e", LockMode.WRITE)
-    moved = lm.inherit(child, parent)
-    assert moved == 1
-    assert lm.mode_held(parent, "e") is LockMode.WRITE
-    assert lm.mode_held(child, "e") is None
-
-
-def test_inherit_keeps_strongest_mode():
-    lm = LockManager()
-    parent, child = A1, A1_CHILD
-    lm.try_lock(parent, "e", LockMode.READ)
-    lm.try_lock(child, "e", LockMode.WRITE)
-    lm.inherit(child, parent)
-    assert lm.mode_held(parent, "e") is LockMode.WRITE
-    assert len(lm.holders_of("e")) == 1
-
-
-def test_inherit_never_weakens_the_parent():
-    """The merge is max(), not last-wins: a child READ folded into a
-    parent WRITE leaves the parent at WRITE."""
-    lm = LockManager()
-    parent, child = A1, A1_CHILD
-    lm.try_lock(parent, "e", LockMode.WRITE)
-    lm.try_lock(child, "e", LockMode.READ)
-    lm.inherit(child, parent)
-    assert lm.mode_held(parent, "e") is LockMode.WRITE
-    assert lm.mode_held(child, "e") is None
-
-
-def test_inherit_merges_exclude_write_over_read():
-    lm = LockManager()
-    parent, child = A1, A1_CHILD
-    lm.try_lock(parent, "e", LockMode.READ)
-    lm.try_lock(child, "e", LockMode.EXCLUDE_WRITE)
-    lm.inherit(child, parent)
-    assert lm.mode_held(parent, "e") is LockMode.EXCLUDE_WRITE
-    # The merged lock still shares with readers, as 4.2.1 requires.
-    lm.try_lock(A2, "e", LockMode.READ)
-
-
-def test_inherit_merges_every_resource_in_one_pass():
-    lm = LockManager()
-    parent, child = A1, A1_CHILD
-    lm.try_lock(parent, "e1", LockMode.READ)
-    lm.try_lock(child, "e1", LockMode.WRITE)
-    lm.try_lock(child, "e2", LockMode.READ)
-    assert lm.inherit(child, parent) == 2
-    assert lm.mode_held(parent, "e1") is LockMode.WRITE
-    assert lm.mode_held(parent, "e2") is LockMode.READ
-    assert lm.owners() == {parent}
 
 
 def test_exclude_write_self_conflict_on_promotion():
@@ -189,7 +128,7 @@ def test_exclude_write_self_conflict_on_promotion():
     lm.try_lock(A1, "e", LockMode.EXCLUDE_WRITE)
     with pytest.raises(PromotionRefused):
         lm.try_lock(A2, "e", LockMode.EXCLUDE_WRITE)
-    assert lm.mode_held(A2, "e") is LockMode.READ  # demand left unchanged
+    assert mode_held(lm, A2, "e") is LockMode.READ  # demand left unchanged
 
 
 def test_owners_listing():

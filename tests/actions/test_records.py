@@ -1,67 +1,20 @@
 """Tests for reusable intention records."""
 
+from types import SimpleNamespace
+
 from repro.actions import (
     ActionStatus,
     AtomicAction,
-    LockManager,
-    LockMode,
-    LockReleaseRecord,
     RemoteParticipantRecord,
     ToldParticipantRecord,
 )
+from repro.cluster.server_host import SERVER_SERVICE
+from repro.naming.binding import BindOutcome
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
+from repro.replication.commit import ServerParticipantRecord
+from repro.replication.policy import PolicyBinding
 from repro.sim import Scheduler
-
-
-def drive(generator):
-    try:
-        next(generator)
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("suspended unexpectedly")
-
-
-def test_lock_release_record_releases_on_commit():
-    lm = LockManager()
-    action = AtomicAction()
-    lm.try_lock(action.id, "e", LockMode.WRITE)
-    action.add_record(LockReleaseRecord(lm, action.id))
-    drive(action.commit())
-    assert not lm.is_locked("e")
-
-
-def test_lock_release_record_releases_on_abort():
-    lm = LockManager()
-    action = AtomicAction()
-    lm.try_lock(action.id, "e", LockMode.READ)
-    action.add_record(LockReleaseRecord(lm, action.id))
-    drive(action.abort())
-    assert not lm.is_locked("e")
-
-
-def test_nested_commit_inherits_locks_to_parent():
-    lm = LockManager()
-    parent = AtomicAction()
-    child = AtomicAction(parent=parent)
-    lm.try_lock(child.id, "e", LockMode.READ)
-    child.add_record(LockReleaseRecord(lm, child.id))
-    drive(child.commit())
-    # Lock now owned by the parent, still held.
-    assert lm.mode_held(parent.id, "e") is LockMode.READ
-    drive(parent.commit())
-    assert not lm.is_locked("e")
-
-
-def test_merge_does_not_duplicate_release_records():
-    lm = LockManager()
-    parent = AtomicAction()
-    for _ in range(3):
-        child = AtomicAction(parent=parent)
-        lm.try_lock(child.id, "e", LockMode.READ)
-        child.add_record(LockReleaseRecord(lm, child.id))
-        drive(child.commit())
-    releases = [r for r in parent.records if isinstance(r, LockReleaseRecord)]
-    assert len(releases) == 1
+from repro.storage import Uid
 
 
 class Participant:
@@ -100,54 +53,63 @@ def run_action_in_process(s, action, do="commit"):
     return s.run_until_settled(s.spawn(body()), until=100.0)
 
 
+# -- the participant that is asked for its vote: a server host ---------------
+
+
+def server_record(agents, participant):
+    """A server host's participant record, its one binding live."""
+    agents["db"].register(SERVER_SERVICE, participant)
+    uid = Uid("n", 1)
+    binding = PolicyBinding(uid, BindOutcome(uid), live_hosts=["db"],
+                            st_hosts=[])
+    record = ServerParticipantRecord(SimpleNamespace(rpc=agents["client"]),
+                                     "db", {uid: binding})
+    return record, binding
+
+
 def test_remote_participant_full_commit():
     s, _, agents = make_rpc_world()
-    participant = Participant()
-    agents["db"].register("svc", participant)
+    participant = Participant(verdict=("ok", {"n:1": (b"state", 3)}))
+    record, _binding = server_record(agents, participant)
     action = AtomicAction()
-    action.add_record(RemoteParticipantRecord(agents["client"], "db", "svc"))
+    action.add_record(record)
     status = run_action_in_process(s, action)
     assert status is ActionStatus.COMMITTED
     assert [c[0] for c in participant.calls] == ["prepare", "commit"]
     assert participant.calls[0][1] == action.id.path
+    assert record.states == {"n:1": (b"state", 3)}
 
 
 def test_remote_participant_readonly_skips_commit():
     s, _, agents = make_rpc_world()
-    participant = Participant(verdict="readonly")
-    agents["db"].register("svc", participant)
+    participant = Participant(verdict=("readonly", {}))
+    record, _binding = server_record(agents, participant)
     action = AtomicAction()
-    action.add_record(RemoteParticipantRecord(agents["client"], "db", "svc"))
+    action.add_record(record)
     status = run_action_in_process(s, action)
     assert status is ActionStatus.COMMITTED
     assert [c[0] for c in participant.calls] == ["prepare"]
 
 
-def test_remote_participant_abort_verdict_vetoes():
-    s, _, agents = make_rpc_world()
-    participant = Participant(verdict="abort")
-    agents["db"].register("svc", participant)
-    action = AtomicAction()
-    action.add_record(RemoteParticipantRecord(agents["client"], "db", "svc"))
-    status = run_action_in_process(s, action)
-    assert status is ActionStatus.ABORTED
-    assert [c[0] for c in participant.calls] == ["prepare", "abort"]
-
-
-def test_unreachable_participant_vetoes_prepare():
+def test_an_unreachable_server_host_votes_readonly_and_loses_its_binding():
+    """A crashed host's volatile state died with it: nothing to commit
+    or abort there, so its silence is no veto -- whether the action can
+    still commit is the state-distribution record's question."""
     s, net, agents = make_rpc_world()
-    agents["db"].register("svc", Participant())
-    net.interface("db").up = False
+    participant = Participant(verdict=("ok", {}))
+    record, binding = server_record(agents, participant)
+    net._interfaces["db"].up = False
     action = AtomicAction()
-    action.add_record(RemoteParticipantRecord(agents["client"], "db", "svc"))
+    action.add_record(record)
     status = run_action_in_process(s, action)
-    assert status is ActionStatus.ABORTED
+    assert status is ActionStatus.COMMITTED
+    assert binding.live_hosts == [] and participant.calls == []
 
 
 def test_abort_tolerates_unreachable_participant():
     s, net, agents = make_rpc_world()
     agents["db"].register("svc", Participant())
-    net.interface("db").up = False
+    net._interfaces["db"].up = False
     action = AtomicAction()
     action.add_record(RemoteParticipantRecord(agents["client"], "db", "svc"))
     status = run_action_in_process(s, action, do="abort")
@@ -250,7 +212,7 @@ def test_a_dropped_outcome_is_reissued_beside_its_groupmate():
 def test_outcome_retry_budget_exhausts_to_a_heuristic_never_an_abort():
     s, net, agents = make_rpc_world()
     agents["db"].register("svc", Participant())
-    net.interface("db").up = False  # dark for good, not just gray
+    net._interfaces["db"].up = False  # dark for good, not just gray
     action = AtomicAction()
     record = told_record(agents, retries=2, backoff=0.05)
     action.add_record(record)

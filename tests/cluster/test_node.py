@@ -1,8 +1,11 @@
 """Tests for node crash/recovery semantics."""
 
+import pytest
+
 from repro.net import FixedLatency, Network
 from repro.cluster import Node
 from repro.sim import Scheduler, Timeout
+from repro.storage import StoreUnavailable
 
 
 def make_node(name="n", has_store=False):
@@ -21,11 +24,11 @@ def test_crash_takes_interface_down():
 def test_crash_wipes_volatile_keeps_stable():
     s, net, node = make_node(has_store=True)
     from repro.storage import Uid
-    node.volatile.put("scratch", 123)
     node.object_store.install(Uid("n", 1), b"data", 1)
+    node.object_store.write_shadow(Uid("n", 1), b"prepared", 2)
     node.crash()
     node.recover()
-    assert node.volatile.get("scratch") is None
+    assert not node.object_store.has_shadow(Uid("n", 1))
     assert node.object_store.read_committed(Uid("n", 1)).buffer == b"data"
 
 
@@ -83,6 +86,7 @@ def test_availability_timeseries_recorded():
 def test_store_down_while_crashed():
     s, net, node = make_node(has_store=True)
     node.crash()
-    assert not node.object_store.available
+    with pytest.raises(StoreUnavailable):
+        node.object_store.uids()
     node.recover()
-    assert node.object_store.available
+    assert node.object_store.uids() == []

@@ -95,15 +95,6 @@ def test_top_commit_after_nested_writes_keeps_everything():
     assert server.version == 2
 
 
-def test_quiescence():
-    server = make_object_server()
-    assert server.quiescent
-    server.invoke((1,), "get", ())
-    assert not server.quiescent
-    server.commit((1,))
-    assert server.quiescent
-
-
 def test_get_state_install_state_roundtrip():
     server = make_object_server(42)
     buffer, version = server.get_state()
@@ -125,7 +116,7 @@ def test_install_state_never_goes_backwards():
     assert not host.install_state(uid_text, Counter(uid, value=12).serialise(), 3)
     assert host.get_state(uid_text) == (Counter(uid, value=12).serialise(), 3)
 
-    assert host.passivate_if_quiescent(uid_text)
+    del host._servers[uid]  # as after a restart: no server for the uid
     assert host.install_state(uid_text, Counter(uid, value=11).serialise(), 2)
     assert host.get_state(uid_text)[1] == 2
 
@@ -229,7 +220,8 @@ def test_two_roots_interleaved_on_one_server_end_independently():
     assert host.invoke((5,), shared, "add", (1,)) == 11
     host.commit((5,))
     assert host._roots == {} and host._action_clients == {}
-    assert all(server.quiescent for server in host._servers.values())
+    assert not any(server.locks.owners() or server._images
+                   for server in host._servers.values())
 
 
 def test_a_resent_prepare_answers_with_the_same_vote_and_state():
@@ -249,19 +241,11 @@ def _end_by_readonly_prepare(host):
     assert host.prepare((1,)) == ("readonly", {})
 
 
-def _end_by_passivation(host):
-    uid_text = str(next(iter(host._servers)))
-    assert host.prepare((1,)) == ("readonly", {})
-    assert host.passivate_if_quiescent(uid_text)
-    host.install_state(uid_text, Counter(Uid.parse(uid_text)).serialise(), 1)
-
-
 @pytest.mark.parametrize("end", [
     _end_by_readonly_prepare,
     lambda host: host.commit((1,)),
     lambda host: host.abort((1,)),
-    _end_by_passivation,
-], ids=["readonly-prepare", "commit", "abort", "passivate-reactivate"])
+], ids=["readonly-prepare", "commit", "abort"])
 def test_index_is_empty_once_the_host_is_quiescent(end):
     host, uids = make_host(servers=4)
     host.invoke((1,), uids[0], "get", ())
@@ -269,17 +253,8 @@ def test_index_is_empty_once_the_host_is_quiescent(end):
     assert set(host._roots) == {1}
     end(host)
     assert host._roots == {}
-    assert all(server.quiescent for server in host._servers.values())
-
-
-def test_passivating_a_server_mid_action_drops_it_from_the_index(server_calls):
-    host, uids = make_host(servers=4)
-    host.invoke((1,), uids[0], "get", ())
-    host.invoke((1, 2), uids[1], "get", ())
-    host.abort((1, 2))            # uids[1] holds nothing now
-    assert host.passivate_if_quiescent(uids[1])
-    host.commit((1,))
-    assert server_calls["commit"] == 1 and host._roots == {}
+    assert not any(server.locks.owners() or server._images
+                   for server in host._servers.values())
 
 
 def test_janitor_abort_and_crash_recover_leave_the_index_empty():

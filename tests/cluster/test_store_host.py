@@ -80,13 +80,6 @@ def test_batched_commits_demux_per_item_and_share_one_log_force():
     assert snapshot.get("store.t1.log_force_joins", 0) == 0
 
 
-def test_install_and_list_uids():
-    system, store_node, caller = make_world()
-    call(system, caller, "install", "sys:1", b"a", 1)
-    call(system, caller, "install", "sys:2", b"b", 1)
-    assert call(system, caller, "list_uids") == ["sys:1", "sys:2"]
-
-
 def test_crashed_store_times_out():
     system, store_node, caller = make_world()
     store_node.crash()

@@ -102,7 +102,7 @@ def test_traffic_meters_split_client_and_sync_planes():
     system, (client,), uids = build_two_plane()
     for uid in uids:
         assert system.run_transaction(client, add_work(uid, 1)).committed
-    snapshot = system.snapshot_metrics()
+    snapshot = system.metrics.snapshot()
     client_rpcs = sum(
         snapshot.get(f"traffic.{name}.client.rpcs_in", 0)
         for name in system.shard_hosts)
@@ -117,7 +117,7 @@ def test_traffic_meters_split_client_and_sync_planes():
     assert system.run_transaction(client, add_work(uids[0], 1)).committed
     system.nodes[victim].recover()
     system.run(until=system.scheduler.now + 30.0)
-    snapshot = system.snapshot_metrics()
+    snapshot = system.metrics.snapshot()
     assert snapshot.get(f"traffic.{victim}.sync.rpcs_out", 0) > 0, \
         "resync probes and copies must be metered on the sync plane"
     assert snapshot.get(f"traffic.{victim}.sync.bytes_out", 0) > 0
@@ -161,7 +161,7 @@ def test_weight_only_rebalance_moves_entries_and_loses_nothing():
     for uid in uids:
         assert system.run_transaction(client, add_work(uid, 1)).committed
 
-    process = system.set_shard_weight("namenode1", 3.0)
+    process = system.plan_rebalance(weights={"namenode1": 3.0})
     outcome = system.run_until(process, timeout=120.0)
 
     assert system.shard_router.weight_of("namenode1") == 3.0

@@ -67,14 +67,8 @@ def test_store_versions_skips_crashed_nodes():
 def test_snapshot_metrics_contains_txn_counters():
     system, client, uid = build_system()
     system.run_transaction(client, add_work(uid))
-    snapshot = system.snapshot_metrics()
+    snapshot = system.metrics.snapshot()
     assert snapshot["txn.committed"] == 1
-
-
-def test_uniform_latency_config():
-    system, client, uid = build_system(fixed_latency=None)
-    result = system.run_transaction(client, add_work(uid))
-    assert result.committed
 
 
 def test_scheme_selection_per_client():

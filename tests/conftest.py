@@ -117,6 +117,27 @@ def assert_shard_replicas_agree(system, uid, replication=2):
         f"replicas diverge for {uid}: {dict(zip(replicas, states))}"
 
 
+def lock_holders(locks, resource):
+    """``(owner, mode)`` of every lock a ``LockManager`` grants on
+    ``resource``, read from its table."""
+    return [(held.owner, held.mode) for held in locks._table.get(resource, [])]
+
+
+def mode_held(locks, owner, resource):
+    """The mode ``owner`` holds on ``resource``, or ``None``."""
+    return dict(lock_holders(locks, resource)).get(owner)
+
+
+def cut(network, side, other, heal=False):
+    """Partition two host sets from each other, both directions: one
+    ``Network.block`` (or, with ``heal``, ``unblock``) per ordered pair."""
+    toggle = network.unblock if heal else network.block
+    for a in side:
+        for b in other:
+            toggle(a, b)
+            toggle(b, a)
+
+
 def arm_crash_after_write_ack(system, db, node, method="increment",
                               back_after=None):
     """Doctor ``db.<method>`` to crash ``node`` right after it first

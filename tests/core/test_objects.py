@@ -104,4 +104,4 @@ def test_registry_usable_as_decorator():
         def restore_state(self, state):
             state.unpack_int()
 
-    assert "tests.Decorated" in registry.known_types()
+    assert registry.class_for("tests.Decorated").TYPE_NAME == "tests.Decorated"

@@ -141,7 +141,8 @@ def test_reshard_manager_itself_rejects_overlapping_epochs():
     process = system.add_shard_host()
     with pytest.raises(ReshardInProgress):
         system.run_until(
-            system.scheduler.spawn(system.reshard.grow("late-host"),
+            system.scheduler.spawn(system.reshard.plan_rebalance(
+                add=["late-host"], remove=[]),
                                    name="late"), timeout=30.0)
     system.run_until(process, timeout=120.0)
 

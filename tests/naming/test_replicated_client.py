@@ -19,6 +19,8 @@ from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
 
+from tests.conftest import lock_holders
+
 UID = Uid("sys", 1)
 NODES = ("shard-a", "shard-b")
 
@@ -73,7 +75,7 @@ def test_stray_write_on_timed_out_live_replica_is_presume_aborted():
     s.run(until=10.0)  # drain the slow queue: stray increment, then abort
 
     slow_db = dbs[successor]
-    assert slow_db.server_db.pending_undo_count == 0, \
+    assert not slow_db.server_db._undo, \
         "the stray increment must be rolled back, not left provisional"
     assert not slow_db.server_db.locks.is_locked(("sv", UID)), \
         "the stray op's write lock must not outlive the presumed abort"
@@ -102,7 +104,7 @@ def test_stray_read_lock_on_slow_primary_is_released():
     s.run(until=10.0)
     assert not dbs[primary].server_db.locks.is_locked(("sv", UID)), \
         "the timed-out read's stray lock must be presume-aborted"
-    assert dbs[primary].server_db.pending_undo_count == 0
+    assert not dbs[primary].server_db._undo
 
 
 def test_the_replica_answering_the_one_lookup_is_enlisted_for_both_roots():
@@ -125,8 +127,8 @@ def test_the_replica_answering_the_one_lookup_is_enlisted_for_both_roots():
     answered = client.io.client_for(successor)
     assert answered.is_enlisted(action) and not answered.is_enlisted(first)
     assert not dbs[successor].server_db.locks.is_locked(("sv", UID))
-    assert [owner.path for owner, _ in dbs[successor].state_db.locks
-            .holders_of(("st", UID))] == [action.id.path]
+    assert [owner.path for owner, _ in lock_holders(
+        dbs[successor].state_db.locks, ("st", UID))] == [action.id.path]
 
     run(s, action.commit())
     assert not dbs[successor].state_db.locks.is_locked(("st", UID))

@@ -229,8 +229,8 @@ def test_snapshot_helpers():
     snapshot = db.get_server_with_uses(check.id.path, UID)
     assert not snapshot.all_uses_empty
     assert snapshot.used_hosts() == ["beta"]
-    assert snapshot.total_users("beta") == 1
-    assert snapshot.total_users("alpha") == 0
+    assert snapshot.uses["beta"] == {"cn": 1}
+    assert not snapshot.uses["alpha"]
 
 
 def test_purge_client_abort_restores_every_entry():

@@ -58,14 +58,6 @@ def test_removing_a_node_only_moves_its_keys():
             assert router.shard_for(key) != "n1"
 
 
-def test_partition_groups_by_owner():
-    router = ShardRouter(["n0", "n1"])
-    groups = router.partition(KEYS)
-    assert sum(len(g) for g in groups.values()) == len(KEYS)
-    for shard, keys in groups.items():
-        assert all(router.shard_for(k) == shard for k in keys)
-
-
 def test_spread_includes_idle_shards():
     router = ShardRouter([f"n{i}" for i in range(4)])
     spread = router.spread([])
@@ -203,8 +195,8 @@ def test_view_is_immutable_across_the_flip():
     router = ShardRouter(["a", "b"], replicas=8)
     view = router.view()
     router.add_node("c")
-    assert view.nodes == ["a", "b"]
-    assert set(router.view().nodes) == {"a", "b", "c"}
+    assert view.ring.nodes == ["a", "b"]
+    assert set(router.view().ring.nodes) == {"a", "b", "c"}
     for key in range(40):
         assert view.primary(key) in ("a", "b")
     assert view.epoch != router.fence_epoch

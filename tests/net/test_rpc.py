@@ -84,7 +84,7 @@ def test_private_methods_not_callable():
 def test_call_to_dead_node_times_out():
     s, net, a, b = make_pair()
     b.register("calc", Calc())
-    net.interface("b").up = False
+    net._interfaces["b"].up = False
     f = a.call("b", "calc", "add", 1, 2, timeout=0.5)
     with pytest.raises(RpcTimeout):
         s.run_until_settled(f)
@@ -98,14 +98,14 @@ def test_callee_crash_mid_service_times_out():
     # Crash the callee after the request arrives but before it replies.
     # With zero service time the handler runs at delivery, so crash the
     # reply path instead: take b down right when the request is mid-flight.
-    s.schedule(0.05, lambda: setattr(net.interface("b"), "up", False))
+    s.schedule(0.05, lambda: setattr(net._interfaces["b"], "up", False))
     with pytest.raises(RpcTimeout):
         s.run_until_settled(f)
 
 
 def test_call_from_down_node_fails_immediately():
     s, net, a, b = make_pair()
-    net.interface("a").up = False
+    net._interfaces["a"].up = False
     f = a.call("b", "calc", "add", 1, 2)
     assert f.failed
     with pytest.raises(RpcTimeout):

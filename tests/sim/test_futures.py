@@ -1,17 +1,16 @@
-"""Tests for futures and combinators."""
+"""Tests for futures."""
 
 import pytest
 
-from repro.sim import Future, FutureState, all_of, any_of
+from repro.sim import Future
 
 
 def test_future_lifecycle():
     f = Future("x")
-    assert f.pending and not f.done
+    assert not f.done
     f.resolve(5)
     assert f.done and not f.failed
     assert f.result() == 5
-    assert f.state is FutureState.RESOLVED
 
 
 def test_future_failure():
@@ -61,48 +60,3 @@ def test_callbacks_run_once_in_order():
     f.add_callback(lambda _: seen.append(2))
     f.resolve(None)
     assert seen == [1, 2]
-
-
-def test_all_of_collects_in_input_order():
-    a, b = Future("a"), Future("b")
-    combined = all_of([a, b])
-    b.resolve("B")
-    assert combined.pending
-    a.resolve("A")
-    assert combined.result() == ["A", "B"]
-
-
-def test_all_of_empty_resolves_immediately():
-    assert all_of([]).result() == []
-
-
-def test_all_of_fails_fast():
-    a, b = Future(), Future()
-    combined = all_of([a, b])
-    a.fail(ValueError("first"))
-    assert combined.failed
-    b.resolve("late")  # must not blow up
-    with pytest.raises(ValueError, match="first"):
-        combined.result()
-
-
-def test_any_of_first_success_wins():
-    a, b = Future(), Future()
-    combined = any_of([a, b])
-    b.resolve("B")
-    assert combined.result() == (1, "B")
-    a.resolve("A")  # late winner ignored
-
-
-def test_any_of_all_failures_fails():
-    a, b = Future(), Future()
-    combined = any_of([a, b])
-    a.fail(ValueError("a"))
-    assert combined.pending
-    b.fail(ValueError("b"))
-    with pytest.raises(ValueError, match="b"):
-        combined.result()
-
-
-def test_any_of_empty_fails():
-    assert any_of([]).failed

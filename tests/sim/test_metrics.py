@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.net.rpc import RpcReply, RpcRequest
 from repro.sim import MetricsRegistry
-from repro.sim.metrics import estimate_size, wire_size
+from repro.sim.metrics import estimate_size
 
 
 def test_counter_increments():
@@ -28,20 +28,12 @@ def test_counter_value_of_untouched_is_zero():
     assert MetricsRegistry().counter_value("nope") == 0
 
 
-def test_gauge_moves_both_ways():
-    g = MetricsRegistry().gauge("g")
-    g.set(10)
-    g.add(-3)
-    assert g.value == 7
-
-
 def test_histogram_statistics():
     h = MetricsRegistry().histogram("h")
     for v in [1.0, 2.0, 3.0, 4.0, 5.0]:
         h.observe(v)
     assert h.count == 5
     assert h.mean == 3.0
-    assert h.minimum == 1.0
     assert h.maximum == 5.0
     assert h.percentile(50) == 3.0
     assert h.percentile(100) == 5.0
@@ -60,31 +52,13 @@ def test_histogram_percentile_bounds():
         h.percentile(101)
 
 
-def test_timeseries_time_weighted_mean():
-    ts = MetricsRegistry().timeseries("availability")
-    ts.record(0.0, 1.0)   # up
-    ts.record(10.0, 0.0)  # down
-    ts.record(15.0, 1.0)  # up again
-    # 10 up + 5 down + 5 up over [0, 20] -> 15/20
-    assert ts.time_weighted_mean(20.0) == pytest.approx(0.75)
-
-
-def test_timeseries_values_between():
-    ts = MetricsRegistry().timeseries("x")
-    for t in range(10):
-        ts.record(float(t), float(t * t))
-    assert ts.values_between(2.0, 4.0) == [4.0, 9.0, 16.0]
-
-
 def test_snapshot_contains_all_instruments():
     m = MetricsRegistry()
     m.counter("c").increment()
-    m.gauge("g").set(2.5)
     m.histogram("h").observe(1.0)
     m.timeseries("t").record(0.0, 1.0)
     snap = m.snapshot()
     assert snap["c"] == 1
-    assert snap["g"] == 2.5
     assert snap["h"]["count"] == 1
     assert snap["t"] == [(0.0, 1.0)]
 
@@ -93,13 +67,6 @@ def test_registry_returns_same_instrument():
     m = MetricsRegistry()
     assert m.counter("a") is m.counter("a")
     assert m.histogram("b") is m.histogram("b")
-
-
-def test_wire_size_is_deterministic():
-    from repro.sim.metrics import wire_size
-    payload = {"method": "get_server", "args": ("sys:1",)}
-    assert wire_size(payload) == wire_size(dict(payload))
-    assert wire_size(payload) == len(repr(payload))
 
 
 def test_plane_traffic_counters_land_in_the_snapshot():
@@ -119,20 +86,6 @@ def test_plane_traffic_counters_land_in_the_snapshot():
     # Counters are allocated eagerly (the hot path records by direct
     # attribute access), so an idle direction shows up as zero.
     assert snap["traffic.alpha.sync.rpcs_in"] == 0
-
-
-def test_plane_traffic_read_properties_track_counters():
-    from repro.sim.metrics import MetricsRegistry
-    m = MetricsRegistry()
-    t = m.plane_traffic("beta", "sync")
-    assert (t.rpcs_out, t.rpcs_in) == (0, 0)
-    t.record_sent("x")
-    t.record_sent("y")
-    t.record_received("z")
-    assert (t.rpcs_out, t.rpcs_in) == (2, 1)
-    from repro.sim.metrics import estimate_size
-    assert t.bytes_out == 2 * estimate_size("x")
-    assert t.bytes_in == estimate_size("z")
 
 
 # -- estimate_size: the exact-type sizer against the isinstance reference ------
@@ -164,7 +117,7 @@ def reference_size(payload: Any, depth: int = 4) -> int:
             return 8 + 8 * len(fields)
         return 8 + sum(reference_size(getattr(payload, name), depth - 1)
                        for name in fields)
-    return wire_size(payload)
+    return len(repr(payload))
 
 
 class Colour(enum.IntEnum):
@@ -244,7 +197,7 @@ def test_estimate_size_depth_cut_off_charges_flat_per_item():
 
 
 def _byte_counters(system):
-    snap = system.snapshot_metrics()
+    snap = system.metrics.snapshot()
     return (sum(v for k, v in snap.items() if k.endswith(".bytes_out")),
             sum(v for k, v in snap.items() if k.endswith(".bytes_in")))
 
@@ -264,10 +217,10 @@ def test_send_and_receive_byte_counters_agree_on_an_rpc_round_trip():
         caller.rpc.call("b", "svc", "echo", args))
     assert reply == {"echoed": args}
     sent, received = _byte_counters(system)
-    request_size = system.snapshot_metrics()["traffic.a.client.bytes_out"]
+    request_size = system.metrics.snapshot()["traffic.a.client.bytes_out"]
     assert request_size == reference_size(
         RpcRequest(1, "svc", "echo", (args,))) and sent == received
-    assert system.snapshot_metrics()["traffic.b.client.bytes_in"] == request_size
+    assert system.metrics.snapshot()["traffic.b.client.bytes_in"] == request_size
 
 
 def test_send_and_receive_byte_counters_agree_on_a_three_member_multicast():
@@ -285,7 +238,7 @@ def test_send_and_receive_byte_counters_agree_on_a_three_member_multicast():
     assert all(len(member.mcast.delivered) == 1 for member in members)
     sent, received = _byte_counters(system)
     assert sent == received > 0
-    snap = system.snapshot_metrics()
+    snap = system.metrics.snapshot()
     frames_in = sum(v for k, v in snap.items() if k.endswith(".mcasts_in"))
     data = reference_size(members[0].mcast._delivery_log["g"][1])
     submit = snap["traffic.m2.client.bytes_out"] - 2 * data  # m2 relays twice

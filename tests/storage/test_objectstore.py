@@ -93,14 +93,6 @@ def test_install_refuses_version_regression():
     store.install(UID, b"v5b", 5)  # same version allowed (idempotent repair)
 
 
-def test_remove():
-    store = ObjectStore("beta")
-    store.install(UID, b"v1", 1)
-    store.remove(UID)
-    assert not store.contains(UID)
-    assert store.version_of(UID) == 0
-
-
 def test_uids_sorted():
     store = ObjectStore("beta")
     for serial in (3, 1, 2):

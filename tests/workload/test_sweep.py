@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.workload import Table, mean_and_spread, sweep
+from repro.workload import Table, sweep
 from repro.workload.sweep import percentile
 
 
@@ -20,19 +20,6 @@ def test_sweep_collects_tagged_rows():
     rows = sweep([1, 2, 3], lambda v: {"square": v * v}, label="n")
     assert rows == [{"n": 1, "square": 1}, {"n": 2, "square": 4},
                     {"n": 3, "square": 9}]
-
-
-def test_mean_and_spread():
-    mean, spread = mean_and_spread([2.0, 4.0, 6.0])
-    assert mean == 4.0
-    assert spread == pytest.approx(2.0)
-
-
-def test_mean_and_spread_degenerate():
-    mean, spread = mean_and_spread([5.0])
-    assert (mean, spread) == (5.0, 0.0)
-    mean, _ = mean_and_spread([])
-    assert math.isnan(mean)
 
 
 def test_table_renders_aligned():
