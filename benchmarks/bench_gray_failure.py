@@ -19,13 +19,13 @@ any scale-up in this row is the latency trigger's alone, which is
 exactly the signal op-rate autoscaling is blind to.
 
 **Partial partitions** (``test_partition_divergence_is_repaired_by_
-vector_clocks``): two writers each lose one *direction* to a different
-replica of the same entry, so each commits a conflicting group-view
-write on its reachable replica only.  Scalar versions bump identically
-on both -- the pre-clock resync plane would see two up-to-date copies
-and never reconcile them.  The per-entry vector clocks prove the
-histories concurrent, and the anti-entropy sweep's clock phase
-converges the replicas by owner order.
+content_versions``): two writers each lose one *direction* to a
+different replica of the same entry, so each commits a conflicting
+group-view write on its reachable replica only.  The version counts
+bump identically on both -- a count alone would show two up-to-date
+copies and never reconcile them.  Each version also carries a digest of
+its content, so the copies' versions differ, and the anti-entropy sweep
+converges the replicas on the greater one, with no phase of its own.
 
 The acceptance shape:
 
@@ -75,15 +75,15 @@ def test_gray_shard_hosts_are_detected_and_routed_around(benchmark):
 
 
 @pytest.mark.benchmark(group="gray_failure")
-def test_partition_divergence_is_repaired_by_vector_clocks(benchmark):
+def test_partition_divergence_is_repaired_by_content_versions(benchmark):
     def experiment():
         return run("gray_failure", mode="partition")
 
     row = once(benchmark, experiment)
 
-    table = Table("S8b: partial partition -> equal-scalar divergence "
-                  "-> clock repair (2 replicas, 2 writers)",
-                  ["diverged views", "clock repairs", "final view",
+    table = Table("S8b: partial partition -> equal-count divergence "
+                  "-> repair (2 replicas, 2 writers)",
+                  ["diverged views", "repairs", "final view",
                    "disagreements", "invented", "lost", "stale"])
     table.add_row(" vs ".join(",".join(v) for v in row["diverged_views"]),
                   row["divergence_repairs"], ",".join(row["final_view"]),
@@ -92,9 +92,8 @@ def test_partition_divergence_is_repaired_by_vector_clocks(benchmark):
     table.show()
 
     # Both writers committed through the partition, the split was real
-    # (equal scalar versions, different views -- the scalar catch-up
-    # path could not hide it), the clock phase repaired it, nothing was
-    # invented and the object-state ledger balances.
+    # (equal counts, different views), the sweep repaired it, nothing
+    # was invented and the object-state ledger balances.
     assert clean("gray_failure", row) == []
     assert len(row["diverged_views"]) == 2, row
     # The converged view is one of the written ones.

@@ -17,11 +17,17 @@ ratio is not at the mercy of a discrete sample -- more than that
 of its own (50%): at smoke sizes a tail is a handful of samples, so one
 of them changing rank moves it by tens of percent, while what the gate
 is there to catch -- a timeout landing on a row, a queue that no longer
-drains -- multiplies it.  Benches present on only one side are skipped
-(a brand-new bench gains its baseline the commit it lands), as are
-baseline values of zero.  The other latency keys (mean, p50, p95) are
-deliberately *not* gated: too discrete at these sizes for a ratio gate,
-and the throughput floor already catches a queueing collapse.
+drains -- multiplies it.  The ``*_done_at`` instants (when a resync or
+a migration finished) get the same 50% ceiling: convergence that no
+longer keeps up with its writers shows there first.  The correctness
+ledgers (lost, stale and invented bindings, ledger violations, replica
+disagreements) have a tolerance of zero: any rise fails, from a zero
+baseline too.  Benches present on only one side are skipped (a
+brand-new bench gains its baseline the commit it lands), as are the
+other keys' baseline values of zero.  The other latency keys (mean,
+p50, p95) are deliberately *not* gated: too discrete at these sizes for
+a ratio gate, and the throughput floor already catches a queueing
+collapse.
 
 ``--moved`` prints, instead of one verdict line per gated value, only
 the values that differ from their baseline (``baseline -> current``,
@@ -43,10 +49,15 @@ from pathlib import Path
 # Substrings of a flattened JSON path's leaf key that mark a gated
 # metric, with the direction in which it gets better (+1 higher, -1
 # lower) and the fraction it may move the other way; ``None`` is the
-# ``--tolerance`` argument.
+# ``--tolerance`` argument, and ``0.0`` pins the value: any rise fails,
+# from a zero baseline too.
 GATED_KEYS: dict[str, tuple[int, float | None]] = {
     "throughput": (+1, None), "commit_rate": (+1, None),
-    "rpcs_sent": (-1, None), "p99_latency": (-1, 0.50)}
+    "rpcs_sent": (-1, None), "p99_latency": (-1, 0.50),
+    "_done_at": (-1, 0.50),
+    **dict.fromkeys(("lost_bindings", "stale_bindings", "invented_bindings",
+                     "ledger_violations", "replica_disagreements"),
+                    (-1, 0.0))}
 
 
 def flatten(value: object, path: str = "") -> dict[str, float]:
@@ -92,9 +103,9 @@ def compare(baseline_dir: Path, current_dir: Path,
         current = flatten(json.loads(current_path.read_text()))
         for path, base_value in sorted(baseline.items()):
             better, own_tolerance = gated(path)
-            if not better or base_value <= 0:
-                continue
             allowed = tolerance if own_tolerance is None else own_tolerance
+            if not better or (base_value <= 0 and allowed > 0):
+                continue
             now = current.get(path)
             if now is None:
                 print(f"skip {baseline_path.name}:{path}: "
@@ -112,9 +123,10 @@ def compare(baseline_dir: Path, current_dir: Path,
                       f"{now:.3f} vs baseline {base_value:.3f} "
                       f"({bound} {limit:.3f})")
             elif now != base_value:
+                change = (f"{now / base_value - 1.0:+.1%}" if base_value
+                          else "from zero")
                 print(f"{verdict:9s} {baseline_path.name}:{path}: "
-                      f"{base_value:.3f} -> {now:.3f} "
-                      f"({now / base_value - 1.0:+.1%})")
+                      f"{base_value:.3f} -> {now:.3f} ({change})")
             if regressed:
                 failures.append(
                     f"{baseline_path.name}:{path}: {now:.3f} {sign} "

@@ -21,10 +21,19 @@ nesting, a nested action's read lock is automatically *inherited* to
 the end of the top-level action -- precisely the behaviour figure 6
 relies on ("at the end of the action the client commits, and the read
 lock on the database entry is then released").
+
+Each entry half carries one write version, ``(count, digest)``: the
+count is bumped by every committed mutation (undo un-bumps an aborted
+one), and the digest names the half's content (:func:`digest`).  Tuples
+compare lexicographically, so every version gate orders two copies by
+count first and settles an equal-count divergence -- a partial
+partition committing a different write on each side -- on the greater
+digest, the same winner wherever the comparison runs.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable, Hashable
 
 from repro.actions.action import ActionId
@@ -32,6 +41,13 @@ from repro.actions.locks import LockManager, LockMode
 from repro.sim.metrics import MetricsRegistry
 
 ActionPath = tuple[int, ...]
+Version = tuple[int, int]  # (count, content digest) of one entry half
+
+
+def digest(content: object) -> int:
+    """CRC-32 of ``content``'s ``repr``: equal on every replica holding
+    equal content (unlike the per-process salted ``hash``)."""
+    return zlib.crc32(repr(content).encode())
 
 
 class ActionDatabase:

@@ -18,7 +18,10 @@ service: :meth:`read_entry_versioned` (a committed snapshot plus write
 versions under probe locks that never span the wire, no 2PC
 enlistment) and the coalesced :meth:`entry_versions_many` /
 :meth:`read_entry_versioned_many` round trips that anti-entropy,
-resync, and read-repair batch their per-entry traffic into.
+resync, and read-repair batch their per-entry traffic into.  A write
+version is ``(count, digest)`` per half (see
+:mod:`repro.naming.db_base`): the one freshness order every probe,
+lease and install compares.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Any
 from repro.actions.action import ActionId, AtomicAction
 from repro.actions.errors import LockRefused, PromotionRefused
 from repro.actions.locks import LockMode
-from repro.naming.db_base import ActionPath, _is_prefix
+from repro.naming.db_base import ActionPath, Version, _is_prefix
 from repro.naming.errors import UnknownObject
 from repro.naming.object_server_db import ObjectServerDatabase, ServerEntrySnapshot
 from repro.naming.object_state_db import ObjectStateDatabase
@@ -54,13 +57,6 @@ SYNC_SERVICE_NAME = "group_view_db_sync"
 class GroupViewDatabase:
     """Single object combining the server and state databases."""
 
-    # Opt in to the RPC layer stamping the calling host before each
-    # dispatch (see RpcAgent._execute): commits bump the per-entry
-    # vector clock under the *writer's* identity, and every replica of
-    # an entry sees the same coordinator host for the same action, so
-    # identical commit histories always produce identical clocks.
-    accepts_rpc_caller = True
-
     def __init__(self, use_exclude_write_lock: bool = True,
                  metrics: MetricsRegistry | None = None) -> None:
         shared_metrics = metrics or MetricsRegistry()
@@ -75,15 +71,6 @@ class GroupViewDatabase:
         # owner can push invalidations to registered lessees.
         self.coherence: Any = None
         self._touched: list[tuple[tuple[int, ...], str]] = []
-        # Writer host of the RPC currently being dispatched ("" for
-        # local calls, e.g. boot-time restore commits -- identical on
-        # every replica, so clocks still agree).
-        self.rpc_caller = ""
-        # Per-entry vector clocks: uid_text -> {writer_host: commits}.
-        # Volatile alongside locks and undo logs -- a recovered replica
-        # restarts at the empty clock, which is dominated by every
-        # peer's, so repair always pulls toward the survivors.
-        self._vclocks: dict[str, dict[str, int]] = {}
 
     # -- administrative -------------------------------------------------------
 
@@ -119,15 +106,8 @@ class GroupViewDatabase:
             else:
                 kept.append((path, uid_text))
         self._touched = kept
-        if committed and resolved:
-            seen: set[str] = set()
-            uids = [u for u in resolved if not (u in seen or seen.add(u))]
-            writer = self.rpc_caller or "local"
-            for uid_text in uids:
-                clock = self._vclocks.setdefault(uid_text, {})
-                clock[writer] = clock.get(writer, 0) + 1
-            if self.coherence is not None:
-                self.coherence.note_committed(uids)
+        if committed and resolved and self.coherence is not None:
+            self.coherence.note_committed(list(dict.fromkeys(resolved)))
 
     def knows(self, uid_text: str) -> bool:
         return self.server_db.knows(Uid.parse(uid_text))
@@ -259,19 +239,21 @@ class GroupViewDatabase:
         uids.update(str(uid) for uid in self.state_db.all_uids())
         return sorted(uids)
 
-    def entry_versions(self, uid_text: str) -> tuple[int, int]:
+    def entry_versions(self, uid_text: str) -> tuple[Version, Version]:
         """The (server, state) write versions of one entry (RPC-exposed).
 
-        Plain monotonic counters read without locks: a point-in-time
-        lower bound.  Lease renewal compares it with the versions a
-        cached snapshot was taken at.
+        Read without locks: a point-in-time lower bound.  Lease renewal
+        compares it with the versions a cached snapshot was taken at.
+        Equal versions mean equal content, so two replicas that
+        diverged under a partial partition differ here even at equal
+        counts.
         """
         uid = Uid.parse(uid_text)
         return (self.server_db.entry_version(uid),
                 self.state_db.entry_version(uid))
 
     def entry_versions_many(self, uid_texts: list[str],
-                            ) -> list[tuple[int, int]]:
+                            ) -> list[tuple[Version, Version]]:
         """Batched :meth:`entry_versions` (RPC-exposed): ``probe_many``.
 
         One round trip per node is the only version probe replica
@@ -281,22 +263,6 @@ class GroupViewDatabase:
         under locks before anything lands.
         """
         return [self.entry_versions(uid_text) for uid_text in uid_texts]
-
-    def entry_clock(self, uid_text: str) -> dict[str, int]:
-        """The entry's vector clock (RPC-exposed), ``{writer: commits}``.
-
-        Scalar versions bump identically on every replica of a committed
-        action, so two replicas that diverged under a partial partition
-        present *equal* versions with different content.  The clock is
-        the tie-breaker: identical commit histories produce identical
-        clocks, so a clock mismatch at equal scalars *is* divergence.
-        """
-        return dict(self._vclocks.get(uid_text, {}))
-
-    def entry_clocks_many(self, uid_texts: list[str]) -> list[dict[str, int]]:
-        """Batched :meth:`entry_clock` (RPC-exposed): one round trip per
-        sweep, same as the scalar ``entry_versions_many``."""
-        return [self.entry_clock(uid_text) for uid_text in uid_texts]
 
     # -- the leased read plane ------------------------------------------------
 
@@ -309,10 +275,9 @@ class GroupViewDatabase:
         this one dispatch, so no lock ever spans the wire, no
         participant is enlisted, and the caller's action is never
         serialized against the entry.  Returns
-        ``(sv_hosts, uses, st_hosts, (sv_version, st_version), mode,
-        vclock)`` -- ``mode`` is the coherence plane's pull/push verdict
-        for the entry (always ``"pull"`` without a coherence host),
-        ``vclock`` its per-writer commit clock -- or
+        ``(sv_hosts, uses, st_hosts, (sv_version, st_version), mode)``
+        -- ``mode`` is the coherence plane's pull/push verdict for the
+        entry (always ``"pull"`` without a coherence host) -- or
         ``"locked"`` when a live action is mid-flight on the entry (the
         caller falls back to the authoritative locking read), or
         ``"unknown"`` when this replica disclaims the uid.
@@ -334,8 +299,7 @@ class GroupViewDatabase:
             return (list(snapshot.hosts),
                     {host: dict(counters)
                      for host, counters in snapshot.uses.items()},
-                    list(view), versions, mode,
-                    dict(self._vclocks.get(uid_text, {})))
+                    list(view), versions, mode)
         except (LockRefused, PromotionRefused):
             return "locked"
         except UnknownObject:
@@ -360,30 +324,21 @@ class GroupViewDatabase:
     def install_entry(self, uid_text: str, sv_hosts: list[str],
                       uses: dict[str, dict[str, int]],
                       st_hosts: list[str],
-                      versions: tuple[int, int],
-                      vclock: dict[str, int] | None = None,
-                      force: bool = False) -> bool:
+                      versions: tuple[Version, Version]) -> bool:
         """Install one committed entry from a replica peer's snapshot.
 
         Each half lands only if the peer's write version is strictly
-        ahead of the local one (see the per-db ``install_entry``), so
-        resync and anti-entropy can only move a replica forward.
-        ``force`` bypasses the scalar gate for vector-clock divergence
-        repair.  When the copy lands, ``vclock`` is merged into the
-        local clock pointwise (max per writer), so the clock always
-        covers the content.  Returns whether anything was installed.
+        greater than the local one (see the per-db ``install_entry``),
+        so resync and anti-entropy can only move a replica forward, and
+        an equal-count divergence converges on the greater digest.
+        Returns whether anything was installed.
         """
         uid = Uid.parse(uid_text)
         sv_version, st_version = versions
         changed = self.server_db.install_entry(uid, list(sv_hosts), uses,
-                                               sv_version, force=force)
+                                               sv_version)
         changed |= self.state_db.install_entry(uid, list(st_hosts),
-                                               st_version, force=force)
-        if changed and vclock:
-            clock = self._vclocks.setdefault(uid_text, {})
-            for writer, count in vclock.items():
-                if count > clock.get(writer, 0):
-                    clock[writer] = count
+                                               st_version)
         if changed and self.coherence is not None:
             # A maintenance install (resync, migration, read-repair)
             # moved our committed state forward: registered lessees
@@ -394,9 +349,8 @@ class GroupViewDatabase:
     def guarded_install_entry(self, uid_text: str, sv_hosts: list[str],
                               uses: dict[str, dict[str, int]],
                               st_hosts: list[str],
-                              versions: tuple[int, int],
-                              vclock: dict[str, int] | None = None,
-                              force: bool = False) -> bool | None:
+                              versions: tuple[Version, Version],
+                              ) -> bool | None:
         """Lock-guarded :meth:`install_entry` (RPC-exposed).
 
         Both halves are try-locked under a fresh probe action before
@@ -415,8 +369,7 @@ class GroupViewDatabase:
                 half.locks.try_lock(probe.id, key, LockMode.WRITE)
                 locked.append(half)
             return self.install_entry(uid_text, sv_hosts, uses, st_hosts,
-                                      tuple(versions), vclock=vclock,
-                                      force=force)
+                                      tuple(versions))
         except (LockRefused, PromotionRefused):
             return None
         finally:
@@ -445,7 +398,6 @@ class GroupViewDatabase:
                 locked.append(half)
             removed = self.server_db.forget(uid)
             removed = self.state_db.forget(uid) or removed
-            self._vclocks.pop(uid_text, None)
             if removed and self.coherence is not None:
                 # Post-flip GC: we no longer own the entry, so the
                 # registry and hotness state go with it.
@@ -463,8 +415,3 @@ class GroupViewDatabase:
         self.server_db.reset_volatile()
         self.state_db.reset_volatile()
         self._touched.clear()
-        # Vector clocks are volatile too: a recovered replica restarts
-        # at the empty clock, dominated by every peer's, so repair
-        # pulls it toward the survivors rather than trusting it.
-        self._vclocks.clear()
-        self.rpc_caller = ""

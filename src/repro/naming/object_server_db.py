@@ -27,7 +27,7 @@ from typing import Mapping
 
 from repro.actions.errors import LockRefused, PromotionRefused
 from repro.actions.locks import LockMode
-from repro.naming.db_base import ActionDatabase, ActionPath
+from repro.naming.db_base import ActionDatabase, ActionPath, Version, digest
 from repro.naming.errors import NotQuiescent, UnknownObject
 from repro.storage.uid import Uid
 
@@ -39,9 +39,9 @@ class _ServerEntry:
     hosts: list[str]
     # uses[host][client_node] = count of that node's clients bound to host
     uses: dict[str, dict[str, int]]
-    # Monotonic write version: bumped by every committed mutation (undo
-    # un-bumps aborted ones), so replica shards applying the same op
-    # stream agree on it and resync can order divergent copies.
+    # The write version's count: bumped by every committed mutation
+    # (undo un-bumps aborted ones), so replica shards applying the same
+    # op stream agree on it.  The digest is derived from the content.
     version: int = 1
 
 
@@ -78,10 +78,18 @@ class ObjectServerDatabase(ActionDatabase):
         self._entries[uid] = _ServerEntry(list(hosts), {h: {} for h in hosts})
         self._record_undo(action_path, lambda: self._entries.pop(uid, None))
 
-    def entry_version(self, uid: Uid) -> int:
-        """The entry's write version (0 when unknown here)."""
+    def entry_version(self, uid: Uid) -> Version:
+        """The entry's write version, ``(0, 0)`` when unknown here.
+
+        The digest covers ``Sv`` in order (order is content: it is the
+        binding preference) and the use lists sorted.
+        """
         entry = self._entries.get(uid)
-        return entry.version if entry is not None else 0
+        if entry is None:
+            return (0, 0)
+        uses = sorted((host, sorted(counters.items()))
+                      for host, counters in entry.uses.items())
+        return entry.version, digest((entry.hosts, uses))
 
     def _bump(self, action_path: ActionPath, uid: Uid) -> None:
         """Advance the entry's write version, undoably."""
@@ -243,32 +251,24 @@ class ObjectServerDatabase(ActionDatabase):
 
     def install_entry(self, uid: Uid, hosts: list[str],
                       uses: Mapping[str, Mapping[str, int]],
-                      version: int, force: bool = False) -> bool:
+                      version: Version) -> bool:
         """Install a replica peer's committed entry (shard resync).
 
         Version-gated: the copy applies only when the peer's write
         version is strictly ahead of ours, so resync and anti-entropy
         always converge replicas *forward* — a stale peer can never
-        overwrite a fresher copy, whichever side sweeps first.  No
-        locks are taken: callers must hold the entry's write lock or
-        keep the database out of the serving path.  Counters for hosts
-        outside ``hosts`` are dropped, preserving the invariant that
-        use lists exist exactly for Sv members.  Returns whether the
-        entry was installed.
-
-        ``force`` bypasses the scalar gate for divergence repair: two
-        replicas at *equal* versions with different content (a partial
-        partition committed different writes on each) can only converge
-        if the vector-clock winner is allowed to overwrite the loser.
-        The local version never moves backwards even then.
+        overwrite a fresher copy, whichever side sweeps first, and of
+        two equal-count copies the greater digest wins on every
+        replica.  No locks are taken: callers must hold the entry's
+        write lock or keep the database out of the serving path.
+        Counters for hosts outside ``hosts`` are dropped, preserving the
+        invariant that use lists exist exactly for Sv members.  Returns
+        whether the entry was installed.
         """
-        current = self._entries.get(uid)
-        if current is not None and current.version >= version:
-            if not force:
-                return False
-            version = current.version
+        if self.entry_version(uid) >= tuple(version):
+            return False
         fresh_uses = {h: dict(uses.get(h, {})) for h in hosts}
-        self._entries[uid] = _ServerEntry(list(hosts), fresh_uses, version)
+        self._entries[uid] = _ServerEntry(list(hosts), fresh_uses, version[0])
         return True
 
     def forget(self, uid: Uid) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.actions.locks import LockMode
-from repro.naming.db_base import ActionDatabase, ActionPath
+from repro.naming.db_base import ActionDatabase, ActionPath, Version, digest
 from repro.naming.errors import UnknownObject
 from repro.storage.uid import Uid
 
@@ -28,8 +28,7 @@ from repro.storage.uid import Uid
 @dataclass
 class _StateEntry:
     hosts: list[str]
-    # Monotonic write version (see _ServerEntry): lets resync order
-    # divergent replica copies.
+    # The write version's count (see _ServerEntry).
     version: int = 1
 
 
@@ -58,10 +57,12 @@ class ObjectStateDatabase(ActionDatabase):
     def all_uids(self) -> list[Uid]:
         return sorted(self._entries)
 
-    def entry_version(self, uid: Uid) -> int:
-        """The entry's write version (0 when unknown here)."""
+    def entry_version(self, uid: Uid) -> Version:
+        """The entry's write version, ``(0, 0)`` when unknown here."""
         entry = self._entries.get(uid)
-        return entry.version if entry is not None else 0
+        if entry is None:
+            return (0, 0)
+        return entry.version, digest(entry.hosts)
 
     def _bump(self, action_path: ActionPath, uid: Uid) -> None:
         """Advance the entry's write version, undoably."""
@@ -123,23 +124,17 @@ class ObjectStateDatabase(ActionDatabase):
         self._record_undo(action_path, lambda: self._remove_silently(uid, host))
         self._bump(action_path, uid)
 
-    def install_entry(self, uid: Uid, hosts: list[str], version: int,
-                      force: bool = False) -> bool:
+    def install_entry(self, uid: Uid, hosts: list[str],
+                      version: Version) -> bool:
         """Install a replica peer's committed entry (shard resync).
 
         Version-gated like its server-db counterpart: only a strictly
-        fresher peer copy lands, so convergence always runs forward.
-        ``force`` bypasses the gate for vector-clock divergence repair
-        (equal versions, divergent content); the local version never
-        moves backwards even then.  Returns whether the entry was
-        installed.
+        greater peer version lands, so convergence always runs forward.
+        Returns whether the entry was installed.
         """
-        current = self._entries.get(uid)
-        if current is not None and current.version >= version:
-            if not force:
-                return False
-            version = current.version
-        self._entries[uid] = _StateEntry(list(hosts), version)
+        if self.entry_version(uid) >= tuple(version):
+            return False
+        self._entries[uid] = _StateEntry(list(hosts), version[0])
         return True
 
     def forget(self, uid: Uid) -> bool:

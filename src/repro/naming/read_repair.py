@@ -181,8 +181,7 @@ class ReadRepairer:
             {uid_text: (probes, probes)
              for uid_text, probes in probes_by_uid.items()
              if len(probes) > 1})
-        copied = sum(result.installed + result.repaired
-                     for result in results.values())
+        copied = sum(result.installed for result in results.values())
         if copied:
             self.entries_repaired += copied
             self.metrics.counter(

@@ -36,19 +36,20 @@ and repair keep replicas convergent *across* epochs -- their traffic
 must flow even to hosts the live ring does not own yet (incoming
 owners mid-copy) or no longer owns (sources being drained), so it is
 deliberately not fenced; per-entry write versions carry correctness
-instead.  One engine levels replicas, whoever asks:
+instead.  A version is ``(count, digest)`` per half, so it names the
+content: replicas at equal versions hold equal entries, and of two
+equal-count copies the greater digest is ahead.  One engine levels
+replicas, whoever asks:
 
 - :meth:`probe_many` -- lock-free write versions, one
   ``entry_versions_many`` round trip per node;
 - :meth:`converge` -- for a batch of entries with named source and
   target replicas: one ``read_entry_versioned_many`` per fresher
   source (each snapshot taken under server-local probe locks that live
-  and die inside the dispatch), a lock-guarded, version-gated
-  ``guarded_install_entry`` per lagging target, then the vector-clock
-  tie-break among the replicas level at the scalar maximum -- one
-  ``entry_clocks_many`` per level node, one winner rule, and the
-  winner's snapshot force-installed with the merged clock on every
-  divergent *target*.
+  and die inside the dispatch) and a lock-guarded, version-gated
+  ``guarded_install_entry`` per lagging target.  The version order is
+  the whole winner rule, so pull and push settle a divergence on the
+  same copy in the same single phase.
 
 Shard resync and anti-entropy, read-repair, and the reshard migration
 are *triggers* over that engine: each decides when to run, which
@@ -60,10 +61,11 @@ over the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Generator, Iterable, Mapping, NamedTuple
 
 from repro.actions.action import AtomicAction
+from repro.naming.db_base import Version
 from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import UnknownObject
 from repro.naming.group_view_db import SERVICE_NAME, SYNC_SERVICE_NAME
@@ -73,8 +75,7 @@ from repro.net.rpc import RpcAgent
 from repro.sim.metrics import MetricsRegistry
 from repro.storage.uid import Uid
 
-Versions = tuple[int, int]  # (server, state) write versions of one entry
-Clock = dict[str, int]      # per-writer commit counts of one entry
+Versions = tuple[Version, Version]  # (server, state) write versions
 Probes = dict[str, Versions]  # replica name -> its probed versions
 # What :meth:`ReplicaIO.converge` levels: uid -> (sources, targets).
 Entries = Mapping[str, tuple[Probes, Probes]]
@@ -100,18 +101,15 @@ class EntryCopy:
     # The coherence plane's verdict for the entry: "pull" (lease+TTL)
     # or "push" (register with the owner; it multicasts invalidations).
     mode: str
-    # The entry's per-writer vector clock.  Divergence repair carries
-    # the merged clock here on its force-installs.
-    vclock: Clock
 
     @classmethod
     def from_wire(cls, result: Any) -> "EntryCopy":
         """Decode one ``read_entry_versioned`` wire tuple (the one
         implementation every versioned-read consumer shares)."""
-        hosts, uses, view, versions, mode, vclock = result
+        hosts, uses, view, versions, mode = result
         return cls(list(hosts),
                    {host: dict(counters) for host, counters in uses.items()},
-                   list(view), tuple(versions), mode, dict(vclock))
+                   list(view), tuple(versions), mode)
 
 
 class Converged(NamedTuple):
@@ -120,12 +118,19 @@ class Converged(NamedTuple):
     # "clean" | "copied" | "settled" | "deferred" | "unknown"
     outcome: str
     installed: int  # version-gated installs that landed on a target
-    repaired: int   # clock-divergent targets overwritten by the winner
+    repaired: int   # of those, installs over equal-count divergent content
 
 
 def _behind(versions: Versions, other: Versions) -> bool:
     """Whether ``versions`` lags ``other`` on either half."""
     return versions[0] < other[0] or versions[1] < other[1]
+
+
+def _diverged(held: Versions, landed: Versions) -> bool:
+    """Whether installing ``landed`` over ``held`` replaced, on some
+    half, a copy with the same count and other content."""
+    return any(mine[0] == theirs[0] and mine < theirs
+               for mine, theirs in zip(held, landed))
 
 
 class ReplicaIO:
@@ -655,22 +660,17 @@ class ReplicaIO:
                 for uid_text, result in zip(uid_texts, results)}
 
     def _install(self, local: Mapping[str, Any], target: str, uid_text: str,
-                 copy: EntryCopy, force: bool = False,
-                 ) -> Generator[Any, Any, "bool | None"]:
+                 copy: EntryCopy) -> Generator[Any, Any, "bool | None"]:
         """Land one snapshot through ``target``'s lock-guarded install.
 
-        ``force`` bypasses the scalar version gate -- only the clock
-        tie-break uses it, to overwrite an equal-version loser with the
-        vector-clock winner.  Returns ``True`` installed, ``False``
-        already fresh, ``None`` when the snapshot must not be forced
-        past the target: a live action there holds the entry, or the
-        target went dark.
+        Returns ``True`` installed, ``False`` already fresh, ``None``
+        when a live action there holds the entry or the target went
+        dark.
         """
         try:
             return (yield from self._sync_call(
                 local, target, "guarded_install_entry", uid_text,
-                copy.hosts, copy.uses, copy.view, copy.versions,
-                copy.vclock, force))
+                copy.hosts, copy.uses, copy.view, copy.versions))
         except RpcError:
             return None
 
@@ -696,7 +696,10 @@ class ReplicaIO:
         peer may simply share a target's staleness, and the two version
         halves' maxima can live on different replicas (the version-gated
         install merges them per half).  Replicas named in ``local`` are
-        read and installed by direct call.
+        read and installed by direct call.  A target at a source's count
+        with other content is behind it whenever the source's digest is
+        greater: its install is counted in ``repaired`` as well as in
+        ``installed`` (and metered as ``replica_io.divergence_repairs``).
 
         Returns one :class:`Converged` per uid, with outcome:
 
@@ -710,9 +713,6 @@ class ReplicaIO:
           retries a later pass;
         - ``"unknown"`` -- every source disclaimed the entry under
           locks (a define that aborted after enumeration).
-
-        A *vector-clock tie-break* follows scalar convergence (see
-        :meth:`_break_ties`): equal versions do not prove equal content.
         """
         local = local or {}
         # What each replica is known to hold: the probes, moved forward
@@ -734,6 +734,7 @@ class ReplicaIO:
                     ahead_by_source.setdefault(source, []).append(uid_text)
 
         installed = dict.fromkeys(entries, 0)
+        repaired = dict.fromkeys(entries, 0)
         deferred = {uid_text for uid_text in entries if uid_text not in best}
         disclaimed: dict[str, int] = {}
         for source, uids in ahead_by_source.items():
@@ -767,16 +768,19 @@ class ReplicaIO:
                     if landed is None:
                         deferred.add(uid_text)
                         continue
+                    held = known[uid_text][name]
                     if landed:
                         installed[uid_text] += 1
                         self.metrics.counter(
                             "replica_io.entries_installed").increment()
-                    old_sv, old_st = known[uid_text][name]
-                    known[uid_text][name] = (max(old_sv, copy.versions[0]),
-                                             max(old_st, copy.versions[1]))
+                        if _diverged(held, copy.versions):
+                            repaired[uid_text] += 1
+                            self.metrics.counter(
+                                "replica_io.divergence_repairs").increment()
+                    known[uid_text][name] = (max(held[0], copy.versions[0]),
+                                             max(held[1], copy.versions[1]))
 
         results: dict[str, Converged] = {}
-        level: dict[str, list[str]] = {}
         for uid_text, (sources, targets) in entries.items():
             if uid_text in deferred:
                 outcome = "deferred"
@@ -790,156 +794,6 @@ class ReplicaIO:
             else:
                 outcome = ("clean" if uid_text not in lagging
                            else "copied" if installed[uid_text] else "settled")
-                nodes = sorted(name for name, versions
-                               in known[uid_text].items()
-                               if versions == best[uid_text])
-                if len(nodes) > 1:
-                    level[uid_text] = nodes
-            results[uid_text] = Converged(outcome, installed[uid_text], 0)
-        repairs = yield from self._break_ties(entries, level, local)
-        for uid_text, repaired in repairs.items():
-            if repaired is None:
-                results[uid_text] = Converged("deferred",
-                                              installed[uid_text], 0)
-            elif repaired:
-                results[uid_text] = Converged("copied", installed[uid_text],
-                                              repaired)
+            results[uid_text] = Converged(outcome, installed[uid_text],
+                                          repaired[uid_text])
         return results
-
-    # -- the vector-clock tie-break ------------------------------------------
-
-    def _break_ties(self, entries: Entries, level: Mapping[str, list[str]],
-                    local: Mapping[str, Any],
-                    ) -> Generator[Any, Any, "dict[str, int | None]"]:
-        """Converge equal-version replicas whose clocks disagree.
-
-        ``level`` maps each uid to the replicas sitting at its scalar
-        maximum.  They may still hold divergent content -- a partial
-        partition lets each side commit a different write, bumping both
-        scalars identically -- and only their per-writer clocks can
-        tell.  The clocks are probed, one ``entry_clocks_many`` per
-        node and role, and an entry is repaired (see
-        :meth:`_repair_divergence`) as soon as its last level node has
-        answered.  Sources answer first, replicas that are only targets
-        after them (``local`` ones last of all): a commit racing the
-        probes then makes a target look *ahead* of its sources, which
-        is harmless, never behind them -- a spurious forced re-copy,
-        and for a migration under steady writes an arc that never
-        confirms.
-
-        Returns ``{uid: repairs}`` for the entries that needed any --
-        the divergent non-winner targets overwritten -- with ``None``
-        when a dark or locked replica deferred the repair.
-        """
-        as_source: dict[str, list[str]] = {}
-        as_target: dict[str, list[str]] = {}
-        for uid_text, nodes in level.items():
-            sources = entries[uid_text][0]
-            for node in nodes:
-                if node not in local:
-                    role = as_source if node in sources else as_target
-                    role.setdefault(node, []).append(uid_text)
-        clocks: dict[str, dict[str, Clock]] = {uid_text: {}
-                                              for uid_text in level}
-        repairs: dict[str, int | None] = {}
-        for node, uids in (*sorted(as_source.items()),
-                           *sorted(as_target.items())):
-            try:
-                answers = yield from self._sync_call(
-                    local, node, "entry_clocks_many", uids)
-            except RpcError:
-                repairs.update(dict.fromkeys(uids))  # dark; retry later
-                continue
-            cases = {}
-            for uid_text, clock in zip(uids, answers):
-                seen = clocks[uid_text]
-                seen[node] = dict(clock)
-                nodes = level[uid_text]
-                if uid_text in repairs or not all(
-                        name in seen or name in local for name in nodes):
-                    continue  # deferred, or a level node is still to answer
-                # Local clocks are read last, like local versions.
-                seen.update((name, local[name].entry_clock(uid_text))
-                            for name in nodes if name in local)
-                cases[uid_text] = (seen, [name for name in entries[uid_text][1]
-                                          if name in seen])
-            yield from self._repair_divergence(cases, local, repairs)
-        return repairs
-
-    def _repair_divergence(self, cases: Mapping[str, tuple[dict[str, Clock],
-                                                           list[str]]],
-                           local: Mapping[str, Any],
-                           repairs: dict[str, "int | None"],
-                           ) -> Generator[Any, Any, None]:
-        """Overwrite clock-divergent targets with the winner's content.
-
-        ``cases`` maps each uid to ``(clocks, targets)``: the clock of
-        every replica level at its scalar maximum, and which of those
-        replicas this pass may write.  The winner's snapshot (see
-        :meth:`_clock_winner`) is force-installed, together with the
-        pointwise-max merged clock, on every target whose clock differs
-        from the merged one -- the winner included when it is a target,
-        its content a no-op but its history now agreeing with the
-        group's -- after which the group is convergent in one pass.
-        Replicas that are sources only are never written: their own
-        trigger pulls from the winner.  Outcomes land in ``repairs``.
-        """
-        by_winner: dict[str, list[tuple[str, Clock, list[str]]]] = {}
-        for uid_text, (clocks, targets) in cases.items():
-            merged = self._merge_clocks(clocks.values())
-            divergent = [name for name in targets if clocks[name] != merged]
-            if divergent:
-                by_winner.setdefault(self._clock_winner(uid_text, clocks),
-                                     []).append((uid_text, merged, divergent))
-        for winner, losers in by_winner.items():
-            copies = yield from self._read_many(
-                local, winner, [uid_text for uid_text, _, _ in losers])
-            for uid_text, merged, divergent in losers:
-                copy = copies and copies[uid_text]
-                if not isinstance(copy, EntryCopy):
-                    repairs[uid_text] = None  # locked/unknown/dark
-                    continue
-                # The clock must cover the content: the snapshot's own
-                # clock may have moved past the probed one.
-                forced = replace(copy, vclock=self._merge_clocks(
-                    [merged, copy.vclock]))
-                repairs[uid_text] = 0
-                for name in divergent:
-                    landed = yield from self._install(
-                        local, name, uid_text, forced, force=True)
-                    if landed is None:
-                        repairs[uid_text] = None
-                        break
-                    if name != winner:
-                        repairs[uid_text] += 1
-                        self.metrics.counter(
-                            "replica_io.divergence_repairs").increment()
-
-    def _clock_winner(self, uid_text: str, clocks: dict[str, Clock]) -> str:
-        """The replica whose content survives a divergence repair.
-
-        Dominance wins: a clock pointwise >= every other proves its
-        holder saw every commit the others did.  True concurrency (no
-        dominator) resolves by the deterministic owner order -- the
-        first divergent replica in the current view's write order -- so
-        every repairer picks the same winner.
-        """
-        for node in sorted(clocks):
-            if all(count <= clocks[node].get(writer, 0)
-                   for other in clocks.values()
-                   for writer, count in other.items()):
-                return node
-        view = self.router.view()
-        order = [node for node in view.write_set(uid_text, self.replication)
-                 if node in clocks]
-        return order[0] if order else sorted(clocks)[0]
-
-    @staticmethod
-    def _merge_clocks(clocks: Iterable[Clock]) -> Clock:
-        """The pointwise maximum: the history that covers every clock."""
-        merged: Clock = {}
-        for clock in clocks:
-            for writer, count in clock.items():
-                if count > merged.get(writer, 0):
-                    merged[writer] = count
-        return merged

@@ -446,7 +446,7 @@ class ReshardManager:
             results = yield from self.io.converge(entries)
             copied = 0
             for uid_text, result in results.items():
-                copied += result.installed + result.repaired
+                copied += result.installed
                 if result.outcome in ("clean", "unknown"):
                     # Clean: every incoming owner probed current and
                     # (being seeded) rides every dual-ownership write

@@ -26,9 +26,11 @@ dance for object stores:
    (:meth:`~repro.naming.replica_io.ReplicaIO.converge`) the peers as
    sources and the local database as the one target: it reads each
    fresher peer's committed snapshots -- taken under server-local
-   probe locks, never a half-applied write -- installs them locally,
-   and breaks equal-version ties by vector clock.  Entries locked by
-   live actions are retried next round, like the cleanup daemon does.
+   probe locks, never a half-applied write -- and installs them
+   locally.  A version names its content, so an entry this host still
+   holds unchanged since the crash is level with its peers and is not
+   copied again.  Entries locked by live actions are retried next
+   round, like the cleanup daemon does.
 4. **Converge, then rejoin.**  Passes repeat until one applies no
    changes (writes committed mid-resync land on the peers we copy
    from), then the service is re-registered and the host serves again.
@@ -222,7 +224,7 @@ class ShardResyncManager:
         direct call even while its RPC service is gated out, and its
         lock-guarded install still refuses an entry the *colocated*
         cleanup daemon's purge action is mid-flight on.  Peers are never
-        written: one that loses a clock tie-break pulls from us on its
+        written: one whose version is below ours pulls from us on its
         own sweep.
         """
         me = self.node.name
@@ -274,5 +276,4 @@ class ShardResyncManager:
             # "unknown" too: the peers' probes promised an entry their
             # snapshot reads then disclaimed; the next pass re-probes.
             return None
-        return any(result.installed or result.repaired
-                   for result in results.values())
+        return refreshed > 0

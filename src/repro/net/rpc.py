@@ -21,6 +21,10 @@ Handlers are methods on registered service objects.  A handler may:
   process result.  This is how servers copy object state to remote
   object stores at commit time (paper section 4.2).
 
+A handler sees its arguments and nothing else: the agent hands a
+service no caller identity, so no service state can depend on which
+host happened to send a request.
+
 If the node crashes while a handler runs, the reply is never sent: the
 agent checks its interface before emitting the reply.
 """
@@ -361,11 +365,6 @@ class RpcAgent:
             self._reply_error(caller, request, UnknownMethod(
                 f"{request.service}.{request.method}"))
             return
-        if getattr(provider, "accepts_rpc_caller", False):
-            # Writer identity for providers that track per-writer state
-            # (vector clocks): the caller's *host*, so a client's sync
-            # NIC and primary NIC count as one writer.
-            provider.rpc_caller = caller.split(".", 1)[0]
         try:
             result = handler(*request.args)
         except Exception as exc:

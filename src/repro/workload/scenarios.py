@@ -427,7 +427,11 @@ def _sync_plane_row(run: Run) -> dict[str, Any]:
     end = p.outage[1]
     resync = _resync_fields(run)
     storm_end = max(resync["resync_done_at"] or end + 4.0, end + 1.0)
-    storm = [o for o in report.outcomes if end <= o.finished_at < storm_end]
+    # Requests *started* after the outage ended: one that finished in
+    # the window but started before waited out the dead host's RPC
+    # timeout, which measures the outage, not the resync.
+    storm = [o for o in report.outcomes
+             if end <= o.finished_at - o.latency and o.finished_at < storm_end]
 
     def plane_total(plane: str, what: str) -> int:
         return sum(int(system.metrics.counter_value(
@@ -768,8 +772,8 @@ def _partition_script(run: Run) -> None:
     """Each writer loses one *direction* to a different replica: wa can
     only reach the primary, wb only the secondary.  ReplicaIO's write
     fan-out skips an unreachable replica rather than failing the write,
-    so each commit lands on one copy -- equal scalar bumps, divergent
-    content, concurrent clocks."""
+    so each commit lands on one copy -- equal counts, divergent
+    content."""
     [uid] = run.uids
     run.replicas = run.system.shard_router.preference_list(uid, 2)
     run.install(FaultPlan()
@@ -799,15 +803,16 @@ def _partition_load(run: Run) -> None:
     assert system.scheduler.now < end, (
         "writers outran the partition window; widen it")
     # Capture the divergence before the sweeps repair it: both copies
-    # at the same scalar version with different host sets proves a real
-    # split, not just a lagging replica.
+    # at the same counts with different host sets proves a real split,
+    # not just a lagging replica.  (Their digests differ by design.)
     dbs = [system.db.shards[shard] for shard in run.replicas]
     run.views = [tuple(db.get_view((0,), str(uid))) for db in dbs]
-    versions = {db.entry_versions(str(uid)) for db in dbs}
+    counts = {tuple(count for count, _digest in db.entry_versions(str(uid)))
+              for db in dbs}
     system._release_probe_locks()
-    run.diverged = len(set(run.views)) > 1 and len(versions) == 1
-    # Heal, then two sweep rounds: the losing replica pulls the
-    # owner-order winner in the first, the second proves convergence.
+    run.diverged = len(set(run.views)) > 1 and len(counts) == 1
+    # Heal, then two sweep rounds: the replica with the smaller digest
+    # pulls the other's copy in the first, the second proves convergence.
     system.run(until=end + 2 * p.sweep_interval + 1.0)
     run.adds = {uid: sum(
         system.run_transaction(run.clients["aud"],
@@ -835,11 +840,12 @@ def _partition_row(run: Run) -> dict[str, Any]:
 
 _PARTIAL_PARTITION = Scenario(
     name="gray_failure[partition]",
-    doc="""Equal-scalar divergence from a partial partition (S8b).
+    doc="""Equal-count divergence from a partial partition (S8b).
 
     Two writers each lose one direction to a different replica of the
     same entry and commit conflicting naming writes; after the heal the
-    anti-entropy sweep's clock phase must converge the replicas.
+    anti-entropy sweep must converge the replicas on the greater
+    version (equal counts, so the greater content digest).
     """,
     params=dict(mode="partition", rpc_timeout=0.3, fixed_latency=0.002,
                 partition_window=(1.0, 3.0), sweep_interval=4.0,
@@ -860,7 +866,7 @@ _PARTIAL_PARTITION = Scenario(
         writer_commits=2, diverged_during_partition=True,
         replica_disagreements=0, invented_bindings=0, lost_bindings=0,
         stale_bindings=0,
-        clock_repair_ran=lambda r: r["divergence_repairs"] >= 1),
+        divergence_repaired=lambda r: r["divergence_repairs"] >= 1),
 )
 
 _register(Scenario(

@@ -23,37 +23,30 @@ def sync_rpcs(rpc_log, caller=None):
 
 
 # Recorded at the parent of the PR that moved resync onto the shared
-# engine (3 shards x 2 replicas, 12 entries, seed-fixed ring): the swap
-# had to leave both traces exactly alone.
+# engine (3 shards x 2 replicas, 12 entries, seed-fixed ring), and
+# rewritten once, deliberately, when the vector clocks went: a version
+# names its content, so nothing past the scalar probe is left to ask.
 
 RECOVERY_RESYNC = [
     # Pass 1: enumerate, probe, one snapshot read per fresher source
-    # for what the outage missed...
+    # for what the outage missed.  The entries the outage did not touch
+    # probe level -- the crash kept their content, and their versions
+    # say so -- and are not copied again.
     ("namenode1", "list_uids"), ("namenode2", "list_uids"),
     ("namenode2", "entry_versions_many"),
     ("namenode1", "entry_versions_many"),
     ("namenode2", "read_entry_versioned_many"),
     ("namenode1", "read_entry_versioned_many"),
-    # ...then the clock tie-break per level peer: namenode1's clocks
-    # dominate our volatile (restarted-empty) ones on the entries the
-    # outage did not touch, so those are re-copied by force.
-    ("namenode1", "entry_clocks_many"),
-    ("namenode1", "read_entry_versioned_many"),
-    ("namenode2", "entry_clocks_many"),
     # Pass 2: the confirmation round finds nothing to do; rejoin.
     ("namenode1", "list_uids"), ("namenode2", "list_uids"),
     ("namenode2", "entry_versions_many"),
     ("namenode1", "entry_versions_many"),
-    ("namenode1", "entry_clocks_many"),
-    ("namenode2", "entry_clocks_many"),
 ]
 
 IN_SYNC_SWEEP = [
     ("namenode1", "list_uids"), ("namenode2", "list_uids"),
     ("namenode2", "entry_versions_many"),
     ("namenode1", "entry_versions_many"),
-    ("namenode1", "entry_clocks_many"),
-    ("namenode2", "entry_clocks_many"),
 ]
 
 
@@ -67,8 +60,8 @@ def test_recovery_resync_and_in_sync_sweep_speak_the_golden_trace(rpc_log):
     system.nodes[victim].crash()
     # A store host down too: commits Exclude it from the touched
     # entries' St on the surviving shard replicas -- naming writes the
-    # victim misses and must copy by version.  The untouched half ties
-    # on versions and goes to the clocks.
+    # victim misses and must copy by version.  The untouched half
+    # probes level and stays put.
     system.nodes["b2"].crash()
     for uid in uids[::2]:
         assert system.run_transaction(client, add_work(uid, 1)).committed
@@ -102,8 +95,8 @@ def test_migration_probes_per_node_not_per_entry(rpc_log):
     assert moved >= 8, "the grow must move a real share of the entries"
 
     methods = Counter(method for _peer, method in sync_rpcs(rpc_log))
-    for per_entry in ("entry_versions", "entry_clock",
-                      "get_server_with_uses", "get_view", "prepare"):
+    for per_entry in ("entry_versions", "get_server_with_uses", "get_view",
+                      "prepare"):
         assert methods[per_entry] == 0, per_entry
     nodes = len(system.shard_router.nodes)
     assert nodes == 4

@@ -213,7 +213,8 @@ def test_sweep_garbage_collects_an_install_that_raced_the_flip():
 
     # Plant the raced install: a committed copy on a non-owner.
     assert foreign.guarded_install_entry(
-        str(uid), ["a1", "a2"], {"a1": {}, "a2": {}}, ["a1", "a2"], (1, 1))
+        str(uid), ["a1", "a2"], {"a1": {}, "a2": {}}, ["a1", "a2"],
+        ((1, 0), (1, 0)))
     assert foreign.knows(str(uid))
 
     # While a transition is staged the sweep must leave it alone...

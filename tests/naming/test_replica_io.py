@@ -75,14 +75,24 @@ def methods(rpc_log):
     return Counter(method for _who, _target, _service, method, _at in rpc_log)
 
 
+def counts(versions):
+    """The (server, state) counts of an entry's versions, digests dropped."""
+    return tuple(count for count, _digest in versions)
+
+
+def at(sv, st):
+    """Probed versions with the given counts (any digest will do)."""
+    return ((sv, 0), (st, 0))
+
+
 def test_converge_is_probe_only_when_nothing_lags(rpc_log):
     s, dbs, agents, router, io = make_world()
     probes = probe_all(s, io)
     del rpc_log[:]
     result = run(s, io.converge_entry(str(UID), probes, probes))
     assert result == ("clean", 0, 0)
-    # No snapshot read, no install: only the clock tie-break's probes.
-    assert methods(rpc_log) == {"entry_clocks_many": 3}
+    # Equal versions are equal content: nothing crosses the wire.
+    assert methods(rpc_log) == {}
 
 
 def test_converge_merges_halves_from_different_sources():
@@ -92,15 +102,16 @@ def test_converge_merges_halves_from_different_sources():
     bump_sv(dbs["shard-a"])        # a: (2, 1)
     bump_st(dbs["shard-b"])        # b: (1, 2)
     probes = probe_all(s, io)
-    assert probes["shard-a"] == (2, 1)
-    assert probes["shard-b"] == (1, 2)
-    assert probes["shard-c"] == (1, 1)
+    assert counts(probes["shard-a"]) == (2, 1)
+    assert counts(probes["shard-b"]) == (1, 2)
+    assert counts(probes["shard-c"]) == (1, 1)
 
     result = run(s, io.converge_entry(str(UID), probes, probes))
     assert result.outcome == "copied"
     assert result.installed >= 2  # c took both halves; a and b each other's
+    assert len({db.entry_versions(str(UID)) for db in dbs.values()}) == 1
     for db in dbs.values():
-        assert db.entry_versions(str(UID)) == (2, 2)
+        assert counts(db.entry_versions(str(UID))) == (2, 2)
     # Content followed the versions: everyone has a's use count and b's
     # grown view.
     for db in dbs.values():
@@ -152,10 +163,12 @@ def test_converge_settles_when_the_probe_was_stale():
     logic depends on the distinction."""
     s, dbs, agents, router, io = make_world()
     bump_sv(dbs["shard-a"])
-    stale_probe = {"shard-b": (1, 1)}  # but b catches up before the push
+    # b is probed, then catches up before the push.
+    stale_probe = {"shard-b": dbs["shard-b"].entry_versions(str(UID))}
     bump_sv(dbs["shard-b"])
     result = run(s, io.converge_entry(
-        str(UID), {"shard-a": (2, 1)}, stale_probe))
+        str(UID), {"shard-a": dbs["shard-a"].entry_versions(str(UID))},
+        stale_probe))
     assert result == ("settled", 0, 0)
 
 
@@ -163,7 +176,7 @@ def test_converge_reports_unknown_when_every_source_disclaims():
     s, dbs, agents, router, io = make_world()
     dbs["shard-a"].forget_entry(str(UID))
     result = run(s, io.converge_entry(
-        str(UID), {"shard-a": (5, 5)}, {"shard-c": (1, 1)}))
+        str(UID), {"shard-a": at(5, 5)}, {"shard-c": at(1, 1)}))
     assert result == ("unknown", 0, 0)
 
 
@@ -178,7 +191,7 @@ def test_converge_defers_when_a_source_goes_dark_mid_pass():
 
 def test_converge_defers_without_a_reachable_source():
     s, dbs, agents, router, io = make_world()
-    result = run(s, io.converge_entry(str(UID), {}, {"shard-c": (1, 1)}))
+    result = run(s, io.converge_entry(str(UID), {}, {"shard-c": at(1, 1)}))
     assert result == ("deferred", 0, 0)
 
 
@@ -198,14 +211,16 @@ def test_a_local_target_is_probed_and_installed_by_direct_call(rpc_log):
     result = run(s, io.converge_entry(
         str(UID), sources, {"shard-c": sources.pop("shard-c")}, local=own))
     assert (result.outcome, result.installed) == ("copied", 1)
-    assert mine.entry_versions(str(UID)) == (3, 1)
+    assert mine.entry_versions(str(UID)) == dbs["shard-a"].entry_versions(
+        str(UID))
+    assert counts(mine.entry_versions(str(UID))) == (3, 1)
     assert rpc_log and all(target != "shard-c"
                            for _who, target, _service, _method, _at in rpc_log)
 
 
 def test_converge_batches_round_trips_per_node(rpc_log):
     """Many lagging entries, one target: one snapshot read per fresher
-    source and one clock probe per level node, however many entries."""
+    source, however many entries."""
     s, dbs, agents, router, io = make_world()
     uids = [str(UID)]
     for serial in range(2, 10):
@@ -226,10 +241,9 @@ def test_converge_batches_round_trips_per_node(rpc_log):
     assert {r.outcome for r in results.values()} == {"copied"}
     assert methods(rpc_log) == {"entry_versions_many": 3,
                        "read_entry_versioned_many": 1,
-                       "guarded_install_entry": 2 * len(uids),
-                       "entry_clocks_many": 3}
+                       "guarded_install_entry": 2 * len(uids)}
     for db in dbs.values():
-        assert all(db.entry_versions(u) == (2, 1) for u in uids)
+        assert all(counts(db.entry_versions(u)) == (2, 1) for u in uids)
 
 
 def test_no_copier_lock_at_a_source_outlives_a_dispatch():

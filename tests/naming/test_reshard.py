@@ -91,11 +91,12 @@ def test_guarded_install_entry_respects_local_locks():
     uid_text = _committed_entry(db)
     holder = AtomicAction()
     db.get_binding(holder.id.path, uid_text, holder.id.path)  # read locks of a live action
+    ahead = ((9, 0), (9, 0))
     assert db.guarded_install_entry(uid_text, ["h2"], {"h2": {}}, ["h2"],
-                                    (9, 9)) is None
+                                    ahead) is None
     db.abort(holder.id.path)
     assert db.guarded_install_entry(uid_text, ["h2"], {"h2": {}}, ["h2"],
-                                    (9, 9)) is True
+                                    ahead) is True
     assert db.get_binding((0,), uid_text, (0,)) == (["h2"], ["h2"])
 
 
@@ -103,8 +104,11 @@ def test_guarded_install_entry_is_version_gated():
     db = GroupViewDatabase()
     uid_text = _committed_entry(db)
     # Same-or-older versions must not land (fresh-over-stale only).
-    assert db.guarded_install_entry(uid_text, ["h9"], {"h9": {}}, ["h9"],
-                                    (1, 1)) is False
+    same = db.entry_versions(uid_text)
+    older = ((0, 0), (0, 0))
+    for versions in (same, older):
+        assert db.guarded_install_entry(uid_text, ["h9"], {"h9": {}}, ["h9"],
+                                        versions) is False
     assert db.get_binding((0,), uid_text, (0,)) == (["h1"], ["h1"])
 
 
@@ -113,7 +117,7 @@ def test_forget_entry_removes_both_halves():
     uid_text = _committed_entry(db)
     assert db.forget_entry(uid_text) is True
     assert not db.knows(uid_text)
-    assert db.entry_versions(uid_text) == (0, 0)
+    assert db.entry_versions(uid_text) == ((0, 0), (0, 0))
     assert db.forget_entry(uid_text) is False  # idempotent
 
 

@@ -47,13 +47,14 @@ def test_every_scenario_is_reached_by_a_gated_bench():
     assert set(SCENARIOS) <= set(re.findall(r'"(\w+)"', sources))
 
 
-def _results(tmp_path, name, commit_rate, p99, rpcs_sent=1000, p95=0.5):
+def _results(tmp_path, name, commit_rate, p99, rpcs_sent=1000, p95=0.5,
+             **fields):
     directory = tmp_path / name
     directory.mkdir()
     (directory / "BENCH_paper_figures.json").write_text(json.dumps({
         "results": {"test_paper_experiment[fig3]": {
             "2": {"commit_rate": commit_rate, "p99_latency": p99,
-                  "p95_latency": p95, "rpcs_sent": rpcs_sent}}}}))
+                  "p95_latency": p95, "rpcs_sent": rpcs_sent, **fields}}}}))
     return directory
 
 
@@ -95,6 +96,40 @@ def test_a_fall_in_rpcs_sent_passes_however_large(tmp_path):
     baseline = _results(tmp_path, "baseline", 0.96, 1.0, rpcs_sent=1000)
     tenth = _results(tmp_path, "tenth", 0.96, 1.0, rpcs_sent=100)
     assert check_regression.compare(baseline, tenth, 0.20) == []
+
+
+def test_a_later_done_at_fails_past_its_own_tolerance(tmp_path):
+    baseline = _results(tmp_path, "baseline", 0.96, 1.0, resync_done_at=8.0)
+    within = _results(tmp_path, "within", 0.96, 1.0, resync_done_at=12.0)
+    chasing = _results(tmp_path, "chasing", 0.96, 1.0, resync_done_at=22.5)
+    assert check_regression.compare(baseline, within, 0.20) == []
+    [failure] = check_regression.compare(baseline, chasing, 0.20)
+    assert "fig3].2.resync_done_at: 22.500 > 12.000 (50% above" in failure
+
+
+def test_an_earlier_done_at_passes_however_large(tmp_path):
+    baseline = _results(tmp_path, "baseline", 0.96, 1.0,
+                        migration_done_at=25.6)
+    sooner = _results(tmp_path, "sooner", 0.96, 1.0, migration_done_at=8.2)
+    assert check_regression.compare(baseline, sooner, 0.20) == []
+
+
+def test_a_ledger_rising_from_zero_fails_the_gate(tmp_path):
+    baseline = _results(tmp_path, "baseline", 0.96, 1.0, lost_bindings=0,
+                        stale_ring_retries=0)
+    # A count that is not a ledger may rise; one lost binding may not.
+    lost = _results(tmp_path, "lost", 0.96, 1.0, lost_bindings=1,
+                    stale_ring_retries=40)
+    [failure] = check_regression.compare(baseline, lost, 0.20)
+    assert "fig3].2.lost_bindings: 1.000 > 0.000 (0% above" in failure
+
+
+def test_a_ledger_falling_to_zero_passes(tmp_path):
+    baseline = _results(tmp_path, "baseline", 0.96, 1.0, lost_bindings=1,
+                        replica_disagreements=0)
+    fixed = _results(tmp_path, "fixed", 0.96, 1.0, lost_bindings=0,
+                     replica_disagreements=0)
+    assert check_regression.compare(baseline, fixed, 0.20) == []
 
 
 def test_moved_lists_only_the_rows_that_changed_rises_included(
