@@ -58,6 +58,8 @@ def test_leased_reads_beat_uncached_at_every_shard_count(benchmark):
                 "hit_rate": cached["hit_rate"],
                 "uncached_get_server_rpcs": uncached["get_server_rpcs"],
                 "cached_get_server_rpcs": cached["get_server_rpcs"],
+                "uncached_busy_skew": uncached["busy_skew"],
+                "cached_busy_skew": cached["busy_skew"],
                 "ledger_violations": cached["ledger_violations"],
             })
         return rows
@@ -67,13 +69,23 @@ def test_leased_reads_beat_uncached_at_every_shard_count(benchmark):
     table = Table("S4: leased read plane, 24 clients x 10 read txns on "
                   "4 hot objects",
                   ["shards", "uncached txn/s", "cached txn/s", "speedup",
-                   "uncached p95", "cached p95", "hit rate"])
+                   "uncached p95", "cached p95", "hit rate",
+                   "busy skew (uncached / cached)"])
     for row in rows:
         table.add_row(row["shards"], row["uncached_throughput"],
                       row["cached_throughput"], row["speedup"],
                       row["uncached_p95"], row["cached_p95"],
-                      row["hit_rate"])
+                      row["hit_rate"],
+                      f"{row['uncached_busy_skew']:.2f} / "
+                      f"{row['cached_busy_skew']:.2f}")
     table.show()
+
+    # The hot objects are placed, not hashed: going from 4 to 8 shards
+    # must not cost either row throughput.
+    by_shards = {row["shards"]: row for row in rows}
+    for kind in ("uncached", "cached"):
+        assert (by_shards[8][f"{kind}_throughput"]
+                >= by_shards[4][f"{kind}_throughput"]), kind
 
     for row in rows:
         assert row["uncached_commit_rate"] == 1.0, row

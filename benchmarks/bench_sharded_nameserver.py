@@ -12,7 +12,11 @@ The sweep runs the identical closed-loop workload (24 clients, one
 object each -- no entry contention, so the experiment isolates
 capacity) against 1..8 shard hosts under the independent top-level
 scheme, and reports committed-transaction throughput, commit rate, and
-how the ring spread both the entries and the read traffic.
+how the ring spread both the entries and the read traffic.  Entries are
+placed on the least-loaded replica set when they are defined, so the
+traffic spread is the placement's, not the hash's luck: ``busy_skew``
+(busiest name node's busy time over the mean) is gated, and the busiest
+8-shard host may serve at most 1.25x its fair share of reads.
 """
 
 import pytest
@@ -23,6 +27,7 @@ from repro.workload.scenarios import clean, run
 from benchmarks.common import once
 
 SHARD_COUNTS = [1, 2, 4, 8]
+BUSIEST_SHARE_CAP = 1.25
 
 
 @pytest.mark.benchmark(group="sharded_nameserver")
@@ -38,12 +43,13 @@ def test_sharding_scales_binding_throughput(benchmark):
                   "(24 clients x 6 txns, independent scheme)",
                   ["shards", "committed/offered", "commit rate",
                    "throughput (txn/s)", "p95 (s)", "p99 (s)",
-                   "entries per shard"])
+                   "busy skew", "entries per shard"])
     for row in rows:
         spread = ",".join(str(c) for c in row["entry_spread"].values())
         table.add_row(row["shards"], f"{row['committed']}/{row['offered']}",
                       row["commit_rate"], row["throughput"],
-                      row["p95_latency"], row["p99_latency"], spread)
+                      row["p95_latency"], row["p99_latency"],
+                      row["busy_skew"], spread)
     table.show()
 
     by_shards = {row["shards"]: row for row in rows}
@@ -51,14 +57,18 @@ def test_sharding_scales_binding_throughput(benchmark):
     # cost correctness)...
     for row in rows:
         assert clean("sharded_nameserver", row) == [], row["shards"]
-    # ...and committed throughput must rise monotonically from the
-    # paper's single node through 4 shards, and keep (at least) that
-    # level at 8 -- the acceptance shape for horizontal scaling.
+    # ...and committed throughput must rise at every step from the
+    # paper's single node to 8 shards -- the acceptance shape for
+    # horizontal scaling.
     throughputs = [by_shards[n]["throughput"] for n in SHARD_COUNTS]
-    assert throughputs[0] < throughputs[1] < throughputs[2], \
-        f"throughput must grow 1 -> 2 -> 4 shards: {throughputs}"
-    assert throughputs[3] >= throughputs[2], \
-        f"8 shards must not regress below 4: {throughputs}"
+    assert all(a < b for a, b in zip(throughputs, throughputs[1:])), \
+        f"throughput must grow 1 -> 2 -> 4 -> 8 shards: {throughputs}"
+    # Placement, not hashing, decides where the traffic goes: the
+    # busiest of 8 name nodes serves at most 1.25x a fair share.
+    reads = by_shards[8]["per_shard_reads"].values()
+    busiest = max(reads) / (sum(reads) / len(reads))
+    assert busiest <= BUSIEST_SHARE_CAP, \
+        f"busiest 8-shard host serves {busiest:.2f}x its fair share"
 
 
 @pytest.mark.benchmark(group="sharded_nameserver")

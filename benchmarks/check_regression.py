@@ -12,8 +12,9 @@ Every numeric value whose leaf key contains one of ``GATED_KEYS`` is
 compared pathwise, in the key's own direction: ``throughput`` and
 ``commit_rate`` fail more than ``--tolerance`` (default 20%) *below*
 their baseline, ``rpcs_sent`` -- an exact count of messages, so the
-ratio is not at the mercy of a discrete sample -- more than that
-*above* it.  ``p99_latency`` is gated lower-is-better with a tolerance
+ratio is not at the mercy of a discrete sample -- and ``busy_skew`` --
+the busiest name node's busy time over the mean name node's, from the
+same exact counts -- more than that *above* it.  ``p99_latency`` is gated lower-is-better with a tolerance
 of its own (50%): at smoke sizes a tail is a handful of samples, so one
 of them changing rank moves it by tens of percent, while what the gate
 is there to catch -- a timeout landing on a row, a queue that no longer
@@ -53,7 +54,8 @@ from pathlib import Path
 # from a zero baseline too.
 GATED_KEYS: dict[str, tuple[int, float | None]] = {
     "throughput": (+1, None), "commit_rate": (+1, None),
-    "rpcs_sent": (-1, None), "p99_latency": (-1, 0.50),
+    "rpcs_sent": (-1, None), "busy_skew": (-1, None),
+    "p99_latency": (-1, 0.50),
     "_done_at": (-1, 0.50),
     **dict.fromkeys(("lost_bindings", "stale_bindings", "invented_bindings",
                      "ledger_violations", "replica_disagreements"),

@@ -420,12 +420,16 @@ class ReshardManager:
         # host and side for the whole pass: the common case -- seeded
         # movers tracking dual-ownership writes -- is detected without
         # taking a single lock or snapshot, so a converging pass never
-        # contends with live traffic.  Movers first: a write racing the
-        # probes then makes a mover look behind (one wasted copy),
-        # never falsely level.
-        mover_probes, dark = yield from self.io.probe_many(by_mover)
-        owner_probes, dark_owners = yield from self.io.probe_many(by_owner)
-        dark |= dark_owners
+        # contends with live traffic.  Owners first.  A write that
+        # commits between the two probes reached the movers too (every
+        # dual-ownership write goes to the whole union, in the primary's
+        # serial order), so it can only make a mover look level or
+        # ahead -- never behind, which on a hot entry would re-copy it
+        # pass after pass.  A write that skipped a mover marked the uid
+        # dirty, and the dirty drain un-confirms its arc.
+        owner_probes, dark = yield from self.io.probe_many(by_owner)
+        mover_probes, dark_movers = yield from self.io.probe_many(by_mover)
+        dark |= dark_movers
         pending = False
         deferred = False
         uids = list(arcs)

@@ -45,6 +45,25 @@ hosts clockwise.  Replicating every entry across its preference list is
 what lets the naming database survive shard-host crashes -- the same
 trick the paper plays with application objects and their ``St`` sets.
 
+**Placement.**  Hashing spreads *hash space*, not entries: with a few
+dozen keys and 2^8 partitions, which host a key hashes to is luck, and
+the busiest name node sets the run's pace.  So an entry is *placed*
+when it is defined (:meth:`ShardRouter.place`): greedy least-loaded
+allocation at insert time (Azar, Broder, Karlin & Upfal, "Balanced
+Allocations", STOC 1994), with every distinct replica set on the ring
+as a choice.  The primary is the host with the fewest entries as
+primary per unit of weight, the other ``n - 1`` the hosts with the
+fewest entries as a replica; the key then takes the nearest partition
+clockwise of its hash partition whose preference list is exactly that
+set.  A key that left its hash partition is recorded in an append-only
+exception table, which :meth:`ShardRouter.partition_of` consults first
+and every clone shares -- the table is ring state, as Swift's explicit
+partition -> device table is part of its ring file.  A key's partition
+never changes after it is defined; partitions move between hosts
+exactly as before, so migration, fencing, resync and every audit that
+asks ``partition_of`` / ``preference_list`` need not know placement
+exists.
+
 **Online resharding** (see :mod:`repro.naming.reshard`) grows, shrinks,
 or re-weights a *live* ring.  The change is first staged as a
 :class:`RingTransition` hanging off the shared router: the live ring
@@ -174,6 +193,35 @@ class RingTransition:
         self.dirty.add(str(uid))
 
 
+@dataclass
+class _Placements:
+    """Where defined keys went: shared by a router and all its clones.
+
+    ``moved`` is the exception table (only keys that left their hash
+    partition), ``placed`` every key ever placed and ``counts`` the
+    keys per partition.  Append-only: a placed key never moves.
+    """
+
+    moved: dict[str, int] = field(default_factory=dict)
+    placed: set[str] = field(default_factory=set)
+    counts: Counter[int] = field(default_factory=Counter)
+
+
+@dataclass
+class _Loads:
+    """One ring's per-host entry loads for replica sets of one size.
+
+    Derived from the shared per-partition counts once per ring epoch,
+    then kept current by the router's own placements.  ``choices``
+    indexes every distinct preference list on the ring to its
+    partitions, ascending.
+    """
+
+    primary: dict[str, int]
+    replica: dict[str, int]
+    choices: dict[tuple[str, ...], list[int]]
+
+
 class ShardRouter:
     """A weighted consistent-hash ring over named shard hosts."""
 
@@ -212,6 +260,9 @@ class ShardRouter:
         # by every membership and weight mutation (a cloned ring gets a
         # fresh memo).
         self._plist_cache: dict[tuple[int, int], list[str]] = {}
+        self._placements = _Placements()
+        # Per-host loads by replica-set size; flushed with the memo.
+        self._loads: dict[int, _Loads] = {}
         boot_weights = dict(weights or {})
         for node in nodes:
             self.add_node(node, weight=boot_weights.get(node, 1.0))
@@ -259,6 +310,7 @@ class ShardRouter:
         self._fence += 1
         self._view = None
         self._plist_cache.clear()
+        self._loads.clear()
 
     def add_node(self, node: str, weight: float = 1.0) -> None:
         """Claim ``round(weight * replicas)`` ring points for ``node``."""
@@ -315,12 +367,14 @@ class ShardRouter:
         self._touch()
 
     def clone(self) -> "ShardRouter":
-        """An independent copy of the membership (no shared ring state).
+        """An independent copy of the membership.
 
         Ring points are a pure function of the node names and weights,
         so a clone routes identically until one side mutates; the
         ReshardManager stages proposed rings this way.  The clone never
-        carries a transition of its own.
+        carries a transition of its own.  The placement table is shared
+        by reference: a key keeps its partition on every ring derived
+        from this one, whichever of them placed it.
         """
         dup = ShardRouter.__new__(ShardRouter)
         dup.replicas = self.replicas
@@ -333,6 +387,8 @@ class ShardRouter:
         dup._weights = dict(self._weights)
         dup._ring = list(self._ring)
         dup._plist_cache = {}
+        dup._placements = self._placements
+        dup._loads = {}
         return dup
 
     # -- fencing ------------------------------------------------------------
@@ -365,8 +421,13 @@ class ShardRouter:
         return 1 << self.partition_power
 
     def partition_of(self, key: Hashable) -> int:
-        """The fixed partition ``key`` belongs to (top hash bits)."""
-        return _ring_hash(str(key)) >> (_HASH_BITS - self.partition_power)
+        """The fixed partition ``key`` belongs to: where :meth:`place`
+        put it, else the top bits of its hash."""
+        text = str(key)
+        placed = self._placements.moved.get(text)
+        if placed is not None:
+            return placed
+        return _ring_hash(text) >> (_HASH_BITS - self.partition_power)
 
     def _partition_start(self, partition: int) -> int:
         return partition << (_HASH_BITS - self.partition_power)
@@ -483,6 +544,75 @@ class ShardRouter:
         fraction = 1.0 - (1.0 - span) ** delta
         return min(self.partition_count,
                    max(1, math.ceil(self.partition_count * fraction)))
+
+    # -- placement ----------------------------------------------------------
+
+    def place(self, key: Hashable, n: int) -> int:
+        """Give a key being defined its partition, and return it.
+
+        The replica set is the least loaded one: the primary is the
+        host with the fewest entries as primary per unit of weight (then
+        as a replica), the other ``n - 1`` the hosts with the fewest
+        entries as a replica per unit of weight, remaining ties to the
+        host that joined the ring first.  The key takes the nearest
+        partition clockwise of its hash partition whose preference list
+        is exactly that tuple; when no partition has it, the best tuple
+        the ring does have, by (primary load, heaviest replica's load).
+        That costs O(hosts x n) per key: partitions are walked once per
+        ring epoch, to derive the loads and index the tuples, never per
+        key.  A key placed before keeps its partition.
+        """
+        text = str(key)
+        table = self._placements
+        if text in table.placed:
+            return self.partition_of(text)
+        n = min(n, len(self._nodes))
+        loads = self._loads.get(n) or self._loads_for(n)
+        weights, as_primary, as_replica = (self._weights, loads.primary,
+                                           loads.replica)
+        # ``min`` and ``sorted`` keep the first of equals: ring order.
+        primary = min(self._nodes, key=lambda node: (
+            as_primary[node] / weights[node], as_replica[node] / weights[node]))
+        others = sorted(self._nodes,
+                        key=lambda node: as_replica[node] / weights[node])
+        others.remove(primary)
+        owners = (primary, *others[:n - 1])
+        partitions = loads.choices.get(owners)
+        if partitions is None:
+            rank = {node: index for index, node in enumerate(self._nodes)}
+            owners = min(loads.choices, key=lambda choice: (
+                as_primary[choice[0]] / weights[choice[0]],
+                max(as_replica[node] / weights[node] for node in choice),
+                [rank[node] for node in choice]))
+            partitions = loads.choices[owners]
+        home = self.partition_of(text)  # not placed yet: its hash partition
+        partition = partitions[bisect.bisect_left(partitions, home)
+                               % len(partitions)]
+        if partition != home:
+            table.moved[text] = partition
+            self._view = None  # a captured view may have routed it by hash
+        table.placed.add(text)
+        table.counts[partition] += 1
+        as_primary[owners[0]] += 1
+        for node in owners:
+            as_replica[node] += 1
+        return partition
+
+    def _loads_for(self, n: int) -> _Loads:
+        """Derive this ring's :class:`_Loads` for ``n``-host replica sets."""
+        choices: dict[tuple[str, ...], list[int]] = {}
+        for partition in range(self.partition_count):
+            choices.setdefault(tuple(self.partition_preference(partition, n)),
+                               []).append(partition)
+        primary = dict.fromkeys(self._nodes, 0)
+        replica = dict.fromkeys(self._nodes, 0)
+        for partition, count in self._placements.counts.items():
+            owners = self.partition_preference(partition, n)
+            primary[owners[0]] += count
+            for node in owners:
+                replica[node] += count
+        loads = self._loads[n] = _Loads(primary, replica, choices)
+        return loads
 
     # -- routing ------------------------------------------------------------
 

@@ -241,6 +241,9 @@ class ShardedGroupViewDbClient:
 
     def define_object(self, action: AtomicAction, uid: Uid, sv_hosts: list[str],
                       st_hosts: list[str]) -> Generator[Any, Any, None]:
+        # Only tests reach this verb.  It routes through ``partition_of``,
+        # so it follows a placement the harness made, but it does not
+        # place: only the server facade's ``define_object`` does.
         self._invalidate(uid)
         yield from self.io.write(action, uid, "define_object", str(uid),
                                  list(sv_hosts), list(st_hosts))
@@ -394,6 +397,9 @@ class ShardedGroupViewDatabase:
 
     def define_object(self, action_path: tuple[int, ...], uid_text: str,
                       sv_hosts: list[str], st_hosts: list[str]) -> None:
+        """Place the entry on the least-loaded replica set, then write it
+        there (the one place a key gets its partition)."""
+        self.router.place(uid_text, self.replication)
         for db in self.replica_dbs(uid_text).values():
             db.define_object(action_path, uid_text, sv_hosts, st_hosts)
 

@@ -330,6 +330,23 @@ def shard_reads(system: DistributedSystem, hosts: Iterable[str]) -> dict[str, in
         f"shard.{name}.server_db.get_server") for name in hosts}
 
 
+def busy_skew(run: Run) -> float:
+    """The busiest name node's busy time over the mean name node's.
+
+    A host's busy time is the client-plane messages it took in times
+    its per-request service time -- the single-server queue's charge,
+    read off counters every run keeps, so it is exact and needs no
+    per-request bookkeeping.  1.0 is a perfectly even ring (or one
+    whose name nodes charge nothing).
+    """
+    system = run.system
+    busy = [run.settled_metrics.get(f"traffic.{host}.client.rpcs_in", 0)
+            * system.nodes[host].rpc.service_time
+            for host in system.shard_hosts or ["namenode"]]
+    mean = sum(busy) / len(busy)
+    return max(busy) / mean if mean > 0 else 1.0
+
+
 def expecting(**expected: Any) -> Callable[[dict[str, Any]], list[str]]:
     """A ``clean(row)`` predicate from per-field expectations.
 

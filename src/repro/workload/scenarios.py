@@ -41,6 +41,7 @@ from repro.workload.scenario import (
     Run,
     Scenario,
     Shape,
+    busy_skew,
     cache_summary,
     clients,
     closed_loop,
@@ -100,7 +101,7 @@ def _sharded_nameserver_row(run: Run) -> dict[str, Any]:
     row = {"shards": run.p.shards, **load_summary(report),
            "elapsed": run.ended,
            "throughput": rate(report.committed, run.ended),
-           **latency_summary(report.outcomes)}
+           **latency_summary(report.outcomes), "busy_skew": busy_skew(run)}
     if system.shard_router is not None:
         row["entry_spread"] = system.shard_router.spread(run.uids)
         row["per_shard_reads"] = shard_reads(system, system.shard_router.nodes)
@@ -324,6 +325,7 @@ def _leased_read_row(run: Run) -> dict[str, Any]:
         "get_server_rpcs": (
             sum(shard_reads(system, system.shard_hosts).values())
             or system.metrics.counter_value("server_db.get_server")),
+        "busy_skew": busy_skew(run),
     }
 
 

@@ -24,29 +24,33 @@ def sync_rpcs(rpc_log, caller=None):
 
 # Recorded at the parent of the PR that moved resync onto the shared
 # engine (3 shards x 2 replicas, 12 entries, seed-fixed ring), and
-# rewritten once, deliberately, when the vector clocks went: a version
-# names its content, so nothing past the scalar probe is left to ask.
+# rewritten deliberately twice since: once when the vector clocks went
+# (a version names its content, so nothing past the scalar probe is left
+# to ask), and once when entries were placed at define time (which peer
+# holds the first entry a pass meets decides the probe order, so the
+# victim is now whoever the router says holds ``uids[0]`` and its two
+# peers are named in ring order).
 
 RECOVERY_RESYNC = [
     # Pass 1: enumerate, probe, one snapshot read per fresher source
     # for what the outage missed.  The entries the outage did not touch
     # probe level -- the crash kept their content, and their versions
     # say so -- and are not copied again.
-    ("namenode1", "list_uids"), ("namenode2", "list_uids"),
-    ("namenode2", "entry_versions_many"),
-    ("namenode1", "entry_versions_many"),
-    ("namenode2", "read_entry_versioned_many"),
-    ("namenode1", "read_entry_versioned_many"),
+    ("peer0", "list_uids"), ("peer1", "list_uids"),
+    ("peer0", "entry_versions_many"),
+    ("peer1", "entry_versions_many"),
+    ("peer0", "read_entry_versioned_many"),
+    ("peer1", "read_entry_versioned_many"),
     # Pass 2: the confirmation round finds nothing to do; rejoin.
-    ("namenode1", "list_uids"), ("namenode2", "list_uids"),
-    ("namenode2", "entry_versions_many"),
-    ("namenode1", "entry_versions_many"),
+    ("peer0", "list_uids"), ("peer1", "list_uids"),
+    ("peer0", "entry_versions_many"),
+    ("peer1", "entry_versions_many"),
 ]
 
 IN_SYNC_SWEEP = [
-    ("namenode1", "list_uids"), ("namenode2", "list_uids"),
-    ("namenode2", "entry_versions_many"),
-    ("namenode1", "entry_versions_many"),
+    ("peer0", "list_uids"), ("peer1", "list_uids"),
+    ("peer0", "entry_versions_many"),
+    ("peer1", "entry_versions_many"),
 ]
 
 
@@ -56,7 +60,12 @@ def test_recovery_resync_and_in_sync_sweep_speak_the_golden_trace(rpc_log):
                                     nameserver_replication=2,
                                     shard_antientropy_interval=5.0)
     victim = system.shard_router.shard_for(uids[0])
-    assert victim == "namenode0"
+    peers = dict(zip(("peer0", "peer1"),
+                     (n for n in system.shard_router.nodes if n != victim)))
+
+    def golden(trace):
+        return [(peers[peer], method) for peer, method in trace]
+
     system.nodes[victim].crash()
     # A store host down too: commits Exclude it from the touched
     # entries' St on the surviving shard replicas -- naming writes the
@@ -72,11 +81,11 @@ def test_recovery_resync_and_in_sync_sweep_speak_the_golden_trace(rpc_log):
     system.run(until=system.scheduler.now + 1.0)
     assert resyncer.serving and resyncer.resyncs_completed == 1
     assert resyncer.entries_refreshed == 4
-    assert sync_rpcs(rpc_log, caller=victim) == RECOVERY_RESYNC
+    assert sync_rpcs(rpc_log, caller=victim) == golden(RECOVERY_RESYNC)
 
     del rpc_log[:]
     system.run(until=system.scheduler.now + 5.0)  # one sweep per host
-    assert sync_rpcs(rpc_log, caller=victim) == IN_SYNC_SWEEP
+    assert sync_rpcs(rpc_log, caller=victim) == golden(IN_SYNC_SWEEP)
 
 
 def test_migration_probes_per_node_not_per_entry(rpc_log):

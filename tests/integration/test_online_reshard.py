@@ -232,6 +232,108 @@ def test_sweep_garbage_collects_an_install_that_raced_the_flip():
     assert system.run_transaction(client, add_work(uid, 1)).committed
 
 
+def _moving_uid(system, uids):
+    """A uid whose replica set the staged transition changes."""
+    live = system.shard_router
+    target = live.transition.target
+    return next(str(uid) for uid in uids
+                if set(target.preference_list(uid, 2))
+                - set(live.preference_list(uid, 2)))
+
+
+def _write_between_probes(system, uid_text, passes, skip_movers=False):
+    """Commit a write to ``uid_text`` between the two version probes of
+    each copy pass in ``passes``: the race a dual-ownership write runs
+    against the copier.  The write reaches the entry's whole write set
+    (old owners and movers alike), or with ``skip_movers`` only the old
+    owners, marking the uid dirty as a writer that could not reach a
+    replica does."""
+    reshard, router = system.reshard, system.shard_router
+    real_probe_many = reshard.io.probe_many
+    written = []
+
+    def probe_many(uids_by_node, local=None):
+        result = yield from real_probe_many(uids_by_node, local)
+        this_pass = reshard.copy_passes
+        if this_pass in passes and this_pass not in written:
+            written.append(this_pass)
+            hosts = (router.preference_list(uid_text, 2) if skip_movers
+                     else router.union_preference_list(uid_text, 2))
+            path = (9000 + this_pass,)
+            for host in hosts:
+                system.db.shards[host].increment(path, "c0", uid_text, ["a1"])
+                system.db.shards[host].commit(path)
+            if skip_movers:
+                router.transition.mark_dirty(uid_text)
+        return result
+
+    reshard.io.probe_many = probe_many
+    return written
+
+
+def _grown_with_traffic():
+    system, (client,), uids = build(shards=2, objects=8,
+                                    nameserver_replication=2,
+                                    shard_antientropy_interval=None)
+    for uid in uids:
+        assert system.run_transaction(client, add_work(uid, 1)).committed
+    return system, uids
+
+
+def test_a_write_between_the_two_probes_leaves_the_arc_confirmed():
+    """Owners are probed first, so a write committing between the two
+    probes makes a seeded mover look level, never behind: the pass
+    after the seeding copy confirms every arc and the epoch flips."""
+    system, uids = _grown_with_traffic()
+    process = system.add_shard_host()
+    uid_text = _moving_uid(system, uids)
+    written = _write_between_probes(system, uid_text, passes={2})
+    outcome = system.run_until(process, timeout=120.0)
+    assert written == [2]
+    assert outcome["flipped_at"] is not None
+    assert system.reshard.copy_passes == 2, \
+        "the write between the probes must not cost a confirmation pass"
+    assert_placement_matches_ring(system, uids)
+    for uid in uids:
+        assert_shard_replicas_agree(system, uid)
+
+
+def test_a_mover_that_missed_a_write_is_still_recopied():
+    """The write skips the mover and marks the uid dirty: the pass sees
+    the mover level with the owners' earlier probe, but the dirty mark
+    un-confirms the arc, and a later pass copies the write over."""
+    system, uids = _grown_with_traffic()
+    process = system.add_shard_host()
+    live, target = system.shard_router, system.shard_router.transition.target
+    seeded = sum(len(set(target.preference_list(uid, 2))
+                     - set(live.preference_list(uid, 2))) for uid in uids)
+    uid_text = _moving_uid(system, uids)
+    _write_between_probes(system, uid_text, passes={2}, skip_movers=True)
+    outcome = system.run_until(process, timeout=120.0)
+    assert outcome["flipped_at"] is not None
+    assert outcome["entries_copied"] == seeded + 1, \
+        "the write the mover missed must be copied to it"
+    for uid in uids:
+        assert_shard_replicas_agree(system, uid)
+
+
+def test_a_hot_entry_written_every_pass_converges():
+    """A write landing between the probes of every pass once the mover
+    is seeded: probed movers-first, each pass would see the mover one
+    write behind and re-copy forever; owners-first, it converges at
+    once."""
+    system, uids = _grown_with_traffic()
+    system.reshard.max_rounds = 12
+    process = system.add_shard_host()
+    uid_text = _moving_uid(system, uids)
+    _write_between_probes(system, uid_text, passes=range(2, 13))
+    outcome = system.run_until(process, timeout=120.0)
+    assert outcome["flipped_at"] is not None
+    assert system.reshard.copy_passes <= 3
+    for uid in uids:
+        assert_shard_replicas_agree(system, uid)
+
+
 def test_resharding_requires_a_sharded_deployment():
     system = DistributedSystem(SystemConfig(seed=7))
     with pytest.raises(ValueError):

@@ -58,6 +58,22 @@ def test_boot_spreads_entries_over_the_ring():
                 assert not db.knows(str(uid))
 
 
+def test_an_entry_defined_mid_run_is_found_where_it_was_placed():
+    """A client that asked for a uid before it was defined routed it by
+    hash; once the harness places it elsewhere, the next lookup must go
+    where the entry is, not where the ring view remembered."""
+    system, (client,), uids = build(shards=4, objects=8,
+                                    nameserver_replication=2)
+    uid = system.new_uid()
+    early = system.run_transaction(client, add_work(uid, 1))
+    assert not early.committed
+    system.create_object(Counter(uid, value=0), sv_hosts=["a1", "a2"],
+                         st_hosts=["a1", "a2"])
+    assert str(uid) in system.shard_router._placements.moved, \
+        "the case needs an entry placed away from its hash partition"
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_all_schemes_commit_against_the_ring(scheme):
     system, (client,), uids = build(shards=3, scheme=scheme)

@@ -98,6 +98,21 @@ def test_a_fall_in_rpcs_sent_passes_however_large(tmp_path):
     assert check_regression.compare(baseline, tenth, 0.20) == []
 
 
+def test_a_rise_in_busy_skew_fails_the_gate(tmp_path):
+    baseline = _results(tmp_path, "baseline", 0.96, 1.0, busy_skew=1.0)
+    within = _results(tmp_path, "within", 0.96, 1.0, busy_skew=1.2)
+    skewed = _results(tmp_path, "skewed", 0.96, 1.0, busy_skew=1.62)
+    assert check_regression.compare(baseline, within, 0.20) == []
+    [failure] = check_regression.compare(baseline, skewed, 0.20)
+    assert "fig3].2.busy_skew: 1.620 > 1.200" in failure
+
+
+def test_a_fall_in_busy_skew_passes_however_large(tmp_path):
+    baseline = _results(tmp_path, "baseline", 0.96, 1.0, busy_skew=2.33)
+    level = _results(tmp_path, "level", 0.96, 1.0, busy_skew=1.0)
+    assert check_regression.compare(baseline, level, 0.20) == []
+
+
 def test_a_later_done_at_fails_past_its_own_tolerance(tmp_path):
     baseline = _results(tmp_path, "baseline", 0.96, 1.0, resync_done_at=8.0)
     within = _results(tmp_path, "within", 0.96, 1.0, resync_done_at=12.0)
