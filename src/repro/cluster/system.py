@@ -308,7 +308,8 @@ class DistributedSystem:
         node = self._make_node(name, has_store=True, sync_plane=True)
         db = GroupViewDatabase(
             use_exclude_write_lock=self.config.use_exclude_write_lock,
-            metrics=self.metrics.scoped(f"shard.{name}."))
+            metrics=self.metrics.scoped(f"shard.{name}."),
+            partition_of=self.shard_router.partition_of)
         # The client-facing service is epoch-fenced against the shared
         # router (re-armed by the boot hook on every recovery); the
         # sync plane stays open for resync/migration/repair traffic.

@@ -109,8 +109,7 @@ class UseListCleaner:
                 on_commit=lambda a: self._db.commit(a.id.path),
                 on_abort=lambda a: self._db.abort(a.id.path),
                 order=600))
-            touched = self._db.server_db.purge_client(action.id.path,
-                                                      client_node)
+            touched = self._db.purge_client(action.id.path, client_node)
             if not touched:
                 yield from action.abort()  # nothing reachable this round
                 return False

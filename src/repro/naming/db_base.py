@@ -34,11 +34,12 @@ digest, the same winner wherever the comparison runs.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Hashable
+from typing import Any, Callable, Hashable
 
 from repro.actions.action import ActionId
 from repro.actions.locks import LockManager, LockMode
 from repro.sim.metrics import MetricsRegistry
+from repro.storage.uid import Uid
 
 ActionPath = tuple[int, ...]
 Version = tuple[int, int]  # (count, content digest) of one entry half
@@ -53,11 +54,60 @@ def digest(content: object) -> int:
 class ActionDatabase:
     """Base: lock table, undo log, and the 2PC participant interface."""
 
+    # uid -> the subclass's entry record (each carries a ``version``).
+    _entries: dict[Uid, Any]
+
     def __init__(self, name: str, metrics: MetricsRegistry | None = None) -> None:
         self.name = name
         self.locks = LockManager()
         self._undo: list[tuple[ActionPath, Callable[[], None]]] = []
         self.metrics = metrics or MetricsRegistry()
+        # Told the uid of every change to an entry's version or content
+        # -- its define, bumps, installs, removal, and their undos: the
+        # owning database's partition-digest index, or None.
+        self.on_change: Callable[[Uid], None] | None = None
+
+    # -- entries ------------------------------------------------------------
+
+    def knows(self, uid: Uid) -> bool:
+        return uid in self._entries
+
+    def all_uids(self) -> list[Uid]:
+        return sorted(self._entries)
+
+    def _changed(self, uid: Uid) -> None:
+        if self.on_change is not None:
+            self.on_change(uid)
+
+    def _bump(self, action_path: ActionPath, uid: Uid) -> None:
+        """Advance the entry's write version, undoably."""
+        entry = self._entries.get(uid)
+        if entry is None:
+            return
+        entry.version += 1
+        self._changed(uid)
+
+        def undo() -> None:
+            rolled = self._entries.get(uid)
+            if rolled is not None and rolled.version > 0:
+                rolled.version -= 1
+                self._changed(uid)
+
+        self._record_undo(action_path, undo)
+
+    def forget(self, uid: Uid) -> bool:
+        """Drop the entry outright: online-resharding garbage collection,
+        and the undo of a define.
+
+        No locks, no undo: callers must hold the entry's write lock (or
+        own the database exclusively) and must only forget entries this
+        replica no longer owns under the current ring.  Returns whether
+        an entry was present.
+        """
+        if self._entries.pop(uid, None) is None:
+            return False
+        self._changed(uid)
+        return True
 
     # -- locking helpers --------------------------------------------------
 

@@ -16,22 +16,23 @@ Beyond the paper's surface, the database serves the *leased read
 plane* and the batched replica-maintenance protocol on the sync
 service: :meth:`read_entry_versioned` (a committed snapshot plus write
 versions under probe locks that never span the wire, no 2PC
-enlistment) and the coalesced :meth:`entry_versions_many` /
-:meth:`read_entry_versioned_many` round trips that anti-entropy,
-resync, and read-repair batch their per-entry traffic into.  A write
-version is ``(count, digest)`` per half (see
+enlistment), the partition-digest comparison :meth:`diff_partitions`
+that anti-entropy, resync and migration enumerate by, and the coalesced
+:meth:`entry_versions_many` / :meth:`read_entry_versioned_many` round
+trips that read-repair and every copier batch per-entry traffic into.
+A write version is ``(count, digest)`` per half (see
 :mod:`repro.naming.db_base`): the one freshness order every probe,
 lease and install compares.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Collection, Mapping
 
 from repro.actions.action import ActionId, AtomicAction
 from repro.actions.errors import LockRefused, PromotionRefused
 from repro.actions.locks import LockMode
-from repro.naming.db_base import ActionPath, Version, _is_prefix
+from repro.naming.db_base import ActionPath, Version, _is_prefix, digest
 from repro.naming.errors import UnknownObject
 from repro.naming.object_server_db import ObjectServerDatabase, ServerEntrySnapshot
 from repro.naming.object_state_db import ObjectStateDatabase
@@ -58,7 +59,8 @@ class GroupViewDatabase:
     """Single object combining the server and state databases."""
 
     def __init__(self, use_exclude_write_lock: bool = True,
-                 metrics: MetricsRegistry | None = None) -> None:
+                 metrics: MetricsRegistry | None = None,
+                 partition_of: Callable[[str], int] | None = None) -> None:
         shared_metrics = metrics or MetricsRegistry()
         self.server_db = ObjectServerDatabase(metrics=shared_metrics)
         self.state_db = ObjectStateDatabase(
@@ -71,6 +73,17 @@ class GroupViewDatabase:
         # owner can push invalidations to registered lessees.
         self.coherence: Any = None
         self._touched: list[tuple[tuple[int, ...], str]] = []
+        # The anti-entropy index (see :meth:`diff_partitions`), kept only
+        # on a ring's shard hosts -- ``partition_of`` is the shared
+        # router's; the single name node has no peer to compare with.
+        # Each partition's uids, and the digest and rows of every
+        # partition none of whose entries changed since they were
+        # computed: the halves report each change to :meth:`_mark`.
+        self._partition_of = partition_of
+        self._members: dict[int, set[Uid]] = {}
+        self._digests: dict[int, tuple[int, list[tuple]]] = {}
+        if partition_of is not None:
+            self.server_db.on_change = self.state_db.on_change = self._mark
 
     # -- administrative -------------------------------------------------------
 
@@ -167,6 +180,16 @@ class GroupViewDatabase:
         self.server_db.decrement(action_path, client_node, Uid.parse(uid_text), hosts)
         self._touch(action_path, uid_text)
 
+    def purge_client(self, action_path: ActionPath,
+                     client_node: str) -> list[Uid]:
+        """The cleanup daemon's purge of a dead client's use counters
+        (see the server database's ``purge_client``): every entry it
+        changed goes to the commit-time push hook like any mutation."""
+        purged = self.server_db.purge_client(action_path, client_node)
+        for uid in purged:
+            self._touch(action_path, str(uid))
+        return purged
+
     def is_quiescent(self, uid_text: str) -> bool:
         return self.server_db.is_quiescent(Uid.parse(uid_text))
 
@@ -226,18 +249,68 @@ class GroupViewDatabase:
     def ping(self) -> str:
         return "pong"
 
-    # -- shard resync support -------------------------------------------------------
+    # -- anti-entropy: partition digests --------------------------------------------
 
-    def list_uids(self) -> list[str]:
-        """Every UID with an entry in either half (RPC-exposed).
+    def _mark(self, uid: Uid) -> None:
+        """An entry half changed: its partition's digest is stale."""
+        assert self._partition_of is not None
+        partition = self._partition_of(str(uid))
+        members = self._members.setdefault(partition, set())
+        if self.server_db.knows(uid) or self.state_db.knows(uid):
+            members.add(uid)
+        else:
+            members.discard(uid)
+        self._digests.pop(partition, None)
 
-        Lock-free: enumerating keys is safe (an uncommitted ``define``
-        may briefly appear, but the copiers' snapshot reads take the
-        entry's locks and report ``"unknown"`` for one gone again).
+    def _partition(self, partition: int) -> tuple[int, list[tuple]] | None:
+        """``(digest, rows)`` of a partition this replica holds entries
+        of, else None; recomputed only after one of them changed.
+
+        A row is ``(uid, sv_count, sv_digest, st_count, st_digest)``,
+        and the digest is :func:`~repro.naming.db_base.digest` of the
+        rows sorted by uid: independent of the order the entries came
+        in, so replicas holding equal versions agree on it.  Replicas
+        holding different ones collide only with the odds the per-entry
+        CRC-32 already accepts (about 2^-32), and only a collision hides
+        a divergence from the comparison.
         """
-        uids = {str(uid) for uid in self.server_db.all_uids()}
-        uids.update(str(uid) for uid in self.state_db.all_uids())
-        return sorted(uids)
+        cached = self._digests.get(partition)
+        if cached is None and self._members.get(partition):
+            rows = sorted((str(uid), *self.server_db.entry_version(uid),
+                           *self.state_db.entry_version(uid))
+                          for uid in self._members[partition])
+            cached = self._digests[partition] = (digest(rows), rows)
+        return cached
+
+    def partition_digests(self) -> dict[int, int]:
+        """The digest of every partition this replica holds entries of."""
+        return {partition: cached[0] for partition in self._members
+                if (cached := self._partition(partition)) is not None}
+
+    def diff_partitions(self, request: list[int]) -> list[Any]:
+        """The anti-entropy comparison (RPC-exposed on the sync service).
+
+        ``request`` is a :func:`diff_request`: the partitions to compare
+        and the caller's digest of each of them it holds entries of.
+        Returns, flat, ``[uid, sv_count, sv_digest, st_count, st_digest,
+        ...]`` for every entry here in one of those partitions whose
+        digest is not the caller's.  In sync that is an empty list, for
+        one comparison of cached ints per partition held here: no entry
+        version is computed.  Lock-free, like the version probes: an
+        uncommitted ``define`` may briefly appear, and the copiers'
+        snapshot reads report it ``"unknown"`` once it is gone again.
+        """
+        words = request[0]
+        theirs = dict(zip(request[words + 1::2], request[words + 2::2]))
+        reply: list[Any] = []
+        for partition in self._members:
+            word = partition >> 6
+            if word < words and request[1 + word] >> (partition & 63) & 1:
+                cached = self._partition(partition)
+                if cached is not None and cached[0] != theirs.get(partition):
+                    for row in cached[1]:
+                        reply.extend(row)
+        return reply
 
     def entry_versions(self, uid_text: str) -> tuple[Version, Version]:
         """The (server, state) write versions of one entry (RPC-exposed).
@@ -256,11 +329,11 @@ class GroupViewDatabase:
                             ) -> list[tuple[Version, Version]]:
         """Batched :meth:`entry_versions` (RPC-exposed): ``probe_many``.
 
-        One round trip per node is the only version probe replica
-        maintenance (resync, anti-entropy, migration, read-repair)
-        sends.  Exactly like the single probe, each value is a
-        point-in-time lower bound a version-gated install re-checks
-        under locks before anything lands.
+        One round trip per node is read-repair's version probe (the
+        other maintenance passes get versions from
+        :meth:`diff_partitions`).  Exactly like the single probe, each
+        value is a point-in-time lower bound a version-gated install
+        re-checks under locks before anything lands.
         """
         return [self.entry_versions(uid_text) for uid_text in uid_texts]
 
@@ -415,3 +488,22 @@ class GroupViewDatabase:
         self.server_db.reset_volatile()
         self.state_db.reset_volatile()
         self._touched.clear()
+
+
+def diff_request(partitions: Collection[int],
+                 digests: Mapping[int, int] | None = None) -> list[int]:
+    """A :meth:`GroupViewDatabase.diff_partitions` argument, flat ints.
+
+    ``[words, mask, ..., partition, digest, ...]``: the partitions to
+    compare as ``words`` 64-bit mask words, then the caller's digest of
+    each of them ``digests`` has.  A partition without one is a
+    partition the caller holds nothing of, so the reply lists all it
+    holds there -- without ``digests``, everything in ``partitions``.
+    """
+    mask = [0] * (max(partitions, default=-1) // 64 + 1)
+    for partition in partitions:
+        mask[partition >> 6] |= 1 << (partition & 63)
+    digests = digests or {}
+    return [len(mask), *mask, *(value for partition in partitions
+                                if partition in digests
+                                for value in (partition, digests[partition]))]

@@ -76,7 +76,8 @@ class ObjectServerDatabase(ActionDatabase):
         if uid in self._entries:
             raise ValueError(f"server entry already defined for {uid}")
         self._entries[uid] = _ServerEntry(list(hosts), {h: {} for h in hosts})
-        self._record_undo(action_path, lambda: self._entries.pop(uid, None))
+        self._changed(uid)
+        self._record_undo(action_path, lambda: self.forget(uid))
 
     def entry_version(self, uid: Uid) -> Version:
         """The entry's write version, ``(0, 0)`` when unknown here.
@@ -90,26 +91,6 @@ class ObjectServerDatabase(ActionDatabase):
         uses = sorted((host, sorted(counters.items()))
                       for host, counters in entry.uses.items())
         return entry.version, digest((entry.hosts, uses))
-
-    def _bump(self, action_path: ActionPath, uid: Uid) -> None:
-        """Advance the entry's write version, undoably."""
-        entry = self._entries.get(uid)
-        if entry is None:
-            return
-        entry.version += 1
-
-        def undo() -> None:
-            rolled = self._entries.get(uid)
-            if rolled is not None and rolled.version > 0:
-                rolled.version -= 1
-
-        self._record_undo(action_path, undo)
-
-    def knows(self, uid: Uid) -> bool:
-        return uid in self._entries
-
-    def all_uids(self) -> list[Uid]:
-        return sorted(self._entries)
 
     # -- paper operations ------------------------------------------------------
 
@@ -184,9 +165,10 @@ class ObjectServerDatabase(ActionDatabase):
         self._lock(action_path, self._key(uid), LockMode.WRITE)
         self.metrics.counter(f"{self.name}.increment").increment()
         entry = self._entry(uid)
-        for host in hosts:
+        for host in hosts:  # all or nothing: no counter moves unbumped
             if host not in entry.uses:
                 raise UnknownObject(f"{host} is not in Sv for {uid}")
+        for host in hosts:
             counters = entry.uses[host]
             counters[client_node] = counters.get(client_node, 0) + 1
             self._record_undo(
@@ -269,17 +251,8 @@ class ObjectServerDatabase(ActionDatabase):
             return False
         fresh_uses = {h: dict(uses.get(h, {})) for h in hosts}
         self._entries[uid] = _ServerEntry(list(hosts), fresh_uses, version[0])
+        self._changed(uid)
         return True
-
-    def forget(self, uid: Uid) -> bool:
-        """Drop the entry outright (online-resharding garbage collection).
-
-        No locks, no undo: callers must hold the entry's write lock (or
-        own the database exclusively) and must only forget entries this
-        replica no longer owns under the current ring.  Returns whether
-        an entry was present.
-        """
-        return self._entries.pop(uid, None) is not None
 
     def _restore_counter(self, uid: Uid, client_node: str, host: str,
                          count: int) -> None:

@@ -49,13 +49,8 @@ class ObjectStateDatabase(ActionDatabase):
         if uid in self._entries:
             raise ValueError(f"state entry already defined for {uid}")
         self._entries[uid] = _StateEntry(list(hosts))
-        self._record_undo(action_path, lambda: self._entries.pop(uid, None))
-
-    def knows(self, uid: Uid) -> bool:
-        return uid in self._entries
-
-    def all_uids(self) -> list[Uid]:
-        return sorted(self._entries)
+        self._changed(uid)
+        self._record_undo(action_path, lambda: self.forget(uid))
 
     def entry_version(self, uid: Uid) -> Version:
         """The entry's write version, ``(0, 0)`` when unknown here."""
@@ -63,20 +58,6 @@ class ObjectStateDatabase(ActionDatabase):
         if entry is None:
             return (0, 0)
         return entry.version, digest(entry.hosts)
-
-    def _bump(self, action_path: ActionPath, uid: Uid) -> None:
-        """Advance the entry's write version, undoably."""
-        entry = self._entries.get(uid)
-        if entry is None:
-            return
-        entry.version += 1
-
-        def undo() -> None:
-            rolled = self._entries.get(uid)
-            if rolled is not None and rolled.version > 0:
-                rolled.version -= 1
-
-        self._record_undo(action_path, undo)
 
     # -- paper operations -----------------------------------------------------
 
@@ -135,16 +116,8 @@ class ObjectStateDatabase(ActionDatabase):
         if self.entry_version(uid) >= tuple(version):
             return False
         self._entries[uid] = _StateEntry(list(hosts), version[0])
+        self._changed(uid)
         return True
-
-    def forget(self, uid: Uid) -> bool:
-        """Drop the entry outright (online-resharding garbage collection).
-
-        Lock- and undo-free like its server-db counterpart: only for
-        entries this replica no longer owns, under the entry's write
-        lock.  Returns whether an entry was present.
-        """
-        return self._entries.pop(uid, None) is not None
 
     # -- internals --------------------------------------------------------------
 

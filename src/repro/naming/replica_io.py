@@ -41,7 +41,11 @@ content: replicas at equal versions hold equal entries, and of two
 equal-count copies the greater digest is ahead.  One engine levels
 replicas, whoever asks:
 
-- :meth:`probe_many` -- lock-free write versions, one
+- :meth:`diff_many` -- the comparison: one ``diff_partitions`` round
+  trip per node carries the caller's partition digests, and the node
+  answers with its write versions of the entries in the partitions
+  whose digests differ (nothing, when in sync);
+- :meth:`probe_many` -- lock-free write versions of named entries, one
   ``entry_versions_many`` round trip per node;
 - :meth:`converge` -- for a batch of entries with named source and
   target replicas: one ``read_entry_versioned_many`` per fresher
@@ -55,7 +59,7 @@ Shard resync and anti-entropy, read-repair, and the reshard migration
 are *triggers* over that engine: each decides when to run, which
 entries, and which replicas are sources and targets.  A target may be
 the caller's own database (a resync pulling into the host it runs on):
-named in ``local``, it is probed and installed by direct call, never
+named in ``local``, it is read and installed by direct call, never
 over the wire.
 """
 
@@ -588,26 +592,34 @@ class ReplicaIO:
         return (yield self.sync_rpc.call(self.sync_target(node),
                                          self.sync_service, method, *args))
 
-    def collect_uids(self, nodes: Iterable[str],
-                     ) -> Generator[Any, Any, tuple[set[str], int]]:
-        """Union the ``list_uids`` of every reachable node.
+    def diff_many(self, requests_by_node: Mapping[str, list[int]],
+                  ) -> Generator[Any, Any,
+                                 tuple[dict[str, Probes], set[str]]]:
+        """Entries in partitions whose digests differ, one round trip
+        per node.
 
-        Returns the universe plus how many nodes answered, so callers
-        can distinguish "empty ring" from "dark ring".
+        ``requests_by_node`` gives each node its ``diff_partitions``
+        argument (a :func:`~repro.naming.group_view_db.diff_request`).
+        Returns ``(probes_by_uid, dark_nodes)`` shaped like
+        :meth:`probe_many`'s, but holding only what the nodes reported:
+        their write versions of the entries in the partitions that
+        differ.  Like every probe, a lower bound the installs re-check.
         """
-        universe: set[str] = set()
-        answered = 0
-        for node in nodes:
+        probes_by_uid: dict[str, Probes] = {}
+        dark: set[str] = set()
+        for node, request in requests_by_node.items():
             try:
-                uids = yield from self._sync_call({}, node, "list_uids")
+                flat = yield from self._sync_call({}, node, "diff_partitions",
+                                                  request)
             except RpcError:
+                dark.add(node)
                 continue
-            answered += 1
-            universe.update(uids)
-        return universe, answered
+            for at in range(0, len(flat), 5):
+                probes_by_uid.setdefault(flat[at], {})[node] = (
+                    (flat[at + 1], flat[at + 2]), (flat[at + 3], flat[at + 4]))
+        return probes_by_uid, dark
 
     def probe_many(self, uids_by_node: Mapping[str, list[str]],
-                   local: Mapping[str, Any] | None = None,
                    ) -> Generator[Any, Any,
                                   tuple[dict[str, Probes], set[str]]]:
         """Write versions of many entries, one round trip per node.
@@ -616,21 +628,16 @@ class ReplicaIO:
         ``(probes_by_uid, dark_nodes)`` where ``probes_by_uid[uid][node]``
         holds the node's (server, state) versions -- a uid simply has
         no entry for a dark node.  Versions are lock-free lower bounds;
-        every install re-checks them under locks.  Nodes are probed in
-        the caller's order, except that ``local`` databases are read
-        last, so they are never staler than the peers they are compared
-        against.
+        every install re-checks them under locks.
         """
-        local = local or {}
         probes_by_uid: dict[str, Probes] = {
             uid_text: {} for uids in uids_by_node.values()
             for uid_text in uids}
         dark: set[str] = set()
-        for node in sorted(uids_by_node, key=local.__contains__):  # stable
-            uids = uids_by_node[node]
+        for node, uids in uids_by_node.items():
             try:
                 versions = yield from self._sync_call(
-                    local, node, "entry_versions_many", uids)
+                    {}, node, "entry_versions_many", uids)
             except RpcError:
                 dark.add(node)
                 continue

@@ -31,8 +31,9 @@ One membership change is one **migration epoch**:
    pipeline needs no settle interval: there is no window in which a
    stale-routed write can land on the wrong owners.
 2. **Copy.**  Throttled passes walk the moving arcs: the engine
-   (:class:`~repro.naming.replica_io.ReplicaIO`) probes both sides
-   lock-free -- one round trip per host and side per pass -- and, in
+   (:class:`~repro.naming.replica_io.ReplicaIO`) has both sides list
+   their entries of the moved partitions with versions, lock-free --
+   one ``diff_partitions`` per host and side per pass -- and, in
    batches of :data:`COPY_BATCH` arcs, pushes each behind arc through
    the incoming owner's lock-guarded, version-gated
    ``guarded_install_entry`` -- the very engine
@@ -80,7 +81,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 
 from repro.naming.coherence import COHERENCE_SERVICE_NAME
 from repro.naming.errors import NamingError
-from repro.naming.group_view_db import SYNC_SERVICE_NAME
+from repro.naming.group_view_db import SYNC_SERVICE_NAME, diff_request
 from repro.naming.replica_io import ReplicaIO
 from repro.naming.shard_router import RingTransition, ShardRouter
 from repro.net.errors import RpcError
@@ -133,8 +134,11 @@ class ReshardManager:
         self.copy_passes = 0
         self.history: list[dict[str, Any]] = []
         self._busy = False
-        # The shared replica engine (sync plane): uid enumeration,
-        # version probes, snapshot reads, guarded installs.  Unfenced --
+        # The running (or last) epoch's staged diff: the partitions the
+        # copy passes, the coherence handover and the GC enumerate.
+        self._moved: frozenset[int] = frozenset()
+        # The shared replica engine (sync plane): partition listings
+        # with versions, snapshot reads, guarded installs.  Unfenced --
         # migration traffic must reach incoming owners the live ring
         # does not own yet.
         self.io = ReplicaIO(node.rpc, router, replication,
@@ -279,6 +283,7 @@ class ReshardManager:
         }
         self.history.append(record)
         self._busy = True
+        self._moved = moved
         # Staging advances the router's fence epoch: from this instant
         # the shard services reject any request still routed by a
         # pre-stage view, so no settle interval is needed before the
@@ -385,58 +390,41 @@ class ReshardManager:
         """One pass over the moved partitions; True once all are done."""
         self.copy_passes += 1
         live = self.router
-        transition = live.transition
-        moved = transition.partitions if transition is not None else None
-        universe, answered = yield from self.io.collect_uids(live.nodes)
-        if not answered:
-            raise _Deferred  # the whole old ring is dark; wait it out
-        # uid -> (current owners, incoming owners) of every arc still to
-        # confirm.
-        arcs: dict[str, tuple[list[str], list[str]]] = {}
-        by_mover: dict[str, list[str]] = {}
-        by_owner: dict[str, list[str]] = {}
-        for uid_text in sorted(universe):
-            if uid_text in done:
-                continue
-            # Partition staging: an entry whose partition is outside
-            # the staged diff cannot have moved -- skip it without a
-            # single probe.  (Every key in a partition shares one
-            # preference list, so the filter is exhaustive.)
-            partition = live.partition_of(uid_text)
-            if moved is not None and partition not in moved:
-                continue
+        # partition -> (current owners, incoming owners) of every moved
+        # partition whose owners change.  (Every key in a partition
+        # shares one preference list, so the staged diff is exhaustive.)
+        arcs: dict[int, tuple[list[str], list[str]]] = {}
+        for partition in sorted(self._moved):
             old_plist = live.partition_preference(partition, self.replication)
-            new_plist = target.partition_preference(partition,
-                                                    self.replication)
-            movers = [h for h in new_plist if h not in old_plist]
-            if not movers:
-                continue  # owners unchanged (e.g. ordering-only change)
-            arcs[uid_text] = (old_plist, movers)
-            for node in movers:
-                by_mover.setdefault(node, []).append(uid_text)
-            for node in old_plist:
-                by_owner.setdefault(node, []).append(uid_text)
-        # Lock-free version probes on both sides, one round trip per
-        # host and side for the whole pass: the common case -- seeded
-        # movers tracking dual-ownership writes -- is detected without
-        # taking a single lock or snapshot, so a converging pass never
-        # contends with live traffic.  Owners first.  A write that
-        # commits between the two probes reached the movers too (every
-        # dual-ownership write goes to the whole union, in the primary's
-        # serial order), so it can only make a mover look level or
-        # ahead -- never behind, which on a hot entry would re-copy it
-        # pass after pass.  A write that skipped a mover marked the uid
-        # dirty, and the dirty drain un-confirms its arc.
-        owner_probes, dark = yield from self.io.probe_many(by_owner)
-        mover_probes, dark_movers = yield from self.io.probe_many(by_mover)
+            movers = [h for h in target.partition_preference(
+                partition, self.replication) if h not in old_plist]
+            if movers:  # else owners unchanged (an ordering-only change)
+                arcs[partition] = (old_plist, movers)
+        # Lock-free listings with versions on both sides, one round
+        # trip per host and side for the whole pass: the common case --
+        # seeded movers tracking dual-ownership writes -- is detected
+        # without taking a single lock or snapshot, so a converging pass
+        # never contends with live traffic.  Owners first.  A write that
+        # commits between the two listings reached the movers too
+        # (every dual-ownership write goes to the whole union, in the
+        # primary's serial order), so it can only make a mover look
+        # level or ahead -- never behind, which on a hot entry would
+        # re-copy it pass after pass.  A write that skipped a mover
+        # marked the uid dirty, and the dirty drain un-confirms its arc.
+        owner_probes, dark = yield from self.io.diff_many(_listing(arcs, 0))
+        mover_probes, dark_movers = yield from self.io.diff_many(
+            _listing(arcs, 1))
         dark |= dark_movers
+        if any(dark.issuperset(owners) for owners, _ in arcs.values()):
+            raise _Deferred  # no owner left to say what an arc holds
         pending = False
         deferred = False
-        uids = list(arcs)
+        uids = sorted(uid_text for uid_text in owner_probes.keys()
+                      | mover_probes.keys() if uid_text not in done)
         for start in range(0, len(uids), COPY_BATCH):
             entries = {}
             for uid_text in uids[start:start + COPY_BATCH]:
-                old_plist, movers = arcs[uid_text]
+                old_plist, movers = arcs[live.partition_of(uid_text)]
                 # An unreachable source of a *moving* arc may hold a
                 # committed write none of its reachable peers took;
                 # flipping without it could orphan that write once the
@@ -445,8 +433,8 @@ class ReshardManager:
                 if not dark.isdisjoint((*old_plist, *movers)):
                     deferred = True
                     continue
-                entries[uid_text] = (owner_probes[uid_text],
-                                     mover_probes[uid_text])
+                entries[uid_text] = (_held(owner_probes, uid_text, old_plist),
+                                     _held(mover_probes, uid_text, movers))
             results = yield from self.io.converge(entries)
             copied = 0
             for uid_text, result in results.items():
@@ -495,19 +483,22 @@ class ReshardManager:
         cache entry died at the fence anyway; clients re-register on
         their next read of a push-mode entry).
         """
-        universe, _answered = yield from self.io.collect_uids(old_ring.nodes)
-        moves: dict[tuple[str, str], list[str]] = {}
-        for uid_text in sorted(universe):
-            old_primary = old_ring.shard_for(uid_text)
-            new_primary = self.router.shard_for(uid_text)
+        moves: dict[tuple[str, str], list[int]] = {}
+        for partition in sorted(self._moved):
+            old_primary = old_ring.partition_owner(partition)
+            new_primary = self.router.partition_owner(partition)
             if old_primary != new_primary:
                 moves.setdefault((old_primary, new_primary),
-                                 []).append(uid_text)
-        for (source, target), uids in sorted(moves.items()):
+                                 []).append(partition)
+        for (source, target), partitions in sorted(moves.items()):
+            held, _dark = yield from self.io.diff_many(
+                {source: diff_request(partitions)})
+            if not held:
+                continue  # dark, or nothing of the moved arcs there
             try:
                 payload = yield self.io.sync_rpc.call(
                     self.io.sync_target(source), COHERENCE_SERVICE_NAME,
-                    "export_coherence", uids)
+                    "export_coherence", sorted(held))
                 if payload is None:
                     continue
                 yield self.io.sync_rpc.call(
@@ -522,20 +513,22 @@ class ReshardManager:
     def _gc(self, old_ring: ShardRouter,
             record: dict[str, Any]) -> Generator[Any, Any, None]:
         """Remove moved arcs from their outgoing owners (post-flip)."""
+        outgoing: dict[str, list[int]] = {}
+        for partition in sorted(self._moved):
+            keep = self.router.partition_preference(partition,
+                                                    self.replication)
+            for host in old_ring.partition_preference(partition,
+                                                      self.replication):
+                if host not in keep:
+                    outgoing.setdefault(host, []).append(partition)
+        requests = {host: diff_request(partitions)
+                    for host, partitions in outgoing.items()}
         for _ in range(self.max_rounds):
-            deferred = False
-            universe, answered = yield from self.io.collect_uids(
-                old_ring.nodes)
-            if answered < len(old_ring.nodes):
-                deferred = True  # a dark host may hold garbage; retry
+            held, dark = yield from self.io.diff_many(requests)
+            deferred = bool(dark)  # a dark host may hold garbage; retry
             forgotten_since_pause = 0
-            for uid_text in sorted(universe):
-                keep = set(self.router.preference_list(uid_text,
-                                                       self.replication))
-                for host in old_ring.preference_list(uid_text,
-                                                     self.replication):
-                    if host in keep:
-                        continue
+            for uid_text in sorted(held):
+                for host in held[uid_text]:
                     try:
                         removed = yield self.io.sync_rpc.call(
                             self.io.sync_target(host), self.service,
@@ -747,3 +740,26 @@ class ShardAutoscaler:
 
 class _Deferred(Exception):
     """A pass could not finish; sleep and retry."""
+
+
+_ABSENT = ((0, 0), (0, 0))  # the versions of an entry a replica lacks
+
+
+def _listing(arcs: Mapping[int, tuple[list[str], list[str]]],
+             side: int) -> dict[str, list[int]]:
+    """Each host's ``diff_partitions`` argument listing every entry it
+    holds of the arcs on one side of the move (0: current owners, 1:
+    incoming)."""
+    partitions: dict[str, list[int]] = {}
+    for partition, hosts in arcs.items():
+        for host in hosts[side]:
+            partitions.setdefault(host, []).append(partition)
+    return {host: diff_request(mine) for host, mine in partitions.items()}
+
+
+def _held(probes: Mapping[str, Mapping[str, Any]], uid_text: str,
+          hosts: list[str]) -> dict[str, Any]:
+    """What each of ``hosts`` (all of which answered) holds of the
+    entry: its listed versions, zeros where it listed none."""
+    listed = probes.get(uid_text, {})
+    return {host: listed.get(host, _ABSENT) for host in hosts}

@@ -20,25 +20,33 @@ dance for object stores:
    drops every lock (``reset_volatile``).  This also terminates the
    prepared-but-undecided state of a 2PC whose coordinator could no
    longer reach us for phase 2.
-3. **Copy.**  For every UID whose preference list contains this host
-   (the universe is the union of the local entries and every
-   reachable peer's ``list_uids``), hand the shared replica engine
-   (:meth:`~repro.naming.replica_io.ReplicaIO.converge`) the peers as
-   sources and the local database as the one target: it reads each
-   fresher peer's committed snapshots -- taken under server-local
-   probe locks, never a half-applied write -- and installs them
-   locally.  A version names its content, so an entry this host still
-   holds unchanged since the crash is level with its peers and is not
-   copied again.  Entries locked by live actions are retried next
-   round, like the cleanup daemon does.
+3. **Compare, then copy.**  Each replica peer gets one
+   ``diff_partitions`` call naming the partitions the two replicate
+   under the live ring, with this host's digest of each it holds
+   entries of (the database keeps one per partition, recomputed only
+   after one of its entries changed), and answers with its write
+   versions of the entries in the partitions whose digests differ.
+   The shared replica engine
+   (:meth:`~repro.naming.replica_io.ReplicaIO.converge`) gets those
+   entries, the reporting peers as sources and the local database as
+   the one target: it reads each fresher peer's committed snapshots --
+   taken under server-local probe locks, never a half-applied write --
+   and installs them locally.  A version names its content, so a
+   partition whose entries the outage did not touch compares equal and
+   is not even listed.  Entries locked by live actions are retried
+   next round, like the cleanup daemon does.
 4. **Converge, then rejoin.**  Passes repeat until one applies no
    changes (writes committed mid-resync land on the peers we copy
    from), then the service is re-registered and the host serves again.
 
 The manager also runs a low-frequency **anti-entropy sweep** while the
-host is serving: the same copy pass (each local install try-locks the
+host is serving: the same pass (each local install try-locks the
 entry, so one a live action holds locks on is skipped until the next
-sweep).  Crash-induced staleness is already repaired at
+sweep).  It exchanges checksums before entries, as epidemic
+anti-entropy does (Demers et al., PODC 1987) and Dynamo's Merkle trees
+one level deep (DeCandia et al., SOSP 2007): an in-sync sweep costs one
+RPC per peer with an empty reply, however many entries the host
+holds.  Crash-induced staleness is already repaired at
 recovery; the sweep bounds every *other* divergence -- chiefly a
 live-but-queued replica whose timed-out write was presume-aborted by
 the client -- to one sweep interval.  The sweep is also the standing
@@ -48,7 +56,7 @@ land *after* the migration's own GC round, and the next sweep forgets
 it (never during a staged transition, when this host may legitimately
 hold freshly-copied arcs it does not own under the live ring yet).
 
-Peer traffic -- uid enumeration, version probes, snapshot reads --
+Peer traffic -- partition comparisons, snapshot reads --
 flows over the always-on *sync service* rather than the gated client
 service, so any set of simultaneously-recovering hosts can still copy
 from each other instead of deadlocking on one another's gates.
@@ -67,6 +75,7 @@ from repro.naming.group_view_db import (
     SERVICE_NAME,
     SYNC_SERVICE_NAME,
     GroupViewDatabase,
+    diff_request,
 )
 from repro.naming.replica_io import ReplicaIO
 from repro.naming.shard_router import ShardRouter
@@ -215,12 +224,16 @@ class ShardResyncManager:
 
         Returns whether anything changed, or ``None`` when the pass
         could not finish (peers dark, entries busy) and must be retried.
-        The pass only decides *what* to level: every uid whose
-        preference list contains this host, with its replica peers as
-        sources and this host's own database as the one target.  The
-        engine does the rest in O(peers) round trips -- an in-sync sweep
-        reads no snapshot and takes no peer lock anywhere.  The target
-        being local matters twice: the database is read and installed by
+        The pass compares before it copies: each replica peer gets one
+        ``diff_partitions`` call naming the partitions the two replicate
+        under the live ring, with this host's digests, and answers
+        with its versions of the entries in the partitions whose
+        digests differ.  An in-sync pass is one empty reply per peer:
+        no entry version is computed on either side, no snapshot read,
+        no peer lock taken.  Whatever a peer did report goes to the
+        engine with the reporting peers as sources and this host's own
+        database as the one target.  The target being local matters
+        twice: the database is read and installed by
         direct call even while its RPC service is gated out, and its
         lock-guarded install still refuses an entry the *colocated*
         cleanup daemon's purge action is mid-flight on.  Peers are never
@@ -228,42 +241,44 @@ class ShardResyncManager:
         own sweep.
         """
         me = self.node.name
-        peers = [n for n in self.router.nodes if n != me]
-        local = set(self.db.list_uids())
-        universe, answered = yield from self.io.collect_uids(peers)
-        universe.update(local)
-        if peers and not answered:
+        owned: set[int] = set()
+        shared: dict[str, list[int]] = {}
+        for partition in range(self.router.partition_count):
+            replicas = self.router.partition_preference(partition,
+                                                        self.replication)
+            if me in replicas:
+                owned.add(partition)
+                for peer in replicas:
+                    if peer != me:
+                        shared.setdefault(peer, []).append(partition)
+        local = self.db.partition_digests()
+        if self.router.transition is None:
+            # Not our arcs.  A *local* copy of one is leftover garbage
+            # -- e.g. a resync or read-repair install that was in flight
+            # when an epoch flip moved the arc away landed after the
+            # migration's GC round.  Sweep it out, but never during a
+            # staged transition: mid-migration this host may be an
+            # incoming owner holding freshly-copied arcs it does not own
+            # under the *live* ring yet.
+            leftovers = self.db.diff_partitions(
+                diff_request(local.keys() - owned))
+            for uid_text in leftovers[::5]:
+                if self.db.forget_entry(uid_text):
+                    self.metrics.counter(
+                        f"resync.{me}.gc_leftovers").increment()
+
+        # Dark peers simply report nothing; their own resync levels
+        # them when they return.  The local versions are read after
+        # every peer answered, so they are never staler than the peers'.
+        asked = {peer: diff_request(shared[peer], local)
+                 for peer in self.router.nodes if peer in shared}
+        sources, dark = yield from self.io.diff_many(asked)
+        if asked and len(dark) == len(asked):
             return None  # the whole ring is dark; wait it out
-
-        uids_by_node: dict[str, list[str]] = {}
-        for uid_text in sorted(universe):
-            replicas = self.router.preference_list(uid_text, self.replication)
-            if me not in replicas:
-                # Not our arc.  A *local* copy of it is leftover garbage
-                # -- e.g. a resync or read-repair install that was in
-                # flight when an epoch flip moved the arc away landed
-                # after the migration's GC round.  Sweep it out, but
-                # never during a staged transition: mid-migration this
-                # host may be an incoming owner holding freshly-copied
-                # arcs it does not own under the *live* ring yet.
-                if uid_text in local and self.router.transition is None:
-                    if self.db.forget_entry(uid_text):
-                        self.metrics.counter(
-                            f"resync.{self.node.name}.gc_leftovers").increment()
-                continue
-            for node in replicas:
-                uids_by_node.setdefault(node, []).append(uid_text)
-
-        # Dark peers simply contribute no probes; their own resync
-        # levels them when they return.
-        own = {me: self.db}
-        probes_by_uid, _dark = yield from self.io.probe_many(
-            uids_by_node, local=own)
-        entries = {}
-        for uid_text in uids_by_node.get(me, ()):
-            sources = probes_by_uid[uid_text]
-            entries[uid_text] = (sources, {me: sources.pop(me)})
-        results = yield from self.io.converge(entries, local=own)
+        results = yield from self.io.converge(
+            {uid_text: (sources[uid_text],
+                        {me: self.db.entry_versions(uid_text)})
+             for uid_text in sorted(sources)}, local={me: self.db})
 
         refreshed = sum(result.installed for result in results.values())
         if refreshed:

@@ -116,6 +116,37 @@ def test_write_hot_entry_flips_to_push_and_writes_evict(two_planes):
     assert reuse_hits(system, runtimes, hot) == len(runtimes)
 
 
+def test_cleanup_purge_evicts_push_mode_lessees():
+    """The cleanup daemon's purge is a committed mutation like any
+    other: a dead client's counters purged from a push-mode entry must
+    reach the entry's lessees as a pushed eviction."""
+    system, runtimes, uids = coherence_build(enable_cleaner=True,
+                                             cleaner_interval=1.0)
+    hot = uids[0]
+    owner = system.shard_router.shard_for(hot)
+    host = system.coherence_hosts[owner]
+    drive_rounds(system, runtimes, hot, uids, rounds=10)
+    assert host.mode_of(str(hot)) == "push"
+
+    def ghost_binds(txn):  # a client node that is never coming back
+        yield from txn._ctx.db.increment(txn.action, "ghost", hot, ["a1"])
+        return True
+
+    assert system.run_transaction(runtimes[0], ghost_binds,
+                                  timeout=30.0).committed
+    for runtime in runtimes:  # the lessees re-cache the entry
+        assert system.run_transaction(runtime, get_work(hot),
+                                      timeout=30.0).committed
+    assert host.registry.lessees(str(hot)) != []
+    cleaner = system._shard_cleaners[owner]
+    purged, pushes = cleaner.clients_purged, counter_sum(
+        system, "coherence.pushes_applied")
+    system.run(until=system.scheduler.now + 3.0)
+    assert cleaner.clients_purged > purged, "the ghost's counter is purged"
+    assert counter_sum(system, "coherence.pushes_applied") > pushes, \
+        "the purge must push an eviction to the lessees"
+
+
 def test_renewal_extends_pull_entries_in_place():
     # Renewal alone (no push plane): validation probes that match the
     # cached versions extend the lease instead of re-snapshotting.

@@ -31,27 +31,24 @@ def sync_rpcs(rpc_log, caller=None):
 # victim is now whoever the router says holds ``uids[0]`` and its two
 # peers are named in ring order).
 
+# And rewritten deliberately a fourth time when anti-entropy came to
+# compare partition digests before entries: enumeration and the version
+# probe are one ``diff_partitions`` call per peer, whose reply carries
+# the versions of the entries in the partitions that differ.
+
 RECOVERY_RESYNC = [
-    # Pass 1: enumerate, probe, one snapshot read per fresher source
-    # for what the outage missed.  The entries the outage did not touch
-    # probe level -- the crash kept their content, and their versions
-    # say so -- and are not copied again.
-    ("peer0", "list_uids"), ("peer1", "list_uids"),
-    ("peer0", "entry_versions_many"),
-    ("peer1", "entry_versions_many"),
+    # Pass 1: compare, then one snapshot read per fresher source for
+    # what the outage missed.  The partitions the outage did not touch
+    # compare equal -- the crash kept their content, and their digests
+    # say so -- and are neither listed nor copied again.
+    ("peer0", "diff_partitions"), ("peer1", "diff_partitions"),
     ("peer0", "read_entry_versioned_many"),
     ("peer1", "read_entry_versioned_many"),
     # Pass 2: the confirmation round finds nothing to do; rejoin.
-    ("peer0", "list_uids"), ("peer1", "list_uids"),
-    ("peer0", "entry_versions_many"),
-    ("peer1", "entry_versions_many"),
+    ("peer0", "diff_partitions"), ("peer1", "diff_partitions"),
 ]
 
-IN_SYNC_SWEEP = [
-    ("peer0", "list_uids"), ("peer1", "list_uids"),
-    ("peer0", "entry_versions_many"),
-    ("peer1", "entry_versions_many"),
-]
+IN_SYNC_SWEEP = [("peer0", "diff_partitions"), ("peer1", "diff_partitions")]
 
 
 def test_recovery_resync_and_in_sync_sweep_speak_the_golden_trace(rpc_log):
@@ -89,10 +86,11 @@ def test_recovery_resync_and_in_sync_sweep_speak_the_golden_trace(rpc_log):
 
 
 def test_migration_probes_per_node_not_per_entry(rpc_log):
-    """A live 3 -> 4 grow over N moved entries: every probe is batched
-    (at most one ``entry_versions_many`` per node per copy pass), every
-    snapshot rides ``read_entry_versioned_many``, and the copier opens
-    no atomic action at a source."""
+    """A live 3 -> 4 grow over N moved entries: every listing is batched
+    (at most one ``diff_partitions`` per node and side per copy pass,
+    plus one per outgoing owner per GC round), every snapshot rides
+    ``read_entry_versioned_many``, and the copier opens no atomic
+    action at a source."""
     system, (client,), uids = build(shards=3, objects=48,
                                     nameserver_replication=2,
                                     shard_antientropy_interval=None)
@@ -104,13 +102,13 @@ def test_migration_probes_per_node_not_per_entry(rpc_log):
     assert moved >= 8, "the grow must move a real share of the entries"
 
     methods = Counter(method for _peer, method in sync_rpcs(rpc_log))
-    for per_entry in ("entry_versions", "get_server_with_uses", "get_view",
-                      "prepare"):
+    for per_entry in ("entry_versions", "entry_versions_many",
+                      "get_server_with_uses", "get_view", "prepare"):
         assert methods[per_entry] == 0, per_entry
     nodes = len(system.shard_router.nodes)
     assert nodes == 4
     passes = system.reshard.copy_passes
-    assert 0 < methods["entry_versions_many"] <= nodes * passes
+    assert 0 < methods["diff_partitions"] <= nodes * (2 * passes + 1)
     assert methods["guarded_install_entry"] == moved
     # One snapshot read per source per batch of moved entries -- far
     # fewer than one per entry.

@@ -88,7 +88,7 @@ def test_drain_retires_the_host_and_keeps_its_arcs_served():
     assert victim not in system.shard_router.nodes
     assert victim in system.drained_shard_hosts
     assert outcome["removed"] == [victim]
-    assert victim_db.list_uids() == [], \
+    assert victim_db.partition_digests() == {}, \
         "a drained host must end fully garbage-collected"
     assert not system.nodes[victim].rpc.has_service(SERVICE_NAME), \
         "a drained host must stop serving the naming RPC surface"
@@ -242,18 +242,18 @@ def _moving_uid(system, uids):
 
 
 def _write_between_probes(system, uid_text, passes, skip_movers=False):
-    """Commit a write to ``uid_text`` between the two version probes of
-    each copy pass in ``passes``: the race a dual-ownership write runs
-    against the copier.  The write reaches the entry's whole write set
-    (old owners and movers alike), or with ``skip_movers`` only the old
-    owners, marking the uid dirty as a writer that could not reach a
-    replica does."""
+    """Commit a write to ``uid_text`` between the two version listings
+    of each copy pass in ``passes``: the race a dual-ownership write
+    runs against the copier.  The write reaches the entry's whole write
+    set (old owners and movers alike), or with ``skip_movers`` only the
+    old owners, marking the uid dirty as a writer that could not reach
+    a replica does."""
     reshard, router = system.reshard, system.shard_router
-    real_probe_many = reshard.io.probe_many
+    real_diff_many = reshard.io.diff_many
     written = []
 
-    def probe_many(uids_by_node, local=None):
-        result = yield from real_probe_many(uids_by_node, local)
+    def diff_many(digests_by_node):
+        result = yield from real_diff_many(digests_by_node)
         this_pass = reshard.copy_passes
         if this_pass in passes and this_pass not in written:
             written.append(this_pass)
@@ -267,7 +267,7 @@ def _write_between_probes(system, uid_text, passes, skip_movers=False):
                 router.transition.mark_dirty(uid_text)
         return result
 
-    reshard.io.probe_many = probe_many
+    reshard.io.diff_many = diff_many
     return written
 
 

@@ -203,11 +203,10 @@ def test_a_reset_replica_level_with_its_peer_is_not_recopied():
     dbs["shard-b"].forget_entry(str(UID))  # keep the pair a pair
     dbs[target].reset_volatile()
     own = {target: dbs[target]}
-    pair = {peer: [str(UID)], target: [str(UID)]}
-    probes, _dark = run(s, io.probe_many(pair, local=own))
-    sources = probes[str(UID)]
-    targets = {target: sources.pop(target)}
-    result = run(s, io.converge_entry(str(UID), sources, targets, local=own))
+    probes, _dark = run(s, io.probe_many({peer: [str(UID)]}))
+    targets = {target: dbs[target].entry_versions(str(UID))}
+    result = run(s, io.converge_entry(str(UID), probes[str(UID)], targets,
+                                      local=own))
     assert result == ("clean", 0, 0)
     assert repairs(io) == 0
 
@@ -303,12 +302,14 @@ def test_one_winner_rule_for_pull_and_push(case, mode):
     survivor = rule(dbs[target], dbs[peer])
     content = {"peer": hosts_at(dbs[peer]), "target": hosts_at(dbs[target])}
 
-    pair = {peer: [str(UID)], target: [str(UID)]}
     own = {target: dbs[target]} if mode == "pull" else None
-    probes, _dark = run(s, io.probe_many(pair, local=own))
+    probes, _dark = run(s, io.probe_many(
+        {peer: [str(UID)], target: [str(UID)]}))
     sources = targets = probes[str(UID)]
     if mode == "pull":
-        targets = {target: sources.pop(target)}
+        # The caller reads its own database directly.
+        targets = {target: dbs[target].entry_versions(str(UID))}
+        del sources[target]
     result = run(s, io.converge_entry(str(UID), sources, targets, local=own))
 
     assert hosts_at(dbs[target]) == content[survivor]

@@ -15,7 +15,7 @@ from collections import Counter
 from repro.actions import AtomicAction
 from repro.actions.errors import LockRefused
 from repro.naming import GroupViewDatabase, ReplicaIO, ShardRouter
-from repro.naming.group_view_db import SYNC_SERVICE_NAME
+from repro.naming.group_view_db import SYNC_SERVICE_NAME, diff_request
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
@@ -205,11 +205,11 @@ def test_a_local_target_is_probed_and_installed_by_direct_call(rpc_log):
     agents["shard-c"].unregister(SYNC_SERVICE_NAME)  # nothing serves it
     own = {"shard-c": mine}
     probes, dark = run(s, io.probe_many(
-        {node: [str(UID)] for node in NODES}, local=own))
+        {node: [str(UID)] for node in ("shard-a", "shard-b")}))
     assert not dark
-    sources = probes[str(UID)]
     result = run(s, io.converge_entry(
-        str(UID), sources, {"shard-c": sources.pop("shard-c")}, local=own))
+        str(UID), probes[str(UID)],
+        {"shard-c": mine.entry_versions(str(UID))}, local=own))
     assert (result.outcome, result.installed) == ("copied", 1)
     assert mine.entry_versions(str(UID)) == dbs["shard-a"].entry_versions(
         str(UID))
@@ -272,12 +272,26 @@ def test_no_copier_lock_at_a_source_outlives_a_dispatch():
     assert copy.result().outcome in ("copied", "settled")
 
 
-def test_collect_uids_unions_reachable_peers():
+def test_diff_many_lists_only_partitions_whose_digests_differ():
     s, dbs, agents, router, io = make_world()
+    indexed = {}
+    for name in NODES:  # the same entry, on databases that keep digests
+        db = GroupViewDatabase(partition_of=router.partition_of)
+        boot = AtomicAction()
+        db.define_object(boot.id.path, str(UID), ["h1"], ["t1"])
+        db.commit(boot.id.path)
+        agents[name].unregister(SYNC_SERVICE_NAME)
+        agents[name].register(SYNC_SERVICE_NAME, db)
+        indexed[name] = db
     boot = AtomicAction()
-    dbs["shard-b"].define_object(boot.id.path, "sys:9", ["h9"], ["t9"])
-    dbs["shard-b"].commit(boot.id.path)
+    indexed["shard-b"].define_object(boot.id.path, "sys:9", ["h9"], ["t9"])
+    indexed["shard-b"].commit(boot.id.path)
     agents["shard-c"]._nic.up = False
-    universe, answered = run(s, io.collect_uids(NODES))
-    assert answered == 2
-    assert universe == {str(UID), "sys:9"}
+    request = diff_request(
+        {router.partition_of(str(UID)), router.partition_of("sys:9")},
+        indexed["shard-a"].partition_digests())
+    probes, dark = run(s, io.diff_many({node: request for node in NODES}))
+    assert dark == {"shard-c"}
+    # Only shard-b's sys:9 differs from what shard-a holds.
+    assert probes == {"sys:9": {"shard-b": indexed["shard-b"].entry_versions(
+        "sys:9")}}

@@ -1,7 +1,9 @@
 """Property-based tests for the naming databases.
 
 The central invariant: any interleaving of operations and aborts leaves
-the database exactly as if the aborted actions had never run.
+the database exactly as if the aborted actions had never run.  A second
+one for the shard hosts' anti-entropy index: whatever the interleaving,
+a cached partition digest is never stale.
 """
 
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 from repro.actions import AtomicAction
 from repro.actions.errors import ActionError
 from repro.naming import GroupViewDatabase, NamingError
+from repro.naming.db_base import digest
 from repro.storage import Uid
 
 HOSTS = ["h1", "h2", "h3", "h4"]
@@ -102,6 +105,103 @@ def test_commit_then_abort_of_other_action_keeps_committed_state(ops):
     other = AtomicAction()
     db.abort(other.id.path)  # aborting an empty action changes nothing
     assert snapshot(db) == committed
+
+
+UIDS = ["sys:1", "sys:2", "sys:3", "sys:4", "sys:5"]
+
+
+def partition_of(uid_text):
+    return int(uid_text.rpartition(":")[2]) % 3
+
+
+STEPS = st.one_of(
+    # A mutator, in the current top-level action or a nested child.
+    st.tuples(st.sampled_from(["insert", "remove", "increment", "decrement",
+                               "exclude", "include"]),
+              st.sampled_from(HOSTS), st.sampled_from(UIDS), st.booleans()),
+    # A maintenance install: each half behind, at, or ahead of the
+    # local count.
+    st.tuples(st.just("install"), st.sampled_from(UIDS),
+              st.integers(min_value=-1, max_value=1),
+              st.integers(min_value=-1, max_value=1)),
+    st.tuples(st.sampled_from(["commit", "abort", "abort_nested", "define",
+                               "forget", "purge", "reset"]),
+              st.sampled_from(UIDS)))
+
+
+def fresh_digests(db):
+    """Every non-empty partition's digest, recomputed from scratch."""
+    rows = {}
+    for uid_text in UIDS:
+        uid = Uid.parse(uid_text)
+        if db.server_db.knows(uid) or db.state_db.knows(uid):
+            sv, stv = db.entry_versions(uid_text)
+            rows.setdefault(partition_of(uid_text), []).append(
+                (uid_text, *sv, *stv))
+    return {partition: digest(sorted(part))
+            for partition, part in rows.items()}
+
+
+def step(db, serial, move):
+    """Apply one drawn step; returns the next top-level action serial."""
+    kind, path = move[0], (serial,)
+    if kind == "install":
+        _, uid_text, sv_delta, st_delta = move
+        sv, stv = db.entry_versions(uid_text)
+        db.guarded_install_entry(uid_text, ["h3"], {}, ["h3"], (
+            (max(1, sv[0] + sv_delta), sv[1]),
+            (max(1, stv[0] + st_delta), stv[1])))
+    elif kind == "commit":
+        db.commit(path)
+        return serial + 1
+    elif kind == "abort":
+        db.abort(path)
+        return serial + 1
+    elif kind == "abort_nested":
+        db.abort(path + (1,))
+    elif kind == "define":
+        db.define_object(path, move[1], ["h1", "h2"], ["h1", "h2"])
+    elif kind == "forget":
+        db.forget_entry(move[1])
+    elif kind == "purge":
+        db.purge_client(path, "cn")
+    elif kind == "reset":
+        db.reset_volatile()
+        return serial + 1
+    else:
+        kind, host, uid_text, nested = move
+        action_path = path + (1,) if nested else path
+        if kind == "increment":
+            db.increment(action_path, "cn", uid_text, [host])
+        elif kind == "decrement":
+            db.decrement(action_path, "cn", uid_text, [host])
+        elif kind == "exclude":
+            db.exclude(action_path, [(uid_text, [host])])
+        else:
+            getattr(db, kind)(action_path, uid_text, host)
+    return serial
+
+
+@given(st.lists(STEPS, max_size=40))
+def test_cached_partition_digests_match_a_recompute(moves):
+    """The anti-entropy index never serves a stale digest: after every
+    mutation, undo, install, removal, purge and crash, each cached
+    partition digest equals one recomputed from ``entry_versions``."""
+    db = GroupViewDatabase(partition_of=partition_of)
+    boot = AtomicAction()
+    for uid_text in UIDS[:3]:
+        db.define_object(boot.id.path, uid_text, ["h1", "h2"], ["h1", "h2"])
+    db.commit(boot.id.path)
+    serial = 1000
+    for move in moves:
+        try:
+            serial = step(db, serial, move)
+        except (NamingError, ActionError, ValueError):
+            pass  # refused steps are fine; the index must still hold
+        fresh = fresh_digests(db)
+        for partition, (cached, _rows) in db._digests.items():
+            assert cached == fresh.get(partition), (partition, move)
+        assert db.partition_digests() == fresh
 
 
 @given(db_operations())
