@@ -33,6 +33,9 @@ collapse.
 ``--moved`` prints, instead of one verdict line per gated value, only
 the values that differ from their baseline (``baseline -> current``,
 rises included): what a reviewer of a PR that shifts rows needs to see.
+It then says, one line per file and not gating, whether each file's
+whole ``results`` block equals the baseline's, and totals them ("9 / 9
+identical" for a PR that changes no behaviour).
 
 Separately from the ratio gate, every re-run bench module's recorded
 ``wall_clock_seconds`` total is held to an absolute budget
@@ -139,6 +142,23 @@ def compare(baseline_dir: Path, current_dir: Path,
     return failures
 
 
+def identical_results(baseline_dir: Path, current_dir: Path) -> list[str]:
+    """One line per re-run bench: is its ``results`` block the baseline's?"""
+    lines = []
+    same = 0
+    for baseline_path in sorted(baseline_dir.glob("BENCH_*.json")):
+        current_path = current_dir / baseline_path.name
+        if not current_path.exists():
+            continue
+        equal = (json.loads(baseline_path.read_text()).get("results")
+                 == json.loads(current_path.read_text()).get("results"))
+        same += equal
+        lines.append(f"{'identical' if equal else 'differs':9s} "
+                     f"{baseline_path.name}: results block")
+    lines.append(f"{same} / {len(lines)} identical")
+    return lines
+
+
 def check_wall_budget(current_dir: Path, budget: float) -> list[str]:
     """Hold every re-run bench module to an absolute wall-clock budget.
 
@@ -177,10 +197,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="absolute per-bench wall-clock cap in real "
                              "seconds (150)")
     parser.add_argument("--moved", action="store_true",
-                        help="list only the gated values that changed")
+                        help="list only the gated values that changed, "
+                             "then which results blocks are identical")
     args = parser.parse_args(argv)
     failures = compare(args.baseline, args.current, args.tolerance,
                        moved_only=args.moved)
+    if args.moved:
+        print("\n".join(identical_results(args.baseline, args.current)))
     failures += check_wall_budget(args.current, args.wall_budget)
     if failures:
         print("\nperf gate FAILED:")

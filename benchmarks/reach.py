@@ -85,18 +85,7 @@ EXEMPT: dict[str, str] = {
     "*.is_quiescent": _SIBLING,
     "repro.actions.locks.LockManager.is_locked":
         "the lock query ObjectServerDatabase.is_quiescent makes",
-    "repro.naming.sharded_client.ShardedGroupViewDbClient.define_object":
-        _SIBLING,
-    "repro.naming.sharded_client.ShardedGroupViewDbClient.get_server_with_uses":
-        _SIBLING,
-    "repro.naming.sharded_client.ShardedGroupViewDbClient.insert": _SIBLING,
-    "repro.naming.sharded_client.ShardedGroupViewDbClient.remove": _SIBLING,
-    "repro.naming.sharded_client.ShardedGroupViewDbClient.get_view": _SIBLING,
     "repro.naming.sharded_client.ShardedGroupViewDatabase.abort": _SIBLING,
-    "repro.naming.db_client.GroupViewDbClient.define_object": _SIBLING,
-    "repro.naming.db_client.GroupViewDbClient.get_server_with_uses": _SIBLING,
-    "repro.naming.hybrid.HybridNameService.*":
-        "hybrid name-service verb; paper_client_crash reaches the class",
     "repro.naming.nonatomic.NonAtomicNameServer.*":
         "non-atomic name-server verb; paper_client_crash reaches the class",
     # Abstract members and base-class defaults whose overrides are reached.

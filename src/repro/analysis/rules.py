@@ -565,7 +565,7 @@ class SyncPlaneRule(Rule):
     addresses the gated, fenced client plane: it deadlocks against
     recovery gates and steals client service time.  Use
     ``sync_rpc``/``sync_target``, or the engine's sync-plane calls
-    (``probe_many``/``converge``), instead.
+    (``diff_many``/``converge``), instead.
     """
 
     name = "sync-plane"
@@ -598,7 +598,7 @@ class SyncPlaneRule(Rule):
                 findings.append(self.finding(
                     module, node,
                     "maintenance code acquiring a client-plane db client "
-                    "(client_for); use the engine's probe_many/converge "
+                    "(client_for); use the engine's diff_many/converge "
                     "so probes and installs ride the sync side door",
                     ident="client_for:client-plane-client"))
         return findings
@@ -724,8 +724,8 @@ class BatchDemuxRule(Rule):
     checked like any hand-rolled one.  The rule covers handlers whose
     base verb is commit-plane vocabulary (``prepare``/``commit``/
     ``abort``/``*shadow*``); read-plane ``_many`` sweeps
-    (``probe_many``, ``entry_versions_many``, ...) return plain value
-    lists and may fail whole-batch by design -- a retried read sweep is
+    (``read_entry_versioned_many``, ...) return plain value lists and
+    may fail whole-batch by design -- a retried read sweep is
     harmless, a spread abort is not.
     """
 

@@ -42,8 +42,8 @@ from repro.naming.binding import (
     NestedTopLevelBinding,
     StEmpty,
 )
-from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import NamingError
+from repro.naming.sharded_client import ShardedGroupViewDbClient
 from repro.net.errors import RpcError
 from repro.replication.commit import ServerParticipantRecord
 from repro.replication.policy import PolicyBinding, ReplicationPolicy, TxnContext
@@ -141,12 +141,11 @@ class ClientRuntime:
     def __init__(
         self,
         node: Node,
-        db_node: str,
+        db_client: ShardedGroupViewDbClient,
         scheme: BindingScheme,
         policy: ReplicationPolicy,
         registry: ObjectClassRegistry,
         type_names: dict[Uid, str],
-        db_client: Any | None = None,
     ) -> None:
         self.node = node
         self.policy = policy
@@ -156,11 +155,8 @@ class ClientRuntime:
         # would ship this with the application binary).
         self._type_names = type_names
         self.metrics = node.metrics
-        # ``db_client`` overrides the default single-node adapter (the
-        # sharded deployment passes a ring-routing client instead).
         self._ctx = TxnContext(
-            node=node, rpc=node.rpc,
-            db=db_client or GroupViewDbClient(node.rpc, db_node),
+            node=node, rpc=node.rpc, db=db_client,
             scheme=scheme, invoker=GroupInvoker(node),
             registry=registry, metrics=node.metrics,
             node_policy=policy)

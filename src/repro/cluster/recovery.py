@@ -27,8 +27,8 @@ from repro.actions.action import AtomicAction, abort_on_failure
 from repro.actions.errors import LockRefused
 from repro.cluster.node import Node
 from repro.cluster.store_host import STORE_SERVICE
-from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import NotQuiescent, UnknownObject
+from repro.naming.sharded_client import ShardedGroupViewDbClient
 from repro.net.errors import RpcError
 from repro.sim.process import Timeout
 from repro.storage.uid import Uid
@@ -37,14 +37,12 @@ from repro.storage.uid import Uid
 class RecoveryManager:
     """Brings a recovered node back into St and Sv safely."""
 
-    def __init__(self, node: Node, db_node: str, serves: list[Uid],
-                 retry_interval: float = 0.5, max_rounds: int = 200,
-                 guard_interval: float | None = 2.0,
-                 db_client: Any | None = None) -> None:
+    def __init__(self, node: Node, db_client: ShardedGroupViewDbClient,
+                 serves: list[Uid], retry_interval: float = 0.5,
+                 max_rounds: int = 200,
+                 guard_interval: float | None = 2.0) -> None:
         self.node = node
-        # ``db_client`` overrides the default single-node adapter (the
-        # sharded deployment routes recovery traffic through the ring).
-        self.db = db_client or GroupViewDbClient(node.rpc, db_node)
+        self.db = db_client
         self.serves = list(serves)  # objects this node can run servers for
         self.retry_interval = retry_interval
         self.max_rounds = max_rounds
@@ -228,13 +226,12 @@ class ShadowResolver:
     coordinator is silent, presume abort and discard.
     """
 
-    def __init__(self, node: Node, db_node: str, patience: float = 2.0,
-                 interval: float = 1.0,
-                 db_client: Any | None = None) -> None:
+    def __init__(self, node: Node, db_client: ShardedGroupViewDbClient,
+                 patience: float = 2.0, interval: float = 1.0) -> None:
         if node.object_store is None:
             raise ValueError(f"{node.name} has no object store to resolve")
         self.node = node
-        self.db = db_client or GroupViewDbClient(node.rpc, db_node)
+        self.db = db_client
         self.patience = patience
         self.interval = interval
         self.committed = 0

@@ -38,10 +38,10 @@ from repro.naming.binding import (
 )
 from repro.naming.cleanup import UseListCleaner
 from repro.naming.coherence import CoherenceHost
-from repro.naming.db_client import GroupViewDbClient
 from repro.naming.entry_cache import EntryCache
 from repro.naming.group_view_db import GroupViewDatabase
-from repro.naming.hybrid import HybridNameService
+from repro.naming.nonatomic import NonAtomicNameServer
+from repro.naming.object_server_db import ObjectServerDatabase
 from repro.naming.peer_health import PeerHealthTracker
 from repro.naming.read_repair import ReadRepairer
 from repro.naming.reshard import ReshardManager, ShardAutoscaler
@@ -173,8 +173,11 @@ class DistributedSystem:
 
         # The name service (assumed always available, paper section 3.1):
         # one name node by default, or a consistent-hash ring of shard
-        # hosts when ``nameserver_shards > 1``.
+        # hosts when ``nameserver_shards > 1``.  ``shard_router`` is the
+        # ring's, ``None`` for the paper's name node; ``_client_route``
+        # is what every naming client routes by either way.
         self.shard_router: ShardRouter | None = None
+        self._client_route: ShardRouter
         # Every leased entry cache handed out by _make_db_client, keyed
         # by owning node -- the churn harnesses audit their ledgers.
         self.entry_caches: dict[str, EntryCache] = {}
@@ -232,18 +235,23 @@ class DistributedSystem:
             self.cleaners[0] if self.cleaners else None)
 
     def _boot_single_name_service(self) -> None:
-        """The paper's deployment: the whole database on one node."""
+        """The paper's deployment: the whole database on one node.
+
+        Its clients route by a ring of one (replication 1, so every
+        call enlists the node eagerly); the node itself is no shard
+        host: its service is unfenced, it keeps no digest index, and a
+        restart does not reset its volatile state.
+        """
         self.name_node = self._make_node(NAME_NODE, has_store=True)
+        server_db = None
         if self.config.nonatomic_name_server:
             # The section-5 variant: non-atomic server data, atomic St.
-            self.db: Any = HybridNameService(
-                use_exclude_write_lock=self.config.use_exclude_write_lock,
-                metrics=self.metrics)
-        else:
-            self.db = GroupViewDatabase(
-                use_exclude_write_lock=self.config.use_exclude_write_lock,
-                metrics=self.metrics)
+            server_db = NonAtomicNameServer(metrics=self.metrics)
+        self.db: Any = GroupViewDatabase(
+            use_exclude_write_lock=self.config.use_exclude_write_lock,
+            metrics=self.metrics, server_db=server_db)
         NameShardHost.install_on(self.name_node, self.db)
+        self._client_route = ShardRouter([NAME_NODE])
         if self.config.enable_cleaner and not self.config.nonatomic_name_server:
             cleaner = UseListCleaner(
                 self.scheduler, self.name_node.rpc, self.db,
@@ -268,7 +276,7 @@ class DistributedSystem:
         """
         names = [f"{NAME_NODE}{i}" for i in range(shard_count)]
         replication = self.config.nameserver_replication
-        self.shard_router = ShardRouter(names)
+        self.shard_router = self._client_route = ShardRouter(names)
         shard_dbs = {name: self._boot_shard_host(name) for name in names}
         self.name_node = self.nodes[names[0]]
         self.db = ShardedGroupViewDatabase(self.shard_router, shard_dbs,
@@ -364,68 +372,72 @@ class DistributedSystem:
         """
         node.add_boot_hook(lambda _node: db.reset_volatile(), run_now=False)
 
-    def _make_db_client(self, node: Node) -> Any:
-        """The db adapter a client-side component on ``node`` should use."""
-        if self.shard_router is not None:
-            replication = self.config.nameserver_replication
-            repair = None
-            if replication > 1:
-                repair = ReadRepairer(
-                    self.scheduler, node.rpc, self.shard_router, replication,
-                    spawn=node.spawn,
-                    sync_suffix=self.sync_suffix,
-                    metrics=self.metrics)
-            cache = None
-            if self.config.nameserver_lease is not None:
-                # Per-client leased cache: lease expiry runs on the
-                # simulation clock, epoch invalidation on the shared
-                # router's fence -- any reshard or failover that
-                # changes routing kills every pre-change entry.
-                router = self.shard_router
-                cache = EntryCache(
-                    self.config.nameserver_lease,
-                    fence=lambda: router.fence_epoch,
-                    clock=lambda: self.scheduler.now,
-                    metrics=self.metrics,
-                    keep_ledger=self.config.nameserver_cache_ledger,
-                    renewal=self.config.nameserver_renewal)
-                # A node can host several db clients (shadow resolver +
-                # recovery manager): suffix the key rather than shadow
-                # an earlier cache out of the audit registry.
-                key = node.name
-                while key in self.entry_caches:
-                    key += "+"
-                self.entry_caches[key] = cache
-            health = None
-            if self.config.nameserver_peer_health and replication > 1:
-                # Per-client gray detector on the simulation clock; the
-                # registry key mirrors entry_caches (a node can host
-                # several db clients).
-                health = PeerHealthTracker(clock=lambda: self.scheduler.now)
-                hkey = node.name
-                while hkey in self.peer_health:
-                    hkey += "+"
-                self.peer_health[hkey] = health
-            retry_rng = None
-            if self.config.participant_retries > 0:
-                # Jitter must come from a seeded substream (the
-                # determinism invariant); one stream per client node.
-                retry_rng = self.rng.substream(f"2pc-retry/{node.name}")
-            return ShardedGroupViewDbClient(
-                node.rpc, self.shard_router, replication=replication,
-                read_policy=self.config.nameserver_read_policy,
-                repair=repair, cache=cache,
-                clock=lambda: self.scheduler.now,
+    def _make_db_client(self, node: Node) -> ShardedGroupViewDbClient:
+        """The naming client a client-side component on ``node`` uses.
+
+        One client for every deployment, routing by ``_client_route``.
+        Read repair, gray-failure detection, the leased cache and its
+        coherence plane exist only where the config's ring asks for
+        them; so does the read-latency histogram (``clock``).
+        """
+        replication = self.config.nameserver_replication
+        repair = None
+        if replication > 1:
+            repair = ReadRepairer(
+                self.scheduler, node.rpc, self._client_route, replication,
+                spawn=node.spawn,
                 sync_suffix=self.sync_suffix,
-                coherence_node=(node if self.config.nameserver_push_invalidation
-                                and cache is not None else None),
-                batcher=node.commit_batcher,
-                health=health,
-                participant_retries=self.config.participant_retries,
-                retry_rng=retry_rng,
                 metrics=self.metrics)
-        return GroupViewDbClient(node.rpc, NAME_NODE,
-                                 batcher=node.commit_batcher)
+        cache = None
+        if self.config.nameserver_lease is not None:
+            # Per-client leased cache: lease expiry runs on the
+            # simulation clock, epoch invalidation on the shared
+            # router's fence -- any reshard or failover that
+            # changes routing kills every pre-change entry.
+            router = self._client_route
+            cache = EntryCache(
+                self.config.nameserver_lease,
+                fence=lambda: router.fence_epoch,
+                clock=lambda: self.scheduler.now,
+                metrics=self.metrics,
+                keep_ledger=self.config.nameserver_cache_ledger,
+                renewal=self.config.nameserver_renewal)
+            # A node can host several db clients (shadow resolver +
+            # recovery manager): suffix the key rather than shadow
+            # an earlier cache out of the audit registry.
+            key = node.name
+            while key in self.entry_caches:
+                key += "+"
+            self.entry_caches[key] = cache
+        health = None
+        if self.config.nameserver_peer_health and replication > 1:
+            # Per-client gray detector on the simulation clock; the
+            # registry key mirrors entry_caches (a node can host
+            # several db clients).
+            health = PeerHealthTracker(clock=lambda: self.scheduler.now)
+            hkey = node.name
+            while hkey in self.peer_health:
+                hkey += "+"
+            self.peer_health[hkey] = health
+        retry_rng = None
+        if self.config.participant_retries > 0:
+            # Jitter must come from a seeded substream (the
+            # determinism invariant); one stream per client node.
+            retry_rng = self.rng.substream(f"2pc-retry/{node.name}")
+        return ShardedGroupViewDbClient(
+            node.rpc, self._client_route, replication=replication,
+            read_policy=self.config.nameserver_read_policy,
+            repair=repair, cache=cache,
+            clock=((lambda: self.scheduler.now)
+                   if self.shard_router is not None else None),
+            sync_suffix=self.sync_suffix,
+            coherence_node=(node if self.config.nameserver_push_invalidation
+                            and cache is not None else None),
+            batcher=node.commit_batcher,
+            health=health,
+            participant_retries=self.config.participant_retries,
+            retry_rng=retry_rng,
+            metrics=self.metrics)
 
     @property
     def shard_hosts(self) -> list[str]:
@@ -660,14 +672,12 @@ class DistributedSystem:
                 node, log_force_interval=self.config.log_force_interval)
             if self.config.enable_shadow_resolvers:
                 self.shadow_resolvers[name] = ShadowResolver(
-                    node, NAME_NODE,
-                    db_client=self._make_db_client(node))
+                    node, self._make_db_client(node))
         if server:
             ServerHost.install_on(node, self.registry)
         if self.config.enable_recovery_managers and (store or server):
             self.recovery_managers[name] = RecoveryManager(
-                node, NAME_NODE, serves=[],
-                db_client=self._make_db_client(node))
+                node, self._make_db_client(node), serves=[])
         return node
 
     def add_client(self, name: str, policy: ReplicationPolicy | None = None,
@@ -680,9 +690,9 @@ class DistributedSystem:
         binding_scheme = factory(db_client, name, metrics=self.metrics,
                                  rng=self.rng.substream(f"unbind/{name}"))
         runtime = ClientRuntime(
-            node, NAME_NODE, binding_scheme,
+            node, db_client, binding_scheme,
             policy or SingleCopyPassive(), self.registry,
-            self.type_names, db_client=db_client)
+            self.type_names)
         self.clients[name] = runtime
         return runtime
 
@@ -771,14 +781,14 @@ class DistributedSystem:
         from repro.actions.action import ActionId
         probe = ActionId((0,))
         if isinstance(self.db, ShardedGroupViewDatabase):
-            targets: list[Any] = list(self.db.shards.values())
+            targets: list[GroupViewDatabase] = list(self.db.shards.values())
         else:
             targets = [self.db]
         for db in targets:
-            if isinstance(db, GroupViewDatabase):
+            # The section-5 variant's non-atomic half has no lock table.
+            if isinstance(db.server_db, ObjectServerDatabase):
                 db.server_db.locks.release_all(probe)
-            if hasattr(db, "state_db"):
-                db.state_db.locks.release_all(probe)
+            db.state_db.locks.release_all(probe)
 
     def store_versions(self, uid: Uid) -> dict[str, int]:
         """Committed version of ``uid`` at every up store node."""

@@ -15,13 +15,22 @@ every per-object entry is independently concurrency-controlled with the
 lock modes of :mod:`repro.actions.locks`.  As in the Arjuna
 implementation the paper describes, the two databases are combined into
 a single :class:`~repro.naming.group_view_db.GroupViewDatabase` object.
+Its server half is a constructor argument: with a
+:class:`~repro.naming.nonatomic.NonAtomicNameServer` there, the same
+class is the concluding remarks' hybrid (a traditional, non-atomic
+server database beside the atomic state database).
 
 :mod:`~repro.naming.binding` implements the three client access schemes
 of figures 6-8 (standard nested actions, independent top-level actions,
 nested top-level actions); :mod:`~repro.naming.cleanup` implements the
 failure-detection/cleanup protocol the paper notes is required for the
 use-list schemes; :mod:`~repro.naming.nonatomic` implements the
-concluding-remarks variant with a traditional (non-atomic) name server.
+traditional (non-atomic) server half of the concluding-remarks variant.
+Every client-side component reaches the service through one client,
+:class:`~repro.naming.sharded_client.ShardedGroupViewDbClient`, whose
+engine (:mod:`~repro.naming.replica_io`) opens one
+:class:`~repro.naming.db_client.GroupViewDbClient` connection per name
+node; the paper's single name node is its ring of one.
 
 Beyond the paper, :mod:`~repro.naming.shard_router` and
 :mod:`~repro.naming.sharded_client` partition the database across a

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Protocol
 
 from repro.actions.action import AtomicAction, abort_on_failure
-from repro.naming.db_client import GroupViewDbClient
+from repro.naming.sharded_client import ShardedGroupViewDbClient
 from repro.naming.errors import NamingError
 from repro.net.errors import RpcError
 from repro.sim.futures import Future
@@ -98,7 +98,7 @@ class BindingScheme(abc.ABC):
 
     name = "abstract"
 
-    def __init__(self, db: GroupViewDbClient, client_node: str,
+    def __init__(self, db: ShardedGroupViewDbClient, client_node: str,
                  metrics: MetricsRegistry | None = None,
                  rng: Any | None = None) -> None:
         self.db = db

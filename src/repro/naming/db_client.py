@@ -1,21 +1,26 @@
-"""Client-side adapter for the group-view database.
+"""One name-service node's connection: enlistment, calls, error mapping.
 
-Wraps the RPC surface of
-:class:`~repro.naming.group_view_db.GroupViewDatabase` in generator
-methods usable from simulation processes, translates remote errors back
-into their naming/locking exception types, and automatically enlists
-the database as a two-phase-commit participant of the calling action's
-top-level root -- once per top-level action, forgotten again when that
-action resolves.  The database is never asked to vote: a write it
-acknowledged was its vote and a read leaves it nothing to vote on, so
-the participant record sends no ``prepare`` and tells it the outcome in
-the servers' fan-out, after the stores have promoted their shadows --
-the locks it holds for the action outlive the promotion.
+:class:`GroupViewDbClient` is the per-node half of the naming client, its
+connection: it issues one
+:class:`~repro.naming.group_view_db.GroupViewDatabase` RPC on one node,
+translates remote errors back into their naming/locking exception
+types, and enlists the node as a two-phase-commit participant of the
+calling action's top-level root -- once per top-level action, forgotten
+again when that action resolves.  The database is never asked to vote:
+a write it acknowledged was its vote and a read leaves it nothing to
+vote on, so the participant record sends no ``prepare`` and tells it
+the outcome in the servers' fan-out, after the stores have promoted
+their shadows -- the locks it holds for the action outlive the
+promotion.
 
-Calls issued on behalf of a captured ring view carry its fence token
-(``ring_epoch``); the replica-copy read protocol itself lives in
-:mod:`repro.naming.replica_io`, the one engine every replica-plane
-consumer shares.
+It defines no naming verb.  Every deployment's binding schemes,
+replication policies and recovery daemons speak to the name service
+through :class:`~repro.naming.sharded_client.ShardedGroupViewDbClient`,
+whose :class:`~repro.naming.replica_io.ReplicaIO` engine routes each
+verb and builds one connection per node it reaches
+(:meth:`~repro.naming.replica_io.ReplicaIO.client_for`).  Calls issued
+on behalf of a captured ring view carry its fence token
+(``ring_epoch``), which an unfenced service ignores.
 """
 
 from __future__ import annotations
@@ -26,13 +31,11 @@ from typing import Any, Generator
 from repro.actions.action import AtomicAction
 from repro.actions.errors import LockRefused, PromotionRefused
 from repro.actions.records import ToldParticipantRecord
-from repro.naming.errors import NamingError, NotQuiescent, UnknownObject
+from repro.naming.errors import NotQuiescent, UnknownObject
 from repro.naming.group_view_db import SERVICE_NAME
-from repro.naming.object_server_db import ServerEntrySnapshot
 from repro.net.batch import CommitBatcher
 from repro.net.errors import RpcError, RpcRemoteError
 from repro.net.rpc import RpcAgent
-from repro.storage.uid import Uid
 
 _ERROR_TYPES = {
     "LockRefused": LockRefused,
@@ -51,7 +54,7 @@ def raise_mapped(error: RpcRemoteError) -> None:
 
 
 class GroupViewDbClient:
-    """Generator-style proxy to the (remote) group-view database.
+    """Generator-style connection to one node's group-view database.
 
     ``batcher`` (the owning node's commit batcher, when the deployment
     arms commit batching) is handed to the participant records this
@@ -66,14 +69,14 @@ class GroupViewDbClient:
     the action's locks there.  The default sends it once.
     """
 
-    def __init__(self, rpc: RpcAgent, db_node: str,
+    def __init__(self, rpc: RpcAgent, node: str,
                  service: str = SERVICE_NAME,
                  batcher: "CommitBatcher | None" = None,
                  participant_retries: int = 0,
                  retry_rng: Any | None = None) -> None:
         self._rpc = rpc
         self._batcher = batcher
-        self.db_node = db_node
+        self.node = node
         self.service = service
         self.participant_retries = participant_retries
         self._retry_rng = retry_rng
@@ -97,7 +100,7 @@ class GroupViewDbClient:
         record = self._participants.get(serial)
         if record is None:
             record = ToldParticipantRecord(
-                self._rpc, self.db_node, self.service,
+                self._rpc, self.node, self.service,
                 batcher=self._batcher, retries=self.participant_retries,
                 rng=self._retry_rng,
                 on_resolved=functools.partial(self._participants.pop,
@@ -123,7 +126,7 @@ class GroupViewDbClient:
         same residue presumed-abort leaves real systems, where an
         orphan terminator picks it up.)
         """
-        self._rpc.call(self.db_node, self.service, "abort",
+        self._rpc.call(self.node, self.service, "abort",
                        self._root(action).id.path)
 
     # -- calls ----------------------------------------------------------------
@@ -135,28 +138,23 @@ class GroupViewDbClient:
         """One db operation with eager enlistment (the single-home path).
 
         Enlisting *before* the call means even a timed-out operation
-        leaves the shard a participant, so the caller's abort reaches it
+        leaves the node a participant, so the caller's abort reaches it
         and releases any locks the lost reply concealed.  That is the
-        right trade when the shard is the entry's only home; the
+        right trade when the node is the entry's only home; the
         replicated path uses :meth:`call_reached` instead.  A fencing
-        rejection (``StaleRingEpoch``) leaves the shard enlisted but is
+        rejection (``StaleRingEpoch``) leaves the node enlisted but is
         harmless: the rejected request never executed, and an abort to
         an untouched participant is a no-op.
 
         ``view_action`` is :meth:`call_reached`'s; only ``action`` is
-        enlisted eagerly.  A ``view_action`` the shard was
-        not seen to reach gets the presumed abort instead, so a dark
-        shard costs the caller one abort round trip, not one per root.
+        enlisted eagerly.  A ``view_action`` the node was not seen to
+        reach is the caller's to presume aborted (``ReplicaIO``'s walk
+        does, once per failed call).
         """
         self.enlist(action)
-        try:
-            return (yield from self.call_reached(
-                action, method, *args, ring_epoch=ring_epoch,
-                view_action=view_action))
-        except RpcError:
-            if view_action is not None and not self.is_enlisted(view_action):
-                self.abort_stray(view_action)
-            raise
+        return (yield from self.call_reached(
+            action, method, *args, ring_epoch=ring_epoch,
+            view_action=view_action))
 
     def call_reached(self, action: AtomicAction, method: str, *args: Any,
                      ring_epoch: int | None = None,
@@ -176,11 +174,12 @@ class GroupViewDbClient:
         so it holds nothing of this action's).
 
         ``view_action`` is a second action the operation takes locks
-        under (see :meth:`get_binding_with_uses`): a shard that was
-        reached is enlisted for its root too.
+        under (a bind's ``St`` read, see
+        :meth:`GroupViewDatabase.get_binding`): a shard that was reached
+        is enlisted for its root too.
         """
         try:
-            result = yield self._rpc.call(self.db_node, self.service, method,
+            result = yield self._rpc.call(self.node, self.service, method,
                                           action.id.path, *args,
                                           ring_epoch=ring_epoch)
         except RpcRemoteError as exc:
@@ -195,72 +194,6 @@ class GroupViewDbClient:
         if view_action is not None:
             self.enlist(view_action)
         self.enlist(action)
-
-    def define_object(self, action: AtomicAction, uid: Uid, sv_hosts: list[str],
-                      st_hosts: list[str]) -> Generator[Any, Any, None]:
-        yield from self.call_enlisted(action, "define_object", str(uid),
-                                      list(sv_hosts), list(st_hosts))
-
-    def get_binding(self, action: AtomicAction, uid: Uid,
-                    view_action: AtomicAction,
-                    ) -> Generator[Any, Any, tuple[list[str], list[str]]]:
-        """``(Sv, St)`` of one entry in one round trip: ``Sv`` is read
-        under ``action``, ``St`` under ``view_action`` (the client
-        action, whose read lock a commit-time Exclude promotes)."""
-        return (yield from self.call_enlisted(
-            action, "get_binding", str(uid), view_action.id.path))
-
-    def get_binding_with_uses(
-            self, action: AtomicAction, uid: Uid, view_action: AtomicAction,
-            ) -> Generator[Any, Any, tuple[ServerEntrySnapshot, list[str]]]:
-        """``(Sv with use lists, St)`` in one round trip, for the
-        use-list schemes: ``Sv`` is *write*-locked under ``action`` (an
-        independent top-level action), ``St`` read-locked under
-        ``view_action``.  Two roots hold locks here afterwards, so the
-        db is enlisted for both -- each root's ``commit`` releases its
-        own."""
-        return (yield from self.call_enlisted(
-            action, "get_binding_with_uses", str(uid), view_action.id.path,
-            view_action=view_action))
-
-    def get_server_with_uses(self, action: AtomicAction, uid: Uid,
-                             for_update: bool = False,
-                             ) -> Generator[Any, Any, ServerEntrySnapshot]:
-        return (yield from self.call_enlisted(
-            action, "get_server_with_uses", str(uid), for_update))
-
-    def insert(self, action: AtomicAction, uid: Uid,
-               host: str) -> Generator[Any, Any, None]:
-        yield from self.call_enlisted(action, "insert", str(uid), host)
-
-    def remove(self, action: AtomicAction, uid: Uid,
-               host: str) -> Generator[Any, Any, None]:
-        yield from self.call_enlisted(action, "remove", str(uid), host)
-
-    def increment(self, action: AtomicAction, client_node: str, uid: Uid,
-                  hosts: list[str]) -> Generator[Any, Any, None]:
-        yield from self.call_enlisted(action, "increment", client_node,
-                                      str(uid), list(hosts))
-
-    def decrement(self, action: AtomicAction, client_node: str, uid: Uid,
-                  hosts: list[str]) -> Generator[Any, Any, None]:
-        yield from self.call_enlisted(action, "decrement", client_node,
-                                      str(uid), list(hosts))
-
-    def get_view(self, action: AtomicAction,
-                 uid: Uid) -> Generator[Any, Any, list[str]]:
-        return (yield from self.call_enlisted(action, "get_view", str(uid)))
-
-    def exclude(self, action: AtomicAction,
-                exclusions: list[tuple[Uid, list[str]]],
-                ring_epoch: int | None = None) -> Generator[Any, Any, None]:
-        wire = [(str(uid), list(hosts)) for uid, hosts in exclusions]
-        yield from self.call_enlisted(action, "exclude", wire,
-                                      ring_epoch=ring_epoch)
-
-    def include(self, action: AtomicAction, uid: Uid,
-                host: str) -> Generator[Any, Any, None]:
-        yield from self.call_enlisted(action, "include", str(uid), host)
 
     # -- the leased read plane (no action, no enlistment) ----------------------
 
@@ -277,13 +210,13 @@ class GroupViewDbClient:
         ``"locked"``/``"unknown"`` markers; RPC failures (and fencing
         rejections) propagate so the caller can fail over.
         """
-        return (yield self._rpc.call(self.db_node, self.service,
+        return (yield self._rpc.call(self.node, self.service,
                                      "read_entry_versioned", uid_text,
                                      ring_epoch=ring_epoch))
 
     def ping(self) -> Generator[Any, Any, bool]:
         try:
-            answer = yield self._rpc.call(self.db_node, self.service, "ping")
+            answer = yield self._rpc.call(self.node, self.service, "ping")
         except RpcError:
             return False
         return answer == "pong"

@@ -9,6 +9,15 @@ service interface and one two-phase-commit participant.  Entries remain
 independently concurrency-controlled (the lock resources are keyed
 ``("sv", uid)`` and ``("st", uid)``).
 
+The server half is a constructor argument.  The section-5 variant --
+"keep available server related data in a 'traditional (non-atomic)'
+name server, and retain the services of a modified object state server
+database with atomic action support" -- is this same database with a
+:class:`~repro.naming.nonatomic.NonAtomicNameServer` as its server
+half: every ``Sv`` verb then applies at once, unlocked and
+irrevocable, and the participant's vote and outcome are the atomic
+``St`` half's alone (the non-atomic half votes ``"readonly"``).
+
 Action ids arrive as path tuples (the RPC wire form); every method is
 safe to expose as an RPC service.
 
@@ -17,9 +26,9 @@ plane* and the batched replica-maintenance protocol on the sync
 service: :meth:`read_entry_versioned` (a committed snapshot plus write
 versions under probe locks that never span the wire, no 2PC
 enlistment), the partition-digest comparison :meth:`diff_partitions`
-that anti-entropy, resync and migration enumerate by, and the coalesced
-:meth:`entry_versions_many` / :meth:`read_entry_versioned_many` round
-trips that read-repair and every copier batch per-entry traffic into.
+that anti-entropy, resync, migration and read-repair enumerate by, and
+the coalesced :meth:`read_entry_versioned_many` round trip every copier
+batches its snapshot reads into.
 A write version is ``(count, digest)`` per half (see
 :mod:`repro.naming.db_base`): the one freshness order every probe,
 lease and install compares.
@@ -34,6 +43,7 @@ from repro.actions.errors import LockRefused, PromotionRefused
 from repro.actions.locks import LockMode
 from repro.naming.db_base import ActionPath, Version, _is_prefix, digest
 from repro.naming.errors import UnknownObject
+from repro.naming.nonatomic import NonAtomicNameServer
 from repro.naming.object_server_db import ObjectServerDatabase, ServerEntrySnapshot
 from repro.naming.object_state_db import ObjectStateDatabase
 from repro.net.batch import demux
@@ -60,9 +70,15 @@ class GroupViewDatabase:
 
     def __init__(self, use_exclude_write_lock: bool = True,
                  metrics: MetricsRegistry | None = None,
-                 partition_of: Callable[[str], int] | None = None) -> None:
+                 partition_of: Callable[[str], int] | None = None,
+                 server_db: ObjectServerDatabase | NonAtomicNameServer
+                 | None = None) -> None:
         shared_metrics = metrics or MetricsRegistry()
-        self.server_db = ObjectServerDatabase(metrics=shared_metrics)
+        # The server half: atomic by default, or the section-5 variant's
+        # non-atomic server (which keeps no lock table and no digest
+        # marks, so it never serves a ring's shard host).
+        self.server_db = (server_db if server_db is not None
+                          else ObjectServerDatabase(metrics=shared_metrics))
         self.state_db = ObjectStateDatabase(
             use_exclude_write_lock=use_exclude_write_lock,
             metrics=shared_metrics)
@@ -324,18 +340,6 @@ class GroupViewDatabase:
         uid = Uid.parse(uid_text)
         return (self.server_db.entry_version(uid),
                 self.state_db.entry_version(uid))
-
-    def entry_versions_many(self, uid_texts: list[str],
-                            ) -> list[tuple[Version, Version]]:
-        """Batched :meth:`entry_versions` (RPC-exposed): ``probe_many``.
-
-        One round trip per node is read-repair's version probe (the
-        other maintenance passes get versions from
-        :meth:`diff_partitions`).  Exactly like the single probe, each
-        value is a point-in-time lower bound a version-gated install
-        re-checks under locks before anything lands.
-        """
-        return [self.entry_versions(uid_text) for uid_text in uid_texts]
 
     # -- the leased read plane ------------------------------------------------
 

@@ -6,14 +6,19 @@ the services of a modified object state server database with atomic
 action support.  It would then become the responsibility of the Object
 State database to guarantee consistent binding of clients to servers."
 
-:class:`NonAtomicNameServer` is such a traditional server: the same
-operations as the Object Server database, but applied immediately with
-no locks, no undo and no two-phase commit.  Action paths are accepted
-(and ignored) so the server is a drop-in replacement for the atomic one
-in the service registry; ``prepare``/``commit``/``abort`` are no-ops.
+:class:`NonAtomicNameServer` is such a traditional server: the Uid-keyed
+interface of the Object Server database, but applied immediately with
+no locks, no undo and no two-phase commit.  It is the server half of a
+:class:`~repro.naming.group_view_db.GroupViewDatabase` built with
+``server_db=NonAtomicNameServer(...)``: the atomic Object State
+database stays the other half, so the composed database is the
+section-5 hybrid.  Action paths are accepted and ignored;
+``prepare`` votes ``"readonly"`` and ``commit``/``abort``/
+``reset_volatile`` do nothing, so the database's vote and outcome are
+its state half's alone.
 
-The E6 benchmark pairs this with the atomic Object State database and
-measures which anomalies each half admits.
+The E6 benchmark runs the system on that composition and measures which
+anomalies each half admits.
 """
 
 from __future__ import annotations
@@ -35,34 +40,34 @@ class NonAtomicNameServer:
 
     # -- operations (action paths ignored) ---------------------------------
 
-    def define_object(self, action_path: ActionPath, uid_text: str,
-                      sv_hosts: list[str], st_hosts: list[str]) -> None:
-        uid = Uid.parse(uid_text)
-        self._hosts[uid] = list(sv_hosts)
-        self._uses[uid] = {h: {} for h in sv_hosts}
+    def define(self, action_path: ActionPath, uid: Uid,
+               hosts: list[str]) -> None:
+        self._hosts[uid] = list(hosts)
+        self._uses[uid] = {h: {} for h in hosts}
 
-    def get_server(self, action_path: ActionPath, uid_text: str) -> list[str]:
+    def knows(self, uid: Uid) -> bool:
+        return uid in self._hosts
+
+    def get_server(self, action_path: ActionPath, uid: Uid) -> list[str]:
         self.metrics.counter("nonatomic.get_server").increment()
-        return list(self._entry(Uid.parse(uid_text)))
+        return list(self._entry(uid))
 
-    def get_server_with_uses(self, action_path: ActionPath,
-                             uid_text: str) -> ServerEntrySnapshot:
-        uid = Uid.parse(uid_text)
+    def get_server_with_uses(self, action_path: ActionPath, uid: Uid,
+                             for_update: bool = False) -> ServerEntrySnapshot:
+        """``for_update`` is accepted for the interface: nothing locks."""
         self.metrics.counter("nonatomic.get_server").increment()
         hosts = self._entry(uid)
         uses = {h: dict(c) for h, c in self._uses.get(uid, {}).items()}
         return ServerEntrySnapshot(tuple(hosts), uses)
 
-    def insert(self, action_path: ActionPath, uid_text: str, host: str) -> None:
-        uid = Uid.parse(uid_text)
+    def insert(self, action_path: ActionPath, uid: Uid, host: str) -> None:
         hosts = self._entry(uid)
         if host not in hosts:
             hosts.append(host)
             self._uses.setdefault(uid, {}).setdefault(host, {})
         self.metrics.counter("nonatomic.insert").increment()
 
-    def remove(self, action_path: ActionPath, uid_text: str, host: str) -> None:
-        uid = Uid.parse(uid_text)
+    def remove(self, action_path: ActionPath, uid: Uid, host: str) -> None:
         hosts = self._entry(uid)
         if host in hosts:
             hosts.remove(host)
@@ -70,16 +75,14 @@ class NonAtomicNameServer:
         self.metrics.counter("nonatomic.remove").increment()
 
     def increment(self, action_path: ActionPath, client_node: str,
-                  uid_text: str, hosts: list[str]) -> None:
-        uid = Uid.parse(uid_text)
+                  uid: Uid, hosts: list[str]) -> None:
         for host in hosts:
             counters = self._uses.setdefault(uid, {}).setdefault(host, {})
             counters[client_node] = counters.get(client_node, 0) + 1
         self.metrics.counter("nonatomic.increment").increment()
 
     def decrement(self, action_path: ActionPath, client_node: str,
-                  uid_text: str, hosts: list[str]) -> None:
-        uid = Uid.parse(uid_text)
+                  uid: Uid, hosts: list[str]) -> None:
         for host in hosts:
             counters = self._uses.get(uid, {}).get(host, {})
             if counters.get(client_node, 0) > 0:
@@ -88,8 +91,7 @@ class NonAtomicNameServer:
                     del counters[client_node]
         self.metrics.counter("nonatomic.decrement").increment()
 
-    def is_quiescent(self, uid_text: str) -> bool:
-        uid = Uid.parse(uid_text)
+    def is_quiescent(self, uid: Uid) -> bool:
         return not any(c for uses in self._uses.get(uid, {}).values()
                        for c in uses.values())
 
@@ -104,8 +106,8 @@ class NonAtomicNameServer:
     def abort(self, action_path: ActionPath) -> None:
         return None  # nothing is ever rolled back: updates were immediate
 
-    def ping(self) -> str:
-        return "pong"
+    def reset_volatile(self) -> None:
+        return None  # no locks, no undo log: nothing volatile to drop
 
     # -- internals ---------------------------------------------------------------
 

@@ -14,11 +14,12 @@ immediately (:meth:`ReadRepairer.note_stale`, the one trigger; a
 routine read that found its entry carries no such proof and costs the
 repairer nothing).
 
-The report enqueues a repair: the UID's replicas are handed to the
-shared :class:`~repro.naming.replica_io.ReplicaIO` engine as both
-sources and targets -- it probes their write versions (lock-free,
-cheap), and for every replica strictly behind the freshest copy on
-either half reads a committed snapshot from a fresher peer (under
+The report enqueues a repair: the UID's replicas list their write
+versions (one lock-free ``diff_partitions`` each, the comparison verb
+every sync-plane trigger shares) and are handed to the shared
+:class:`~repro.naming.replica_io.ReplicaIO` engine as both sources and
+targets -- for every replica strictly behind the freshest copy on
+either half it reads a committed snapshot from a fresher peer (under
 server-local probe locks -- never a torn write, never a lock spanning
 the wire) and pushes it through the target's lock-guarded,
 version-gated ``guarded_install_entry``.  The same engine resync and
@@ -36,8 +37,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator
 
-from repro.naming.group_view_db import SYNC_SERVICE_NAME
-from repro.naming.replica_io import ReplicaIO
+from repro.naming.group_view_db import SYNC_SERVICE_NAME, diff_request
+from repro.naming.replica_io import ReplicaIO, versions_held
 from repro.naming.shard_router import ShardRouter
 from repro.net.rpc import RpcAgent
 from repro.sim.metrics import MetricsRegistry
@@ -171,16 +172,27 @@ class ReadRepairer:
         # replicas simply don't answer the probe: resync owns those;
         # repair levels the ones serving.  A busy or vanished entry
         # defers; the next triggering read re-enqueues the repair.
+        # One ``diff_partitions`` per replica, naming the batch's
+        # partitions and sending no digests, lists everything each
+        # replica holds there; a replica that lists none of an entry
+        # holds nothing of it.
         view = self.router.view()
-        uids_by_node: dict[str, list[str]] = {}
+        partitions: dict[str, list[int]] = {}
         for uid_text in uids:
+            partition = self.router.partition_of(uid_text)
             for node in view.write_set(uid_text, self.replication):
-                uids_by_node.setdefault(node, []).append(uid_text)
-        probes_by_uid, _dark = yield from self.io.probe_many(uids_by_node)
-        results = yield from self.io.converge(
-            {uid_text: (probes, probes)
-             for uid_text, probes in probes_by_uid.items()
-             if len(probes) > 1})
+                partitions.setdefault(node, []).append(partition)
+        listed, dark = yield from self.io.diff_many(
+            {node: diff_request(mine) for node, mine in partitions.items()})
+        entries = {}
+        for uid_text in uids:
+            answered = [node for node in
+                        view.write_set(uid_text, self.replication)
+                        if node not in dark]
+            if len(answered) > 1:
+                probes = versions_held(listed, uid_text, answered)
+                entries[uid_text] = (probes, probes)
+        results = yield from self.io.converge(entries)
         copied = sum(result.installed for result in results.values())
         if copied:
             self.entries_repaired += copied

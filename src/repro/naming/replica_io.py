@@ -13,13 +13,16 @@ RPCs with the view's fence token:
 
 - :meth:`write` fans a mutating operation out to every live replica of
   the view's write set, enlisting each *reached* shard as its own
-  late 2PC participant of the calling action (``call_reached``), and
-  collapsing to eager single-home enlistment when the entry has one
-  home and no transition is staged;
+  late 2PC participant of the calling action (``call_reached``);
 - :meth:`read` serves from the first live replica of the view's read
   order, failing over past dark or disclaiming replicas and reporting
   observed staleness to the attached read-repairer;
 - :meth:`exclude` is the multi-UID fan-out write.
+
+All three are one walk.  Where the view gives an entry a single home
+(replication 1 and no staged transition: the paper's lone name node,
+or an unreplicated ring) the walk enlists that home eagerly instead of
+once reached (``call_enlisted``).
 
 A replica answering :class:`~repro.net.errors.StaleRingEpoch` proves
 the membership moved past the captured view *before the request
@@ -45,8 +48,6 @@ replicas, whoever asks:
   trip per node carries the caller's partition digests, and the node
   answers with its write versions of the entries in the partitions
   whose digests differ (nothing, when in sync);
-- :meth:`probe_many` -- lock-free write versions of named entries, one
-  ``entry_versions_many`` round trip per node;
 - :meth:`converge` -- for a batch of entries with named source and
   target replicas: one ``read_entry_versioned_many`` per fresher
   source (each snapshot taken under server-local probe locks that live
@@ -73,7 +74,7 @@ from repro.naming.db_base import Version
 from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import UnknownObject
 from repro.naming.group_view_db import SERVICE_NAME, SYNC_SERVICE_NAME
-from repro.naming.shard_router import ShardRouter
+from repro.naming.shard_router import RingView, ShardRouter
 from repro.net.errors import RpcError, StaleRingEpoch
 from repro.net.rpc import RpcAgent
 from repro.sim.metrics import MetricsRegistry
@@ -123,6 +124,18 @@ class Converged(NamedTuple):
     outcome: str
     installed: int  # version-gated installs that landed on a target
     repaired: int   # of those, installs over equal-count divergent content
+
+
+ABSENT: Versions = ((0, 0), (0, 0))  # the versions of an entry a replica lacks
+
+
+def versions_held(probes: Mapping[str, Probes], uid_text: str,
+                  hosts: Iterable[str]) -> Probes:
+    """What each of ``hosts`` (all of which answered a
+    :meth:`ReplicaIO.diff_many`) holds of the entry: its listed
+    versions, :data:`ABSENT` where it listed none."""
+    listed = probes.get(uid_text, {})
+    return {host: listed.get(host, ABSENT) for host in hosts}
 
 
 def _behind(versions: Versions, other: Versions) -> bool:
@@ -239,6 +252,16 @@ class ReplicaIO:
             if action is not None and not client.is_enlisted(action):
                 client.abort_stray(action)
 
+    def _single_home(self, view: RingView) -> bool:
+        """Whether ``view`` gives every entry exactly one home.
+
+        Then the walk enlists that home eagerly (``call_enlisted``):
+        with nowhere to fail over to, a timed-out node must stay a
+        participant so the caller's abort still reaches it.  A staged
+        transition makes even a replication-1 entry multi-homed.
+        """
+        return self.replication == 1 and not view.in_transition
+
     def write(self, action: AtomicAction, uid: Uid | str, method: str,
               *args: Any) -> Generator[Any, Any, Any]:
         """Apply a mutating operation to every live replica of ``uid``.
@@ -265,28 +288,15 @@ class ReplicaIO:
         for _attempt in range(self.max_stale_retries + 1):
             view = self.router.view()
             stale = None
-            if (self.replication == 1 and not view.in_transition
-                    and not applied):
-                # Single home: enlist eagerly, exactly as PR 1's client
-                # did -- with nowhere to fail over to, a timed-out shard
-                # must stay a participant so the caller's abort still
-                # reaches it.  (A transition makes even a replication=1
-                # entry multi-homed, so it takes the fan-out path.)
-                client = self.client_for(view.primary(uid))
-                try:
-                    return (yield from client.call_enlisted(
-                        action, method, *args, ring_epoch=view.epoch))
-                except StaleRingEpoch as exc:
-                    self._note_stale()
-                    stale = exc
-                    continue
+            single = self._single_home(view) and not applied
             for node in view.write_set(uid, self.replication):
                 if node in applied:
                     continue
                 client = self.client_for(node)
+                call = client.call_enlisted if single else client.call_reached
                 try:
-                    result = yield from client.call_reached(
-                        action, method, *args, ring_epoch=view.epoch)
+                    result = yield from call(action, method, *args,
+                                             ring_epoch=view.epoch)
                     reached = True
                     applied.add(node)
                 except StaleRingEpoch as exc:
@@ -348,16 +358,7 @@ class ReplicaIO:
         for _attempt in range(self.max_stale_retries + 1):
             view = self.router.view()
             stale = None
-            if self.replication == 1 and not view.in_transition:
-                client = self.client_for(view.primary(uid))
-                try:
-                    return (yield from client.call_enlisted(
-                        action, method, *args, ring_epoch=view.epoch,
-                        view_action=view_action))
-                except StaleRingEpoch as exc:
-                    self._note_stale()
-                    stale = exc
-                    continue
+            single = self._single_home(view)
             order = view.read_order(uid, self.replication, rotation)
             if self.health is not None:
                 # Gray-failure demotion: alive-but-slow peers drop to
@@ -365,12 +366,13 @@ class ReplicaIO:
                 order = self.health.reorder(order)
             for node in order:
                 client = self.client_for(node)
+                call = client.call_enlisted if single else client.call_reached
                 started = (self.health.clock()
                            if self.health is not None else 0.0)
                 try:
-                    result = yield from client.call_reached(
-                        action, method, *args, ring_epoch=view.epoch,
-                        view_action=view_action)
+                    result = yield from call(action, method, *args,
+                                             ring_epoch=view.epoch,
+                                             view_action=view_action)
                 except StaleRingEpoch as exc:
                     self._note_stale()
                     stale = exc
@@ -429,26 +431,20 @@ class ReplicaIO:
         for _attempt in range(self.max_stale_retries + 1):
             view = self.router.view()
             stale = None
-            eager = self.replication == 1 and not view.in_transition
+            single = self._single_home(view)
             by_shard: dict[str, list[int]] = {}
             for index, (uid, _hosts) in enumerate(exclusions):
-                owners = ([view.primary(uid)] if eager
-                          else view.write_set(uid, self.replication))
-                for node in owners:
+                for node in view.write_set(uid, self.replication):
                     if index not in applied.get(node, set()):
                         by_shard.setdefault(node, []).append(index)
             for node, indices in by_shard.items():
                 client = self.client_for(node)
+                call = client.call_enlisted if single else client.call_reached
                 lots = [exclusions[i] for i in indices]
+                wire = [(str(uid), list(hosts)) for uid, hosts in lots]
                 try:
-                    if eager:
-                        yield from client.exclude(action, lots,
-                                                  ring_epoch=view.epoch)
-                    else:
-                        wire = [(str(uid), list(hosts))
-                                for uid, hosts in lots]
-                        yield from client.call_reached(
-                            action, "exclude", wire, ring_epoch=view.epoch)
+                    yield from call(action, "exclude", wire,
+                                    ring_epoch=view.epoch)
                 except StaleRingEpoch as exc:
                     self._note_stale()
                     stale = exc
@@ -600,10 +596,12 @@ class ReplicaIO:
 
         ``requests_by_node`` gives each node its ``diff_partitions``
         argument (a :func:`~repro.naming.group_view_db.diff_request`).
-        Returns ``(probes_by_uid, dark_nodes)`` shaped like
-        :meth:`probe_many`'s, but holding only what the nodes reported:
-        their write versions of the entries in the partitions that
-        differ.  Like every probe, a lower bound the installs re-check.
+        Returns ``(probes_by_uid, dark_nodes)``:
+        ``probes_by_uid[uid][node]`` is ``node``'s (server, state) write
+        versions of an entry in a partition that differs; a node that
+        listed none of an entry, or went dark, has no versions for it
+        (see :func:`versions_held`).  Versions are lock-free lower
+        bounds; every install re-checks them under locks.
         """
         probes_by_uid: dict[str, Probes] = {}
         dark: set[str] = set()
@@ -617,32 +615,6 @@ class ReplicaIO:
             for at in range(0, len(flat), 5):
                 probes_by_uid.setdefault(flat[at], {})[node] = (
                     (flat[at + 1], flat[at + 2]), (flat[at + 3], flat[at + 4]))
-        return probes_by_uid, dark
-
-    def probe_many(self, uids_by_node: Mapping[str, list[str]],
-                   ) -> Generator[Any, Any,
-                                  tuple[dict[str, Probes], set[str]]]:
-        """Write versions of many entries, one round trip per node.
-
-        Given the uids each node should answer for, returns
-        ``(probes_by_uid, dark_nodes)`` where ``probes_by_uid[uid][node]``
-        holds the node's (server, state) versions -- a uid simply has
-        no entry for a dark node.  Versions are lock-free lower bounds;
-        every install re-checks them under locks.
-        """
-        probes_by_uid: dict[str, Probes] = {
-            uid_text: {} for uids in uids_by_node.values()
-            for uid_text in uids}
-        dark: set[str] = set()
-        for node, uids in uids_by_node.items():
-            try:
-                versions = yield from self._sync_call(
-                    {}, node, "entry_versions_many", uids)
-            except RpcError:
-                dark.add(node)
-                continue
-            for uid_text, entry in zip(uids, versions):
-                probes_by_uid[uid_text][node] = tuple(entry)
         return probes_by_uid, dark
 
     def _read_many(self, local: Mapping[str, Any], node: str,
@@ -695,7 +667,7 @@ class ReplicaIO:
 
         ``entries`` maps each uid to ``(sources, targets)``, both
         mapping replica names to probed (server, state) write versions
-        (see :meth:`probe_many`); they may overlap -- a replica is never
+        (see :meth:`diff_many`); they may overlap -- a replica is never
         "behind" itself.  Every source strictly ahead of some target
         answers one batched snapshot read covering all such entries,
         and each snapshot is pushed to each target still behind it;

@@ -82,7 +82,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 from repro.naming.coherence import COHERENCE_SERVICE_NAME
 from repro.naming.errors import NamingError
 from repro.naming.group_view_db import SYNC_SERVICE_NAME, diff_request
-from repro.naming.replica_io import ReplicaIO
+from repro.naming.replica_io import ReplicaIO, versions_held
 from repro.naming.shard_router import RingTransition, ShardRouter
 from repro.net.errors import RpcError
 from repro.sim.metrics import MetricsRegistry
@@ -433,8 +433,9 @@ class ReshardManager:
                 if not dark.isdisjoint((*old_plist, *movers)):
                     deferred = True
                     continue
-                entries[uid_text] = (_held(owner_probes, uid_text, old_plist),
-                                     _held(mover_probes, uid_text, movers))
+                entries[uid_text] = (
+                    versions_held(owner_probes, uid_text, old_plist),
+                    versions_held(mover_probes, uid_text, movers))
             results = yield from self.io.converge(entries)
             copied = 0
             for uid_text, result in results.items():
@@ -742,9 +743,6 @@ class _Deferred(Exception):
     """A pass could not finish; sleep and retry."""
 
 
-_ABSENT = ((0, 0), (0, 0))  # the versions of an entry a replica lacks
-
-
 def _listing(arcs: Mapping[int, tuple[list[str], list[str]]],
              side: int) -> dict[str, list[int]]:
     """Each host's ``diff_partitions`` argument listing every entry it
@@ -755,11 +753,3 @@ def _listing(arcs: Mapping[int, tuple[list[str], list[str]]],
         for host in hosts[side]:
             partitions.setdefault(host, []).append(partition)
     return {host: diff_request(mine) for host, mine in partitions.items()}
-
-
-def _held(probes: Mapping[str, Mapping[str, Any]], uid_text: str,
-          hosts: list[str]) -> dict[str, Any]:
-    """What each of ``hosts`` (all of which answered) holds of the
-    entry: its listed versions, zeros where it listed none."""
-    listed = probes.get(uid_text, {})
-    return {host: listed.get(host, _ABSENT) for host in hosts}

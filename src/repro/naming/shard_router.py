@@ -711,9 +711,6 @@ class RingView:
         """Whether a membership change was staged at capture time."""
         return self.target is not None
 
-    def primary(self, key: Hashable) -> str:
-        return self.ring.shard_for(key)
-
     def write_set(self, key: Hashable, n: int) -> list[str]:
         """The replicas a write must reach: both epochs' owners, old first.
 

@@ -1,14 +1,16 @@
-"""The sharded group-view database: client facade and server facade.
+"""The naming client, and the sharded database's server facade.
 
 Two pieces turn N per-host
 :class:`~repro.naming.group_view_db.GroupViewDatabase` instances into
 one logical service:
 
-- :class:`ShardedGroupViewDbClient` -- the client-side adapter.  It
-  exposes exactly the :class:`~repro.naming.db_client.GroupViewDbClient`
-  surface the binding schemes, replication policies, and recovery
-  daemons are written against, and maps every operation onto the one
-  :class:`~repro.naming.replica_io.ReplicaIO` engine: epoch-fenced
+- :class:`ShardedGroupViewDbClient` -- the one naming client of every
+  deployment.  It is the surface the binding schemes, replication
+  policies, and recovery daemons are written against, and maps every
+  operation onto the one :class:`~repro.naming.replica_io.ReplicaIO`
+  engine, whose per-node connections
+  (:class:`~repro.naming.db_client.GroupViewDbClient`) issue the
+  RPCs: epoch-fenced
   fan-out writes through the current
   :class:`~repro.naming.shard_router.RingView`'s write set (each
   reached shard its own late-enlisted 2PC participant of the calling
@@ -16,6 +18,9 @@ one logical service:
   ``Exclude`` fan-out.  The routing policy itself -- dual-ownership
   unions during a staged transition, old-epoch-first reads, primary or
   spread read rotation -- lives in the view and the engine, not here.
+  The paper's single name node is a ring of one with replication 1:
+  every call goes to that node and enlists it eagerly, and its
+  unfenced service ignores the fence token.
 
 - :class:`ShardedGroupViewDatabase` -- the server-side facade used by
   the system harness for bootstrap (``define_object``) and inspection.
@@ -57,7 +62,7 @@ __all__ = [
 
 
 class ShardedGroupViewDbClient:
-    """Routes the :class:`GroupViewDbClient` surface over a shard ring.
+    """Routes the naming verbs over a shard ring (a ring of one included).
 
     With an :class:`~repro.naming.entry_cache.EntryCache` attached, the
     hot ``get_binding`` path becomes the *leased read plane*: a cache
@@ -239,15 +244,6 @@ class ShardedGroupViewDbClient:
 
     # -- per-UID operations (routed through the engine) ----------------------
 
-    def define_object(self, action: AtomicAction, uid: Uid, sv_hosts: list[str],
-                      st_hosts: list[str]) -> Generator[Any, Any, None]:
-        # Only tests reach this verb.  It routes through ``partition_of``,
-        # so it follows a placement the harness made, but it does not
-        # place: only the server facade's ``define_object`` does.
-        self._invalidate(uid)
-        yield from self.io.write(action, uid, "define_object", str(uid),
-                                 list(sv_hosts), list(st_hosts))
-
     def get_binding(self, action: AtomicAction, uid: Uid,
                     view_action: AtomicAction,
                     ) -> Generator[Any, Any, tuple[list[str], list[str]]]:
@@ -278,12 +274,6 @@ class ShardedGroupViewDbClient:
         return (yield from self.io.read(action, uid, "get_binding_with_uses",
                                         str(uid), view_action.id.path,
                                         view_action=view_action))
-
-    def get_server_with_uses(self, action: AtomicAction, uid: Uid,
-                             for_update: bool = False,
-                             ) -> Generator[Any, Any, ServerEntrySnapshot]:
-        return (yield from self.io.read(action, uid, "get_server_with_uses",
-                                        str(uid), for_update))
 
     def insert(self, action: AtomicAction, uid: Uid,
                host: str) -> Generator[Any, Any, None]:

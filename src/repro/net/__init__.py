@@ -32,7 +32,6 @@ from repro.net.demux import MessageDemux
 from repro.net.rpc import RpcAgent, RpcReply, RpcRequest
 from repro.net.groups import GroupView
 from repro.net.multicast import (
-    LoggedReliableMulticastMember,
     MulticastDelivery,
     MulticastMember,
     NaiveMulticastMember,
@@ -43,7 +42,6 @@ __all__ = [
     "FixedLatency",
     "GroupView",
     "LatencyModel",
-    "LoggedReliableMulticastMember",
     "Message",
     "MessageDemux",
     "MulticastDelivery",

@@ -405,6 +405,3 @@ class ReliableOrderedMulticastMember(MulticastMember):
         if data is not None:
             self._transmit(requester, DATA_KIND, data)
 
-
-# Backwards-compatible alias: the delivery log is now built in.
-LoggedReliableMulticastMember = ReliableOrderedMulticastMember

@@ -24,7 +24,7 @@ from repro.actions.action import AtomicAction
 from repro.cluster.server_host import SERVER_SERVICE
 from repro.core.objects import ObjectClassRegistry
 from repro.naming.binding import BindOutcome, BindingScheme
-from repro.naming.db_client import GroupViewDbClient
+from repro.naming.sharded_client import ShardedGroupViewDbClient
 from repro.net.rpc import RpcAgent
 from repro.sim.futures import Future
 from repro.sim.metrics import MetricsRegistry
@@ -41,7 +41,7 @@ class TxnContext:
 
     node: "Node"
     rpc: RpcAgent
-    db: GroupViewDbClient
+    db: ShardedGroupViewDbClient
     scheme: BindingScheme
     invoker: "GroupInvoker"
     registry: ObjectClassRegistry

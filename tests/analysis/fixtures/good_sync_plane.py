@@ -16,5 +16,5 @@ class RepairWorker:
         entry = yield self.node.sync_rpc.call(self.io.sync_target(peer),
                                               "group_view_db_sync",
                                               "get", key)
-        probes, _dark = yield from self.io.probe_many({peer: [key]})
+        probes, _dark = yield from self.io.diff_many({peer: [1, 1]})
         return entry, probes

@@ -103,3 +103,44 @@ def test_new_uid_monotonic():
     uids = [system.new_uid() for _ in range(5)]
     assert uids == sorted(uids)
     assert len(set(uids)) == 5
+
+
+def test_a_paper_get_binding_python_call_budget():
+    """A guard on the host cost of routing the paper's clients through
+    the one naming client: the python-level function calls
+    (``sys.setprofile`` ``call`` events) of one ``get_binding`` on the
+    paper's deployment, from the lookup's first frame to its binding
+    coming back, the RPC round trip to the name node included.
+
+    154 on python 3.11, where the per-verb single-node client this
+    route replaced made 145: the ring of one adds the captured view,
+    its read order and the connection lookup.  The budget leaves room
+    for two frames, not for a layer.
+    """
+    import sys
+
+    from repro.actions import AtomicAction
+
+    system, client, uid = build_system()
+    db, scheduler = client._ctx.db, system.scheduler
+
+    def bind():
+        action = AtomicAction(node="c1")
+        return (yield from db.get_binding(action, uid, action))
+
+    expected = (["s1", "s2", "s3"], ["t1", "t2"])
+    assert scheduler.run_until_settled(scheduler.spawn(bind())) == expected
+    calls = []
+
+    def on_event(frame, event, _arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    process = scheduler.spawn(bind())
+    sys.setprofile(on_event)
+    try:
+        binding = scheduler.run_until_settled(process)
+    finally:
+        sys.setprofile(None)
+    assert binding == expected
+    assert len(calls) <= 156, sorted(calls)

@@ -101,8 +101,8 @@ def _include_during_a_commit(offset):
     assert system.db_st(uid) == ["t1"]
     system.nodes["t2"].recover()
     manager = RecoveryManager(
-        system.nodes["t2"], "namenode", serves=[], guard_interval=None,
-        db_client=system._make_db_client(system.nodes["t2"]))
+        system.nodes["t2"], system._make_db_client(system.nodes["t2"]),
+        serves=[], guard_interval=None)
 
     def recover():
         yield Timeout(offset)

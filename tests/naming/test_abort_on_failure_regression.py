@@ -15,7 +15,8 @@ from repro.actions import AtomicAction
 from repro.actions.action import abort_on_failure
 from repro.naming import GroupViewDatabase
 from repro.naming.binding import IndependentTopLevelBinding
-from repro.naming.db_client import GroupViewDbClient
+from repro.naming.shard_router import ShardRouter
+from repro.naming.sharded_client import ShardedGroupViewDbClient
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Future, MetricsRegistry, Scheduler
 from repro.storage import Uid
@@ -43,7 +44,8 @@ class World:
         nic_client = self.network.attach("client")
         client_agent = RpcAgent(self.scheduler, nic_client,
                                 demux=MessageDemux(nic_client))
-        self.db_client = GroupViewDbClient(client_agent, "db")
+        self.db_client = ShardedGroupViewDbClient(client_agent,
+                                                  ShardRouter(["db"]))
         self.scheme = IndependentTopLevelBinding(
             self.db_client, "client", metrics=MetricsRegistry())
 
@@ -101,8 +103,8 @@ def test_killed_unbind_releases_all_database_locks():
     original = world.db_client.decrement
 
     def killing_decrement(action, client_node, uid, hosts):
-        yield from world.db_client.get_server_with_uses(action, uid,
-                                                        for_update=True)
+        yield from world.db_client.io.read(  # the Sv write lock
+            action, uid, "get_server_with_uses", str(uid), True)
         raise Killed("client process killed mid-unbind")
 
     world.db_client.decrement = killing_decrement

@@ -1,4 +1,5 @@
-"""Tests for the client-side database adapter."""
+"""Tests for the per-node connection: enlistment, stray aborts, and
+remote errors mapped back, through ``call_enlisted``/``call_reached``."""
 
 import pytest
 
@@ -36,13 +37,17 @@ def run(s, gen):
 
 def test_error_types_mapped_back():
     s, net, db, client = make_world()
-    action = AtomicAction(node="client")
+    for call in (client.call_enlisted, client.call_reached):
+        action = AtomicAction(node="client")
 
-    def body():
-        return (yield from client.get_view(action, Uid("sys", 99)))
+        def body():
+            return (yield from call(action, "get_view", "sys:99"))
 
-    with pytest.raises(UnknownObject):
-        run(s, body())
+        with pytest.raises(UnknownObject):
+            run(s, body())
+        # The shard answered, so it may hold the action's earlier locks:
+        # a mapped error enlists it either way.
+        assert client.is_enlisted(action)
 
 
 def test_lock_refused_mapped_back():
@@ -52,7 +57,8 @@ def test_lock_refused_mapped_back():
     action = AtomicAction(node="client")
 
     def body():
-        return (yield from client.get_binding(action, UID, action))
+        return (yield from client.call_enlisted(
+            action, "get_binding", str(UID), action.id.path))
 
     with pytest.raises(LockRefused):
         run(s, body())
@@ -66,7 +72,7 @@ def test_not_quiescent_mapped_back():
     action = AtomicAction(node="client")
 
     def body():
-        yield from client.insert(action, UID, "h1")
+        yield from client.call_reached(action, "insert", str(UID), "h1")
 
     with pytest.raises(NotQuiescent):
         run(s, body())
@@ -77,10 +83,11 @@ def test_enlists_participant_once_per_top_level_action():
     action = AtomicAction(node="client")
 
     def body():
-        yield from client.get_binding(action, UID, action)
-        yield from client.get_view(action, UID)
+        yield from client.call_enlisted(action, "get_binding", str(UID),
+                                        action.id.path)
+        yield from client.call_reached(action, "get_view", str(UID))
         nested = AtomicAction(node="client", parent=action)
-        yield from client.get_view(nested, UID)
+        yield from client.call_enlisted(nested, "get_view", str(UID))
         yield from nested.commit()
 
     run(s, body())
@@ -94,8 +101,9 @@ def test_full_transactional_cycle_over_rpc():
     action = AtomicAction(node="client")
 
     def body():
-        yield from client.exclude(action, [(UID, ["t2"])])
-        yield from client.include(action, UID, "t3")
+        yield from client.call_enlisted(action, "exclude",
+                                        [(str(UID), ["t2"])])
+        yield from client.call_enlisted(action, "include", str(UID), "t3")
         return (yield from action.commit())
 
     status = run(s, body())
@@ -109,7 +117,7 @@ def test_abort_over_rpc_rolls_back():
     action = AtomicAction(node="client")
 
     def body():
-        yield from client.remove(action, UID, "h2")
+        yield from client.call_enlisted(action, "remove", str(UID), "h2")
         return (yield from action.abort())
 
     run(s, body())
@@ -138,7 +146,8 @@ def test_define_object_via_client():
     new_uid = Uid("sys", 50)
 
     def body():
-        yield from client.define_object(action, new_uid, ["h9"], ["t9"])
+        yield from client.call_enlisted(action, "define_object",
+                                        str(new_uid), ["h9"], ["t9"])
         return (yield from action.commit())
 
     run(s, body())
@@ -164,7 +173,8 @@ def test_an_acknowledged_write_is_the_vote(rpc_log):
     action = AtomicAction(node="client")
 
     def body():
-        yield from client.increment(action, "cn", UID, ["h1"])
+        yield from client.call_enlisted(action, "increment", "cn",
+                                        str(UID), ["h1"])
         return (yield from action.commit())
 
     assert run(s, body()) is ActionStatus.COMMITTED
@@ -180,8 +190,9 @@ def test_a_participant_only_read_at_is_told_the_outcome_not_polled(rpc_log):
     action = AtomicAction(node="client")
 
     def body():
-        yield from client.get_view(action, UID)
-        yield from client.get_server_with_uses(action, UID, for_update=True)
+        yield from client.call_enlisted(action, "get_view", str(UID))
+        yield from client.call_reached(action, "get_server_with_uses",
+                                       str(UID), True)
         return (yield from action.commit())
 
     assert run(s, body()) is ActionStatus.COMMITTED
@@ -199,9 +210,11 @@ def test_a_refused_write_marks_nothing_and_the_abort_reaches_the_db(rpc_log):
                         AtomicAction(node="client"))
 
     def refused(action):
-        yield from client.get_server_with_uses(action, UID)  # Sv read lock
+        yield from client.call_enlisted(  # Sv read lock
+            action, "get_server_with_uses", str(UID), False)
         with pytest.raises(LockRefused):
-            yield from client.exclude(action, [(UID, ["t2"])])
+            yield from client.call_enlisted(action, "exclude",
+                                            [(str(UID), ["t2"])])
 
     def abort_it():
         yield from refused(doomed)
@@ -231,9 +244,9 @@ def test_the_enlistment_table_forgets_a_root_once_it_resolves():
     seen = {}
 
     def body():
-        yield from client.insert(writer, UID, "h3")
-        yield from client.get_view(reader, UID)
-        yield from client.get_view(quitter, UID)
+        yield from client.call_enlisted(writer, "insert", str(UID), "h3")
+        yield from client.call_reached(reader, "get_view", str(UID))
+        yield from client.call_enlisted(quitter, "get_view", str(UID))
         seen["live"] = [client.is_enlisted(a)
                         for a in (writer, reader, quitter)]
         yield from writer.commit()    # phase 2 resolves it
@@ -267,9 +280,11 @@ def test_the_one_lookup_enlists_the_db_for_both_roots(rpc_log):
     action, first = AtomicAction(node="client"), AtomicAction(node="client")
 
     def bind():
-        snapshot, view = yield from client.get_binding_with_uses(
-            first, UID, view_action=action)
-        yield from client.increment(first, "cn", UID, ["h1"])
+        snapshot, view = yield from client.call_enlisted(
+            first, "get_binding_with_uses", str(UID), action.id.path,
+            view_action=action)
+        yield from client.call_enlisted(first, "increment", "cn", str(UID),
+                                        ["h1"])
         yield from first.commit()
         return snapshot, view
 
@@ -291,17 +306,22 @@ def test_an_unanswered_lookup_enlists_only_the_bind_action(rpc_log):
     """The db may be dark or merely slow.  ``first`` was enlisted before
     the call, so its abort follows any stray; the client action gets the
     presumed abort, fired and not awaited -- it pays no timeout of its
-    own for a db it was never seen to reach."""
+    own for a db it was never seen to reach.  The walk over a one-node
+    route sends that abort, once: the connection itself sends none."""
+    from repro.naming.replica_io import ReplicaIO
+    from repro.naming.shard_router import ShardRouter
     from repro.net.errors import RpcTimeout
 
     s, net, db, client = make_world()
+    io = ReplicaIO(client._rpc, ShardRouter(["db"]), 1)
+    client = io.client_for("db")
     net._interfaces["db"].up = False
     action, first = AtomicAction(node="client"), AtomicAction(node="client")
 
     def bind():
         with pytest.raises(RpcTimeout):
-            yield from client.get_binding_with_uses(first, UID,
-                                                    view_action=action)
+            yield from io.read(first, UID, "get_binding_with_uses", str(UID),
+                               action.id.path, view_action=action)
         return s.now
 
     failed_at = run(s, bind())

@@ -38,7 +38,7 @@ def make_world(replication=2, lease=LEASE, capacity=64, keep_ledger=True):
     for name in NODES:
         nic = net.attach(name)
         agents[name] = RpcAgent(s, nic, demux=MessageDemux(nic))
-        db = GroupViewDatabase()
+        db = GroupViewDatabase(partition_of=router.partition_of)
         boot = AtomicAction()
         db.define_object(boot.id.path, str(UID), ["h1", "h2"], ["t1"])
         db.commit(boot.id.path)

@@ -15,7 +15,8 @@ import pytest
 from repro.actions import AtomicAction
 from repro.actions.action import ActionId
 from repro.naming import GroupViewDatabase, ReplicaIO, ShardRouter
-from repro.naming.group_view_db import SYNC_SERVICE_NAME
+from repro.naming.group_view_db import SYNC_SERVICE_NAME, diff_request
+from repro.naming.replica_io import versions_held
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
@@ -24,8 +25,8 @@ UID = Uid("sys", 1)
 NODES = ("shard-a", "shard-b", "shard-c")
 
 
-def make_db():
-    db = GroupViewDatabase()
+def make_db(partition_of=None):
+    db = GroupViewDatabase(partition_of=partition_of)
     boot = AtomicAction()
     db.define_object(boot.id.path, str(UID), ["h1"], ["t1"])
     db.commit(boot.id.path)
@@ -131,16 +132,16 @@ def test_an_equal_count_install_lands_only_over_a_smaller_digest():
 def make_world():
     s = Scheduler()
     net = Network(s, FixedLatency(0.01))
+    router = ShardRouter(list(NODES), replicas=8)
     dbs = {}
     for name in NODES:
         nic = net.attach(name)
         agent = RpcAgent(s, nic, demux=MessageDemux(nic))
-        dbs[name] = make_db()
+        dbs[name] = make_db(router.partition_of)
         agent.register(SYNC_SERVICE_NAME, dbs[name])
     nic_c = net.attach("client")
     agent = RpcAgent(s, nic_c, default_timeout=0.5,
                      demux=MessageDemux(nic_c))
-    router = ShardRouter(list(NODES), replicas=8)
     io = ReplicaIO(agent, router, replication=3)
     return s, net, dbs, router, io
 
@@ -149,10 +150,13 @@ def run(s, gen):
     return s.run_until_settled(s.spawn(gen), until=100.0)
 
 
-def probe_all(s, io):
-    probes, dark = run(s, io.probe_many({node: [str(UID)] for node in NODES}))
+def probe(s, io, nodes=NODES):
+    """Each node's versions of the entry: one ``diff_partitions`` per
+    node naming its partition, with no digests."""
+    request = diff_request([io.router.partition_of(str(UID))])
+    listed, dark = run(s, io.diff_many({node: request for node in nodes}))
     assert not dark
-    return probes[str(UID)]
+    return versions_held(listed, str(UID), nodes)
 
 
 def repairs(io):
@@ -163,7 +167,7 @@ def test_identical_histories_need_no_repair():
     s, net, dbs, router, io = make_world()
     for db in dbs.values():
         commit_increment(db, "binder")  # same history everywhere
-    probes = probe_all(s, io)
+    probes = probe(s, io)
     result = run(s, io.converge_entry(str(UID), probes, probes))
     assert result == ("clean", 0, 0)
     assert repairs(io) == 0
@@ -186,7 +190,7 @@ def test_one_writers_split_commits_are_repaired():
     for node, host in (("shard-a", "hX"), ("shard-b", "hY"),
                        ("shard-c", "hX")):
         run(s, commit(node, host))
-    probes = probe_all(s, io)
+    probes = probe(s, io)
     result = run(s, io.converge_entry(str(UID), probes, probes))
     # hY's digest is the greater one: both hX copies are overwritten.
     assert result == ("copied", 2, 2)
@@ -203,9 +207,9 @@ def test_a_reset_replica_level_with_its_peer_is_not_recopied():
     dbs["shard-b"].forget_entry(str(UID))  # keep the pair a pair
     dbs[target].reset_volatile()
     own = {target: dbs[target]}
-    probes, _dark = run(s, io.probe_many({peer: [str(UID)]}))
+    probes = probe(s, io, nodes=[peer])
     targets = {target: dbs[target].entry_versions(str(UID))}
-    result = run(s, io.converge_entry(str(UID), probes[str(UID)], targets,
+    result = run(s, io.converge_entry(str(UID), probes, targets,
                                       local=own))
     assert result == ("clean", 0, 0)
     assert repairs(io) == 0
@@ -217,7 +221,7 @@ def test_partial_partition_divergence_is_detected_and_repaired():
     s, net, dbs, router, io = make_world()
     for name, host in zip(NODES, ("hA", "hB", "hC")):
         commit_insert(dbs[name], host)
-    probes = probe_all(s, io)
+    probes = probe(s, io)
     assert len({counts(versions) for versions in probes.values()}) == 1
     winner = max(NODES, key=probes.__getitem__)
     expected = hosts_at(dbs[winner])
@@ -234,14 +238,14 @@ def test_repair_defers_on_a_dark_replica():
     s, net, dbs, router, io = make_world()
     for name, host in zip(NODES, ("hA", "hB", "hC")):
         commit_insert(dbs[name], host)
-    probes = probe_all(s, io)
+    probes = probe(s, io)
     # One replica goes dark between the probe and the copy: whether it
     # holds the winner or needs it, the pass must defer.
     net.block("client", "shard-c")
     result = run(s, io.converge_entry(str(UID), probes, probes))
     assert result.outcome == "deferred"
     net.unblock("client", "shard-c")
-    probes = probe_all(s, io)
+    probes = probe(s, io)
     result = run(s, io.converge_entry(str(UID), probes, probes))
     assert result.outcome == "copied"
     assert len({tuple(hosts_at(db)) for db in dbs.values()}) == 1
@@ -303,9 +307,7 @@ def test_one_winner_rule_for_pull_and_push(case, mode):
     content = {"peer": hosts_at(dbs[peer]), "target": hosts_at(dbs[target])}
 
     own = {target: dbs[target]} if mode == "pull" else None
-    probes, _dark = run(s, io.probe_many(
-        {peer: [str(UID)], target: [str(UID)]}))
-    sources = targets = probes[str(UID)]
+    sources = targets = probe(s, io, nodes=[peer, target])
     if mode == "pull":
         # The caller reads its own database directly.
         targets = {target: dbs[target].entry_versions(str(UID))}

@@ -1,9 +1,10 @@
-"""Tests for the section-5 hybrid name service."""
+"""Tests for the section-5 hybrid: a group-view database whose server
+half is the non-atomic name server."""
 
 import pytest
 
 from repro.actions import AtomicAction, LockRefused
-from repro.naming.hybrid import HybridNameService
+from repro.naming import GroupViewDatabase, NonAtomicNameServer
 from repro.storage import Uid
 
 from tests.conftest import lock_holders
@@ -12,7 +13,7 @@ UID_TEXT = "sys:1"
 
 
 def make_service():
-    service = HybridNameService()
+    service = GroupViewDatabase(server_db=NonAtomicNameServer())
     service.define_object((0,), UID_TEXT, ["h1", "h2"], ["t1", "t2"])
     service.commit((0,))
     return service
@@ -45,7 +46,7 @@ def test_state_side_locks_enforced():
 
 def test_server_side_never_locks():
     service = make_service()
-    service.server_side.get_server((1,), UID_TEXT)
+    service.server_db.get_server((1,), Uid.parse(UID_TEXT))
     service.insert((2,), UID_TEXT, "h9")   # would be refused if locked
     service.remove((3,), UID_TEXT, "h9")
 
@@ -76,8 +77,8 @@ def test_knows_and_ping():
 
 
 def test_get_binding_with_uses_locks_only_the_state_side():
-    """The hybrid service answers the use-list schemes' one lookup too
-    (every bind of ``paper_client_crash`` asks it)."""
+    """The hybrid answers the use-list schemes' one lookup too (every
+    bind of ``paper_client_crash`` asks it)."""
     service = make_service()
     first, client = AtomicAction(), AtomicAction()
     service.increment(first.id.path, "cn", UID_TEXT, ["h1"])

@@ -25,11 +25,12 @@ NODES = ("shard-a", "shard-b", "shard-c")
 def make_ring_world(replication=3, read_policy="primary", repair=False):
     s = Scheduler()
     net = Network(s, FixedLatency(0.01))
+    router = ShardRouter(list(NODES), replicas=8)
     dbs, agents = {}, {}
     for name in NODES:
         nic = net.attach(name)
         agents[name] = RpcAgent(s, nic, demux=MessageDemux(nic))
-        db = GroupViewDatabase()
+        db = GroupViewDatabase(partition_of=router.partition_of)
         boot = AtomicAction()
         db.define_object(boot.id.path, str(UID), ["h1", "h2"], ["t1"])
         db.commit(boot.id.path)
@@ -39,7 +40,6 @@ def make_ring_world(replication=3, read_policy="primary", repair=False):
     nic_c = net.attach("client")
     client_agent = RpcAgent(s, nic_c, default_timeout=0.5,
                             demux=MessageDemux(nic_c))
-    router = ShardRouter(list(NODES), replicas=8)
     repairer = None
     if repair:
         repairer = ReadRepairer(s, client_agent, router, replication,

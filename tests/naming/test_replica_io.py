@@ -15,6 +15,7 @@ from collections import Counter
 from repro.actions import AtomicAction
 from repro.actions.errors import LockRefused
 from repro.naming import GroupViewDatabase, ReplicaIO, ShardRouter
+from repro.naming.replica_io import versions_held
 from repro.naming.group_view_db import SYNC_SERVICE_NAME, diff_request
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
@@ -27,11 +28,12 @@ NODES = ("shard-a", "shard-b", "shard-c")
 def make_world():
     s = Scheduler()
     net = Network(s, FixedLatency(0.01))
+    router = ShardRouter(list(NODES), replicas=8)
     dbs, agents = {}, {}
     for name in NODES:
         nic = net.attach(name)
         agents[name] = RpcAgent(s, nic, demux=MessageDemux(nic))
-        db = GroupViewDatabase()
+        db = GroupViewDatabase(partition_of=router.partition_of)
         boot = AtomicAction()
         db.define_object(boot.id.path, str(UID), ["h1"], ["t1"])
         db.commit(boot.id.path)
@@ -40,7 +42,6 @@ def make_world():
     nic_c = net.attach("client")
     agent = RpcAgent(s, nic_c, default_timeout=0.5,
                      demux=MessageDemux(nic_c))
-    router = ShardRouter(list(NODES), replicas=8)
     io = ReplicaIO(agent, router, replication=3)
     return s, dbs, agents, router, io
 
@@ -65,10 +66,18 @@ def bump_st(db, times=1, start=2):
         db.commit(action.id.path)
 
 
-def probe_all(s, io, uid=UID):
-    probes, dark = run(s, io.probe_many({node: [str(uid)] for node in NODES}))
+def probe(s, io, uids, nodes=NODES):
+    """Each node's versions of ``uids``: one ``diff_partitions`` per
+    node naming their partitions, with no digests."""
+    request = diff_request({io.router.partition_of(u) for u in uids})
+    listed, dark = run(s, io.diff_many({node: request for node in nodes}))
     assert not dark
-    return probes[str(uid)]
+    return {uid_text: versions_held(listed, uid_text, nodes)
+            for uid_text in uids}
+
+
+def probe_all(s, io, uid=UID):
+    return probe(s, io, [str(uid)])[str(uid)]
 
 
 def methods(rpc_log):
@@ -204,9 +213,7 @@ def test_a_local_target_is_probed_and_installed_by_direct_call(rpc_log):
     mine = dbs["shard-c"]
     agents["shard-c"].unregister(SYNC_SERVICE_NAME)  # nothing serves it
     own = {"shard-c": mine}
-    probes, dark = run(s, io.probe_many(
-        {node: [str(UID)] for node in ("shard-a", "shard-b")}))
-    assert not dark
+    probes = probe(s, io, [str(UID)], nodes=("shard-a", "shard-b"))
     result = run(s, io.converge_entry(
         str(UID), probes[str(UID)],
         {"shard-c": mine.entry_versions(str(UID))}, local=own))
@@ -234,12 +241,12 @@ def test_converge_batches_round_trips_per_node(rpc_log):
         action = AtomicAction()
         dbs["shard-a"].increment(action.id.path, "binder", uid_text, ["h1"])
         dbs["shard-a"].commit(action.id.path)
-    probes, _dark = run(s, io.probe_many({node: uids for node in NODES}))
+    probes = probe(s, io, uids)
     results = run(s, io.converge(
         {uid_text: (probes[uid_text], probes[uid_text])
          for uid_text in uids}))
     assert {r.outcome for r in results.values()} == {"copied"}
-    assert methods(rpc_log) == {"entry_versions_many": 3,
+    assert methods(rpc_log) == {"diff_partitions": 3,
                        "read_entry_versioned_many": 1,
                        "guarded_install_entry": 2 * len(uids)}
     for db in dbs.values():
@@ -274,24 +281,15 @@ def test_no_copier_lock_at_a_source_outlives_a_dispatch():
 
 def test_diff_many_lists_only_partitions_whose_digests_differ():
     s, dbs, agents, router, io = make_world()
-    indexed = {}
-    for name in NODES:  # the same entry, on databases that keep digests
-        db = GroupViewDatabase(partition_of=router.partition_of)
-        boot = AtomicAction()
-        db.define_object(boot.id.path, str(UID), ["h1"], ["t1"])
-        db.commit(boot.id.path)
-        agents[name].unregister(SYNC_SERVICE_NAME)
-        agents[name].register(SYNC_SERVICE_NAME, db)
-        indexed[name] = db
     boot = AtomicAction()
-    indexed["shard-b"].define_object(boot.id.path, "sys:9", ["h9"], ["t9"])
-    indexed["shard-b"].commit(boot.id.path)
+    dbs["shard-b"].define_object(boot.id.path, "sys:9", ["h9"], ["t9"])
+    dbs["shard-b"].commit(boot.id.path)
     agents["shard-c"]._nic.up = False
     request = diff_request(
         {router.partition_of(str(UID)), router.partition_of("sys:9")},
-        indexed["shard-a"].partition_digests())
+        dbs["shard-a"].partition_digests())
     probes, dark = run(s, io.diff_many({node: request for node in NODES}))
     assert dark == {"shard-c"}
     # Only shard-b's sys:9 differs from what shard-a holds.
-    assert probes == {"sys:9": {"shard-b": indexed["shard-b"].entry_versions(
+    assert probes == {"sys:9": {"shard-b": dbs["shard-b"].entry_versions(
         "sys:9")}}

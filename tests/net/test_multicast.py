@@ -3,7 +3,6 @@
 from repro.net import (
     FixedLatency,
     GroupView,
-    LoggedReliableMulticastMember,
     MessageDemux,
     NaiveMulticastMember,
     Network,
@@ -117,7 +116,7 @@ def test_reliable_nack_repairs_targeted_drop():
 
 def test_logged_member_serves_nack_after_delivery():
     s, net, members, logs, view = make_members(
-        LoggedReliableMulticastMember, ["a", "b", "x"], "G",
+        ReliableOrderedMulticastMember, ["a", "b", "x"], "G",
         view_names=["a", "b"], nack_delay=0.05)
     dropped = []
 

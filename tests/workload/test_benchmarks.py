@@ -160,6 +160,23 @@ def test_moved_lists_only_the_rows_that_changed_rises_included(
     assert line.endswith("0.800 -> 0.900 (+12.5%)")
 
 
+def test_moved_says_which_results_blocks_are_identical(tmp_path):
+    baseline = _results(tmp_path, "baseline", commit_rate=0.80, p99=1.0)
+    current = _results(tmp_path, "current", commit_rate=0.80, p99=1.0)
+    (baseline / "BENCH_hot_key.json").write_text(
+        json.dumps({"results": {"row": 1}, "wall_clock_seconds": {"a": 1}}))
+    (current / "BENCH_hot_key.json").write_text(
+        json.dumps({"results": {"row": 2}, "wall_clock_seconds": {"a": 9}}))
+    (baseline / "BENCH_skipped.json").write_text(json.dumps({"results": {}}))
+    (current / "BENCH_paper_figures.json").write_text(json.dumps(
+        {**json.loads((current / "BENCH_paper_figures.json").read_text()),
+         "wall_clock_seconds": {"fig3": 7.0}}))  # timings are not results
+    assert check_regression.identical_results(baseline, current) == [
+        "differs   BENCH_hot_key.json: results block",
+        "identical BENCH_paper_figures.json: results block",
+        "1 / 2 identical"]
+
+
 # ``ShadowResolver`` is recovery code (cooperative termination of
 # orphaned shadows), not an optional plane: whether it becomes default-on
 # or gets a ``paper_*`` row belongs to ROADMAP item 1's coordinator-crash
