@@ -36,6 +36,7 @@ from repro.naming.group_view_db import SERVICE_NAME
 from repro.net.batch import CommitBatcher
 from repro.net.errors import RpcError, RpcRemoteError
 from repro.net.rpc import RpcAgent
+from repro.sim.futures import Future
 
 _ERROR_TYPES = {
     "LockRefused": LockRefused,
@@ -198,21 +199,22 @@ class GroupViewDbClient:
     # -- the leased read plane (no action, no enlistment) ----------------------
 
     def read_entry_versioned(self, uid_text: str,
-                             ring_epoch: int | None = None,
-                             ) -> Generator[Any, Any, Any]:
+                             ring_epoch: int | None = None) -> Future:
         """One committed snapshot + versions, outside any action.
 
         The client half of the leased read plane: no participant is
         enlisted and no lock spans the wire (the server takes and
         releases probe locks inside the dispatch).  ``ring_epoch``
         tags the request for epoch fencing when the call rides the
-        fenced client service.  Returns the wire tuple, or the
-        ``"locked"``/``"unknown"`` markers; RPC failures (and fencing
-        rejections) propagate so the caller can fail over.
+        fenced client service.  Returns the reply future rather than
+        waiting on it, so the caller can race it against another
+        replica's: it resolves with the wire tuple or the
+        ``"locked"``/``"unknown"`` markers, and fails with the RPC
+        error (or fencing rejection) the caller fails over on.
         """
-        return (yield self._rpc.call(self.node, self.service,
-                                     "read_entry_versioned", uid_text,
-                                     ring_epoch=ring_epoch))
+        return self._rpc.call(self.node, self.service,
+                              "read_entry_versioned", uid_text,
+                              ring_epoch=ring_epoch)
 
     def ping(self) -> Generator[Any, Any, bool]:
         try:

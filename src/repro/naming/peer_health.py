@@ -30,6 +30,14 @@ order after ``probation`` seconds of virtual time (a *trial*), and one
 good observation promotes it for real while a bad one re-demotes it
 for another probation period.  The tracker is deterministic -- no RNG,
 clock injected -- so runs replay bit-for-bit.
+
+Demotion needs evidence, and a peer that went dark a moment ago has
+none yet.  The same EWMA therefore also sets the lock-free cache-fill
+read's hedge delay (:meth:`hedge_after`): a read unanswered for
+``latency_factor`` times its peer's EWMA is also sent to the next
+replica (Dean & Barroso, "The Tail at Scale"), and the losing leg's
+late outcome still lands here, so the streak that demotes the peer
+keeps counting.
 """
 
 from __future__ import annotations
@@ -96,6 +104,15 @@ class PeerHealthTracker:
         """Demoted and not yet due for a trial."""
         trial_at = self._demoted.get(peer)
         return trial_at is not None and self.clock() < trial_at
+
+    def hedge_after(self, peer: str) -> float | None:
+        """How long a lock-free read to ``peer`` may go unanswered before
+        the walk also asks the next replica: ``latency_factor`` times
+        the peer's own EWMA.  ``None`` -- never hedge -- until the peer
+        has ``min_samples`` observations."""
+        if self._samples.get(peer, 0) < self.min_samples:
+            return None
+        return self.latency_factor * self._ewma[peer]
 
     def gray_peers(self) -> list[str]:
         return sorted(peer for peer in self._demoted if self.is_gray(peer))

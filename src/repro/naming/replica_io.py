@@ -66,6 +66,7 @@ over the wire.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Generator, Iterable, Mapping, NamedTuple
 
@@ -77,6 +78,7 @@ from repro.naming.group_view_db import SERVICE_NAME, SYNC_SERVICE_NAME
 from repro.naming.shard_router import RingView, ShardRouter
 from repro.net.errors import RpcError, StaleRingEpoch
 from repro.net.rpc import RpcAgent
+from repro.sim.futures import Future
 from repro.sim.metrics import MetricsRegistry
 from repro.storage.uid import Uid
 
@@ -115,6 +117,14 @@ class EntryCopy:
         return cls(list(hosts),
                    {host: dict(counters) for host, counters in uses.items()},
                    list(view), tuple(versions), mode)
+
+
+class _Leg(NamedTuple):
+    """One replica request of a :meth:`ReplicaIO.read_versioned` walk."""
+
+    node: str
+    sent_at: float  # on the health tracker's clock
+    reply: Future
 
 
 class Converged(NamedTuple):
@@ -498,6 +508,20 @@ class ReplicaIO:
         moved during the read (a snapshot routed by a ring that is
         already history must not seed a lease).
 
+        With a health tracker attached the walk is a staggered hedge: a
+        request unanswered for :meth:`PeerHealthTracker.hedge_after
+        <repro.naming.peer_health.PeerHealthTracker.hedge_after>` of its
+        replica is also sent to the next one, and the first acceptable
+        reply wins -- so a fill never waits out the timeout of a
+        replica that went dark or gray too recently to be demoted.
+        Only this read hedges: it takes no lock and enlists nothing, so
+        a losing request leaves nothing behind at its server.  The
+        loser's late outcome still feeds the tracker (and a late
+        disclaimer the read-repairer), keeping demotion on schedule.
+        A dark or disclaiming replica's answer sends the next request
+        at once.  Without a tracker there is no hedge delay, and the
+        walk asks one replica at a time.
+
         The walk honors the ``spread`` read policy's rotation (lease
         refreshes of a hot arc must not all converge on its primary's
         queue) and reports to the attached read-repairer exactly like
@@ -510,37 +534,102 @@ class ReplicaIO:
             self._spread_cursor += 1
         view = self.router.view()
         uid_text = str(uid)
+        health = self.health
+        untried = view.read_order(uid, self.replication, rotation)
+        if health is not None:
+            untried = health.reorder(untried)
+        untried.reverse()  # popped from the end, in walk order
+        legs: list[_Leg] = []  # requests in flight, oldest first
         unknown_seen = False
-        order = view.read_order(uid, self.replication, rotation)
-        if self.health is not None:
-            order = self.health.reorder(order)
-        for node in order:
-            client = self.client_for(node)
-            started = (self.health.clock()
-                       if self.health is not None else 0.0)
-            try:
-                result = yield from client.read_entry_versioned(
-                    uid_text, ring_epoch=view.epoch)
-            except StaleRingEpoch:
-                return None  # the ring moved; authoritative path re-routes
-            except RpcError:
-                if self.health is not None:
-                    self.health.timeout(node)
+        send = True
+        while True:
+            if send and untried:
+                node = untried.pop()
+                legs.append(_Leg(
+                    node, health.clock() if health is not None else 0.0,
+                    self.client_for(node).read_entry_versioned(
+                        uid_text, ring_epoch=view.epoch)))
+            if not legs:
+                return None  # every replica dark or disclaiming
+            newest = legs[-1]
+            hedge = (health.hedge_after(newest.node)
+                     if health is not None and untried else None)
+            leg = yield from self._first_settled(legs, hedge)
+            if leg is None:  # the newest request outlived its hedge delay
+                self.metrics.counter("replica_io.hedged_reads").increment()
+                send = True
                 continue
-            if self.health is not None:
-                self.health.observe(node, self.health.clock() - started)
-            if result == "locked":
-                return None
+            legs.remove(leg)
+            self._feed_health(leg)
+            if leg.reply.failed:
+                if isinstance(leg.reply.exception(), StaleRingEpoch):
+                    self._settle_late(legs, uid, served=False)
+                    return None  # the ring moved; authoritative path re-routes
+                send = True  # dark: ask the next replica now
+                continue
+            result = leg.reply.result()
             if result == "unknown":
-                unknown_seen = True  # maybe stale-missing; try the next
+                unknown_seen = True  # maybe stale-missing; hedge on
+                send = True
                 continue
-            if self.router.fence_epoch != view.epoch:
-                return None  # the ring moved between dispatch and reply
+            if result == "locked" or self.router.fence_epoch != view.epoch:
+                # A live action holds the entry, or the ring moved
+                # between dispatch and reply.
+                self._settle_late(legs, uid, served=False)
+                return None
             self.metrics.counter("replica_io.versioned_reads").increment()
             if unknown_seen and self.repair is not None:
                 self.repair.note_stale(uid)
+            self._settle_late(legs, uid, served=True)
             return EntryCopy.from_wire(result), view.epoch
-        return None
+
+    def _first_settled(self, legs: list[_Leg], hedge: float | None,
+                       ) -> Generator[Any, Any, "_Leg | None"]:
+        """The first of ``legs`` whose reply settles, or ``None`` once
+        the newest has gone ``hedge`` seconds (from its send) without
+        one."""
+        for leg in legs:
+            if leg.reply.done:
+                return leg
+        wake = Future("read_versioned")
+        for leg in legs:
+            leg.reply.add_callback(wake.try_resolve)  # resolves with the reply
+        timer = None
+        if hedge is not None:
+            due = legs[-1].sent_at + hedge - self.health.clock()
+            timer = self.rpc.scheduler.schedule(max(due, 0.0),
+                                                wake.try_resolve)
+        try:
+            settled = yield wake
+        finally:
+            if timer is not None:
+                timer.cancel()
+        return next((leg for leg in legs if leg.reply is settled), None)
+
+    def _feed_health(self, leg: _Leg) -> None:
+        """Report one settled read to the tracker: its latency, or a
+        timeout (a fencing rejection says nothing about the peer)."""
+        if self.health is None:
+            return
+        if not leg.reply.failed:
+            self.health.observe(leg.node, self.health.clock() - leg.sent_at)
+        elif not isinstance(leg.reply.exception(), StaleRingEpoch):
+            self.health.timeout(leg.node)
+
+    def _settle_late(self, legs: list[_Leg], uid: Uid | str,
+                     served: bool) -> None:
+        """Keep listening to the requests a returned walk left in flight."""
+        for leg in legs:
+            leg.reply.add_callback(functools.partial(
+                self._late_reply, leg, uid, served))
+
+    def _late_reply(self, leg: _Leg, uid: Uid | str, served: bool,
+                    _reply: Future) -> None:
+        self._feed_health(leg)
+        if (served and self.repair is not None and not leg.reply.failed
+                and leg.reply.result() == "unknown"):
+            # A replica disclaiming an entry a peer served: stale-missing.
+            self.repair.note_stale(uid)
 
     # -- lease renewal: fenced version probes on the client plane ------------
 

@@ -146,6 +146,11 @@ class RpcAgent:
         return self._nic.name
 
     @property
+    def scheduler(self) -> Scheduler:
+        """The scheduler this agent's calls and timers run on."""
+        return self._scheduler
+
+    @property
     def up(self) -> bool:
         """Whether the owning node's interface is currently up."""
         return self._nic.up

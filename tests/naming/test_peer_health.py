@@ -3,6 +3,8 @@
 import pytest
 
 from repro.naming.peer_health import PeerHealthTracker
+from tests.naming.test_replica_io import (
+    fill, hedged, make_read_world, warm_tracker)
 
 
 class FakeClock:
@@ -111,3 +113,32 @@ def test_demotions_counter_counts_transitions_only():
     tracker.timeout("a")
     tracker.timeout("a")
     assert tracker.demotions == 1
+
+
+def test_hedge_after_waits_for_min_samples_then_scales_the_ewma():
+    tracker = make_tracker(min_samples=3, latency_factor=4.0, alpha=0.5)
+    for _ in range(2):
+        tracker.observe("a", 0.01)
+        assert tracker.hedge_after("a") is None
+    tracker.observe("a", 0.03)  # EWMA 0.01 + 0.5 * (0.03 - 0.01)
+    assert tracker.hedge_after("a") == pytest.approx(4.0 * 0.02)
+    assert tracker.hedge_after("never-seen") is None
+
+
+def test_two_lost_races_demote_a_dark_peer():
+    """A hedged read returns before the dark primary's request times
+    out; that late timeout still counts toward the streak, so after two
+    lost races reads skip the primary and pay no hedge delay."""
+    health = warm_tracker(timeout_threshold=2)
+    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    agents[order[0]]._nic.up = False
+    for _race in range(2):
+        result, _took = fill(s, io)
+        assert result is not None
+        assert not health.is_gray(order[0])  # its timeout is still due
+        s.run(until=s.now + 1.0)
+    assert health.is_gray(order[0])
+    result, took = fill(s, io)
+    assert result is not None
+    assert took == pytest.approx(0.02)  # straight to the replica: one RTT
+    assert hedged(io) == 2

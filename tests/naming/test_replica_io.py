@@ -8,15 +8,23 @@ maintenance daemon (resync, migration, repair) now shares:
 batching (round trips per node, not per entry), the local target a
 resync uses for its own database, and the rule that no copier lock
 ever spans the wire.
+
+The leased read plane's lock-free fill (``read_versioned``) is pinned
+here too: one request at a time without a health tracker, and with one
+a staggered hedge whose losing request still reports back.
 """
 
 from collections import Counter
+
+import pytest
 
 from repro.actions import AtomicAction
 from repro.actions.errors import LockRefused
 from repro.naming import GroupViewDatabase, ReplicaIO, ShardRouter
 from repro.naming.replica_io import versions_held
-from repro.naming.group_view_db import SYNC_SERVICE_NAME, diff_request
+from repro.naming.group_view_db import (
+    SERVICE_NAME, SYNC_SERVICE_NAME, diff_request)
+from repro.naming.peer_health import PeerHealthTracker
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
@@ -26,6 +34,11 @@ NODES = ("shard-a", "shard-b", "shard-c")
 
 
 def make_world():
+    s, _net, dbs, agents, router, io = build_world()
+    return s, dbs, agents, router, io
+
+
+def build_world():
     s = Scheduler()
     net = Network(s, FixedLatency(0.01))
     router = ShardRouter(list(NODES), replicas=8)
@@ -43,7 +56,7 @@ def make_world():
     agent = RpcAgent(s, nic_c, default_timeout=0.5,
                      demux=MessageDemux(nic_c))
     io = ReplicaIO(agent, router, replication=3)
-    return s, dbs, agents, router, io
+    return s, net, dbs, agents, router, io
 
 
 def run(s, gen):
@@ -293,3 +306,149 @@ def test_diff_many_lists_only_partitions_whose_digests_differ():
     # Only shard-b's sys:9 differs from what shard-a holds.
     assert probes == {"sys:9": {"shard-b": dbs["shard-b"].entry_versions(
         "sys:9")}}
+
+
+# -- the leased read plane: read_versioned -----------------------------------
+
+RTT = 0.02  # FixedLatency(0.01) each way
+TIMEOUT = 0.5  # the client agent's rpc timeout
+
+
+class NoteStale:
+    """Stands in for the ReadRepairer: records stale-missing evidence."""
+
+    def __init__(self):
+        self.noted = []
+
+    def note_stale(self, uid):
+        self.noted.append(uid)
+
+
+def make_read_world(health=None):
+    """Three replicas serving the client service; ``order`` is UID's
+    read order, primary first."""
+    s, net, dbs, agents, router, sync_io = build_world()
+    for name in NODES:
+        agents[name].register(SERVICE_NAME, dbs[name])
+    if health is not None:
+        health.clock = lambda: s.now
+    repair = NoteStale()
+    io = ReplicaIO(sync_io.rpc, router, replication=3, health=health,
+                   repair=repair)
+    order = router.view().read_order(UID, 3)
+    return s, net, dbs, agents, io, order, repair
+
+
+def warm_tracker(**kwargs):
+    """A tracker whose every replica has ``min_samples`` RTT samples:
+    its hedge delay is ``latency_factor`` x RTT (0.08 here)."""
+    health = PeerHealthTracker(lambda: 0.0, **kwargs)
+    for _ in range(health.min_samples):
+        for name in NODES:
+            health.observe(name, RTT)
+    return health
+
+
+def hedged(io):
+    return io.metrics.counter("replica_io.hedged_reads").value
+
+
+def fill(s, io):
+    """One cache fill; returns (result, when it returned)."""
+    started = s.now
+    result = run(s, io.read_versioned(UID))
+    return result, s.now - started
+
+
+def test_a_dark_primary_costs_the_hedge_delay_not_the_timeout():
+    health = warm_tracker()
+    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    agents[order[0]]._nic.up = False
+    result, took = fill(s, io)
+    assert result is not None
+    assert took == pytest.approx(4 * RTT + RTT)  # hedge delay + one RTT
+    assert took < TIMEOUT
+    assert hedged(io) == 1
+
+
+def test_a_gray_primary_loses_the_race_to_the_replica(rpc_log):
+    health = warm_tracker()
+    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    bump_st(dbs[order[1]])  # tell the replica's copy apart
+    net.degrade(order[0], factor=10.0)  # answers, in 10 RTTs
+    (copy, _epoch), took = fill(s, io)
+    assert counts(copy.versions) == (1, 2)  # the replica's answer
+    assert took == pytest.approx(5 * RTT)
+    assert [target for _c, target, _s, _m, _at in rpc_log] == order[:2]
+    # The loser's reply still lands, as a latency sample.
+    before = health.hedge_after(order[0])
+    s.run(until=s.now + 1.0)
+    assert health.hedge_after(order[0]) > before
+
+
+def test_a_locked_first_reply_falls_back_to_the_locking_read():
+    health = warm_tracker()
+    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    writer = AtomicAction()  # a live action holds the primary's entry
+    dbs[order[0]].increment(writer.id.path, "binder", str(UID), ["h1"])
+    result, took = fill(s, io)
+    assert result is None
+    assert took == pytest.approx(RTT)
+    assert hedged(io) == 0
+
+
+def test_a_disclaiming_primary_hands_over_and_notes_the_stale_replica():
+    health = warm_tracker()
+    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    dbs[order[0]].forget_entry(str(UID))
+    result, took = fill(s, io)
+    assert result is not None
+    assert took == pytest.approx(2 * RTT)  # the next request went at once
+    assert repair.noted == [UID]
+    assert hedged(io) == 0
+
+
+def test_a_late_disclaimer_from_the_loser_still_notes_the_stale_replica():
+    health = warm_tracker()
+    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    dbs[order[0]].forget_entry(str(UID))
+    net.degrade(order[0], factor=10.0)
+    result, _took = fill(s, io)
+    assert result is not None
+    assert repair.noted == []  # the primary has not answered yet
+    s.run(until=s.now + 1.0)
+    assert repair.noted == [UID]
+
+
+def test_a_cold_tracker_does_not_hedge(rpc_log):
+    health = PeerHealthTracker(lambda: 0.0)  # no samples yet
+    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    agents[order[0]]._nic.up = False
+    result, took = fill(s, io)
+    assert result is not None
+    assert took == pytest.approx(TIMEOUT + RTT)  # today's wait
+    assert [(target, at) for _c, target, _s, _m, at in rpc_log] == [
+        (order[0], 0.0), (order[1], pytest.approx(TIMEOUT))]
+    assert hedged(io) == 0
+
+
+def test_without_a_tracker_the_walk_asks_one_replica_at_a_time(rpc_log):
+    """No tracker, no hedge: each request goes out only once the one
+    before it has failed -- the RPC sequence every deployment without
+    peer health has always sent."""
+    s, net, dbs, agents, io, order, repair = make_read_world()
+    agents[order[0]]._nic.up = False
+    agents[order[1]]._nic.up = False
+    dbs[order[2]].forget_entry(str(UID))
+    result, took = fill(s, io)
+    assert result is None  # two dark replicas and a disclaimer
+    assert [(service, method, target, at)
+            for _c, target, service, method, at in rpc_log] == [
+        (SERVICE_NAME, "read_entry_versioned", order[0], 0.0),
+        (SERVICE_NAME, "read_entry_versioned", order[1],
+         pytest.approx(TIMEOUT)),
+        (SERVICE_NAME, "read_entry_versioned", order[2],
+         pytest.approx(2 * TIMEOUT))]
+    assert took == pytest.approx(2 * TIMEOUT + RTT)
+    assert repair.noted == []
+    assert hedged(io) == 0
