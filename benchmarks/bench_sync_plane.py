@@ -1,7 +1,7 @@
 """S4 -- the two-plane network and the weighted partition ring.
 
 Replica maintenance -- resync after a crash, the anti-entropy sweep,
-migration copy passes, read repair -- is background work, but on a
+migration copy passes -- is background work, but on a
 single NIC it queues in the *same* single-server queues as client
 binding requests: a recovering host's full-arc resync is a latency
 storm every client feels.  ``dedicated_sync_nic`` gives every shard

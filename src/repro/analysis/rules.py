@@ -401,7 +401,7 @@ class FenceRequiredRule(Rule):
     ``register()`` of a ``group_view_db*`` service on the client plane
     must pass a non-None ``fence=``.  The sync side door
     (``group_view_db_sync``, or any registration on a ``sync_rpc``
-    agent) is exempt by design: resync/migration/repair must reach
+    agent) is exempt by design: resync and migration must reach
     hosts the live ring does not own.
     """
 
@@ -555,12 +555,11 @@ def _self_attr_default(module: ModuleSource, site: ast.AST, attr: str,
 class SyncPlaneRule(Rule):
     """Maintenance traffic stays on the sync plane.
 
-    PR 6 split every shard host's network into a client NIC and a
-    dedicated ``.sync`` NIC precisely so resync, anti-entropy,
-    migration copies, and read repair never queue behind client
-    requests -- and PR 3 before it split the *service* plane so
-    simultaneously-recovering hosts cannot deadlock on each other's
-    serving gates.  Inside the maintenance modules, a direct
+    Every shard host's network is split into a client NIC and a
+    dedicated ``.sync`` NIC precisely so resync, anti-entropy and
+    migration copies never queue behind client requests -- and the
+    *service* plane is split too, so simultaneously-recovering hosts
+    cannot deadlock on each other's serving gates.  Inside the maintenance modules, a direct
     ``...rpc.call(...)`` or a ``client_for(...)`` client acquisition
     addresses the gated, fenced client plane: it deadlocks against
     recovery gates and steals client service time.  Use
@@ -573,7 +572,6 @@ class SyncPlaneRule(Rule):
                    "never the client agent")
     include = (
         "src/repro/naming/shard_resync.py",
-        "src/repro/naming/read_repair.py",
         "src/repro/naming/reshard.py",
     )
 

@@ -21,7 +21,7 @@ knowledge are gone, exactly as the paper's failure assumptions dictate
 (its own single-server queue, its own service time) on the network's
 one latency model -- the simulated equivalent of Swift's dedicated
 replication network.  Maintenance traffic (resync, anti-entropy,
-migration copies, read repair) routed at ``node.sync_rpc`` /
+migration copies) routed at ``node.sync_rpc`` /
 ``"<host>.sync"`` then never queues behind client requests.  Without the
 config, ``sync_rpc`` is an alias for the primary agent, so callers can
 address the sync plane unconditionally and get shared-NIC behaviour.

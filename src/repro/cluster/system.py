@@ -43,7 +43,6 @@ from repro.naming.group_view_db import GroupViewDatabase
 from repro.naming.nonatomic import NonAtomicNameServer
 from repro.naming.object_server_db import ObjectServerDatabase
 from repro.naming.peer_health import PeerHealthTracker
-from repro.naming.read_repair import ReadRepairer
 from repro.naming.reshard import ReshardManager, ShardAutoscaler
 from repro.naming.shard_resync import ShardResyncManager
 from repro.naming.shard_router import ShardRouter
@@ -125,7 +124,7 @@ class SystemConfig:
     shard_antientropy_interval: float | None = 10.0  # None disables the sweep
     # The two-plane network: give every shard host a second NIC
     # (``<name>.sync``) and route all replica-maintenance traffic
-    # (resync, anti-entropy, migration copies, read repair) over it so
+    # (resync, anti-entropy, migration copies) over it so
     # sync storms never queue behind client requests.  A plane is a
     # second NIC name and a second RPC agent with its own service
     # queue, on the network's one latency model.
@@ -320,7 +319,7 @@ class DistributedSystem:
             partition_of=self.shard_router.partition_of)
         # The client-facing service is epoch-fenced against the shared
         # router (re-armed by the boot hook on every recovery); the
-        # sync plane stays open for resync/migration/repair traffic.
+        # sync plane stays open for resync and migration traffic.
         router = self.shard_router
         self._shard_name_hosts[name] = NameShardHost.install_on(
             node, db, fence=lambda: router.fence_epoch)
@@ -376,18 +375,11 @@ class DistributedSystem:
         """The naming client a client-side component on ``node`` uses.
 
         One client for every deployment, routing by ``_client_route``.
-        Read repair, gray-failure detection, the leased cache and its
-        coherence plane exist only where the config's ring asks for
-        them; so does the read-latency histogram (``clock``).
+        Gray-failure detection, the leased cache and its coherence
+        plane exist only where the config's ring asks for them; so does
+        the read-latency histogram (``clock``).
         """
         replication = self.config.nameserver_replication
-        repair = None
-        if replication > 1:
-            repair = ReadRepairer(
-                self.scheduler, node.rpc, self._client_route, replication,
-                spawn=node.spawn,
-                sync_suffix=self.sync_suffix,
-                metrics=self.metrics)
         cache = None
         if self.config.nameserver_lease is not None:
             # Per-client leased cache: lease expiry runs on the
@@ -427,7 +419,7 @@ class DistributedSystem:
         return ShardedGroupViewDbClient(
             node.rpc, self._client_route, replication=replication,
             read_policy=self.config.nameserver_read_policy,
-            repair=repair, cache=cache,
+            cache=cache,
             clock=((lambda: self.scheduler.now)
                    if self.shard_router is not None else None),
             sync_suffix=self.sync_suffix,
@@ -657,9 +649,9 @@ class DistributedSystem:
     def sync_suffix(self) -> str:
         """NIC suffix client-side sync engines use to reach shard hosts.
 
-        Non-empty only when the cluster runs two planes: repair and
-        migration traffic originated *off* the shard hosts must still
-        land on the shard hosts' replication NICs.
+        Non-empty only when the cluster runs two planes: coherence
+        registrations originated *off* the shard hosts must still land
+        on the shard hosts' replication NICs.
         """
         return SYNC_NIC_SUFFIX if self.config.dedicated_sync_nic else ""
 

@@ -41,8 +41,8 @@ replicated over its ring arc's preference list and
 :mod:`~repro.naming.shard_resync` catches recovered shard hosts up
 from their replica peers.  :mod:`~repro.naming.reshard` makes the ring
 *elastic* -- membership changes migrate live under dual-ownership
-routing -- and :mod:`~repro.naming.read_repair` closes residual
-staleness windows at read time.  :mod:`~repro.naming.entry_cache` is
+routing; shard resync's anti-entropy sweep levels any replica a
+write skipped while it was serving.  :mod:`~repro.naming.entry_cache` is
 the *leased read plane*: per-client snapshots of hot entries served
 RPC- and lock-free while their lease TTL and the ring's fence epoch
 hold -- the paper's "act on possibly out-of-date information, detect
@@ -65,7 +65,6 @@ from repro.naming.binding import (
 from repro.naming.cleanup import UseListCleaner
 from repro.naming.entry_cache import EntryCache
 from repro.naming.nonatomic import NonAtomicNameServer
-from repro.naming.read_repair import ReadRepairer
 from repro.naming.replica_io import EntryCopy, ReplicaIO
 from repro.naming.reshard import (
     ReshardAborted,
@@ -95,7 +94,6 @@ __all__ = [
     "ObjectStateDatabase",
     "EntryCache",
     "EntryCopy",
-    "ReadRepairer",
     "ReplicaIO",
     "ReshardAborted",
     "ReshardError",

@@ -274,7 +274,7 @@ class IndependentTopLevelBinding(BindingScheme):
             # process (node crash mid-bind) must release what it can
             # before the kill propagates.  A LockRefused from one
             # replica of a fan-out write is routine under replication
-            # (a resync, read-repair, or arc-migration copy holds the
+            # (a resync, anti-entropy, or arc-migration copy holds the
             # entry for an instant).
             yield from abort_on_failure(first)
             if isinstance(exc, RpcError):

@@ -2,11 +2,11 @@
 
 The paper's central trick is that clients may act on *possibly
 out-of-date* naming information as long as staleness is detected and
-repaired at use time.  PRs 1-4 kept the detection machinery (per-entry
-write versions, epoch fencing, read-repair) but the hot lookup path
-still paid a full RPC plus read locks for every ``GetServer`` -- even
-for red-hot bindings that had not changed in thousands of simulated
-seconds.  :class:`EntryCache` is the missing piece: a per-client LRU of
+repaired at use time.  The sharded ring has the detection machinery
+(per-entry write versions, epoch fencing), but without a cache the
+hot lookup path pays a full RPC plus read locks for every
+``GetServer`` -- even for red-hot bindings that have not changed in
+thousands of simulated seconds.  :class:`EntryCache` is the missing piece: a per-client LRU of
 committed entry snapshots, each held under a *lease*, so the hot path
 is usually RPC-free and always lock-free.
 

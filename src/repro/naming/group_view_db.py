@@ -26,7 +26,7 @@ plane* and the batched replica-maintenance protocol on the sync
 service: :meth:`read_entry_versioned` (a committed snapshot plus write
 versions under probe locks that never span the wire, no 2PC
 enlistment), the partition-digest comparison :meth:`diff_partitions`
-that anti-entropy, resync, migration and read-repair enumerate by, and
+that anti-entropy, resync and migration enumerate by, and
 the coalesced :meth:`read_entry_versioned_many` round trip every copier
 batches its snapshot reads into.
 A write version is ``(count, digest)`` per half (see
@@ -53,8 +53,8 @@ from repro.storage.uid import Uid
 SERVICE_NAME = "group_view_db"
 
 # The replica-internal side door: shard hosts serve the same database
-# under this second name for resync, anti-entropy, arc migration, and
-# read-repair.  Recovery gating (pulling a stale host out of the
+# under this second name for resync, anti-entropy and arc migration.
+# Recovery gating (pulling a stale host out of the
 # *client* serving path until it has caught up) unregisters only
 # SERVICE_NAME; the sync service stays up whenever the node is up, so
 # any set of simultaneously-recovering replicas can still copy from
@@ -417,7 +417,7 @@ class GroupViewDatabase:
         changed |= self.state_db.install_entry(uid, list(st_hosts),
                                                st_version)
         if changed and self.coherence is not None:
-            # A maintenance install (resync, migration, read-repair)
+            # A maintenance install (resync, anti-entropy, migration)
             # moved our committed state forward: registered lessees
             # must hear about it like any committed write.
             self.coherence.note_committed([uid_text])
@@ -433,8 +433,8 @@ class GroupViewDatabase:
         Both halves are try-locked under a fresh probe action before
         the install: a refusal means a live local action is mid-flight
         on the entry (its undo closures must not be clobbered), and the
-        caller -- shard resync, the arc-migration pipeline, read-repair
-        -- retries later.  Returns ``None`` when locked, otherwise
+        caller -- shard resync or the arc-migration pipeline -- retries
+        later.  Returns ``None`` when locked, otherwise
         whether the (version-gated) install changed anything.
         """
         uid = Uid.parse(uid_text)

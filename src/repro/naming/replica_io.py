@@ -1,11 +1,11 @@
 """The replica data-plane engine for the sharded name service.
 
-PRs 1-3 grew four consumers of the same replica protocol -- the
-sharded client's fan-out writes and failover reads, the shard-resync
-daemon's catch-up copies, the online-reshard arc migration, and
-read-repair -- each carrying its own copy of the fan-out / failover /
-probe-and-install loops.  :class:`ReplicaIO` is the single engine they
-all call now, split along the two planes the protocol actually has:
+Three consumers share one replica protocol -- the sharded client's
+fan-out writes and failover reads, the shard-resync daemon's catch-up
+copies, and the online-reshard arc migration.  :class:`ReplicaIO` is
+the single engine they all call instead of each carrying its own
+fan-out / failover / probe-and-install loops, split along the two
+planes the protocol actually has:
 
 **Client plane** (action-scoped, epoch-fenced).  Every operation
 captures one :class:`~repro.naming.shard_router.RingView` and tags its
@@ -15,8 +15,7 @@ RPCs with the view's fence token:
   the view's write set, enlisting each *reached* shard as its own
   late 2PC participant of the calling action (``call_reached``);
 - :meth:`read` serves from the first live replica of the view's read
-  order, failing over past dark or disclaiming replicas and reporting
-  observed staleness to the attached read-repairer;
+  order, failing over past dark or disclaiming replicas;
 - :meth:`exclude` is the multi-UID fan-out write.
 
 All three are one walk.  Where the view gives an entry a single home
@@ -34,15 +33,14 @@ a write routed by a pre-transition view either executed before the
 staging or is rejected and re-routed through the dual-ownership union;
 there is no in-between window for it to land on the wrong owners.
 
-**Sync plane** (replica maintenance, unfenced).  Resync, migration,
-and repair keep replicas convergent *across* epochs -- their traffic
-must flow even to hosts the live ring does not own yet (incoming
-owners mid-copy) or no longer owns (sources being drained), so it is
-deliberately not fenced; per-entry write versions carry correctness
-instead.  A version is ``(count, digest)`` per half, so it names the
-content: replicas at equal versions hold equal entries, and of two
-equal-count copies the greater digest is ahead.  One engine levels
-replicas, whoever asks:
+**Sync plane** (replica maintenance, unfenced).  Resync and migration
+keep replicas convergent *across* epochs -- their traffic must flow
+even to hosts the live ring does not own yet (incoming owners mid-copy)
+or no longer owns (sources being drained), so it is deliberately not
+fenced; per-entry write versions carry correctness instead.  A version
+is ``(count, digest)`` per half, so it names the content: replicas at
+equal versions hold equal entries, and of two equal-count copies the
+greater digest is ahead.  One engine levels replicas, whoever asks:
 
 - :meth:`diff_many` -- the comparison: one ``diff_partitions`` round
   trip per node carries the caller's partition digests, and the node
@@ -52,21 +50,21 @@ replicas, whoever asks:
   target replicas: one ``read_entry_versioned_many`` per fresher
   source (each snapshot taken under server-local probe locks that live
   and die inside the dispatch) and a lock-guarded, version-gated
-  ``guarded_install_entry`` per lagging target.  The version order is
+  ``guarded_install_entry`` per lagging target, all of one source's
+  installs sent before any reply is awaited.  The version order is
   the whole winner rule, so pull and push settle a divergence on the
   same copy in the same single phase.
 
-Shard resync and anti-entropy, read-repair, and the reshard migration
-are *triggers* over that engine: each decides when to run, which
-entries, and which replicas are sources and targets.  A target may be
-the caller's own database (a resync pulling into the host it runs on):
+Shard resync, its anti-entropy sweep, and the reshard migration are
+*triggers* over that engine: each decides when to run, which entries,
+and which replicas are sources and targets.  A target may be the
+caller's own database (a resync pulling into the host it runs on):
 named in ``local``, it is read and installed by direct call, never
 over the wire.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any, Generator, Iterable, Mapping, NamedTuple
 
@@ -167,7 +165,6 @@ class ReplicaIO:
                  service: str = SERVICE_NAME,
                  sync_service: str = SYNC_SERVICE_NAME,
                  read_policy: str = "primary",
-                 repair: Any | None = None,
                  max_stale_retries: int = DEFAULT_STALE_RETRIES,
                  sync_rpc: RpcAgent | None = None,
                  sync_suffix: str = "",
@@ -194,7 +191,6 @@ class ReplicaIO:
         self.sync_rpc = sync_rpc if sync_rpc is not None else rpc
         self.sync_suffix = sync_suffix
         self.read_policy = read_policy
-        self.repair = repair  # a ReadRepairer, or None
         # A PeerHealthTracker, or None: when attached, every read
         # attempt feeds it (latency on success, timeouts on failure)
         # and the failover walk demotes gray peers to the back of the
@@ -243,7 +239,7 @@ class ReplicaIO:
 
     # -- the client plane: fenced, action-scoped operations ------------------
 
-    def _note_stale(self) -> None:
+    def _count_stale_ring(self) -> None:
         self.stale_retries += 1
         self.metrics.counter("replica_io.stale_ring_retries").increment()
 
@@ -283,7 +279,7 @@ class ReplicaIO:
         replica (one that missed the define via a disowned stray
         write): it is only the verdict when no replica accepts; a
         replica claiming ignorance while a peer applies the write is
-        skipped like a crashed one (enlisted for lock cleanup, repaired
+        skipped like a crashed one (enlisted for lock cleanup, levelled
         by the next anti-entropy sweep).  RPC failures skip the
         replica; only a fully-unreachable replica set fails the write.
         A fencing rejection refreshes the view and retries the replicas
@@ -310,7 +306,7 @@ class ReplicaIO:
                     reached = True
                     applied.add(node)
                 except StaleRingEpoch as exc:
-                    self._note_stale()
+                    self._count_stale_ring()
                     stale = exc
                     break  # re-route the rest through a fresh view
                 except RpcError as exc:
@@ -327,10 +323,6 @@ class ReplicaIO:
                 break
         if stale is not None:
             raise stale
-        if reached and unknown is not None and self.repair is not None:
-            # A replica disclaimed an entry its peers accept: it is
-            # stale-missing; queue a lock-guarded re-seed.
-            self.repair.note_stale(uid)
         if not reached:
             # An unreachable replica may well hold the entry, so its
             # silence outranks a reachable peer's ignorance: report the
@@ -384,7 +376,7 @@ class ReplicaIO:
                                              ring_epoch=view.epoch,
                                              view_action=view_action)
                 except StaleRingEpoch as exc:
-                    self._note_stale()
+                    self._count_stale_ring()
                     stale = exc
                     break
                 except RpcError as exc:
@@ -401,11 +393,6 @@ class ReplicaIO:
                     continue
                 if self.health is not None:
                     self.health.observe(node, self.health.clock() - started)
-                if unknown is not None and self.repair is not None:
-                    # We stepped past a replica disclaiming the entry
-                    # -- on this walk or one a fence retry restarted:
-                    # it is stale-missing; queue a lock-guarded re-seed.
-                    self.repair.note_stale(uid)
                 return result
             if stale is None:
                 break
@@ -456,7 +443,7 @@ class ReplicaIO:
                     yield from call(action, "exclude", wire,
                                     ring_epoch=view.epoch)
                 except StaleRingEpoch as exc:
-                    self._note_stale()
+                    self._count_stale_ring()
                     stale = exc
                     break
                 except RpcError as exc:
@@ -516,17 +503,14 @@ class ReplicaIO:
         replica that went dark or gray too recently to be demoted.
         Only this read hedges: it takes no lock and enlists nothing, so
         a losing request leaves nothing behind at its server.  The
-        loser's late outcome still feeds the tracker (and a late
-        disclaimer the read-repairer), keeping demotion on schedule.
-        A dark or disclaiming replica's answer sends the next request
-        at once.  Without a tracker there is no hedge delay, and the
-        walk asks one replica at a time.
+        loser's late outcome still feeds the tracker, keeping demotion
+        on schedule.  A dark or disclaiming replica's answer sends the
+        next request at once.  Without a tracker there is no hedge
+        delay, and the walk asks one replica at a time.
 
         The walk honors the ``spread`` read policy's rotation (lease
         refreshes of a hot arc must not all converge on its primary's
-        queue) and reports to the attached read-repairer exactly like
-        the authoritative read: a disclaiming replica stepped past is
-        stale-missing evidence, a served read is a routine observation.
+        queue) exactly like the authoritative read.
         """
         rotation = 0
         if self.read_policy == "spread":
@@ -540,7 +524,6 @@ class ReplicaIO:
             untried = health.reorder(untried)
         untried.reverse()  # popped from the end, in walk order
         legs: list[_Leg] = []  # requests in flight, oldest first
-        unknown_seen = False
         send = True
         while True:
             if send and untried:
@@ -563,24 +546,21 @@ class ReplicaIO:
             self._feed_health(leg)
             if leg.reply.failed:
                 if isinstance(leg.reply.exception(), StaleRingEpoch):
-                    self._settle_late(legs, uid, served=False)
+                    self._settle_late(legs)
                     return None  # the ring moved; authoritative path re-routes
                 send = True  # dark: ask the next replica now
                 continue
             result = leg.reply.result()
             if result == "unknown":
-                unknown_seen = True  # maybe stale-missing; hedge on
-                send = True
+                send = True  # maybe stale-missing; ask the next replica
                 continue
             if result == "locked" or self.router.fence_epoch != view.epoch:
                 # A live action holds the entry, or the ring moved
                 # between dispatch and reply.
-                self._settle_late(legs, uid, served=False)
+                self._settle_late(legs)
                 return None
             self.metrics.counter("replica_io.versioned_reads").increment()
-            if unknown_seen and self.repair is not None:
-                self.repair.note_stale(uid)
-            self._settle_late(legs, uid, served=True)
+            self._settle_late(legs)
             return EntryCopy.from_wire(result), view.epoch
 
     def _first_settled(self, legs: list[_Leg], hedge: float | None,
@@ -616,20 +596,12 @@ class ReplicaIO:
         elif not isinstance(leg.reply.exception(), StaleRingEpoch):
             self.health.timeout(leg.node)
 
-    def _settle_late(self, legs: list[_Leg], uid: Uid | str,
-                     served: bool) -> None:
-        """Keep listening to the requests a returned walk left in flight."""
+    def _settle_late(self, legs: list[_Leg]) -> None:
+        """Keep feeding the tracker the requests a returned walk left
+        in flight."""
         for leg in legs:
-            leg.reply.add_callback(functools.partial(
-                self._late_reply, leg, uid, served))
-
-    def _late_reply(self, leg: _Leg, uid: Uid | str, served: bool,
-                    _reply: Future) -> None:
-        self._feed_health(leg)
-        if (served and self.repair is not None and not leg.reply.failed
-                and leg.reply.result() == "unknown"):
-            # A replica disclaiming an entry a peer served: stale-missing.
-            self.repair.note_stale(uid)
+            leg.reply.add_callback(
+                lambda _reply, leg=leg: self._feed_health(leg))
 
     # -- lease renewal: fenced version probes on the client plane ------------
 
@@ -662,20 +634,29 @@ class ReplicaIO:
 
     # -- the sync plane: unfenced replica-maintenance protocol ---------------
 
-    def _sync_call(self, local: Mapping[str, Any], node: str, method: str,
-                   *args: Any) -> Generator[Any, Any, Any]:
-        """One maintenance call on ``node``'s database.
+    def _sync_send(self, local: Mapping[str, Any], node: str, method: str,
+                   *args: Any) -> Any:
+        """Start one maintenance call on ``node``'s database.
 
-        A direct call when the database is the caller's own (named in
-        ``local``), otherwise an RPC over the sync plane -- the seam
-        that lets one engine serve pull (resync into the local
-        database) and push (repair, migration) alike.
+        A direct call, returning its result, when the database is the
+        caller's own (named in ``local``); otherwise an RPC over the
+        sync plane, returning its future -- the seam that lets one
+        engine serve pull (resync into the local database) and push
+        (migration) alike.
         """
         db = local.get(node)
         if db is not None:
             return getattr(db, method)(*args)
-        return (yield self.sync_rpc.call(self.sync_target(node),
-                                         self.sync_service, method, *args))
+        return self.sync_rpc.call(self.sync_target(node), self.sync_service,
+                                  method, *args)
+
+    def _sync_call(self, local: Mapping[str, Any], node: str, method: str,
+                   *args: Any) -> Generator[Any, Any, Any]:
+        """One maintenance call on ``node``'s database, awaited."""
+        reply = self._sync_send(local, node, method, *args)
+        if isinstance(reply, Future):
+            reply = yield reply
+        return reply
 
     def diff_many(self, requests_by_node: Mapping[str, list[int]],
                   ) -> Generator[Any, Any,
@@ -727,20 +708,30 @@ class ReplicaIO:
                            else EntryCopy.from_wire(result))
                 for uid_text, result in zip(uid_texts, results)}
 
-    def _install(self, local: Mapping[str, Any], target: str, uid_text: str,
-                 copy: EntryCopy) -> Generator[Any, Any, "bool | None"]:
-        """Land one snapshot through ``target``'s lock-guarded install.
+    def _install_many(self, local: Mapping[str, Any],
+                      installs: list[tuple[str, str, EntryCopy]],
+                      ) -> Generator[Any, Any, "list[bool | None]"]:
+        """Land snapshots through their targets' lock-guarded installs.
 
-        Returns ``True`` installed, ``False`` already fresh, ``None``
-        when a live action there holds the entry or the target went
-        dark.
+        ``installs`` lists ``(target, uid, copy)``.  Every request is
+        sent before any reply is awaited, so a batch costs one round
+        trip, not one per install.  Returns, per install, ``True``
+        installed, ``False`` already fresh, ``None`` when a live action
+        there holds the entry or the target went dark.
         """
-        try:
-            return (yield from self._sync_call(
-                local, target, "guarded_install_entry", uid_text,
-                copy.hosts, copy.uses, copy.view, copy.versions))
-        except RpcError:
-            return None
+        sent = [self._sync_send(local, target, "guarded_install_entry",
+                                uid_text, copy.hosts, copy.uses, copy.view,
+                                copy.versions)
+                for target, uid_text, copy in installs]
+        landed: list[bool | None] = []
+        for reply in sent:
+            if isinstance(reply, Future):
+                try:
+                    reply = yield reply
+                except RpcError:
+                    reply = None
+            landed.append(reply)
+        return landed
 
     def converge_entry(self, uid_text: str, sources: Probes, targets: Probes,
                        local: Mapping[str, Any] | None = None,
@@ -821,6 +812,7 @@ class ReplicaIO:
             if copies is None:
                 deferred.update(wanted)  # a known-fresher source went dark
                 continue
+            installs = []
             for uid_text, names in wanted.items():
                 copy = copies[uid_text]
                 if copy == "locked":
@@ -830,23 +822,23 @@ class ReplicaIO:
                     # Aborted define, or only the peers hold it.
                     disclaimed[uid_text] = disclaimed.get(uid_text, 0) + 1
                     continue
-                for name in names:
-                    landed = yield from self._install(local, name, uid_text,
-                                                      copy)
-                    if landed is None:
-                        deferred.add(uid_text)
-                        continue
-                    held = known[uid_text][name]
-                    if landed:
-                        installed[uid_text] += 1
+                installs.extend((name, uid_text, copy) for name in names)
+            landed_all = yield from self._install_many(local, installs)
+            for (name, uid_text, copy), landed in zip(installs, landed_all):
+                if landed is None:
+                    deferred.add(uid_text)
+                    continue
+                held = known[uid_text][name]
+                if landed:
+                    installed[uid_text] += 1
+                    self.metrics.counter(
+                        "replica_io.entries_installed").increment()
+                    if _diverged(held, copy.versions):
+                        repaired[uid_text] += 1
                         self.metrics.counter(
-                            "replica_io.entries_installed").increment()
-                        if _diverged(held, copy.versions):
-                            repaired[uid_text] += 1
-                            self.metrics.counter(
-                                "replica_io.divergence_repairs").increment()
-                    known[uid_text][name] = (max(held[0], copy.versions[0]),
-                                             max(held[1], copy.versions[1]))
+                            "replica_io.divergence_repairs").increment()
+                known[uid_text][name] = (max(held[0], copy.versions[0]),
+                                         max(held[1], copy.versions[1]))
 
         results: dict[str, Converged] = {}
         for uid_text, (sources, targets) in entries.items():

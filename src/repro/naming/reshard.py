@@ -38,7 +38,9 @@ One membership change is one **migration epoch**:
    the incoming owner's lock-guarded, version-gated
    ``guarded_install_entry`` -- the very engine
    :class:`~repro.naming.shard_resync.ShardResyncManager` pulls with.
-   Once an
+   A batch retries just its deferred entries (most often one a live
+   write has locked), up to :data:`COPY_RETRIES` times, before the
+   whole pass defers.  Once an
    entry is seeded, dual-ownership writes keep it current, so each
    arc needs exactly one *confirmation*: a pass that probes its
    incoming owners (lock-free) at-or-ahead of every reachable source.
@@ -81,7 +83,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 
 from repro.naming.coherence import COHERENCE_SERVICE_NAME
 from repro.naming.errors import NamingError
-from repro.naming.group_view_db import SYNC_SERVICE_NAME, diff_request
+from repro.naming.group_view_db import diff_request
 from repro.naming.replica_io import ReplicaIO, versions_held
 from repro.naming.shard_router import RingTransition, ShardRouter
 from repro.net.errors import RpcError
@@ -108,14 +110,23 @@ class ReshardAborted(ReshardError):
 # pauses, and the pause.
 COPY_BATCH = 8
 COPY_PAUSE = 0.02
+# How many times a copy batch retries its deferred entries, COPY_PAUSE
+# apart, before the pass defers.  A write-hot entry is locked by a
+# dual-ownership write for one commit at a time; a short pause usually
+# outlasts it, where deferring costs the whole pass a retry_interval
+# and a fresh listing of every moving partition.
+COPY_RETRIES = 2
 
 
 class ReshardManager:
     """Plans and drains live shard-ring membership changes."""
 
+    # The sleep after a deferred pass, and the pass budget of one
+    # epoch (and of its GC).
+    retry_interval = 0.25
+    max_rounds = 400
+
     def __init__(self, node: "Node", router: ShardRouter, replication: int,
-                 service: str = SYNC_SERVICE_NAME,
-                 retry_interval: float = 0.25, max_rounds: int = 400,
                  handover_coherence: bool = False,
                  metrics: MetricsRegistry | None = None) -> None:
         if replication < 1:
@@ -123,9 +134,6 @@ class ReshardManager:
         self.node = node
         self.router = router
         self.replication = replication
-        self.service = service
-        self.retry_interval = retry_interval
-        self.max_rounds = max_rounds
         self.handover_coherence = handover_coherence
         self.metrics = metrics or MetricsRegistry()
         self.epochs_completed = 0
@@ -142,7 +150,6 @@ class ReshardManager:
         # migration traffic must reach incoming owners the live ring
         # does not own yet.
         self.io = ReplicaIO(node.rpc, router, replication,
-                            sync_service=service,
                             sync_rpc=node.sync_rpc,
                             sync_suffix=node.sync_suffix,
                             metrics=self.metrics)
@@ -437,9 +444,20 @@ class ReshardManager:
                     versions_held(owner_probes, uid_text, old_plist),
                     versions_held(mover_probes, uid_text, movers))
             results = yield from self.io.converge(entries)
-            copied = 0
+            copied = sum(result.installed for result in results.values())
+            for _ in range(COPY_RETRIES):
+                retry = {uid_text: entries[uid_text]
+                         for uid_text, result in results.items()
+                         if result.outcome == "deferred"}
+                if not retry:
+                    break
+                # A lock held by a live write, most likely: give it one
+                # pause to commit rather than deferring the whole pass.
+                yield Timeout(COPY_PAUSE)
+                retried = yield from self.io.converge(retry)
+                copied += sum(result.installed for result in retried.values())
+                results.update(retried)
             for uid_text, result in results.items():
-                copied += result.installed
                 if result.outcome in ("clean", "unknown"):
                     # Clean: every incoming owner probed current and
                     # (being seeded) rides every dual-ownership write
@@ -532,7 +550,7 @@ class ReshardManager:
                 for host in held[uid_text]:
                     try:
                         removed = yield self.io.sync_rpc.call(
-                            self.io.sync_target(host), self.service,
+                            self.io.sync_target(host), self.io.sync_service,
                             "forget_entry", uid_text)
                     except RpcError:
                         deferred = True

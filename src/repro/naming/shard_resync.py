@@ -73,7 +73,6 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.naming.group_view_db import (
     SERVICE_NAME,
-    SYNC_SERVICE_NAME,
     GroupViewDatabase,
     diff_request,
 )
@@ -89,11 +88,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle (cluster -> naming)
 class ShardResyncManager:
     """Gates a recovered shard host out of the ring until caught up."""
 
+    # The client service a resync gates out and re-registers, the
+    # sleep after a pass that could not finish, and the pass budget
+    # before a forced rejoin.
+    service = SERVICE_NAME
+    retry_interval = 0.25
+    max_rounds = 200
+
     def __init__(self, node: "Node", db: GroupViewDatabase, router: ShardRouter,
-                 replication: int, service: str = SERVICE_NAME,
-                 sync_service: str = SYNC_SERVICE_NAME,
-                 retry_interval: float = 0.25, max_rounds: int = 200,
-                 sweep_interval: float | None = 10.0,
+                 replication: int, sweep_interval: float | None = 10.0,
                  fence: "Callable[[], int] | None" = None,
                  metrics: MetricsRegistry | None = None) -> None:
         if replication < 2:
@@ -103,10 +106,6 @@ class ShardResyncManager:
         self.db = db
         self.router = router
         self.replication = replication
-        self.service = service
-        self.sync_service = sync_service
-        self.retry_interval = retry_interval
-        self.max_rounds = max_rounds
         self.sweep_interval = sweep_interval
         # The epoch fence to re-arm when the converged host re-enters
         # the serving path.  Gating unregisters the client service (and
@@ -124,7 +123,6 @@ class ShardResyncManager:
         # installs all flow through it (sync plane only -- resync
         # traffic must reach gated peers, so it is unfenced).
         self.io = ReplicaIO(node.rpc, router, replication,
-                            service=service, sync_service=sync_service,
                             sync_rpc=node.sync_rpc,
                             sync_suffix=node.sync_suffix,
                             metrics=self.metrics)
@@ -254,7 +252,7 @@ class ShardResyncManager:
         local = self.db.partition_digests()
         if self.router.transition is None:
             # Not our arcs.  A *local* copy of one is leftover garbage
-            # -- e.g. a resync or read-repair install that was in flight
+            # -- e.g. a resync or migration install that was in flight
             # when an epoch flip moved the arc away landed after the
             # migration's GC round.  Sweep it out, but never during a
             # staged transition: mid-migration this host may be an

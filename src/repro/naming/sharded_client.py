@@ -80,7 +80,6 @@ class ShardedGroupViewDbClient:
     def __init__(self, rpc: RpcAgent, router: ShardRouter,
                  service: str = SERVICE_NAME, replication: int = 1,
                  read_policy: str = "primary",
-                 repair: Any | None = None,
                  cache: EntryCache | None = None,
                  clock: Any | None = None,
                  sync_suffix: str = "",
@@ -91,7 +90,7 @@ class ShardedGroupViewDbClient:
                  retry_rng: Any | None = None,
                  metrics: Any | None = None) -> None:
         self.io = ReplicaIO(rpc, router, replication, service=service,
-                            read_policy=read_policy, repair=repair,
+                            read_policy=read_policy,
                             sync_suffix=sync_suffix, batcher=batcher,
                             health=health,
                             participant_retries=participant_retries,

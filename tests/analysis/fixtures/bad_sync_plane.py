@@ -1,7 +1,7 @@
 """Known-bad fixture: maintenance traffic on the client plane.
 
 Scanned as if it were one of the maintenance modules
-(``src/repro/naming/read_repair.py``): a resync copy sent over the
+(``src/repro/naming/shard_resync.py``): a resync copy sent over the
 gated, fenced client agent queues behind client requests and can
 deadlock against recovery gates.  The sync-plane rule must flag the
 ``rpc.call`` (ident ending ``:client-plane-call``) and the

@@ -51,7 +51,7 @@ def test_pr5_lock_across_wire_is_flagged(scan_fixture):
 
 def test_client_plane_in_maintenance_module_is_flagged(scan_fixture):
     report = scan_fixture("bad_sync_plane.py",
-                          relpath="src/repro/naming/read_repair.py",
+                          relpath="src/repro/naming/shard_resync.py",
                           rules=["sync-plane"])
     assert {f.ident for f in report.findings} == {
         "self.node.rpc:client-plane-call",
@@ -124,7 +124,7 @@ def test_good_patterns_produce_no_findings(scan_fixture):
 
 def test_sync_plane_correct_usage_is_silent(scan_fixture):
     report = scan_fixture("good_sync_plane.py",
-                          relpath="src/repro/naming/read_repair.py",
+                          relpath="src/repro/naming/shard_resync.py",
                           rules=["sync-plane"])
     assert report.findings == []
 

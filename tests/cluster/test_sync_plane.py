@@ -2,7 +2,7 @@
 
 With ``dedicated_sync_nic`` every shard host attaches a second
 interface (``<name>.sync``) carrying all replica-maintenance traffic
--- resync, anti-entropy, migration copies, read repair -- while client
+-- resync, anti-entropy, migration copies -- while client
 requests stay on the primary NIC.  These tests pin the topology
 contract: where the sync service registers, how the second NIC follows
 host liveness, what a gated recovering host still answers, and that

@@ -1,7 +1,7 @@
 """The convergence triggers, pinned by what crosses the wire.
 
-Shard resync (recovered + periodic), read-repair and the reshard
-migration all level replicas through ``ReplicaIO.converge``; these
+Shard resync (recovered + periodic) and the reshard migration all
+level replicas through ``ReplicaIO.converge``; these
 tests pin the *protocol* a trigger speaks on the sync service -- which
 verbs, to whom, in which order, how many -- rather than the engine's
 internals, so the engine can keep changing underneath them.  RPCs are

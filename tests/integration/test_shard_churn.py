@@ -6,8 +6,8 @@ The ROADMAP's standing experiment: drive
 -- while a closed loop of bindings runs, and (the hard part) while an
 online reshard migrates arcs through the middle of the chaos.  The
 whole machinery has to compose: replicated writes skip dark replicas,
-reads fail over, resync gates recovered hosts, read-repair patches
-residual staleness, and the migration epoch defers around outages
+reads fail over, resync gates recovered hosts, the anti-entropy sweep
+patches residual staleness, and the migration epoch defers around outages
 instead of flipping past them.
 
 The invariants at the end of the haul:
@@ -118,7 +118,7 @@ def test_stochastic_shard_churn_with_a_concurrent_reshard():
 def test_stochastic_churn_without_resharding_converges():
     """The baseline haul: churn alone (no membership change) must also
     end with every replica converged -- the regression guard for the
-    resync/anti-entropy/read-repair stack under random faults."""
+    resync/anti-entropy stack under random faults."""
     replication = 2
     system, (client,), uids = build(shards=3, objects=6,
                                     scheme="independent",

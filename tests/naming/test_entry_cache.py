@@ -294,29 +294,6 @@ def test_gated_replica_cannot_seed_a_lease():
         "nothing may seed a lease from a gated replica"
 
 
-def test_leased_miss_reports_stale_missing_replicas_for_repair():
-    """The lock-free repopulation walk must feed read-repair exactly
-    like the authoritative read: stepping past a replica disclaiming
-    an entry its peer serves is stale-missing evidence."""
-    from repro.naming import ReadRepairer
-
-    s, dbs, agents, router, client, agent = make_world(replication=3)
-    repairer = ReadRepairer(s, agent, router, 3, min_interval=0.0)
-    client.io.repair = repairer
-    head = router.preference_list(UID, 3)[0]
-    parsed = type(UID).parse(str(UID))
-    del dbs[head].server_db._entries[parsed]  # stale-missing replica
-    del dbs[head].state_db._entries[parsed]
-
-    hosts, status = one_lookup(s, client)  # miss -> versioned walk
-    assert hosts == ["h1", "h2"]
-    assert repairer.repairs_triggered == 1, \
-        "the stepped-past disclaiming replica must be reported"
-    s.run(until=s.now + 5.0)
-    assert dbs[head].knows(str(UID)), \
-        "the triggered repair must re-seed the stale replica"
-
-
 def test_ledger_records_every_hit_within_bounds():
     s, dbs, agents, router, client, agent = make_world()
     one_lookup(s, client)

@@ -258,8 +258,7 @@ def test_repair_defers_on_a_dark_replica():
 # content the target must end up with.  The table is driven through a
 # *pull* (the target is the caller's own database and the only one
 # written -- what a shard resync does) and a *push* (both replicas are
-# remote sources and targets -- what read-repair does): same verdict
-# from both.
+# remote sources and targets): same verdict from both.
 
 
 def _ahead(target, peer):

@@ -130,7 +130,7 @@ def test_two_lost_races_demote_a_dark_peer():
     out; that late timeout still counts toward the streak, so after two
     lost races reads skip the primary and pay no hedge delay."""
     health = warm_tracker(timeout_threshold=2)
-    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    s, net, dbs, agents, io, order = make_read_world(health)
     agents[order[0]]._nic.up = False
     for _race in range(2):
         result, _took = fill(s, io)

@@ -1,17 +1,16 @@
-"""Tests for spread reads and read-repair on the replicated ring.
+"""Tests for the read policies on the replicated ring.
 
-The spread policy must rotate hot-arc reads across the whole replica
-set (that is the load-balancing win) without ever serving a
-transition's not-yet-copied incoming owners; read-repair must turn the
-staleness a read *observes* -- a replica disclaiming an entry its
-peers hold -- into a lock-guarded, version-gated install on the
-laggard.
+The primary policy always reads the preference head; the spread policy
+must rotate hot-arc reads across the whole replica set (that is the
+load-balancing win) without ever serving a transition's not-yet-copied
+incoming owners.  Writes, meanwhile, flow through both epochs, and one
+that skips a replica un-confirms its arc.
 """
 
 from repro.actions import ActionStatus, AtomicAction
 from repro.actions.action import ActionId
-from repro.naming import GroupViewDatabase, ReadRepairer, ShardRouter
-from repro.naming.group_view_db import SERVICE_NAME, SYNC_SERVICE_NAME
+from repro.naming import GroupViewDatabase, ShardRouter
+from repro.naming.group_view_db import SERVICE_NAME
 from repro.naming.shard_router import RingTransition
 from repro.naming.sharded_client import ShardedGroupViewDbClient
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
@@ -22,7 +21,7 @@ UID = Uid("sys", 1)
 NODES = ("shard-a", "shard-b", "shard-c")
 
 
-def make_ring_world(replication=3, read_policy="primary", repair=False):
+def make_ring_world(replication=3, read_policy="primary"):
     s = Scheduler()
     net = Network(s, FixedLatency(0.01))
     router = ShardRouter(list(NODES), replicas=8)
@@ -35,19 +34,13 @@ def make_ring_world(replication=3, read_policy="primary", repair=False):
         db.define_object(boot.id.path, str(UID), ["h1", "h2"], ["t1"])
         db.commit(boot.id.path)
         agents[name].register(SERVICE_NAME, db)
-        agents[name].register(SYNC_SERVICE_NAME, db)  # the repair plane
         dbs[name] = db
     nic_c = net.attach("client")
     client_agent = RpcAgent(s, nic_c, default_timeout=0.5,
                             demux=MessageDemux(nic_c))
-    repairer = None
-    if repair:
-        repairer = ReadRepairer(s, client_agent, router, replication,
-                                min_interval=0.0)
     client = ShardedGroupViewDbClient(client_agent, router,
                                       replication=replication,
-                                      read_policy=read_policy,
-                                      repair=repairer)
+                                      read_policy=read_policy)
     return s, dbs, agents, router, client
 
 
@@ -156,30 +149,3 @@ def test_write_skipping_a_replica_marks_the_transition_dirty():
     assert str(UID) in transition.dirty, \
         "the skipped incoming owner must un-confirm the arc"
 
-
-def test_unknown_object_failover_triggers_a_reseed():
-    s, dbs, agents, router, client = make_ring_world(repair=True)
-    head = router.preference_list(UID, 3)[0]
-    parsed = Uid.parse(str(UID))
-    del dbs[head].server_db._entries[parsed]  # stale-missing replica
-    del dbs[head].state_db._entries[parsed]
-
-    assert one_read(s, client) == ["h1", "h2"]  # served by a successor
-    assert client.io.repair.repairs_triggered == 1
-    s.run(until=s.now + 5.0)  # let the background repair land
-    assert dbs[head].knows(str(UID)), \
-        "the failover's evidence must re-seed the stale replica"
-    assert client.io.repair.entries_repaired >= 1
-
-
-def test_repairs_are_throttled_per_uid():
-    s, dbs, agents, router, client = make_ring_world(repair=True)
-    client.io.repair.min_interval = 10.0
-    head = router.preference_list(UID, 3)[0]
-    parsed = Uid.parse(str(UID))
-    del dbs[head].server_db._entries[parsed]
-    del dbs[head].state_db._entries[parsed]
-    for _ in range(5):
-        one_read(s, client)
-    assert client.io.repair.repairs_triggered == 1, \
-        "repeated evidence inside the throttle window must coalesce"

@@ -1,13 +1,13 @@
 """Unit tests for the ReplicaIO engine's sync plane.
 
 The client plane (fenced fan-out writes, failover reads) is exercised
-end-to-end by ``test_replicated_client.py``, ``test_read_repair.py``
+end-to-end by ``test_replicated_client.py``, ``test_read_policy.py``
 and ``test_fencing.py``; these tests pin the sync-plane contract every
-maintenance daemon (resync, migration, repair) now shares:
-``converge``'s outcomes, its multi-source version-half merging, its
-batching (round trips per node, not per entry), the local target a
-resync uses for its own database, and the rule that no copier lock
-ever spans the wire.
+maintenance daemon (resync, migration) shares: ``converge``'s
+outcomes, its multi-source version-half merging, its batching (round
+trips per node, not per entry, with every install of a source sent at
+once), the local target a resync uses for its own database, and the
+rule that no copier lock ever spans the wire.
 
 The leased read plane's lock-free fill (``read_versioned``) is pinned
 here too: one request at a time without a health tracker, and with one
@@ -266,6 +266,24 @@ def test_converge_batches_round_trips_per_node(rpc_log):
         assert all(counts(db.entry_versions(u)) == (2, 1) for u in uids)
 
 
+def test_one_sources_installs_leave_together(rpc_log):
+    """One source, two lagging remote targets: both installs are sent
+    before either reply is awaited, so they leave at one instant."""
+    s, dbs, agents, router, io = make_world()
+    bump_sv(dbs["shard-a"])
+    probes = probe_all(s, io)
+    del rpc_log[:]
+    result = run(s, io.converge_entry(
+        str(UID), {"shard-a": probes["shard-a"]},
+        {name: probes[name] for name in ("shard-b", "shard-c")}))
+    assert (result.outcome, result.installed) == ("copied", 2)
+    installs = [(target, at) for _who, target, _service, method, at
+                in rpc_log if method == "guarded_install_entry"]
+    assert sorted(target for target, _at in installs) == ["shard-b",
+                                                          "shard-c"]
+    assert len({at for _target, at in installs}) == 1
+
+
 def test_no_copier_lock_at_a_source_outlives_a_dispatch():
     """While a copy of an entry is in flight its source holds no lock
     for the copier between dispatches: a client writing the entry at
@@ -314,16 +332,6 @@ RTT = 0.02  # FixedLatency(0.01) each way
 TIMEOUT = 0.5  # the client agent's rpc timeout
 
 
-class NoteStale:
-    """Stands in for the ReadRepairer: records stale-missing evidence."""
-
-    def __init__(self):
-        self.noted = []
-
-    def note_stale(self, uid):
-        self.noted.append(uid)
-
-
 def make_read_world(health=None):
     """Three replicas serving the client service; ``order`` is UID's
     read order, primary first."""
@@ -332,11 +340,9 @@ def make_read_world(health=None):
         agents[name].register(SERVICE_NAME, dbs[name])
     if health is not None:
         health.clock = lambda: s.now
-    repair = NoteStale()
-    io = ReplicaIO(sync_io.rpc, router, replication=3, health=health,
-                   repair=repair)
+    io = ReplicaIO(sync_io.rpc, router, replication=3, health=health)
     order = router.view().read_order(UID, 3)
-    return s, net, dbs, agents, io, order, repair
+    return s, net, dbs, agents, io, order
 
 
 def warm_tracker(**kwargs):
@@ -362,7 +368,7 @@ def fill(s, io):
 
 def test_a_dark_primary_costs_the_hedge_delay_not_the_timeout():
     health = warm_tracker()
-    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    s, net, dbs, agents, io, order = make_read_world(health)
     agents[order[0]]._nic.up = False
     result, took = fill(s, io)
     assert result is not None
@@ -373,7 +379,7 @@ def test_a_dark_primary_costs_the_hedge_delay_not_the_timeout():
 
 def test_a_gray_primary_loses_the_race_to_the_replica(rpc_log):
     health = warm_tracker()
-    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    s, net, dbs, agents, io, order = make_read_world(health)
     bump_st(dbs[order[1]])  # tell the replica's copy apart
     net.degrade(order[0], factor=10.0)  # answers, in 10 RTTs
     (copy, _epoch), took = fill(s, io)
@@ -388,7 +394,7 @@ def test_a_gray_primary_loses_the_race_to_the_replica(rpc_log):
 
 def test_a_locked_first_reply_falls_back_to_the_locking_read():
     health = warm_tracker()
-    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    s, net, dbs, agents, io, order = make_read_world(health)
     writer = AtomicAction()  # a live action holds the primary's entry
     dbs[order[0]].increment(writer.id.path, "binder", str(UID), ["h1"])
     result, took = fill(s, io)
@@ -397,32 +403,33 @@ def test_a_locked_first_reply_falls_back_to_the_locking_read():
     assert hedged(io) == 0
 
 
-def test_a_disclaiming_primary_hands_over_and_notes_the_stale_replica():
+def test_a_disclaiming_primary_hands_over_at_once():
     health = warm_tracker()
-    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    s, net, dbs, agents, io, order = make_read_world(health)
     dbs[order[0]].forget_entry(str(UID))
     result, took = fill(s, io)
     assert result is not None
     assert took == pytest.approx(2 * RTT)  # the next request went at once
-    assert repair.noted == [UID]
     assert hedged(io) == 0
 
 
-def test_a_late_disclaimer_from_the_loser_still_notes_the_stale_replica():
+def test_a_late_disclaimer_from_the_loser_still_feeds_the_tracker():
+    """The replica serves the fill; the slow primary's disclaimer lands
+    afterwards and counts as a (slow) answer, not a timeout."""
     health = warm_tracker()
-    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    s, net, dbs, agents, io, order = make_read_world(health)
     dbs[order[0]].forget_entry(str(UID))
     net.degrade(order[0], factor=10.0)
     result, _took = fill(s, io)
     assert result is not None
-    assert repair.noted == []  # the primary has not answered yet
+    before = health.hedge_after(order[0])
     s.run(until=s.now + 1.0)
-    assert repair.noted == [UID]
+    assert health.hedge_after(order[0]) > before
 
 
 def test_a_cold_tracker_does_not_hedge(rpc_log):
     health = PeerHealthTracker(lambda: 0.0)  # no samples yet
-    s, net, dbs, agents, io, order, repair = make_read_world(health)
+    s, net, dbs, agents, io, order = make_read_world(health)
     agents[order[0]]._nic.up = False
     result, took = fill(s, io)
     assert result is not None
@@ -436,7 +443,7 @@ def test_without_a_tracker_the_walk_asks_one_replica_at_a_time(rpc_log):
     """No tracker, no hedge: each request goes out only once the one
     before it has failed -- the RPC sequence every deployment without
     peer health has always sent."""
-    s, net, dbs, agents, io, order, repair = make_read_world()
+    s, net, dbs, agents, io, order = make_read_world()
     agents[order[0]]._nic.up = False
     agents[order[1]]._nic.up = False
     dbs[order[2]].forget_entry(str(UID))
@@ -450,5 +457,4 @@ def test_without_a_tracker_the_walk_asks_one_replica_at_a_time(rpc_log):
         (SERVICE_NAME, "read_entry_versioned", order[2],
          pytest.approx(2 * TIMEOUT))]
     assert took == pytest.approx(2 * TIMEOUT + RTT)
-    assert repair.noted == []
     assert hedged(io) == 0

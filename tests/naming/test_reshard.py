@@ -11,7 +11,10 @@ import pytest
 
 from repro.actions import AtomicAction
 from repro.naming import GroupViewDatabase, ShardAutoscaler, ShardRouter
+from repro.naming.group_view_db import SYNC_SERVICE_NAME
+from repro.naming.reshard import ReshardManager
 from repro.naming.shard_router import RingTransition
+from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.sim.process import Timeout
 
@@ -237,8 +240,6 @@ def test_autoscaler_rejects_bad_interval():
 def test_mark_dirty_unconfirms_arcs():
     """The un-confirmation channel: dirty UIDs leave the confirmed set
     and the drain reports there was something to re-confirm."""
-    from repro.naming import ReshardManager
-
     ring = ShardRouter(["a", "b"], replicas=8)
     target = ring.clone()
     target.add_node("c")
@@ -259,6 +260,62 @@ def test_mark_dirty_unconfirms_arcs():
     assert done == {"sys:1", "sys:3"}
     assert ring.transition.dirty == set()
     assert manager._unconfirm_dirty(done) is False  # drained: nothing left
+
+
+def test_a_copy_pass_waits_out_a_short_lived_source_lock():
+    """A write-hot entry is locked at its source when the copy pass
+    first reads it; the lock's write commits 30 ms later.  The pass
+    retries the entry a pause later and copies it instead of deferring
+    the whole pass."""
+    s = Scheduler()
+    net = Network(s, FixedLatency(0.01))
+    ring = ShardRouter(["shard-a", "shard-b"], replicas=8)
+    target = ring.clone()
+    target.add_node("shard-c")
+    moved = frozenset(ring.moved_partitions(target, 1))
+    uid = next(f"sys:{serial}" for serial in range(1, 1000)
+               if ring.partition_of(f"sys:{serial}") in moved)
+    dbs = {}
+    for name in ("shard-a", "shard-b", "shard-c"):
+        nic = net.attach(name)
+        agent = RpcAgent(s, nic, demux=MessageDemux(nic))
+        dbs[name] = GroupViewDatabase(partition_of=ring.partition_of)
+        agent.register(SYNC_SERVICE_NAME, dbs[name])
+    source = dbs[ring.preference_list(uid, 1)[0]]
+    boot = AtomicAction()
+    source.define_object(boot.id.path, uid, ["h1"], ["t1"])
+    source.commit(boot.id.path)
+    writer = AtomicAction()  # the live write holding the source's lock
+    source.increment(writer.id.path, "binder", uid, ["h1"])
+    read = source.read_entry_versioned_many
+
+    def read_then_commit(uid_texts):
+        # The first snapshot read finds the entry locked; the write
+        # commits 30 ms after it.
+        source.read_entry_versioned_many = read
+        s.schedule(0.03, source.commit, writer.id.path)
+        return read(uid_texts)
+
+    source.read_entry_versioned_many = read_then_commit
+
+    nic = net.attach("coord")
+
+    class _Node:
+        scheduler = s
+        rpc = sync_rpc = RpcAgent(s, nic, default_timeout=0.5,
+                                  demux=MessageDemux(nic))
+        sync_suffix = ""
+
+    ring.transition = RingTransition(target, epoch=target.epoch,
+                                     partitions=moved)
+    manager = ReshardManager(_Node, ring, replication=1)
+    manager._moved = moved
+    record = {"entries_copied": 0}
+    converged = s.run_until_settled(
+        s.spawn(manager._copy_pass(target, record, set())), until=10.0)
+    assert converged is False  # copied: a later pass confirms it
+    assert record["entries_copied"] == 1
+    assert dbs["shard-c"].knows(uid)
 
 
 def test_autoscaler_scale_down_needs_a_full_quiet_cooldown():
