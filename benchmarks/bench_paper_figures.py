@@ -135,7 +135,8 @@ EXPERIMENTS = {
             "db_write_locks", "independent", "standard"))),
     "fig7_contention": Experiment(
         "paper_binding_contention",
-        {"6 clients": dict()}, ["commit_rate", "retries", "lock_refusals"]),
+        {"6 clients": dict()},
+        ["commit_rate", "retries", "lock_refusals", "decrement_refusals"]),
     "fig8": Experiment(
         "paper_binding_schemes",
         {"independent": dict(scheme="independent"),

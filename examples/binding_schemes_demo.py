@@ -46,9 +46,11 @@ def run_scheme(scheme_name, clients=6, seed=5):
 
     failed_attempts = system.metrics.counter_value(
         f"binding.{system.clients['c0'].scheme.name}.failed_attempts")
-    write_locks = (
-        system.db.metrics.counter_value("server_db.locks.write")
-        + system.db.metrics.counter_value("server_db.locks.exclude_write"))
+    # Every non-read lock: the use-list schemes Increment and Decrement
+    # under their own type-specific modes instead of a write lock.
+    write_locks = sum(
+        system.db.metrics.counter_value(f"server_db.locks.{mode}")
+        for mode in ("write", "exclude_write", "increment", "decrement"))
     sv_now = system.db_sv(uid)
     return {
         "committed": committed,

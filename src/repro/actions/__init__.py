@@ -6,8 +6,9 @@ permanence of effect, manipulating persistent objects.  This package
 implements:
 
 - :mod:`~repro.actions.locks` -- multi-mode two-phase locking with READ,
-  WRITE and the paper's type-specific **EXCLUDE_WRITE** mode (section
-  4.2.1), including lock promotion;
+  WRITE, the paper's type-specific **EXCLUDE_WRITE** mode (section
+  4.2.1) and the commuting use-list modes **INCREMENT** / **DECREMENT**,
+  including lock promotion;
 - :mod:`~repro.actions.action` -- nested atomic actions, *independent*
   top-level actions and *nested top-level* actions (sections 4.1.2 and
   4.1.3, figures 6-8), with an intention-record list driving two-phase
@@ -29,7 +30,12 @@ from repro.actions.errors import (
     PrepareVetoed,
     PromotionRefused,
 )
-from repro.actions.locks import LockManager, LockMode, lock_compatible
+from repro.actions.locks import (
+    LockManager,
+    LockMode,
+    lock_compatible,
+    lock_covers,
+)
 from repro.actions.action import (
     AbstractRecord,
     ActionId,
@@ -63,4 +69,5 @@ __all__ = [
     "Vote",
     "abort_on_failure",
     "lock_compatible",
+    "lock_covers",
 ]

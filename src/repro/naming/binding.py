@@ -22,8 +22,14 @@ database and binds to servers for an object:
   ``Remove``d and successful bindings ``Increment``ed before that first
   action commits.  After the client action terminates, a final
   top-level action ``Decrement``s.  ``Sv`` therefore stays relatively
-  fresh, at the cost of write locks on every binding and a cleanup
-  obligation when clients crash between the two actions.
+  fresh, at the cost of a use-list lock on every binding and a cleanup
+  obligation when clients crash between the two actions.  The paper
+  write-locks ``Increment`` and ``Decrement``; here they take the
+  type-specific INCREMENT and DECREMENT modes
+  (:mod:`repro.actions.locks`): binders still exclude each other, but
+  an unbind's Decrement shares the entry with a binder and with other
+  Decrements, so only a ``Remove`` or ``Insert``, a snapshot read or a
+  maintenance probe refuses it.
 
 - :class:`NestedTopLevelBinding` (figure 8, section 4.1.3(ii)): the same
   two database actions, but invoked from *within* the client action as
@@ -243,7 +249,7 @@ class IndependentTopLevelBinding(BindingScheme):
              read_only: bool = False) -> Generator[Any, Any, BindOutcome]:
         # One lookup, two owners: ``St`` is read under the client action
         # (it holds the read lock to its end), ``Sv`` and its use lists
-        # under ``first``, write-locked for the Increment to come.
+        # under ``first``, INCREMENT-locked for the Increment to come.
         first = self._db_action(action)
         try:
             snapshot, st = yield from self.db.get_binding_with_uses(
@@ -293,7 +299,8 @@ class IndependentTopLevelBinding(BindingScheme):
         return outcome
 
     # How often a refused Decrement is retried before falling back to
-    # the cleanup daemon (the entry may be write-locked by a binder).
+    # the cleanup daemon (the entry may be write-locked by a Remove or
+    # held by a snapshot read).
     unbind_attempts = 8
     unbind_backoff = 0.05
 
@@ -312,8 +319,8 @@ class IndependentTopLevelBinding(BindingScheme):
                 yield from last.abort()
                 delay = self.unbind_backoff * (attempt + 1)
                 if self.rng is not None:
-                    # Jitter so binders refused by the same write lock
-                    # do not retry in lockstep and re-collide forever.
+                    # Jitter so unbinds refused by the same lock do not
+                    # retry in lockstep and re-collide forever.
                     delay += self.rng.uniform(0.0, delay)
                 yield Timeout(delay)
                 continue

@@ -37,6 +37,7 @@ import zlib
 from typing import Any, Callable, Hashable
 
 from repro.actions.action import ActionId
+from repro.actions.errors import LockRefused
 from repro.actions.locks import LockManager, LockMode
 from repro.sim.metrics import MetricsRegistry
 from repro.storage.uid import Uid
@@ -113,9 +114,18 @@ class ActionDatabase:
 
     def _lock(self, action_path: ActionPath, resource: Hashable,
               mode: LockMode) -> None:
-        """Acquire ``mode`` for the action; raises LockRefused on conflict."""
+        """Acquire ``mode`` for the action; raises LockRefused on conflict.
+
+        Counts grants as ``<db>.locks.<mode>`` and refusals (promotions
+        included) as ``<db>.locks_refused.<mode>``, by the requested mode.
+        """
         owner = ActionId(tuple(action_path))
-        self.locks.try_lock(owner, resource, mode)
+        try:
+            self.locks.try_lock(owner, resource, mode)
+        except LockRefused:
+            self.metrics.counter(
+                f"{self.name}.locks_refused.{mode.value}").increment()
+            raise
         self.metrics.counter(f"{self.name}.locks.{mode.value}").increment()
 
     def _record_undo(self, action_path: ActionPath,

@@ -164,8 +164,9 @@ class GroupViewDatabase:
         """:meth:`get_binding` for the use-list schemes (figures 7, 8).
 
         ``action_path`` is their independent top-level action, which
-        goes on to ``Increment``: it takes the ``Sv`` *write* lock and
-        gets the use lists too.  ``view_path`` (the client action) takes
+        goes on to ``Increment``: it takes the ``Sv`` INCREMENT lock
+        (binders exclude each other; a Decrement may share it) and gets
+        the use lists too.  ``view_path`` (the client action) takes
         the ``St`` read lock, first, as there.
         """
         uid = Uid.parse(uid_text)

@@ -12,8 +12,23 @@ Section 4.1.3 extends each entry with a *use list* per server host --
 ``<Ni, Ci>`` pairs counting, per client node, how many of that node's
 clients are using the server -- and adds:
 
-- ``Increment(clientnode, hostname...)`` -- write lock;
-- ``Decrement(clientnode, hostname...)`` -- write lock.
+- ``Increment(clientnode, hostname...)`` -- an INCREMENT lock;
+- ``Decrement(clientnode, hostname...)`` -- a DECREMENT lock.
+
+The paper write-locks both.  Counter arithmetic commutes, so this
+database takes the type-specific use-list modes of
+:mod:`repro.actions.locks` instead; a binding action's write-intent
+read takes INCREMENT too.  A Decrement then shares the entry with a
+binding action and with other Decrements, while binders still exclude
+each other.  The binder's snapshot counts every uncommitted
+Decrement's use back in (a short pending-decrement list, dropped when
+that action commits or aborts), so it is serialised before any
+Decrement it overlaps and never acts on one that later aborts.
+``Remove`` (and ``Insert``, ``define``, the cleanup purge) keep the
+write lock: ``Remove``'s undo restores a snapshot, which would erase a
+concurrent counter move, while the counter operations undo by the
+inverse delta and bump the version count by plain arithmetic -- any
+interleaving and any commit order converge.
 
 An object is quiescent when no action holds locks on its entry and all
 of its use lists are empty.
@@ -25,9 +40,11 @@ import copy
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.actions.action import ActionId
 from repro.actions.errors import LockRefused, PromotionRefused
 from repro.actions.locks import LockMode
-from repro.naming.db_base import ActionDatabase, ActionPath, Version, digest
+from repro.naming.db_base import (
+    ActionDatabase, ActionPath, Version, _is_prefix, digest)
 from repro.naming.errors import NotQuiescent, UnknownObject
 from repro.storage.uid import Uid
 
@@ -67,6 +84,9 @@ class ObjectServerDatabase(ActionDatabase):
     def __init__(self, name: str = "server_db", **kwargs) -> None:
         super().__init__(name, **kwargs)
         self._entries: dict[Uid, _ServerEntry] = {}
+        # Decrements applied but not yet committed or aborted, one per
+        # counter moved: (action path, uid, client node, host).
+        self._pending: list[tuple[ActionPath, Uid, str, str]] = []
 
     # -- administrative -----------------------------------------------------
 
@@ -104,17 +124,26 @@ class ObjectServerDatabase(ActionDatabase):
                              for_update: bool = False) -> ServerEntrySnapshot:
         """Enhanced ``GetServer`` returning use lists too (section 4.1.3).
 
-        ``for_update=True`` takes the write lock immediately: the
+        ``for_update=True`` takes the INCREMENT lock immediately: the
         figure-7/8 binding actions always follow this read with
         ``Increment``/``Remove``, and read-then-promote would livelock
         concurrent binders under try-lock semantics (every binder holds
-        a read lock that blocks every other binder's promotion).
+        a read lock that blocks every other binder's promotion).  The
+        use lists count each uncommitted Decrement of an unrelated
+        action back in: the reader is serialised before it.
         """
-        mode = LockMode.WRITE if for_update else LockMode.READ
+        mode = LockMode.INCREMENT if for_update else LockMode.READ
         self._lock(action_path, self._key(uid), mode)
         self.metrics.counter(f"{self.name}.get_server").increment()
         entry = self._entry(uid)
         frozen_uses = {h: dict(c) for h, c in entry.uses.items()}
+        if self._pending:
+            reader = ActionId(tuple(action_path))
+            for path, pending_uid, client_node, host in self._pending:
+                if (pending_uid == uid and host in frozen_uses
+                        and not reader.related(ActionId(path))):
+                    counters = frozen_uses[host]
+                    counters[client_node] = counters.get(client_node, 0) + 1
         return ServerEntrySnapshot(tuple(entry.hosts), frozen_uses)
 
     def insert(self, action_path: ActionPath, uid: Uid, host: str) -> None:
@@ -161,8 +190,8 @@ class ObjectServerDatabase(ActionDatabase):
     def increment(self, action_path: ActionPath, client_node: str, uid: Uid,
                   hosts: list[str]) -> None:
         """``Increment``: bump the client node's counter on each host's
-        use list (write lock)."""
-        self._lock(action_path, self._key(uid), LockMode.WRITE)
+        use list (INCREMENT lock)."""
+        self._lock(action_path, self._key(uid), LockMode.INCREMENT)
         self.metrics.counter(f"{self.name}.increment").increment()
         entry = self._entry(uid)
         for host in hosts:  # all or nothing: no counter moves unbumped
@@ -178,8 +207,9 @@ class ObjectServerDatabase(ActionDatabase):
 
     def decrement(self, action_path: ActionPath, client_node: str, uid: Uid,
                   hosts: list[str]) -> None:
-        """``Decrement``: the complement of ``Increment`` (write lock)."""
-        self._lock(action_path, self._key(uid), LockMode.WRITE)
+        """``Decrement``: the complement of ``Increment`` (DECREMENT lock,
+        shared with binders and other Decrements)."""
+        self._lock(action_path, self._key(uid), LockMode.DECREMENT)
         self.metrics.counter(f"{self.name}.decrement").increment()
         entry = self._entry(uid)
         mutated = False
@@ -193,6 +223,7 @@ class ObjectServerDatabase(ActionDatabase):
             self._record_undo(
                 action_path,
                 lambda h=host: self._increment_silently(uid, client_node, h))
+            self._pending.append((tuple(action_path), uid, client_node, host))
             mutated = True
         if mutated:
             self._bump(action_path, uid)
@@ -259,6 +290,22 @@ class ObjectServerDatabase(ActionDatabase):
         entry = self._entries.get(uid)
         if entry is not None and host in entry.uses:
             entry.uses[host][client_node] = count
+
+    # -- 2PC participant: the pending Decrements resolve too ----------------
+
+    def commit(self, action_path: ActionPath) -> None:
+        self._drop_pending(action_path)
+        super().commit(action_path)
+
+    def abort(self, action_path: ActionPath) -> None:
+        self._drop_pending(action_path)
+        super().abort(action_path)
+
+    def _drop_pending(self, action_path: ActionPath) -> None:
+        if self._pending:
+            path = tuple(action_path)
+            self._pending = [pending for pending in self._pending
+                             if not _is_prefix(path, pending[0])]
 
     # -- quiescence -------------------------------------------------------------
 

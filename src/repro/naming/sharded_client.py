@@ -268,7 +268,7 @@ class ShardedGroupViewDbClient:
             ) -> Generator[Any, Any, tuple[ServerEntrySnapshot, list[str]]]:
         """``(Sv with use lists, St)`` from one authoritative walk --
         never the leased plane: this is a write-intent read, ``Sv``
-        write-locked under ``action`` and ``St`` read-locked under
+        INCREMENT-locked under ``action`` and ``St`` read-locked under
         ``view_action``, the answering replica enlisted for both."""
         return (yield from self.io.read(action, uid, "get_binding_with_uses",
                                         str(uid), view_action.id.path,

@@ -95,6 +95,45 @@ class PlacementAudit:
         return {key: value for key, value in found.items() if key}
 
 
+class UseListAudit:
+    """Every binding's use counts are gone, and the owners agree on them.
+
+    For a run that ends with no client mid-transaction, so every
+    ``Increment`` has met its ``Decrement``.  ``leftover`` sums the
+    use-list counters still held by every owner replica of every entry:
+    a lost unbind, or a counter move undone that had committed.
+    ``disagreements`` counts entries whose owners' use lists differ:
+    counter moves that did not commute.  Neither shows in the counter
+    ledger; unlike :class:`PlacementAudit` this one also reads the
+    paper's single name node and asks for zero.
+    """
+
+    def __init__(self, leftover: str = "leftover_uses",
+                 disagreements: str = "use_list_disagreements") -> None:
+        self.leftover, self.disagreements = leftover, disagreements
+
+    def audit(self, run: Any) -> dict[str, int]:
+        return self.check(run.system, run.uids)
+
+    def check(self, system: Any, uids: Sequence[Uid]) -> dict[str, int]:
+        leftover = disagreements = 0
+        for uid in uids:
+            if system.shard_router is None:
+                owners = [system.db]
+            else:
+                owners = [system.db.shards[shard] for shard in
+                          system.shard_router.preference_list(
+                              uid, system.config.nameserver_replication)]
+            lists = []
+            for db in owners:
+                uses = db.get_server_with_uses((0,), str(uid)).uses
+                lists.append({h: dict(c) for h, c in uses.items()})
+                leftover += sum(sum(c.values()) for c in uses.values())
+            system._release_probe_locks()
+            disagreements += any(uses != lists[0] for uses in lists)
+        return {self.leftover: leftover, self.disagreements: disagreements}
+
+
 class CacheLedgerAudit:
     """No cache-served read escaped its lease or its fence epoch.
 

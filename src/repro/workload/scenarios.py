@@ -34,6 +34,7 @@ from repro.workload.audit import (
     CacheLedgerAudit,
     CounterLedgerAudit,
     PlacementAudit,
+    UseListAudit,
 )
 from repro.workload.generator import TransactionStream, invoke
 from repro.workload.scenario import (
@@ -918,18 +919,24 @@ POLICIES = {"single_copy_passive": SingleCopyPassive,
 
 
 def _paper(name: str, doc: str, params: dict[str, Any], tiny, claims,
-           **hooks: Any) -> Scenario:
+           use_lists: bool = False, **hooks: Any) -> Scenario:
     """Register a paper experiment.  Its counter ledger is audited and
     must balance beside the paper's own ``claims`` (which may pin a
-    count instead); a scripted ``load`` leaves its row and its ledger
-    on the run as ``run.row`` and ``run.adds``."""
+    count instead); with ``use_lists`` (every binding has unbound when
+    the load ends) the use-list ledger must read zero too.  A scripted
+    ``load`` leaves its row and its ledger on the run as ``run.row``
+    and ``run.adds``."""
     if "load" in hooks:
         hooks = {"counters": lambda run: run.row,
                  "ledger": lambda run: run.adds, **hooks}
+    ledgers = {"lost_bindings": 0, "stale_bindings": 0}
+    if use_lists:
+        ledgers.update(leftover_uses=0, use_list_disagreements=0)
     return _register(Scenario(
         name=name, doc=doc, params=params, tiny=tiny,
-        auditors=lambda p: (CounterLedgerAudit(),),
-        clean=expecting(**{"lost_bindings": 0, "stale_bindings": 0, **claims}),
+        auditors=lambda p: (CounterLedgerAudit(),) + (
+            (UseListAudit(),) if use_lists else ()),
+        clean=expecting(**{**ledgers, **claims}),
         **hooks))
 
 
@@ -1172,8 +1179,10 @@ def _sequential_binds(run: Run) -> None:
         "offered": len(results), "committed": run.adds[uid],
         "wasted_binds": count(
             f"binding.{run.runtimes[0].scheme.name}.failed_attempts"),
-        "db_write_locks": (count("server_db.locks.write")
-                           + count("server_db.locks.exclude_write")),
+        # Every lock a binding takes that is not a read: the use-list
+        # modes replaced the paper's write lock on Increment/Decrement.
+        "db_write_locks": sum(count(f"server_db.locks.{mode}") for mode in (
+            "write", "exclude_write", "increment", "decrement")),
         "mean_latency": sum(r.duration for r in results) / len(results),
         "sv_after": system.db_sv(uid),
     }
@@ -1188,8 +1197,9 @@ _paper(
     every transaction pays the dead-server probe, and no binding takes
     a database write lock.  Independent (fig. 7) and nested top-level
     (fig. 8) actions Remove the dead server and maintain use lists --
-    write locks on every binding -- and their updates survive the
-    client action's abort (``client_aborts``).
+    a non-read lock on every binding (``db_write_locks`` counts WRITE,
+    EXCLUDE_WRITE and the use-list modes) -- and their updates survive
+    the client action's abort (``client_aborts``).
     """,
     dict(scheme="standard", clients=8, rounds=4, crash=True,
          client_aborts=False, sv=3, st=1, seed=7),
@@ -1209,14 +1219,17 @@ _paper(
          standard_binding_takes_no_db_write_lock=lambda r: (
              r["scheme"] != "standard" or r["db_write_locks"] == 1)),
     shape=lambda p: _one_object(p, clients(p.clients)),
-    load=_sequential_binds)
+    load=_sequential_binds, use_lists=True)
 
 _paper(
     "paper_binding_contention",
     """Concurrent binders under the independent scheme (fig. 7).
 
-    Every binding write-locks the entry, so simultaneous binders are
-    refused -- the cost the paper accepts; bounded restarts absorb it.
+    Every binding locks the entry for its Increment, so simultaneous
+    binders are refused -- the cost the paper accepts; bounded restarts
+    absorb it.  An unbind's Decrement shares the entry with a binder and
+    with other Decrements (``decrement_refusals`` counts the ones still
+    refused, by a Remove or a snapshot read).
     """,
     dict(scheme="independent", clients=6, txns=3, sv=2, st=1,
          mean_think_time=0.3, max_attempts=10, seed=13),
@@ -1228,7 +1241,10 @@ _paper(
     counters=lambda run: {
         **load_summary(run.report), "retries": run.report.retries,
         "lock_refusals": (run.system.db.server_db.locks.refusals
-                          + run.system.db.server_db.locks.promotion_refusals)})
+                          + run.system.db.server_db.locks.promotion_refusals),
+        "decrement_refusals": run.system.metrics.counter_value(
+            "server_db.locks_refused.decrement")},
+    use_lists=True)
 
 
 # F7 / E6: a client crash mid-binding, atomic or traditional name server.

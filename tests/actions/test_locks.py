@@ -33,6 +33,41 @@ def test_compatibility_matrix_matches_paper():
     assert not lock_compatible(X, X)
 
 
+def test_use_list_modes_share_only_where_counter_moves_commute():
+    R, W, X = LockMode.READ, LockMode.WRITE, LockMode.EXCLUDE_WRITE
+    I, D = LockMode.INCREMENT, LockMode.DECREMENT
+    assert not lock_compatible(I, I)  # binders exclude each other
+    assert lock_compatible(I, D) and lock_compatible(D, I)
+    assert lock_compatible(D, D)
+    for mode in (R, W, X):  # snapshots, Remove, Exclude stay exclusive
+        for counter_mode in (I, D):
+            assert not lock_compatible(mode, counter_mode)
+            assert not lock_compatible(counter_mode, mode)
+
+
+def test_a_binder_holding_increment_cannot_promote_past_a_decrement():
+    """The Remove of a failed server promotes the binder's INCREMENT to
+    WRITE, which an unrelated uncommitted Decrement refuses."""
+    lm = LockManager()
+    lm.try_lock(A1, "e", LockMode.INCREMENT)
+    lm.try_lock(A2, "e", LockMode.DECREMENT)
+    lm.try_lock(A1, "e", LockMode.DECREMENT)  # covered: no-op
+    assert mode_held(lm, A1, "e") is LockMode.INCREMENT
+    with pytest.raises(PromotionRefused):
+        lm.try_lock(A1, "e", LockMode.WRITE)
+    lm.release_all(A2)
+    lm.try_lock(A1, "e", LockMode.WRITE)
+    assert mode_held(lm, A1, "e") is LockMode.WRITE
+
+
+def test_a_re_request_across_mode_families_promotes_to_write():
+    lm = LockManager()
+    lm.try_lock(A1, "e", LockMode.DECREMENT)
+    lm.try_lock(A1, "e", LockMode.READ)
+    assert mode_held(lm, A1, "e") is LockMode.WRITE
+    assert lm.promotions == 1
+
+
 def test_shared_reads():
     lm = LockManager()
     lm.try_lock(A1, "e", LockMode.READ)

@@ -68,11 +68,11 @@ def test_unbind_retries_through_transient_lock_conflict():
     status = world.run_commit(action)
     assert status is ActionStatus.COMMITTED
 
-    # Hold the entry's write lock for a while, then release: the unbind
-    # must retry through the conflict and still decrement.
+    # Hold the entry's write lock for a while (a Remove, which a
+    # Decrement cannot share), then release: the unbind must retry
+    # through the conflict and still decrement.
     holder = AtomicAction()
-    world.db.server_db.get_server_with_uses(
-        holder.id.path, UID, for_update=True)
+    world.db.server_db.remove(holder.id.path, UID, "h3")
     world.scheduler.schedule(0.12, lambda: world.db.server_db.abort(
         holder.id.path))
     world.run_unbind(outcome)
@@ -88,8 +88,7 @@ def test_unbind_gives_up_after_bounded_attempts():
     world.run_commit(action)
 
     holder = AtomicAction()  # never released during the retries
-    world.db.server_db.get_server_with_uses(
-        holder.id.path, UID, for_update=True)
+    world.db.server_db.remove(holder.id.path, UID, "h2")
     world.run_unbind(outcome)
     gave_up = world.metrics.counter_value(
         "binding.independent.unbind_gave_up")

@@ -134,9 +134,10 @@ def test_get_binding_with_uses_returns_use_lists_and_view_in_one_call():
 
 
 def test_get_binding_with_uses_gives_sv_to_the_bind_action_and_st_to_the_client():
-    """Two top-level owners: ``first`` write-locks ``Sv`` (it goes on to
-    Increment), the client action read-locks ``St`` to its own end --
-    and ``first``'s commit releases only the former."""
+    """Two top-level owners: ``first`` takes the INCREMENT lock on
+    ``Sv`` (it goes on to Increment), the client action read-locks
+    ``St`` to its own end -- and ``first``'s commit releases only the
+    former."""
     from repro.actions.locks import LockMode
 
     db = make_db()
@@ -146,7 +147,7 @@ def test_get_binding_with_uses_gives_sv_to_the_bind_action_and_st_to_the_client(
 
     assert [(owner.path, mode) for owner, mode in
             lock_holders(db.server_db.locks, ("sv", uid))] == [
-                (first.id.path, LockMode.WRITE)]
+                (first.id.path, LockMode.INCREMENT)]
     assert [(owner.path, mode) for owner, mode in
             lock_holders(db.state_db.locks, ("st", uid))] == [
                 (client.id.path, LockMode.READ)]
@@ -192,3 +193,18 @@ def test_commit_after_a_nested_write_was_aborted_is_a_pure_lock_release():
     assert db.is_quiescent("sys:1")  # the Increment did not survive
     assert not db.state_db.locks.is_locked(("st", uid))
     assert not db.server_db.locks.is_locked(("sv", uid))
+
+
+def test_read_entry_versioned_answers_locked_while_a_decrement_is_uncommitted():
+    """A committed-snapshot read never shares with a counter move: the
+    use lists it would return are not committed state yet."""
+    db = make_db()
+    setup = AtomicAction()
+    db.increment(setup.id.path, "cn", "sys:1", ["alpha"])
+    db.commit(setup.id.path)
+    unbind = AtomicAction()
+    db.decrement(unbind.id.path, "cn", "sys:1", ["alpha"])
+    assert db.read_entry_versioned("sys:1") == "locked"
+    db.commit(unbind.id.path)
+    sv_hosts, uses, _st, _versions, _mode = db.read_entry_versioned("sys:1")
+    assert uses == {"alpha": {}, "beta": {}}

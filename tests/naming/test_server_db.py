@@ -258,3 +258,97 @@ def test_purge_client_abort_restores_every_entry():
         snapshot = db.get_server_with_uses(probe.id.path, uid)
         db.abort(probe.id.path)
         assert snapshot.uses["h1"] == {"ghost": 1}, (uid, snapshot.uses)
+
+
+# -- type-specific use-list locks ------------------------------------------------
+
+
+def uses_of(db):
+    probe = AtomicAction()
+    snapshot = db.get_server_with_uses(probe.id.path, UID)
+    db.abort(probe.id.path)
+    return {host: dict(counters) for host, counters in snapshot.uses.items()}
+
+
+def committed_uses(db, *client_nodes):
+    setup = AtomicAction()
+    for client_node in client_nodes:
+        db.increment(setup.id.path, client_node, UID, ["alpha"])
+    db.commit(setup.id.path)
+
+
+def test_a_decrement_is_granted_while_another_clients_binding_action_holds_the_entry():
+    db = make_db()
+    committed_uses(db, "c1")
+    binder = AtomicAction()
+    db.get_server_with_uses(binder.id.path, UID, for_update=True)
+    unbind = AtomicAction()
+    db.decrement(unbind.id.path, "c1", UID, ["alpha"])
+    db.commit(unbind.id.path)
+    db.increment(binder.id.path, "c2", UID, ["alpha"])
+    db.commit(binder.id.path)
+    assert uses_of(db) == {"alpha": {"c2": 1}, "beta": {}}
+    assert db.metrics.counter_value("server_db.locks_refused.decrement") == 0
+
+
+def test_two_decrements_from_unrelated_actions_interleave():
+    db = make_db()
+    committed_uses(db, "c1", "c2")
+    version = db.entry_version(UID)[0]
+    first, second = AtomicAction(), AtomicAction()
+    db.decrement(first.id.path, "c1", UID, ["alpha"])
+    db.decrement(second.id.path, "c2", UID, ["alpha"])
+    db.abort(first.id.path)
+    db.commit(second.id.path)
+    assert uses_of(db) == {"alpha": {"c1": 1}, "beta": {}}
+    assert db.entry_version(UID)[0] == version + 1  # only the committed one
+
+
+def test_binders_still_exclude_each_other():
+    db = make_db()
+    first, second = AtomicAction(), AtomicAction()
+    db.get_server_with_uses(first.id.path, UID, for_update=True)
+    with pytest.raises(LockRefused):
+        db.get_server_with_uses(second.id.path, UID, for_update=True)
+    assert db.metrics.counter_value("server_db.locks_refused.increment") == 1
+
+
+@pytest.mark.parametrize("first", ["remove", "decrement"])
+def test_remove_and_decrement_refuse_each_other_in_both_orders(first):
+    """Remove's undo restores a snapshot of the host's use list, which
+    would erase a concurrent Decrement: the two never share the entry."""
+    db = make_db()
+    committed_uses(db, "c1")
+    holder, requester = AtomicAction(), AtomicAction()
+    ops = {"remove": lambda a: db.remove(a.id.path, UID, "beta"),
+           "decrement": lambda a: db.decrement(a.id.path, "c1", UID, ["alpha"])}
+    second = "decrement" if first == "remove" else "remove"
+    ops[first](holder)
+    with pytest.raises(LockRefused):
+        ops[second](requester)
+    refused = "decrement" if second == "decrement" else "write"
+    assert db.metrics.counter_value(f"server_db.locks_refused.{refused}") == 1
+
+
+def test_a_binders_snapshot_still_shows_an_uncommitted_decrements_use():
+    """The binder is serialised before the Decrement it overlaps: if
+    the Decrement aborts, the binder must not have acted on it."""
+    db = make_db()
+    committed_uses(db, "c1")
+    unbind = AtomicAction()
+    db.decrement(unbind.id.path, "c1", UID, ["alpha"])
+    binder = AtomicAction()
+    snapshot = db.get_server_with_uses(binder.id.path, UID, for_update=True)
+    assert snapshot.uses["alpha"] == {"c1": 1}
+    assert snapshot.used_hosts() == ["alpha"]
+    db.abort(unbind.id.path)
+    db.commit(binder.id.path)
+    assert uses_of(db) == {"alpha": {"c1": 1}, "beta": {}}
+
+    # Once the Decrement commits it is no longer pending.
+    unbind = AtomicAction()
+    db.decrement(unbind.id.path, "c1", UID, ["alpha"])
+    db.commit(unbind.id.path)
+    binder = AtomicAction()
+    assert db.get_server_with_uses(
+        binder.id.path, UID, for_update=True).all_uses_empty

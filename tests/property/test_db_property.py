@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from repro.actions import AtomicAction
 from repro.actions.errors import ActionError
-from repro.naming import GroupViewDatabase, NamingError
+from repro.naming import GroupViewDatabase, NamingError, ObjectServerDatabase
 from repro.naming.db_base import digest
 from repro.storage import Uid
 
@@ -212,3 +212,86 @@ def test_no_locks_remain_after_terminal_state(ops):
     db.commit(action.id.path)
     assert not db.server_db.locks.owners()
     assert not db.state_db.locks.owners()
+
+
+# -- counter moves commute --------------------------------------------------
+
+COUNTER_HOSTS = ["h1", "h2"]
+CLIENT_NODES = ["c0", "c1", "c2"]
+BASE_USES = 40  # above any run's Decrements: no counter hits the floor
+
+
+@st.composite
+def counter_histories(draw):
+    """Actions of Increments and Decrements, each committed or aborted,
+    and an interleaving of their steps (each action ends after its
+    last move)."""
+    actions = draw(st.lists(st.tuples(
+        st.lists(st.tuples(st.sampled_from([1, -1]),
+                           st.sampled_from(CLIENT_NODES),
+                           st.sampled_from(COUNTER_HOSTS)),
+                 min_size=1, max_size=5),
+        st.booleans()), min_size=2, max_size=4))
+    steps = [i for i, (moves, _commit) in enumerate(actions)
+             for _ in range(len(moves) + 1)]
+    return actions, draw(st.permutations(steps))
+
+
+def counter_db():
+    db = ObjectServerDatabase()
+    db.install_entry(Uid.parse(UID_TEXT), COUNTER_HOSTS,
+                     {h: dict.fromkeys(CLIENT_NODES, BASE_USES)
+                      for h in COUNTER_HOSTS}, (1, 0))
+    return db
+
+
+def counter_db_uses(db):
+    probe = AtomicAction()
+    uses = db.get_server_with_uses(probe.id.path, Uid.parse(UID_TEXT)).uses
+    db.abort(probe.id.path)
+    return {host: dict(counters) for host, counters in uses.items()}
+
+
+def apply_move(db, path, delta, client_node, host):
+    move = db.increment if delta > 0 else db.decrement
+    move(path, client_node, Uid.parse(UID_TEXT), [host])
+
+
+@given(counter_histories())
+def test_interleaved_counter_moves_end_at_the_committed_sum(history):
+    actions, steps = history
+    interleaved = counter_db()
+    paths = [AtomicAction().id.path for _ in actions]
+    done = [0] * len(actions)
+    granted: list[list] = [[] for _ in actions]
+    for i in steps:
+        moves, commit = actions[i]
+        if done[i] < len(moves):
+            try:  # Increments exclude each other: some are refused
+                apply_move(interleaved, paths[i], *moves[done[i]])
+                granted[i].append(moves[done[i]])
+            except ActionError:
+                pass
+        else:
+            (interleaved.commit if commit else interleaved.abort)(paths[i])
+        done[i] += 1
+
+    expected = {h: dict.fromkeys(CLIENT_NODES, BASE_USES)
+                for h in COUNTER_HOSTS}
+    for i, (_moves, commit) in enumerate(actions):
+        for delta, client_node, host in granted[i] if commit else ():
+            expected[host][client_node] += delta
+    assert counter_db_uses(interleaved) == expected
+
+    # A replica running the same granted moves one action at a time, in
+    # the opposite order, ends with the same write version.
+    serial = counter_db()
+    for i in reversed(range(len(actions))):
+        path = AtomicAction().id.path
+        for move in granted[i]:
+            apply_move(serial, path, *move)
+        (serial.commit if actions[i][1] else serial.abort)(path)
+    uid = Uid.parse(UID_TEXT)
+    assert interleaved.entry_version(uid) == serial.entry_version(uid)
+    assert not interleaved.locks.owners() and not interleaved._pending
+

@@ -2,7 +2,14 @@
 
 from hypothesis import given, strategies as st
 
-from repro.actions import ActionId, LockManager, LockMode, LockRefused, lock_compatible
+from repro.actions import (
+    ActionId,
+    LockManager,
+    LockMode,
+    LockRefused,
+    lock_compatible,
+    lock_covers,
+)
 
 from tests.conftest import lock_holders
 
@@ -78,6 +85,44 @@ def test_write_never_shares(requested, held):
 
 
 @given(modes)
-def test_read_shares_with_everything_but_write(mode):
-    expected = mode is not LockMode.WRITE
+def test_read_shares_only_with_read_and_exclude_write(mode):
+    expected = mode in (LockMode.READ, LockMode.EXCLUDE_WRITE)
     assert lock_compatible(LockMode.READ, mode) is expected
+
+
+@given(modes, modes)
+def test_the_matrix_is_symmetric(requested, held):
+    assert lock_compatible(requested, held) is lock_compatible(held, requested)
+
+
+@given(modes, modes)
+def test_covering_is_derived_from_the_matrix(stronger, weaker):
+    """Holding a covering mode excludes every mode the covered one does."""
+    assert lock_covers(stronger, weaker) is all(
+        lock_compatible(other, weaker) for other in LockMode
+        if lock_compatible(other, stronger))
+
+
+def test_covering_reproduces_the_paper_strength_order():
+    R, X, W = LockMode.READ, LockMode.EXCLUDE_WRITE, LockMode.WRITE
+    for weaker, stronger in ((R, X), (X, W), (R, W)):
+        assert lock_covers(stronger, weaker)
+        assert not lock_covers(weaker, stronger)
+    I, D = LockMode.INCREMENT, LockMode.DECREMENT
+    for weaker, stronger in ((D, I), (I, W), (D, W)):
+        assert lock_covers(stronger, weaker)
+        assert not lock_covers(weaker, stronger)
+    # The read family and the use-list family are not ordered.
+    for a in (R, X):
+        for b in (I, D):
+            assert not lock_covers(a, b) and not lock_covers(b, a)
+
+
+@given(modes, modes)
+def test_a_re_request_ends_holding_a_mode_that_covers_both(held, requested):
+    lm = LockManager()
+    owner = ActionId((1,))
+    lm.try_lock(owner, "r", held)
+    lm.try_lock(owner, "r", requested)
+    [(_, now)] = lock_holders(lm, "r")
+    assert lock_covers(now, held) and lock_covers(now, requested)

@@ -8,6 +8,7 @@ from repro.workload.audit import (
     CacheLedgerAudit,
     CounterLedgerAudit,
     PlacementAudit,
+    UseListAudit,
 )
 from repro.workload.generator import invoke
 from repro.workload.scenario import Counter, Run
@@ -77,6 +78,31 @@ def test_owners_with_different_sv_disagree(settled):
     system.db.shards[owner].commit((0,))
     assert PlacementAudit(misplaced=None).audit(settled) == {
         "replica_disagreements": 1}
+
+
+def test_use_lists_audit_clean_after_every_unbind(settled):
+    assert UseListAudit().audit(settled) == {
+        "leftover_uses": 0, "use_list_disagreements": 0}
+
+
+def test_a_use_count_left_on_one_owner_is_leftover_and_a_disagreement(settled):
+    system, uid = settled.system, settled.uids[0]
+    owner = system.shard_router.preference_list(uid, 2)[1]
+    host = system.db_sv(uid)[0]
+    system.db.shards[owner].increment((0,), "c9", str(uid), [host])
+    system.db.shards[owner].commit((0,))
+    assert UseListAudit(leftover="orphans").audit(settled) == {
+        "orphans": 1, "use_list_disagreements": 1}
+
+
+def test_a_use_count_left_on_every_owner_is_leftover_on_each(settled):
+    system, uid = settled.system, settled.uids[0]
+    host = system.db_sv(uid)[0]
+    for shard in system.shard_router.preference_list(uid, 2):
+        system.db.shards[shard].increment((0,), "c9", str(uid), [host])
+        system.db.shards[shard].commit((0,))
+    assert UseListAudit().audit(settled) == {
+        "leftover_uses": 2, "use_list_disagreements": 0}
 
 
 def test_cache_read_past_its_lease_is_a_violation():
