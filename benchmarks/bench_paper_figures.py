@@ -136,7 +136,8 @@ EXPERIMENTS = {
     "fig7_contention": Experiment(
         "paper_binding_contention",
         {"6 clients": dict()},
-        ["commit_rate", "retries", "lock_refusals", "decrement_refusals"]),
+        ["commit_rate", "retries", "lock_refusals", "lock_parks",
+         "decrement_refusals"]),
     "fig8": Experiment(
         "paper_binding_schemes",
         {"independent": dict(scheme="independent"),

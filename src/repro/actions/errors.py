@@ -8,10 +8,11 @@ class ActionError(Exception):
 class LockRefused(ActionError):
     """A lock request conflicted with locks held by unrelated actions.
 
-    The databases use try-lock semantics: a refused lock is reported to
-    the caller immediately, who may retry or abort (paper: "if the lock
-    promotion succeeds, the exclude operation can be performed, else the
-    client action must abort").
+    A refused lock is reported to the caller, who may retry or abort
+    (paper: "if the lock promotion succeeds, the exclude operation can
+    be performed, else the client action must abort") -- immediately,
+    or, for a request that parked behind older holders, once its wait
+    is over (see :mod:`repro.actions.locks`).
     """
 
 

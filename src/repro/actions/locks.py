@@ -65,18 +65,49 @@ action may read what its parent wrote.  Nothing moves on nested commit:
 a lock keeps its nested owner until the table's holder releases a whole
 action sub-tree at once -- at top-level commit, or when the nested
 action aborts (see :mod:`repro.naming.db_base`).
+
+Parked requests: younger waits for older
+----------------------------------------
+
+A conflicting request is refused at once, except a **fresh** request
+(not a promotion) made through :meth:`LockManager.lock` whose every
+conflicting unrelated holder is *older*: it has a smaller top-level
+serial (``ActionId.path[0]``).  That request parks on a
+:class:`~repro.sim.futures.Future` instead.  It is the wait half of
+wound-wait (Rosenkrantz, Stearns & Lewis, TODS 1978) with no wounding:
+an older requester is refused as before, and nobody is ever
+pre-empted.  A parked request also counts as a conflict for any later
+request that is not older than it: that request queues behind it (or
+is refused), so a grant never leaves a parked request waiting on a
+holder younger than itself.  Every lock wait therefore points from a
+younger action to an older one, one total order, so lock waits alone
+can never form a cycle.  The serials come from one process-wide
+counter, so the order is total for free; a real deployment would order
+by ``(clock, node)``.
+
+When a holder releases, that resource's parked requests are retried
+oldest first under the same rule: granted if nothing conflicts, left
+parked if every conflict is still older, refused otherwise.
+A parked request is refused with :class:`LockRefused` once it has
+waited ``patience`` (its caller's bound), or when its owner's action
+ends at this table (:meth:`LockManager.release_tree`), so no lock is
+ever granted to an action that has already gone.  The bound also ends
+any cycle that runs through a wait outside the lock table.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Hashable, TYPE_CHECKING
+from typing import Any, Callable, Hashable, TYPE_CHECKING
 
 from repro.actions.errors import LockRefused, PromotionRefused
+from repro.sim.futures import Future
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.actions.action import ActionId
+    from repro.sim.events import Event
+    from repro.sim.scheduler import Scheduler
 
 
 class LockMode(enum.Enum):
@@ -129,74 +160,199 @@ class _Held:
     mode: LockMode
 
 
-class LockManager:
-    """A try-lock table over hashable resource keys.
+@dataclass
+class _Parked:
+    owner: "ActionId"
+    mode: LockMode
+    future: Future
+    timer: "Event | None" = None
 
-    ``try_lock`` either grants immediately or raises
-    :class:`LockRefused`/:class:`PromotionRefused`; there is no blocking
-    queue.  The paper's schemes abort or retry on refusal, and retrying
-    at the client keeps the simulated databases deadlock-free.
+
+class LockManager:
+    """A lock table over hashable resource keys.
+
+    ``try_lock`` grants immediately or raises
+    :class:`LockRefused`/:class:`PromotionRefused`.  ``lock`` given a
+    clock may also park a fresh request behind older holders (see the
+    module docstring); the paper's schemes abort or retry on a refusal.
     """
 
     def __init__(self) -> None:
         self._table: dict[Hashable, list[_Held]] = {}
+        self._parked: dict[Hashable, list[_Parked]] = {}
         self.grants = 0
-        self.refusals = 0
+        self.refusals = 0  # final: a parked request counts when it fails
+        self.parks = 0
         self.promotions = 0
         self.promotion_refusals = 0
 
     # -- acquisition -------------------------------------------------------
 
-    def try_lock(self, owner: "ActionId", resource: Hashable, mode: LockMode) -> None:
-        """Grant ``mode`` on ``resource`` to ``owner`` or raise.
+    def lock(self, owner: "ActionId", resource: Hashable, mode: LockMode,
+             clock: "Scheduler | None" = None,
+             patience: float = 0.0) -> Future | None:
+        """Grant ``mode`` on ``resource`` to ``owner`` (``None``), park
+        the request (a future), or raise.
 
         Re-requesting a mode already covered is a no-op.  Any other
         re-request attempts promotion to the weakest mode covering both,
         which succeeds only if every *unrelated* holder is compatible
-        with it.
+        with it, and never parks.  A request conflicting with a parked
+        request no younger than itself is not granted past it.  A fresh
+        request that conflicts parks only when a ``clock`` is given and
+        every conflict (holder or parked request) is older: the future
+        resolves once the lock is granted, or fails with
+        :class:`LockRefused` after ``patience`` on ``clock`` or when the
+        owner's action ends here.
         """
         holders = self._table.setdefault(resource, [])
+        queue = self._parked.get(resource)
         mine = self._find(holders, owner)
         if mine is not None:
             target = _AFTER[(mine.mode, mode)]
             if target is mine.mode:
-                return  # already held at sufficient strength
-            self._check_conflicts(holders, owner, target, promotion=True)
+                return None  # already held at sufficient strength
+            conflicts = self._conflicts(holders, owner, target)
+            if queue:
+                conflicts += self._ahead(queue, owner, target)
+            if conflicts:
+                held = conflicts[0]
+                self.promotion_refusals += 1
+                raise PromotionRefused(
+                    f"cannot promote to {target.value} on {holders!r}: "
+                    f"conflicts with {held.owner} holding {held.mode.value}")
             mine.mode = target
             self.promotions += 1
-            return
-        self._check_conflicts(holders, owner, mode, promotion=False)
-        holders.append(_Held(owner, mode))
-        self.grants += 1
+            return None
+        conflicts = self._conflicts(holders, owner, mode)
+        if queue:
+            conflicts += self._ahead(queue, owner, mode)
+        if not conflicts:
+            holders.append(_Held(owner, mode))
+            self.grants += 1
+            return None
+        if clock is None or not _all_older(conflicts, owner):
+            self.refusals += 1
+            raise _refused(mode, conflicts[0])
+        parked = _Parked(owner, mode, Future(label="lock"))
+        parked.timer = clock.schedule(patience, self._expire, resource, parked)
+        self._parked.setdefault(resource, []).append(parked)
+        self.parks += 1
+        return parked.future
 
-    def _check_conflicts(self, holders: list[_Held], owner: "ActionId",
-                         mode: LockMode, promotion: bool) -> None:
+    # The try-lock: with no clock a request is granted or raised, never
+    # parked.
+    try_lock = lock
+
+    @staticmethod
+    def _conflicts(holders: "list[_Held] | list[_Parked]", owner: "ActionId",
+                   mode: LockMode) -> list:
+        conflicts = []
         for held in holders:
             if held.owner == owner or held.owner.related(owner):
                 continue
             if not lock_compatible(mode, held.mode):
-                if promotion:
-                    self.promotion_refusals += 1
-                    raise PromotionRefused(
-                        f"cannot promote to {mode.value} on {holders!r}: "
-                        f"conflicts with {held.owner} holding {held.mode.value}")
+                conflicts.append(held)
+        return conflicts
+
+    def _ahead(self, queue: list[_Parked], owner: "ActionId",
+               mode: LockMode) -> list[_Parked]:
+        """The parked requests ``mode`` conflicts with that are no
+        younger than ``owner``: granting past one would leave it waiting
+        on a holder that is not older than itself."""
+        serial = owner.top_level_serial
+        return [parked for parked in self._conflicts(queue, owner, mode)
+                if parked.owner.top_level_serial <= serial]
+
+    def _expire(self, resource: Hashable, parked: _Parked) -> None:
+        queue = self._parked[resource]
+        queue.remove(parked)
+        if not queue:
+            del self._parked[resource]
+        self._settle([(parked, LockRefused(
+            f"{parked.mode.value} lock refused: parked past its bound"))])
+
+    def _settle(self, settled: list[tuple[_Parked, LockRefused | None]]) -> None:
+        """Wake parked callers once the table is consistent again."""
+        for parked, error in settled:
+            assert parked.timer is not None
+            parked.timer.cancel()
+            if error is None:
+                self.grants += 1
+                parked.future.resolve(None)
+            else:
                 self.refusals += 1
-                raise LockRefused(
-                    f"{mode.value} lock refused: {held.owner} holds {held.mode.value}")
+                parked.future.fail(error)
 
     # -- release ---------------------------------------------------------------
 
     def release_all(self, owner: "ActionId") -> int:
-        """Release every lock held by ``owner``; returns how many."""
+        """Release every lock held by ``owner`` and refuse its parked
+        requests; returns how many locks."""
+        return self._release(lambda other: other == owner)
+
+    def release_tree(self, prefix: tuple[int, ...]) -> int:
+        """:meth:`release_all` for every owner under the action path
+        ``prefix``: the action (and its sub-tree) ended here."""
+        return self._release(lambda other: other.path[:len(prefix)] == prefix)
+
+    def _release(self, ending: Callable[["ActionId"], bool]) -> int:
+        settled: list[tuple[_Parked, LockRefused | None]] = []
+        for resource, queue in list(self._parked.items()):
+            for parked in [p for p in queue if ending(p.owner)]:
+                queue.remove(parked)
+                settled.append((parked, LockRefused(
+                    f"{parked.mode.value} lock refused: {parked.owner} "
+                    f"ended while parked")))
+            if not queue:
+                del self._parked[resource]
         released = 0
+        freed: list[Hashable] = []
         for resource in list(self._table):
             holders = self._table[resource]
-            before = len(holders)
-            holders[:] = [h for h in holders if h.owner != owner]
-            released += before - len(holders)
+            kept = [h for h in holders if not ending(h.owner)]
+            if len(kept) != len(holders):
+                released += len(holders) - len(kept)
+                holders[:] = kept
+                freed.append(resource)
             if not holders:
                 del self._table[resource]
+        for resource in freed:
+            if resource in self._parked:
+                self._retry(resource, settled)
+        self._settle(settled)
         return released
+
+    def _retry(self, resource: Hashable,
+               settled: list[tuple[_Parked, LockRefused | None]]) -> None:
+        """Re-apply the rule to ``resource``'s parked requests, oldest
+        first; each grant is in the table before the next is judged."""
+        queue = self._parked[resource]
+        holders = self._table.setdefault(resource, [])
+        still: list[_Parked] = []
+        for parked in sorted(queue, key=lambda p: p.owner.top_level_serial):
+            owner = parked.owner
+            mine = self._find(holders, owner)
+            mode = parked.mode if mine is None else _AFTER[(mine.mode,
+                                                            parked.mode)]
+            conflicts = (self._conflicts(holders, owner, mode)
+                         + self._ahead(still, owner, mode))
+            if conflicts and _all_older(conflicts, owner):
+                still.append(parked)
+                continue
+            queue.remove(parked)
+            if conflicts:
+                settled.append((parked, _refused(mode, conflicts[0])))
+                continue
+            if mine is None:
+                holders.append(_Held(owner, mode))
+            else:
+                mine.mode = mode
+            settled.append((parked, None))
+        if not queue:
+            del self._parked[resource]
+        if not holders:
+            del self._table[resource]
 
     # -- inspection ----------------------------------------------------------
 
@@ -206,9 +362,25 @@ class LockManager:
     def owners(self) -> set[Any]:
         return {h.owner for holders in self._table.values() for h in holders}
 
+    def waiters(self) -> set[Any]:
+        """The owners of every parked request."""
+        return {p.owner for queue in self._parked.values() for p in queue}
+
     @staticmethod
     def _find(holders: list[_Held], owner: "ActionId") -> _Held | None:
         for held in holders:
             if held.owner == owner:
                 return held
         return None
+
+
+def _all_older(conflicts: list, requester: "ActionId") -> bool:
+    """Whether every conflict is an older action's than ``requester``."""
+    serial = requester.top_level_serial
+    return all(held.owner.top_level_serial < serial for held in conflicts)
+
+
+def _refused(mode: LockMode, blocker: "_Held | _Parked") -> LockRefused:
+    verb = "holds" if isinstance(blocker, _Held) else "is parked for"
+    return LockRefused(f"{mode.value} lock refused: {blocker.owner} "
+                       f"{verb} {blocker.mode.value}")

@@ -25,6 +25,8 @@ from repro.core.objects import ObjectClassRegistry, PersistentObject, operation_
 from repro.net.errors import RpcError
 from repro.net.groups import GroupView
 from repro.net.multicast import MulticastDelivery
+from repro.sim.futures import Future
+from repro.sim.process import Process
 from repro.storage.uid import Uid
 
 SERVER_SERVICE = "servers"
@@ -52,11 +54,28 @@ class ObjectServer:
 
     def invoke(self, action_path: tuple[int, ...], op: str, args: tuple) -> Any:
         """Execute ``op`` under the action's lock; may raise LockRefused."""
+        self.acquire(action_path, op, park=False)
+        return self.run(action_path, op, args)
+
+    def acquire(self, action_path: tuple[int, ...], op: str,
+                park: bool) -> Future | None:
+        """Take the lock ``op`` needs, or raise LockRefused.  With
+        ``park``, a fresh request behind older holders parks on this
+        node's clock for half its RPC timeout instead, and the future
+        is returned (see :mod:`repro.actions.locks`)."""
         mode = operation_mode(self.obj, op)
         if mode is None:
             raise AttributeError(f"{type(self.obj).__name__}.{op} is not an operation")
         owner = ActionId(tuple(action_path))
-        self.locks.try_lock(owner, "object", mode)
+        if not park:
+            self.locks.try_lock(owner, "object", mode)
+            return None
+        return self.locks.lock(owner, "object", mode, self.node.scheduler,
+                               self.node.rpc.default_timeout / 2)
+
+    def run(self, action_path: tuple[int, ...], op: str, args: tuple) -> Any:
+        """Execute ``op``, whose lock the action holds."""
+        mode = operation_mode(self.obj, op)
         path = tuple(action_path)
         if mode is not LockMode.READ and not self._has_image_for(path):
             # One before-image per nesting level: a nested action aborting
@@ -80,7 +99,7 @@ class ObjectServer:
             self.version += 1
         self._images = [(p, img) for p, img in self._images
                         if not _is_prefix(path, p)]
-        self._release_tree(path)
+        self.locks.release_tree(path)
 
     def abort(self, action_path: tuple[int, ...]) -> None:
         path = tuple(action_path)
@@ -91,12 +110,7 @@ class ObjectServer:
             self.obj = restored
         self._images = [(p, img) for p, img in self._images
                         if not _is_prefix(path, p)]
-        self._release_tree(path)
-
-    def _release_tree(self, path: tuple[int, ...]) -> None:
-        for owner in list(self.locks.owners()):
-            if _is_prefix(path, owner.path):
-                self.locks.release_all(owner)
+        self.locks.release_tree(path)
 
     # -- state transfer -------------------------------------------------------------
 
@@ -243,16 +257,49 @@ class ServerHost:
 
     def invoke(self, action_path: tuple[int, ...], uid_text: str, op: str,
                args: tuple, client_node: str = "") -> Any:
+        """The RPC path (single-copy passive, coordinator-cohort): a
+        conflicting request behind older holders parks, and the handler
+        returns a generator that runs the operation once granted.  The
+        wait runs as a process of this node, so a crash ends it with no
+        reply, like every other process the node runs."""
+        server = self._enter(action_path, uid_text)
+        parked = server.acquire(action_path, op, park=True)
+        if parked is None:
+            return self._ran(server.run(action_path, op, tuple(args)),
+                             action_path, client_node)
+        return _joined(self._node.spawn(self._when_granted(
+            parked, server, action_path, op, args, client_node),
+            name="parked-invoke"))
+
+    def _when_granted(self, parked: Future, server: ObjectServer,
+                      action_path: tuple[int, ...], op: str, args: tuple,
+                      client_node: str) -> Generator[Any, Any, Any]:
+        started = self._node.scheduler.now
+        try:
+            yield parked
+        finally:
+            self._node.metrics.histogram("lock_wait").observe(
+                self._node.scheduler.now - started)
+        return self._ran(server.run(action_path, op, tuple(args)),
+                         action_path, client_node)
+
+    def _enter(self, action_path: tuple[int, ...],
+               uid_text: str) -> ObjectServer:
         server = self._server(uid_text)
         entry = self._roots.get(action_path[0])
         if entry is None:
             entry = self._roots[action_path[0]] = ({}, [])
-        servers, tracked = entry
-        # Indexed before the call: an operation that raises after taking
-        # its lock still leaves state for the action's abort to find.
-        servers[server] = None
-        value = server.invoke(action_path, op, tuple(args))
+        # Indexed before the lock request: an operation that parks, or
+        # raises after taking its lock, still leaves state for the
+        # action's abort to find.
+        entry[0][server] = None
+        return server
+
+    def _ran(self, value: Any, action_path: tuple[int, ...],
+             client_node: str) -> Any:
+        """Track the invoking client (for the janitor); pass ``value``."""
         if client_node:
+            _, tracked = self._roots[action_path[0]]
             path = tuple(action_path)
             if path not in self._action_clients:
                 tracked.append(path)
@@ -302,7 +349,7 @@ class ServerHost:
         # action ends here, tracked client included.
         servers, tracked = self._ending(path)
         for server in servers:
-            server._release_tree(path)
+            server.locks.release_tree(path)
         self._untrack_tree(path, tracked)
         return "readonly", {}
 
@@ -359,10 +406,13 @@ class ServerHost:
         request_id = payload["request_id"]
         reply_to = payload["reply_to"]
         try:
-            value = self.invoke(payload["action_path"], payload["uid"],
-                                payload["op"], payload["args"],
-                                client_node=payload.get("client_ref",
-                                                        reply_to))
+            # Never parks: the group's members must apply operations in
+            # the one order the multicast delivers them.
+            action_path = payload["action_path"]
+            server = self._enter(action_path, payload["uid"])
+            value = self._ran(server.invoke(action_path, payload["op"],
+                                            tuple(payload["args"])),
+                              action_path, payload.get("client_ref", reply_to))
             reply = {"request_id": request_id, "member": self._node.name,
                      "ok": True, "value": value}
         except Exception as exc:
@@ -370,6 +420,10 @@ class ServerHost:
                      "ok": False, "error_type": type(exc).__name__,
                      "error_message": str(exc)}
         self._node.nic.send(reply_to, GROUP_REPLY_KIND, reply)
+
+
+def _joined(process: Process) -> Generator[Any, Any, Any]:
+    return (yield process)
 
 
 # What ``ServerHost._roots`` holds for a root that invoked nothing here.

@@ -200,8 +200,13 @@ class NameShardHost:
         node crash resets the RPC agent's services *and* fences, and
         this hook re-arms both against the shared router -- whose fence
         epoch is monotonic, never reset to zero by any recovery.
+
+        A conflicting binder's update-intent read parks on the node's
+        clock for half its RPC timeout
+        (:meth:`~repro.naming.group_view_db.GroupViewDatabase.park_on`).
         """
         host = cls(node, db, service)
+        db.park_on(node.rpc)
 
         def hook(n: Node) -> None:
             n.rpc.register(service, db, fence=fence)

@@ -29,7 +29,10 @@ database and binds to servers for an object:
   (:mod:`repro.actions.locks`): binders still exclude each other, but
   an unbind's Decrement shares the entry with a binder and with other
   Decrements, so only a ``Remove`` or ``Insert``, a snapshot read or a
-  maintenance probe refuses it.
+  maintenance probe refuses it.  Binders serialise by waiting: a
+  binder's first lookup that finds an older binder holding the entry
+  parks at the name node until that one ends (a younger holder still
+  refuses it, and the client action retries).
 
 - :class:`NestedTopLevelBinding` (figure 8, section 4.1.3(ii)): the same
   two database actions, but invoked from *within* the client action as

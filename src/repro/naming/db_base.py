@@ -34,16 +34,21 @@ digest, the same winner wherever the comparison runs.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Generator, Hashable
 
 from repro.actions.action import ActionId
 from repro.actions.errors import LockRefused
 from repro.actions.locks import LockManager, LockMode
+from repro.sim.futures import Future
 from repro.sim.metrics import MetricsRegistry
+from repro.sim.scheduler import Scheduler
 from repro.storage.uid import Uid
 
 ActionPath = tuple[int, ...]
 Version = tuple[int, int]  # (count, content digest) of one entry half
+# Where and how long a request may park: the serving node's clock and
+# half its RPC timeout (see GroupViewDatabase.park_on).
+Parking = tuple[Scheduler, float]
 
 
 def digest(content: object) -> int:
@@ -113,20 +118,48 @@ class ActionDatabase:
     # -- locking helpers --------------------------------------------------
 
     def _lock(self, action_path: ActionPath, resource: Hashable,
-              mode: LockMode) -> None:
+              mode: LockMode, park: Parking | None = None) -> Future | None:
         """Acquire ``mode`` for the action; raises LockRefused on conflict.
 
-        Counts grants as ``<db>.locks.<mode>`` and refusals (promotions
-        included) as ``<db>.locks_refused.<mode>``, by the requested mode.
+        With ``park`` (the serving node's clock and the bound), a fresh
+        request behind older holders parks instead (see
+        :mod:`repro.actions.locks`): the parked future is returned, for
+        :meth:`_granted` to wait on.  Counts grants as
+        ``<db>.locks.<mode>``, parks as ``<db>.locks_parked.<mode>`` and
+        refusals (promotions and failed parks included) as
+        ``<db>.locks_refused.<mode>``, by the requested mode.
         """
         owner = ActionId(tuple(action_path))
         try:
-            self.locks.try_lock(owner, resource, mode)
+            parked = self.locks.lock(owner, resource, mode, *(park or ()))
         except LockRefused:
-            self.metrics.counter(
-                f"{self.name}.locks_refused.{mode.value}").increment()
+            self._count_refused(mode)
             raise
+        if parked is not None:
+            self.metrics.counter(
+                f"{self.name}.locks_parked.{mode.value}").increment()
+            return parked
         self.metrics.counter(f"{self.name}.locks.{mode.value}").increment()
+        return None
+
+    def _count_refused(self, mode: LockMode) -> None:
+        self.metrics.counter(
+            f"{self.name}.locks_refused.{mode.value}").increment()
+
+    def _granted(self, parked: Future, mode: LockMode, clock: Scheduler,
+                 then: Callable[[], Any]) -> Generator[Any, Any, Any]:
+        """Wait out a parked request, then return ``then()`` (which
+        re-requests the lock: a covered no-op, counted as the grant).
+        The wait goes into the ``lock_wait`` histogram, in sim-s."""
+        started = clock.now
+        try:
+            yield parked
+        except LockRefused:
+            self._count_refused(mode)
+            raise
+        finally:
+            self.metrics.histogram("lock_wait").observe(clock.now - started)
+        return then()
 
     def _record_undo(self, action_path: ActionPath,
                      undo_fn: Callable[[], None]) -> None:
@@ -146,7 +179,7 @@ class ActionDatabase:
         wrote = any(_is_prefix(path, entry_path) or _is_prefix(entry_path, path)
                     for entry_path, _ in self._undo)
         if not wrote:
-            self._release_tree(path)
+            self.locks.release_tree(path)
             return "readonly"
         return "ok"
 
@@ -154,7 +187,7 @@ class ActionDatabase:
         """Make the action's effects permanent and release its locks."""
         path = tuple(action_path)
         self._undo = [(p, fn) for p, fn in self._undo if not _is_prefix(path, p)]
-        self._release_tree(path)
+        self.locks.release_tree(path)
 
     def abort(self, action_path: ActionPath) -> None:
         """Undo the action's (and its descendants') effects, free locks."""
@@ -166,12 +199,7 @@ class ActionDatabase:
         for _, fn in reversed(undoing):
             fn()
         self._undo = keep
-        self._release_tree(path)
-
-    def _release_tree(self, path: ActionPath) -> None:
-        for owner in list(self.locks.owners()):
-            if _is_prefix(path, owner.path):
-                self.locks.release_all(owner)
+        self.locks.release_tree(path)
 
     def reset_volatile(self) -> None:
         """Model a crash of the hosting node: locks and undo logs are
@@ -182,7 +210,8 @@ class ActionDatabase:
         the recovering database must not resurrect half-applied writes
         or stale lock claims.  The empty path is a prefix of every
         action, so a blanket abort is exactly this semantics: all undo
-        entries reversed newest-first, every lock released.
+        entries reversed newest-first, every lock released, every
+        parked request refused.
         """
         self.abort(())
 

@@ -36,17 +36,18 @@ lease and install compares.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Collection, Mapping
+from typing import Any, Callable, Collection, Generator, Mapping
 
 from repro.actions.action import ActionId, AtomicAction
 from repro.actions.errors import LockRefused, PromotionRefused
 from repro.actions.locks import LockMode
-from repro.naming.db_base import ActionPath, Version, _is_prefix, digest
+from repro.naming.db_base import ActionPath, Parking, Version, _is_prefix, digest
 from repro.naming.errors import UnknownObject
 from repro.naming.nonatomic import NonAtomicNameServer
 from repro.naming.object_server_db import ObjectServerDatabase, ServerEntrySnapshot
 from repro.naming.object_state_db import ObjectStateDatabase
 from repro.net.batch import demux
+from repro.net.rpc import RpcAgent
 from repro.sim.metrics import MetricsRegistry
 from repro.storage.uid import Uid
 
@@ -100,6 +101,19 @@ class GroupViewDatabase:
         self._digests: dict[int, tuple[int, list[tuple]]] = {}
         if partition_of is not None:
             self.server_db.on_change = self.state_db.on_change = self._mark
+        # Set by :meth:`park_on`: where an update-intent read may park.
+        self.parking: Parking | None = None
+
+    def park_on(self, rpc: RpcAgent) -> None:
+        """Let a conflicting :meth:`get_binding_with_uses` park behind
+        older holders on ``rpc``'s clock for half its RPC timeout.
+
+        The bound keeps a parked reply inside the caller's own timeout,
+        which is the same ``rpc_timeout`` cluster-wide: the caller hears
+        a grant or a refusal, never a silence it would read as a dead
+        name node.
+        """
+        self.parking = (rpc.scheduler, rpc.default_timeout / 2)
 
     # -- administrative -------------------------------------------------------
 
@@ -167,12 +181,18 @@ class GroupViewDatabase:
         goes on to ``Increment``: it takes the ``Sv`` INCREMENT lock
         (binders exclude each other; a Decrement may share it) and gets
         the use lists too.  ``view_path`` (the client action) takes
-        the ``St`` read lock, first, as there.
+        the ``St`` read lock, first, as there.  Once :meth:`park_on`
+        has armed parking, a binder behind older binders waits for the
+        INCREMENT lock instead of being refused (the handler then
+        returns a generator).
         """
         uid = Uid.parse(uid_text)
         view = self.state_db.get_view(view_path, uid)
-        return self.server_db.get_server_with_uses(action_path, uid,
-                                                   for_update=True), view
+        snapshot = self.server_db.get_server_with_uses(
+            action_path, uid, for_update=True, park=self.parking)
+        if isinstance(snapshot, ServerEntrySnapshot):
+            return snapshot, view
+        return _beside(snapshot, view)  # parked: a generator handler
 
     def get_server_with_uses(self, action_path: ActionPath, uid_text: str,
                              for_update: bool = False) -> ServerEntrySnapshot:
@@ -493,6 +513,12 @@ class GroupViewDatabase:
         self.server_db.reset_volatile()
         self.state_db.reset_volatile()
         self._touched.clear()
+
+
+def _beside(parked: Generator[Any, Any, ServerEntrySnapshot],
+            view: list[str]) -> Generator[Any, Any, tuple[
+                ServerEntrySnapshot, list[str]]]:
+    return (yield from parked), view
 
 
 def diff_request(partitions: Collection[int],

@@ -23,6 +23,8 @@ anomalies each half admits.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.naming.db_base import ActionPath
 from repro.naming.errors import UnknownObject
 from repro.naming.object_server_db import ServerEntrySnapshot
@@ -53,8 +55,10 @@ class NonAtomicNameServer:
         return list(self._entry(uid))
 
     def get_server_with_uses(self, action_path: ActionPath, uid: Uid,
-                             for_update: bool = False) -> ServerEntrySnapshot:
-        """``for_update`` is accepted for the interface: nothing locks."""
+                             for_update: bool = False,
+                             park: Any = None) -> ServerEntrySnapshot:
+        """``for_update`` and ``park`` are accepted for the interface:
+        nothing locks, so nothing parks."""
         self.metrics.counter("nonatomic.get_server").increment()
         hosts = self._entry(uid)
         uses = {h: dict(c) for h, c in self._uses.get(uid, {}).items()}

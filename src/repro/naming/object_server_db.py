@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Generator, Mapping
 
 from repro.actions.action import ActionId
 from repro.actions.errors import LockRefused, PromotionRefused
 from repro.actions.locks import LockMode
 from repro.naming.db_base import (
-    ActionDatabase, ActionPath, Version, _is_prefix, digest)
+    ActionDatabase, ActionPath, Parking, Version, _is_prefix, digest)
 from repro.naming.errors import NotQuiescent, UnknownObject
 from repro.storage.uid import Uid
 
@@ -121,7 +121,10 @@ class ObjectServerDatabase(ActionDatabase):
         return list(self._entry(uid).hosts)
 
     def get_server_with_uses(self, action_path: ActionPath, uid: Uid,
-                             for_update: bool = False) -> ServerEntrySnapshot:
+                             for_update: bool = False,
+                             park: Parking | None = None,
+                             ) -> ServerEntrySnapshot | Generator[
+                                 Any, Any, ServerEntrySnapshot]:
         """Enhanced ``GetServer`` returning use lists too (section 4.1.3).
 
         ``for_update=True`` takes the INCREMENT lock immediately: the
@@ -131,9 +134,18 @@ class ObjectServerDatabase(ActionDatabase):
         a read lock that blocks every other binder's promotion).  The
         use lists count each uncommitted Decrement of an unrelated
         action back in: the reader is serialised before it.
+
+        With ``park``, a request behind older holders parks and a
+        generator is returned that yields the snapshot once granted
+        (see :mod:`repro.actions.locks`); binders then serialise by
+        waiting rather than by refusal and retry.
         """
         mode = LockMode.INCREMENT if for_update else LockMode.READ
-        self._lock(action_path, self._key(uid), mode)
+        parked = self._lock(action_path, self._key(uid), mode, park)
+        if parked is not None:
+            assert park is not None
+            return self._granted(parked, mode, park[0], lambda: (
+                self.get_server_with_uses(action_path, uid, for_update)))
         self.metrics.counter(f"{self.name}.get_server").increment()
         entry = self._entry(uid)
         frozen_uses = {h: dict(c) for h, c in entry.uses.items()}

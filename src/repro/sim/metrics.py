@@ -247,8 +247,8 @@ class ScopedMetrics:
     measurements apart: a shard handed ``registry.scoped("shard.n0.")``
     records ``server_db.get_server`` as ``shard.n0.server_db.get_server``.
     Instruments still live in the parent registry, so a whole-system
-    snapshot sees every shard.  Only counters are scoped: they are all
-    the scoped components record.
+    snapshot sees every shard.  Counters and histograms are scoped:
+    they are all the scoped components record.
     """
 
     __slots__ = ("_registry", "_prefix")
@@ -259,6 +259,9 @@ class ScopedMetrics:
 
     def counter(self, name: str) -> Counter:
         return self._registry.counter(self._prefix + name)
+
+    def histogram(self, name: str) -> "Histogram":
+        return self._registry.histogram(self._prefix + name)
 
 
 class MetricsRegistry:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
+from repro.cluster.server_host import SERVER_SERVICE
+from repro.naming.object_server_db import ObjectServerDatabase
 from repro.storage.uid import Uid
 from repro.workload.generator import invoke
 
@@ -132,6 +134,25 @@ class UseListAudit:
             system._release_probe_locks()
             disagreements += any(uses != lists[0] for uses in lists)
         return {self.leftover: leftover, self.disagreements: disagreements}
+
+
+def lock_leftovers(system: Any) -> dict[str, tuple[set, set]]:
+    """``{table: (owners, parked owners)}`` of every live lock table
+    that still holds a lock or parks a request: each name database's
+    halves and every up node's object servers.  Empty once a run has
+    settled with no action in flight."""
+    tables = {}
+    for name, db in getattr(system.db, "shards", {"namenode": system.db}).items():
+        if isinstance(db.server_db, ObjectServerDatabase):
+            tables[f"{name}/sv"] = db.server_db.locks
+        tables[f"{name}/st"] = db.state_db.locks
+    for node in system.nodes.values():
+        host = None if node.crashed else node.rpc.service(SERVER_SERVICE)
+        for uid, server in getattr(host, "_servers", {}).items():
+            tables[f"{node.name}/{uid}"] = server.locks
+    return {name: (locks.owners(), locks.waiters())
+            for name, locks in tables.items()
+            if locks.owners() or locks.waiters()}
 
 
 class CacheLedgerAudit:

@@ -35,6 +35,7 @@ from repro.workload.audit import (
     CounterLedgerAudit,
     PlacementAudit,
     UseListAudit,
+    lock_leftovers,
 )
 from repro.workload.generator import TransactionStream, invoke
 from repro.workload.scenario import (
@@ -1226,22 +1227,27 @@ _paper(
     """Concurrent binders under the independent scheme (fig. 7).
 
     Every binding locks the entry for its Increment, so simultaneous
-    binders are refused -- the cost the paper accepts; bounded restarts
-    absorb it.  An unbind's Decrement shares the entry with a binder and
-    with other Decrements (``decrement_refusals`` counts the ones still
-    refused, by a Remove or a snapshot read).
+    binders exclude each other -- the cost the paper accepts.  A binder
+    younger than the holder parks for the lock (``lock_parks``); an
+    older one is refused, and bounded restarts absorb it.  An unbind's
+    Decrement shares the entry with a binder and with other Decrements
+    (``decrement_refusals`` counts the ones still refused, by a Remove
+    or a snapshot read).  Once the load has ended no lock table holds a
+    lock or parks a request (``locks_left``).
     """,
     dict(scheme="independent", clients=6, txns=3, sv=2, st=1,
          mean_think_time=0.3, max_attempts=10, seed=13),
     (dict(clients=3, txns=2),),
-    dict(commit_rate=1.0,
-         contention_occurred=lambda r: r["lock_refusals"] > 0),
+    dict(commit_rate=1.0, locks_left=0,
+         contention_occurred=lambda r: r["lock_refusals"] + r["lock_parks"] > 0),
     shape=lambda p: _one_object(p, clients(p.clients)),
     streams=lambda run: closed_loop(run, run.p.txns),
     counters=lambda run: {
         **load_summary(run.report), "retries": run.report.retries,
         "lock_refusals": (run.system.db.server_db.locks.refusals
                           + run.system.db.server_db.locks.promotion_refusals),
+        "lock_parks": run.system.db.server_db.locks.parks,
+        "locks_left": len(lock_leftovers(run.system)),
         "decrement_refusals": run.system.metrics.counter_value(
             "server_db.locks_refused.decrement")},
     use_lists=True)

@@ -180,3 +180,108 @@ def test_grant_and_refusal_counters():
         lm.try_lock(A2, "e", LockMode.READ)
     assert lm.grants == 1
     assert lm.refusals == 1
+
+
+# -- parked requests: younger waits for older --------------------------------
+
+W, R, I = LockMode.WRITE, LockMode.READ, LockMode.INCREMENT
+
+
+def parking_table():
+    from repro.sim.scheduler import Scheduler
+    return LockManager(), Scheduler()
+
+
+def test_a_younger_fresh_request_parks_and_is_granted_on_release():
+    lm, clock = parking_table()
+    lm.try_lock(A1, "e", I)
+    parked = lm.lock(A2, "e", I, clock, 1.0)
+    assert not parked.done and lm.waiters() == {A2}
+    assert (lm.grants, lm.parks, lm.refusals) == (1, 1, 0)
+    lm.release_all(A1)
+    assert parked.done and not parked.failed
+    assert mode_held(lm, A2, "e") is I and not lm.waiters()
+    assert lm.grants == 2
+
+
+def test_an_older_request_and_a_sibling_are_refused_at_once():
+    lm, clock = parking_table()
+    lm.try_lock(A2, "e", W)
+    with pytest.raises(LockRefused):
+        lm.lock(A1, "e", R, clock, 1.0)          # older than the holder
+    lm.try_lock(ActionId((3, 1)), "f", W)
+    with pytest.raises(LockRefused):             # same age: not older
+        lm.lock(ActionId((3, 2)), "f", W, clock, 1.0)
+    assert lm.parks == 0 and lm.refusals == 2
+
+
+def test_a_request_without_a_clock_never_parks():
+    lm, _ = parking_table()
+    lm.try_lock(A1, "e", W)
+    with pytest.raises(LockRefused):
+        lm.try_lock(A2, "e", W)
+    assert lm.parks == 0
+
+
+def test_promotions_never_park():
+    lm, clock = parking_table()
+    lm.try_lock(A1, "e", R)
+    lm.try_lock(A2, "e", R)
+    with pytest.raises(PromotionRefused):
+        lm.lock(A2, "e", W, clock, 1.0)          # A1 is older, yet no park
+    assert lm.parks == 0
+
+
+def test_parked_requests_are_retried_oldest_first():
+    lm, clock = parking_table()
+    lm.try_lock(A1, "e", W)
+    third = lm.lock(A3, "e", W, clock, 1.0)
+    second = lm.lock(A2, "e", W, clock, 1.0)
+    lm.release_all(A1)
+    assert second.done and not third.done    # A3 now waits on older A2
+    assert mode_held(lm, A2, "e") is W
+    lm.release_all(A2)
+    assert third.done and mode_held(lm, A3, "e") is W
+
+
+def test_a_younger_request_queues_behind_an_older_parked_one():
+    """A3's read shares with A1's, but granting it would leave the
+    older parked writer A2 waiting on a younger holder."""
+    lm, clock = parking_table()
+    lm.try_lock(A1, "e", R)
+    writer = lm.lock(A2, "e", W, clock, 1.0)
+    with pytest.raises(LockRefused):
+        lm.try_lock(A3, "e", R)
+    reader = lm.lock(A3, "e", R, clock, 1.0)
+    lm.release_all(A1)
+    assert writer.done and not reader.done   # A3 now waits on older A2
+    lm.release_all(A2)
+    assert reader.done and mode_held(lm, A3, "e") is R
+    # An older request than the parked one may be granted past it.
+    lm.try_lock(A3, "f", R)
+    late_writer = lm.lock(ActionId((5,)), "f", W, clock, 1.0)
+    lm.try_lock(A1, "f", R)
+    assert mode_held(lm, A1, "f") is R and not late_writer.done
+
+
+def test_a_parked_request_is_refused_once_it_has_waited_its_patience():
+    lm, clock = parking_table()
+    lm.try_lock(A1, "e", W)
+    parked = lm.lock(A2, "e", W, clock, 0.5)
+    clock.run(until=0.49)
+    assert not parked.done
+    clock.run(until=0.5)
+    assert isinstance(parked.exception(), LockRefused)
+    assert not lm.waiters() and lm.refusals == 1
+    lm.release_all(A1)
+    assert not lm.owners()
+
+
+def test_ending_an_action_refuses_its_parked_requests_tree_wide():
+    lm, clock = parking_table()
+    lm.try_lock(A1, "e", W)
+    parked = lm.lock(ActionId((2, 7)), "e", W, clock, 1.0)
+    lm.release_tree((2,))                    # its top-level action aborts
+    assert isinstance(parked.exception(), LockRefused)
+    lm.release_all(A1)
+    assert not lm.owners() and not lm.waiters()

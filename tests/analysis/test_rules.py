@@ -49,6 +49,18 @@ def test_pr5_lock_across_wire_is_flagged(scan_fixture):
     assert idents(report) == {"locks.try_lock:across-wire"}
 
 
+def test_a_granted_park_held_across_the_wire_is_flagged(scan_fixture):
+    report = scan_fixture("bad_parked_lock.py", rules=["lock-across-wire"])
+    assert idents(report) == {"locks.lock:across-wire"}
+
+
+def test_waiting_on_a_parked_lock_request_is_not_flagged(scan_fixture):
+    report = scan_fixture("good_parked_lock.py",
+                          rules=["lock-across-wire", "action-leak"])
+    assert report.findings == []
+    assert report.files_scanned == 1
+
+
 def test_client_plane_in_maintenance_module_is_flagged(scan_fixture):
     report = scan_fixture("bad_sync_plane.py",
                           relpath="src/repro/naming/shard_resync.py",

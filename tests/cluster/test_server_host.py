@@ -201,27 +201,109 @@ def test_nested_and_root_aborts_under_one_root_rewind_the_right_image():
 
 
 def test_two_roots_interleaved_on_one_server_end_independently():
+    """The readers (roots 10 and 20) are younger than the writers, so
+    each conflicting writer is refused at once rather than parked."""
     host, uids = make_host(servers=4)
     shared = uids[0]
-    host.invoke((1,), shared, "get", (), client_node="c1")
-    host.invoke((2,), shared, "get", (), client_node="c2")
-    host.invoke((2,), uids[1], "add", (1,), client_node="c2")
+    host.invoke((10,), shared, "get", (), client_node="c1")
+    host.invoke((20,), shared, "get", (), client_node="c2")
+    host.invoke((20,), uids[1], "add", (1,), client_node="c2")
     with pytest.raises(LockRefused):
         host.invoke((3,), shared, "add", (1,), client_node="c3")
     host.abort((3,))              # the refused action still aborts here
-    host.commit((1,))
-    assert set(host._roots) == {2}
-    with pytest.raises(LockRefused):  # root 2 still reads it
+    host.commit((10,))
+    assert set(host._roots) == {20}
+    with pytest.raises(LockRefused):  # root 20 still reads it
         host.invoke((4,), shared, "add", (1,))
     host.abort((4,))
-    verdict, states = host.prepare((2,))
+    verdict, states = host.prepare((20,))
     assert verdict == "ok" and set(states) == {uids[1]}  # only what it wrote
-    host.commit((2,))
-    assert host.invoke((5,), shared, "add", (1,)) == 11
-    host.commit((5,))
+    host.commit((20,))
+    assert host.invoke((50,), shared, "add", (1,)) == 11
+    host.commit((50,))
     assert host._roots == {} and host._action_clients == {}
     assert not any(server.locks.owners() or server._images
                    for server in host._servers.values())
+
+
+def _park_writer(host, uid_text, root=3):
+    """Two older readers hold ``uid_text``; a younger writer's invoke
+    parks.  Returns the handler's process and the host's scheduler."""
+    scheduler = host._node.scheduler
+    host.invoke((1,), uid_text, "get", (), client_node="c1")
+    host.invoke((2,), uid_text, "get", (), client_node="c2")
+    parked = scheduler.spawn(
+        host.invoke((root,), uid_text, "add", (1,), client_node="c3"))
+    scheduler.run(until=scheduler.now + 0.01)
+    assert not parked.done
+    return parked, scheduler
+
+
+def test_a_younger_writer_parks_behind_older_readers_until_both_end():
+    host, uids = make_host(servers=2)
+    parked, _ = _park_writer(host, uids[0])
+    locks = host._server(uids[0]).locks
+    assert locks.parks == 1 and locks.refusals == 0
+    host.commit((1,))
+    assert not parked.done        # root 2 still reads
+    host.prepare((2,))            # read-only: ends root 2 here
+    assert parked.result() == 11  # granted, and the add ran
+    assert host._action_clients == {(3,): "c3"}
+    host.commit((3,))
+    assert not locks.owners() and not locks.waiters()
+    assert host._node.metrics.histogram("lock_wait").count == 1
+
+
+def test_a_parked_invoke_is_refused_at_half_the_rpc_timeout():
+    host, uids = make_host(servers=2)
+    parked, scheduler = _park_writer(host, uids[0])
+    bound = host._node.rpc.default_timeout / 2
+    scheduler.run(until=scheduler.now + bound)
+    assert isinstance(parked.exception(), LockRefused)
+    locks = host._server(uids[0]).locks
+    assert not locks.waiters() and locks.refusals == 1
+    host.abort((3,))
+    assert host.invoke((1,), uids[0], "get", ()) == 10  # nothing ran
+
+
+def test_ending_the_parked_action_refuses_it_and_never_grants_it():
+    host, uids = make_host(servers=2)
+    parked, _ = _park_writer(host, uids[0])
+    host.abort((3,))              # e.g. its caller gave up
+    assert isinstance(parked.exception(), LockRefused)
+    host.commit((1,))
+    host.commit((2,))
+    locks = host._server(uids[0]).locks
+    assert not locks.owners() and not locks.waiters()
+    assert host._roots == {} and host._action_clients == {}
+
+
+def test_a_crash_ends_a_parked_invoke_with_the_node():
+    """The wait is a process of the node: the crash kills it (and the
+    dark node sends no reply), like any other process it runs."""
+    from repro.sim.errors import ProcessKilled
+
+    host, uids = make_host(servers=2)
+    parked, _ = _park_writer(host, uids[0])
+    host._node.crash()
+    assert isinstance(parked.exception(), ProcessKilled)
+
+
+def test_the_multicast_path_never_parks():
+    """Group members must apply operations in delivery order, so a
+    conflicting group invocation is refused, however young."""
+    from repro.net.multicast import MulticastDelivery
+
+    host, uids = make_host(servers=2)
+    host.invoke((1,), uids[0], "get", (), client_node="c1")
+    replies = []
+    host._node.nic.send = lambda target, kind, reply: replies.append(reply)
+    host._on_group_invocation(MulticastDelivery("g", "c3", {
+        "request_id": 9, "reply_to": "c3", "action_path": (3,),
+        "uid": uids[0], "op": "add", "args": (1,)}, 1))
+    assert replies[0]["ok"] is False
+    assert replies[0]["error_type"] == "LockRefused"
+    assert not host._server(uids[0]).locks.waiters()
 
 
 def test_a_resent_prepare_answers_with_the_same_vote_and_state():

@@ -5,10 +5,12 @@ on a 4-shard, 2-replica ring with the independent binding scheme.
 Every bind Increments under an INCREMENT lock, which binders never
 share; every unbind Decrements under a DECREMENT lock, which shares
 the entry with another client's binding action and with other
-Decrements.  Whatever the interleaving, once every transaction has
-ended each use-list counter must be back at 0 on every owner replica,
-the owners must agree on every use list, and no committed add may be
-lost or invented.
+Decrements.  A binder younger than the holder parks for the lock
+rather than being refused.  Whatever the interleaving, once every
+transaction has ended each use-list counter must be back at 0 on every
+owner replica, the owners must agree on every use list, no committed
+add may be lost or invented, and no lock table may still hold an owner
+or a parked request.
 """
 
 import pytest
@@ -17,6 +19,8 @@ from repro import DistributedSystem, SystemConfig
 from repro.sim.rng import SeededRng
 from repro.workload.audit import CounterLedgerAudit, UseListAudit
 from repro.workload.generator import TransactionStream, run_streams
+
+from repro.workload.audit import lock_leftovers
 
 from tests.conftest import Counter, add_work, get_work
 
@@ -64,10 +68,10 @@ def test_every_use_count_returns_to_zero_on_every_replica(seed):
     system, uids, adds, report = contended_bind_load(seed)
     assert report.committed == report.offered == CLIENTS * TXNS
     count = system.metrics.snapshot()
-    refused = {key: value for key, value in count.items()
-               if ".locks_refused." in key and value}
-    # The load is contended: binders refused each other...
-    assert any(key.endswith("increment") for key in refused), refused
+    parked = {key: value for key, value in count.items()
+              if ".locks_parked." in key and value}
+    # The load is contended: binders waited for each other...
+    assert any(key.endswith("increment") for key in parked), parked
     assert system.metrics.counter_value(
         "binding.independent.unbind_gave_up") == 0
 
@@ -75,3 +79,5 @@ def test_every_use_count_returns_to_zero_on_every_replica(seed):
         "leftover_uses": 0, "use_list_disagreements": 0}
     assert CounterLedgerAudit().check(system, adds) == {
         "lost_bindings": 0, "stale_bindings": 0}
+    system.run(until=system.scheduler.now + 1.0)  # outcomes land
+    assert lock_leftovers(system) == {}

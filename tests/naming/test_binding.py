@@ -35,6 +35,7 @@ class World:
                                  demux=MessageDemux(nic_db))
         self.db = GroupViewDatabase()
         self.db_agent.register("group_view_db", self.db)
+        self.db.park_on(self.db_agent)  # as a deployment's name node does
         boot = AtomicAction()
         self.db.define_object(boot.id.path, str(UID), list(sv), ["t1"])
         self.db.commit(boot.id.path)
@@ -249,7 +250,7 @@ def test_independent_bind_uses_write_locks_on_db():
     action = AtomicAction(node="client")
     world.run_bind(action)
     writes = world.db.metrics.counter_value("server_db.locks.write")
-    assert writes >= 1  # Increment took a write lock
+    assert writes >= 1  # the entry's define took a write lock
 
 
 # -- nested top-level scheme (figure 8) --------------------------------------------

@@ -45,8 +45,46 @@ def test_read_only_rotation_falls_through_dead_convenient_node():
 
 
 def test_update_intent_lock_blocks_second_binder_immediately():
-    """for_update=True: the second concurrent binder is refused at the
-    read, not at a doomed promotion later."""
+    """for_update=True: a second concurrent binder *older* than the
+    holder is refused at the read, not at a doomed promotion later (a
+    younger one parks: see the next test)."""
+    world = World(IndependentTopLevelBinding)
+    younger = (10**9,)  # a holder younger than any binder's action
+    world.db.server_db.get_server_with_uses(younger, UID, for_update=True)
+    action = AtomicAction(node="client")
+    from repro.actions import LockRefused
+    with pytest.raises(LockRefused):
+        world.run_bind(action)
+    assert world.scheduler.now < 0.1  # one round trip: no wait
+    world.db.server_db.abort(younger)
+    action2 = AtomicAction(node="client")
+    outcome = world.run_bind(action2)
+    assert outcome.bound
+
+
+def test_a_younger_binder_parks_behind_the_holder_then_binds():
+    """Binders serialise by waiting: the younger one's update-intent
+    read parks at the name node until the older holder ends."""
+    world = World(IndependentTopLevelBinding)
+    holder = AtomicAction()
+    world.db.server_db.get_server_with_uses(
+        holder.id.path, UID, for_update=True)
+    world.scheduler.schedule(
+        0.2, lambda: world.db.server_db.abort(holder.id.path))
+    action = AtomicAction(node="client")
+    outcome = world.run_bind(action)
+    assert outcome.bound and world.scheduler.now > 0.2
+    locks = world.db.server_db.locks
+    assert (locks.parks, locks.refusals) == (1, 0)
+    assert world.db.metrics.counter_value(
+        "server_db.locks_parked.increment") == 1
+    [waited] = world.db.metrics.histogram("lock_wait").values
+    assert 0.17 < waited < 0.2
+    world.run_commit(action)
+    assert not locks.owners() and not locks.waiters()
+
+
+def test_a_parked_binder_is_refused_at_half_the_rpc_timeout():
     world = World(IndependentTopLevelBinding)
     holder = AtomicAction()
     world.db.server_db.get_server_with_uses(
@@ -55,10 +93,14 @@ def test_update_intent_lock_blocks_second_binder_immediately():
     from repro.actions import LockRefused
     with pytest.raises(LockRefused):
         world.run_bind(action)
-    world.db.server_db.abort(holder.id.path)
-    action2 = AtomicAction(node="client")
-    outcome = world.run_bind(action2)
-    assert outcome.bound
+    bound = world.db_agent.default_timeout / 2
+    assert bound < world.scheduler.now < world.client_agent.default_timeout
+    assert world.db.metrics.counter_value(
+        "server_db.locks_refused.increment") == 1
+    world.db.abort(action.id.path)
+    world.db.abort(holder.id.path)
+    locks = world.db.server_db.locks
+    assert not locks.owners() and not locks.waiters()
 
 
 def test_unbind_retries_through_transient_lock_conflict():
