@@ -75,7 +75,6 @@ EXEMPT: dict[str, str] = {
         "batched abort path of the naming participant",
     "repro.cluster.store_host.StoreHost.discard_shadow_many":
         "batched abort path of the store participant",
-    "*.ping": "liveness probe a peer sends when it suspects a host",
     "repro.net.multicast.ReliableOrderedMulticastMember.unexpect":
         "undo of expect() when a coherence registration fails",
     "repro.sim.failures.FaultPlanError.__init__":
@@ -113,8 +112,6 @@ EXEMPT: dict[str, str] = {
         "AtomicAction._commit_nested hands records to the parent with it",
     "repro.naming.coherence.CoherenceHost.retire":
         "draining a shard host with the coherence plane on",
-    "repro.naming.cleanup.UseListCleaner.stop":
-        "draining a shard host with the cleanup daemon on",
     "repro.naming.reshard.ShardAutoscaler.stop":
         "the autoscaler's shutdown",
     "repro.naming.shard_router.RingTransition.mark_dirty":

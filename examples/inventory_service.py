@@ -69,7 +69,7 @@ class Inventory(PersistentObject):
 def main():
     system = DistributedSystem(SystemConfig(
         seed=99, binding_scheme="independent",
-        enable_cleaner=True, cleaner_interval=2.0))
+        enable_cleaner=True))
     system.registry.register(Inventory)
     for name in ("w1", "w2", "w3"):
         system.add_node(name, server=True)

@@ -325,7 +325,7 @@ def abort_on_failure(action: AtomicAction) -> Generator[Any, Any, None]:
       closed -- abandoned by its driver or collected) yielding is
       illegal, so the abort is skipped: the RPCs it would need cannot
       be sent from a closing generator.  Remote participants are then
-      resolved by presumed-abort and the cleanup daemons, exactly as
+      resolved by presumed-abort and the janitors, exactly as
       for a client that crashed at this point.
     """
     if action.status in (ActionStatus.COMMITTED, ActionStatus.ABORTED):

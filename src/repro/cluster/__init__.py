@@ -17,6 +17,9 @@ nodes running application atomic actions.
 - :class:`~repro.cluster.client.ClientRuntime` and
   :class:`~repro.cluster.client.Txn` -- the client-side programming
   interface running transactions as simulation processes;
+- :class:`~repro.cluster.janitor.Janitor` -- one per server host and
+  name node: ends the parts of actions whose coordinator has finished
+  or died (paper section 4.1.3);
 - :class:`~repro.cluster.recovery.RecoveryManager` -- what a crashed
   node does when it comes back: refresh stale states, ``Include`` its
   store, ``Insert`` its server capability;
@@ -25,6 +28,7 @@ nodes running application atomic actions.
 """
 
 from repro.cluster.errors import ActivationFailed, ClusterError, TxnAborted
+from repro.cluster.janitor import Janitor
 from repro.cluster.node import Node
 from repro.cluster.store_host import StoreHost, STORE_SERVICE
 from repro.cluster.server_host import ObjectServer, ServerHost, SERVER_SERVICE
@@ -37,6 +41,7 @@ __all__ = [
     "ClientRuntime",
     "ClusterError",
     "DistributedSystem",
+    "Janitor",
     "Node",
     "ObjectServer",
     "RecoveryManager",

@@ -50,27 +50,6 @@ from repro.replication.policy import PolicyBinding, ReplicationPolicy, TxnContex
 from repro.sim.process import Process
 from repro.storage.uid import Uid
 
-CLIENT_SERVICE = "client"
-
-
-class _ClientService:
-    """Answers liveness probes from the cleanup daemons.
-
-    ``epoch`` is the node's boot incarnation: a server janitor that
-    tracked an action from epoch N must treat the client as dead once
-    it answers with epoch N+1 -- the action's client-side state died in
-    the crash even though the node is reachable again.
-    """
-
-    def __init__(self, node: Node) -> None:
-        self._node = node
-
-    def ping(self) -> str:
-        return "pong"
-
-    def epoch(self) -> int:
-        return self._node.recover_count
-
 
 @dataclass
 class TxnResult:
@@ -132,6 +111,8 @@ class Txn:
                 self._participants.add(host)
                 self.action.add_record(ServerParticipantRecord(
                     self._ctx, host, self.bindings))
+                # The hosts' janitors ask this node about the action.
+                self._ctx.node.outcomes.track(self.action)
         return binding
 
 
@@ -160,8 +141,6 @@ class ClientRuntime:
             scheme=scheme, invoker=GroupInvoker(node),
             registry=registry, metrics=node.metrics,
             node_policy=policy)
-        node.add_boot_hook(
-            lambda n: n.rpc.register(CLIENT_SERVICE, _ClientService(n)))
 
     # -- metadata -----------------------------------------------------------
 
@@ -220,7 +199,7 @@ class ClientRuntime:
             # reach the commit-or-abort decision above; anything else
             # (a bug in ``work``, a process kill) must still terminate
             # the client action, or its inherited binding locks leak
-            # until a cleaner purges this "client" as dead.
+            # until the name nodes' janitors find the action gone.
             yield from abort_on_failure(action)
             raise
 
@@ -242,7 +221,7 @@ class ClientRuntime:
                 yield from self.scheme.unbind(uid, binding.outcome,
                                               within_action=within)
             except (RpcError, NamingError, LockRefused):
-                pass  # cleanup daemon repairs what we could not
+                pass  # the janitors repair what we could not
 
     def _record_outcome(self, committed: bool, reason: str | None,
                         duration: float) -> None:

@@ -87,7 +87,7 @@ class GroupInvoker:
         payload = {
             "request_id": request_id,
             "reply_to": self._node.name,
-            "client_ref": f"{self._node.name}#{self._node.recover_count}",
+            "client_ref": self._node.outcomes.ref,
             "action_path": tuple(action_path),
             "uid": str(uid),
             "op": op,

@@ -14,7 +14,10 @@ Crashing a node:
 Recovery brings the interface back up and re-runs the boot hooks, so
 services come back empty -- activated objects, lock tables and use-list
 knowledge are gone, exactly as the paper's failure assumptions dictate
-(section 2.1).
+(section 2.1).  The first hook empties the node's
+:class:`~repro.actions.outcomes.Outcomes` table at every boot: its
+answer, as coordinator, to the participants' janitors, and its
+incarnation.
 
 **The sync plane.**  A node built with a :class:`SyncPlaneConfig` gets a
 *second* NIC named ``f"{name}.sync"`` and its own :class:`RpcAgent`
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
+from repro.actions.outcomes import COORDINATOR_SERVICE, Outcomes
 from repro.net.batch import CommitBatcher
 from repro.net.demux import MessageDemux
 from repro.net.multicast import (
@@ -154,6 +158,8 @@ class Node:
         self._processes: dict[Process, None] = {}
         self.crash_count = 0
         self.recover_count = 0
+        self.outcomes = Outcomes(name)
+        self.add_boot_hook(Node._serve_outcomes)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -171,6 +177,10 @@ class Node:
         self.boot_hooks.append(hook)
         if run_now and not self._crashed:
             hook(self)
+
+    def _serve_outcomes(self) -> None:
+        self.outcomes.boot(self.recover_count)
+        self.rpc.register(COORDINATOR_SERVICE, self.outcomes)
 
     def crash(self) -> None:
         """Fail-silent crash: lose volatile state, go dark."""

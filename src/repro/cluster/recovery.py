@@ -91,8 +91,8 @@ class RecoveryManager:
                 except BaseException as exc:
                     # Abort, never abandon: a raised get_view/commit
                     # would otherwise leave the probe's read locks held
-                    # on the shard until a cleaner happened to purge
-                    # them, blocking writers on the entry meanwhile.
+                    # on the shard until its janitor asked about them,
+                    # blocking writers on the entry meanwhile.
                     # BaseException so a killed guard process still
                     # releases them -- but only genuine Exceptions are
                     # survivable; anything broader keeps propagating.

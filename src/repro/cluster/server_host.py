@@ -10,6 +10,9 @@ and handles group-multicast invocations for active replication.
 Everything here is volatile: a node crash destroys the host and all its
 servers; recovery re-installs an empty host (the boot hook), after
 which the recovery protocol re-``Insert``s the node into ``Sv`` sets.
+The same hook starts the node's :class:`~repro.cluster.janitor.Janitor`,
+which ends the parts here of actions whose coordinator has finished or
+died.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Any, Generator, Iterable
 from repro.actions.action import ActionId
 from repro.actions.locks import LockManager, LockMode
 from repro.cluster.errors import ActivationFailed
+from repro.cluster.janitor import Janitor
 from repro.cluster.node import Node
 from repro.cluster.store_host import STORE_SERVICE
 from repro.core.objects import ObjectClassRegistry, PersistentObject, operation_mode
@@ -130,85 +134,41 @@ class ObjectServer:
 class ServerHost:
     """Per-node service managing that node's activated object servers."""
 
-    def __init__(self, node: Node, registry: ObjectClassRegistry,
-                 janitor_interval: float | None = 2.0) -> None:
+    def __init__(self, node: Node, registry: ObjectClassRegistry) -> None:
         self._node = node
         self._registry = registry
         self._servers: dict[Uid, ObjectServer] = {}
         self._groups_joined: dict[str, GroupView] = {}
-        # Which client node drives each action with state here; the
-        # janitor uses it to abort actions of crashed clients (the
-        # failure-detection/cleanup protocol of paper section 4.1.3,
-        # applied to server-side locks and before-images).
-        self._action_clients: dict[tuple[int, ...], str] = {}
-        # What each in-flight top-level action's tree has here, keyed by
-        # its root serial (``action_path[0]``): the servers it invoked
-        # (an insertion-ordered set -- the only ones that can hold its
-        # locks or before-images) and the paths it tracked above.  2PC
-        # for an action visits these and nothing else on the host; an
-        # entry dies with its top-level action (see ``_ending``).
-        self._roots: dict[int, tuple[dict[ObjectServer, None],
-                                     list[tuple[int, ...]]]] = {}
-        self.janitor_interval = janitor_interval
-        self.janitor_aborts = 0
+        # The servers each in-flight top-level action's tree invoked
+        # here, keyed by its root serial (``action_path[0]``): an
+        # insertion-ordered set, the only servers that can hold its
+        # locks or before-images.  2PC for an action visits these and
+        # nothing else on the host; an entry dies with its top-level
+        # action (see ``_ending``).
+        self._roots: dict[int, dict[ObjectServer, None]] = {}
+        # The coordinator ref (``node#incarnation``) of each root that
+        # named one: whom the janitor asks about it.
+        self._refs: dict[int, str] = {}
         # A recovering node must not activate servers until its Insert
         # into Sv has confirmed quiescence (paper section 4.1.2); the
         # recovery manager gates this flag.
         self.accepting = True
 
     @classmethod
-    def install_on(cls, node: Node, registry: ObjectClassRegistry,
-                   janitor_interval: float | None = 2.0) -> "None":
-        """Boot hook: a fresh (empty) host on boot and on every recovery."""
+    def install_on(cls, node: Node, registry: ObjectClassRegistry) -> None:
+        """Boot hook: a fresh (empty) host, and its janitor, on boot and
+        on every recovery."""
         def hook(n: Node) -> None:
-            host = cls(n, registry, janitor_interval=janitor_interval)
+            host = cls(n, registry)
             n.rpc.register(SERVER_SERVICE, host)
-            if janitor_interval is not None:
-                n.spawn(host._janitor_loop(), name="server-janitor")
+            Janitor(n, host).start()
         node.add_boot_hook(hook)
 
-    # -- orphaned-action cleanup ---------------------------------------------
-
-    def _janitor_loop(self) -> Generator[Any, Any, None]:
-        from repro.sim.process import Timeout
-        while True:
-            yield Timeout(self.janitor_interval)
-            # One probe per client a round, however many actions it has
-            # here: the answer is the same for all of them.
-            by_client: dict[str, list[tuple[int, ...]]] = {}
-            for path, client_ref in self._action_clients.items():
-                by_client.setdefault(client_ref, []).append(path)
-            for client_ref, paths in by_client.items():
-                if not any(path in self._action_clients for path in paths):
-                    continue  # all resolved while we probed another one
-                if (yield from self._client_alive(client_ref)):
-                    continue
-                for path in paths:
-                    if path in self._action_clients:  # not ended meanwhile
-                        self.abort(path)
-                        self.janitor_aborts += 1
-
-    def _client_alive(self, client_ref: str) -> Generator[Any, Any, bool]:
-        """Liveness with incarnation check: ``name#epoch`` references are
-        dead if the client answers from a *later* boot epoch (the action's
-        client-side state did not survive the restart)."""
-        name, _, epoch_text = client_ref.partition("#")
-        try:
-            answer = yield self._node.rpc.call(name, "client", "epoch")
-        except RpcError:
-            return False
-        if epoch_text:
-            return answer == int(epoch_text)
-        return True
-
-    def _untrack_tree(self, path: tuple[int, ...],
-                      tracked: Iterable[tuple[int, ...]]) -> None:
-        """Forget ``path`` and, of its root's ``tracked`` paths, those
-        under it."""
-        self._action_clients.pop(path, None)
-        for candidate in tracked:
-            if _is_prefix(path, candidate):
-                self._action_clients.pop(candidate, None)
+    def parts(self) -> dict[int, tuple[str, bool]]:
+        """What the janitor judges here: top-level serial ->
+        (coordinator ref, False).  Server state is volatile, so no part
+        here is kept for an orphaned coordinator: it is aborted."""
+        return {serial: (ref, False) for serial, ref in self._refs.items()}
 
     # -- activation (paper section 3.1) -----------------------------------------
 
@@ -261,50 +221,37 @@ class ServerHost:
         conflicting request behind older holders parks, and the handler
         returns a generator that runs the operation once granted.  The
         wait runs as a process of this node, so a crash ends it with no
-        reply, like every other process the node runs."""
-        server = self._enter(action_path, uid_text)
+        reply, like every other process the node runs.  ``client_node``
+        is the coordinator's ref, for the janitor."""
+        server = self._enter(action_path, uid_text, client_node)
         parked = server.acquire(action_path, op, park=True)
         if parked is None:
-            return self._ran(server.run(action_path, op, tuple(args)),
-                             action_path, client_node)
+            return server.run(action_path, op, tuple(args))
         return _joined(self._node.spawn(self._when_granted(
-            parked, server, action_path, op, args, client_node),
-            name="parked-invoke"))
+            parked, server, action_path, op, args), name="parked-invoke"))
 
     def _when_granted(self, parked: Future, server: ObjectServer,
-                      action_path: tuple[int, ...], op: str, args: tuple,
-                      client_node: str) -> Generator[Any, Any, Any]:
+                      action_path: tuple[int, ...], op: str,
+                      args: tuple) -> Generator[Any, Any, Any]:
         started = self._node.scheduler.now
         try:
             yield parked
         finally:
             self._node.metrics.histogram("lock_wait").observe(
                 self._node.scheduler.now - started)
-        return self._ran(server.run(action_path, op, tuple(args)),
-                         action_path, client_node)
+        return server.run(action_path, op, tuple(args))
 
-    def _enter(self, action_path: tuple[int, ...],
-               uid_text: str) -> ObjectServer:
+    def _enter(self, action_path: tuple[int, ...], uid_text: str,
+               ref: str) -> ObjectServer:
         server = self._server(uid_text)
-        entry = self._roots.get(action_path[0])
-        if entry is None:
-            entry = self._roots[action_path[0]] = ({}, [])
+        serial = action_path[0]
         # Indexed before the lock request: an operation that parks, or
         # raises after taking its lock, still leaves state for the
-        # action's abort to find.
-        entry[0][server] = None
+        # action's abort (or the janitor) to find.
+        self._roots.setdefault(serial, {})[server] = None
+        if ref:
+            self._refs.setdefault(serial, ref)
         return server
-
-    def _ran(self, value: Any, action_path: tuple[int, ...],
-             client_node: str) -> Any:
-        """Track the invoking client (for the janitor); pass ``value``."""
-        if client_node:
-            _, tracked = self._roots[action_path[0]]
-            path = tuple(action_path)
-            if path not in self._action_clients:
-                tracked.append(path)
-            self._action_clients[path] = client_node
-        return value
 
     def _server(self, uid_text: str) -> ObjectServer:
         server = self._servers.get(Uid.parse(uid_text))
@@ -315,18 +262,15 @@ class ServerHost:
     def has_server(self, uid_text: str) -> bool:
         return Uid.parse(uid_text) in self._servers
 
-    def ping(self) -> str:
-        return "pong"
-
     # -- 2PC participant (host-level: covers every server the action touched) -------
 
-    def _ending(self, path: tuple[int, ...]) -> tuple[
-            Iterable[ObjectServer], Iterable[tuple[int, ...]]]:
-        """The root entry of ``path``, taken by the call that ends
-        ``path``: ending a top-level action removes the entry."""
+    def _ending(self, path: tuple[int, ...]) -> Iterable[ObjectServer]:
+        """The servers of ``path``'s root, taken by the call that ends
+        ``path``: ending a top-level action removes its entry."""
         if len(path) == 1:
-            return self._roots.pop(path[0], _NO_ENTRY)
-        return self._roots.get(path[0], _NO_ENTRY)
+            self._refs.pop(path[0], None)
+            return self._roots.pop(path[0], ())
+        return self._roots.get(path[0], ())
 
     def prepare(self, action_path: tuple[int, ...],
                 ) -> tuple[str, dict[str, tuple[bytes, int]]]:
@@ -339,33 +283,27 @@ class ServerHost:
         re-sent prepare answers the same.
         """
         path = tuple(action_path)
-        servers, _ = self._roots.get(path[0], _NO_ENTRY)
+        servers = self._roots.get(path[0], ())
         states = {str(server.obj.uid): server.get_state()
                   for server in servers if server.wrote_under(path)}
         if states:
             return "ok", states
         # Read-only optimisation: release read locks at prepare.  The
         # coordinator sends a read-only participant no phase 2, so the
-        # action ends here, tracked client included.
-        servers, tracked = self._ending(path)
-        for server in servers:
+        # action ends here.
+        for server in self._ending(path):
             server.locks.release_tree(path)
-        self._untrack_tree(path, tracked)
         return "readonly", {}
 
     def commit(self, action_path: tuple[int, ...]) -> None:
         path = tuple(action_path)
-        servers, tracked = self._ending(path)
-        for server in servers:
+        for server in self._ending(path):
             server.commit(path)
-        self._untrack_tree(path, tracked)
 
     def abort(self, action_path: tuple[int, ...]) -> None:
         path = tuple(action_path)
-        servers, tracked = self._ending(path)
-        for server in servers:
+        for server in self._ending(path):
             server.abort(path)
-        self._untrack_tree(path, tracked)
 
     # -- state transfer ----------------------------------------------------------------
 
@@ -409,10 +347,10 @@ class ServerHost:
             # Never parks: the group's members must apply operations in
             # the one order the multicast delivers them.
             action_path = payload["action_path"]
-            server = self._enter(action_path, payload["uid"])
-            value = self._ran(server.invoke(action_path, payload["op"],
-                                            tuple(payload["args"])),
-                              action_path, payload.get("client_ref", reply_to))
+            server = self._enter(action_path, payload["uid"],
+                                 payload.get("client_ref", ""))
+            value = server.invoke(action_path, payload["op"],
+                                  tuple(payload["args"]))
             reply = {"request_id": request_id, "member": self._node.name,
                      "ok": True, "value": value}
         except Exception as exc:
@@ -424,10 +362,6 @@ class ServerHost:
 
 def _joined(process: Process) -> Generator[Any, Any, Any]:
     return (yield process)
-
-
-# What ``ServerHost._roots`` holds for a root that invoked nothing here.
-_NO_ENTRY: tuple[tuple, tuple] = ((), ())
 
 
 def _is_prefix(prefix: tuple[int, ...], path: tuple[int, ...]) -> bool:

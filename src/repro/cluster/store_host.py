@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator
 
+from repro.cluster.janitor import Janitor
 from repro.cluster.node import Node
 from repro.naming.group_view_db import SERVICE_NAME, SYNC_SERVICE_NAME
 from repro.net.batch import demux
@@ -107,9 +108,6 @@ class StoreHost:
     def version_of(self, uid_text: str) -> int:
         return self._store.version_of(Uid.parse(uid_text))
 
-    def ping(self) -> str:
-        return "pong"
-
     # -- two-phase state installation ----------------------------------------
 
     def write_shadow(self, uid_text: str, buffer: bytes, version: int) -> bool:
@@ -168,7 +166,9 @@ class NameShardHost:
     The shard's database object is owned by the harness (the paper
     treats the name service as always available); this adapter makes
     the node serve it over RPC and re-registers it on every recovery,
-    like any other boot-time service.
+    like any other boot-time service, with a fresh
+    :class:`~repro.cluster.janitor.Janitor` over it (``purge``: the
+    janitor also purges silent clients' use counts).
     """
 
     def __init__(self, node: Node, db: Any,
@@ -177,12 +177,14 @@ class NameShardHost:
         self.db = db
         self.service = service
         self.retired = False
+        self.janitor: Janitor | None = None
         self._hook: Any = None
 
     @classmethod
     def install_on(cls, node: Node, db: Any,
                    service: str = SERVICE_NAME,
-                   fence: Callable[[], int] | None = None) -> "NameShardHost":
+                   fence: Callable[[], int] | None = None,
+                   purge: bool = False) -> "NameShardHost":
         """Boot hook: serve ``db`` on ``node`` now and after recoveries.
 
         Two registrations of the same database: ``service`` is the
@@ -215,6 +217,8 @@ class NameShardHost:
             # it does not), so resync/migration/repair traffic never
             # queues behind client requests.
             n.sync_rpc.register(SYNC_SERVICE_NAME, db)
+            host.janitor = Janitor(n, db, purge=purge,
+                                   metrics=db.metrics).start()
 
         host._hook = hook
         node.add_boot_hook(hook)
@@ -230,6 +234,8 @@ class NameShardHost:
         if self.retired:
             return
         self.retired = True
+        if self.janitor is not None:
+            self.janitor.stop()
         self.node.rpc.unregister(self.service)
         self.node.sync_rpc.unregister(SYNC_SERVICE_NAME)
         if self._hook in self.node.boot_hooks:

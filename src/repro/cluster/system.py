@@ -36,7 +36,6 @@ from repro.naming.binding import (
     NestedTopLevelBinding,
     StandardBinding,
 )
-from repro.naming.cleanup import UseListCleaner
 from repro.naming.coherence import CoherenceHost
 from repro.naming.entry_cache import EntryCache
 from repro.naming.group_view_db import GroupViewDatabase
@@ -143,8 +142,9 @@ class SystemConfig:
     commit_batch_window: float = 0.0
     log_force_interval: float = 0.0
     rpc_pipelining: bool = False
+    # The name nodes' janitors also purge the use counts of clients that
+    # do not answer their probe (the paper's section 4.1.3 protocol).
     enable_cleaner: bool = False
-    cleaner_interval: float = 5.0
     enable_recovery_managers: bool = True
     enable_shadow_resolvers: bool = False
 
@@ -183,14 +183,12 @@ class DistributedSystem:
         # Every per-client PeerHealthTracker, keyed like entry_caches --
         # gray-failure harnesses read demotion counts off these.
         self.peer_health: dict[str, PeerHealthTracker] = {}
-        self.cleaners: list[UseListCleaner] = []
         self.shard_resyncers: dict[str, ShardResyncManager] = {}
         self.reshard: ReshardManager | None = None
         self.autoscaler: ShardAutoscaler | None = None
         self.drained_shard_hosts: list[str] = []
         self._shard_name_hosts: dict[str, Any] = {}
         self.coherence_hosts: dict[str, CoherenceHost] = {}
-        self._shard_cleaners: dict[str, UseListCleaner] = {}
         shard_count = self.config.nameserver_shards
         replication = self.config.nameserver_replication
         if shard_count < 1:
@@ -230,8 +228,6 @@ class DistributedSystem:
             self._boot_sharded_name_service(shard_count)
         else:
             self._boot_single_name_service()
-        self.cleaner: UseListCleaner | None = (
-            self.cleaners[0] if self.cleaners else None)
 
     def _boot_single_name_service(self) -> None:
         """The paper's deployment: the whole database on one node.
@@ -249,21 +245,17 @@ class DistributedSystem:
         self.db: Any = GroupViewDatabase(
             use_exclude_write_lock=self.config.use_exclude_write_lock,
             metrics=self.metrics, server_db=server_db)
-        NameShardHost.install_on(self.name_node, self.db)
+        NameShardHost.install_on(
+            self.name_node, self.db,
+            purge=(self.config.enable_cleaner
+                   and not self.config.nonatomic_name_server))
         self._client_route = ShardRouter([NAME_NODE])
-        if self.config.enable_cleaner and not self.config.nonatomic_name_server:
-            cleaner = UseListCleaner(
-                self.scheduler, self.name_node.rpc, self.db,
-                interval=self.config.cleaner_interval,
-                metrics=self.metrics)
-            cleaner.start()
-            self.cleaners.append(cleaner)
 
     def _boot_sharded_name_service(self, shard_count: int) -> None:
         """Partition the database across ``shard_count`` store hosts.
 
         Each shard host runs its own :class:`GroupViewDatabase` (own
-        lock manager, own undo log) with a colocated cleanup daemon;
+        lock manager, own undo log) with its own janitor;
         entry placement is the consistent-hash ring shared by every
         client through :class:`ShardedGroupViewDbClient`.  With
         ``nameserver_replication > 1`` every entry additionally lives
@@ -322,7 +314,8 @@ class DistributedSystem:
         # sync plane stays open for resync and migration traffic.
         router = self.shard_router
         self._shard_name_hosts[name] = NameShardHost.install_on(
-            node, db, fence=lambda: router.fence_epoch)
+            node, db, fence=lambda: router.fence_epoch,
+            purge=self.config.enable_cleaner)
         StoreHost.install_on(
             node, log_force_interval=self.config.log_force_interval)
         if self.config.nameserver_push_invalidation:
@@ -351,15 +344,6 @@ class DistributedSystem:
             # recovering shard host must not resurrect its
             # pre-crash lock table or provisional writes.
             self._install_volatile_reset(node, db)
-        if self.config.enable_cleaner:
-            cleaner = UseListCleaner(
-                self.scheduler, node.rpc, db,
-                interval=self.config.cleaner_interval,
-                node_name=f"cleaner@{name}",
-                metrics=self.metrics.scoped(f"shard.{name}."))
-            cleaner.start()
-            self.cleaners.append(cleaner)
-            self._shard_cleaners[name] = cleaner
         return db
 
     @staticmethod
@@ -462,7 +446,7 @@ class DistributedSystem:
         Runs the ReshardManager's migration epoch (the drained host's
         arcs are copied to their new owners before the flip, then
         garbage-collected off it) and, once complete, retires the
-        host's naming service, resyncer, and cleaner -- the node itself
+        host's naming service, resyncer, and janitor -- the node itself
         stays up as an ordinary store host.  Returns the migration
         process.
         """
@@ -496,7 +480,7 @@ class DistributedSystem:
         window, one copy pipeline over the staged partition diff, one
         atomic epoch flip, one GC round -- a 2->4 scale-out pays one
         migration, not two.  Removed hosts are retired (naming service,
-        resyncer, cleaner) once the epoch completes.  Returns the
+        resyncer, janitor) once the epoch completes.  Returns the
         migration :class:`~repro.sim.process.Process`; the system keeps
         serving throughout.
         """
@@ -551,10 +535,6 @@ class DistributedSystem:
         resyncer = self.shard_resyncers.pop(name, None)
         if resyncer is not None:
             resyncer.retire()
-        cleaner = self._shard_cleaners.pop(name, None)
-        if cleaner is not None:
-            cleaner.stop()
-            self.cleaners.remove(cleaner)
         assert isinstance(self.db, ShardedGroupViewDatabase)
         self.db.remove_shard(name)
         self.drained_shard_hosts.append(name)

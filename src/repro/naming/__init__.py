@@ -22,10 +22,11 @@ server database beside the atomic state database).
 
 :mod:`~repro.naming.binding` implements the three client access schemes
 of figures 6-8 (standard nested actions, independent top-level actions,
-nested top-level actions); :mod:`~repro.naming.cleanup` implements the
-failure-detection/cleanup protocol the paper notes is required for the
-use-list schemes; :mod:`~repro.naming.nonatomic` implements the
-traditional (non-atomic) server half of the concluding-remarks variant.
+nested top-level actions); the failure-detection/cleanup protocol the
+paper notes is required for the use-list schemes is the name nodes'
+janitor (:mod:`repro.cluster.janitor`); :mod:`~repro.naming.nonatomic`
+implements the traditional (non-atomic) server half of the
+concluding-remarks variant.
 Every client-side component reaches the service through one client,
 :class:`~repro.naming.sharded_client.ShardedGroupViewDbClient`, whose
 engine (:mod:`~repro.naming.replica_io`) opens one
@@ -62,7 +63,6 @@ from repro.naming.binding import (
     NestedTopLevelBinding,
     StandardBinding,
 )
-from repro.naming.cleanup import UseListCleaner
 from repro.naming.entry_cache import EntryCache
 from repro.naming.nonatomic import NonAtomicNameServer
 from repro.naming.replica_io import EntryCopy, ReplicaIO
@@ -109,5 +109,4 @@ __all__ = [
     "ShardedGroupViewDbClient",
     "StandardBinding",
     "UnknownObject",
-    "UseListCleaner",
 ]

@@ -302,7 +302,7 @@ class IndependentTopLevelBinding(BindingScheme):
         return outcome
 
     # How often a refused Decrement is retried before falling back to
-    # the cleanup daemon (the entry may be write-locked by a Remove or
+    # the janitor's purge (the entry may be write-locked by a Remove or
     # held by a snapshot read).
     unbind_attempts = 8
     unbind_backoff = 0.05
@@ -329,7 +329,7 @@ class IndependentTopLevelBinding(BindingScheme):
                 continue
             except RpcError:
                 yield from last.abort()
-                return  # the cleanup daemon will repair the counters
+                return  # the janitor's purge repairs the counters
             except BaseException:
                 # Same leak rule as bind: a top-level action must always
                 # terminate, whatever the failure -- including

@@ -40,7 +40,7 @@ from repro.actions.action import ActionId
 from repro.actions.errors import LockRefused
 from repro.actions.locks import LockManager, LockMode
 from repro.sim.futures import Future
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.metrics import Counter, MetricsRegistry
 from repro.sim.scheduler import Scheduler
 from repro.storage.uid import Uid
 
@@ -68,6 +68,10 @@ class ActionDatabase:
         self.locks = LockManager()
         self._undo: list[tuple[ActionPath, Callable[[], None]]] = []
         self.metrics = metrics or MetricsRegistry()
+        # ``<name>.locks.<mode>`` by mode value, looked up once: a grant
+        # is the naming hot path (and a mode's ``value`` property, like
+        # its hash, is a python-level call).
+        self._grants: dict[str, Counter] = {}
         # Told the uid of every change to an entry's version or content
         # -- its define, bumps, installs, removal, and their undos: the
         # owning database's partition-digest index, or None.
@@ -127,9 +131,12 @@ class ActionDatabase:
         :meth:`_granted` to wait on.  Counts grants as
         ``<db>.locks.<mode>``, parks as ``<db>.locks_parked.<mode>`` and
         refusals (promotions and failed parks included) as
-        ``<db>.locks_refused.<mode>``, by the requested mode.
+        ``<db>.locks_refused.<mode>``, by the requested mode.  The owner
+        names the action's coordinator when the path is a
+        :class:`~repro.actions.outcomes.RefPath`.
         """
-        owner = ActionId(tuple(action_path))
+        owner = ActionId(tuple(action_path),
+                         getattr(action_path, "ref", ""))
         try:
             parked = self.locks.lock(owner, resource, mode, *(park or ()))
         except LockRefused:
@@ -139,7 +146,11 @@ class ActionDatabase:
             self.metrics.counter(
                 f"{self.name}.locks_parked.{mode.value}").increment()
             return parked
-        self.metrics.counter(f"{self.name}.locks.{mode.value}").increment()
+        grants = self._grants.get(mode._value_)
+        if grants is None:
+            grants = self._grants[mode._value_] = self.metrics.counter(
+                f"{self.name}.locks.{mode.value}")
+        grants.increment()
         return None
 
     def _count_refused(self, mode: LockMode) -> None:
@@ -167,6 +178,11 @@ class ActionDatabase:
 
     # -- 2PC participant interface ------------------------------------------
 
+    def wrote(self, path: ActionPath) -> bool:
+        """Whether the action (or a relative of it) has undo entries."""
+        return any(_is_prefix(path, entry_path) or _is_prefix(entry_path, path)
+                   for entry_path, _ in self._undo)
+
     def prepare(self, action_path: ActionPath) -> str:
         """Vote.  The database is up (we were reached), so: did this
         action write anything here?
@@ -176,9 +192,7 @@ class ActionDatabase:
         read-only optimisation; the action is past its growing phase.
         """
         path = tuple(action_path)
-        wrote = any(_is_prefix(path, entry_path) or _is_prefix(entry_path, path)
-                    for entry_path, _ in self._undo)
-        if not wrote:
+        if not self.wrote(path):
             self.locks.release_tree(path)
             return "readonly"
         return "ok"

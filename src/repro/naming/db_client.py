@@ -30,11 +30,12 @@ from typing import Any, Generator
 
 from repro.actions.action import AtomicAction
 from repro.actions.errors import LockRefused, PromotionRefused
+from repro.actions.outcomes import COORDINATOR_SERVICE
 from repro.actions.records import ToldParticipantRecord
 from repro.naming.errors import NotQuiescent, UnknownObject
 from repro.naming.group_view_db import SERVICE_NAME
 from repro.net.batch import CommitBatcher
-from repro.net.errors import RpcError, RpcRemoteError
+from repro.net.errors import RpcRemoteError
 from repro.net.rpc import RpcAgent
 from repro.sim.futures import Future
 
@@ -81,6 +82,9 @@ class GroupViewDbClient:
         self.service = service
         self.participant_retries = participant_retries
         self._retry_rng = retry_rng
+        # The node's outcome table: tracks what it coordinates and names
+        # it in every path sent (None for a bare agent: plain paths).
+        self._outcomes = rpc.service(COORDINATOR_SERVICE)
         # Top-level serial -> the record enlisted for that root, from
         # enlistment until the record's commit or abort.
         self._participants: dict[int, ToldParticipantRecord] = {}
@@ -95,11 +99,15 @@ class GroupViewDbClient:
         return root
 
     def enlist(self, action: AtomicAction) -> None:
-        """Make the db a 2PC participant of the action's top-level root."""
+        """Make the db a 2PC participant of the action's top-level root,
+        which this node's outcome table then remembers (the janitor at
+        the db asks about it)."""
         root = self._root(action)
         serial = root.id.top_level_serial
         record = self._participants.get(serial)
         if record is None:
+            if self._outcomes is not None:
+                self._outcomes.track(root)
             record = ToldParticipantRecord(
                 self._rpc, self.node, self.service,
                 batcher=self._batcher, retries=self.participant_retries,
@@ -153,9 +161,8 @@ class GroupViewDbClient:
         does, once per failed call).
         """
         self.enlist(action)
-        return (yield from self.call_reached(
-            action, method, *args, ring_epoch=ring_epoch,
-            view_action=view_action))
+        return (yield from self._call(action, method, args, ring_epoch,
+                                      (view_action,)))
 
     def call_reached(self, action: AtomicAction, method: str, *args: Any,
                      ring_epoch: int | None = None,
@@ -178,23 +185,36 @@ class GroupViewDbClient:
         under (a bind's ``St`` read, see
         :meth:`GroupViewDatabase.get_binding`): a shard that was reached
         is enlisted for its root too.
+
+        The path goes out as a :class:`~repro.actions.outcomes.RefPath`
+        naming this node's incarnation: the locks it takes there carry
+        it, so the db's janitor knows whom to ask about them.
         """
+        return (yield from self._call(action, method, args, ring_epoch,
+                                      (view_action, action)))
+
+    def _call(self, action: AtomicAction, method: str, args: tuple,
+              ring_epoch: int | None,
+              reached: tuple[AtomicAction | None, ...],
+              ) -> Generator[Any, Any, Any]:
+        """Send one operation; enlist the ``reached`` actions once the
+        node is seen to have executed it."""
+        path = (action.id.path if self._outcomes is None
+                else self._outcomes.path(action))
         try:
             result = yield self._rpc.call(self.node, self.service, method,
-                                          action.id.path, *args,
-                                          ring_epoch=ring_epoch)
+                                          path, *args, ring_epoch=ring_epoch)
         except RpcRemoteError as exc:
             if exc.remote_type in _ERROR_TYPES:
-                self._enlist_reached(action, view_action)
+                self._enlist(reached)
             raise_mapped(exc)
-        self._enlist_reached(action, view_action)
+        self._enlist(reached)
         return result
 
-    def _enlist_reached(self, action: AtomicAction,
-                        view_action: AtomicAction | None) -> None:
-        if view_action is not None:
-            self.enlist(view_action)
-        self.enlist(action)
+    def _enlist(self, actions: tuple[AtomicAction | None, ...]) -> None:
+        for action in actions:
+            if action is not None:
+                self.enlist(action)
 
     # -- the leased read plane (no action, no enlistment) ----------------------
 
@@ -215,10 +235,3 @@ class GroupViewDbClient:
         return self._rpc.call(self.node, self.service,
                               "read_entry_versioned", uid_text,
                               ring_epoch=ring_epoch)
-
-    def ping(self) -> Generator[Any, Any, bool]:
-        try:
-            answer = yield self._rpc.call(self.node, self.service, "ping")
-        except RpcError:
-            return False
-        return answer == "pong"

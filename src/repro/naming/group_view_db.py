@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Collection, Generator, Mapping
 
-from repro.actions.action import ActionId, AtomicAction
+from repro.actions.action import AtomicAction
 from repro.actions.errors import LockRefused, PromotionRefused
 from repro.actions.locks import LockMode
 from repro.naming.db_base import ActionPath, Parking, Version, _is_prefix, digest
@@ -219,7 +219,7 @@ class GroupViewDatabase:
 
     def purge_client(self, action_path: ActionPath,
                      client_node: str) -> list[Uid]:
-        """The cleanup daemon's purge of a dead client's use counters
+        """The janitor's purge of a dead client's use counters
         (see the server database's ``purge_client``): every entry it
         changed goes to the commit-time push hook like any mutation."""
         purged = self.server_db.purge_client(action_path, client_node)
@@ -248,6 +248,16 @@ class GroupViewDatabase:
         self._touch(action_path, uid_text)
 
     # -- 2PC participant (spans both halves) ---------------------------------------
+
+    def parts(self) -> dict[int, tuple[str, bool]]:
+        """What the janitor judges here: top-level serial ->
+        (coordinator ref, wrote here) over both halves' lock tables
+        (the section-5 variant's non-atomic half keeps none)."""
+        halves = [half for half in (self.server_db, self.state_db)
+                  if not isinstance(half, NonAtomicNameServer)]
+        return {owner.path[0]: (owner.node, any(
+            half.wrote(owner.path[:1]) for half in halves))
+            for half in halves for owner in half.locks.owners() if owner.node}
 
     def prepare(self, action_path: ActionPath) -> str:
         votes = (self.server_db.prepare(action_path),
@@ -280,11 +290,6 @@ class GroupViewDatabase:
 
     def abort_many(self, items: list[tuple]) -> list[tuple]:
         return demux(self.abort, items)
-
-    # -- liveness probe used by binding/cleanup protocols ---------------------------
-
-    def ping(self) -> str:
-        return "pong"
 
     # -- anti-entropy: partition digests --------------------------------------------
 
@@ -382,11 +387,6 @@ class GroupViewDatabase:
         """
         uid = Uid.parse(uid_text)
         probe = AtomicAction(node="lease-read-probe")
-        # The databases key lock owners by bare path (the RPC wire
-        # form), so the release must use the same node-less identity.
-        # (ignore below: the probe holds no locks until inside the
-        # try/finally; building the owner id cannot leak anything.)
-        owner = ActionId(probe.id.path)  # repro: ignore[action-leak]
         try:
             snapshot = self.server_db.get_server_with_uses(probe.id.path, uid)
             view = self.state_db.get_view(probe.id.path, uid)
@@ -403,8 +403,8 @@ class GroupViewDatabase:
         except UnknownObject:
             return "unknown"
         finally:
-            self.server_db.locks.release_all(owner)
-            self.state_db.locks.release_all(owner)
+            self.server_db.locks.release_tree(probe.id.path)
+            self.state_db.locks.release_tree(probe.id.path)
             probe.run_local(probe.abort())
 
     def read_entry_versioned_many(self, uid_texts: list[str]) -> list[Any]:

@@ -247,7 +247,7 @@ class ObjectServerDatabase(ActionDatabase):
         "a crash of a client does not automatically undo changes made to
         the database, so failure detection and cleanup protocols will be
         required").  Entries whose lock cannot be acquired are skipped
-        and retried on the cleaner's next round.  Returns the UIDs that
+        and retried on the janitor's next round.  Returns the UIDs that
         were actually purged.
         """
         purged: list[Uid] = []

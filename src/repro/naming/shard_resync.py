@@ -34,7 +34,7 @@ dance for object stores:
    and installs them locally.  A version names its content, so a
    partition whose entries the outage did not touch compares equal and
    is not even listed.  Entries locked by live actions are retried
-   next round, like the cleanup daemon does.
+   next round, like the janitor's purge does.
 4. **Converge, then rejoin.**  Passes repeat until one applies no
    changes (writes committed mid-resync land on the peers we copy
    from), then the service is re-registered and the host serves again.
@@ -234,7 +234,7 @@ class ShardResyncManager:
         twice: the database is read and installed by
         direct call even while its RPC service is gated out, and its
         lock-guarded install still refuses an entry the *colocated*
-        cleanup daemon's purge action is mid-flight on.  Peers are never
+        janitor's purge action is mid-flight on.  Peers are never
         written: one whose version is below ours pulls from us on its
         own sweep.
         """

@@ -45,6 +45,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.actions.action import AtomicAction
+from repro.actions.outcomes import COORDINATOR_SERVICE
 from repro.naming.coherence import CoherenceClient
 from repro.naming.entry_cache import CachedEntry, EntryCache
 from repro.naming.group_view_db import SERVICE_NAME, GroupViewDatabase
@@ -113,6 +114,9 @@ class ShardedGroupViewDbClient:
         # ``naming.get_server_latency`` histogram -- the read-latency
         # series benchmarks pull p50/p95/p99 from.
         self.clock = clock or (cache.clock if cache is not None else None)
+        # Whom a db's janitor asks about the locks a bind's ``St`` read
+        # takes under the client action: the view path names this node.
+        self._outcomes = rpc.service(COORDINATOR_SERVICE)
         for node in router.nodes:
             self.io.client_for(node)
 
@@ -256,8 +260,10 @@ class ShardedGroupViewDbClient:
         if entry is not None:
             binding = list(entry.hosts), list(entry.view)
         else:
+            view_path = (view_action.id.path if self._outcomes is None
+                         else self._outcomes.path(view_action))
             binding = yield from self.io.read(action, uid, "get_binding",
-                                              str(uid), view_action.id.path)
+                                              str(uid), view_path)
         if started is not None:
             self.io.metrics.histogram("naming.get_server_latency").observe(
                 self.clock() - started)
@@ -270,8 +276,10 @@ class ShardedGroupViewDbClient:
         never the leased plane: this is a write-intent read, ``Sv``
         INCREMENT-locked under ``action`` and ``St`` read-locked under
         ``view_action``, the answering replica enlisted for both."""
+        view_path = (view_action.id.path if self._outcomes is None
+                     else self._outcomes.path(view_action))
         return (yield from self.io.read(action, uid, "get_binding_with_uses",
-                                        str(uid), view_action.id.path,
+                                        str(uid), view_path,
                                         view_action=view_action))
 
     def insert(self, action: AtomicAction, uid: Uid,
@@ -317,14 +325,6 @@ class ShardedGroupViewDbClient:
         for uid, _hosts in exclusions:
             self._invalidate(uid)
         yield from self.io.exclude(action, exclusions)
-
-    def ping(self) -> Generator[Any, Any, bool]:
-        """True only when every current shard answers (the db is up)."""
-        for node in self.router.nodes:
-            alive = yield from self.io.client_for(node).ping()
-            if not alive:
-                return False
-        return True
 
 
 class ShardedGroupViewDatabase:
@@ -415,6 +415,3 @@ class ShardedGroupViewDatabase:
     def abort(self, action_path: tuple[int, ...]) -> None:
         for db in self.shards.values():
             db.abort(action_path)
-
-    def ping(self) -> str:
-        return "pong"

@@ -112,10 +112,9 @@ class ServerParticipantRecord(RemoteParticipantRecord):
         return Vote.OK
 
     def commit(self, action: AtomicAction) -> Generator[Any, Any, None]:
-        try:
-            yield self._take_pending("commit", action)
-        except RpcError:
-            pass  # crashed after prepare: volatile state already gone
+        # A host that does not answer is a commit failure: the action's
+        # outcome table keeps "committed" for that host's janitor.
+        yield self._take_pending("commit", action)
 
 
 def _server_participants(action: AtomicAction) -> list[ServerParticipantRecord]:

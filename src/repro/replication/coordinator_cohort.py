@@ -49,9 +49,9 @@ class CoordinatorCohortReplication(ReplicationPolicy):
                 raise TxnAborted(f"all_replicas_gone:{binding.uid}")
             coordinator = binding.coordinator
             try:
-                value = yield ctx.rpc.call(coordinator, SERVER_SERVICE, "invoke",
-                                           action.id.path, str(binding.uid),
-                                           op, tuple(args), ctx.client_ref)
+                value = yield ctx.rpc.call(
+                    coordinator, SERVER_SERVICE, "invoke", action.id.path,
+                    str(binding.uid), op, tuple(args), ctx.node.outcomes.ref)
             except RpcRemoteError as exc:
                 if exc.remote_type == "KeyError":
                     # Coordinator restarted inside the action and lost its

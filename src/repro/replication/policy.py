@@ -48,11 +48,6 @@ class TxnContext:
     metrics: MetricsRegistry
     node_policy: "ReplicationPolicy | None" = None
 
-    @property
-    def client_ref(self) -> str:
-        """``name#epoch`` identity used by server-side orphan cleanup."""
-        return f"{self.node.name}#{self.node.recover_count}"
-
 
 @dataclass
 class PolicyBinding:

@@ -37,7 +37,7 @@ class SingleCopyPassive(ReplicationPolicy):
         try:
             value = yield ctx.rpc.call(host, SERVER_SERVICE, "invoke",
                                        action.id.path, str(binding.uid),
-                                       op, tuple(args), ctx.client_ref)
+                                       op, tuple(args), ctx.node.outcomes.ref)
         except RpcRemoteError as exc:
             if exc.remote_type == "KeyError":
                 # The node answered but has no server for the object: it

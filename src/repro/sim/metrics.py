@@ -90,7 +90,9 @@ class TimeSeries:
 # Fixed-cost payload types, keyed by exact ``type()`` (``str`` is sized
 # by length and tested first).
 _SCALAR_SIZE = {type(None): 4, bool: 4, int: 8, float: 8}
-_SEQUENCES = frozenset({tuple, list, set, frozenset})
+# Sequence types, keyed by exact ``type()``: a subclass (an action path
+# carrying its coordinator, a ``NamedTuple``) joins on first sight.
+_SEQUENCES = {tuple, list, set, frozenset}
 # ``__dataclass_fields__`` names per dataclass, filled on first sight.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
@@ -151,8 +153,9 @@ def estimate_size(payload: Any, depth: int = 4) -> int:
 
 def _estimate_subclass(payload: Any, depth: int) -> int:
     """Size a payload whose exact type :func:`estimate_size` has no
-    entry for: a subclass is charged as the builtin it extends, a
-    dataclass is registered and walked, anything else is formatted."""
+    entry for: a subclass is charged as the builtin it extends (a
+    sequence subclass is registered as one), a dataclass is registered
+    and walked, anything else is formatted."""
     if isinstance(payload, (int, float)):
         return 8
     if isinstance(payload, str):
@@ -160,7 +163,8 @@ def _estimate_subclass(payload: Any, depth: int) -> int:
     if isinstance(payload, (bytes, bytearray)):
         return len(payload)
     if isinstance(payload, (list, tuple, set, frozenset)):
-        return estimate_size(tuple(payload), depth)
+        _SEQUENCES.add(type(payload))
+        return estimate_size(payload, depth)
     if isinstance(payload, dict):
         return estimate_size(dict(payload), depth)
     fields = getattr(type(payload), "__dataclass_fields__", None)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
+from repro.cluster.janitor import Janitor
 from repro.cluster.server_host import SERVER_SERVICE
 from repro.naming.object_server_db import ObjectServerDatabase
 from repro.storage.uid import Uid
@@ -138,11 +139,14 @@ class UseListAudit:
 
 def lock_leftovers(system: Any) -> dict[str, tuple[set, set]]:
     """``{table: (owners, parked owners)}`` of every live lock table
-    that still holds a lock or parks a request: each name database's
-    halves and every up node's object servers.  Empty once a run has
-    settled with no action in flight."""
+    that still holds a lock or parks a request: each up name node's
+    database halves and every up node's object servers (a crashed
+    incarnation's table is not a leak).  Empty once a run has settled
+    with no action in flight."""
     tables = {}
     for name, db in getattr(system.db, "shards", {"namenode": system.db}).items():
+        if system.nodes[name].crashed:
+            continue
         if isinstance(db.server_db, ObjectServerDatabase):
             tables[f"{name}/sv"] = db.server_db.locks
         tables[f"{name}/st"] = db.state_db.locks
@@ -153,6 +157,31 @@ def lock_leftovers(system: Any) -> dict[str, tuple[set, set]]:
     return {name: (locks.owners(), locks.waiters())
             for name, locks in tables.items()
             if locks.owners() or locks.waiters()}
+
+
+class LockQuiescenceAudit:
+    """No lock outlives its action.
+
+    After the run has settled, takes two :func:`lock_leftovers`
+    snapshots ``gap`` sim-s apart -- several janitor rounds -- and
+    counts the owners and parked requests present in both
+    (``leaked_locks``).  A live action's lock, such as a recovering
+    store's include-guard probe, is a different owner by the second
+    snapshot and never counts.  Advances the clock, so a scenario runs
+    it after its row is read.
+    """
+
+    GAP = 3 * Janitor.INTERVAL
+
+    def audit(self, run: Any) -> dict[str, int]:
+        system = run.system
+        first = lock_leftovers(system)
+        system.run(until=system.scheduler.now + self.GAP)
+        leaked = 0
+        for table, (owners, waiters) in lock_leftovers(system).items():
+            held, parked = first.get(table, (set(), set()))
+            leaked += len(owners & held) + len(waiters & parked)
+        return {"leaked_locks": leaked}
 
 
 class CacheLedgerAudit:

@@ -6,7 +6,8 @@ auditors, the counters its row reports, and what a clean row looks
 like.  :func:`execute` is the only place that knows *how* one runs:
 
     boot the deployment -> script (faults, drivers, warm-up) -> load
-    -> wait for drivers -> settle -> auditors -> counters -> row
+    -> wait for drivers -> settle -> auditors -> counters
+    -> lock quiescence -> row
 
 Everything the scenarios share is written here once: the
 :class:`Counter` object, the deployment builder, the closed-loop stream
@@ -28,6 +29,7 @@ from repro.sim.failures import FaultPlan
 from repro.sim.process import Timeout
 from repro.sim.rng import SeededRng
 from repro.storage.uid import Uid
+from repro.workload.audit import LockQuiescenceAudit
 from repro.workload.generator import (
     StreamOutcome,
     TransactionStream,
@@ -287,6 +289,8 @@ def execute(scenario: Scenario, **overrides: Any) -> dict[str, Any]:
     for auditor in scenario.auditors(run.p):
         row.update(auditor.audit(run))
     row.update(scenario.counters(run))
+    # Last: it runs the clock on, past several janitor rounds.
+    row.update(LockQuiescenceAudit().audit(run))
     return row
 
 

@@ -76,9 +76,11 @@ def tiny_rows(name: str) -> list[dict[str, Any]]:
 
 
 def clean(name: str, row: dict[str, Any]) -> list[str]:
-    """What is wrong with ``row``, by the scenario's own standard."""
+    """What is wrong with ``row``, by the scenario's own standard, and
+    whether a lock outlived its action (every scenario's)."""
     scenario = SCENARIOS[name]
-    return scenario.modes.get(row.get("mode"), scenario).clean(row)
+    return (scenario.modes.get(row.get("mode"), scenario).clean(row)
+            + expecting(leaked_locks=0)(row))
 
 
 def _shard_outage(run: Run) -> None:
@@ -887,10 +889,10 @@ _register(Scenario(
                 mean_think_time=0.03, max_attempts=10, rpc_timeout=0.25,
                 fixed_latency=0.002, gray_window=(2.0, 5.0), gray_hosts=2,
                 degrade_factor=40.0, degrade_drop=0.1, p95_up=0.05,
-                autoscaler_interval=0.5, seed=7),
+                autoscaler_interval=0.5, participant_retries=2, seed=7),
     tiny=(dict(), dict(mode="partition")),
     config=lambda p: dict(binding_scheme="standard",
-                          nameserver_peer_health=True, participant_retries=2,
+                          nameserver_peer_health=True,
                           shard_antientropy_interval=2.0),
     shape=lambda p: Shape(p.server_hosts, clients(p.clients),
                           p.clients * p.streams_per_client),
@@ -996,8 +998,8 @@ def _sender_crash(run: Run) -> None:
         yield from txn.invoke(uid, "add", 1)
 
     sender.transaction(work)
-    # Observe before the orphan-action janitor (2 s period) aborts the
-    # dead client's action and masks the divergence...
+    # Observe before the janitors (2 s rounds) abort the dead client's
+    # action and mask the divergence...
     system.run(until=1.0)
     states = _activated(run)
     run.row = {"reliable": run.p.reliable_multicast, "states": states,
@@ -1289,10 +1291,11 @@ _paper(
     all-or-nothing whether or not the *server* database is atomic --
     why the paper keeps action support for the state database.  Client
     ``c1`` then crashes between Increment and action end, leaving
-    orphaned use counts that only the cleanup daemon repairs.
+    orphaned use counts that only the name node's janitor purges
+    (``enable_cleaner``); its read locks the janitor releases either way.
     """,
     dict(nonatomic_name_server=False, enable_cleaner=False,
-         cleaner_interval=2.0, scheme="independent", sv=2, st=2, seed=7),
+         scheme="independent", sv=2, st=2, seed=7),
     (dict(enable_cleaner=True), dict(nonatomic_name_server=True)),
     dict(st_after_exclude=["st0"], survivor_version=2,
          crashed_client_leaves_orphans=lambda r: r["orphans_at_crash"] > 0,

@@ -129,7 +129,7 @@ def make_host(servers=64, value=10):
     system = DistributedSystem(SystemConfig(seed=1))
     system.registry.register(Counter)
     node = system.add_node("n", server=True)
-    host = ServerHost(node, system.registry, janitor_interval=None)
+    host = ServerHost(node, system.registry)
     uids = [Uid("sys", serial) for serial in range(1, servers + 1)]
     for uid in uids:
         host.install_state(str(uid), Counter(uid, value=value).serialise(), 1)
@@ -185,16 +185,16 @@ def test_nested_and_root_aborts_under_one_root_rewind_the_right_image():
     assert host.invoke((1,), a, "get", ()) == 11
     assert host.invoke((1,), b, "get", ()) == 10
     assert set(host._roots) == {1}     # the root is still in flight
-    assert set(host._action_clients) == {(1,)}
+    assert host._refs == {1: "c"}
     # A nested commit merges records client-side and sends the host
     # nothing: the child's image stays until the root resolves.
     host.invoke((1, 3), b, "add", (7,), client_node="c")       # b: 17
     host.abort((1,))              # the root's abort undoes all of it
-    assert host._roots == {} and host._action_clients == {}
+    assert host._roots == {} and host._refs == {}
     host.invoke((4,), a, "add", (1,), client_node="c")         # a: 11
     host.invoke((4, 5), b, "add", (2,), client_node="c")       # b: 12
     host.commit((4,))             # the root's commit keeps the child's too
-    assert host._roots == {} and host._action_clients == {}
+    assert host._roots == {} and host._refs == {}
     assert host.invoke((6,), a, "get", ()) == 11
     assert host.invoke((6,), b, "get", ()) == 12
     assert [host._server(u).version for u in (a, b)] == [2, 2]
@@ -221,7 +221,7 @@ def test_two_roots_interleaved_on_one_server_end_independently():
     host.commit((20,))
     assert host.invoke((50,), shared, "add", (1,)) == 11
     host.commit((50,))
-    assert host._roots == {} and host._action_clients == {}
+    assert host._roots == {} and host._refs == {}
     assert not any(server.locks.owners() or server._images
                    for server in host._servers.values())
 
@@ -248,7 +248,7 @@ def test_a_younger_writer_parks_behind_older_readers_until_both_end():
     assert not parked.done        # root 2 still reads
     host.prepare((2,))            # read-only: ends root 2 here
     assert parked.result() == 11  # granted, and the add ran
-    assert host._action_clients == {(3,): "c3"}
+    assert host._refs == {3: "c3"}
     host.commit((3,))
     assert not locks.owners() and not locks.waiters()
     assert host._node.metrics.histogram("lock_wait").count == 1
@@ -275,7 +275,7 @@ def test_ending_the_parked_action_refuses_it_and_never_grants_it():
     host.commit((2,))
     locks = host._server(uids[0]).locks
     assert not locks.owners() and not locks.waiters()
-    assert host._roots == {} and host._action_clients == {}
+    assert host._roots == {} and host._refs == {}
 
 
 def test_a_crash_ends_a_parked_invoke_with_the_node():
@@ -351,8 +351,10 @@ def test_janitor_abort_and_crash_recover_leave_the_index_empty():
     host = system.nodes["s1"].rpc.service("servers")
     assert len(host._roots) == 1  # the dead client's action, still locked
     system.run(until=10.0)
-    assert host.janitor_aborts == 1
-    assert host._roots == {} and host._action_clients == {}
+    # One at the server host; one the name node's, releasing the dead
+    # client's read locks on the entry.
+    assert system.metrics.counter_value("janitor.aborts") == 2
+    assert host._roots == {} and host._refs == {}
 
     client2 = system.add_client("c2")
     hung = client2.transaction(crashy_on(system, "s1", uid))

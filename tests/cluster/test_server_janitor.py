@@ -1,6 +1,8 @@
-"""Tests for the server-side orphaned-action janitor."""
+"""The janitor at a server host: orphaned actions' locks and images."""
 
+from repro.cluster import Janitor
 from repro.sim.process import Timeout
+from repro.workload.audit import lock_leftovers
 from tests.conftest import Counter, add_work, build_system, get_work
 
 
@@ -20,8 +22,7 @@ def test_dead_clients_action_aborted_and_locks_freed():
     assert not blocked.committed
     # The janitor detects the crash, aborts, restores the before-image.
     system.run(until=10.0)
-    host = system.nodes["s1"].rpc.service("servers")
-    assert host.janitor_aborts >= 1
+    assert system.metrics.counter_value("janitor.aborts") >= 1
     after = system.run_transaction(client2, get_work(uid))
     assert after.committed
     assert after.value == 100  # dirty +7 rolled back
@@ -39,15 +40,14 @@ def test_live_client_long_action_not_disturbed():
     result = system.run_transaction(client, slow)
     assert result.committed
     assert result.value == 102
-    host = system.nodes["s1"].rpc.service("servers")
-    assert host.janitor_aborts == 0
+    assert system.metrics.counter_value("janitor.aborts") == 0
 
 
 def test_tracking_cleared_on_commit():
     system, client, uid = build_system(sv=("s1",), st=("t1",))
     system.run_transaction(client, add_work(uid, 1))
     host = system.nodes["s1"].rpc.service("servers")
-    assert host._action_clients == {}
+    assert host._refs == {} and host.parts() == {}
 
 
 def test_readonly_prepare_untracks_action():
@@ -55,7 +55,7 @@ def test_readonly_prepare_untracks_action():
     result = system.run_transaction(client, get_work(uid))
     assert result.committed
     host = system.nodes["s1"].rpc.service("servers")
-    assert host._action_clients == {}
+    assert host._refs == {}
 
 
 def test_readonly_clients_are_never_probed():
@@ -66,11 +66,12 @@ def test_readonly_clients_are_never_probed():
     for _ in range(50):
         assert system.run_transaction(client, get_work(uid)).committed
     host = system.nodes["s1"].rpc.service("servers")
-    assert host._action_clients == {}
+    assert host._refs == {}
     served = system.nodes["c1"].rpc.calls_served
-    system.run(until=system.scheduler.now + 3 * host.janitor_interval)
+    system.run(until=system.scheduler.now + 3 * Janitor.INTERVAL)
     assert system.nodes["c1"].rpc.calls_served == served
-    assert host._action_clients == {} and host.janitor_aborts == 0
+    assert host._refs == {}
+    assert system.metrics.counter_value("janitor.aborts") == 0
 
 
 def test_readonly_action_leaves_no_2pc_index_entry():
@@ -102,17 +103,23 @@ def test_client_recovering_does_not_resurrect_action():
     assert final.value == 101
 
 
-def _count_probes(system, probes):
-    """Append to ``probes`` on each ``client.epoch`` call ``c1`` answers."""
-    service = system.nodes["c1"].rpc.service("client")
-    answer = service.epoch
-    service.epoch = lambda: probes.append(system.scheduler.now) or answer()
+def _count_probes(system, probes, prober="s1"):
+    """Append to ``probes`` each coordinator probe ``prober`` sends."""
+    rpc = system.nodes[prober].rpc
+    call = rpc.call
+
+    def counting(target, service, method, *args, **kwargs):
+        if method == "outcomes":
+            probes.append((system.scheduler.now, target, list(args[0])))
+        return call(target, service, method, *args, **kwargs)
+
+    rpc.call = counting
 
 
 def _writers_in_flight(k):
     """One client holding ``k`` write actions open on host ``s1``, each
     on its own counter; returns the system, the host and a list that
-    gains an item per ``client.epoch`` probe ``c1`` answers."""
+    gains an item per probe ``s1``'s janitor sends."""
     system, client, first = build_system(sv=("s1",), st=("t1",))
     uids = [first] + [
         system.create_object(Counter(system.new_uid(), value=100),
@@ -129,26 +136,30 @@ def _writers_in_flight(k):
         client.transaction(hold(uid))
     system.run(until=1.0)
     host = system.nodes["s1"].rpc.service("servers")
-    assert len(host._action_clients) == k
+    assert len(host._refs) == k
     probes = []
     _count_probes(system, probes)
     return system, host, probes
 
 
 def test_one_probe_per_client_per_round_however_many_actions():
+    """A part is first asked about once it is older than one round."""
     system, host, probes = _writers_in_flight(4)
-    for round_no in (1, 2, 3):
-        system.run(until=round_no * host.janitor_interval + 1.0)
+    for round_no in (0, 1, 2, 3):
+        system.run(until=(round_no + 1) * Janitor.INTERVAL + 1.0)
         assert len(probes) == round_no
-    assert host.janitor_aborts == 0 and len(host._action_clients) == 4
+    assert all(target == "c1" and len(serials) == 4
+               for _, target, serials in probes)
+    assert system.metrics.counter_value("janitor.aborts") == 0
+    assert len(host._refs) == 4
 
 
 def test_restarted_client_loses_every_action_in_the_one_round():
     system, host, probes = _writers_in_flight(4)
     system.nodes["c1"].crash()
     system.nodes["c1"].recover()
-    _count_probes(system, probes)  # the recovered node's fresh service
-    system.run(until=host.janitor_interval + 1.0)
-    assert len(probes) == 1  # answered, from a later boot epoch
-    assert host.janitor_aborts == 4
-    assert host._action_clients == {} and host._roots == {}
+    system.run(until=2 * Janitor.INTERVAL + 1.0)
+    assert len(probes) == 1  # answered, from a later incarnation
+    assert host._refs == {} and host._roots == {}
+    # The name node's janitor released the dead actions' read locks too.
+    assert lock_leftovers(system) == {}

@@ -84,7 +84,7 @@ def test_crashed_store_times_out():
     system, store_node, caller = make_world()
     store_node.crash()
     with pytest.raises(RpcTimeout):
-        call(system, caller, "ping")
+        call(system, caller, "version_of", "sys:1")
 
 
 def test_install_on_requires_store():

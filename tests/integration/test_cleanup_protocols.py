@@ -4,10 +4,12 @@ Section 4.1.3: "a crash of a client does not automatically undo changes
 made to the database.  So, failure detection and cleanup protocols will
 be required."  These tests exercise the full loop: crash -> orphaned
 state (db counters, server locks) -> detection -> repair -> the system
-serves the next client as if nothing happened.
+serves the next client as if nothing happened.  One janitor per server
+host and name node does all of it (``repro.cluster.janitor``).
 """
 
 from repro import DistributedSystem, SingleCopyPassive, SystemConfig
+from repro.workload.audit import lock_leftovers
 
 from tests.conftest import Counter, add_work, get_work
 
@@ -15,7 +17,7 @@ from tests.conftest import Counter, add_work, get_work
 def build(seed=17, **config):
     system = DistributedSystem(SystemConfig(
         seed=seed, binding_scheme="independent",
-        enable_cleaner=True, cleaner_interval=2.0, **config))
+        enable_cleaner=True, **config))
     system.registry.register(Counter)
     for host in ("s1", "s2"):
         system.add_node(host, server=True)
@@ -44,7 +46,7 @@ def test_full_cleanup_cycle_after_client_crash():
     system.run(until=1.0)
     assert orphan_count(system, uid) > 0
 
-    # Let both daemons (db cleaner + server janitor) do their rounds.
+    # Let the janitors (name node and server hosts) do their rounds.
     system.run(until=15.0)
     assert orphan_count(system, uid) == 0
 
@@ -73,17 +75,17 @@ def test_quiescence_restored_enables_insert():
     assert system.db.is_quiescent(str(uid))
 
 
-def test_cleaner_and_janitor_are_independent():
-    """Only the janitor handles server locks; only the cleaner handles
-    db counters -- crash a client bound but between db actions."""
+def test_a_crash_after_its_actions_ended_leaves_nothing():
+    """Crash a client bound but between db actions: its transaction
+    committed and its unbind decremented, so no janitor finds a part of
+    it to end or a use count of it to purge."""
     system, client, uid = build()
-
-    # Commit one normal transaction (unbind decrements), then crash the
-    # client AFTER everything resolved: nothing to clean.
     result = system.run_transaction(client, add_work(uid, 1))
     assert result.committed
     system.nodes["c1"].crash()
     system.run(until=15.0)
     assert orphan_count(system, uid) == 0
-    host = system.nodes["s1"].rpc.service("servers")
-    assert host.janitor_aborts == 0
+    assert lock_leftovers(system) == {}
+    for ended in ("janitor.aborts", "janitor.commits",
+                  "cleanup.clients_purged"):
+        assert system.metrics.counter_value(ended) == 0, ended

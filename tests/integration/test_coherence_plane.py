@@ -20,6 +20,8 @@ from tests.integration.test_sharded_nameserver import build
 
 import pytest
 
+from repro.cluster import Janitor
+
 LEASE = 0.5
 
 
@@ -117,11 +119,10 @@ def test_write_hot_entry_flips_to_push_and_writes_evict(two_planes):
 
 
 def test_cleanup_purge_evicts_push_mode_lessees():
-    """The cleanup daemon's purge is a committed mutation like any
-    other: a dead client's counters purged from a push-mode entry must
-    reach the entry's lessees as a pushed eviction."""
-    system, runtimes, uids = coherence_build(enable_cleaner=True,
-                                             cleaner_interval=1.0)
+    """The janitor's purge is a committed mutation like any other: a
+    dead client's counters purged from a push-mode entry must reach the
+    entry's lessees as a pushed eviction."""
+    system, runtimes, uids = coherence_build(enable_cleaner=True)
     hot = uids[0]
     owner = system.shard_router.shard_for(hot)
     host = system.coherence_hosts[owner]
@@ -138,11 +139,12 @@ def test_cleanup_purge_evicts_push_mode_lessees():
         assert system.run_transaction(runtime, get_work(hot),
                                       timeout=30.0).committed
     assert host.registry.lessees(str(hot)) != []
-    cleaner = system._shard_cleaners[owner]
-    purged, pushes = cleaner.clients_purged, counter_sum(
+    purged = f"shard.{owner}.cleanup.clients_purged"
+    before, pushes = system.metrics.counter_value(purged), counter_sum(
         system, "coherence.pushes_applied")
-    system.run(until=system.scheduler.now + 3.0)
-    assert cleaner.clients_purged > purged, "the ghost's counter is purged"
+    system.run(until=system.scheduler.now + Janitor.INTERVAL + 1.0)
+    assert system.metrics.counter_value(purged) > before, \
+        "the ghost's counter is purged"
     assert counter_sum(system, "coherence.pushes_applied") > pushes, \
         "the purge must push an eviction to the lessees"
 

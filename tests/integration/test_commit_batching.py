@@ -103,8 +103,7 @@ def test_coordinator_crash_between_batched_waves_presumes_abort():
     any commit wave: no participant may apply, and cleanup restores
     quiescence exactly as it would for unbatched 2PC."""
     system, client, uid1, uid2 = build_batched(
-        binding_scheme="independent", enable_cleaner=True,
-        cleaner_interval=2.0)
+        binding_scheme="independent", enable_cleaner=True)
     store = system.nodes["t1"].object_store
     original = store.write_shadow
     written = []
@@ -126,7 +125,7 @@ def test_coordinator_crash_between_batched_waves_presumes_abort():
         if process.done and not process.failed:
             assert not process.result().committed
 
-    # Let the cleanup daemons run their rounds.
+    # Let the janitors run their rounds.
     system.run(until=system.scheduler.now + 20.0)
 
     # Presumed abort: neither action's effect is visible anywhere, and

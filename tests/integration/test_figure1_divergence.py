@@ -25,7 +25,7 @@ def test_naive_multicast_diverges():
     row = run("paper_fig1_divergence", reliable_multicast=False,
               crash_offset=0.005, seed=7)
     # sv0 received the second invocation before the client died; sv1 did
-    # not.  Bonus: the orphan-action janitor then aborts the dead
+    # not.  Bonus: the janitors then abort the dead
     # client's action at sv0, rolling the divergent write back -- the
     # counter reads its pre-action value, nothing lost or invented.
     assert row["states"] == {"sv0": 2, "sv1": 1}

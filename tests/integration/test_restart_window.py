@@ -6,9 +6,10 @@ it acknowledged was provisional and went with its undo log: ``commit``
 finds nothing to make permanent and says so to nobody.  The window is
 not new -- before, a restart ahead of ``prepare`` drew a ``readonly``
 vote, and one after it made ``commit`` the same no-op -- and these tests
-say where it is closed and where it is open, not fix it (an incarnation
-number in the acknowledgement, checked by ``commit``: the ROADMAP item
-"one incarnation-checked janitor for every lock table").
+say where it is closed and where it is open, not fix it.  The janitor
+cannot close it: the restarted node holds no part of the action to ask
+about.  What closes it is ROADMAP item 2(b): a told ``commit`` that
+names the incarnation that acknowledged, refused by a restarted node.
 """
 
 import pytest
@@ -87,8 +88,8 @@ def test_the_papers_name_node_keeps_an_acknowledged_exclude_over_a_restart():
 @pytest.mark.xfail(strict=True, reason=(
     "an unreplicated shard's restart drops the acknowledged Exclude with "
     "its undo log and commit says nothing: docs/architecture.md, 'Ledgers "
-    "that are not zero'; ROADMAP, 'one incarnation-checked janitor for "
-    "every lock table'"))
+    "that are not zero'; ROADMAP item 2(b), a told commit that names the "
+    "acknowledging incarnation"))
 def test_an_unreplicated_shard_keeps_an_acknowledged_exclude_over_a_restart():
     """Replication 1 on a ring: recovery resets the shard's volatile
     state and no peer holds a copy.  The action reports committed, t1

@@ -109,7 +109,7 @@ def test_stochastic_shard_churn_with_a_concurrent_reshard():
     for shard in system.shard_router.nodes:
         if not system.nodes[shard].rpc.has_service(SERVICE_NAME):
             continue
-        call = caller.call(shard, SERVICE_NAME, "ping",
+        call = caller.call(shard, SERVICE_NAME, "knows", str(uids[0]),
                            ring_epoch=pre_flip_view.epoch)
         with pytest.raises(StaleRingEpoch):
             system.scheduler.run_until_settled(call)

@@ -147,8 +147,9 @@ def test_store_recovery_reincludes_through_the_ring():
 def test_per_shard_cleaners_purge_crashed_clients():
     system, runtimes, uids = build(
         shards=3, sv=("s1", "s2"), st=("t1",), scheme="independent",
-        objects=6, clients=1, enable_cleaner=True, cleaner_interval=2.0)
-    assert len(system.cleaners) == 3
+        objects=6, clients=1, enable_cleaner=True)
+    hosts = system._shard_name_hosts.values()
+    assert len(hosts) == 3 and all(host.janitor.purge for host in hosts)
     client = runtimes[0]
 
     def work(txn):
@@ -170,7 +171,7 @@ def test_per_shard_cleaners_purge_crashed_clients():
 
     assert orphans() > 0, "the crashed client must leave counters behind"
     system.run(until=30.0)
-    assert orphans() == 0, "every shard's cleaner must repair its entries"
+    assert orphans() == 0, "every shard's janitor must repair its entries"
 
 
 def test_sharding_rejects_invalid_configs():

@@ -135,6 +135,6 @@ def test_unbind_gives_up_after_bounded_attempts():
     gave_up = world.metrics.counter_value(
         "binding.independent.unbind_gave_up")
     assert gave_up == 1
-    # The counters remain (orphans) -- exactly what the cleaner repairs.
+    # The counters remain (orphans) -- exactly what the janitor purges.
     world.db.server_db.abort(holder.id.path)
     assert world.uses_now()["h1"] == {"client": 1}

@@ -125,21 +125,6 @@ def test_abort_over_rpc_rolls_back():
     assert db.server_db.get_server(probe.id.path, UID) == ["h1", "h2"]
 
 
-def test_ping():
-    s, net, db, client = make_world()
-
-    def body():
-        return (yield from client.ping())
-
-    assert run(s, body()) is True
-    net._interfaces["db"].up = False
-
-    def body2():
-        return (yield from client.ping())
-
-    assert run(s, body2()) is False
-
-
 def test_define_object_via_client():
     s, net, db, client = make_world()
     action = AtomicAction(node="client")

@@ -68,7 +68,7 @@ def test_a_raw_stale_tag_is_rejected_with_the_server_epoch():
     view = router.view()
     router.add_node("shard-c")  # the flip: fence advances
     target = router.nodes[0]
-    call = client.io.rpc.call(target, SERVICE_NAME, "ping",
+    call = client.io.rpc.call(target, SERVICE_NAME, "knows", str(UID),
                               ring_epoch=view.epoch)
     with pytest.raises(StaleRingEpoch) as info:
         s.run_until_settled(call)
@@ -177,7 +177,7 @@ def test_fence_survives_shard_recovery():
                             fence=lambda: router.fence_epoch)  # boot hook
     view = router.view()
     router.add_node("shard-c")
-    call = client.io.rpc.call(victim, SERVICE_NAME, "ping",
+    call = client.io.rpc.call(victim, SERVICE_NAME, "knows", str(UID),
                               ring_epoch=view.epoch)
     with pytest.raises(StaleRingEpoch):
         s.run_until_settled(call)
@@ -203,7 +203,7 @@ def test_recovered_shard_host_re_arms_the_fence():
     assert system.shard_resyncers[victim].serving
 
     system.shard_router.add_node("late-host")  # advance the fence
-    call = client_node.rpc.call(victim, SERVICE_NAME, "ping",
+    call = client_node.rpc.call(victim, SERVICE_NAME, "knows", "sys:1",
                                 ring_epoch=stale_view.epoch)
     with pytest.raises(StaleRingEpoch) as info:
         system.scheduler.run_until_settled(call)

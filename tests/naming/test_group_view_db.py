@@ -64,10 +64,6 @@ def test_prepare_readonly_when_nothing_written():
     assert db.prepare(action.id.path) == "readonly"
 
 
-def test_ping():
-    assert make_db().ping() == "pong"
-
-
 def test_quiescence_via_combined_interface():
     db = make_db()
     assert db.is_quiescent("sys:1")

@@ -69,11 +69,10 @@ def test_use_lists_work_without_atomicity():
     assert service.is_quiescent(UID_TEXT)
 
 
-def test_knows_and_ping():
+def test_knows():
     service = make_service()
     assert service.knows(UID_TEXT)
     assert not service.knows("sys:404")
-    assert service.ping() == "pong"
 
 
 def test_get_binding_with_uses_locks_only_the_state_side():

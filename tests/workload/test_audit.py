@@ -7,8 +7,10 @@ import pytest
 from repro.workload.audit import (
     CacheLedgerAudit,
     CounterLedgerAudit,
+    LockQuiescenceAudit,
     PlacementAudit,
     UseListAudit,
+    lock_leftovers,
 )
 from repro.workload.generator import invoke
 from repro.workload.scenario import Counter, Run
@@ -114,3 +116,30 @@ def test_cache_read_past_its_lease_is_a_violation():
     ledger = next(iter(run.system.entry_caches.values())).ledger
     ledger.append(dataclasses.replace(ledger[-1], served_at=99.0))
     assert CacheLedgerAudit().audit(run) == {"ledger_violations": 1}
+
+
+def test_a_lock_held_across_both_snapshots_is_leaked(settled):
+    system = settled.system
+    shard = next(iter(system.db.shards.values()))
+    uid = settled.uids[0]
+    shard.get_view((0,), str(uid))  # the harness's owner: never judged
+    assert LockQuiescenceAudit().audit(settled) == {"leaked_locks": 1}
+    system._release_probe_locks()
+    assert LockQuiescenceAudit().audit(settled) == {"leaked_locks": 0}
+
+
+def test_a_lock_released_between_the_snapshots_is_not_leaked(settled):
+    system = settled.system
+    shard = next(iter(system.db.shards.values()))
+    shard.get_view((0,), str(settled.uids[0]))
+    system.scheduler.schedule(1.0, system._release_probe_locks)
+    assert LockQuiescenceAudit().audit(settled) == {"leaked_locks": 0}
+
+
+def test_a_crashed_name_nodes_table_is_not_a_leak(settled):
+    system = settled.system
+    name, shard = next(iter(system.db.shards.items()))
+    shard.get_view((0,), str(settled.uids[0]))
+    system.nodes[name].crash()
+    assert lock_leftovers(system) == {}
+    assert LockQuiescenceAudit().audit(settled) == {"leaked_locks": 0}
