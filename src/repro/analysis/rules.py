@@ -721,7 +721,10 @@ class BatchDemuxRule(Rule):
     holds the invariant by construction, and the helper's own loop is
     checked like any hand-rolled one.  The rule covers handlers whose
     base verb is commit-plane vocabulary (``prepare``/``commit``/
-    ``abort``/``*shadow*``); read-plane ``_many`` sweeps
+    ``abort``/``*shadow*``) and the exact verb ``read``: activation
+    loads ride the batcher too, and a ``read_many`` that failed the
+    whole batch on one missing uid would send every batchmate on to
+    its next ``St`` host.  Read-plane ``_many`` sweeps
     (``read_entry_versioned_many``, ...) return plain value lists and
     may fail whole-batch by design -- a retried read sweep is
     harmless, a spread abort is not.
@@ -732,7 +735,7 @@ class BatchDemuxRule(Rule):
                    "outcomes, never abort the batch on one exception")
     include = SRC
 
-    _COMMIT_VERBS = ("prepare", "commit", "abort")
+    _BATCHED_VERBS = ("prepare", "commit", "abort", "read")
 
     _HELPER = "demux"
 
@@ -742,7 +745,7 @@ class BatchDemuxRule(Rule):
         if not name.endswith("_many") or name.startswith("_"):
             return False
         base = name[:-len("_many")]
-        return base in self._COMMIT_VERBS or "shadow" in base
+        return base in self._BATCHED_VERBS or "shadow" in base
 
     def _delegates(self, func: ast.AST, items: str) -> bool:
         """Whether ``func`` hands ``items`` to the ``demux`` helper."""

@@ -106,14 +106,16 @@ class Node:
                             pipeline=rpc_pipelining)
         # The raw-speed commit plane: when armed, this node's 2PC
         # records route their prepare/commit/abort (and shadow-write)
-        # RPCs through the batcher, which coalesces same-instant calls
-        # per (target, method) into one ``_many`` RPC.
+        # RPCs, and its server host its activation state loads, through
+        # the batcher, which coalesces same-instant calls per (target,
+        # method) into one ``_many`` RPC.
         self.commit_batcher: CommitBatcher | None = (
             CommitBatcher(scheduler, self.rpc, window=commit_batch_window,
                           metrics=self.metrics)
             if commit_batch_window is not None else None)
-        # What commit-path records ``.call(target, service, method,
-        # *args)`` through: the batcher when armed, else plain RPC.
+        # What commit-path records and activation loads ``.call(target,
+        # service, method, *args)`` through: the batcher when armed,
+        # else plain RPC.
         self.commit_plane: CommitBatcher | RpcAgent = (
             self.commit_batcher or self.rpc)
         if sync_plane is not None:

@@ -205,7 +205,9 @@ class ServerHost:
                     return state.buffer, state.version
                 continue
             try:
-                buffer, version = yield self._node.rpc.call(
+                # On the commit plane: an activation storm's loads to
+                # one store coalesce into one ``read_many``.
+                buffer, version = yield self._node.commit_plane.call(
                     st_host, STORE_SERVICE, "read", uid_text)
             except RpcError:
                 continue

@@ -75,7 +75,8 @@ class StoreHost:
     amortise a single log write instead of paying one each.
 
     The ``*_many`` methods are the commit batcher's server half: one
-    RPC carrying many actions' shadow operations, answered with one
+    RPC carrying many actions' shadow operations (or many activations'
+    state loads), answered with one
     per-item outcome each (``("ok", value)`` / ``("err", type,
     message)``) so a single action's failure never aborts its
     batchmates -- the ``batch-demux`` invariant.
@@ -146,6 +147,11 @@ class StoreHost:
     # Server half of the CommitBatcher contract: each item is one
     # batched call's argument tuple, each outcome is that item's own
     # verdict from the single-item handler (see ``demux``).
+
+    def read_many(self, items: list[tuple[str]]) -> list[tuple]:
+        # A missing uid fails its own slot only: that activation alone
+        # moves on to the next ``St`` host.
+        return demux(self.read, items)
 
     def write_shadow_many(
             self, items: list[tuple[str, bytes, int]]) -> list[tuple]:

@@ -130,14 +130,14 @@ class SystemConfig:
     dedicated_sync_nic: bool = False
     sync_service_time: float | None = None   # None -> primary service_time
     # The raw-speed commit plane.  ``commit_batching`` gives every node
-    # a CommitBatcher: 2PC phase messages and shadow writes issued
-    # within ``commit_batch_window`` of each other to the same target
-    # coalesce into one ``_many`` RPC (one service-time charge at the
-    # target instead of one per action).  ``log_force_interval > 0``
-    # arms group commit on the store hosts: commit_shadow ACKs only
-    # after a shared simulated log force, co-arriving commits amortise
-    # one write.  ``rpc_pipelining`` lets back-to-back RPCs to one
-    # target share a single transmission frame.
+    # a CommitBatcher: 2PC phase messages, shadow writes and activation
+    # state loads issued within ``commit_batch_window`` of each other to
+    # the same target coalesce into one ``_many`` RPC (one service-time
+    # charge at the target instead of one per action).
+    # ``log_force_interval > 0`` arms group commit on the store hosts:
+    # commit_shadow ACKs only after a shared simulated log force,
+    # co-arriving commits amortise one write.  ``rpc_pipelining`` lets
+    # back-to-back RPCs to one target share a single transmission frame.
     commit_batching: bool = False
     commit_batch_window: float = 0.0
     log_force_interval: float = 0.0

@@ -2,18 +2,20 @@
 
 Every top-level action pays a prepare round and a commit (or abort)
 round to each store host, and an outcome message to each enlisted
-shard.  Under concurrency the
-same (coordinator, target, phase) triple carries many of those messages
-at the same virtual instant -- one per action -- and each one charges
-the target's single-server queue separately.  A :class:`CommitBatcher`
-sits between the commit-path records and the node's RPC agent and
+shard; every cold server pays a state load from a store.  Under
+concurrency the same (caller, target, phase) triple carries many of
+those messages at the same virtual instant -- one per action -- and
+each one charges the target's single-server queue separately.  A
+:class:`CommitBatcher` sits between the commit-path records (and the
+server host's activation loads) and the node's RPC agent and
 coalesces them: calls to one ``(target, service, method)`` issued
 within ``window`` of each other are shipped as a single
 ``<method>_many`` RPC whose payload is the list of the batched calls'
 argument tuples.
 
-The server side of the contract (see ``GroupViewDatabase.commit_many``
-and ``StoreHost.write_shadow_many``) is **per-item outcome demux**:
+The server side of the contract (see ``GroupViewDatabase.commit_many``,
+``StoreHost.write_shadow_many`` and ``StoreHost.read_many``) is
+**per-item outcome demux**:
 a ``_many`` handler returns one ``("ok", value)`` or
 ``("err", type_name, message)`` tuple per item, never letting one
 item's exception abort the whole batch -- implemented once, in

@@ -100,6 +100,17 @@ def test_batch_demux_accepts_per_item_outcomes(scan_fixture):
     assert report.findings == []
 
 
+def test_batch_demux_covers_batched_activation_reads(scan_fixture):
+    bad = scan_fixture("bad_batched_read.py",
+                       relpath="src/repro/cluster/store_host.py",
+                       rules=["batch-demux"])
+    assert {f.ident for f in bad.findings} == {"read_many:no-item-guard"}
+    good = scan_fixture("good_batched_read.py",
+                        relpath="src/repro/cluster/store_host.py",
+                        rules=["batch-demux"])
+    assert good.findings == []
+
+
 def test_unjittered_and_ambient_backoff_are_flagged(scan_fixture):
     report = scan_fixture("bad_seeded_backoff.py", rules=["seeded-backoff"])
     assert idents(report) == {"self.backoff:unjittered",

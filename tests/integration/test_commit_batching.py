@@ -8,7 +8,14 @@ coordinator dying between the batched prepare and commit waves.  These
 tests pin the invariant the batcher must preserve through all of them:
 each action sees exactly the per-call verdicts it would have seen
 unbatched -- batching changes message count, never outcomes.
+
+Activation loads ride the same plane: a server host's same-instant
+state reads to one store coalesce into one ``read_many``, and a load
+the batch cannot serve falls through to the next ``St`` host on its
+own.
 """
+
+import pytest
 
 from repro import DistributedSystem, SingleCopyPassive, SystemConfig
 
@@ -153,3 +160,81 @@ def test_recovered_coordinator_batches_again_with_fresh_generation():
         system, client, add_work(uid1, 1), add_work(uid2, 1))
     assert first.committed and second.committed
     assert system.metrics.counter_value("commit_batch.batched_rpcs") >= 1
+
+
+def build_cold(count, commit_batching=True):
+    """``count`` counters (value i), all served by s1 and stored on t1
+    then t2, none activated yet."""
+    system = DistributedSystem(SystemConfig(
+        seed=11, commit_batching=commit_batching, commit_batch_window=0.005,
+        enable_recovery_managers=False))
+    system.registry.register(Counter)
+    system.add_node("s1", server=True)
+    for host in ("t1", "t2"):
+        system.add_node(host, store=True)
+    client = system.add_client("c1", policy=SingleCopyPassive())
+    uids = [system.create_object(Counter(system.new_uid(), value=i),
+                                 sv_hosts=["s1"], st_hosts=["t1", "t2"])
+            for i in range(count)]
+    return system, client, uids
+
+
+def activation_loads(rpc_log):
+    """The server host's store calls, as ``(target, method)``."""
+    return [(target, method)
+            for caller, target, service, method, _at in rpc_log
+            if caller == "s1" and service == "store"]
+
+
+def read_all(system, client, uids):
+    results = run_concurrently(system, client, *map(get_work, uids))
+    assert all(result.committed for result in results)
+    assert [result.value for result in results] == list(range(len(uids)))
+
+
+@pytest.mark.parametrize("commit_batching, count, loads", [
+    (True, 4, [("t1", "read_many")]),
+    (True, 1, [("t1", "read")]),
+    (False, 4, [("t1", "read")] * 4),
+])
+def test_activation_storm_loads_as_one_read_many(rpc_log, commit_batching,
+                                                 count, loads):
+    """Same-instant activations from one server host reach their store
+    as one ``read_many``; a lone one as the plain ``read``, and with
+    batching off each is its own ``read``."""
+    system, client, uids = build_cold(count, commit_batching)
+    rpc_log.clear()
+    read_all(system, client, uids)
+    assert activation_loads(rpc_log) == loads
+
+
+def test_missing_state_falls_through_alone(rpc_log):
+    """t1 lacks one uid: that slot of the ``read_many`` fails alone, so
+    only that activation asks t2 and its batchmates load from t1."""
+    system, client, uids = build_cold(4)
+    del system.nodes["t1"].object_store._committed[uids[2]]
+    rpc_log.clear()
+    read_all(system, client, uids)
+    assert activation_loads(rpc_log) == [("t1", "read_many"), ("t2", "read")]
+
+
+def test_dark_store_at_flush_sends_the_whole_batch_on(rpc_log):
+    """t1 dies while the loads wait in the window: the ``read_many``
+    fails as a whole, every activation moves on to t2, and none fails."""
+    system, client, uids = build_cold(4)
+    batcher = system.nodes["s1"].commit_batcher
+    buffer = batcher.call
+    crashed = []
+
+    def crash_store_on_first_read(target, service, method, *args, **kwargs):
+        if method == "read" and not crashed:
+            crashed.append(target)
+            system.scheduler.call_soon(system.nodes[target].crash)
+        return buffer(target, service, method, *args, **kwargs)
+
+    batcher.call = crash_store_on_first_read
+    rpc_log.clear()
+    read_all(system, client, uids)
+    assert crashed == ["t1"]
+    assert activation_loads(rpc_log) == [("t1", "read_many"),
+                                         ("t2", "read_many")]
