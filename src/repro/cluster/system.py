@@ -115,9 +115,12 @@ class SystemConfig:
     # read plane and ``reliable_multicast``.
     nameserver_push_invalidation: bool = False
     nameserver_hot_write_rate: float = 1.0   # writes/sec: pull -> push flip
-    # Lease renewal: an expired entry whose versions still match the
-    # replicas (version probe or re-registration) has its lease
-    # extended in place instead of being refetched.
+    # Lease renewal is push re-registration: an expired push-mode
+    # entry re-registers with its owner and, if its versions still
+    # match, is re-stored under a fresh registration TTL instead of
+    # being refetched.  Requires the coherence plane; every deployment
+    # that sets it sets it equal to ``nameserver_push_invalidation``,
+    # so the field is slated to fold into that one.
     nameserver_renewal: bool = False
     nameserver_registration_ttl: float | None = None  # None -> 8x lease
     shard_antientropy_interval: float | None = 10.0  # None disables the sweep
@@ -208,9 +211,10 @@ class DistributedSystem:
         lease = self.config.nameserver_lease
         if lease is not None and lease <= 0:
             raise ValueError(f"nameserver_lease must be > 0: {lease}")
-        if self.config.nameserver_renewal and lease is None:
-            raise ValueError("nameserver_renewal needs the leased read "
-                             "plane (set nameserver_lease)")
+        if (self.config.nameserver_renewal
+                and not self.config.nameserver_push_invalidation):
+            raise ValueError("nameserver_renewal re-registers push-mode "
+                             "entries (set nameserver_push_invalidation)")
         if self.config.nameserver_push_invalidation:
             if lease is None:
                 raise ValueError(

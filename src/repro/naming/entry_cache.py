@@ -50,7 +50,7 @@ calling action.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.sim.metrics import MetricsRegistry
@@ -83,7 +83,7 @@ class CachedEntry:
 
     @property
     def lease_span(self) -> float:
-        """The lease length this entry was stored (or renewed) under."""
+        """The lease length this entry was stored under."""
         return self.lease_expiry - self.fetched_at
 
 
@@ -126,12 +126,13 @@ class EntryCache:
         self.capacity = capacity
         self.metrics = metrics or MetricsRegistry()
         self.keep_ledger = keep_ledger
-        # With renewal on, an expired entry lingers *peekable* (never
-        # servable) so a lightweight version probe can extend its lease
-        # in place instead of refetching the whole snapshot.  The
-        # trade: dead entries now depend on invalidation -- push,
-        # write-through, fence, or LRU pressure -- to actually leave,
-        # which is why invalidation evicts the slot outright.
+        # With renewal on, an expired *push-mode* entry lingers
+        # peekable (never servable) so its client can re-register with
+        # the owner and re-store it instead of refetching the snapshot.
+        # An expired pull-mode entry always leaves.  A lingering entry
+        # depends on invalidation -- push, write-through, fence, or LRU
+        # pressure -- to actually leave, which is why invalidation
+        # evicts the slot outright.
         self.renewal = renewal
         # Lease anchor: "send" (the correct discipline -- the caller's
         # pre-suspension clock reading bounds the round trip too) or
@@ -141,11 +142,10 @@ class EntryCache:
         # by FaultPlan skew events; never set "receive" outside an
         # injection experiment.
         self.anchor = "send"
-        self.skewed_stores = 0  # stores/renews re-anchored by injection
+        self.skewed_stores = 0  # stores re-anchored by injection
         self.ledger: list[LedgerRecord] = []
         self.hits = 0
         self.misses = 0
-        self.renewed = 0   # leases extended in place by a version match
         self.expired = 0   # lookups refused because the lease ran out
         self.fenced = 0    # lookups refused because the ring moved on
         self._entries: "OrderedDict[str, CachedEntry]" = OrderedDict()
@@ -180,7 +180,7 @@ class EntryCache:
             return None
         now = self.clock()
         if now > entry.lease_expiry:
-            if not self.renewal:
+            if not (self.renewal and entry.mode == "push"):
                 self._entries.pop(uid_text, None)
             self.expired += 1
             self._miss("expired")
@@ -198,11 +198,12 @@ class EntryCache:
     def peek(self, uid_text: str) -> CachedEntry | None:
         """The stored entry regardless of lease expiry -- never servable.
 
-        The renewal path's view: an expired-but-unfenced entry is still
-        a valid version-stamped snapshot, and a probe proving its
-        versions unchanged may re-anchor its lease instead of paying a
-        full refetch.  Fenced entries are dropped here too -- no ring
-        movement survives in any form.
+        The renewal path's view: an expired-but-unfenced push-mode
+        entry is still a valid version-stamped snapshot, and a
+        re-registration proving its versions unchanged may re-store it
+        under a fresh lease instead of paying a full refetch.  Fenced
+        entries are dropped here too -- no ring movement survives in
+        any form.
         """
         entry = self._entries.get(uid_text)
         if entry is None:
@@ -212,37 +213,6 @@ class EntryCache:
             self.fenced += 1
             return None
         return entry
-
-    def renew(self, uid_text: str, fetched_at: float,
-              lease: float | None = None,
-              token: tuple[int, int] | None = None) -> CachedEntry | None:
-        """Extend an entry's lease in place after a version match.
-
-        ``fetched_at`` is the clock reading from *before* the caller
-        suspended on its probe (the match certifies the snapshot as of
-        probe-send time, so the lease re-anchors there -- same
-        round-trip discipline as :meth:`store`).  ``token`` makes the
-        renewal conditional exactly like a store: a write-through or
-        pushed invalidation landing mid-probe refuses it.  Returns the
-        renewed entry, or ``None`` when nothing renewable remains.
-        """
-        if token is not None and token != self.invalidation_token(uid_text):
-            self.metrics.counter("entry_cache.racing_renewals_dropped").increment()
-            return None
-        entry = self.peek(uid_text)
-        if entry is None:
-            return None
-        if self.anchor == "receive":
-            fetched_at = self.clock()
-            self.skewed_stores += 1
-        span = self.lease if lease is None else lease
-        renewed = replace(entry, fetched_at=fetched_at,
-                          lease_expiry=fetched_at + span)
-        self._entries[uid_text] = renewed
-        self._entries.move_to_end(uid_text)
-        self.renewed += 1
-        self.metrics.counter("entry_cache.renewed").increment()
-        return renewed
 
     def _miss(self, reason: str) -> None:
         self.misses += 1
@@ -322,9 +292,9 @@ class EntryCache:
         pushed.
 
         The slot is evicted *outright* -- not tombstoned to age out --
-        which matters with renewal on: expired entries linger peekable
-        there, so an un-evicted dead snapshot could be version-probed
-        back to life after the write it missed.
+        which matters with renewal on: expired push-mode entries linger
+        peekable there, so an un-evicted dead snapshot could be
+        re-registered back to life after the write it missed.
 
         Advances the uid's invalidation token even when nothing is
         cached: a repopulating read may be suspended mid-flight right

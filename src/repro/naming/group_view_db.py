@@ -355,10 +355,11 @@ class GroupViewDatabase:
         return reply
 
     def entry_versions(self, uid_text: str) -> tuple[Version, Version]:
-        """The (server, state) write versions of one entry (RPC-exposed).
+        """The (server, state) write versions of one entry.
 
-        Read without locks: a point-in-time lower bound.  Lease renewal
-        compares it with the versions a cached snapshot was taken at.
+        Read without locks: a point-in-time lower bound.  Local
+        callers only: the coherence plane stamps registrations and
+        pushes with it, and shard resync compares it with a peer's.
         Equal versions mean equal content, so two replicas that
         diverged under a partial partition differ here even at equal
         counts.

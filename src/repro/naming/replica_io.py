@@ -603,35 +603,6 @@ class ReplicaIO:
             leg.reply.add_callback(
                 lambda _reply, leg=leg: self._feed_health(leg))
 
-    # -- lease renewal: fenced version probes on the client plane ------------
-
-    def probe_versions(self, uid_text: str, nodes: Iterable[str],
-                       ring_epoch: int,
-                       ) -> Generator[Any, Any, tuple[Probes, list[str]]]:
-        """Lock-free per-replica version probes certifying a lease.
-
-        Returns ``(probes, dark)``: the (server, state) write versions
-        of every node that answered, and the nodes that did not.  The
-        probes ride the *client* service, tagged with the view's
-        ``ring_epoch``: a replica held out of the serving path cannot
-        certify a lease with stale versions, and one the ring has moved
-        past (e.g. a drained owner still holding the pre-move entry
-        before GC) is fenced into the dark set instead of certifying
-        versions for an arc it no longer serves.
-        """
-        probes: Probes = {}
-        dark: list[str] = []
-        for node in nodes:
-            try:
-                versions = yield self.rpc.call(
-                    node, self.service, "entry_versions", uid_text,
-                    ring_epoch=ring_epoch)
-            except RpcError:  # includes StaleRingEpoch fencing rejections
-                dark.append(node)
-                continue
-            probes[node] = tuple(versions)
-        return probes, dark
-
     # -- the sync plane: unfenced replica-maintenance protocol ---------------
 
     def _sync_send(self, local: Mapping[str, Any], node: str, method: str,

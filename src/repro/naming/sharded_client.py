@@ -120,16 +120,6 @@ class ShardedGroupViewDbClient:
         for node in router.nodes:
             self.io.client_for(node)
 
-    # -- engine pass-throughs (inspection and compatibility surface) ---------
-
-    @property
-    def router(self) -> ShardRouter:
-        return self.io.router
-
-    @property
-    def replication(self) -> int:
-        return self.io.replication
-
     # -- the leased read plane -----------------------------------------------
 
     def _invalidate(self, uid: Uid | str) -> None:
@@ -206,44 +196,37 @@ class ShardedGroupViewDbClient:
 
     def _try_renew(self, uid_text: str,
                    ) -> Generator[Any, Any, "CachedEntry | None"]:
-        """Extend an expired-but-unfenced entry instead of re-reading.
+        """Re-register an expired push-mode entry instead of re-reading.
 
         With renewal on, :meth:`EntryCache.lookup` leaves expired
-        entries peekable.  A pull-mode entry renews off a lightweight
-        fenced version probe (client service, so gated or ring-moved
-        replicas cannot certify); a push-mode entry must *re-register*
-        with its owner -- the round trip that certifies the versions is
-        the same one that extends the owner-side registry entry, so the
-        lease can never outlive the window the owner pushes for.  Any
+        push-mode entries peekable (pull-mode ones it drops: their
+        refetch needs one reply from any live replica).  The entry
+        *re-registers* with its owner: the round trip that certifies
+        the versions is the same one that extends the owner-side
+        registry entry, so the lease can never outlive the window the
+        owner pushes for.  The re-store is conditional on the token
+        captured before the round trip, like any fill.  A version
         mismatch evicts: the snapshot is dead and the caller refetches.
         """
-        entry = self.cache.peek(uid_text)
+        entry = self.cache.peek(uid_text)  # only ever a push-mode entry
         if entry is None:
             return None
         started = self.cache.clock()
         token = self.cache.invalidation_token(uid_text)
-        if entry.mode == "push" and self.coherence is not None:
-            reg = yield from self.coherence.register(uid_text)
-            if reg is None:
-                return None  # owner dark; caller refetches
-            ttl, versions = reg
-            if tuple(versions) != entry.versions:
-                self.cache.invalidate(uid_text)
-                return None
-            return self.cache.renew(uid_text, fetched_at=started,
-                                    lease=ttl, token=token)
-        view = self.router.view()
-        replicas = view.read_order(uid_text, self.replication)
-        probes, _dark = yield from self.io.probe_versions(
-            uid_text, replicas, ring_epoch=view.epoch)
-        if not probes:
-            return None
-        live = (max(sv for sv, _ in probes.values()),
-                max(st for _, st in probes.values()))
-        if live != entry.versions:
+        reg = yield from self.coherence.register(uid_text)
+        if reg is None:
+            return None  # owner dark; caller refetches
+        ttl, versions = reg
+        if tuple(versions) != entry.versions:
             self.cache.invalidate(uid_text)
             return None
-        return self.cache.renew(uid_text, fetched_at=started, token=token)
+        renewed = self.cache.store(
+            uid_text, entry.hosts, entry.view, entry.versions,
+            ring_epoch=entry.ring_epoch, token=token, fetched_at=started,
+            lease=ttl, mode="push")
+        if renewed is not None:
+            self.cache.metrics.counter("entry_cache.renewed").increment()
+        return renewed
 
     # -- per-UID operations (routed through the engine) ----------------------
 

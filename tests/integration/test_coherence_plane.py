@@ -20,7 +20,8 @@ from tests.integration.test_sharded_nameserver import build
 
 import pytest
 
-from repro.cluster import Janitor
+from repro.cluster import DistributedSystem, Janitor, SystemConfig
+from repro.naming.group_view_db import SERVICE_NAME
 
 LEASE = 0.5
 
@@ -149,22 +150,55 @@ def test_cleanup_purge_evicts_push_mode_lessees():
         "the purge must push an eviction to the lessees"
 
 
-def test_renewal_extends_pull_entries_in_place():
-    # Renewal alone (no push plane): validation probes that match the
-    # cached versions extend the lease instead of re-snapshotting.
-    system, runtimes, uids = build(
-        shards=2, objects=3, clients=2, scheme="standard",
-        nameserver_replication=2, nameserver_lease=LEASE,
-        nameserver_cache_ledger=True, nameserver_renewal=True,
-        enable_recovery_managers=False)
-    hits = 0
-    for _ in range(8):
-        for uid in uids:
-            hits += reuse_hits(system, runtimes, uid)
-        system.run(until=system.scheduler.now + LEASE * 0.8)
-    assert counter_sum(system, "entry_cache.renewed") > 0
-    # A renewed entry is served again: the second bind of every pair hit.
-    assert hits == 8 * len(uids) * len(runtimes)
+def client_reads(rpc_log, method):
+    """Client-service RPCs named ``method`` in the log so far."""
+    return sum(1 for _caller, _target, service, name, _at in rpc_log
+               if service == SERVICE_NAME and name == method)
+
+
+def test_expired_push_entry_re_registers_instead_of_refetching(rpc_log):
+    system, runtimes, uids = coherence_build()
+    hot = uids[0]
+    drive_rounds(system, runtimes, hot, uids, rounds=10)
+    owner = system.coherence_hosts[system.shard_router.shard_for(hot)]
+    # Every reader holds a push-mode copy; let it outlive its
+    # registration TTL with no write in between.
+    assert all(cache.peek(str(hot)).mode == "push"
+               for cache in system.entry_caches.values())
+    system.run(until=system.scheduler.now + owner.registration_ttl + 0.1)
+    assert all(cache.lookup(str(hot)) is None
+               for cache in system.entry_caches.values())
+    refetches = client_reads(rpc_log, "read_entry_versioned")
+    renewed = counter_sum(system, "entry_cache.renewed")
+
+    # The first bind of each pair re-registers and serves the re-stored
+    # copy; the second is a plain cache hit on it.
+    assert reuse_hits(system, runtimes, hot) == len(runtimes)
+    assert counter_sum(system, "entry_cache.renewed") - renewed \
+        == len(runtimes)
+    assert client_reads(rpc_log, "read_entry_versioned") == refetches
+    assert audit_ledgers(system) > 0
+
+
+def test_expired_pull_entry_is_refetched_not_probed(rpc_log):
+    # Renewal on, but the entry is pull-mode: once its lease runs out
+    # the cache drops it and the next bind refetches -- no per-replica
+    # version probe goes out on the client service.
+    system, runtimes, uids = coherence_build()
+    cold = uids[1]
+    for _ in range(4):
+        reads = client_reads(rpc_log, "read_entry_versioned")
+        assert reuse_hits(system, runtimes, cold) == len(runtimes)
+        assert client_reads(rpc_log, "read_entry_versioned") > reads
+        system.run(until=system.scheduler.now + LEASE * 1.5)
+    assert client_reads(rpc_log, "entry_versions") == 0
+    assert counter_sum(system, "entry_cache.renewed") == 0
+
+
+def test_renewal_needs_the_push_plane():
+    with pytest.raises(ValueError, match="nameserver_push_invalidation"):
+        DistributedSystem(SystemConfig(nameserver_lease=LEASE,
+                                       nameserver_renewal=True))
 
 
 def test_owner_crash_resets_the_plane_and_lessees_reattach():

@@ -11,7 +11,10 @@ The contract under test, bound by bound:
 - the owner's **own mutations invalidate write-through**, so a client
   never serves itself a binding it knows it changed;
 - a **busy entry** (live action mid-flight) refuses the lock-free read
-  and the client falls back to the authoritative locking path.
+  and the client falls back to the authoritative locking path;
+- with **renewal** on, only an expired push-mode entry lingers
+  peekable for re-registration, and its re-store is refused like any
+  fill that an invalidation overtook.
 """
 
 import pytest
@@ -149,6 +152,41 @@ def test_lease_expiry_falls_back_and_repopulates():
     entry = client.cache.lookup(str(UID))
     assert entry is not None and entry.lease_expiry > s.now, \
         "the expired miss must have repopulated under a fresh lease"
+
+
+def test_renewal_keeps_only_expired_push_entries_peekable():
+    """With renewal on, an expired pull-mode entry leaves on lookup
+    (its refetch is the renewal); an expired push-mode entry stays
+    peekable, never servable, for its re-registration."""
+    now = [0.0]
+    cache = EntryCache(LEASE, fence=lambda: 0, clock=lambda: now[0],
+                       renewal=True)
+    cache.store("pull", ["h"], ["t"], (1, 1))
+    cache.store("push", ["h"], ["t"], (1, 1), lease=2 * LEASE, mode="push")
+    now[0] = 2 * LEASE + 0.1
+    assert cache.lookup("pull") is None and cache.peek("pull") is None
+    assert cache.lookup("push") is None
+    assert cache.peek("push").mode == "push"
+    assert cache.expired == 2
+
+
+def test_re_store_after_an_invalidation_is_refused():
+    """A re-registration re-stores its peeked entry under the token it
+    captured before suspending; an invalidation in between refuses the
+    store, so the dead snapshot is not revived under a fresh lease."""
+    now = [0.0]
+    cache = EntryCache(LEASE, fence=lambda: 0, clock=lambda: now[0],
+                       renewal=True)
+    cache.store("u", ["h"], ["t"], (1, 1), lease=LEASE, mode="push")
+    now[0] = LEASE + 0.1
+    entry = cache.peek("u")
+    token = cache.invalidation_token("u")
+    cache.invalidate("u")  # a push landing mid-registration
+    assert cache.store("u", entry.hosts, entry.view, entry.versions,
+                       ring_epoch=entry.ring_epoch, token=token,
+                       fetched_at=now[0], lease=LEASE, mode="push") is None
+    assert cache.metrics.counter_value("entry_cache.racing_stores_dropped") == 1
+    assert cache.peek("u") is None
 
 
 def test_own_mutation_invalidates_write_through():
