@@ -55,13 +55,14 @@ EXEMPT: dict[str, str] = {
     # Separate tools, with their own tests and CI steps.
     "repro.analysis.*": "the invariant linter: its own CLI, tests and CI job",
     "repro.workload.__main__.*": "the scenario CLI: CI's smoke step runs it",
-    # ROADMAP item 1 decides whether shadow resolution becomes default-on.
+    # ROADMAP, "Finish the paper-core recovery bugs", decides whether
+    # shadow resolution becomes default-on.
     "repro.cluster.recovery.ShadowResolver.*":
-        "off by default (enable_shadow_resolvers); ROADMAP item 1 decides",
+        "off by default (enable_shadow_resolvers); a ROADMAP item decides",
     "repro.storage.objectstore.ObjectStore.has_shadow":
-        "the ShadowResolver's store query (ROADMAP item 1)",
+        "the ShadowResolver's store query",
     "repro.storage.objectstore.ObjectStore.shadow_version_of":
-        "the ShadowResolver's store query (ROADMAP item 1)",
+        "the ShadowResolver's store query",
     # Safety code: undo, abort and error paths.
     "*.undo": "an undo-log closure: runs only when an action aborts",
     "repro.naming.object_server_db.ObjectServerDatabase._restore_counter":
@@ -116,6 +117,9 @@ EXEMPT: dict[str, str] = {
         "the autoscaler's shutdown",
     "repro.naming.shard_router.RingTransition.mark_dirty":
         "RingView.mark_dirty: a transition-time write that skipped a replica",
+    "repro.naming.sharded_client.ShardedGroupViewDbClient._try_renew":
+        "push re-registration: no workload lets a push entry outlive its "
+        "registration TTL (tests/integration/test_coherence_plane.py does)",
     # Names frozen perf/ code calls.
     "repro.sim.events.EventQueue.push": "perf/micro.py queue_push_pop",
     "repro.sim.events.EventQueue.pop": "perf/micro.py queue_push_pop",

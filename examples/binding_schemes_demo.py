@@ -49,7 +49,7 @@ def run_scheme(scheme_name, clients=6, seed=5):
     # Every non-read lock: the use-list schemes Increment and Decrement
     # under their own type-specific modes instead of a write lock.
     write_locks = sum(
-        system.db.metrics.counter_value(f"server_db.locks.{mode}")
+        system.metrics.counter_value(f"shard.namenode.server_db.locks.{mode}")
         for mode in ("write", "exclude_write", "increment", "decrement"))
     sv_now = system.db_sv(uid)
     return {

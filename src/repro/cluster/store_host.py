@@ -5,10 +5,10 @@ write new states at commit (paper sections 3.1 and 4.2).  All methods
 speak UID strings (the RPC wire form) and byte buffers.
 
 A store host may additionally serve one shard of the group-view
-database (:class:`NameShardHost`): the sharded deployment partitions
-the naming entries across store hosts instead of funnelling every
-binding through a single name node, so "store host" and "name shard
-host" are the same machine class booted with one extra service.
+database (:class:`NameShardHost`).  Every name node is such a host --
+the paper's single name node is a ring of one -- so "store host" and
+"name shard host" are the same machine class booted with one extra
+service.
 """
 
 from __future__ import annotations
@@ -188,17 +188,17 @@ class NameShardHost:
 
     @classmethod
     def install_on(cls, node: Node, db: Any,
-                   service: str = SERVICE_NAME,
-                   fence: Callable[[], int] | None = None,
+                   service: str = SERVICE_NAME, *,
+                   fence: Callable[[], int],
                    purge: bool = False) -> "NameShardHost":
         """Boot hook: serve ``db`` on ``node`` now and after recoveries.
 
         Two registrations of the same database: ``service`` is the
         client-facing name (recovery gating pulls it until resync
         converges) and the sync service is the always-on side door for
-        replica-internal traffic.  ``fence`` -- typically the shared
-        router's ``fence_epoch`` -- arms epoch fencing on the
-        *client-facing* service only: tagged requests routed by a stale
+        replica-internal traffic.  ``fence`` -- the shared router's
+        ``fence_epoch`` -- arms epoch fencing on the *client-facing*
+        service only: tagged requests routed by a stale
         ring view are rejected before dispatch.  The sync plane stays
         unfenced on purpose (resync, migration, and repair must reach
         hosts the live ring does not own yet, or no longer owns; their

@@ -174,12 +174,11 @@ class DistributedSystem:
         self.shadow_resolvers: dict[str, ShadowResolver] = {}
 
         # The name service (assumed always available, paper section 3.1):
-        # one name node by default, or a consistent-hash ring of shard
-        # hosts when ``nameserver_shards > 1``.  ``shard_router`` is the
-        # ring's, ``None`` for the paper's name node; ``_client_route``
-        # is what every naming client routes by either way.
-        self.shard_router: ShardRouter | None = None
-        self._client_route: ShardRouter
+        # a consistent-hash ring of shard hosts -- for the paper's
+        # deployment a ring of one, the single name node.
+        self.shard_router: ShardRouter
+        self.db: ShardedGroupViewDatabase
+        self.reshard: ReshardManager
         # Every leased entry cache handed out by _make_db_client, keyed
         # by owning node -- the churn harnesses audit their ledgers.
         self.entry_caches: dict[str, EntryCache] = {}
@@ -187,7 +186,6 @@ class DistributedSystem:
         # gray-failure harnesses read demotion counts off these.
         self.peer_health: dict[str, PeerHealthTracker] = {}
         self.shard_resyncers: dict[str, ShardResyncManager] = {}
-        self.reshard: ReshardManager | None = None
         self.autoscaler: ShardAutoscaler | None = None
         self.drained_shard_hosts: list[str] = []
         self._shard_name_hosts: dict[str, Any] = {}
@@ -224,42 +222,19 @@ class DistributedSystem:
                 raise ValueError(
                     "nameserver_push_invalidation needs reliable_multicast "
                     "(invalidations ride the ordered multicast)")
-        if shard_count > 1 or lease is not None:
-            if self.config.nonatomic_name_server:
-                raise ValueError(
-                    "the non-atomic name server variant cannot be sharded "
-                    "and has no leased read plane")
-            self._boot_sharded_name_service(shard_count)
-        else:
-            self._boot_single_name_service()
-
-    def _boot_single_name_service(self) -> None:
-        """The paper's deployment: the whole database on one node.
-
-        Its clients route by a ring of one (replication 1, so every
-        call enlists the node eagerly); the node itself is no shard
-        host: its service is unfenced, it keeps no digest index, and a
-        restart does not reset its volatile state.
-        """
-        self.name_node = self._make_node(NAME_NODE, has_store=True)
-        server_db = None
-        if self.config.nonatomic_name_server:
-            # The section-5 variant: non-atomic server data, atomic St.
-            server_db = NonAtomicNameServer(metrics=self.metrics)
-        self.db: Any = GroupViewDatabase(
-            use_exclude_write_lock=self.config.use_exclude_write_lock,
-            metrics=self.metrics, server_db=server_db)
-        NameShardHost.install_on(
-            self.name_node, self.db,
-            purge=(self.config.enable_cleaner
-                   and not self.config.nonatomic_name_server))
-        self._client_route = ShardRouter([NAME_NODE])
+        if self.config.nonatomic_name_server and (shard_count > 1
+                                                  or lease is not None):
+            raise ValueError("the non-atomic name server variant cannot be "
+                             "sharded and has no leased read plane")
+        self._boot_sharded_name_service(shard_count)
 
     def _boot_sharded_name_service(self, shard_count: int) -> None:
         """Partition the database across ``shard_count`` store hosts.
 
-        Each shard host runs its own :class:`GroupViewDatabase` (own
-        lock manager, own undo log) with its own janitor;
+        One shard is the paper's deployment: the whole database on one
+        node, which keeps the name ``namenode``.  Each shard host runs
+        its own :class:`GroupViewDatabase` (own lock manager, own undo
+        log) with its own janitor;
         entry placement is the consistent-hash ring shared by every
         client through :class:`ShardedGroupViewDbClient`.  With
         ``nameserver_replication > 1`` every entry additionally lives
@@ -269,9 +244,10 @@ class DistributedSystem:
         :class:`ShardResyncManager` that catches it up from its peers
         before it serves again after a crash.
         """
-        names = [f"{NAME_NODE}{i}" for i in range(shard_count)]
+        names = ([NAME_NODE] if shard_count == 1
+                 else [f"{NAME_NODE}{i}" for i in range(shard_count)])
         replication = self.config.nameserver_replication
-        self.shard_router = self._client_route = ShardRouter(names)
+        self.shard_router = ShardRouter(names)
         shard_dbs = {name: self._boot_shard_host(name) for name in names}
         self.name_node = self.nodes[names[0]]
         self.db = ShardedGroupViewDatabase(self.shard_router, shard_dbs,
@@ -306,20 +282,24 @@ class DistributedSystem:
         the naming RPC surface immediately but owns no arcs until the
         router (or a migration epoch flip) says so.
         """
-        assert self.shard_router is not None
         replication = self.config.nameserver_replication
         node = self._make_node(name, has_store=True, sync_plane=True)
+        metrics = self.metrics.scoped(f"shard.{name}.")
+        server_db = None
+        if self.config.nonatomic_name_server:
+            # The section-5 variant (E6): non-atomic server data, atomic St.
+            server_db = NonAtomicNameServer(metrics=metrics)
         db = GroupViewDatabase(
             use_exclude_write_lock=self.config.use_exclude_write_lock,
-            metrics=self.metrics.scoped(f"shard.{name}."),
-            partition_of=self.shard_router.partition_of)
+            metrics=metrics, partition_of=self.shard_router.partition_of,
+            server_db=server_db)
         # The client-facing service is epoch-fenced against the shared
         # router (re-armed by the boot hook on every recovery); the
         # sync plane stays open for resync and migration traffic.
         router = self.shard_router
         self._shard_name_hosts[name] = NameShardHost.install_on(
             node, db, fence=lambda: router.fence_epoch,
-            purge=self.config.enable_cleaner)
+            purge=self.config.enable_cleaner and server_db is None)
         StoreHost.install_on(
             node, log_force_interval=self.config.log_force_interval)
         if self.config.nameserver_push_invalidation:
@@ -331,7 +311,7 @@ class DistributedSystem:
                 node, db, router,
                 registration_ttl=self._registration_ttl(),
                 hot_write_rate=self.config.nameserver_hot_write_rate,
-                metrics=self.metrics.scoped(f"shard.{name}."))
+                metrics=metrics)
             coherence.install()
             self.coherence_hosts[name] = coherence
         if replication > 1:
@@ -340,32 +320,18 @@ class DistributedSystem:
             self.shard_resyncers[name] = ShardResyncManager(
                 node, db, self.shard_router, replication,
                 sweep_interval=self.config.shard_antientropy_interval,
-                fence=lambda: router.fence_epoch,
-                metrics=self.metrics.scoped(f"shard.{name}."))
+                fence=lambda: router.fence_epoch, metrics=metrics)
         else:
-            # No peers to resync from, but the fail-silent contract
-            # still holds: locks and undo logs are volatile, so a
-            # recovering shard host must not resurrect its
-            # pre-crash lock table or provisional writes.
-            self._install_volatile_reset(node, db)
+            # No peers to resync from: the restart rule (recovery only).
+            node.add_boot_hook(lambda _node: db.restart(), run_now=False)
         return db
-
-    @staticmethod
-    def _install_volatile_reset(node: Node, db: GroupViewDatabase) -> None:
-        """On every recovery, drop the shard db's volatile state.
-
-        ``run_now=False`` makes the hook recovery-only: it never fires
-        at initial boot, only when a crashed node comes back.
-        """
-        node.add_boot_hook(lambda _node: db.reset_volatile(), run_now=False)
 
     def _make_db_client(self, node: Node) -> ShardedGroupViewDbClient:
         """The naming client a client-side component on ``node`` uses.
 
-        One client for every deployment, routing by ``_client_route``.
+        One client for every deployment, routing by ``shard_router``.
         Gray-failure detection, the leased cache and its coherence
-        plane exist only where the config's ring asks for them; so does
-        the read-latency histogram (``clock``).
+        plane exist only where the config's ring asks for them.
         """
         replication = self.config.nameserver_replication
         cache = None
@@ -374,7 +340,7 @@ class DistributedSystem:
             # simulation clock, epoch invalidation on the shared
             # router's fence -- any reshard or failover that
             # changes routing kills every pre-change entry.
-            router = self._client_route
+            router = self.shard_router
             cache = EntryCache(
                 self.config.nameserver_lease,
                 fence=lambda: router.fence_epoch,
@@ -405,11 +371,9 @@ class DistributedSystem:
             # determinism invariant); one stream per client node.
             retry_rng = self.rng.substream(f"2pc-retry/{node.name}")
         return ShardedGroupViewDbClient(
-            node.rpc, self._client_route, replication=replication,
+            node.rpc, self.shard_router, replication=replication,
             read_policy=self.config.nameserver_read_policy,
             cache=cache,
-            clock=((lambda: self.scheduler.now)
-                   if self.shard_router is not None else None),
             sync_suffix=self.sync_suffix,
             coherence_node=(node if self.config.nameserver_push_invalidation
                             and cache is not None else None),
@@ -422,7 +386,7 @@ class DistributedSystem:
     @property
     def shard_hosts(self) -> list[str]:
         """The shard-host node names -- valid fault-injection targets."""
-        return list(self.shard_router.nodes) if self.shard_router else []
+        return list(self.shard_router.nodes)
 
     # -- online resharding --------------------------------------------------
 
@@ -488,9 +452,9 @@ class DistributedSystem:
         migration :class:`~repro.sim.process.Process`; the system keeps
         serving throughout.
         """
-        if self.shard_router is None or self.reshard is None:
-            raise ValueError("online resharding needs a sharded name "
-                             "service (boot with nameserver_shards > 1)")
+        if self.config.nonatomic_name_server:
+            raise ValueError("the non-atomic name server variant cannot be "
+                             "sharded")
         if self.reshard.active:
             raise ValueError("a ring membership change is already migrating")
         removed = list(remove or [])
@@ -509,7 +473,6 @@ class DistributedSystem:
         # and serving but never on the ring.
         added, removed, reweighted = self.reshard.validate_plan(
             added, removed, weights)
-        assert isinstance(self.db, ShardedGroupViewDatabase)
         for name in added:
             self.db.add_shard(name, self._boot_shard_host(name))
 
@@ -539,7 +502,6 @@ class DistributedSystem:
         resyncer = self.shard_resyncers.pop(name, None)
         if resyncer is not None:
             resyncer.retire()
-        assert isinstance(self.db, ShardedGroupViewDatabase)
         self.db.remove_shard(name)
         self.drained_shard_hosts.append(name)
 
@@ -571,9 +533,6 @@ class DistributedSystem:
         scale-down while the window's p95 is still above it: a quiet
         but slow ring must not shrink.
         """
-        if self.shard_router is None or self.reshard is None:
-            raise ValueError("the autoscaler needs a sharded name service "
-                             "(boot with nameserver_shards > 1)")
         if self.autoscaler is not None:
             raise ValueError("the autoscaler is already running")
         reshard = self.reshard
@@ -599,7 +558,6 @@ class DistributedSystem:
 
     def _shard_op_counts(self) -> dict[str, float]:
         """Cumulative naming-op count per current shard host."""
-        assert self.shard_router is not None
         ops = ("server_db.get_server", "server_db.insert",
                "server_db.remove", "server_db.increment",
                "server_db.decrement", "state_db.get_view",
@@ -756,11 +714,7 @@ class DistributedSystem:
     def _release_probe_locks(self) -> None:
         from repro.actions.action import ActionId
         probe = ActionId((0,))
-        if isinstance(self.db, ShardedGroupViewDatabase):
-            targets: list[GroupViewDatabase] = list(self.db.shards.values())
-        else:
-            targets = [self.db]
-        for db in targets:
+        for db in self.db.shards.values():
             # The section-5 variant's non-atomic half has no lock table.
             if isinstance(db.server_db, ObjectServerDatabase):
                 db.server_db.locks.release_all(probe)

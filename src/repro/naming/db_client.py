@@ -20,7 +20,7 @@ whose :class:`~repro.naming.replica_io.ReplicaIO` engine routes each
 verb and builds one connection per node it reaches
 (:meth:`~repro.naming.replica_io.ReplicaIO.client_for`).  Calls issued
 on behalf of a captured ring view carry its fence token
-(``ring_epoch``), which an unfenced service ignores.
+(``ring_epoch``), which a fenced service checks and any other ignores.
 """
 
 from __future__ import annotations

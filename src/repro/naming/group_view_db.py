@@ -77,7 +77,7 @@ class GroupViewDatabase:
         shared_metrics = metrics or MetricsRegistry()
         # The server half: atomic by default, or the section-5 variant's
         # non-atomic server (which keeps no lock table and no digest
-        # marks, so it never serves a ring's shard host).
+        # marks, so it serves only the paper's ring of one).
         self.server_db = (server_db if server_db is not None
                           else ObjectServerDatabase(metrics=shared_metrics))
         self.state_db = ObjectStateDatabase(
@@ -90,9 +90,9 @@ class GroupViewDatabase:
         # owner can push invalidations to registered lessees.
         self.coherence: Any = None
         self._touched: list[tuple[tuple[int, ...], str]] = []
-        # The anti-entropy index (see :meth:`diff_partitions`), kept only
-        # on a ring's shard hosts -- ``partition_of`` is the shared
-        # router's; the single name node has no peer to compare with.
+        # The anti-entropy index (see :meth:`diff_partitions`), kept on
+        # every name node the harness boots -- ``partition_of`` is the
+        # shared router's, and a database built without one keeps none.
         # Each partition's uids, and the digest and rows of every
         # partition none of whose entries changed since they were
         # computed: the halves report each change to :meth:`_mark`.
@@ -249,15 +249,34 @@ class GroupViewDatabase:
 
     # -- 2PC participant (spans both halves) ---------------------------------------
 
+    def _locking_halves(self) -> list[Any]:
+        """The halves with a lock table (the section-5 variant's
+        non-atomic half keeps none)."""
+        return [half for half in (self.server_db, self.state_db)
+                if not isinstance(half, NonAtomicNameServer)]
+
     def parts(self) -> dict[int, tuple[str, bool]]:
         """What the janitor judges here: top-level serial ->
-        (coordinator ref, wrote here) over both halves' lock tables
-        (the section-5 variant's non-atomic half keeps none)."""
-        halves = [half for half in (self.server_db, self.state_db)
-                  if not isinstance(half, NonAtomicNameServer)]
+        (coordinator ref, wrote here) over both halves' lock tables."""
+        halves = self._locking_halves()
         return {owner.path[0]: (owner.node, any(
             half.wrote(owner.path[:1]) for half in halves))
             for half in halves for owner in half.locks.owners() if owner.node}
+
+    def restart(self) -> None:
+        """The restart rule of an unreplicated name node, on recovery.
+
+        Aborts every top-level action whose part here wrote nothing:
+        its read locks go and its parked requests are refused, since
+        the handlers that held them died with the node.  A written part
+        is kept: its acknowledgement was its vote, so it waits for the
+        told outcome or for the janitor to ask its coordinator.
+        """
+        halves = self._locking_halves()
+        for serial in sorted({owner.path[0] for half in halves for owner in
+                              half.locks.owners() | half.locks.waiters()}):
+            if not any(half.wrote((serial,)) for half in halves):
+                self.abort((serial,))
 
     def prepare(self, action_path: ActionPath) -> str:
         votes = (self.server_db.prepare(action_path),

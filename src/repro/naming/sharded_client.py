@@ -19,8 +19,7 @@ one logical service:
   unions during a staged transition, old-epoch-first reads, primary or
   spread read rotation -- lives in the view and the engine, not here.
   The paper's single name node is a ring of one with replication 1:
-  every call goes to that node and enlists it eagerly, and its
-  unfenced service ignores the fence token.
+  every call goes to that node and enlists it eagerly.
 
 - :class:`ShardedGroupViewDatabase` -- the server-side facade used by
   the system harness for bootstrap (``define_object``) and inspection.
@@ -82,7 +81,6 @@ class ShardedGroupViewDbClient:
                  service: str = SERVICE_NAME, replication: int = 1,
                  read_policy: str = "primary",
                  cache: EntryCache | None = None,
-                 clock: Any | None = None,
                  sync_suffix: str = "",
                  coherence_node: Any | None = None,
                  batcher: Any | None = None,
@@ -110,10 +108,11 @@ class ShardedGroupViewDbClient:
         if coherence_node is not None and cache is not None:
             self.coherence = CoherenceClient(coherence_node, self.io, cache,
                                              metrics=metrics)
-        # With a clock attached, every get_binding is timed into the
+        # Every get_binding is timed on the agent's scheduler into the
         # ``naming.get_server_latency`` histogram -- the read-latency
         # series benchmarks pull p50/p95/p99 from.
-        self.clock = clock or (cache.clock if cache is not None else None)
+        self._scheduler = rpc.scheduler
+        self._latency = self.io.metrics.histogram("naming.get_server_latency")
         # Whom a db's janitor asks about the locks a bind's ``St`` read
         # takes under the client action: the view path names this node.
         self._outcomes = rpc.service(COORDINATOR_SERVICE)
@@ -155,8 +154,10 @@ class ShardedGroupViewDbClient:
         entry = self.cache.lookup(uid_text)
         if entry is not None:
             return entry
-        if self.cache.renewal:
-            renewed = yield from self._try_renew(uid_text)
+        # Only an expired push-mode entry lingers peekable (renewal on).
+        expired = self.cache.peek(uid_text) if self.cache.renewal else None
+        if expired is not None:
+            renewed = yield from self._try_renew(uid_text, expired)
             if renewed is not None:
                 return renewed
         # Capture the invalidation token and the clock before
@@ -194,7 +195,7 @@ class ShardedGroupViewDbClient:
                                 copy.versions, ring_epoch=epoch,
                                 token=token, fetched_at=started)
 
-    def _try_renew(self, uid_text: str,
+    def _try_renew(self, uid_text: str, entry: CachedEntry,
                    ) -> Generator[Any, Any, "CachedEntry | None"]:
         """Re-register an expired push-mode entry instead of re-reading.
 
@@ -208,9 +209,6 @@ class ShardedGroupViewDbClient:
         captured before the round trip, like any fill.  A version
         mismatch evicts: the snapshot is dead and the caller refetches.
         """
-        entry = self.cache.peek(uid_text)  # only ever a push-mode entry
-        if entry is None:
-            return None
         started = self.cache.clock()
         token = self.cache.invalidation_token(uid_text)
         reg = yield from self.coherence.register(uid_text)
@@ -236,7 +234,7 @@ class ShardedGroupViewDbClient:
         """``(Sv, St)`` of one entry: one leased lookup, or one
         authoritative walk (``Sv`` locked under ``action``, ``St``
         under ``view_action``)."""
-        started = self.clock() if self.clock is not None else None
+        started = self._scheduler.now
         entry = None
         if self.cache is not None:
             entry = yield from self._leased_read(uid)
@@ -247,9 +245,7 @@ class ShardedGroupViewDbClient:
                          else self._outcomes.path(view_action))
             binding = yield from self.io.read(action, uid, "get_binding",
                                               str(uid), view_path)
-        if started is not None:
-            self.io.metrics.histogram("naming.get_server_latency").observe(
-                self.clock() - started)
+        self._latency.observe(self._scheduler.now - started)
         return binding
 
     def get_binding_with_uses(

@@ -277,10 +277,16 @@ class MetricsRegistry:
         self._series: dict[str, TimeSeries] = {}
 
     def counter(self, name: str) -> Counter:
-        return self._counters.setdefault(name, Counter(name))
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def histogram(self, name: str) -> Histogram:
-        return self._histograms.setdefault(name, Histogram(name))
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram(name)
+        return histogram
 
     def timeseries(self, name: str) -> TimeSeries:
         return self._series.setdefault(name, TimeSeries(name))

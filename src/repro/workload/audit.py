@@ -107,8 +107,7 @@ class UseListAudit:
     a lost unbind, or a counter move undone that had committed.
     ``disagreements`` counts entries whose owners' use lists differ:
     counter moves that did not commute.  Neither shows in the counter
-    ledger; unlike :class:`PlacementAudit` this one also reads the
-    paper's single name node and asks for zero.
+    ledger; the paper's single name node is audited like any ring.
     """
 
     def __init__(self, leftover: str = "leftover_uses",
@@ -121,12 +120,9 @@ class UseListAudit:
     def check(self, system: Any, uids: Sequence[Uid]) -> dict[str, int]:
         leftover = disagreements = 0
         for uid in uids:
-            if system.shard_router is None:
-                owners = [system.db]
-            else:
-                owners = [system.db.shards[shard] for shard in
-                          system.shard_router.preference_list(
-                              uid, system.config.nameserver_replication)]
+            owners = [system.db.shards[shard] for shard in
+                      system.shard_router.preference_list(
+                          uid, system.config.nameserver_replication)]
             lists = []
             for db in owners:
                 uses = db.get_server_with_uses((0,), str(uid)).uses
@@ -144,7 +140,7 @@ def lock_leftovers(system: Any) -> dict[str, tuple[set, set]]:
     incarnation's table is not a leak).  Empty once a run has settled
     with no action in flight."""
     tables = {}
-    for name, db in getattr(system.db, "shards", {"namenode": system.db}).items():
+    for name, db in system.db.shards.items():
         if system.nodes[name].crashed:
             continue
         if isinstance(db.server_db, ObjectServerDatabase):

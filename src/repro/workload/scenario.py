@@ -195,7 +195,7 @@ class Run:
                 st_hosts=homes(self.st_hosts, i, shape.st_copies))
             for i in range(shape.objects)]
         if shape.shard_service_time is not None:
-            for host in system.shard_hosts or ["namenode"]:
+            for host in system.shard_hosts:
                 system.nodes[host].rpc.service_time = shape.shard_service_time
         if shape.store_service_time is not None:
             for host in self.st_hosts:
@@ -346,7 +346,7 @@ def busy_skew(run: Run) -> float:
     system = run.system
     busy = [run.settled_metrics.get(f"traffic.{host}.client.rpcs_in", 0)
             * system.nodes[host].rpc.service_time
-            for host in system.shard_hosts or ["namenode"]]
+            for host in system.shard_hosts]
     mean = sum(busy) / len(busy)
     return max(busy) / mean if mean > 0 else 1.0
 

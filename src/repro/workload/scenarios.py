@@ -106,13 +106,8 @@ def _sharded_nameserver_row(run: Run) -> dict[str, Any]:
            "elapsed": run.ended,
            "throughput": rate(report.committed, run.ended),
            **latency_summary(report.outcomes), "busy_skew": busy_skew(run)}
-    if system.shard_router is not None:
-        row["entry_spread"] = system.shard_router.spread(run.uids)
-        row["per_shard_reads"] = shard_reads(system, system.shard_router.nodes)
-    else:
-        row["entry_spread"] = {"namenode": len(run.uids)}
-        row["per_shard_reads"] = {"namenode": system.metrics.counter_value(
-            "server_db.get_server")}
+    row["entry_spread"] = system.shard_router.spread(run.uids)
+    row["per_shard_reads"] = shard_reads(system, system.shard_router.nodes)
     return row
 
 
@@ -326,9 +321,8 @@ def _leased_read_row(run: Run) -> dict[str, Any]:
         "throughput": rate(report.committed, run.ended),
         "mean_latency": report.mean_latency(),
         **latency_summary(report.outcomes), **cache_summary(system),
-        "get_server_rpcs": (
-            sum(shard_reads(system, system.shard_hosts).values())
-            or system.metrics.counter_value("server_db.get_server")),
+        "get_server_rpcs": sum(
+            shard_reads(system, system.shard_hosts).values()),
         "busy_skew": busy_skew(run),
     }
 
@@ -1177,6 +1171,7 @@ def _sequential_binds(run: Run) -> None:
                for _ in range(p.rounds) for runtime in run.runtimes]
     run.adds = {uid: sum(r.committed for r in results)}
     count = system.metrics.counter_value
+    snapshot = system.metrics.snapshot()
     run.row = {
         "scheme": p.scheme, "crash": p.crash, "client_aborts": p.client_aborts,
         "offered": len(results), "committed": run.adds[uid],
@@ -1184,8 +1179,9 @@ def _sequential_binds(run: Run) -> None:
             f"binding.{run.runtimes[0].scheme.name}.failed_attempts"),
         # Every lock a binding takes that is not a read: the use-list
         # modes replaced the paper's write lock on Increment/Decrement.
-        "db_write_locks": sum(count(f"server_db.locks.{mode}") for mode in (
-            "write", "exclude_write", "increment", "decrement")),
+        "db_write_locks": sum(counter_sum(snapshot, f".server_db.locks.{mode}")
+                              for mode in ("write", "exclude_write",
+                                           "increment", "decrement")),
         "mean_latency": sum(r.duration for r in results) / len(results),
         "sv_after": system.db_sv(uid),
     }
@@ -1224,6 +1220,17 @@ _paper(
     shape=lambda p: _one_object(p, clients(p.clients)),
     load=_sequential_binds, use_lists=True)
 
+def _contention_row(run: Run) -> dict[str, Any]:
+    locks = run.system.db.shard_db(str(run.uids[0])).server_db.locks
+    return {
+        **load_summary(run.report), "retries": run.report.retries,
+        "lock_refusals": locks.refusals + locks.promotion_refusals,
+        "lock_parks": locks.parks,
+        "locks_left": len(lock_leftovers(run.system)),
+        "decrement_refusals": counter_sum(run.system.metrics.snapshot(),
+                                          ".server_db.locks_refused.decrement")}
+
+
 _paper(
     "paper_binding_contention",
     """Concurrent binders under the independent scheme (fig. 7).
@@ -1244,15 +1251,7 @@ _paper(
          contention_occurred=lambda r: r["lock_refusals"] + r["lock_parks"] > 0),
     shape=lambda p: _one_object(p, clients(p.clients)),
     streams=lambda run: closed_loop(run, run.p.txns),
-    counters=lambda run: {
-        **load_summary(run.report), "retries": run.report.retries,
-        "lock_refusals": (run.system.db.server_db.locks.refusals
-                          + run.system.db.server_db.locks.promotion_refusals),
-        "lock_parks": run.system.db.server_db.locks.parks,
-        "locks_left": len(lock_leftovers(run.system)),
-        "decrement_refusals": run.system.metrics.counter_value(
-            "server_db.locks_refused.decrement")},
-    use_lists=True)
+    counters=_contention_row, use_lists=True)
 
 
 # F7 / E6: a client crash mid-binding, atomic or traditional name server.
@@ -1329,7 +1328,8 @@ def _exclude_under_readers(run: Run) -> None:
         "exclude_write_lock": run.p.use_exclude_write_lock,
         "readers": run.p.readers, "writer_committed": result.committed,
         "abort_reason": result.reason or "-",
-        "promotion_refusals": system.db.state_db.locks.promotion_refusals}
+        "promotion_refusals":
+            system.db.shard_db(str(uid)).state_db.locks.promotion_refusals}
 
 
 _paper(

@@ -353,7 +353,9 @@ def test_janitor_abort_and_crash_recover_leave_the_index_empty():
     system.run(until=10.0)
     # One at the server host; one the name node's, releasing the dead
     # client's read locks on the entry.
-    assert system.metrics.counter_value("janitor.aborts") == 2
+    assert system.metrics.counter_value("janitor.aborts") == 1
+    assert system.metrics.counter_value(
+        "shard.namenode.janitor.aborts") == 1
     assert host._roots == {} and host._refs == {}
 
     client2 = system.add_client("c2")

@@ -195,6 +195,29 @@ def test_expired_pull_entry_is_refetched_not_probed(rpc_log):
     assert counter_sum(system, "entry_cache.renewed") == 0
 
 
+def test_a_pull_mode_miss_never_enters_renewal(monkeypatch):
+    # Renewal on: only a peekable push-mode entry is worth a
+    # re-registration, so a miss on a pull-mode entry -- a first fill
+    # or an expiry -- goes straight to the refetch.
+    from repro.naming.sharded_client import ShardedGroupViewDbClient
+
+    entered = []
+    real = ShardedGroupViewDbClient._try_renew
+
+    def counting(self, uid_text, entry):
+        entered.append(uid_text)
+        return real(self, uid_text, entry)
+
+    monkeypatch.setattr(ShardedGroupViewDbClient, "_try_renew", counting)
+    system, runtimes, uids = coherence_build()
+    for _ in range(3):
+        reuse_hits(system, runtimes, uids[1])
+        system.run(until=system.scheduler.now + LEASE * 1.5)
+    assert sum(cache.misses for cache in system.entry_caches.values()) \
+        >= 3 * len(runtimes)
+    assert entered == []
+
+
 def test_renewal_needs_the_push_plane():
     with pytest.raises(ValueError, match="nameserver_push_invalidation"):
         DistributedSystem(SystemConfig(nameserver_lease=LEASE,

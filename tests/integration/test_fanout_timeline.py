@@ -368,4 +368,5 @@ def test_an_aborting_transaction_tells_name_node_and_servers_together(
     (servers_at,) = issues(rpc_log, SERVER_SERVICE, "abort")
     (discarded_at,) = issues(rpc_log, STORE_SERVICE, "discard_shadow")
     assert told_at == servers_at < discarded_at
-    assert not system.db.state_db.locks.is_locked(("st", uid))
+    assert not system.db.shards["namenode"].state_db.locks.is_locked(
+        ("st", uid))

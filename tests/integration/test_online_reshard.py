@@ -9,13 +9,14 @@ concurrent membership changes, and live traffic do their worst.
 
 import pytest
 
-from repro import DistributedSystem, SystemConfig
 from repro.naming import ReshardInProgress
 from repro.naming.group_view_db import SERVICE_NAME
+from repro.workload.audit import PlacementAudit
 
 from tests.conftest import (
     add_work,
     assert_shard_replicas_agree,
+    build_system,
     get_work,
 )
 from tests.integration.test_sharded_nameserver import build
@@ -334,14 +335,17 @@ def test_a_hot_entry_written_every_pass_converges():
         assert_shard_replicas_agree(system, uid)
 
 
-def test_resharding_requires_a_sharded_deployment():
-    system = DistributedSystem(SystemConfig(seed=7))
-    with pytest.raises(ValueError):
-        system.add_shard_host()
+def test_a_ring_of_one_grows_live_and_cannot_drain_its_last_host():
+    """The paper's name node is a ring of one: it grows by a live
+    migration like any ring, and cannot drain its only host."""
+    system, client, uid = build_system()
     with pytest.raises(ValueError):
         system.drain_shard_host("namenode")
-    with pytest.raises(ValueError):
-        system.enable_autoscaler()
+    outcome = system.run_until(system.add_shard_host(), timeout=60.0)
+    assert outcome["added"] == ["namenode0"]
+    assert system.shard_router.nodes == ["namenode", "namenode0"]
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    assert set(PlacementAudit().check(system, [uid]).values()) == {0}
 
 
 def test_autoscaler_grows_the_ring_under_load():

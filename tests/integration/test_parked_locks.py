@@ -22,15 +22,16 @@ from tests.conftest import add_work, build_system
 def test_a_call_that_times_out_while_parked_leaves_nothing_behind():
     system, client, uid = build_system(scheme="independent",
                                        rpc_timeout=1.0)
+    db = system.db.shards["namenode"]
     holder = AtomicAction()  # older than the binder
-    system.db.server_db.get_server_with_uses(holder.id.path, uid,
+    db.server_db.get_server_with_uses(holder.id.path, uid,
                                              for_update=True)
     client.node.rpc.default_timeout = 0.1  # below the 0.5 s bound
 
     result = system.run_transaction(client, add_work(uid))
     assert not result.committed and result.reason == "bind_failed:" \
         f"database unavailable while binding {uid}"
-    locks = system.db.server_db.locks
+    locks = db.server_db.locks
     assert locks.parks == 1
     system.run(until=system.scheduler.now + 0.2)  # the strays land
     assert not locks.waiters()  # refused by the binder's abort
@@ -39,7 +40,7 @@ def test_a_call_that_times_out_while_parked_leaves_nothing_behind():
     system.run(until=system.scheduler.now + 1.0)
     assert lock_leftovers(system) == {}
     assert system.db_sv(uid) == ["s1", "s2", "s3"]
-    assert system.db.server_db.get_server_with_uses(
+    assert db.server_db.get_server_with_uses(
         (0,), uid).all_uses_empty
     system._release_probe_locks()
 

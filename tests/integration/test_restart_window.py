@@ -1,20 +1,21 @@
 """A name node that restarts between a write's acknowledgement and the decision.
 
 A name node's acknowledgement of a write is its vote, so ``commit`` is
-the next thing it hears.  If it crashed *and recovered* in between, what
-it acknowledged was provisional and went with its undo log: ``commit``
-finds nothing to make permanent and says so to nobody.  The window is
-not new -- before, a restart ahead of ``prepare`` drew a ``readonly``
-vote, and one after it made ``commit`` the same no-op -- and these tests
-say where it is closed and where it is open, not fix it.  The janitor
-cannot close it: the restarted node holds no part of the action to ask
-about.  What closes it is ROADMAP item 2(b): a told ``commit`` that
-names the incarnation that acknowledged, refused by a restarted node.
+the next thing it hears.  A replicated shard that restarts in between
+is gated out until resync has copied its peers' committed entries.  An
+unreplicated name node -- the paper's, or a replication-1 ring shard --
+follows the restart rule (``GroupViewDatabase.restart``): it aborts
+every part that wrote nothing there and keeps its written parts, which
+are the votes its acknowledgements gave.  The told ``commit`` then
+finds the acknowledged write and makes it permanent; were the commit
+lost, the janitor would ask the coordinator and end the part as it
+decided.
 """
 
 import pytest
 
 from repro import SingleCopyPassive
+from repro.actions import AtomicAction
 
 from tests.conftest import (
     add_work,
@@ -76,27 +77,47 @@ def test_replicated_shard_restarting_after_a_write_ack_is_levelled_by_resync():
 
 
 def test_the_papers_name_node_keeps_an_acknowledged_exclude_over_a_restart():
-    """The single name node's database is the harness's (the paper
-    treats the name service as always available): its undo log survives
-    the restart, ``commit`` finds the Exclude and makes it permanent --
-    as ``prepare`` then ``commit`` did before."""
+    """The paper's name node, a ring of one: the restart keeps the
+    acknowledged Exclude, ``commit`` finds it and makes it permanent
+    -- as ``prepare`` then ``commit`` did before."""
     system, client, uid = build()
-    assert exclude_over_a_restart(system, client, uid, system.db,
+    assert exclude_over_a_restart(system, client, uid,
+                                  system.db.shards["namenode"],
                                   system.nodes["namenode"]) == ["t1"]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "an unreplicated shard's restart drops the acknowledged Exclude with "
-    "its undo log and commit says nothing: docs/architecture.md, 'Ledgers "
-    "that are not zero'; ROADMAP item 2(b), a told commit that names the "
-    "acknowledging incarnation"))
 def test_an_unreplicated_shard_keeps_an_acknowledged_exclude_over_a_restart():
-    """Replication 1 on a ring: recovery resets the shard's volatile
-    state and no peer holds a copy.  The action reports committed, t1
-    holds version 2, and t2 -- silent, never written -- is still listed
-    in ``St``.  Lost the same way when the name node was still asked to
-    ``prepare`` (it answered ``readonly``)."""
+    """Replication 1 on a ring: no peer holds a copy, and the shard
+    follows the same restart rule as the paper's node.  The action
+    reports committed, t1 holds version 2, and t2 -- silent, never
+    written -- is gone from ``St``."""
     system, client, uid = build(nameserver_shards=2)
     home = system.shard_router.shard_for(uid)
     assert exclude_over_a_restart(system, client, uid, system.db.shards[home],
                                   system.nodes[home]) == ["t1"]
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["paper", "ring"])
+def test_a_restart_releases_a_read_only_part_and_keeps_a_written_one(shards):
+    """The restart rule itself: a part that only read is aborted (its
+    locks go), a written part keeps its lock and undo entries until
+    its outcome arrives."""
+    system, client, uid = build(nameserver_shards=shards)
+    home = system.shard_router.shard_for(uid)
+    db, node = system.db.shards[home], system.nodes[home]
+    outcomes = client.node.outcomes
+    reader = outcomes.path(AtomicAction(node="c1"))
+    writer = outcomes.path(AtomicAction(node="c1"))
+    db.get_view(reader, str(uid))
+    db.increment(writer, "c1", str(uid), ["s1"])
+
+    node.crash()
+    node.recover()
+    assert not db.state_db.locks.is_locked(("st", uid))
+    assert db.server_db.wrote(writer)
+    assert db.server_db.locks.is_locked(("sv", uid))
+
+    db.commit(writer)  # the told outcome
+    assert not db.server_db.locks.is_locked(("sv", uid))
+    assert db.get_server_with_uses((0,), str(uid)).uses["s1"] == {"c1": 1}
+    system._release_probe_locks()

@@ -180,6 +180,9 @@ def test_sharding_rejects_invalid_configs():
     with pytest.raises(ValueError):
         DistributedSystem(SystemConfig(nameserver_shards=2,
                                        nonatomic_name_server=True))
+    with pytest.raises(ValueError):  # nor grown into a ring live
+        DistributedSystem(SystemConfig(
+            nonatomic_name_server=True)).add_shard_host()
 
 
 def test_shard_crash_between_write_ack_and_commit_resolves():

@@ -31,7 +31,8 @@ def make_world(install=False):
     db.define_object(boot.id.path, str(UID), ["h1", "h2"], ["t1"])
     db.commit(boot.id.path)
     if install:
-        NameShardHost.install_on(nodes["db"], db, purge=True)
+        NameShardHost.install_on(nodes["db"], db, fence=lambda: 0,
+                                 purge=True)
         return s, nodes, db, None
     nodes["db"].rpc.register(SERVICE_NAME, db)
     return s, nodes, db, Janitor(nodes["db"], db, purge=True)

@@ -50,7 +50,8 @@ def test_late_exclude_under_plain_write_locks_is_left_to_the_backstop():
     assert system.run_transaction(client, add_work(uid, 1)).committed
     assert system.metrics.counter_value("commit.late_exclusions") == 1
     assert system.db_st(uid) == ["t1", "t2"]
-    assert not system.db.state_db.locks.is_locked(("st", uid))
+    assert not system.db.shards["namenode"].state_db.locks.is_locked(
+        ("st", uid))
 
     assert system.run_transaction(client, add_work(uid, 1)).committed
     assert system.db_st(uid) == ["t1"]

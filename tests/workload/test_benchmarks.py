@@ -179,8 +179,9 @@ def test_moved_says_which_results_blocks_are_identical(tmp_path):
 
 # ``ShadowResolver`` is recovery code (cooperative termination of
 # orphaned shadows), not an optional plane: whether it becomes default-on
-# or gets a ``paper_*`` row belongs to ROADMAP item 1's coordinator-crash
-# bugs, so it is the one field allowed to have no row.
+# or gets a ``paper_*`` row belongs to the coordinator-crash bugs of the
+# ROADMAP item "Finish the paper-core recovery bugs", so it is the one
+# field allowed to have no row.
 _FIELDS_WITHOUT_A_ROW = {"enable_shadow_resolvers"}
 
 
