@@ -192,12 +192,11 @@ EXPERIMENTS = {
          "retry_committed"]),
     "e6_nonatomic_nameserver": Experiment(
         "paper_client_crash",
-        {"atomic": dict(), "nonatomic": dict(nonatomic_name_server=True),
-         "atomic + cleanup daemon": dict(enable_cleaner=True)},
+        {"atomic": dict(), "nonatomic": dict(nonatomic_name_server=True)},
         ["st_after_exclude", "orphans_at_crash", "orphans_after"],
-        expecting(both_modes_need_the_cleanup_daemon=lambda t: (
+        expecting(only_the_atomic_server_repairs_orphans=lambda t: (
             t["nonatomic"]["orphans_after"]
-            >= t["atomic"]["orphans_after"] > 0))),
+            > t["atomic"]["orphans_after"] == 0))),
 }
 
 

@@ -65,8 +65,6 @@ EXEMPT: dict[str, str] = {
         "the ShadowResolver's store query",
     # Safety code: undo, abort and error paths.
     "*.undo": "an undo-log closure: runs only when an action aborts",
-    "repro.naming.object_server_db.ObjectServerDatabase._restore_counter":
-        "undo of a use-list decrement (abort path)",
     "*._remove_silently": "undo of an insert or include (abort path)",
     "repro.naming.object_state_db.ObjectStateDatabase._reinsert":
         "undo of an exclude (abort path)",

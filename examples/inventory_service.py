@@ -2,14 +2,14 @@
 """An inventory service on coordinator-cohort replication.
 
 A warehouse inventory object processed by a coordinator with two
-standby cohorts, bound through the figure-7 use-list scheme with the
-cleanup daemon running.  The demo walks through:
+standby cohorts, bound through the figure-7 use-list scheme.  The demo
+walks through:
 
 1. reservations flowing through the coordinator (cohorts idle);
 2. a coordinator crash between transactions -- the next transaction
    fails over to a cohort without data loss (commit-time checkpoints);
-3. a client crash leaving orphaned use-list counters, repaired by the
-   cleanup daemon;
+3. a client crash leaving orphaned use-list counters, lowered by the
+   name node's janitor to the nothing the silent client holds;
 4. conservation: reserved + available never changes.
 
 Run:  python examples/inventory_service.py
@@ -68,8 +68,7 @@ class Inventory(PersistentObject):
 
 def main():
     system = DistributedSystem(SystemConfig(
-        seed=99, binding_scheme="independent",
-        enable_cleaner=True))
+        seed=99, binding_scheme="independent"))
     system.registry.register(Inventory)
     for name in ("w1", "w2", "w3"):
         system.add_node(name, server=True)
@@ -106,7 +105,7 @@ def main():
     stock = system.run_transaction(clerk, read_stock, read_only=True)
     print(f"stock (served by a promoted cohort): {stock.value}")
 
-    # 3. A second clerk crashes mid-transaction; the daemon cleans up.
+    # 3. A second clerk crashes mid-transaction; the janitor cleans up.
     clumsy = system.add_client("clumsy", policy=CoordinatorCohortReplication())
 
     def crashy(txn):
@@ -124,7 +123,7 @@ def main():
     snapshot = system.db.get_server_with_uses((0,), str(uid))
     system._release_probe_locks()
     orphans = sum(sum(c.values()) for c in snapshot.uses.values())
-    print(f"after the cleanup daemon's round:                 {orphans}")
+    print(f"after the janitor's rounds:                       {orphans}")
 
     # 4. Conservation.
     stock = system.run_transaction(clerk, read_stock, read_only=True)

@@ -16,11 +16,20 @@ the table does not know counts as aborted.  Only a committed action
 some participant did not acknowledge is kept, so a janitor that asks
 later still hears "committed".
 
+The table also counts the uses this node's binding schemes hold, per
+uid and server host: a use counts from the moment its ``Increment`` is
+sent until its ``Decrement``'s action has an outcome (or the
+``Increment``'s action aborts).  A name node's janitor lowers its use
+lists to these counts; a restart forgets them, so a crashed client's
+old uses count 0.
+
 :class:`RefPath` is how a participant learns whom to ask: the action
 path on the wire, carrying the coordinator's ``node#incarnation``.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from repro.actions.action import AtomicAction
 from repro.actions.records import CallbackRecord
@@ -58,6 +67,7 @@ class Outcomes:
         self.ref = f"{self.node}#{incarnation}"
         self._live: set[int] = set()
         self._committed: set[int] = set()
+        self._uses: Counter[tuple[str, str]] = Counter()  # (uid, host)
 
     def track(self, root: AtomicAction) -> None:
         """Remember ``root`` until its outcome has reached everyone."""
@@ -69,6 +79,19 @@ class Outcomes:
         root.add_record(CallbackRecord(on_commit=self._ended,
                                        on_abort=self._ended, order=10_000))
         self._live.add(serial)
+
+    def hold(self, action: AtomicAction, uid: str, hosts: list[str],
+             ending: bool = False) -> None:
+        """Count a use of ``uid`` on each of ``hosts`` from now, as
+        ``action`` is about to send its ``Increment``, until it aborts;
+        or (``ending``) stop counting it once ``action``, about to send
+        the ``Decrement``, commits or aborts."""
+        uses, keys = self._uses, [(uid, host) for host in hosts]
+        if not ending:
+            uses.update(keys)
+        drop = lambda _root: uses.subtract(keys)
+        action.add_record(CallbackRecord(on_commit=drop if ending else None,
+                                         on_abort=drop, order=10_000))
 
     def path(self, action: AtomicAction) -> RefPath:
         """``action``'s path as this node sends it to a participant."""
@@ -83,12 +106,18 @@ class Outcomes:
         if root.commit_failures:
             self._committed.add(root.id.path[0])
 
-    def outcomes(self, serials: list[int]) -> tuple[int, list[str]]:
+    def outcomes(self, serials: list[int], uids: list[str] | None = None,
+                 ) -> tuple:
         """The probe (RPC-exposed): this incarnation, and the status of
         each top-level serial asked about.  A committing action is still
         running: its own phase 2 carries the outcome, after the stores
-        have promoted."""
-        return self.incarnation, [
-            COMMITTED if serial in self._committed
-            else RUNNING if serial in self._live else ABORTED
-            for serial in serials]
+        have promoted.  With ``uids``, a third item: the uses held of
+        each, ``{host: count}``."""
+        statuses = [COMMITTED if serial in self._committed
+                    else RUNNING if serial in self._live else ABORTED
+                    for serial in serials]
+        if uids is None:
+            return self.incarnation, statuses
+        return self.incarnation, statuses, [
+            {host: n for (held, host), n in self._uses.items()
+             if held == uid and n > 0} for uid in uids]

@@ -173,8 +173,7 @@ class NameShardHost:
     treats the name service as always available); this adapter makes
     the node serve it over RPC and re-registers it on every recovery,
     like any other boot-time service, with a fresh
-    :class:`~repro.cluster.janitor.Janitor` over it (``purge``: the
-    janitor also purges silent clients' use counts).
+    :class:`~repro.cluster.janitor.Janitor` over it.
     """
 
     def __init__(self, node: Node, db: Any,
@@ -189,8 +188,7 @@ class NameShardHost:
     @classmethod
     def install_on(cls, node: Node, db: Any,
                    service: str = SERVICE_NAME, *,
-                   fence: Callable[[], int],
-                   purge: bool = False) -> "NameShardHost":
+                   fence: Callable[[], int]) -> "NameShardHost":
         """Boot hook: serve ``db`` on ``node`` now and after recoveries.
 
         Two registrations of the same database: ``service`` is the
@@ -223,8 +221,7 @@ class NameShardHost:
             # it does not), so resync/migration/repair traffic never
             # queues behind client requests.
             n.sync_rpc.register(SYNC_SERVICE_NAME, db)
-            host.janitor = Janitor(n, db, purge=purge,
-                                   metrics=db.metrics).start()
+            host.janitor = Janitor(n, db, metrics=db.metrics).start()
 
         host._hook = hook
         node.add_boot_hook(hook)

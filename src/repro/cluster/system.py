@@ -145,9 +145,6 @@ class SystemConfig:
     commit_batch_window: float = 0.0
     log_force_interval: float = 0.0
     rpc_pipelining: bool = False
-    # The name nodes' janitors also purge the use counts of clients that
-    # do not answer their probe (the paper's section 4.1.3 protocol).
-    enable_cleaner: bool = False
     enable_recovery_managers: bool = True
     enable_shadow_resolvers: bool = False
 
@@ -298,8 +295,7 @@ class DistributedSystem:
         # sync plane stays open for resync and migration traffic.
         router = self.shard_router
         self._shard_name_hosts[name] = NameShardHost.install_on(
-            node, db, fence=lambda: router.fence_epoch,
-            purge=self.config.enable_cleaner and server_db is None)
+            node, db, fence=lambda: router.fence_epoch)
         StoreHost.install_on(
             node, log_force_interval=self.config.log_force_interval)
         if self.config.nameserver_push_invalidation:
@@ -621,8 +617,7 @@ class DistributedSystem:
         scheme_name = scheme or self.config.binding_scheme
         factory = SCHEME_FACTORIES[scheme_name]
         db_client = self._make_db_client(node)
-        binding_scheme = factory(db_client, name, metrics=self.metrics,
-                                 rng=self.rng.substream(f"unbind/{name}"))
+        binding_scheme = factory(db_client, name, metrics=self.metrics)
         runtime = ClientRuntime(
             node, db_client, binding_scheme,
             policy or SingleCopyPassive(), self.registry,

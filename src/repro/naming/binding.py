@@ -21,9 +21,11 @@ database and binds to servers for an object:
   servers already in use (non-zero counters).  Failed servers are
   ``Remove``d and successful bindings ``Increment``ed before that first
   action commits.  After the client action terminates, a final
-  top-level action ``Decrement``s.  ``Sv`` therefore stays relatively
-  fresh, at the cost of a use-list lock on every binding and a cleanup
-  obligation when clients crash between the two actions.  The paper
+  top-level action ``Decrement``s, once.  ``Sv`` therefore stays
+  relatively fresh, at the cost of a use-list lock on every binding and
+  a cleanup obligation: a client that crashes between the two actions,
+  or whose Decrement fails, leaves counts that the name node's janitor
+  lowers to the uses the client still holds.  The paper
   write-locks ``Increment`` and ``Decrement``; here they take the
   type-specific INCREMENT and DECREMENT modes
   (:mod:`repro.actions.locks`): binders still exclude each other, but
@@ -108,14 +110,10 @@ class BindingScheme(abc.ABC):
     name = "abstract"
 
     def __init__(self, db: ShardedGroupViewDbClient, client_node: str,
-                 metrics: MetricsRegistry | None = None,
-                 rng: Any | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self.db = db
         self.client_node = client_node
         self.metrics = metrics or MetricsRegistry()
-        # Seeded stream for unbind-retry jitter; None = no jitter
-        # (single-client tests where lockstep cannot collide).
-        self.rng = rng
 
     @abc.abstractmethod
     def bind(self, action: AtomicAction, uid: Uid, binder: Binder,
@@ -234,7 +232,12 @@ class StandardBinding(BindingScheme):
 
 
 class IndependentTopLevelBinding(BindingScheme):
-    """Figure 7: database work in separate independent top-level actions."""
+    """Figure 7: database work in separate independent top-level actions.
+
+    The unbind makes one ``Decrement`` attempt; what a failed one
+    leaves, the name node's janitor lowers to the uses this client's
+    outcome table still holds.
+    """
 
     name = "independent"
 
@@ -301,44 +304,23 @@ class IndependentTopLevelBinding(BindingScheme):
             raise BindFailed(f"no server for {uid} reachable")
         return outcome
 
-    # How often a refused Decrement is retried before falling back to
-    # the janitor's purge (the entry may be write-locked by a Remove or
-    # held by a snapshot read).
-    unbind_attempts = 8
-    unbind_backoff = 0.05
-
     def unbind(self, uid: Uid, outcome: BindOutcome,
                within_action: AtomicAction | None = None) -> Generator[Any, Any, None]:
         if not outcome.bound_hosts:
             return
-        from repro.actions.errors import LockRefused
-        from repro.sim.process import Timeout
-        for attempt in range(self.unbind_attempts):
-            last = self._unbind_action(within_action)
-            try:
-                yield from self.db.decrement(last, self.client_node, uid,
-                                             outcome.bound_hosts)
-            except LockRefused:
-                yield from last.abort()
-                delay = self.unbind_backoff * (attempt + 1)
-                if self.rng is not None:
-                    # Jitter so unbinds refused by the same lock do not
-                    # retry in lockstep and re-collide forever.
-                    delay += self.rng.uniform(0.0, delay)
-                yield Timeout(delay)
-                continue
-            except RpcError:
-                yield from last.abort()
-                return  # the janitor's purge repairs the counters
-            except BaseException:
-                # Same leak rule as bind: a top-level action must always
-                # terminate, whatever the failure -- including
-                # non-Exception ones like a process kill.
-                yield from abort_on_failure(last)
-                raise
-            yield from last.commit()
-            return
-        self.metrics.counter(f"binding.{self.name}.unbind_gave_up").increment()
+        last = self._unbind_action(within_action)
+        try:
+            yield from self.db.decrement(last, self.client_node, uid,
+                                         outcome.bound_hosts)
+        except BaseException:
+            # Same leak rule as bind: a top-level action must always
+            # terminate, whatever the failure -- including
+            # non-Exception ones like a process kill.  The counts a
+            # failed Decrement leaves, the name nodes' janitors lower
+            # to the uses this node still holds.
+            yield from abort_on_failure(last)
+            raise
+        yield from last.commit()
 
 
 class NestedTopLevelBinding(IndependentTopLevelBinding):

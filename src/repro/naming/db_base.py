@@ -82,9 +82,6 @@ class ActionDatabase:
     def knows(self, uid: Uid) -> bool:
         return uid in self._entries
 
-    def all_uids(self) -> list[Uid]:
-        return sorted(self._entries)
-
     def _changed(self, uid: Uid) -> None:
         if self.on_change is not None:
             self.on_change(uid)

@@ -217,15 +217,23 @@ class GroupViewDatabase:
         self.server_db.decrement(action_path, client_node, Uid.parse(uid_text), hosts)
         self._touch(action_path, uid_text)
 
-    def purge_client(self, action_path: ActionPath,
-                     client_node: str) -> list[Uid]:
-        """The janitor's purge of a dead client's use counters
-        (see the server database's ``purge_client``): every entry it
-        changed goes to the commit-time push hook like any mutation."""
-        purged = self.server_db.purge_client(action_path, client_node)
-        for uid in purged:
-            self._touch(action_path, str(uid))
-        return purged
+    def use_counts(self) -> dict[str, tuple[Version, set[str]]]:
+        """What the janitor reconciles (see the server database's
+        ``use_counts``).  The section-5 variant's non-atomic half
+        offers nothing: no action can repair it."""
+        return getattr(self.server_db, "use_counts", dict)()
+
+    def lower_uses(self, action_path: ActionPath, uid_text: str,
+                   version: Version,
+                   held: Mapping[str, Mapping[str, int]]) -> bool:
+        """The janitor's use-count repair (see the server database's
+        ``lower_uses``): an entry it lowered goes to the commit-time
+        push hook like any mutation."""
+        lowered = self.server_db.lower_uses(action_path, Uid.parse(uid_text),
+                                            version, held)
+        if lowered:
+            self._touch(action_path, uid_text)
+        return lowered
 
     def is_quiescent(self, uid_text: str) -> bool:
         return self.server_db.is_quiescent(Uid.parse(uid_text))

@@ -24,11 +24,11 @@ each other.  The binder's snapshot counts every uncommitted
 Decrement's use back in (a short pending-decrement list, dropped when
 that action commits or aborts), so it is serialised before any
 Decrement it overlaps and never acts on one that later aborts.
-``Remove`` (and ``Insert``, ``define``, the cleanup purge) keep the
-write lock: ``Remove``'s undo restores a snapshot, which would erase a
-concurrent counter move, while the counter operations undo by the
-inverse delta and bump the version count by plain arithmetic -- any
-interleaving and any commit order converge.
+``Remove`` (and ``Insert``, ``define``, the janitor's use-count
+repair) keep the write lock: ``Remove``'s undo restores a snapshot,
+which would erase a concurrent counter move, while the counter
+operations undo by the inverse delta and bump the version count by
+plain arithmetic -- any interleaving and any commit order converge.
 
 An object is quiescent when no action holds locks on its entry and all
 of its use lists are empty.
@@ -214,7 +214,7 @@ class ObjectServerDatabase(ActionDatabase):
             counters[client_node] = counters.get(client_node, 0) + 1
             self._record_undo(
                 action_path,
-                lambda h=host: self._decrement_silently(uid, client_node, h))
+                lambda h=host: self._shift_counter(uid, client_node, h, -1))
         self._bump(action_path, uid)
 
     def decrement(self, action_path: ActionPath, client_node: str, uid: Uid,
@@ -228,51 +228,63 @@ class ObjectServerDatabase(ActionDatabase):
         for host in hosts:
             counters = entry.uses.get(host)
             if not counters or counters.get(client_node, 0) <= 0:
-                continue  # tolerated: cleanup may have raced us
-            counters[client_node] -= 1
-            if counters[client_node] == 0:
-                del counters[client_node]
+                continue  # tolerated: the janitor may have lowered it
+            self._set_counter(uid, client_node, host,
+                              counters[client_node] - 1)
             self._record_undo(
                 action_path,
-                lambda h=host: self._increment_silently(uid, client_node, h))
+                lambda h=host: self._shift_counter(uid, client_node, h, 1))
             self._pending.append((tuple(action_path), uid, client_node, host))
             mutated = True
         if mutated:
             self._bump(action_path, uid)
 
-    def purge_client(self, action_path: ActionPath, client_node: str) -> list[Uid]:
-        """Remove every use-list counter belonging to ``client_node``.
-
-        Used by the failure-detection/cleanup protocol (section 4.1.3:
-        "a crash of a client does not automatically undo changes made to
-        the database, so failure detection and cleanup protocols will be
-        required").  Entries whose lock cannot be acquired are skipped
-        and retried on the janitor's next round.  Returns the UIDs that
-        were actually purged.
+    def use_counts(self) -> dict[str, tuple[Version, set[str]]]:
+        """Every entry with a use count, by uid text: its write version
+        and the clients its use lists name.  Lock-free, for the
+        janitor's scan: it judges an entry only at a version it saw one
+        round earlier, and :meth:`lower_uses` checks that version again
+        under a lock.
         """
-        purged: list[Uid] = []
-        for uid in self.all_uids():
-            entry = self._entries[uid]
-            dirty_hosts = [h for h, counters in entry.uses.items()
-                           if counters.get(client_node)]
-            if not dirty_hosts:
-                continue
-            try:
-                self._lock(action_path, self._key(uid), LockMode.WRITE)
-            except (LockRefused, PromotionRefused):
-                self.metrics.counter(f"{self.name}.purge_skipped").increment()
-                continue  # locked by a live action; retry next round
-            for host in dirty_hosts:
-                counters = entry.uses[host]
-                count = counters.pop(client_node)
-                self._record_undo(
-                    action_path,
-                    lambda u=uid, h=host, c=count: self._restore_counter(
-                        u, client_node, h, c))
+        return {str(uid): (self.entry_version(uid),
+                           {client for counters in entry.uses.values()
+                            for client in counters})
+                for uid, entry in self._entries.items()
+                if any(entry.uses.values())}
+
+    def lower_uses(self, action_path: ActionPath, uid: Uid, version: Version,
+                   held: Mapping[str, Mapping[str, int]]) -> bool:
+        """Lower each asked client's counters on the entry to the uses
+        it holds (``held``: client node -> ``{host: count}``).
+
+        The failure-detection and cleanup protocol of section 4.1.3:
+        "a crash of a client does not automatically undo changes made
+        to the database".  A silent client holds nothing.  Takes the
+        write lock; an entry a live action holds, or one no longer at
+        ``version``, is left for a later round.  Returns whether a
+        counter moved.
+        """
+        try:
+            self._lock(action_path, self._key(uid), LockMode.WRITE)
+        except (LockRefused, PromotionRefused):
+            return False
+        entry = self._entries.get(uid)
+        if entry is None or self.entry_version(uid) != tuple(version):
+            return False
+        lowered = False
+        for host, counters in entry.uses.items():
+            for client, uses in held.items():
+                count, keep = counters.get(client, 0), uses.get(host, 0)
+                if keep < count:
+                    self._set_counter(uid, client, host, keep)
+                    self._record_undo(
+                        action_path,
+                        lambda h=host, c=client, n=count: self._set_counter(
+                            uid, c, h, n))
+                    lowered = True
+        if lowered:
             self._bump(action_path, uid)
-            purged.append(uid)
-            self.metrics.counter(f"{self.name}.purged_clients").increment()
-        return purged
+        return lowered
 
     def install_entry(self, uid: Uid, hosts: list[str],
                       uses: Mapping[str, Mapping[str, int]],
@@ -297,11 +309,15 @@ class ObjectServerDatabase(ActionDatabase):
         self._changed(uid)
         return True
 
-    def _restore_counter(self, uid: Uid, client_node: str, host: str,
-                         count: int) -> None:
+    def _set_counter(self, uid: Uid, client_node: str, host: str,
+                     count: int) -> None:
+        """Set one counter; at zero (or below) it leaves the use list."""
         entry = self._entries.get(uid)
         if entry is not None and host in entry.uses:
-            entry.uses[host][client_node] = count
+            if count > 0:
+                entry.uses[host][client_node] = count
+            else:
+                entry.uses[host].pop(client_node, None)
 
     # -- 2PC participant: the pending Decrements resolve too ----------------
 
@@ -349,19 +365,10 @@ class ObjectServerDatabase(ActionDatabase):
             entry.hosts.remove(host)
             entry.uses.pop(host, None)
 
-    def _decrement_silently(self, uid: Uid, client_node: str, host: str) -> None:
+    def _shift_counter(self, uid: Uid, client_node: str, host: str,
+                       delta: int) -> None:
+        """Move one counter by ``delta``: the undo of a counter move."""
         entry = self._entries.get(uid)
-        if entry is None:
-            return
-        counters = entry.uses.get(host)
-        if counters and counters.get(client_node, 0) > 0:
-            counters[client_node] -= 1
-            if counters[client_node] == 0:
-                del counters[client_node]
-
-    def _increment_silently(self, uid: Uid, client_node: str, host: str) -> None:
-        entry = self._entries.get(uid)
-        if entry is None or host not in entry.uses:
-            return
-        counters = entry.uses[host]
-        counters[client_node] = counters.get(client_node, 0) + 1
+        if entry is not None and host in entry.uses:
+            self._set_counter(uid, client_node, host,
+                              entry.uses[host].get(client_node, 0) + delta)

@@ -273,13 +273,20 @@ class ShardedGroupViewDbClient:
 
     def increment(self, action: AtomicAction, client_node: str, uid: Uid,
                   hosts: list[str]) -> Generator[Any, Any, None]:
+        """``Increment``; the node's outcome table counts the uses from
+        now, for the name nodes' janitors to reconcile with."""
         self._invalidate(uid)
+        if self._outcomes is not None:
+            self._outcomes.hold(action, str(uid), list(hosts))
         yield from self.io.write(action, uid, "increment", client_node,
                                  str(uid), list(hosts))
 
     def decrement(self, action: AtomicAction, client_node: str, uid: Uid,
                   hosts: list[str]) -> Generator[Any, Any, None]:
+        """``Decrement``; the uses stop counting once ``action`` ends."""
         self._invalidate(uid)
+        if self._outcomes is not None:
+            self._outcomes.hold(action, str(uid), list(hosts), ending=True)
         yield from self.io.write(action, uid, "decrement", client_node,
                                  str(uid), list(hosts))
 

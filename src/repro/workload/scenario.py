@@ -329,9 +329,11 @@ def counter_sum(snapshot: dict[str, Any], suffix: str) -> int:
                if name.endswith(suffix) and isinstance(value, int))
 
 
-def shard_reads(system: DistributedSystem, hosts: Iterable[str]) -> dict[str, int]:
-    return {name: system.metrics.counter_value(
-        f"shard.{name}.server_db.get_server") for name in hosts}
+def shard_reads(run: Run, hosts: Iterable[str]) -> dict[str, int]:
+    """``GetServer`` reads per name node during the load (the settled
+    snapshot: an auditor's reads are not the load's)."""
+    return {name: run.settled_metrics.get(
+        f"shard.{name}.server_db.get_server", 0) for name in hosts}
 
 
 def busy_skew(run: Run) -> float:

@@ -98,6 +98,11 @@ def _resync_fields(run: Run) -> dict[str, Any]:
     }
 
 
+# Every Increment met its Decrement, or the janitors lowered what a
+# failed one left (:class:`UseListAudit`).
+_NO_USES_LEFT = dict(leftover_uses=0, use_list_disagreements=0)
+
+
 # -- S1: capacity ------------------------------------------------------
 
 def _sharded_nameserver_row(run: Run) -> dict[str, Any]:
@@ -107,7 +112,7 @@ def _sharded_nameserver_row(run: Run) -> dict[str, Any]:
            "throughput": rate(report.committed, run.ended),
            **latency_summary(report.outcomes), "busy_skew": busy_skew(run)}
     row["entry_spread"] = system.shard_router.spread(run.uids)
-    row["per_shard_reads"] = shard_reads(system, system.shard_router.nodes)
+    row["per_shard_reads"] = shard_reads(run, system.shard_router.nodes)
     return row
 
 
@@ -128,8 +133,9 @@ _register(Scenario(
                for n in (1, 2)),
     shape=lambda p: Shape(p.server_hosts, clients(p.clients), p.clients),
     streams=lambda run: closed_loop(run, run.p.txns_per_client),
+    auditors=lambda p: (UseListAudit(),),
     counters=_sharded_nameserver_row,
-    clean=expecting(commit_rate=1.0),
+    clean=expecting(commit_rate=1.0, **_NO_USES_LEFT),
 ))
 
 
@@ -173,15 +179,25 @@ _register(Scenario(
                 server_hosts=4, scheme="independent", mean_think_time=0.05,
                 max_attempts=10, rpc_timeout=0.3, outage=(2.0, 9.0),
                 victim_index=0, seed=7),
+    # The bare-ring case drops Decrements on the dark host mid-load.
     tiny=(dict(clients=4, txns_per_client=3, server_hosts=2,
-               outage=(1.0, 4.0)),),
+               outage=(1.0, 4.0)),
+          dict(replication=1, clients=4, txns_per_client=10, server_hosts=2,
+               outage=(0.2, 1.5))),
     shape=lambda p: Shape(p.server_hosts, clients(p.clients), p.clients),
     streams=lambda run: closed_loop(run, run.p.txns_per_client),
     script=_shard_outage,
+    auditors=lambda p: (UseListAudit(),),
     counters=_sharded_failover_row,
     clean=expecting(
-        commit_rate=1.0, resyncs_completed=1, serving_again=True,
-        resync_after_recovery=lambda r: r["resync_done_at"] > r["recovered_at"]),
+        serving_again=True, **_NO_USES_LEFT,
+        # A bare ring black-holes the victim's arcs and has no peer to
+        # resync from: only a replicated one absorbs the outage.
+        commit_rate=lambda r: r["replication"] == 1 or r["commit_rate"] == 1,
+        resyncs_completed=lambda r: (r["replication"] == 1
+                                     or r["resyncs_completed"] == 1),
+        resync_after_recovery=lambda r: r["replication"] == 1 or (
+            r["resync_done_at"] > r["recovered_at"])),
 ))
 
 
@@ -191,8 +207,7 @@ def _spread_read_row(run: Run) -> dict[str, Any]:
             "mean_latency": report.mean_latency(),
             **latency_summary(report.outcomes),
             "throughput": rate(report.committed, run.ended),
-            "per_shard_reads": shard_reads(run.system,
-                                           run.system.shard_hosts)}
+            "per_shard_reads": shard_reads(run, run.system.shard_hosts)}
 
 
 _register(Scenario(
@@ -302,10 +317,11 @@ _register(Scenario(
     shape=lambda p: Shape(p.server_hosts, clients(p.clients), p.clients),
     streams=lambda run: closed_loop(run, run.p.txns_per_client),
     script=_online_reshard_script,
-    auditors=lambda p: (CounterLedgerAudit(), PlacementAudit()),
+    auditors=lambda p: (CounterLedgerAudit(), PlacementAudit(),
+                        UseListAudit()),
     counters=_online_reshard_row,
     clean=expecting(
-        commit_rate=1.0, lost_bindings=0, stale_bindings=0,
+        commit_rate=1.0, lost_bindings=0, stale_bindings=0, **_NO_USES_LEFT,
         aborted_for_routing=0, misplaced_entries=0, replica_disagreements=0,
         migration_ran=lambda r: (r["migration_done_at"]
                                  > r["migration_started_at"])),
@@ -322,7 +338,7 @@ def _leased_read_row(run: Run) -> dict[str, Any]:
         "mean_latency": report.mean_latency(),
         **latency_summary(report.outcomes), **cache_summary(system),
         "get_server_rpcs": sum(
-            shard_reads(system, system.shard_hosts).values()),
+            shard_reads(run, system.shard_hosts).values()),
         "busy_skew": busy_skew(run),
     }
 
@@ -481,10 +497,10 @@ _register(Scenario(
                           shard_service_time=p.shard_service_time),
     streams=lambda run: closed_loop(run, run.p.txns_per_client),
     script=_shard_outage,
-    auditors=lambda p: (CounterLedgerAudit(),),
+    auditors=lambda p: (CounterLedgerAudit(), UseListAudit()),
     counters=_sync_plane_row,
     clean=expecting(
-        lost_bindings=0, stale_bindings=0,
+        lost_bindings=0, stale_bindings=0, **_NO_USES_LEFT,
         sync_plane_metered_iff_dedicated=lambda r: (
             (r["sync_plane_rpcs"] > 0) == r["dedicated_sync_nic"])),
 ))
@@ -928,7 +944,7 @@ def _paper(name: str, doc: str, params: dict[str, Any], tiny, claims,
                  "ledger": lambda run: run.adds, **hooks}
     ledgers = {"lost_bindings": 0, "stale_bindings": 0}
     if use_lists:
-        ledgers.update(leftover_uses=0, use_list_disagreements=0)
+        ledgers.update(_NO_USES_LEFT)
     return _register(Scenario(
         name=name, doc=doc, params=params, tiny=tiny,
         auditors=lambda p: (CounterLedgerAudit(),) + (
@@ -1270,7 +1286,7 @@ def _client_crash(run: Run) -> None:
 
     run.adds = {uid: int(system.run_transaction(run.clients["c0"],
                                                 excluding).committed)}
-    run.row = {"cleaner": run.p.enable_cleaner,
+    run.row = {"atomic": not run.p.nonatomic_name_server,
                "st_after_exclude": system.db_st(uid),
                "survivor_version": system.store_versions(uid)[run.st_hosts[0]]}
     crashed_at = system.scheduler.now
@@ -1290,16 +1306,17 @@ _paper(
     all-or-nothing whether or not the *server* database is atomic --
     why the paper keeps action support for the state database.  Client
     ``c1`` then crashes between Increment and action end, leaving
-    orphaned use counts that only the name node's janitor purges
-    (``enable_cleaner``); its read locks the janitor releases either way.
+    orphaned use counts: the atomic name node's janitor lowers them to
+    the nothing the silent client holds, the non-atomic server cannot;
+    its read locks the janitor releases either way.
     """,
-    dict(nonatomic_name_server=False, enable_cleaner=False,
-         scheme="independent", sv=2, st=2, seed=7),
-    (dict(enable_cleaner=True), dict(nonatomic_name_server=True)),
+    dict(nonatomic_name_server=False, scheme="independent", sv=2, st=2,
+         seed=7),
+    (dict(nonatomic_name_server=False), dict(nonatomic_name_server=True)),
     dict(st_after_exclude=["st0"], survivor_version=2,
          crashed_client_leaves_orphans=lambda r: r["orphans_at_crash"] > 0,
-         only_the_cleaner_repairs_them=lambda r: (
-             (r["orphans_after"] == 0) == r["cleaner"])),
+         only_the_atomic_server_repairs_them=lambda r: (
+             (r["orphans_after"] == 0) == r["atomic"])),
     shape=lambda p: _one_object(p, clients(2)), load=_client_crash)
 
 

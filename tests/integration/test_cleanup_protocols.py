@@ -16,8 +16,7 @@ from tests.conftest import Counter, add_work, get_work
 
 def build(seed=17, **config):
     system = DistributedSystem(SystemConfig(
-        seed=seed, binding_scheme="independent",
-        enable_cleaner=True, **config))
+        seed=seed, binding_scheme="independent", **config))
     system.registry.register(Counter)
     for host in ("s1", "s2"):
         system.add_node(host, server=True)
@@ -78,7 +77,7 @@ def test_quiescence_restored_enables_insert():
 def test_a_crash_after_its_actions_ended_leaves_nothing():
     """Crash a client bound but between db actions: its transaction
     committed and its unbind decremented, so no janitor finds a part of
-    it to end or a use count of it to purge."""
+    it to end or a use count of it to lower."""
     system, client, uid = build()
     result = system.run_transaction(client, add_work(uid, 1))
     assert result.committed
@@ -87,5 +86,5 @@ def test_a_crash_after_its_actions_ended_leaves_nothing():
     assert orphan_count(system, uid) == 0
     assert lock_leftovers(system) == {}
     for ended in ("janitor.aborts", "janitor.commits",
-                  "cleanup.clients_purged"):
+                  "janitor.uses_lowered"):
         assert system.metrics.counter_value(ended) == 0, ended

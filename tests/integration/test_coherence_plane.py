@@ -120,10 +120,10 @@ def test_write_hot_entry_flips_to_push_and_writes_evict(two_planes):
 
 
 def test_cleanup_purge_evicts_push_mode_lessees():
-    """The janitor's purge is a committed mutation like any other: a
-    dead client's counters purged from a push-mode entry must reach the
-    entry's lessees as a pushed eviction."""
-    system, runtimes, uids = coherence_build(enable_cleaner=True)
+    """The janitor's use-count repair is a committed mutation like any
+    other: a dead client's counters lowered on a push-mode entry must
+    reach the entry's lessees as a pushed eviction."""
+    system, runtimes, uids = coherence_build()
     hot = uids[0]
     owner = system.shard_router.shard_for(hot)
     host = system.coherence_hosts[owner]
@@ -140,14 +140,15 @@ def test_cleanup_purge_evicts_push_mode_lessees():
         assert system.run_transaction(runtime, get_work(hot),
                                       timeout=30.0).committed
     assert host.registry.lessees(str(hot)) != []
-    purged = f"shard.{owner}.cleanup.clients_purged"
-    before, pushes = system.metrics.counter_value(purged), counter_sum(
+    lowered = f"shard.{owner}.janitor.uses_lowered"
+    before, pushes = system.metrics.counter_value(lowered), counter_sum(
         system, "coherence.pushes_applied")
-    system.run(until=system.scheduler.now + Janitor.INTERVAL + 1.0)
-    assert system.metrics.counter_value(purged) > before, \
-        "the ghost's counter is purged"
+    # One round sees the entry's version, the next lowers it.
+    system.run(until=system.scheduler.now + 2 * Janitor.INTERVAL + 1.0)
+    assert system.metrics.counter_value(lowered) > before, \
+        "the ghost's counter is lowered"
     assert counter_sum(system, "coherence.pushes_applied") > pushes, \
-        "the purge must push an eviction to the lessees"
+        "the repair must push an eviction to the lessees"
 
 
 def client_reads(rpc_log, method):

@@ -110,7 +110,7 @@ def test_coordinator_crash_between_batched_waves_presumes_abort():
     any commit wave: no participant may apply, and cleanup restores
     quiescence exactly as it would for unbatched 2PC."""
     system, client, uid1, uid2 = build_batched(
-        binding_scheme="independent", enable_cleaner=True)
+        binding_scheme="independent")
     store = system.nodes["t1"].object_store
     original = store.write_shadow
     written = []

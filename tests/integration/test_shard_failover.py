@@ -100,17 +100,21 @@ def test_sweep_reaches_past_an_equal_version_stale_peer():
     replicas = system.shard_router.preference_list(uid, 3)
     # A committed write that landed only on the LAST replica in
     # preference order (both earlier replicas' RPCs were disowned).
+    # The use is the live client's, and it holds it: the janitors keep
+    # it.
     fresh = system.db.shards[replicas[-1]]
     action = AtomicAction(node="test")
-    fresh.increment(action.id.path, "lone-acker", str(uid), ["a1"])
+    fresh.increment(action.id.path, client.node.name, str(uid), ["a1"])
     fresh.commit(action.id.path)
+    client.node.outcomes.hold(AtomicAction(node=client.node.name),
+                              str(uid), ["a1"])
 
     system.run(until=system.scheduler.now + 12.0)  # a few sweep rounds
     assert_replicas_agree(system, uid, replication=3)
     snapshot = system.db.shards[replicas[0]].get_server_with_uses(
         (0,), str(uid))
     system._release_probe_locks()
-    assert dict(snapshot.uses["a1"]) == {"lone-acker": 1}, \
+    assert dict(snapshot.uses["a1"]) == {client.node.name: 1}, \
         "the fresh third replica's write must reach the stale pair"
 
 
@@ -222,10 +226,6 @@ def test_bare_ring_restart_keeps_an_acked_write_for_its_outcome():
     assert retry.committed, "the entry must be usable again after recovery"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "naming/binding.py: an unbind's Decrement that meets a dark "
-    "unreplicated name node is dropped and never retried, so the live "
-    "client's use count stays (recorded as FOUND in CHANGES.md)"))
 def test_bare_ring_restart_leaves_an_idle_client_no_uses():
     """Once the crash is over and the client has bound and unbound
     again, an idle client holds no use on the entry: the committed
@@ -256,10 +256,14 @@ def test_antientropy_sweep_repairs_divergence_without_a_crash():
     # Sv/St membership divergence would also be repaired, but the
     # include guard patrols membership anyway; counters isolate the
     # sweep's contribution.)
+    # The use is the live client's, and it holds it: the janitors keep
+    # it.
     fresh = system.db.shards[primary]
     action = AtomicAction(node="test")
-    fresh.increment(action.id.path, "lost-binder", str(uid), ["a1"])
+    fresh.increment(action.id.path, client.node.name, str(uid), ["a1"])
     fresh.commit(action.id.path)
+    client.node.outcomes.hold(AtomicAction(node=client.node.name),
+                              str(uid), ["a1"])
 
     def counters_at(shard):
         snapshot = system.db.shards[shard].get_server_with_uses(
@@ -267,13 +271,13 @@ def test_antientropy_sweep_repairs_divergence_without_a_crash():
         system._release_probe_locks()
         return {h: dict(c) for h, c in snapshot.uses.items()}
 
-    assert counters_at(primary)["a1"] == {"lost-binder": 1}
+    assert counters_at(primary)["a1"] == {client.node.name: 1}
     assert counters_at(successor)["a1"] == {}
 
     system.run(until=system.scheduler.now + 10.0)  # a few sweep rounds
-    assert counters_at(successor)["a1"] == {"lost-binder": 1}, \
+    assert counters_at(successor)["a1"] == {client.node.name: 1}, \
         "the sweep must copy the fresher primary copy to the successor"
-    assert counters_at(primary)["a1"] == {"lost-binder": 1}, \
+    assert counters_at(primary)["a1"] == {client.node.name: 1}, \
         "the stale successor must never overwrite the fresher primary"
     assert_replicas_agree(system, uid)
 

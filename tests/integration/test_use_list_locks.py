@@ -72,8 +72,6 @@ def test_every_use_count_returns_to_zero_on_every_replica(seed):
               if ".locks_parked." in key and value}
     # The load is contended: binders waited for each other...
     assert any(key.endswith("increment") for key in parked), parked
-    assert system.metrics.counter_value(
-        "binding.independent.unbind_gave_up") == 0
 
     assert UseListAudit().check(system, uids) == {
         "leftover_uses": 0, "use_list_disagreements": 0}

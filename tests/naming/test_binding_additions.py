@@ -1,11 +1,15 @@
 """Tests for binding behaviours added during implementation: the
-read-only rotation spread and the unbind retry loop."""
+read-only rotation spread, parked binders and the one-attempt unbind."""
 
 import zlib
 
 import pytest
 
 from repro.actions import ActionStatus, AtomicAction
+from repro.actions.errors import LockRefused
+from repro.cluster import Janitor, Node
+from repro.naming.shard_router import ShardRouter
+from repro.naming.sharded_client import ShardedGroupViewDbClient
 
 from tests.naming.test_binding import UID, World
 from repro.naming.binding import IndependentTopLevelBinding, StandardBinding
@@ -103,38 +107,33 @@ def test_a_parked_binder_is_refused_at_half_the_rpc_timeout():
     assert not locks.owners() and not locks.waiters()
 
 
-def test_unbind_retries_through_transient_lock_conflict():
+def test_a_refused_decrement_is_settled_by_the_janitor():
+    """One Decrement attempt: refused (a Remove holds the entry's
+    write lock, which a Decrement cannot share), it leaves the count,
+    and the name node's janitor rounds settle it to zero while the
+    client lives -- the client's table holds no use once its
+    Decrement's action has ended."""
     world = World(IndependentTopLevelBinding)
-    action = AtomicAction(node="client")
+    client = Node(world.scheduler, world.network, "c1")
+    world.db_client = ShardedGroupViewDbClient(client.rpc, ShardRouter(["db"]))
+    world.scheme = IndependentTopLevelBinding(world.db_client, "c1",
+                                              metrics=world.metrics)
+    action = AtomicAction(node="c1")
     outcome = world.run_bind(action)
-    status = world.run_commit(action)
-    assert status is ActionStatus.COMMITTED
+    assert world.run_commit(action) is ActionStatus.COMMITTED
 
-    # Hold the entry's write lock for a while (a Remove, which a
-    # Decrement cannot share), then release: the unbind must retry
-    # through the conflict and still decrement.
     holder = AtomicAction()
     world.db.server_db.remove(holder.id.path, UID, "h3")
-    world.scheduler.schedule(0.12, lambda: world.db.server_db.abort(
-        holder.id.path))
-    world.run_unbind(outcome)
-    assert world.uses_now() == {"h1": {}, "h2": {}, "h3": {}}
-
-
-def test_unbind_gives_up_after_bounded_attempts():
-    world = World(IndependentTopLevelBinding)
-    world.scheme.unbind_attempts = 2
-    world.scheme.unbind_backoff = 0.01
-    action = AtomicAction(node="client")
-    outcome = world.run_bind(action)
-    world.run_commit(action)
-
-    holder = AtomicAction()  # never released during the retries
-    world.db.server_db.remove(holder.id.path, UID, "h2")
-    world.run_unbind(outcome)
-    gave_up = world.metrics.counter_value(
-        "binding.independent.unbind_gave_up")
-    assert gave_up == 1
-    # The counters remain (orphans) -- exactly what the janitor purges.
+    with pytest.raises(LockRefused):
+        world.run_unbind(outcome)
     world.db.server_db.abort(holder.id.path)
-    assert world.uses_now()["h1"] == {"client": 1}
+    assert world.uses_now()["h1"] == {"c1": 1}
+    assert client.outcomes.outcomes([], [str(UID)])[2] == [{}]
+
+    janitor = Janitor(Node(world.scheduler, world.network, "janitor"),
+                      world.db)
+    for _ in range(2):  # one round sees the version, the next lowers
+        world.scheduler.run_until_settled(
+            world.scheduler.spawn(janitor.run_once()), until=100.0)
+    assert world.uses_now() == {"h1": {}, "h2": {}, "h3": {}}
+    assert not client.crashed

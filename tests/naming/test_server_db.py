@@ -154,20 +154,33 @@ def test_quiescence_definition():
     assert not db.is_quiescent(UID)  # use list non-empty
 
 
+def lower(db, action_path, uid, held):
+    """The janitor's repair at the entry's current version."""
+    version, _clients = db.use_counts()[str(uid)]
+    return db.lower_uses(action_path, uid, version, held)
+
+
 def test_purge_client_removes_all_counters():
+    """A silent client (held = {}) loses every counter; a live one is
+    lowered to what it holds, never raised; a client not asked keeps
+    its counters."""
     db = make_db()
     setup = AtomicAction()
     db.increment(setup.id.path, "dead-client", UID, ["alpha", "beta"])
+    db.increment(setup.id.path, "live-client", UID, ["alpha", "beta"])
     db.increment(setup.id.path, "live-client", UID, ["alpha"])
+    db.increment(setup.id.path, "unasked", UID, ["beta"])
     db.commit(setup.id.path)
+    assert db.use_counts()[str(UID)][1] == {"dead-client", "live-client",
+                                       "unasked"}
     cleaner = AtomicAction()
-    purged = db.purge_client(cleaner.id.path, "dead-client")
+    assert lower(db, cleaner.id.path, UID, {
+        "dead-client": {}, "live-client": {"alpha": 1, "beta": 3}})
     db.commit(cleaner.id.path)
-    assert purged == [UID]
     check = AtomicAction()
     snapshot = db.get_server_with_uses(check.id.path, UID)
     assert snapshot.uses["alpha"] == {"live-client": 1}
-    assert snapshot.uses["beta"] == {}
+    assert snapshot.uses["beta"] == {"live-client": 1, "unasked": 1}
 
 
 def test_purge_client_undo_on_abort():
@@ -176,21 +189,39 @@ def test_purge_client_undo_on_abort():
     db.increment(setup.id.path, "cn", UID, ["alpha"])
     db.commit(setup.id.path)
     cleaner = AtomicAction()
-    db.purge_client(cleaner.id.path, "cn")
+    assert lower(db, cleaner.id.path, UID, {"cn": {}})
     db.abort(cleaner.id.path)
     check = AtomicAction()
     assert db.get_server_with_uses(check.id.path, UID).uses["alpha"] == {"cn": 1}
 
 
 def test_purge_client_skips_locked_entries():
+    """A locked entry, or one written since the version the janitor
+    saw, is left for a later round; one the client still fully holds
+    is not written at all."""
     db = make_db()
     setup = AtomicAction()
     db.increment(setup.id.path, "cn", UID, ["alpha"])
     db.commit(setup.id.path)
+    seen, _clients = db.use_counts()[str(UID)]
     holder = AtomicAction()
-    db.get_server(holder.id.path, UID)  # read lock blocks purge's write lock
+    db.get_server(holder.id.path, UID)  # read lock blocks the write lock
     cleaner = AtomicAction()
-    assert db.purge_client(cleaner.id.path, "cn") == []
+    assert not db.lower_uses(cleaner.id.path, UID, seen, {"cn": {}})
+    db.abort(holder.id.path)
+    db.abort(cleaner.id.path)
+    binder = AtomicAction()
+    db.increment(binder.id.path, "cn", UID, ["alpha"])
+    db.commit(binder.id.path)
+    cleaner = AtomicAction()
+    assert not db.lower_uses(cleaner.id.path, UID, seen, {"cn": {}})
+    db.abort(cleaner.id.path)
+    cleaner = AtomicAction()
+    assert not lower(db, cleaner.id.path, UID, {"cn": {"alpha": 2}})
+    db.abort(cleaner.id.path)
+    check = AtomicAction()
+    snapshot = db.get_server_with_uses(check.id.path, UID)
+    assert snapshot.uses["alpha"] == {"cn": 2}
 
 
 def test_nested_action_lock_inherited_until_top_commit():
@@ -234,8 +265,8 @@ def test_snapshot_helpers():
 
 
 def test_purge_client_abort_restores_every_entry():
-    """Regression: the purge undo closures must bind each entry's UID
-    at record time — aborting a purge spanning several entries has to
+    """Regression: the repair's undo closures must bind each entry's UID
+    at record time — aborting a repair spanning several entries has to
     restore each counter onto its own entry, not pile them all onto
     the last entry iterated."""
     db = ObjectServerDatabase()
@@ -250,7 +281,8 @@ def test_purge_client_abort_restores_every_entry():
     db.commit(setup.id.path)
 
     cleaner = AtomicAction()
-    assert db.purge_client(cleaner.id.path, "ghost") == [uid_a, uid_b]
+    for uid in (uid_a, uid_b):
+        assert lower(db, cleaner.id.path, uid, {"ghost": {}})
     db.abort(cleaner.id.path)
 
     for uid in (uid_a, uid_b):

@@ -163,8 +163,9 @@ def step(db, serial, move):
         db.define_object(path, move[1], ["h1", "h2"], ["h1", "h2"])
     elif kind == "forget":
         db.forget_entry(move[1])
-    elif kind == "purge":
-        db.purge_client(path, "cn")
+    elif kind == "purge":  # the janitor's repair, "cn" silent
+        for uid_text, (version, _clients) in db.use_counts().items():
+            db.lower_uses(path, uid_text, version, {"cn": {}})
     elif kind == "reset":
         db.reset_volatile()
         return serial + 1

@@ -3,7 +3,7 @@
 Before one janitor judged every lock table, these runs ended with locks
 their actions would never release: a committed action's lost ``commit``
 to a gray name shard, and a crashed client's read locks at the name
-node (with or without the use-list purge, atomic or not).
+node (atomic or not).
 """
 
 import pytest
