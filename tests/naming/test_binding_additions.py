@@ -107,12 +107,9 @@ def test_a_parked_binder_is_refused_at_half_the_rpc_timeout():
     assert not locks.owners() and not locks.waiters()
 
 
-def test_a_refused_decrement_is_settled_by_the_janitor():
-    """One Decrement attempt: refused (a Remove holds the entry's
-    write lock, which a Decrement cannot share), it leaves the count,
-    and the name node's janitor rounds settle it to zero while the
-    client lives -- the client's table holds no use once its
-    Decrement's action has ended."""
+def _bound_client():
+    """A world whose client ``c1`` runs its own outcomes table, bound
+    to UID with a committed bind."""
     world = World(IndependentTopLevelBinding)
     client = Node(world.scheduler, world.network, "c1")
     world.db_client = ShardedGroupViewDbClient(client.rpc, ShardRouter(["db"]))
@@ -121,19 +118,50 @@ def test_a_refused_decrement_is_settled_by_the_janitor():
     action = AtomicAction(node="c1")
     outcome = world.run_bind(action)
     assert world.run_commit(action) is ActionStatus.COMMITTED
+    return world, client, outcome
 
+
+def _janitor_rounds(world, janitor, rounds):
+    for _ in range(rounds):
+        world.scheduler.run_until_settled(
+            world.scheduler.spawn(janitor.run_once()), until=100.0)
+
+
+def test_unbind_retries_through_transient_lock_conflict():
+    """The unbind's one Decrement is refused by a transient conflict (a
+    Remove holds the entry's write lock, which a Decrement cannot
+    share); the retry is the name node's janitor.  Its rounds leave the
+    entry alone while the lock is held, and once it is released they
+    settle the count to zero while the client lives."""
+    world, client, outcome = _bound_client()
     holder = AtomicAction()
     world.db.server_db.remove(holder.id.path, UID, "h3")
     with pytest.raises(LockRefused):
         world.run_unbind(outcome)
-    world.db.server_db.abort(holder.id.path)
-    assert world.uses_now()["h1"] == {"c1": 1}
-    assert client.outcomes.outcomes([], [str(UID)])[2] == [{}]
 
     janitor = Janitor(Node(world.scheduler, world.network, "janitor"),
                       world.db)
-    for _ in range(2):  # one round sees the version, the next lowers
-        world.scheduler.run_until_settled(
-            world.scheduler.spawn(janitor.run_once()), until=100.0)
+    _janitor_rounds(world, janitor, 3)  # the entry is locked throughout
+    world.db.server_db.abort(holder.id.path)
+    assert world.uses_now()["h1"] == {"c1": 1}
+    _janitor_rounds(world, janitor, 2)  # one sees the version, one lowers
     assert world.uses_now() == {"h1": {}, "h2": {}, "h3": {}}
     assert not client.crashed
+
+
+def test_unbind_gives_up_after_bounded_attempts():
+    """The unbind makes one Decrement attempt.  Refused, it raises,
+    aborts its action -- the name node holds no part of it -- and leaves
+    the count, an orphan for the janitor; the client's table already
+    holds no use once that action has ended."""
+    world, client, outcome = _bound_client()
+    holder = AtomicAction()  # never released during the unbind
+    world.db.server_db.remove(holder.id.path, UID, "h2")
+    with pytest.raises(LockRefused):
+        world.run_unbind(outcome)
+    assert world.db.metrics.counter_value(
+        "server_db.locks_refused.decrement") == 1
+    assert not world.db.parts()  # the holder has no coordinator ref
+    world.db.server_db.abort(holder.id.path)
+    assert world.uses_now()["h1"] == {"c1": 1}
+    assert client.outcomes.outcomes([], [str(UID)])[2] == [{}]
