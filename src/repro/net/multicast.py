@@ -41,7 +41,6 @@ from repro.net.demux import MessageDemux
 from repro.net.groups import GroupView
 from repro.net.message import Message
 from repro.net.network import NetworkInterface
-from repro.sim.metrics import estimate_size
 from repro.sim.scheduler import Scheduler
 
 _mcast_ids = itertools.count(1)
@@ -185,8 +184,9 @@ class MulticastMember:
 
     def _size_of(self, data: Any) -> int | None:
         """``data``'s metered size, for a fan-out that transmits one
-        payload many times to walk it once (``None`` when unmetered)."""
-        return estimate_size(data) if self._traffic is not None else None
+        payload many times to walk it once (``None`` when unmetered or
+        the byte meter is not armed)."""
+        return None if self._traffic is None else self._traffic.size_of(data)
 
     def _transmit(self, member: str, kind: str, data: Any,
                   size: int | None = None) -> None:

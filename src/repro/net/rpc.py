@@ -274,7 +274,8 @@ class RpcAgent:
         self._send(target, FRAME_KIND, tuple(requests))
 
     def _send(self, target: str, kind: str, payload: Any) -> None:
-        """Put one message on the wire, sized once for both ends' meters."""
+        """Put one message on the wire, counted, and sized once for both
+        ends' meters while the byte meter is armed."""
         if self._traffic is None:
             self._nic.send(target, kind, payload)
         elif self._nic.up:

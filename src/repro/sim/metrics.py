@@ -108,7 +108,9 @@ def estimate_size(payload: Any, depth: int = 4) -> int:
     hashes), still proportional to payload volume, but never formats a
     character.  Beyond ``depth`` a container is charged a flat per-item
     cost, which keeps one record O(small) no matter how deep the
-    payload nests.
+    payload nests.  :class:`PlaneTraffic` calls it only while its
+    registry's byte meter is armed (by the ``sync_plane`` scenario and
+    the meter's tests); an unarmed run sizes nothing.
 
     Dispatch is on the exact ``type()``, and a container's scalar items
     are costed in its own loop rather than by a call each; only a
@@ -189,25 +191,27 @@ class PlaneTraffic:
     byte counters, so per-plane byte volume stays the single source of
     truth for what rode each NIC.
 
-    The rpc/mcast message counts are exact.  Byte volume is metered
-    with :func:`estimate_size` (structural walk, no ``repr``) -- the
-    per-message formatting cost was measurable at 10^5 offered ops --
-    and the six counters are resolved once at construction instead of
-    through a registry dict lookup per message.
-
-    A message is sized once: the ``record_*sent`` methods return the
-    size they charged, the sender puts it on the wire message, and the
-    receiver hands it back as ``size`` (``None``, from an unmetered
-    sender, sizes the payload here).
+    The rpc/mcast message counts are exact and always kept; the six
+    counters are resolved once at construction instead of through a
+    registry dict lookup per message.  Bytes are sized only while the
+    registry's byte meter is armed (:meth:`MetricsRegistry.arm_byte_meter`:
+    the ``sync_plane`` scenario, the only row that reports bytes, and
+    the meter's own tests arm it); unarmed, the ``bytes_*`` counters
+    stay 0 and no payload is walked.  Armed, a message is sized once
+    with :func:`estimate_size`: the ``record_*sent`` methods return the
+    size they charged (``None`` unarmed), the sender puts it on the
+    wire message, and the receiver hands it back as ``size`` (``None``,
+    from an unmetered sender, sizes the payload here).
     """
 
-    __slots__ = ("host", "plane", "_rpcs_out", "_rpcs_in", "_mcasts_out",
-                 "_mcasts_in", "_bytes_out", "_bytes_in")
+    __slots__ = ("host", "plane", "_registry", "_rpcs_out", "_rpcs_in",
+                 "_mcasts_out", "_mcasts_in", "_bytes_out", "_bytes_in")
 
     def __init__(self, registry: "MetricsRegistry", host: str,
                  plane: str) -> None:
         self.host = host
         self.plane = plane
+        self._registry = registry
         prefix = f"traffic.{host}.{plane}."
         self._rpcs_out = registry.counter(prefix + "rpcs_out")
         self._rpcs_in = registry.counter(prefix + "rpcs_in")
@@ -216,31 +220,40 @@ class PlaneTraffic:
         self._bytes_out = registry.counter(prefix + "bytes_out")
         self._bytes_in = registry.counter(prefix + "bytes_in")
 
-    def record_sent(self, payload: Any) -> int:
-        size = estimate_size(payload)
+    def size_of(self, payload: Any) -> int | None:
+        """``payload``'s size, ``None`` while the meter is not armed."""
+        return estimate_size(payload) if self._registry.bytes_metered else None
+
+    def record_sent(self, payload: Any) -> int | None:
         self._rpcs_out.value += 1
-        self._bytes_out.value += size
-        return size
+        if self._registry.bytes_metered:
+            size = estimate_size(payload)
+            self._bytes_out.value += size
+            return size
+        return None
 
     def record_received(self, payload: Any, size: int | None = None) -> None:
         self._rpcs_in.value += 1
-        self._bytes_in.value += (estimate_size(payload) if size is None
-                                 else size)
+        if self._registry.bytes_metered:
+            self._bytes_in.value += (estimate_size(payload) if size is None
+                                     else size)
 
     def record_multicast_sent(self, payload: Any,
-                              size: int | None = None) -> int:
+                              size: int | None = None) -> int | None:
         """``size`` is given when one payload fans out to many members."""
-        if size is None:
-            size = estimate_size(payload)
         self._mcasts_out.value += 1
-        self._bytes_out.value += size
+        if self._registry.bytes_metered:
+            if size is None:
+                size = estimate_size(payload)
+            self._bytes_out.value += size
         return size
 
     def record_multicast_received(self, payload: Any,
                                   size: int | None = None) -> None:
         self._mcasts_in.value += 1
-        self._bytes_in.value += (estimate_size(payload) if size is None
-                                 else size)
+        if self._registry.bytes_metered:
+            self._bytes_in.value += (estimate_size(payload) if size is None
+                                     else size)
 
 
 class ScopedMetrics:
@@ -275,6 +288,14 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
         self._series: dict[str, TimeSeries] = {}
+        self.bytes_metered = False
+
+    def arm_byte_meter(self) -> None:
+        """Size every message from now on (see :class:`PlaneTraffic`).
+
+        Arm it before the system carries its first message, or the
+        ``bytes_*`` counters miss what went before."""
+        self.bytes_metered = True
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)

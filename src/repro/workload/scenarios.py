@@ -438,6 +438,13 @@ _register(Scenario(
 
 # -- S4 (network): plane interference ----------------------------------
 
+def _metered_shard_outage(run: Run) -> None:
+    """:func:`_shard_outage`, with the byte meter armed before the
+    first message: this row reports each plane's bytes."""
+    run.system.metrics.arm_byte_meter()
+    _shard_outage(run)
+
+
 def _sync_plane_row(run: Run) -> dict[str, Any]:
     system, p, report = run.system, run.p, run.report
     end = p.outage[1]
@@ -496,7 +503,7 @@ _register(Scenario(
     shape=lambda p: Shape(p.server_hosts, clients(p.clients), p.clients,
                           shard_service_time=p.shard_service_time),
     streams=lambda run: closed_loop(run, run.p.txns_per_client),
-    script=_shard_outage,
+    script=_metered_shard_outage,
     auditors=lambda p: (CounterLedgerAudit(), UseListAudit()),
     counters=_sync_plane_row,
     clean=expecting(

@@ -100,6 +100,7 @@ def test_gated_recovering_host_serves_the_sync_side_door_only():
 
 def test_traffic_meters_split_client_and_sync_planes():
     system, (client,), uids = build_two_plane()
+    system.metrics.arm_byte_meter()
     for uid in uids:
         assert system.run_transaction(client, add_work(uid, 1)).committed
     snapshot = system.metrics.snapshot()

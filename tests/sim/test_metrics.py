@@ -72,6 +72,7 @@ def test_registry_returns_same_instrument():
 def test_plane_traffic_counters_land_in_the_snapshot():
     from repro.sim.metrics import MetricsRegistry
     m = MetricsRegistry()
+    m.arm_byte_meter()
     client = m.plane_traffic("alpha", "client")
     sync = m.plane_traffic("alpha", "sync")
     client.record_sent("req")
@@ -202,32 +203,35 @@ def _byte_counters(system):
             sum(v for k, v in snap.items() if k.endswith(".bytes_in")))
 
 
-def test_send_and_receive_byte_counters_agree_on_an_rpc_round_trip():
+class Echo:
+    def echo(self, value):
+        return {"echoed": value}
+
+
+ECHO_ARGS = ("sys:1", (1, 2, 3), None)
+
+
+def _round_trip(armed):
     from repro.cluster import DistributedSystem, SystemConfig
 
-    class Echo:
-        def echo(self, value):
-            return {"echoed": value}
-
     system = DistributedSystem(SystemConfig(seed=1))
+    if armed:
+        system.metrics.arm_byte_meter()
     caller, callee = system.add_node("a"), system.add_node("b")
     callee.rpc.register("svc", Echo())
-    args = ("sys:1", (1, 2, 3), None)
     reply = system.scheduler.run_until_settled(
-        caller.rpc.call("b", "svc", "echo", args))
-    assert reply == {"echoed": args}
-    sent, received = _byte_counters(system)
-    request_size = system.metrics.snapshot()["traffic.a.client.bytes_out"]
-    assert request_size == reference_size(
-        RpcRequest(1, "svc", "echo", (args,))) and sent == received
-    assert system.metrics.snapshot()["traffic.b.client.bytes_in"] == request_size
+        caller.rpc.call("b", "svc", "echo", ECHO_ARGS))
+    assert reply == {"echoed": ECHO_ARGS}
+    return system
 
 
-def test_send_and_receive_byte_counters_agree_on_a_three_member_multicast():
+def _three_member_multicast(armed):
     from repro.cluster import DistributedSystem, SystemConfig
     from repro.net.groups import GroupView
 
     system = DistributedSystem(SystemConfig(seed=1))
+    if armed:
+        system.metrics.arm_byte_meter()
     members = [system.add_node(name) for name in ("m1", "m2", "m3")]
     view = GroupView(("m1", "m2", "m3"))
     for member in members:
@@ -236,6 +240,20 @@ def test_send_and_receive_byte_counters_agree_on_a_three_member_multicast():
     members[1].mcast.send("g", view, payload)  # a non-sequencer submits
     system.run(until=1.0)
     assert all(len(member.mcast.delivered) == 1 for member in members)
+    return system, members
+
+
+def test_send_and_receive_byte_counters_agree_on_an_rpc_round_trip():
+    system = _round_trip(armed=True)
+    sent, received = _byte_counters(system)
+    request_size = system.metrics.snapshot()["traffic.a.client.bytes_out"]
+    assert request_size == reference_size(
+        RpcRequest(1, "svc", "echo", (ECHO_ARGS,))) and sent == received
+    assert system.metrics.snapshot()["traffic.b.client.bytes_in"] == request_size
+
+
+def test_send_and_receive_byte_counters_agree_on_a_three_member_multicast():
+    system, members = _three_member_multicast(armed=True)
     sent, received = _byte_counters(system)
     assert sent == received > 0
     snap = system.metrics.snapshot()
@@ -243,3 +261,30 @@ def test_send_and_receive_byte_counters_agree_on_a_three_member_multicast():
     data = reference_size(members[0].mcast._delivery_log["g"][1])
     submit = snap["traffic.m2.client.bytes_out"] - 2 * data  # m2 relays twice
     assert received == submit + (frames_in - 1) * data
+
+
+def test_an_unarmed_meter_counts_every_message_and_sizes_none(monkeypatch):
+    """Unarmed, a run keeps the exact message counts of the armed run
+    and walks no payload: every ``bytes_*`` counter stays 0."""
+    def traffic(system):
+        return {name: value
+                for name, value in system.metrics.snapshot().items()
+                if name.startswith("traffic.")}
+
+    armed = [traffic(_round_trip(armed=True)),
+             traffic(_three_member_multicast(armed=True)[0])]
+
+    def unsized(payload, depth=4):
+        raise AssertionError("an unarmed meter sized a payload")
+
+    monkeypatch.setattr("repro.sim.metrics.estimate_size", unsized)
+    unarmed = [traffic(_round_trip(armed=False)),
+               traffic(_three_member_multicast(armed=False)[0])]
+    for armed_run, unarmed_run in zip(armed, unarmed):
+        counts = {name: value for name, value in armed_run.items()
+                  if ".bytes_" not in name}
+        assert sum(counts.values()) > 0
+        assert {name: value for name, value in unarmed_run.items()
+                if ".bytes_" not in name} == counts
+        assert {name: value for name, value in unarmed_run.items()
+                if ".bytes_" in name and value} == {}
