@@ -457,8 +457,8 @@ def _sync_plane_row(run: Run) -> dict[str, Any]:
              if end <= o.finished_at - o.latency and o.finished_at < storm_end]
 
     def plane_total(plane: str, what: str) -> int:
-        return sum(int(system.metrics.counter_value(
-            f"traffic.{host}.{plane}.{what}")) for host in system.shard_hosts)
+        return sum(run.settled_metrics.get(
+            f"traffic.{host}.{plane}.{what}", 0) for host in system.shard_hosts)
 
     return {
         "dedicated_sync_nic": p.dedicated_sync_nic, "shards": p.shards,
