@@ -9,7 +9,9 @@ call-event tracer:
 - every module of ``benchmarks/gated_benches.txt``, through pytest with
   ``--benchmark-disable``;
 - every ``perf/workloads.py`` workload once at full size (seed 7), with
-  the settle and audit that ``perf/run.py``'s first run makes;
+  the settle and audit that ``perf/run.py``'s first run makes, printing
+  one ``workload`` line with its ``sim_fingerprint`` and audit counts
+  (so "fingerprints unchanged" reads off the output at no extra cost);
 
 and lists each ``def`` under ``src/repro`` whose code object never ran,
 matched on file and first line (a decorated function's first line is
@@ -276,8 +278,12 @@ def gated_benches() -> list[str]:
 def workload_pass() -> None:
     from perf.driver import execute
     from perf.workloads import WORKLOADS
-    for workload in WORKLOADS.values():
-        execute(workload.build, 7, 1.0)
+    for name, workload in WORKLOADS.items():
+        run = execute(workload.build, 7, 1.0)
+        audit = " ".join(f"{check}={count}"
+                         for check, count in sorted(run.audit.items()))
+        print(f"workload {name}: sim_fingerprint {run.fingerprint[:12]} "
+              f"{audit}")
 
 
 def main(argv: list[str] | None = None) -> int:

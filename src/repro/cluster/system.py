@@ -70,6 +70,15 @@ SCHEME_FACTORIES: dict[str, Callable[..., BindingScheme]] = {
 }
 
 
+def scheme_factory(name: str) -> Callable[..., BindingScheme]:
+    """The binding scheme called ``name``; ``ValueError`` names the
+    choices when there is none."""
+    if name not in SCHEME_FACTORIES:
+        raise ValueError(f"unknown binding scheme: {name!r} "
+                         f"(expected one of {tuple(SCHEME_FACTORIES)})")
+    return SCHEME_FACTORIES[name]
+
+
 @dataclass
 class SystemConfig:
     """Knobs for one simulated system."""
@@ -203,6 +212,7 @@ class DistributedSystem:
                 f"unknown nameserver_read_policy: "
                 f"{self.config.nameserver_read_policy!r} "
                 f"(expected one of {READ_POLICIES})")
+        scheme_factory(self.config.binding_scheme)
         lease = self.config.nameserver_lease
         if lease is not None and lease <= 0:
             raise ValueError(f"nameserver_lease must be > 0: {lease}")
@@ -613,9 +623,8 @@ class DistributedSystem:
     def add_client(self, name: str, policy: ReplicationPolicy | None = None,
                    scheme: str | None = None) -> ClientRuntime:
         """Add a client node with its transaction runtime."""
+        factory = scheme_factory(scheme or self.config.binding_scheme)
         node = self._make_node(name, has_store=False)
-        scheme_name = scheme or self.config.binding_scheme
-        factory = SCHEME_FACTORIES[scheme_name]
         db_client = self._make_db_client(node)
         binding_scheme = factory(db_client, name, metrics=self.metrics)
         runtime = ClientRuntime(

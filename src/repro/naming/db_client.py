@@ -72,18 +72,16 @@ class GroupViewDbClient:
     """
 
     def __init__(self, rpc: RpcAgent, node: str,
-                 service: str = SERVICE_NAME,
                  batcher: "CommitBatcher | None" = None,
                  participant_retries: int = 0,
                  retry_rng: Any | None = None) -> None:
         self._rpc = rpc
         self._batcher = batcher
         self.node = node
-        self.service = service
         self.participant_retries = participant_retries
         self._retry_rng = retry_rng
         # The node's outcome table: tracks what it coordinates and names
-        # it in every path sent (None for a bare agent: plain paths).
+        # it in every path sent.
         self._outcomes = rpc.service(COORDINATOR_SERVICE)
         # Top-level serial -> the record enlisted for that root, from
         # enlistment until the record's commit or abort.
@@ -106,10 +104,9 @@ class GroupViewDbClient:
         serial = root.id.top_level_serial
         record = self._participants.get(serial)
         if record is None:
-            if self._outcomes is not None:
-                self._outcomes.track(root)
+            self._outcomes.track(root)
             record = ToldParticipantRecord(
-                self._rpc, self.node, self.service,
+                self._rpc, self.node, SERVICE_NAME,
                 batcher=self._batcher, retries=self.participant_retries,
                 rng=self._retry_rng,
                 on_resolved=functools.partial(self._participants.pop,
@@ -135,7 +132,7 @@ class GroupViewDbClient:
         same residue presumed-abort leaves real systems, where an
         orphan terminator picks it up.)
         """
-        self._rpc.call(self.node, self.service, "abort",
+        self._rpc.call(self.node, SERVICE_NAME, "abort",
                        self._root(action).id.path)
 
     # -- calls ----------------------------------------------------------------
@@ -199,11 +196,10 @@ class GroupViewDbClient:
               ) -> Generator[Any, Any, Any]:
         """Send one operation; enlist the ``reached`` actions once the
         node is seen to have executed it."""
-        path = (action.id.path if self._outcomes is None
-                else self._outcomes.path(action))
         try:
-            result = yield self._rpc.call(self.node, self.service, method,
-                                          path, *args, ring_epoch=ring_epoch)
+            result = yield self._rpc.call(self.node, SERVICE_NAME, method,
+                                          self._outcomes.path(action), *args,
+                                          ring_epoch=ring_epoch)
         except RpcRemoteError as exc:
             if exc.remote_type in _ERROR_TYPES:
                 self._enlist(reached)
@@ -232,6 +228,6 @@ class GroupViewDbClient:
         ``"locked"``/``"unknown"`` markers, and fails with the RPC
         error (or fencing rejection) the caller fails over on.
         """
-        return self._rpc.call(self.node, self.service,
+        return self._rpc.call(self.node, SERVICE_NAME,
                               "read_entry_versioned", uid_text,
                               ring_epoch=ring_epoch)

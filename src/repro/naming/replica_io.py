@@ -9,29 +9,34 @@ planes the protocol actually has:
 
 **Client plane** (action-scoped, epoch-fenced).  Every operation
 captures one :class:`~repro.naming.shard_router.RingView` and tags its
-RPCs with the view's fence token:
+RPCs with the view's fence token.  Two walks carry it:
 
-- :meth:`write` fans a mutating operation out to every live replica of
-  the view's write set, enlisting each *reached* shard as its own
-  late 2PC participant of the calling action (``call_reached``);
-- :meth:`read` serves from the first live replica of the view's read
-  order, failing over past dark or disclaiming replicas;
-- :meth:`exclude` is the multi-UID fan-out write.
+- the fan-out walk (:meth:`_fan_out`) sends a mutating operation to
+  every live replica of the view's write sets, one request per shard,
+  enlisting each *reached* shard as its own late 2PC participant of the
+  calling action (``call_reached``).  :meth:`write` is its one-entry
+  case; :meth:`exclude` groups the multi-UID ``Exclude``;
+- the first-answer walk (:meth:`read`) serves from the first live
+  replica of the view's read order, failing over past dark or
+  disclaiming replicas; rotation, peer health and ``view_action`` are
+  its alone.
 
-All three are one walk.  Where the view gives an entry a single home
-(replication 1 and no staged transition: the paper's lone name node,
-or an unreplicated ring) the walk enlists that home eagerly instead of
-once reached (``call_enlisted``).
+Where the view gives an entry a single home (replication 1 and no
+staged transition: the paper's lone name node, or an unreplicated
+ring) both walks enlist that home eagerly instead of once reached
+(``call_enlisted``).  Both raise one verdict (:func:`_verdict`) for an
+entry no replica served: an outage outranks a replica's ignorance.
 
 A replica answering :class:`~repro.net.errors.StaleRingEpoch` proves
 the membership moved past the captured view *before the request
-dispatched*: nothing executed there, so the engine refreshes the view
-and retries against the current owners -- skipping replicas the
-operation already applied on, which stay enlisted participants.  This
-fenced retry is what replaced the reshard pipeline's settle interval:
-a write routed by a pre-transition view either executed before the
-staging or is rejected and re-routed through the dual-ownership union;
-there is no in-between window for it to land on the wrong owners.
+dispatched*: nothing executed there, so the walk refreshes the view
+and retries against the current owners, at most :data:`STALE_RETRIES`
+times -- skipping replicas that already executed the request (applied
+or disclaimed), which stay enlisted participants.  This fenced retry
+is what replaced the reshard pipeline's settle interval: a write
+routed by a pre-transition view either executed before the staging or
+is rejected and re-routed through the dual-ownership union; there is
+no in-between window for it to land on the wrong owners.
 
 **Sync plane** (replica maintenance, unfenced).  Resync and migration
 keep replicas convergent *across* epochs -- their traffic must flow
@@ -66,13 +71,14 @@ over the wire.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Iterable, Mapping, NamedTuple
+from typing import (Any, Callable, Generator, Iterable, Mapping, NamedTuple,
+                    Sequence)
 
 from repro.actions.action import AtomicAction
 from repro.naming.db_base import Version
 from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import UnknownObject
-from repro.naming.group_view_db import SERVICE_NAME, SYNC_SERVICE_NAME
+from repro.naming.group_view_db import SYNC_SERVICE_NAME
 from repro.naming.shard_router import RingView, ShardRouter
 from repro.net.errors import RpcError, StaleRingEpoch
 from repro.net.rpc import RpcAgent
@@ -92,7 +98,7 @@ READ_POLICIES = ("primary", "spread")
 # mid-operation; rings do not flip often enough for a live system to
 # exhaust this, so hitting the cap indicates a routing storm and the
 # operation fails with the (retryable) fencing error.
-DEFAULT_STALE_RETRIES = 4
+STALE_RETRIES = 4
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,20 @@ def versions_held(probes: Mapping[str, Probes], uid_text: str,
     return {host: listed.get(host, ABSENT) for host in hosts}
 
 
+def _verdict(unreachable: RpcError | None,
+             unknown: UnknownObject | None) -> Exception:
+    """Why a walk left an entry with no replica that served it.
+
+    An unreachable replica may well hold the entry, so its silence
+    outranks a reachable peer's ignorance: the retryable outage, and
+    "undefined" only when every replica answered and disclaimed it.
+    """
+    if unreachable is not None:
+        return unreachable
+    assert unknown is not None
+    return unknown
+
+
 def _behind(versions: Versions, other: Versions) -> bool:
     """Whether ``versions`` lags ``other`` on either half."""
     return versions[0] < other[0] or versions[1] < other[1]
@@ -162,10 +182,7 @@ class ReplicaIO:
     """The one engine behind every replica fan-out, failover, and copy."""
 
     def __init__(self, rpc: RpcAgent, router: ShardRouter, replication: int,
-                 service: str = SERVICE_NAME,
-                 sync_service: str = SYNC_SERVICE_NAME,
                  read_policy: str = "primary",
-                 max_stale_retries: int = DEFAULT_STALE_RETRIES,
                  sync_rpc: RpcAgent | None = None,
                  sync_suffix: str = "",
                  batcher: Any | None = None,
@@ -181,8 +198,6 @@ class ReplicaIO:
         self.rpc = rpc
         self.router = router
         self.replication = replication
-        self.service = service
-        self.sync_service = sync_service
         # The sync plane's exit and entry points: maintenance RPCs
         # leave through ``sync_rpc`` (the local node's dedicated sync
         # agent where one exists, else the primary agent) and target
@@ -209,28 +224,25 @@ class ReplicaIO:
         # ``commit`` does not leak the action's locks there.
         self.participant_retries = participant_retries
         self.retry_rng = retry_rng
-        self.max_stale_retries = max_stale_retries
         self.metrics = metrics or MetricsRegistry()
         self.stale_retries = 0  # fenced requests this engine re-routed
         self._spread_cursor = 0
-        # Per-(node, service) clients, built lazily so a ring grown
-        # online keeps working: an unseen owner gets its client on
-        # first routing.  (Clients for removed nodes linger unused --
-        # the router simply never routes to them again.)
-        self._clients: dict[tuple[str, str], GroupViewDbClient] = {}
+        # Per-node clients, built lazily so a ring grown online keeps
+        # working: an unseen owner gets its client on first routing.
+        # (Clients for removed nodes linger unused -- the router simply
+        # never routes to them again.)
+        self._clients: dict[str, GroupViewDbClient] = {}
 
     # -- client cache --------------------------------------------------------
 
-    def client_for(self, node: str,
-                   service: str | None = None) -> GroupViewDbClient:
-        key = (node, service or self.service)
-        client = self._clients.get(key)
+    def client_for(self, node: str) -> GroupViewDbClient:
+        client = self._clients.get(node)
         if client is None:
             client = GroupViewDbClient(
-                self.rpc, node, service=key[1], batcher=self.batcher,
+                self.rpc, node, batcher=self.batcher,
                 participant_retries=self.participant_retries,
                 retry_rng=self.retry_rng)
-            self._clients[key] = client
+            self._clients[node] = client
         return client
 
     def sync_target(self, node: str) -> str:
@@ -269,42 +281,70 @@ class ReplicaIO:
         return self.replication == 1 and not view.in_transition
 
     def write(self, action: AtomicAction, uid: Uid | str, method: str,
-              *args: Any) -> Generator[Any, Any, Any]:
-        """Apply a mutating operation to every live replica of ``uid``.
+              *args: Any) -> Generator[Any, Any, None]:
+        """Apply a mutating operation to every live replica of ``uid``:
+        the one-entry :meth:`_fan_out`."""
+        request = (method, *args)
+        yield from self._fan_out(action, (uid,), lambda _lot: request)
 
-        Lock refusals and quiescence violations propagate immediately
-        -- those verdicts hold wherever the entry lives, and the
-        caller's abort releases whatever earlier replicas provisionally
-        applied.  ``UnknownObject``, though, may just mean a *stale*
-        replica (one that missed the define via a disowned stray
-        write): it is only the verdict when no replica accepts; a
-        replica claiming ignorance while a peer applies the write is
-        skipped like a crashed one (enlisted for lock cleanup, levelled
-        by the next anti-entropy sweep).  RPC failures skip the
-        replica; only a fully-unreachable replica set fails the write.
-        A fencing rejection refreshes the view and retries the replicas
-        not yet applied -- the rejecting server executed nothing.
+    def exclude(self, action: AtomicAction,
+                exclusions: list[tuple[Uid, list[str]]],
+                ) -> Generator[Any, Any, None]:
+        """The multi-UID fan-out write (``Exclude``), one request per
+        shard.  Grouped tuple-by-tuple (not keyed by UID), so a UID
+        appearing twice reaches its shard twice, exactly as the
+        single-node client would forward it."""
+        def request(lot: tuple[int, ...]) -> tuple[str, list]:
+            return "exclude", [(str(exclusions[index][0]),
+                                list(exclusions[index][1]))
+                               for index in lot]
+        yield from self._fan_out(action, [uid for uid, _ in exclusions],
+                                 request)
+
+    def _fan_out(self, action: AtomicAction, uids: Sequence[Uid | str],
+                 request: Callable[..., tuple]) -> Generator[Any, Any, None]:
+        """The fenced fan-out walk behind every naming write.
+
+        Each shard of the view's write sets gets one request for the
+        entries (indices into ``uids``) it holds a replica of, built by
+        ``request(lot)`` as the operation's ``(method, *args)``.  Lock
+        refusals and quiescence violations propagate at once -- those
+        verdicts hold wherever the entry lives, and the caller's abort
+        releases whatever earlier replicas provisionally applied.  An
+        unreachable replica is skipped (its stray presumed aborted) and
+        ``UnknownObject`` counts all of the request's entries unreached
+        (what it applied of the others stays provisional and resolves
+        with the action): it may just be a *stale* replica that missed
+        the define, levelled by the next anti-entropy sweep.  So the
+        write fails only for an entry no
+        replica applied, through :func:`_verdict`.  A fencing rejection
+        refreshes the view and re-routes what no replica has executed
+        yet; a replica that executed a request, disclaiming or not, is
+        never sent it again.
         """
-        applied: set[str] = set()
-        result: Any = None
-        reached = False
+        done: dict[str, tuple[int, ...]] = {}  # node -> entries it executed
+        reached: set[int] = set()  # entries some replica applied
         unreachable: RpcError | None = None
         unknown: UnknownObject | None = None
         stale: StaleRingEpoch | None = None
-        for _attempt in range(self.max_stale_retries + 1):
+        for _attempt in range(STALE_RETRIES + 1):
             view = self.router.view()
             stale = None
-            single = self._single_home(view) and not applied
-            for node in view.write_set(uid, self.replication):
-                if node in applied:
-                    continue
+            single = self._single_home(view)
+            # Lots are tuples so a one-entry walk builds none per request:
+            # ``() + own`` is ``own`` itself, shared by every replica.
+            lots: dict[str, tuple[int, ...]] = {}
+            for index, uid in enumerate(uids):
+                own = (index,)
+                for node in view.write_set(uid, self.replication):
+                    if index not in done.get(node, ()):
+                        lots[node] = lots.get(node, ()) + own
+            for node, lot in lots.items():
                 client = self.client_for(node)
                 call = client.call_enlisted if single else client.call_reached
                 try:
-                    result = yield from call(action, method, *args,
-                                             ring_epoch=view.epoch)
-                    reached = True
-                    applied.add(node)
+                    yield from call(action, *request(lot),
+                                    ring_epoch=view.epoch)
                 except StaleRingEpoch as exc:
                     self._count_stale_ring()
                     stale = exc
@@ -312,27 +352,23 @@ class ReplicaIO:
                 except RpcError as exc:
                     unreachable = exc
                     self._disown_stray(client, action)
-                    # Mid-migration, a skipped replica may be an
-                    # incoming owner whose arc the pipeline already
-                    # confirmed: tell the ReshardManager to re-confirm
-                    # before flipping.
-                    view.mark_dirty(uid)
+                    # Mid-migration, a skipped replica may be an incoming
+                    # owner whose arc the pipeline already confirmed:
+                    # tell the ReshardManager to re-confirm before flipping.
+                    for index in lot:
+                        view.mark_dirty(uids[index])
+                    continue
                 except UnknownObject as exc:
                     unknown = exc  # stale replica, or truly undefined
+                else:
+                    reached.update(lot)
+                done[node] = done.get(node, ()) + lot
             if stale is None:
                 break
         if stale is not None:
             raise stale
-        if not reached:
-            # An unreachable replica may well hold the entry, so its
-            # silence outranks a reachable peer's ignorance: report the
-            # retryable outage, and "undefined" only when every replica
-            # answered and disclaimed the uid.
-            if unreachable is not None:
-                raise unreachable
-            assert unknown is not None
-            raise unknown
-        return result
+        if len(reached) < len(uids):
+            raise _verdict(unreachable, unknown)
 
     def read(self, action: AtomicAction, uid: Uid | str, method: str,
              *args: Any, view_action: AtomicAction | None = None,
@@ -344,11 +380,10 @@ class ReplicaIO:
         well as ``action``'s, or that lock would never be released.
 
         ``UnknownObject`` fails over like an RPC error -- a stale
-        replica missing the entry must not mask peers that hold it --
-        and is raised only when every replica answered and disclaimed
-        the uid (an unreachable replica may hold the entry, so its
-        outage outranks a peer's ignorance).  A fencing rejection
-        refreshes the view and restarts the (idempotent) failover walk.
+        replica missing the entry must not mask peers that hold it; with
+        no replica answering, the walk raises through :func:`_verdict`.
+        A fencing rejection refreshes the view and restarts the
+        (idempotent) failover walk.
         """
         rotation = 0
         if self.read_policy == "spread":
@@ -357,7 +392,7 @@ class ReplicaIO:
         unreachable: RpcError | None = None
         unknown: UnknownObject | None = None
         stale: StaleRingEpoch | None = None
-        for _attempt in range(self.max_stale_retries + 1):
+        for _attempt in range(STALE_RETRIES + 1):
             view = self.router.view()
             stale = None
             single = self._single_home(view)
@@ -398,79 +433,7 @@ class ReplicaIO:
                 break
         if stale is not None:
             raise stale
-        if unreachable is not None:
-            raise unreachable
-        assert unknown is not None
-        raise unknown
-
-    def exclude(self, action: AtomicAction,
-                exclusions: list[tuple[Uid, list[str]]],
-                ) -> Generator[Any, Any, None]:
-        """The multi-UID fan-out write (``Exclude``), grouped per shard.
-
-        Grouped tuple-by-tuple (not keyed by UID) so a UID appearing
-        twice reaches its shard twice, exactly as the single-node
-        client would forward it.  With replication every tuple goes to
-        each replica of its UID.  Like the per-UID writes, one stale
-        replica's ``UnknownObject`` must not veto the exclusion -- the
-        whole shard group is conservatively counted unreached (its
-        pre-error exclusions stay provisional and resolve with the
-        action) and the verdict stands only when some UID reached no
-        replica at all, with an outage outranking ignorance.  Fencing
-        rejections re-group the not-yet-applied tuples under a fresh
-        view; a shard that already executed a group is never re-sent it.
-        """
-        applied: dict[str, set[int]] = {}
-        reached: set[str] = set()
-        unreachable: RpcError | None = None
-        unknown: UnknownObject | None = None
-        stale: StaleRingEpoch | None = None
-        for _attempt in range(self.max_stale_retries + 1):
-            view = self.router.view()
-            stale = None
-            single = self._single_home(view)
-            by_shard: dict[str, list[int]] = {}
-            for index, (uid, _hosts) in enumerate(exclusions):
-                for node in view.write_set(uid, self.replication):
-                    if index not in applied.get(node, set()):
-                        by_shard.setdefault(node, []).append(index)
-            for node, indices in by_shard.items():
-                client = self.client_for(node)
-                call = client.call_enlisted if single else client.call_reached
-                lots = [exclusions[i] for i in indices]
-                wire = [(str(uid), list(hosts)) for uid, hosts in lots]
-                try:
-                    yield from call(action, "exclude", wire,
-                                    ring_epoch=view.epoch)
-                except StaleRingEpoch as exc:
-                    self._count_stale_ring()
-                    stale = exc
-                    break
-                except RpcError as exc:
-                    unreachable = exc
-                    self._disown_stray(client, action)
-                    for uid, _hosts in lots:
-                        view.mark_dirty(uid)  # see write(): re-confirm arcs
-                    continue
-                except UnknownObject as exc:
-                    # The group executed (and partially applied) on the
-                    # shard; never re-send it, but count its UIDs
-                    # unreached so the verdict stays conservative.
-                    unknown = exc
-                    applied.setdefault(node, set()).update(indices)
-                    continue
-                applied.setdefault(node, set()).update(indices)
-                reached.update(str(exclusions[i][0]) for i in indices)
-            if stale is None:
-                break
-        if stale is not None:
-            raise stale
-        missed = [uid for uid, _ in exclusions if str(uid) not in reached]
-        if missed:
-            if unreachable is not None:
-                raise unreachable
-            assert unknown is not None
-            raise unknown
+        raise _verdict(unreachable, unknown)
 
     # -- the leased read plane -----------------------------------------------
 
@@ -618,7 +581,7 @@ class ReplicaIO:
         db = local.get(node)
         if db is not None:
             return getattr(db, method)(*args)
-        return self.sync_rpc.call(self.sync_target(node), self.sync_service,
+        return self.sync_rpc.call(self.sync_target(node), SYNC_SERVICE_NAME,
                                   method, *args)
 
     def _sync_call(self, local: Mapping[str, Any], node: str, method: str,

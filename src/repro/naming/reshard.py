@@ -83,7 +83,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 
 from repro.naming.coherence import COHERENCE_SERVICE_NAME
 from repro.naming.errors import NamingError
-from repro.naming.group_view_db import diff_request
+from repro.naming.group_view_db import SYNC_SERVICE_NAME, diff_request
 from repro.naming.replica_io import ReplicaIO, versions_held
 from repro.naming.shard_router import RingTransition, ShardRouter
 from repro.net.errors import RpcError
@@ -550,7 +550,7 @@ class ReshardManager:
                 for host in held[uid_text]:
                     try:
                         removed = yield self.io.sync_rpc.call(
-                            self.io.sync_target(host), self.io.sync_service,
+                            self.io.sync_target(host), SYNC_SERVICE_NAME,
                             "forget_entry", uid_text)
                     except RpcError:
                         deferred = True

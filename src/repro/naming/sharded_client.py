@@ -47,7 +47,7 @@ from repro.actions.action import AtomicAction
 from repro.actions.outcomes import COORDINATOR_SERVICE
 from repro.naming.coherence import CoherenceClient
 from repro.naming.entry_cache import CachedEntry, EntryCache
-from repro.naming.group_view_db import SERVICE_NAME, GroupViewDatabase
+from repro.naming.group_view_db import GroupViewDatabase
 from repro.naming.object_server_db import ServerEntrySnapshot
 from repro.naming.replica_io import READ_POLICIES, EntryCopy, ReplicaIO
 from repro.naming.shard_router import ShardRouter
@@ -78,7 +78,7 @@ class ShardedGroupViewDbClient:
     """
 
     def __init__(self, rpc: RpcAgent, router: ShardRouter,
-                 service: str = SERVICE_NAME, replication: int = 1,
+                 replication: int = 1,
                  read_policy: str = "primary",
                  cache: EntryCache | None = None,
                  sync_suffix: str = "",
@@ -88,17 +88,13 @@ class ShardedGroupViewDbClient:
                  participant_retries: int = 0,
                  retry_rng: Any | None = None,
                  metrics: Any | None = None) -> None:
-        self.io = ReplicaIO(rpc, router, replication, service=service,
+        self.io = ReplicaIO(rpc, router, replication,
                             read_policy=read_policy,
                             sync_suffix=sync_suffix, batcher=batcher,
                             health=health,
                             participant_retries=participant_retries,
                             retry_rng=retry_rng,
                             metrics=metrics)
-        # The gray-failure detector (a PeerHealthTracker, or None) --
-        # exposed here so harnesses and benchmarks can inspect
-        # demotions; the engine owns feeding and consulting it.
-        self.health = health
         self.cache = cache
         # The coherence plane's client half: with a node handle and a
         # cache attached, push-mode entries register as lessees with
@@ -241,10 +237,9 @@ class ShardedGroupViewDbClient:
         if entry is not None:
             binding = list(entry.hosts), list(entry.view)
         else:
-            view_path = (view_action.id.path if self._outcomes is None
-                         else self._outcomes.path(view_action))
-            binding = yield from self.io.read(action, uid, "get_binding",
-                                              str(uid), view_path)
+            binding = yield from self.io.read(
+                action, uid, "get_binding", str(uid),
+                self._outcomes.path(view_action))
         self._latency.observe(self._scheduler.now - started)
         return binding
 
@@ -255,10 +250,9 @@ class ShardedGroupViewDbClient:
         never the leased plane: this is a write-intent read, ``Sv``
         INCREMENT-locked under ``action`` and ``St`` read-locked under
         ``view_action``, the answering replica enlisted for both."""
-        view_path = (view_action.id.path if self._outcomes is None
-                     else self._outcomes.path(view_action))
         return (yield from self.io.read(action, uid, "get_binding_with_uses",
-                                        str(uid), view_path,
+                                        str(uid),
+                                        self._outcomes.path(view_action),
                                         view_action=view_action))
 
     def insert(self, action: AtomicAction, uid: Uid,
@@ -276,8 +270,7 @@ class ShardedGroupViewDbClient:
         """``Increment``; the node's outcome table counts the uses from
         now, for the name nodes' janitors to reconcile with."""
         self._invalidate(uid)
-        if self._outcomes is not None:
-            self._outcomes.hold(action, str(uid), list(hosts))
+        self._outcomes.hold(action, str(uid), list(hosts))
         yield from self.io.write(action, uid, "increment", client_node,
                                  str(uid), list(hosts))
 
@@ -285,8 +278,7 @@ class ShardedGroupViewDbClient:
                   hosts: list[str]) -> Generator[Any, Any, None]:
         """``Decrement``; the uses stop counting once ``action`` ends."""
         self._invalidate(uid)
-        if self._outcomes is not None:
-            self._outcomes.hold(action, str(uid), list(hosts), ending=True)
+        self._outcomes.hold(action, str(uid), list(hosts), ending=True)
         yield from self.io.write(action, uid, "decrement", client_node,
                                  str(uid), list(hosts))
 

@@ -84,8 +84,14 @@ def test_scheme_selection_per_client():
 
 def test_unknown_scheme_rejected():
     system, _, _ = build_system()
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="'nonsense'.*'standard'"):
         system.add_client("cX", scheme="nonsense")
+    assert "cX" not in system.nodes  # refused before the node boots
+
+
+def test_unknown_configured_scheme_rejected_at_construction():
+    with pytest.raises(ValueError, match="'bogus'.*'nested_top_level'"):
+        DistributedSystem(SystemConfig(binding_scheme="bogus"))
 
 
 def test_run_transaction_timeout_guard():

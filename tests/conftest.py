@@ -128,6 +128,16 @@ def mode_held(locks, owner, resource):
     return dict(lock_holders(locks, resource)).get(owner)
 
 
+def serve_outcomes(agent):
+    """Serve on a bare ``RpcAgent`` the ``Outcomes`` table every ``Node``
+    serves, so a naming client built on it tracks its actions and names
+    its coordinator in every path it sends.  Returns the agent."""
+    from repro.actions.outcomes import COORDINATOR_SERVICE, Outcomes
+
+    agent.register(COORDINATOR_SERVICE, Outcomes(agent.name))
+    return agent
+
+
 def cut(network, side, other, heal=False):
     """Partition two host sets from each other, both directions: one
     ``Network.block`` (or, with ``heal``, ``unblock``) per ordered pair."""

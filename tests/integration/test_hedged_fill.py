@@ -54,7 +54,7 @@ def test_no_bind_waits_out_a_dark_name_nodes_timeout():
                for uid in uids), "the victim must be some entry's primary"
 
     bind_rounds(system, runtimes, uids, rounds=3)
-    trackers = [runtime._ctx.db.health for runtime in runtimes]
+    trackers = [runtime._ctx.db.io.health for runtime in runtimes]
     assert all(tracker.hedge_after(victim) is not None
                for tracker in trackers), "every tracker must be warm"
 

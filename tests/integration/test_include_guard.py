@@ -11,27 +11,28 @@ from tests.conftest import add_work, build_system, get_work
 
 def test_exclusion_landing_after_recovery_is_repaired():
     system, client, uid = build_system(sv=("s1",), st=("t1", "t2"))
+    manager = system.recovery_managers["t2"]
 
-    # Reproduce the race deterministically: crash t2, start a commit
-    # that observes the crash, recover t2 BEFORE the commit's exclusion
-    # executes at the db.
+    # Reproduce the race deterministically: crash t2 as the commit
+    # starts, so its write_shadow is lost, and recover it before that
+    # request times out.  The recovery pass finds t2 still in St and
+    # finishes as a no-op; only then does the commit's Exclude land.
     def racy(txn):
         yield from txn.invoke(uid, "add", 1)
         system.nodes["t2"].crash()
-        # Recover t2 almost immediately: the recovery pass will find t2
-        # still in St (nothing excluded yet) and finish as a no-op,
-        # while the commit below then Excludes t2.
-        system.scheduler.schedule(0.02, system.nodes["t2"].recover)
+        system.scheduler.schedule(0.05, system.nodes["t2"].recover)
 
     result = system.run_transaction(client, racy)
     assert result.committed
-    # Let the race fully play out, then the guard repair it.
+    assert manager.recoveries_completed == 1
+    assert system.db_st(uid) == ["t1"], \
+        "the Exclude must land after the recovery pass has finished"
+    # Nothing but the guard can Include t2 back now.
     system.run(until=system.scheduler.now + 15.0)
     assert sorted(system.db_st(uid)) == ["t1", "t2"]
     versions = system.store_versions(uid)
     assert versions["t2"] == versions["t1"]
-    manager = system.recovery_managers["t2"]
-    assert manager.guard_reinclusions >= 1 or manager.recoveries_completed >= 1
+    assert manager.guard_reinclusions >= 1
 
 
 def test_st_never_left_empty_with_single_store():

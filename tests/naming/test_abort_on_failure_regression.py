@@ -21,6 +21,8 @@ from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Future, MetricsRegistry, Scheduler
 from repro.storage import Uid
 
+from tests.conftest import serve_outcomes
+
 UID = Uid("sys", 1)
 
 
@@ -42,8 +44,8 @@ class World:
         self.db.commit(boot.id.path)
 
         nic_client = self.network.attach("client")
-        client_agent = RpcAgent(self.scheduler, nic_client,
-                                demux=MessageDemux(nic_client))
+        client_agent = serve_outcomes(RpcAgent(
+            self.scheduler, nic_client, demux=MessageDemux(nic_client)))
         self.db_client = ShardedGroupViewDbClient(client_agent,
                                                   ShardRouter(["db"]))
         self.scheme = IndependentTopLevelBinding(

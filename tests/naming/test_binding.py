@@ -21,6 +21,8 @@ from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Future, MetricsRegistry, Scheduler
 from repro.storage import Uid
 
+from tests.conftest import serve_outcomes
+
 UID = Uid("sys", 1)
 
 
@@ -41,8 +43,8 @@ class World:
         self.db.commit(boot.id.path)
 
         nic_client = self.network.attach("client")
-        self.client_agent = RpcAgent(self.scheduler, nic_client,
-                                     demux=MessageDemux(nic_client))
+        self.client_agent = serve_outcomes(RpcAgent(
+            self.scheduler, nic_client, demux=MessageDemux(nic_client)))
         self.db_client = ShardedGroupViewDbClient(self.client_agent,
                                                   ShardRouter(["db"]))
         self.scheme = scheme_cls(self.db_client, "client",

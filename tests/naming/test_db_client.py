@@ -11,7 +11,7 @@ from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
 
-from tests.conftest import lock_holders
+from tests.conftest import lock_holders, serve_outcomes
 
 UID = Uid("sys", 1)
 
@@ -27,7 +27,8 @@ def make_world():
     db.commit(boot.id.path)
     db_agent.register("group_view_db", db)
     nic_c = net.attach("client")
-    client_agent = RpcAgent(s, nic_c, demux=MessageDemux(nic_c))
+    client_agent = serve_outcomes(RpcAgent(s, nic_c,
+                                           demux=MessageDemux(nic_c)))
     return s, net, db, GroupViewDbClient(client_agent, "db")
 
 

@@ -28,6 +28,8 @@ from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
 
+from tests.conftest import serve_outcomes
+
 UID = Uid("sys", 1)
 NODES = ("shard-a", "shard-b", "shard-c")
 LEASE = 5.0
@@ -50,8 +52,8 @@ def make_world(replication=2, lease=LEASE, capacity=64, keep_ledger=True):
         agents[name].register(SYNC_SERVICE_NAME, db)
         dbs[name] = db
     nic_c = net.attach("client")
-    client_agent = RpcAgent(s, nic_c, default_timeout=0.5,
-                            demux=MessageDemux(nic_c))
+    client_agent = serve_outcomes(RpcAgent(s, nic_c, default_timeout=0.5,
+                                           demux=MessageDemux(nic_c)))
     cache = EntryCache(lease, fence=lambda: router.fence_epoch,
                        clock=lambda: s.now, capacity=capacity,
                        keep_ledger=keep_ledger)

@@ -16,11 +16,14 @@ from repro.actions import ActionStatus, AtomicAction
 from repro.actions.action import ActionId
 from repro.naming import GroupViewDatabase, ShardRouter
 from repro.naming.group_view_db import SERVICE_NAME
+from repro.naming.replica_io import STALE_RETRIES
 from repro.naming.sharded_client import ShardedGroupViewDbClient
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.net.errors import StaleRingEpoch
 from repro.sim import Scheduler
 from repro.storage import Uid
+
+from tests.conftest import serve_outcomes
 
 UID = Uid("sys", 1)
 NODES = ("shard-a", "shard-b", "shard-c")
@@ -46,8 +49,8 @@ def make_fenced_world(ring=("shard-a", "shard-b"), replication=2):
                               fence=lambda: router.fence_epoch)
         dbs[name] = db
     nic_c = net.attach("client")
-    client_agent = RpcAgent(s, nic_c, default_timeout=0.5,
-                            demux=MessageDemux(nic_c))
+    client_agent = serve_outcomes(RpcAgent(s, nic_c, default_timeout=0.5,
+                                           demux=MessageDemux(nic_c)))
     client = ShardedGroupViewDbClient(client_agent, router,
                                       replication=replication)
     return s, dbs, agents, router, client
@@ -142,6 +145,38 @@ def test_single_home_write_is_fenced_too():
             assert uses_at(db)["h1"] == {}
 
 
+@pytest.mark.parametrize("verb", ["include", "exclude"])
+def test_a_disclaiming_replica_is_not_sent_the_write_again(verb, rpc_log):
+    """One rule for every fan-out write: a replica that answered
+    ``UnknownObject`` executed the request, so the re-route after a
+    later replica's ``StaleRingEpoch`` skips it like one that applied
+    it -- and the current owner that missed nothing takes the write."""
+    s, dbs, agents, router, client = make_fenced_world()
+    first, second = router.view().write_set(UID, 2)
+    agents[first].unregister(SERVICE_NAME)  # a replica that missed the define
+    agents[first].register(SERVICE_NAME, GroupViewDatabase(),
+                           fence=lambda: router.fence_epoch)
+    action = AtomicAction(node="client")
+
+    def body():
+        if verb == "include":
+            yield from client.include(action, UID, "t2")
+        else:
+            yield from client.exclude(action, [(UID, ["t1"])])
+        return (yield from action.commit())
+
+    # ``first`` disclaims at t=0.01 and replies at 0.02; the request to
+    # ``second``, sent at 0.02, dispatches after this flip.
+    s.schedule(0.025, lambda: router.add_node("shard-c"))
+    assert run(s, body()) is ActionStatus.COMMITTED
+    assert client.io.stale_retries == 1
+    owners = router.view().write_set(UID, 2)
+    assert first in owners and second not in owners
+    sent = [target for _caller, target, _service, method, _at in rpc_log
+            if method == verb]
+    assert sent == [first, second, "shard-c"]
+
+
 def test_an_operation_cannot_outrun_a_flapping_ring():
     """Retries are bounded: a fence that never matches (a pathological
     routing storm) surfaces as the typed error, not an infinite loop."""
@@ -159,8 +194,7 @@ def test_an_operation_cannot_outrun_a_flapping_ring():
 
     with pytest.raises(StaleRingEpoch):
         run(s, body())
-    retries = client.io.max_stale_retries
-    assert client.io.stale_retries == retries + 1
+    assert client.io.stale_retries == STALE_RETRIES + 1
     run(s, action.abort())
 
 

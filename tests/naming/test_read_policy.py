@@ -17,6 +17,8 @@ from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
 
+from tests.conftest import serve_outcomes
+
 UID = Uid("sys", 1)
 NODES = ("shard-a", "shard-b", "shard-c")
 
@@ -36,8 +38,8 @@ def make_ring_world(replication=3, read_policy="primary"):
         agents[name].register(SERVICE_NAME, db)
         dbs[name] = db
     nic_c = net.attach("client")
-    client_agent = RpcAgent(s, nic_c, default_timeout=0.5,
-                            demux=MessageDemux(nic_c))
+    client_agent = serve_outcomes(RpcAgent(s, nic_c, default_timeout=0.5,
+                                           demux=MessageDemux(nic_c)))
     client = ShardedGroupViewDbClient(client_agent, router,
                                       replication=replication,
                                       read_policy=read_policy)

@@ -29,6 +29,8 @@ from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
 
+from tests.conftest import serve_outcomes
+
 UID = Uid("sys", 1)
 NODES = ("shard-a", "shard-b", "shard-c")
 
@@ -53,8 +55,8 @@ def build_world():
         agents[name].register(SYNC_SERVICE_NAME, db)
         dbs[name] = db
     nic_c = net.attach("client")
-    agent = RpcAgent(s, nic_c, default_timeout=0.5,
-                     demux=MessageDemux(nic_c))
+    agent = serve_outcomes(RpcAgent(s, nic_c, default_timeout=0.5,
+                                    demux=MessageDemux(nic_c)))
     io = ReplicaIO(agent, router, replication=3)
     return s, net, dbs, agents, router, io
 

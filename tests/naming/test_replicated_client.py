@@ -19,7 +19,7 @@ from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
 
-from tests.conftest import lock_holders
+from tests.conftest import lock_holders, serve_outcomes
 
 UID = Uid("sys", 1)
 NODES = ("shard-a", "shard-b")
@@ -41,8 +41,8 @@ def make_ring_world():
     nic_c = net.attach("client")
     # The node-derived timeout (latency*6 + 0.05): far below the slow
     # replica's 0.2s service time, so its calls time out at the caller.
-    client_agent = RpcAgent(s, nic_c, default_timeout=0.11,
-                            demux=MessageDemux(nic_c))
+    client_agent = serve_outcomes(RpcAgent(s, nic_c, default_timeout=0.11,
+                                           demux=MessageDemux(nic_c)))
     router = ShardRouter(list(NODES), replicas=8)
     client = ShardedGroupViewDbClient(client_agent, router, replication=2)
     return s, dbs, agents, router, client
