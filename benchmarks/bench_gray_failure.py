@@ -13,10 +13,8 @@ are healed per-client by the ``PeerHealthTracker`` (gross samples and
 timeout streaks demote the peer to the back of the read order), while
 arcs whose whole replica set is gray must still serve through it, so
 only the autoscaler's p95 latency trigger can help -- by growing the
-ring onto healthy hardware.  The op-rate trigger's threshold is set
-unreachably high on purpose: a gray host's op counters look normal, so
-any scale-up in this row is the latency trigger's alone, which is
-exactly the signal op-rate autoscaling is blind to.
+ring onto healthy hardware.  Latency is the one signal a gray host
+cannot hide: its op counters look normal.
 
 **Partial partitions** (``test_partition_divergence_is_repaired_by_
 content_versions``): two writers each lose one *direction* to a
@@ -29,8 +27,7 @@ converges the replicas on the greater one, with no phase of its own.
 
 The acceptance shape:
 
-- demotions > 0 and at least one p95-triggered scale-up, with the
-  op-rate trigger silent (every scale-up is a p95 scale-up);
+- demotions > 0 and at least one p95-triggered scale-up;
 - the correctness ledger all zeros in both rows: gray is slow but
   never wrong, and the repaired entry contains nothing neither writer
   installed (zero invented bindings).
@@ -68,8 +65,8 @@ def test_gray_shard_hosts_are_detected_and_routed_around(benchmark):
     assert row["fully_gray_arcs"] > 0, row
     assert row["degraded_drops"] > 0, row
 
-    # Both detection signals fired (demotions; a scale-up that only the
-    # p95 trigger can have caused) and gray was slow, never wrong.
+    # Both detection signals fired (demotions; a p95-triggered
+    # scale-up) and gray was slow, never wrong.
     assert clean("gray_failure", row) == []
     assert row["shards_after"] > row["shards_before"], row
 

@@ -1,9 +1,13 @@
-"""Count code lines: not blank, not comment-only, docstrings excluded.
+"""Count code lines (not blank, not comment-only, docstrings excluded)
+and options (defaulted function parameters).
 
 ROADMAP's "net-negative line counts are a goal" needs a number that
 prose cannot move: deleting a comment or shortening a docstring must
-not look like less code.  CI appends the default table to the job
-summary (not gated)::
+not look like less code.  An option -- a positional or keyword-only
+parameter with a default, in a ``def`` -- is a knob some caller may
+set; one that no caller sets is a constant in disguise, so the table
+counts them beside the lines.  CI appends the default table to the
+job summary (not gated)::
 
     python -m benchmarks.code_lines                # src/repro/<package>, tests/, benchmarks/
     python -m benchmarks.code_lines FILE_OR_DIR... # one row per argument
@@ -46,10 +50,21 @@ def code_line_numbers(source: str) -> set[int]:
     return lines - docstrings
 
 
-def count(path: Path) -> tuple[int, int]:
-    """``(files, code lines)`` of one python file or a tree of them."""
+def options(source: str) -> int:
+    """Defaulted parameters of the functions defined in ``source``."""
+    return sum(len(node.args.defaults)
+               + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def count(path: Path) -> tuple[int, int, int]:
+    """``(files, code lines, options)`` of one python file or a tree of
+    them."""
     files = [path] if path.is_file() else sorted(path.rglob("*.py"))
-    return len(files), sum(code_lines(f.read_text()) for f in files)
+    sources = [f.read_text() for f in files]
+    return (len(files), sum(map(code_lines, sources)),
+            sum(map(options, sources)))
 
 
 def default_paths() -> list[Path]:
@@ -65,17 +80,18 @@ def main(argv: list[str]) -> int:
         print(f"code_lines: no such file or directory: {', '.join(missing)}",
               file=sys.stderr)
         return 2
-    print("| path | files | code lines |")
-    print("|---|---:|---:|")
-    total = 0
+    print("| path | files | code lines | options |")
+    print("|---|---:|---:|---:|")
+    total = total_options = 0
     for path in paths:
-        files, lines = count(path)
+        files, lines, knobs = count(path)
         total += lines
+        total_options += knobs
         shown = path.resolve()
         if shown.is_relative_to(ROOT):
             shown = shown.relative_to(ROOT)
-        print(f"| `{shown}` | {files} | {lines} |")
-    print(f"| **total** | | **{total}** |")
+        print(f"| `{shown}` | {files} | {lines} | {knobs} |")
+    print(f"| **total** | | **{total}** | **{total_options}** |")
     return 0
 
 

@@ -113,8 +113,6 @@ EXEMPT: dict[str, str] = {
         "AtomicAction._commit_nested hands records to the parent with it",
     "repro.naming.coherence.CoherenceHost.retire":
         "draining a shard host with the coherence plane on",
-    "repro.naming.reshard.ShardAutoscaler.stop":
-        "the autoscaler's shutdown",
     "repro.naming.shard_router.RingTransition.mark_dirty":
         "RingView.mark_dirty: a transition-time write that skipped a replica",
     "repro.naming.sharded_client.ShardedGroupViewDbClient._try_renew":
@@ -134,10 +132,6 @@ EXEMPT: dict[str, str] = {
     "repro.sim.failures.FaultPlan.unskew_at": "fault seam: lease-anchor skew",
     "repro.sim.failures.FaultPlan._apply_anchor":
         "fault seam: lease-anchor skew",
-    "repro.sim.failures.StochasticFaultInjector._gray":
-        "fault seam: stochastic gray episodes",
-    "repro.sim.failures.StochasticFaultInjector._restore":
-        "fault seam: stochastic gray episodes",
     "repro.net.network.Network.add_drop_rule":
         "fault seam: a targeted message drop",
     "repro.net.network.Network.clear_drop_rules":

@@ -37,15 +37,16 @@ from repro.storage.uid import Uid
 class RecoveryManager:
     """Brings a recovered node back into St and Sv safely."""
 
+    # The sleep between attempts, and the attempt budget of one step.
+    retry_interval = 0.5
+    max_rounds = 200
+
     def __init__(self, node: Node, db_client: ShardedGroupViewDbClient,
-                 serves: list[Uid], retry_interval: float = 0.5,
-                 max_rounds: int = 200,
                  guard_interval: float | None = 2.0) -> None:
         self.node = node
         self.db = db_client
-        self.serves = list(serves)  # objects this node can run servers for
-        self.retry_interval = retry_interval
-        self.max_rounds = max_rounds
+        # Objects this node can run servers for (create_object adds).
+        self.serves: list[Uid] = []
         self.guard_interval = guard_interval
         self.recoveries_completed = 0
         self.states_refreshed = 0
@@ -226,14 +227,17 @@ class ShadowResolver:
     coordinator is silent, presume abort and discard.
     """
 
-    def __init__(self, node: Node, db_client: ShardedGroupViewDbClient,
-                 patience: float = 2.0, interval: float = 1.0) -> None:
+    # How old a shadow must be before it is resolved, and the sweep
+    # period.
+    patience = 2.0
+    interval = 1.0
+
+    def __init__(self, node: Node,
+                 db_client: ShardedGroupViewDbClient) -> None:
         if node.object_store is None:
             raise ValueError(f"{node.name} has no object store to resolve")
         self.node = node
         self.db = db_client
-        self.patience = patience
-        self.interval = interval
         self.committed = 0
         self.discarded = 0
         self._born: dict[Uid, float] = {}

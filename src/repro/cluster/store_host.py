@@ -176,22 +176,22 @@ class NameShardHost:
     :class:`~repro.cluster.janitor.Janitor` over it.
     """
 
-    def __init__(self, node: Node, db: Any,
-                 service: str = SERVICE_NAME) -> None:
+    # The client-facing service name.
+    service = SERVICE_NAME
+
+    def __init__(self, node: Node, db: Any) -> None:
         self.node = node
         self.db = db
-        self.service = service
         self.retired = False
         self.janitor: Janitor | None = None
         self._hook: Any = None
 
     @classmethod
-    def install_on(cls, node: Node, db: Any,
-                   service: str = SERVICE_NAME, *,
+    def install_on(cls, node: Node, db: Any, *,
                    fence: Callable[[], int]) -> "NameShardHost":
         """Boot hook: serve ``db`` on ``node`` now and after recoveries.
 
-        Two registrations of the same database: ``service`` is the
+        Two registrations of the same database: :attr:`service` is the
         client-facing name (recovery gating pulls it until resync
         converges) and the sync service is the always-on side door for
         replica-internal traffic.  ``fence`` -- the shared router's
@@ -211,11 +211,11 @@ class NameShardHost:
         clock for half its RPC timeout
         (:meth:`~repro.naming.group_view_db.GroupViewDatabase.park_on`).
         """
-        host = cls(node, db, service)
+        host = cls(node, db)
         db.park_on(node.rpc)
 
         def hook(n: Node) -> None:
-            n.rpc.register(service, db, fence=fence)
+            n.rpc.register(host.service, db, fence=fence)
             # The sync side door lives on the replication NIC when the
             # host runs two planes (``sync_rpc`` aliases ``rpc`` when
             # it does not), so resync/migration/repair traffic never

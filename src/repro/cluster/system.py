@@ -511,66 +511,29 @@ class DistributedSystem:
         self.db.remove_shard(name)
         self.drained_shard_hosts.append(name)
 
-    def enable_autoscaler(self, ops_per_shard: float = 200.0,
-                          interval: float = 5.0,
-                          max_shards: int = 8,
-                          low_ops_per_shard: float | None = None,
-                          min_shards: int | None = None,
-                          down_after: int = 3,
-                          p95_up: float | None = None,
-                          p95_down: float | None = None) -> ShardAutoscaler:
-        """Start the load-triggered autoscaler over the shard ring.
+    def enable_autoscaler(self, p95_up: float, interval: float,
+                          max_shards: int) -> ShardAutoscaler:
+        """Start the latency-triggered autoscaler over the shard ring.
 
-        Samples the per-shard naming-operation counters every
-        ``interval`` and grows the ring by one host whenever the
-        per-shard op rate exceeds ``ops_per_shard`` (each migration is
-        its own cooldown).  Passing ``low_ops_per_shard`` (at most half
-        the high watermark -- hysteresis) arms the scale-*down* policy:
-        after ``down_after`` consecutive quiet samples the least-loaded
-        shard host is drained, never below ``min_shards`` (default: the
-        replication factor, the floor a drain is valid at anyway).
-
-        Passing ``p95_up`` arms the latency trigger: each tick also
-        computes the windowed p95 of ``naming.get_server_latency``
-        observations (the client-side GetServer histogram) and scales
-        up when it exceeds the watermark -- the signal that catches a
-        *gray* shard host, whose op counters look normal while its
-        replies crawl.  ``p95_down`` (at most ``p95_up / 2``) blocks
-        scale-down while the window's p95 is still above it: a quiet
-        but slow ring must not shrink.
+        Every ``interval`` it takes the p95 of the new
+        ``naming.get_server_latency`` observations (the client-side
+        GetServer histogram) and grows the ring by one host, up to
+        ``max_shards``, when that p95 exceeds ``p95_up`` -- the signal
+        that catches a *gray* shard host, whose op counters look
+        normal while its replies crawl.  Each migration is its own
+        cooldown.
         """
         if self.autoscaler is not None:
             raise ValueError("the autoscaler is already running")
-        reshard = self.reshard
-        if min_shards is None:
-            min_shards = max(2, self.config.nameserver_replication)
-        latency_sample = None
-        if p95_up is not None:
-            histogram = self.metrics.histogram("naming.get_server_latency")
-            latency_sample = lambda: histogram.values
+        histogram = self.metrics.histogram("naming.get_server_latency")
         self.autoscaler = ShardAutoscaler(
-            self.scheduler, sample=self._shard_op_counts,
-            scale_up=self.add_shard_host, interval=interval,
-            ops_per_shard=ops_per_shard, max_shards=max_shards,
-            scale_down=(self.drain_shard_host
-                        if low_ops_per_shard is not None else None),
-            low_ops_per_shard=low_ops_per_shard,
-            min_shards=min_shards, down_after=down_after,
-            busy=lambda: reshard.active,
-            latency_sample=latency_sample,
-            p95_up=p95_up, p95_down=p95_down)
+            self.scheduler, latency_sample=lambda: histogram.values,
+            scale_up=self.add_shard_host,
+            shards=lambda: len(self.shard_router.nodes),
+            busy=lambda: self.reshard.active, p95_up=p95_up,
+            interval=interval, max_shards=max_shards)
         self.autoscaler.start()
         return self.autoscaler
-
-    def _shard_op_counts(self) -> dict[str, float]:
-        """Cumulative naming-op count per current shard host."""
-        ops = ("server_db.get_server", "server_db.insert",
-               "server_db.remove", "server_db.increment",
-               "server_db.decrement", "state_db.get_view",
-               "state_db.exclude", "state_db.include")
-        return {name: float(sum(
-            self.metrics.counter_value(f"shard.{name}.{op}") for op in ops))
-            for name in self.shard_router.nodes}
 
     # -- topology building ---------------------------------------------------
 
@@ -617,7 +580,7 @@ class DistributedSystem:
             ServerHost.install_on(node, self.registry)
         if self.config.enable_recovery_managers and (store or server):
             self.recovery_managers[name] = RecoveryManager(
-                node, self._make_db_client(node), serves=[])
+                node, self._make_db_client(node))
         return node
 
     def add_client(self, name: str, policy: ReplicationPolicy | None = None,
@@ -672,14 +635,9 @@ class DistributedSystem:
     def stochastic_faults(self, targets: list[str], mttf: float,
                           mttr: float | None = None,
                           stop_after: float | None = None,
-                          gray_probability: float = 0.0,
-                          degrade_factor: float = 10.0,
-                          degrade_drop: float = 0.0) -> StochasticFaultInjector:
-        injector = StochasticFaultInjector(
-            self.scheduler, self.rng, mttf, mttr, stop_after,
-            network=self.network if gray_probability > 0.0 else None,
-            gray_probability=gray_probability,
-            degrade_factor=degrade_factor, degrade_drop=degrade_drop)
+                          ) -> StochasticFaultInjector:
+        injector = StochasticFaultInjector(self.scheduler, self.rng, mttf,
+                                           mttr, stop_after)
         injector.attach_all([self.nodes[t] for t in targets])
         return injector
 

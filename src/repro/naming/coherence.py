@@ -257,7 +257,6 @@ class CoherenceHost:
 
     def __init__(self, node: "Node", db: Any, router: ShardRouter,
                  registration_ttl: float, hot_write_rate: float = 1.0,
-                 detector_window: float = 10.0,
                  metrics: MetricsRegistry | None = None) -> None:
         self.node = node
         self.db = db
@@ -270,8 +269,7 @@ class CoherenceHost:
         self.registry = LesseeRegistry(clock=lambda: node.scheduler.now,
                                        ttl=registration_ttl)
         self.detector = WriteHotDetector(clock=lambda: node.scheduler.now,
-                                         hot_rate=hot_write_rate,
-                                         window=detector_window)
+                                         hot_rate=hot_write_rate)
         self._view = GroupView.of(self.member)
         self._view_version = 0
         self._hook: Any = None

@@ -62,9 +62,10 @@ class ActionDatabase:
 
     # uid -> the subclass's entry record (each carries a ``version``).
     _entries: dict[Uid, Any]
+    # The subclass's counter prefix ("server_db" / "state_db").
+    name: str
 
-    def __init__(self, name: str, metrics: MetricsRegistry | None = None) -> None:
-        self.name = name
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self.locks = LockManager()
         self._undo: list[tuple[ActionPath, Callable[[], None]]] = []
         self.metrics = metrics or MetricsRegistry()

@@ -81,8 +81,10 @@ class ServerEntrySnapshot:
 class ObjectServerDatabase(ActionDatabase):
     """``UID -> Sv`` mappings with per-entry locking and use lists."""
 
-    def __init__(self, name: str = "server_db", **kwargs) -> None:
-        super().__init__(name, **kwargs)
+    name = "server_db"
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
         self._entries: dict[Uid, _ServerEntry] = {}
         # Decrements applied but not yet committed or aborted, one per
         # counter moved: (action path, uid, client node, host).

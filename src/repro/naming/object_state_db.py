@@ -35,9 +35,11 @@ class _StateEntry:
 class ObjectStateDatabase(ActionDatabase):
     """``UID -> St`` mappings with per-entry locking."""
 
-    def __init__(self, name: str = "state_db",
-                 use_exclude_write_lock: bool = True, **kwargs) -> None:
-        super().__init__(name, **kwargs)
+    name = "state_db"
+
+    def __init__(self, use_exclude_write_lock: bool = True,
+                 **kwargs) -> None:
+        super().__init__(**kwargs)
         self.use_exclude_write_lock = use_exclude_write_lock
         self._entries: dict[Uid, _StateEntry] = {}
 

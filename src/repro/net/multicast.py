@@ -252,16 +252,18 @@ class ReliableOrderedMulticastMember(MulticastMember):
     messages still sitting in somebody's hold-back queue).
     """
 
+    # Delivered data messages kept per group for NACKs, and frames
+    # stashed per group before a join.
+    log_capacity = 256
+    prejoin_capacity = 64
+
     def __init__(self, scheduler: Scheduler, nic: NetworkInterface,
                  demux: MessageDemux,
                  stagger: float = 0.0005, nack_delay: float = 0.05,
-                 log_capacity: int = 256, prejoin_capacity: int = 64,
                  traffic: Any = None) -> None:
         super().__init__(scheduler, nic, demux, traffic=traffic)
         self.stagger = stagger
         self.nack_delay = nack_delay
-        self.log_capacity = log_capacity
-        self.prejoin_capacity = prejoin_capacity
         self._delivery_log: dict[str, dict[int, _DataMessage]] = {}
         self._prejoin: dict[str, list[_DataMessage]] = {}
 

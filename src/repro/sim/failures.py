@@ -30,8 +30,7 @@ Two injectors are provided:
   offending event instead of silently producing nonsense.
 - :class:`StochasticFaultInjector` -- exponential crash inter-arrival
   times with configurable repair times, used by the availability
-  sweeps.  With a network and ``gray_probability`` it mixes degrades
-  into the fault stream.
+  sweeps.  It only crashes: gray faults are scripted by a plan.
 """
 
 from __future__ import annotations
@@ -306,18 +305,12 @@ class StochasticFaultInjector:
 
     Per target, crash inter-arrival times are exponential with mean
     ``mean_time_to_failure`` and downtimes are exponential with mean
-    ``mean_time_to_repair`` (or fixed if ``fixed_repair_time`` is given).
-    With ``mean_time_to_repair=None`` crashed targets never recover,
-    which models the paper's per-action fault window.
-
-    With a ``network`` and ``gray_probability > 0``, each injected
-    fault is -- with that probability -- a *gray* failure instead of a
-    crash: the target's interfaces degrade by ``degrade_factor`` (and
-    drop ``degrade_drop`` of traffic) for one repair time, then
-    restore.  The draw rides the same per-target substream, so a run
-    is bitwise-reproducible from the root seed; ``timeline`` records
-    every injected transition ``(time, target, kind)`` for exactly
-    that proof.
+    ``mean_time_to_repair``.  With ``mean_time_to_repair=None`` crashed
+    targets never recover, which models the paper's per-action fault
+    window.  Every draw rides a per-target substream, so a run is
+    bitwise-reproducible from the root seed; ``timeline`` records every
+    injected transition ``(time, target, kind)`` for exactly that
+    proof.
 
     The injector stops scheduling after ``stop_after`` virtual time so
     that runs terminate.
@@ -330,32 +323,16 @@ class StochasticFaultInjector:
         mean_time_to_failure: float,
         mean_time_to_repair: float | None = None,
         stop_after: float | None = None,
-        network: Any = None,
-        gray_probability: float = 0.0,
-        degrade_factor: float = 10.0,
-        degrade_drop: float = 0.0,
     ) -> None:
         if mean_time_to_failure <= 0:
             raise ValueError("mean_time_to_failure must be positive")
-        if not 0.0 <= gray_probability <= 1.0:
-            raise ValueError(
-                f"gray_probability out of range: {gray_probability}")
-        if gray_probability > 0.0 and network is None:
-            raise ValueError("gray faults need a network to degrade")
         self._scheduler = scheduler
         self._rng = rng
         self._mttf = mean_time_to_failure
         self._mttr = mean_time_to_repair
         self._stop_after = stop_after
-        self._network = network
-        self._gray_probability = gray_probability
-        self._degrade_factor = degrade_factor
-        self._degrade_drop = degrade_drop
-        self._degraded: set[str] = set()
         self.crashes_injected = 0
         self.recoveries_injected = 0
-        self.grays_injected = 0
-        self.restores_injected = 0
         #: Every injected transition as ``(virtual time, target, kind)``.
         self.timeline: list[tuple[float, str, str]] = []
 
@@ -378,10 +355,6 @@ class StochasticFaultInjector:
         self._scheduler.schedule(delay, self._crash, target, stream)
 
     def _crash(self, target: Crashable, stream: SeededRng) -> None:
-        if self._gray_probability > 0.0 and stream.chance(
-                self._gray_probability):
-            self._gray(target, stream)
-            return
         if target.crashed:
             # Already down (e.g. scripted fault overlapped); try again later.
             self._schedule_crash(target, stream)
@@ -399,26 +372,4 @@ class StochasticFaultInjector:
             self.recoveries_injected += 1
             self.timeline.append(
                 (self._scheduler.now, target.name, "recover"))
-        self._schedule_crash(target, stream)
-
-    def _gray(self, target: Crashable, stream: SeededRng) -> None:
-        if target.crashed or target.name in self._degraded:
-            self._schedule_crash(target, stream)
-            return
-        self._network.degrade(target.name, self._degrade_factor,
-                              self._degrade_drop)
-        self._degraded.add(target.name)
-        self.grays_injected += 1
-        self.timeline.append((self._scheduler.now, target.name, "degrade"))
-        if self._mttr is not None:
-            downtime = stream.exponential(self._mttr)
-            self._scheduler.schedule(downtime, self._restore, target, stream)
-
-    def _restore(self, target: Crashable, stream: SeededRng) -> None:
-        if target.name in self._degraded:
-            self._network.restore(target.name)
-            self._degraded.discard(target.name)
-            self.restores_injected += 1
-            self.timeline.append(
-                (self._scheduler.now, target.name, "restore"))
         self._schedule_crash(target, stream)

@@ -104,7 +104,7 @@ def _include_during_a_commit(offset):
     system.nodes["t2"].recover()
     manager = RecoveryManager(
         system.nodes["t2"], system._make_db_client(system.nodes["t2"]),
-        serves=[], guard_interval=None)
+        guard_interval=None)
 
     def recover():
         yield Timeout(offset)

@@ -135,69 +135,110 @@ def test_forget_entry_defers_to_live_actions():
     assert db.forget_entry(uid_text) is True
 
 
-class _FakeLoad:
-    """A scripted cumulative-ops sampler."""
+class _FakeLatency:
+    """A scripted GetServer latency histogram and shard ring.
 
-    def __init__(self, rates):
-        self.rates = rates  # ops/s per shard, applied per sample call
-        self.totals = {name: 0.0 for name in rates}
-        self.clock = None
+    Every 0.1 s it observes 20 samples of the current ``latency`` --
+    what clients would see of the ring.
+    """
+
+    def __init__(self, scheduler, latency, shards=2):
+        self.latency = latency
+        self.shards = shards
+        self.values = []
+        self.consumed = []  # the sample's length at each read
+
+        def observe():
+            self.values.extend([self.latency] * 20)
+            scheduler.schedule(0.1, observe)
+
+        scheduler.schedule(0.1, observe)
 
     def sample(self):
-        if self.clock is not None:
-            now = self.clock()
-            for name, rate in self.rates.items():
-                self.totals[name] = rate * now
-        return dict(self.totals)
+        self.consumed.append(len(self.values))
+        return self.values
+
+
+def _scaler(scheduler, load, scale_up, busy=lambda: False, max_shards=4,
+            interval=1.0):
+    return ShardAutoscaler(scheduler, latency_sample=load.sample,
+                           scale_up=scale_up, shards=lambda: load.shards,
+                           busy=busy, p95_up=0.05, interval=interval,
+                           max_shards=max_shards)
 
 
 def test_autoscaler_triggers_on_sustained_per_shard_load():
     scheduler = Scheduler()
-    load = _FakeLoad({"a": 500.0, "b": 500.0})
-    load.clock = lambda: scheduler.now
+    load = _FakeLatency(scheduler, latency=0.5)
     scaled = []
 
     def scale_up():
-        # Growing the ring dilutes per-shard load below the threshold.
-        load.rates = {"a": 50.0, "b": 50.0, "c": 50.0}
-        load.totals["c"] = 0.0
+        # Growing the ring brings client latency back under the mark.
+        load.latency = 0.01
+        load.shards += 1
         scaled.append(scheduler.now)
 
-    scaler = ShardAutoscaler(scheduler, sample=load.sample,
-                             scale_up=scale_up, interval=1.0,
-                             ops_per_shard=200.0, max_shards=4)
+    scaler = _scaler(scheduler, load, scale_up)
     scaler.start()
     scheduler.run(until=10.0)
-    assert len(scaled) == 1, "one scale-up must absorb the load spike"
-    assert scaler.last_rate_per_shard < 200.0
-    assert scaler.samples_taken >= 5
+    assert scaled == [1.0], "one scale-up must absorb the latency spike"
+    assert scaler.scale_ups_triggered == 1
+    assert scaler.last_p95 == 0.01
+
+
+def test_autoscaler_window_at_or_below_the_mark_never_scales():
+    scheduler = Scheduler()
+    load = _FakeLatency(scheduler, latency=0.05)  # exactly p95_up
+    scaled = []
+    scaler = _scaler(scheduler, load, lambda: scaled.append(1))
+    scaler.start()
+    scheduler.run(until=10.0)
+    assert scaled == []
+    assert scaler.last_p95 == 0.05
 
 
 def test_autoscaler_respects_max_shards_and_busy():
     scheduler = Scheduler()
-    load = _FakeLoad({"a": 500.0})
-    load.clock = lambda: scheduler.now
+    load = _FakeLatency(scheduler, latency=0.5, shards=1)
     scaled = []
-    scaler = ShardAutoscaler(scheduler, sample=load.sample,
-                             scale_up=lambda: scaled.append(1), interval=1.0,
-                             ops_per_shard=100.0, max_shards=1)
+    scaler = _scaler(scheduler, load, lambda: scaled.append(1),
+                     max_shards=1)
     scaler.start()
     scheduler.run(until=5.0)
     assert scaled == [], "a ring at max_shards must never grow"
 
-    busy_scaler = ShardAutoscaler(scheduler, sample=load.sample,
-                                  scale_up=lambda: scaled.append(1),
-                                  interval=1.0, ops_per_shard=100.0,
-                                  max_shards=4, busy=lambda: True)
+    busy_scaler = _scaler(scheduler, load, lambda: scaled.append(1),
+                          busy=lambda: True)
     busy_scaler.start()
     scheduler.run(until=10.0)
     assert scaled == [], "a migrating ring must not trigger another change"
 
 
+def test_autoscaler_consumes_the_window_while_busy():
+    scheduler = Scheduler()
+    load = _FakeLatency(scheduler, latency=0.5)
+    busy = [True]
+    scaled = []
+    scaler = _scaler(scheduler, load, lambda: scaled.append(scheduler.now),
+                     busy=lambda: busy[0])
+    scaler.start()
+    scheduler.run(until=3.5)
+    assert scaled == []
+    assert len(load.consumed) == 3, "every busy tick reads the window"
+    assert scaler.last_p95 == 0.5
+    # The ring cools while still busy; once idle, the first window
+    # holds only the cool interval, not the hot busy-era backlog.
+    load.latency = 0.01
+    scheduler.run(until=4.5)
+    busy[0] = False
+    scheduler.run(until=10.0)
+    assert scaled == []
+    assert scaler.last_p95 == 0.01
+
+
 def test_autoscaler_waits_out_the_migration_as_cooldown():
     scheduler = Scheduler()
-    load = _FakeLoad({"a": 500.0})
-    load.clock = lambda: scheduler.now
+    load = _FakeLatency(scheduler, latency=0.5)
     started = []
 
     def fake_migration():
@@ -207,34 +248,20 @@ def test_autoscaler_waits_out_the_migration_as_cooldown():
         started.append(scheduler.now)
         return scheduler.spawn(fake_migration(), name="fake-migration")
 
-    scaler = ShardAutoscaler(scheduler, sample=load.sample,
-                             scale_up=scale_up, interval=1.0,
-                             ops_per_shard=100.0, max_shards=8)
+    scaler = _scaler(scheduler, load, scale_up, max_shards=8)
     scaler.start()
-    scheduler.run(until=7.0)
-    assert len(started) >= 1
-    if len(started) > 1:
-        assert started[1] - started[0] >= 5.0, \
-            "the second trigger must wait out the first migration"
-
-
-def test_autoscaler_stop_ends_the_loop():
-    scheduler = Scheduler()
-    load = _FakeLoad({"a": 500.0})
-    scaled = []
-    scaler = ShardAutoscaler(scheduler, sample=load.sample,
-                             scale_up=lambda: scaled.append(1), interval=1.0,
-                             ops_per_shard=100.0)
-    scaler.start()
-    scaler.stop()
-    scheduler.run(until=5.0)
-    assert scaled == []
+    scheduler.run(until=9.0)
+    assert started == [1.0, 7.0], \
+        "the second trigger must wait out the first migration"
+    # The migration-era window is dropped when it ends (6.0): the tick
+    # after it (7.0) reads one interval of latency, not six.
+    assert load.consumed[:3] == [200, 1200, 1400]
 
 
 def test_autoscaler_rejects_bad_interval():
     with pytest.raises(ValueError):
-        ShardAutoscaler(Scheduler(), sample=dict, scale_up=lambda: None,
-                        interval=0.0)
+        _scaler(Scheduler(), _FakeLatency(Scheduler(), 0.0), lambda: None,
+                interval=0.0)
 
 
 def test_mark_dirty_unconfirms_arcs():
@@ -316,88 +343,3 @@ def test_a_copy_pass_waits_out_a_short_lived_source_lock():
     assert converged is False  # copied: a later pass confirms it
     assert record["entries_copied"] == 1
     assert dbs["shard-c"].knows(uid)
-
-
-def test_autoscaler_scale_down_needs_a_full_quiet_cooldown():
-    scheduler = Scheduler()
-    load = _FakeLoad({"a": 1.0, "b": 0.0, "c": 2.0})
-    load.clock = lambda: scheduler.now
-    drained = []
-    scaler = ShardAutoscaler(scheduler, sample=load.sample,
-                             scale_up=lambda: None, interval=1.0,
-                             ops_per_shard=200.0,
-                             scale_down=drained.append,
-                             low_ops_per_shard=50.0,
-                             min_shards=2, down_after=3)
-    scaler.start()
-    scheduler.run(until=2.5)
-    assert drained == [], "two quiet samples are not a cooldown"
-    scheduler.run(until=10.0)
-    assert drained, "a full quiet cooldown must trigger the drain"
-    assert drained[0] == "b", "the least-loaded host is the victim"
-
-
-def test_autoscaler_scale_down_respects_min_shards():
-    scheduler = Scheduler()
-    load = _FakeLoad({"a": 0.0, "b": 0.0})
-    load.clock = lambda: scheduler.now
-    drained = []
-    scaler = ShardAutoscaler(scheduler, sample=load.sample,
-                             scale_up=lambda: None, interval=1.0,
-                             ops_per_shard=200.0,
-                             scale_down=drained.append,
-                             low_ops_per_shard=50.0,
-                             min_shards=2, down_after=2)
-    scaler.start()
-    scheduler.run(until=10.0)
-    assert drained == [], "a ring at min_shards must never drain"
-
-
-def test_autoscaler_quiet_streak_resets_on_a_loud_sample():
-    scheduler = Scheduler()
-    load = _FakeLoad({"a": 10.0, "b": 10.0, "c": 10.0})
-    load.clock = lambda: scheduler.now
-    drained = []
-    scaler = ShardAutoscaler(scheduler, sample=load.sample,
-                             scale_up=lambda: None, interval=1.0,
-                             ops_per_shard=200.0,
-                             scale_down=drained.append,
-                             low_ops_per_shard=50.0,
-                             min_shards=2, down_after=3)
-    scaler.start()
-
-    def spike():
-        # One loud sample mid-cooldown: every shard jumps for a second.
-        load.rates = {"a": 500.0, "b": 500.0, "c": 500.0}
-        scheduler.schedule(1.0, lambda: load.rates.update(
-            {"a": 10.0, "b": 10.0, "c": 10.0}))
-
-    scheduler.schedule(2.5, spike)
-    scheduler.run(until=4.5)
-    assert drained == [], "the spike must restart the quiet streak"
-    scheduler.run(until=10.0)
-    assert drained, "quiet re-sustained past the spike drains again"
-
-
-def test_autoscaler_hysteresis_rejects_overlapping_watermarks():
-    with pytest.raises(ValueError):
-        ShardAutoscaler(Scheduler(), sample=dict, scale_up=lambda: None,
-                        ops_per_shard=100.0, low_ops_per_shard=60.0,
-                        scale_down=lambda name: None)
-
-
-def test_autoscaler_busy_freezes_the_quiet_streak():
-    scheduler = Scheduler()
-    load = _FakeLoad({"a": 0.0, "b": 0.0, "c": 0.0})
-    load.clock = lambda: scheduler.now
-    drained = []
-    scaler = ShardAutoscaler(scheduler, sample=load.sample,
-                             scale_up=lambda: None, interval=1.0,
-                             ops_per_shard=200.0,
-                             scale_down=drained.append,
-                             low_ops_per_shard=50.0,
-                             min_shards=2, down_after=2,
-                             busy=lambda: True)
-    scaler.start()
-    scheduler.run(until=10.0)
-    assert drained == [], "a migrating ring must not also drain"

@@ -221,47 +221,21 @@ def test_stochastic_injector_stop_after_cutoff():
 
 
 def test_stochastic_injector_timeline_is_bitwise_deterministic():
-    """Same seed -> identical timeline, including gray draws."""
+    """Same seed -> identical timeline; each target's draws ride its
+    own substream, so one target's schedule ignores the others'."""
 
-    def run(seed):
+    def run(seed, names=("a", "b")):
         s = Scheduler()
-        net = FakeNetwork()
-        targets = [FakeTarget("a"), FakeTarget("b")]
         injector = StochasticFaultInjector(
             s, SeededRng(seed), mean_time_to_failure=4.0,
-            mean_time_to_repair=1.0, stop_after=300.0,
-            network=net, gray_probability=0.5, degrade_factor=25.0)
-        injector.attach_all(targets)
+            mean_time_to_repair=1.0, stop_after=300.0)
+        injector.attach_all([FakeTarget(name) for name in names])
         s.run(until=400.0)
         return injector.timeline
 
     first, second = run(13), run(13)
     assert first == second
     assert first != run(14)
-    kinds = {kind for _t, _n, kind in first}
-    assert "degrade" in kinds and "crash" in kinds
-
-
-def test_stochastic_injector_gray_faults_degrade_and_restore():
-    s = Scheduler()
-    net = FakeNetwork()
-    target = FakeTarget("n")
-    injector = StochasticFaultInjector(
-        s, SeededRng(21), mean_time_to_failure=3.0,
-        mean_time_to_repair=1.0, stop_after=200.0,
-        network=net, gray_probability=1.0,
-        degrade_factor=10.0, degrade_drop=0.1)
-    injector.attach(target)
-    s.run(until=300.0)
-    assert injector.grays_injected > 5
-    assert injector.restores_injected > 5
-    assert injector.crashes_injected == 0
-    assert target.transitions == []  # gray means up-but-slow, never down
-    assert ("degrade", "n", 10.0, 0.1) in net.calls
-    assert ("restore", "n") in net.calls
-
-
-def test_stochastic_injector_gray_needs_network():
-    with pytest.raises(ValueError, match="need a network"):
-        StochasticFaultInjector(Scheduler(), SeededRng(1), 1.0,
-                                gray_probability=0.5)
+    assert {kind for _t, _n, kind in first} == {"crash", "recover"}
+    assert {name for _t, name, _k in first} == {"a", "b"}
+    assert [event for event in first if event[1] == "a"] == run(13, ("a",))
