@@ -1,4 +1,4 @@
-"""S4 -- the two-plane network and the weighted partition ring.
+"""S4 -- the two-plane network and the partition ring.
 
 Replica maintenance -- resync after a crash, the anti-entropy sweep,
 migration copy passes -- is background work, but on a
@@ -19,11 +19,11 @@ a full-arc resync -- against both topologies.  The acceptance shape:
 - the traffic meters prove the split (sync-plane RPCs are zero when
   shared -- they *are* the client-plane excess).
 
-Experiment 2 measures the weighted ring itself, no simulation needed:
-partition balance across heterogeneous host weights (max/mean load),
-and the bounded-movement contract -- a weight change moves no more
+Experiment 2 measures the ring itself, no simulation needed:
+partition balance across six hosts (max over the fair share), and the
+bounded-movement contract -- a host joining the ring moves no more
 partitions than :meth:`ShardRouter.movement_bound` predicts from the
-weight delta.
+points it adds.
 """
 
 import pytest
@@ -76,49 +76,36 @@ def test_dedicated_sync_nic_shields_client_tail_latency(benchmark):
 
 
 @pytest.mark.benchmark(group="sync_plane")
-def test_weighted_ring_balance_and_bounded_movement(benchmark):
+def test_ring_balance_and_bounded_movement(benchmark):
     def experiment():
         hosts = [f"namenode{i}" for i in range(6)]
-        weights = {"namenode0": 2.0, "namenode1": 0.5}
-
-        def balance_row(label, router):
-            spread = router.partition_spread()
-            total_weight = sum(router.weight_of(n) for n in router.nodes)
-            worst = max(
-                spread[n] / (router.partition_count
-                             * router.weight_of(n) / total_weight)
-                for n in router.nodes)
-            return {
-                "ring": label,
-                "partitions": router.partition_count,
-                "max_partitions": max(spread.values()),
-                "mean_partitions": (router.partition_count
-                                    / len(router.nodes)),
-                "max_over_fair_share": worst,
-                "spread": spread,
-            }
-
-        uniform = ShardRouter(hosts, partition_power=10)
-        weighted = ShardRouter(hosts, partition_power=10, weights=weights)
-        rows = [balance_row("uniform", uniform),
-                balance_row("weighted 2.0/0.5", weighted)]
-
-        # The movement contract: re-weight one live host and compare
-        # the exact staged diff against the analytic cap.
-        target = weighted.clone()
-        target.set_weight("namenode2", 1.5)
-        moved = weighted.moved_partitions(target, 2)
-        movement = {
-            "change": "namenode2: 1.0 -> 1.5",
-            "partitions_total": weighted.partition_count,
-            "partitions_moved": len(moved),
-            "movement_bound": weighted.movement_bound(target, 2),
+        ring = ShardRouter(hosts, partition_power=10)
+        spread = ring.partition_spread()
+        fair = ring.partition_count / len(ring.nodes)
+        balance = {
+            "ring": "uniform",
+            "partitions": ring.partition_count,
+            "max_partitions": max(spread.values()),
+            "mean_partitions": fair,
+            "max_over_fair_share": max(spread.values()) / fair,
+            "spread": spread,
         }
-        return {"balance": rows, "movement": movement}
+
+        # The movement contract: a host joins the live ring; compare
+        # the exact staged diff against the analytic cap.
+        target = ring.clone()
+        target.add_node("namenode6")
+        movement = {
+            "change": "+namenode6",
+            "partitions_total": ring.partition_count,
+            "partitions_moved": len(ring.moved_partitions(target, 2)),
+            "movement_bound": ring.movement_bound(target, 2),
+        }
+        return {"balance": [balance], "movement": movement}
 
     result = once(benchmark, experiment)
 
-    table = Table("S4b: weighted ring balance (1024 partitions, 6 hosts)",
+    table = Table("S4b: ring balance (1024 partitions, 6 hosts)",
                   ["ring", "max partitions", "fair mean",
                    "max / fair share"])
     for row in result["balance"]:
@@ -127,7 +114,8 @@ def test_weighted_ring_balance_and_bounded_movement(benchmark):
     table.show()
 
     movement = result["movement"]
-    moved_table = Table("S4b: bounded movement on a weight change",
+    moved_table = Table("S4b: bounded movement on a host add "
+                        "(replication 2)",
                         ["change", "moved", "total", "predicted bound"])
     moved_table.add_row(movement["change"], movement["partitions_moved"],
                         movement["partitions_total"],
@@ -135,10 +123,10 @@ def test_weighted_ring_balance_and_bounded_movement(benchmark):
     moved_table.show()
 
     for row in result["balance"]:
-        # Every host's partition share stays within 2x its weight's
-        # fair share -- the vnode count is what buys this.
+        # Every host's partition share stays within 2x the fair share
+        # -- the vnode count is what buys this.
         assert row["max_over_fair_share"] <= 2.0, row
     assert 0 < movement["partitions_moved"] <= movement["movement_bound"], \
-        "a weight change must move something, and no more than predicted"
+        "a host add must move something, and no more than predicted"
     assert movement["movement_bound"] < movement["partitions_total"], \
         "the predicted movement must be a real bound, not 'everything'"

@@ -47,6 +47,7 @@ from repro.net.multicast import (
 )
 from repro.net.network import Network, NetworkInterface
 from repro.net.rpc import RpcAgent
+from repro.sim.errors import ProcessKilled
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
@@ -158,6 +159,10 @@ class Node:
         # Live processes in spawn order (crash() kills them in it); each
         # removes itself when it settles.
         self._processes: dict[Process, None] = {}
+        # (process name, exception) of every process that ended by an
+        # exception other than a kill: a daemon that died, which the
+        # scenario runner reports.
+        self.deaths: list[tuple[str, BaseException]] = []
         self.crash_count = 0
         self.recover_count = 0
         self.outcomes = Outcomes(name)
@@ -240,6 +245,9 @@ class Node:
 
     def _forget_process(self, process: Process) -> None:
         self._processes.pop(process, None)
+        error = process.exception()
+        if error is not None and not isinstance(error, ProcessKilled):
+            self.deaths.append((process.label, error))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self._crashed else "up"

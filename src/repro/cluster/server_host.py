@@ -29,6 +29,7 @@ from repro.core.objects import ObjectClassRegistry, PersistentObject, operation_
 from repro.net.errors import RpcError
 from repro.net.groups import GroupView
 from repro.net.multicast import MulticastDelivery
+from repro.sim.errors import ProcessKilled
 from repro.sim.futures import Future
 from repro.sim.process import Process
 from repro.storage.uid import Uid
@@ -233,15 +234,23 @@ class ServerHost:
             parked, server, action_path, op, args), name="parked-invoke"))
 
     def _when_granted(self, parked: Future, server: ObjectServer,
-                      action_path: tuple[int, ...], op: str,
-                      args: tuple) -> Generator[Any, Any, Any]:
+                      action_path: tuple[int, ...], op: str, args: tuple,
+                      ) -> Generator[Any, Any, tuple[Any, Exception | None]]:
+        """Resolves to ``(value, error)``: a refused lock or a raising
+        operation is this request's error reply, which :func:`_joined`
+        raises in the RPC handler -- not the death of a node process
+        (``Node.deaths``).  Only a crash's kill ends it unresolved."""
         started = self._node.scheduler.now
         try:
             yield parked
+            return server.run(action_path, op, tuple(args)), None
+        except ProcessKilled:
+            raise
+        except Exception as exc:
+            return None, exc
         finally:
             self._node.metrics.histogram("lock_wait").observe(
                 self._node.scheduler.now - started)
-        return server.run(action_path, op, tuple(args))
 
     def _enter(self, action_path: tuple[int, ...], uid_text: str,
                ref: str) -> ObjectServer:
@@ -363,7 +372,10 @@ class ServerHost:
 
 
 def _joined(process: Process) -> Generator[Any, Any, Any]:
-    return (yield process)
+    value, error = yield process
+    if error is not None:
+        raise error
+    return value
 
 
 def _is_prefix(prefix: tuple[int, ...], path: tuple[int, ...]) -> bool:

@@ -396,23 +396,21 @@ class DistributedSystem:
 
     # -- online resharding --------------------------------------------------
 
-    def add_shard_host(self, name: str | None = None,
-                       weight: float = 1.0) -> Process:
+    def add_shard_host(self, name: str | None = None) -> Process:
         """Grow the shard ring by one host, live, under traffic.
 
         Boots the host (node, database, services, daemons) immediately
         -- it serves the naming RPC surface but owns nothing -- then
         runs the ReshardManager's migration epoch: dual-ownership
         copy of the moving partitions, atomic epoch flip, garbage
-        collection.  ``weight`` sets the host's share of the ring
-        (vnodes, hence partitions) relative to a weight-1.0 host.
-        Returns the migration :class:`~repro.sim.process.Process`; the
-        system keeps serving throughout, so callers only wait on it to
-        learn when the new capacity is fully owned.
+        collection.  Returns the migration
+        :class:`~repro.sim.process.Process`; the system keeps serving
+        throughout, so callers only wait on it to learn when the new
+        capacity is fully owned.
         """
         if name is None:
             [name] = self._new_shard_names(1)
-        return self.plan_rebalance(add=[name], weights={name: weight})
+        return self.plan_rebalance(add=[name])
 
     def drain_shard_host(self, name: str) -> Process:
         """Shrink the shard ring by one host, live, under traffic.
@@ -439,16 +437,12 @@ class DistributedSystem:
         return names
 
     def plan_rebalance(self, add: int | list[str] = 0,
-                       remove: list[str] | None = None,
-                       weights: dict[str, float] | None = None) -> Process:
+                       remove: list[str] | None = None) -> Process:
         """Move several shard hosts in *one* live migration epoch.
 
         ``add`` is either a count (hosts are auto-named like
         :meth:`add_shard_host`) or explicit names; ``remove`` names
-        current shard hosts to drain; ``weights`` assigns boot weights
-        for added hosts and weight *changes* for live hosts (a
-        weight-only plan is valid -- nothing joins or leaves, only
-        partition ownership shifts).  Every added host is booted
+        current shard hosts to drain.  Every added host is booted
         immediately (serving but owning nothing), then the whole plan
         is staged as a single ring transition: one dual-ownership
         window, one copy pipeline over the staged partition diff, one
@@ -463,10 +457,6 @@ class DistributedSystem:
                              "sharded")
         if self.reshard.active:
             raise ValueError("a ring membership change is already migrating")
-        removed = list(remove or [])
-        for name in removed:
-            if name not in self.shard_router.nodes:
-                raise ValueError(f"not a shard host: {name}")
         if isinstance(add, int):
             added = self._new_shard_names(add)
         else:
@@ -477,14 +467,12 @@ class DistributedSystem:
         # Validate the whole plan BEFORE booting anything: a plan the
         # manager would reject must not leave orphan shard hosts booted
         # and serving but never on the ring.
-        added, removed, reweighted = self.reshard.validate_plan(
-            added, removed, weights)
+        added, removed = self.reshard.validate_plan(added, remove or [])
         for name in added:
             self.db.add_shard(name, self._boot_shard_host(name))
 
         # Claims the migration slot synchronously (see ReshardManager).
-        migration = self.reshard.plan_rebalance(add=added, remove=removed,
-                                                weights=weights)
+        migration = self.reshard.plan_rebalance(add=added, remove=removed)
 
         def drain() -> Generator[Any, Any, dict[str, Any]]:
             outcome = yield from migration
@@ -492,10 +480,8 @@ class DistributedSystem:
                 self._retire_shard_host(name)
             return outcome
 
-        label = f"+{len(added)}/-{len(removed)}"
-        if reweighted:
-            label += f"/~{len(reweighted)}"
-        return self.scheduler.spawn(drain(), name=f"reshard-plan:{label}")
+        return self.scheduler.spawn(
+            drain(), name=f"reshard-plan:+{len(added)}/-{len(removed)}")
 
     def _retire_shard_host(self, name: str) -> None:
         """Take a fully-drained host out of every naming-service path."""
@@ -692,3 +678,12 @@ class DistributedSystem:
             if version:
                 versions[name] = version
         return versions
+
+    @property
+    def process_deaths(self) -> list[tuple[str, BaseException]]:
+        """``(process, exception)`` of every node process that ended by
+        an exception other than a kill (``Node.deaths``), node by node.
+        A daemon that dies fails only its own future; this is where a
+        run learns of it."""
+        return [death for node in self.nodes.values()
+                for death in node.deaths]

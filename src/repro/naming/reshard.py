@@ -1,4 +1,4 @@
-"""Online resharding: grow, shrink, or rebalance the ring under traffic.
+"""Online resharding: grow or shrink the ring under traffic.
 
 PR 1 sharded the group-view database over a consistent-hash ring and
 PR 2 replicated each ring arc, but membership was still fixed at boot.
@@ -164,46 +164,22 @@ class ReshardManager:
 
     def validate_plan(self, add: Sequence[str] = (),
                       remove: Sequence[str] = (),
-                      weights: "Mapping[str, float] | None" = None,
-                      ) -> tuple[list[str], list[str], dict[str, float]]:
-        """Check a rebalance plan; returns (add, remove, reweighted).
+                      ) -> tuple[list[str], list[str]]:
+        """Check a rebalance plan; returns (add, remove), deduplicated.
 
-        ``weights`` assigns per-host weights: for a host in ``add`` its
-        boot weight, for a host already on the ring a weight *change*
-        (the returned ``reweighted`` dict keeps only the entries that
-        actually differ from the live ring).  Raises ``ValueError`` on
-        an empty plan (nothing added, removed, or re-weighted), an
-        add/remove overlap, an add already on the ring, an unknown
-        remove, a non-positive or unplaceable weight, or a plan that
-        would leave fewer hosts than the replication factor.  Exposed
-        so callers can validate *before* spending anything on the plan
-        (the system harness boots new hosts first -- a plan rejected
-        after booting would leak orphan shard hosts).
+        Raises ``ValueError`` on an empty plan (nothing added or
+        removed), an add already on the ring, an unknown remove (so no
+        host is both added and removed), or a plan that would leave
+        fewer hosts than the replication factor.  Exposed so callers
+        can validate *before* spending anything on the plan (the system
+        harness boots new hosts first -- a plan rejected after booting
+        would leak orphan shard hosts).
         """
         added = list(dict.fromkeys(add))
         removed = list(dict.fromkeys(remove))
-        weights = dict(weights or {})
-        for name, weight in weights.items():
-            if weight <= 0:
-                raise ValueError(
-                    f"shard weight must be positive: {name}={weight}")
-            if name not in added and name not in self.router.nodes:
-                raise ValueError(
-                    f"weight for a host neither on the ring nor added: "
-                    f"{name}")
-            if name in removed:
-                raise ValueError(f"cannot re-weight a host being removed: "
-                                 f"{name}")
-        reweighted = {name: weight for name, weight in weights.items()
-                      if name in self.router.nodes
-                      and self.router.weight_of(name) != weight}
-        if not added and not removed and not reweighted:
-            raise ValueError("a rebalance plan must move at least one host "
-                             "or change a weight")
-        overlap = set(added) & set(removed)
-        if overlap:
-            raise ValueError(f"hosts both added and removed: "
-                             f"{sorted(overlap)}")
+        if not added and not removed:
+            raise ValueError("a rebalance plan must add or remove at least "
+                             "one host")
         for name in added:
             if name in self.router.nodes:
                 raise ValueError(f"shard node already on the ring: {name}")
@@ -215,13 +191,12 @@ class ReshardManager:
             raise ValueError(
                 f"cannot rebalance below the replication factor: "
                 f"{survivors} hosts < replication {self.replication}")
-        return added, removed, reweighted
+        return added, removed
 
     def plan_rebalance(self, add: Sequence[str] = (),
                        remove: Sequence[str] = (),
-                       weights: "Mapping[str, float] | None" = None,
                        ) -> Generator[Any, Any, dict[str, Any]]:
-        """Move several hosts (and/or weights) in *one* migration epoch.
+        """Move several hosts in *one* migration epoch.
 
         The whole plan is staged as a single transition -- one dual-
         ownership window, one copy pipeline over the staged partition
@@ -236,40 +211,18 @@ class ReshardManager:
         claimed and the transition staged *synchronously* at this call
         -- two same-instant requests cannot both pass -- so the returned
         generator must be driven to completion.
-
-        A weight-only plan (``weights`` naming live hosts, nothing
-        added or removed) runs the very same staged-epoch flow: the
-        re-weighted target ring is staged, only the partitions whose
-        preference lists changed are copied, and the flip applies the
-        new weights to the live router.
         """
-        added, removed, reweighted = self.validate_plan(add, remove, weights)
-        boot_weights = {name: dict(weights or {}).get(name, 1.0)
-                        for name in added}
-        target = self.router.clone()
-        for name in added:
-            target.add_node(name, weight=boot_weights[name])
-        for name in removed:
-            target.remove_node(name)
-        for name, weight in reweighted.items():
-            target.set_weight(name, weight)
-        return self._migrate(target, added=added, removed=removed,
-                             boot_weights=boot_weights, reweighted=reweighted)
-
-    # -- the migration epoch -------------------------------------------------
-
-    def _migrate(self, target: ShardRouter, added: list[str],
-                 removed: list[str],
-                 boot_weights: dict[str, float] | None = None,
-                 reweighted: dict[str, float] | None = None,
-                 ) -> Generator[Any, Any, dict[str, Any]]:
+        added, removed = self.validate_plan(add, remove)
         # Synchronous prologue: claim the slot and stage dual ownership
         # before the migration process first runs.
         if self.active:
             raise ReshardInProgress(
                 "a ring membership change is already migrating")
-        boot_weights = boot_weights or {}
-        reweighted = reweighted or {}
+        target = self.router.clone()
+        for name in added:
+            target.add_node(name)
+        for name in removed:
+            target.remove_node(name)
         # The staged diff: exactly the partitions whose preference list
         # differs between the live and target rings.  Copy passes skip
         # every entry outside it, and the record carries both the exact
@@ -279,7 +232,6 @@ class ReshardManager:
                                                        self.replication))
         record: dict[str, Any] = {
             "added": list(added), "removed": list(removed),
-            "reweighted": dict(reweighted),
             "epoch": target.epoch,
             "partitions_total": target.partition_count,
             "partitions_moved": len(moved),
@@ -296,17 +248,14 @@ class ReshardManager:
         # the shard services reject any request still routed by a
         # pre-stage view, so no settle interval is needed before the
         # copy passes may trust the sources' version probes.
-        self.router.transition = RingTransition(
-            target, epoch=target.epoch,
-            added=tuple(added), removed=tuple(removed),
-            reweighted=tuple(sorted(reweighted.items())),
-            partitions=moved)
-        return self._drain_epoch(target, added, removed, boot_weights,
-                                 reweighted, record)
+        self.router.transition = RingTransition(target, epoch=target.epoch,
+                                                partitions=moved)
+        return self._drain_epoch(target, added, removed, record)
+
+    # -- the migration epoch -------------------------------------------------
 
     def _drain_epoch(self, target: ShardRouter, added: list[str],
-                     removed: list[str], boot_weights: dict[str, float],
-                     reweighted: dict[str, float],
+                     removed: list[str],
                      record: dict[str, Any]) -> Generator[Any, Any,
                                                           dict[str, Any]]:
         try:
@@ -328,11 +277,9 @@ class ReshardManager:
         # union view is rejected and re-routed, never half-applied).
         old_ring = self.router.clone()
         for name in added:
-            self.router.add_node(name, weight=boot_weights.get(name, 1.0))
+            self.router.add_node(name)
         for name in removed:
             self.router.remove_node(name)
-        for name, weight in reweighted.items():
-            self.router.set_weight(name, weight)
         self.router.transition = None
         record["flipped_at"] = self.node.scheduler.now
         self.metrics.counter("reshard.flips").increment()

@@ -1,15 +1,12 @@
-"""Weighted consistent-hash routing of group-view entries to store hosts.
+"""Consistent-hash routing of group-view entries to store hosts.
 
 The paper implements the group-view database "as a single Arjuna
 object" on one node; every ``GetServer``/``Increment``/``Decrement``
 from every client funnels through it.  :class:`ShardRouter` removes
-that ceiling the way OpenStack Swift's ring does, with both of Swift's
-ring ingredients:
+that ceiling the way OpenStack Swift's ring does:
 
-- **weighted virtual nodes** -- each store host claims
-  ``round(weight * replicas)`` points on a 2^32 hash ring, so a host
-  with weight 2.0 owns about twice the keyspace of a weight-1.0 host
-  (heterogeneous hardware without special cases);
+- **virtual nodes** -- each store host claims ``replicas`` points on a
+  2^32 hash ring;
 - **fixed partitions** -- the keyspace is pre-split into
   ``2**partition_power`` equal arcs ("partitions"); a key belongs to
   the partition selected by the top ``partition_power`` bits of its
@@ -22,20 +19,19 @@ ring ingredients:
 Properties the naming layer relies on:
 
 - **determinism** -- the mapping is a pure function of the host names,
-  weights, replica count, and partition power, so every client, shard
-  host, and recovery daemon computes the same placement without
-  coordination (hashes come from :func:`hashlib.md5`, not Python's
-  salted ``hash``); two virtual nodes colliding on the same ring point
-  are ordered by owner name, so ownership never depends on insertion
+  replica count, and partition power, so every client, shard host, and
+  recovery daemon computes the same placement without coordination
+  (hashes come from :func:`hashlib.md5`, not Python's salted
+  ``hash``); two virtual nodes colliding on the same ring point are
+  ordered by owner name, so ownership never depends on insertion
   order;
 - **balance** -- with enough virtual nodes per host the partitions are
-  split near-evenly in proportion to weight, so binding traffic
-  spreads across shards;
-- **stability** -- membership and weight changes move a *bounded*
-  number of partitions.  A weight change only adds or removes the
-  host's highest-index virtual nodes (existing points never move), so
-  a partition's preference list changes only if one of the delta
-  points landed inside its walk; :meth:`ShardRouter.moved_partitions`
+  split near-evenly, so binding traffic spreads across shards;
+- **stability** -- a membership change moves a *bounded* number of
+  partitions.  Adding or draining a host adds or removes exactly that
+  host's points (every other point stays where it is), so a
+  partition's preference list changes only if one of those points
+  landed inside its walk; :meth:`ShardRouter.moved_partitions`
   computes the exact moved set and :meth:`ShardRouter.movement_bound`
   a deterministic a-priori cap on its size.
 
@@ -52,20 +48,19 @@ when it is defined (:meth:`ShardRouter.place`): greedy least-loaded
 allocation at insert time (Azar, Broder, Karlin & Upfal, "Balanced
 Allocations", STOC 1994), with every distinct replica set on the ring
 as a choice.  The primary is the host with the fewest entries as
-primary per unit of weight, the other ``n - 1`` the hosts with the
-fewest entries as a replica; the key then takes the nearest partition
-clockwise of its hash partition whose preference list is exactly that
-set.  A key that left its hash partition is recorded in an append-only
-exception table, which :meth:`ShardRouter.partition_of` consults first
-and every clone shares -- the table is ring state, as Swift's explicit
-partition -> device table is part of its ring file.  A key's partition
-never changes after it is defined; partitions move between hosts
-exactly as before, so migration, fencing, resync and every audit that
-asks ``partition_of`` / ``preference_list`` need not know placement
-exists.
+primary, the other ``n - 1`` the hosts with the fewest entries as a
+replica; the key then takes the nearest partition clockwise of its
+hash partition whose preference list is exactly that set.  A key that
+left its hash partition is recorded in an append-only exception table,
+which :meth:`ShardRouter.partition_of` consults first and every clone
+shares -- the table is ring state, as Swift's explicit partition ->
+device table is part of its ring file.  A key's partition never
+changes after it is defined; partitions move between hosts exactly as
+before, so migration, fencing, resync and every audit that asks
+``partition_of`` / ``preference_list`` need not know placement exists.
 
-**Online resharding** (see :mod:`repro.naming.reshard`) grows, shrinks,
-or re-weights a *live* ring.  The change is first staged as a
+**Online resharding** (see :mod:`repro.naming.reshard`) grows or
+shrinks a *live* ring.  The change is first staged as a
 :class:`RingTransition` hanging off the shared router: the live ring
 keeps serving as the *old* epoch while ``transition.target`` holds the
 proposed ring, and every client writes through the union of the two
@@ -84,7 +79,7 @@ as a :class:`RingView` -- an immutable snapshot of the membership, the
 staged transition (if any), and the *fence epoch*, a monotonic token
 (:attr:`ShardRouter.fence_epoch`) that advances on every observable
 routing change: staging a transition, flipping it, aborting it, or any
-direct membership or weight mutation.  Clients tag each RPC with their
+direct membership mutation.  Clients tag each RPC with their
 view's token; shard services registered with the fence reject a
 mismatched tag with :class:`~repro.net.errors.StaleRingEpoch` *at
 dispatch time* (after any service-queue delay), so a request routed by
@@ -109,7 +104,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 
 DEFAULT_RING_REPLICAS = 64
@@ -126,7 +121,7 @@ _HASH_BITS = 32
 # Preference-list walks are recomputed on every routing decision; the
 # set of partitions is finite and small, so a bounded memo pays for
 # itself on every operation.  Caches are per-ring and flushed by every
-# membership *and* weight mutation.
+# membership mutation.
 _PLIST_CACHE_CAP = 4096
 
 
@@ -165,12 +160,10 @@ class RingTransition:
 
     While a transition is attached to the live router, the live ring is
     the *old* epoch (reads prefer it) and ``target`` is the proposed
-    ring (writes also flow to its owners).  ``added``/``removed`` name
-    the membership delta and ``reweighted`` the weight delta for
-    observers; ``epoch`` is the epoch the flip will land on.
-    ``partitions``, when set, is the exact set of partitions whose
-    preference list differs between the two rings -- the only entries a
-    migration pass needs to touch.
+    ring (writes also flow to its owners); ``epoch`` is the epoch the
+    flip will land on.  ``partitions``, when set, is the exact set of
+    partitions whose preference list differs between the two rings --
+    the only entries a migration pass needs to touch.
 
     ``dirty`` is the un-confirmation channel: a client whose
     dual-ownership write could not reach one of the entry's replicas
@@ -182,9 +175,6 @@ class RingTransition:
 
     target: "ShardRouter"
     epoch: int
-    added: tuple[str, ...] = ()
-    removed: tuple[str, ...] = ()
-    reweighted: tuple[tuple[str, float], ...] = ()
     partitions: frozenset[int] | None = None
     dirty: set[str] = field(default_factory=set)
 
@@ -223,12 +213,11 @@ class _Loads:
 
 
 class ShardRouter:
-    """A weighted consistent-hash ring over named shard hosts."""
+    """A consistent-hash ring over named shard hosts."""
 
     def __init__(self, nodes: Iterable[str],
                  replicas: int = DEFAULT_RING_REPLICAS,
-                 partition_power: int = DEFAULT_PARTITION_POWER,
-                 weights: Mapping[str, float] | None = None) -> None:
+                 partition_power: int = DEFAULT_PARTITION_POWER) -> None:
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         if not 1 <= partition_power <= 16:
@@ -238,9 +227,9 @@ class ShardRouter:
         self.partition_power = partition_power
         self.epoch = 0
         # The fencing token: advances on *every* observable routing
-        # change (membership mutation, weight change, transition staged
-        # / cleared), so a captured RingView's epoch matches the live
-        # router's only while routing by that view is still correct.
+        # change (membership mutation, transition staged / cleared), so
+        # a captured RingView's epoch matches the live router's only
+        # while routing by that view is still correct.
         # Monotonic for the router's lifetime -- unlike ``epoch`` it is
         # never reset, so a snapshot can never collide with a later
         # state.
@@ -251,41 +240,29 @@ class ShardRouter:
         self._transition: RingTransition | None = None
         self._view: RingView | None = None
         self._nodes: list[str] = []
-        self._weights: dict[str, float] = {}
         # Sorted (point, owner) pairs.  Keeping the owner inside the
         # sort key gives colliding points a deterministic order (by
         # owner name) instead of one that depends on insertion order.
         self._ring: list[tuple[int, str]] = []
         # Memoized preference-list walks, keyed (partition, n); flushed
-        # by every membership and weight mutation (a cloned ring gets a
-        # fresh memo).
+        # by every membership mutation (a cloned ring gets a fresh
+        # memo).
         self._plist_cache: dict[tuple[int, int], list[str]] = {}
         self._placements = _Placements()
         # Per-host loads by replica-set size; flushed with the memo.
         self._loads: dict[int, _Loads] = {}
-        boot_weights = dict(weights or {})
         for node in nodes:
-            self.add_node(node, weight=boot_weights.get(node, 1.0))
+            self.add_node(node)
         if not self._nodes:
             raise ValueError("a shard ring needs at least one node")
         self.epoch = 0  # boot membership is epoch 0; changes count from 1
 
-    # -- membership and weights ---------------------------------------------
+    # -- membership ---------------------------------------------------------
 
     @property
     def nodes(self) -> list[str]:
         """The shard hosts, in insertion order."""
         return list(self._nodes)
-
-    def weight_of(self, node: str) -> float:
-        if node not in self._weights:
-            raise ValueError(f"not a shard node: {node}")
-        return self._weights[node]
-
-    def _vnode_count(self, weight: float) -> int:
-        # Every host claims at least one point, however small its
-        # weight, so no live host can fall off the ring entirely.
-        return max(1, round(weight * self.replicas))
 
     @property
     def transition(self) -> RingTransition | None:
@@ -299,11 +276,6 @@ class ShardRouter:
         self._fence += 1
         self._view = None
 
-    def _insert_points(self, node: str, start: int, stop: int) -> None:
-        for index in range(start, stop):
-            entry = (_ring_hash(f"{node}#{index}"), node)
-            self._ring.insert(bisect.bisect_left(self._ring, entry), entry)
-
     def _touch(self) -> None:
         """Account one routing change: epoch, fence, and memo flush."""
         self.epoch += 1
@@ -312,17 +284,16 @@ class ShardRouter:
         self._plist_cache.clear()
         self._loads.clear()
 
-    def add_node(self, node: str, weight: float = 1.0) -> None:
-        """Claim ``round(weight * replicas)`` ring points for ``node``."""
+    def add_node(self, node: str) -> None:
+        """Claim ``replicas`` ring points for ``node``."""
         if node in self._nodes:
             raise ValueError(f"shard node already on the ring: {node}")
         if not node:
             raise ValueError("shard node names must be non-empty")
-        if weight <= 0:
-            raise ValueError(f"shard weight must be positive: {weight}")
         self._nodes.append(node)
-        self._weights[node] = weight
-        self._insert_points(node, 0, self._vnode_count(weight))
+        for index in range(self.replicas):
+            entry = (_ring_hash(f"{node}#{index}"), node)
+            self._ring.insert(bisect.bisect_left(self._ring, entry), entry)
         self._touch()
 
     def remove_node(self, node: str) -> None:
@@ -332,46 +303,15 @@ class ShardRouter:
         if len(self._nodes) == 1:
             raise ValueError("cannot remove the last shard node")
         self._nodes.remove(node)
-        del self._weights[node]
         self._ring = [(p, o) for p, o in self._ring if o != node]
-        self._touch()
-
-    def set_weight(self, node: str, weight: float) -> None:
-        """Change a host's weight, moving only the delta virtual nodes.
-
-        Growing a weight adds the host's *next* point indices; shrinking
-        removes its *highest* indices.  Points the host already held
-        never move, so only partitions whose walk crosses one of the
-        delta points can change owners -- the bounded-movement property
-        :meth:`movement_bound` quantifies.  Any weight change advances
-        the fence (and flushes the preference-list memo) even when the
-        rounded vnode count happens not to change, so observers can
-        rely on one rule: weight changed => epoch changed.
-        """
-        if node not in self._nodes:
-            raise ValueError(f"not a shard node: {node}")
-        if weight <= 0:
-            raise ValueError(f"shard weight must be positive: {weight}")
-        old = self._weights[node]
-        if weight == old:
-            return
-        old_count = self._vnode_count(old)
-        new_count = self._vnode_count(weight)
-        self._weights[node] = weight
-        if new_count > old_count:
-            self._insert_points(node, old_count, new_count)
-        else:
-            for index in range(new_count, old_count):
-                entry = (_ring_hash(f"{node}#{index}"), node)
-                del self._ring[bisect.bisect_left(self._ring, entry)]
         self._touch()
 
     def clone(self) -> "ShardRouter":
         """An independent copy of the membership.
 
-        Ring points are a pure function of the node names and weights,
-        so a clone routes identically until one side mutates; the
-        ReshardManager stages proposed rings this way.  The clone never
+        Ring points are a pure function of the node names, so a clone
+        routes identically until one side mutates; the ReshardManager
+        stages proposed rings this way.  The clone never
         carries a transition of its own.  The placement table is shared
         by reference: a key keeps its partition on every ring derived
         from this one, whichever of them placed it.
@@ -384,7 +324,6 @@ class ShardRouter:
         dup._transition = None
         dup._view = None
         dup._nodes = list(self._nodes)
-        dup._weights = dict(self._weights)
         dup._ring = list(self._ring)
         dup._plist_cache = {}
         dup._placements = self._placements
@@ -493,9 +432,8 @@ class ShardRouter:
     def partition_spread(self) -> dict[str, int]:
         """Partitions-per-host histogram (zeros included).
 
-        The ring-balance measure: with uniform weights every host
-        should own about ``partition_count / len(nodes)`` partitions;
-        with weights, shares proportional to weight.
+        The ring-balance measure: every host should own about
+        ``partition_count / len(nodes)`` partitions.
         """
         counts = {node: 0 for node in self._nodes}
         for partition in range(self.partition_count):
@@ -505,7 +443,7 @@ class ShardRouter:
     def moved_partitions(self, target: "ShardRouter", n: int) -> set[int]:
         """Partitions whose n-replica preference list differs vs ``target``.
 
-        The staged diff of two weighted rings: exactly the entries a
+        The staged diff of two rings: exactly the entries a
         migration must copy (or GC) when transitioning from ``self`` to
         ``target``.  Both rings must share a partition power.
         """
@@ -520,15 +458,18 @@ class ShardRouter:
     def movement_bound(self, target: "ShardRouter", n: int) -> int:
         """A deterministic a-priori cap on ``len(moved_partitions())``.
 
-        A partition's preference list can change only if one of the
-        vnode points added or removed by the change lands inside its
+        Adding or draining a host adds or removes exactly that host's
+        ``replicas`` points and moves no other, so the points that
+        differ between the rings are the symmetric difference of their
+        (point, owner) multisets.  A partition's preference list can
+        change only if one of those ``d`` delta points lands inside its
         distinct-host walk.  A walk for ``n`` hosts spans about ``n``
-        of the ring's ``v`` gaps, so with ``d`` delta points the moved
-        fraction is about ``1 - (1 - n/v)**d``; the bound doubles the
-        walk span for headroom (consecutive same-owner points stretch
-        a walk past ``n`` gaps).  With md5's fixed placement this holds
-        for every change the test suite and benchmarks stage; it is a
-        prediction *cap*, not an exact count -- compare with
+        of the ring's ``v`` gaps, so the moved fraction is about
+        ``1 - (1 - n/v)**d``; the bound doubles the walk span for
+        headroom (consecutive same-owner points stretch a walk past
+        ``n`` gaps).  With md5's fixed placement this holds for every
+        change the test suite and benchmarks stage; it is a prediction
+        *cap*, not an exact count -- compare with
         :meth:`moved_partitions` for the latter.
         """
         if target.partition_power != self.partition_power:
@@ -551,13 +492,13 @@ class ShardRouter:
         """Give a key being defined its partition, and return it.
 
         The replica set is the least loaded one: the primary is the
-        host with the fewest entries as primary per unit of weight (then
-        as a replica), the other ``n - 1`` the hosts with the fewest
-        entries as a replica per unit of weight, remaining ties to the
-        host that joined the ring first.  The key takes the nearest
-        partition clockwise of its hash partition whose preference list
-        is exactly that tuple; when no partition has it, the best tuple
-        the ring does have, by (primary load, heaviest replica's load).
+        host with the fewest entries as primary (then as a replica),
+        the other ``n - 1`` the hosts with the fewest entries as a
+        replica, remaining ties to the host that joined the ring
+        first.  The key takes the nearest partition clockwise of its
+        hash partition whose preference list is exactly that tuple;
+        when no partition has it, the best tuple the ring does have, by
+        (primary load, heaviest replica's load).
         That costs O(hosts x n) per key: partitions are walked once per
         ring epoch, to derive the loads and index the tuples, never per
         key.  A key placed before keeps its partition.
@@ -568,21 +509,19 @@ class ShardRouter:
             return self.partition_of(text)
         n = min(n, len(self._nodes))
         loads = self._loads.get(n) or self._loads_for(n)
-        weights, as_primary, as_replica = (self._weights, loads.primary,
-                                           loads.replica)
+        as_primary, as_replica = loads.primary, loads.replica
         # ``min`` and ``sorted`` keep the first of equals: ring order.
         primary = min(self._nodes, key=lambda node: (
-            as_primary[node] / weights[node], as_replica[node] / weights[node]))
-        others = sorted(self._nodes,
-                        key=lambda node: as_replica[node] / weights[node])
+            as_primary[node], as_replica[node]))
+        others = sorted(self._nodes, key=as_replica.__getitem__)
         others.remove(primary)
         owners = (primary, *others[:n - 1])
         partitions = loads.choices.get(owners)
         if partitions is None:
             rank = {node: index for index, node in enumerate(self._nodes)}
             owners = min(loads.choices, key=lambda choice: (
-                as_primary[choice[0]] / weights[choice[0]],
-                max(as_replica[node] / weights[node] for node in choice),
+                as_primary[choice[0]],
+                max(as_replica[node] for node in choice),
                 [rank[node] for node in choice]))
             partitions = loads.choices[owners]
         home = self.partition_of(text)  # not placed yet: its hash partition

@@ -104,9 +104,11 @@ class ShardedGroupViewDbClient:
         if coherence_node is not None and cache is not None:
             self.coherence = CoherenceClient(coherence_node, self.io, cache,
                                              metrics=metrics)
-        # Every get_binding is timed on the agent's scheduler into the
-        # ``naming.get_server_latency`` histogram -- the read-latency
-        # series benchmarks pull p50/p95/p99 from.
+        # Every bind's lookup (``get_binding``, ``get_binding_with_uses``)
+        # is timed on the agent's scheduler into the
+        # ``naming.get_server_latency`` histogram, failed ones too -- the
+        # read-latency series benchmarks pull p50/p95/p99 from and the
+        # autoscaler's p95 trigger reads.
         self._scheduler = rpc.scheduler
         self._latency = self.io.metrics.histogram("naming.get_server_latency")
         # Whom a db's janitor asks about the locks a bind's ``St`` read
@@ -231,17 +233,18 @@ class ShardedGroupViewDbClient:
         authoritative walk (``Sv`` locked under ``action``, ``St``
         under ``view_action``)."""
         started = self._scheduler.now
-        entry = None
-        if self.cache is not None:
-            entry = yield from self._leased_read(uid)
-        if entry is not None:
-            binding = list(entry.hosts), list(entry.view)
-        else:
-            binding = yield from self.io.read(
+        try:
+            entry = None
+            if self.cache is not None:
+                entry = yield from self._leased_read(uid)
+            if entry is not None:
+                return list(entry.hosts), list(entry.view)
+            return (yield from self.io.read(
                 action, uid, "get_binding", str(uid),
-                self._outcomes.path(view_action))
-        self._latency.observe(self._scheduler.now - started)
-        return binding
+                self._outcomes.path(view_action)))
+        finally:
+            # A lookup that failed waited too: the p95 trigger must see it.
+            self._latency.observe(self._scheduler.now - started)
 
     def get_binding_with_uses(
             self, action: AtomicAction, uid: Uid, view_action: AtomicAction,
@@ -250,10 +253,13 @@ class ShardedGroupViewDbClient:
         never the leased plane: this is a write-intent read, ``Sv``
         INCREMENT-locked under ``action`` and ``St`` read-locked under
         ``view_action``, the answering replica enlisted for both."""
-        return (yield from self.io.read(action, uid, "get_binding_with_uses",
-                                        str(uid),
-                                        self._outcomes.path(view_action),
-                                        view_action=view_action))
+        started = self._scheduler.now
+        try:
+            return (yield from self.io.read(
+                action, uid, "get_binding_with_uses", str(uid),
+                self._outcomes.path(view_action), view_action=view_action))
+        finally:
+            self._latency.observe(self._scheduler.now - started)
 
     def insert(self, action: AtomicAction, uid: Uid,
                host: str) -> Generator[Any, Any, None]:

@@ -70,6 +70,13 @@ class Process(Future):
             self._sleep_event.cancel()
             self._sleep_event = None
         self._waiting_on = None
+        if self._body.gi_running:
+            # Killed from inside its own step (its body crashed its own
+            # node): a running generator cannot be thrown into, so the
+            # process ends killed here; the body runs on to its next
+            # yield, whose wake-up finds the process done.
+            self.try_fail(ProcessKilled(reason))
+            return
         self._step_throw(ProcessKilled(reason))
 
     # -- stepping machinery -------------------------------------------------

@@ -291,6 +291,12 @@ def execute(scenario: Scenario, **overrides: Any) -> dict[str, Any]:
     row.update(scenario.counters(run))
     # Last: it runs the clock on, past several janitor rounds.
     row.update(LockQuiescenceAudit().audit(run))
+    # A daemon that died fails the run, naming every one.
+    deaths = system.process_deaths
+    if deaths:
+        raise RuntimeError(f"{scenario.name}: node processes died: "
+                           + "; ".join(f"{name}: {error!r}"
+                                       for name, error in deaths))
     return row
 
 

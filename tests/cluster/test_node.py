@@ -4,7 +4,7 @@ import pytest
 
 from repro.net import FixedLatency, Network
 from repro.cluster import Node
-from repro.sim import Scheduler, Timeout
+from repro.sim import ProcessKilled, Scheduler, Timeout
 from repro.storage import StoreUnavailable
 
 
@@ -45,6 +45,42 @@ def test_crash_kills_node_processes():
     s.schedule(2.5, node.crash)
     s.run(until=10.0)
     assert all(t < 2.5 for t in progress)
+
+
+def test_a_node_process_that_raises_is_recorded_and_a_killed_one_is_not():
+    """A daemon's death fails only its own future, which nobody waits
+    on: the node keeps it for the run to report."""
+    s, net, node = make_node()
+    error = RuntimeError("daemon bug")
+
+    def broken():
+        yield Timeout(1.0)
+        raise error
+
+    def sleeper():
+        yield Timeout(10.0)
+
+    node.spawn(broken(), name="broken")
+    node.spawn(sleeper(), name="sleeper")
+    s.schedule(2.0, node.crash)
+    s.run(until=5.0)
+    assert node.deaths == [("n:broken", error)]
+
+
+def test_a_process_that_crashes_its_own_node_ends_killed():
+    """The client-crash scenario's transaction crashes its own node
+    mid-step: that is a kill, not a death."""
+    s, net, node = make_node()
+
+    def suicidal():
+        yield Timeout(1.0)
+        node.crash()
+        yield Timeout(1.0)
+
+    process = node.spawn(suicidal(), name="txn")
+    s.run(until=5.0)
+    assert isinstance(process.exception(), ProcessKilled)
+    assert node.deaths == []
 
 
 def test_crash_clears_rpc_services_recover_reruns_boot_hooks():

@@ -262,6 +262,7 @@ def test_a_parked_invoke_is_refused_at_half_the_rpc_timeout():
     assert isinstance(parked.exception(), LockRefused)
     locks = host._server(uids[0]).locks
     assert not locks.waiters() and locks.refusals == 1
+    assert host._node.deaths == []  # a refusal is a reply, not a death
     host.abort((3,))
     assert host.invoke((1,), uids[0], "get", ()) == 10  # nothing ran
 
@@ -287,6 +288,7 @@ def test_a_crash_ends_a_parked_invoke_with_the_node():
     parked, _ = _park_writer(host, uids[0])
     host._node.crash()
     assert isinstance(parked.exception(), ProcessKilled)
+    assert host._node.deaths == []
 
 
 def test_the_multicast_path_never_parks():

@@ -154,44 +154,3 @@ def test_a_plane_is_the_one_latency_model_and_its_own_service_queue():
     assert done == {"sync-1": pytest.approx(0.12),
                     "sync-2": pytest.approx(0.22),
                     "client": pytest.approx(1.02)}
-
-
-def test_weight_only_rebalance_moves_entries_and_loses_nothing():
-    system, (client,), uids = build(shards=3, objects=12,
-                                    nameserver_replication=2)
-    for uid in uids:
-        assert system.run_transaction(client, add_work(uid, 1)).committed
-
-    process = system.plan_rebalance(weights={"namenode1": 3.0})
-    outcome = system.run_until(process, timeout=120.0)
-
-    assert system.shard_router.weight_of("namenode1") == 3.0
-    assert outcome["reweighted"] == {"namenode1": 3.0}
-    assert outcome["partitions_moved"] > 0
-    assert outcome["partitions_moved"] <= outcome["movement_bound"]
-    assert system.shard_router.transition is None
-    for uid in uids:  # every binding survived the weight shuffle
-        owners = set(system.shard_router.preference_list(uid, 2))
-        for shard, db in system.db.shards.items():
-            assert db.knows(str(uid)) == (shard in owners)
-        result = system.run_transaction(client, get_work(uid))
-        assert result.committed and result.value == 1
-
-
-def test_add_shard_host_with_weight_takes_a_larger_share():
-    system, (client,), uids = build(shards=2, objects=8,
-                                    nameserver_replication=2)
-    for uid in uids:
-        assert system.run_transaction(client, add_work(uid, 1)).committed
-
-    process = system.add_shard_host(weight=2.0)
-    system.run_until(process, timeout=120.0)
-
-    assert system.shard_router.weight_of("namenode2") == 2.0
-    spread = system.shard_router.partition_spread()
-    # Weight 2.0 against two weight-1.0 peers: the newcomer should own
-    # the largest share (~half the partitions).
-    assert spread["namenode2"] == max(spread.values())
-    for uid in uids:
-        result = system.run_transaction(client, get_work(uid))
-        assert result.committed and result.value == 1

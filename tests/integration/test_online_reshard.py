@@ -374,6 +374,40 @@ def test_autoscaler_grows_the_ring_under_load():
     assert_placement_matches_ring(system, uids)
 
 
+def test_lookups_that_fail_still_feed_the_p95_trigger():
+    """A 2-ring gone gray on both hosts under the default latency-derived
+    ``rpc_timeout``: every lookup of the window waits out an
+    ``RpcTimeout``, and each wait is still one latency sample -- the
+    trigger must see the ring it exists for."""
+    from repro import FaultPlan
+
+    system, (client,), uids = build(shards=2, objects=8,
+                                    nameserver_replication=2)
+    latency = system.metrics.histogram("naming.get_server_latency")
+    start = system.scheduler.now
+    plan = FaultPlan()
+    for host in system.shard_hosts:
+        plan.gray(start + 1.0, start + 8.0, host, factor=10.0)
+    system.install_fault_plan(plan)
+    system.run(until=start + 1.0)
+    before = latency.count
+    results = [system.run_transaction(client, add_work(uid, 1))
+               for uid in uids]
+    assert {result.reason for result in results} == {"rpc:RpcTimeout"}
+    assert latency.count - before == len(results)
+    assert min(latency.values[before:]) >= client.node.rpc.default_timeout
+
+
+def test_an_independent_scheme_bind_is_one_latency_sample():
+    system, (client,), [uid] = build(shards=2, objects=1,
+                                     nameserver_replication=2,
+                                     scheme="independent")
+    latency = system.metrics.histogram("naming.get_server_latency")
+    before = latency.count
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+    assert latency.count == before + 1
+
+
 def test_plan_rebalance_moves_two_hosts_in_one_epoch():
     """The multi-host plan: 2->4 in a single staged transition, one
     copy pipeline, one atomic flip -- not one epoch per host."""

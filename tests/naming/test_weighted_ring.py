@@ -1,9 +1,10 @@
-"""Unit tests for the weighted virtual-node + fixed-partition ring.
+"""Unit tests for the virtual-node + fixed-partition ring.
 
 Three ring properties the naming layer leans on, checked directly:
-determinism (weights included), balance (partition shares track
-weights across partition powers), and stability (a weight change moves
-no more partitions than :meth:`ShardRouter.movement_bound` predicts).
+determinism (a ring is a function of its host names, replica count and
+partition power), balance (partition shares stay near-even across
+partition powers), and stability (a host add or drain moves no more
+partitions than :meth:`ShardRouter.movement_bound` predicts).
 """
 
 import pytest
@@ -14,10 +15,13 @@ from repro.naming.shard_router import ShardRouter
 HOSTS = [f"host{i}" for i in range(8)]
 
 
-def test_weighted_rings_are_deterministic():
-    weights = {"host0": 2.0, "host3": 0.5}
-    a = ShardRouter(HOSTS, weights=weights)
-    b = ShardRouter(HOSTS, weights=dict(weights))
+def test_rings_are_deterministic():
+    """Same names, same ring -- also when one ring reached its
+    membership by an add and a drain instead of at boot."""
+    a = ShardRouter(HOSTS)
+    b = ShardRouter(HOSTS[:7] + ["host9"])
+    b.add_node("host7")
+    b.remove_node("host9")
     assert a._ring == b._ring
     for partition in range(a.partition_count):
         assert (a.partition_preference(partition, 3)
@@ -36,21 +40,6 @@ def test_routing_resolves_key_to_partition_to_owner():
         assert len(set(plist)) == len(plist) == 3
 
 
-def test_vnode_count_scales_with_weight():
-    router = ShardRouter(["a", "b"], replicas=32,
-                         weights={"a": 2.0, "b": 1.0})
-    points = {"a": 0, "b": 0}
-    for _point, owner in router._ring:
-        points[owner] += 1
-    assert points == {"a": 64, "b": 32}
-
-
-def test_minimum_one_vnode_however_small_the_weight():
-    router = ShardRouter(["a", "b"], replicas=8,
-                         weights={"a": 1e-9, "b": 1.0})
-    assert any(owner == "a" for _point, owner in router._ring)
-
-
 @pytest.mark.parametrize("power", [6, 8, 10])
 def test_equal_weights_balance_partitions(power):
     router = ShardRouter(HOSTS, partition_power=power, replicas=64)
@@ -63,23 +52,19 @@ def test_equal_weights_balance_partitions(power):
     assert min(spread.values()) > 0
 
 
-def test_heavier_hosts_own_proportionally_more_partitions():
-    router = ShardRouter(["small", "big"], partition_power=10, replicas=128,
-                         weights={"small": 1.0, "big": 3.0})
-    spread = router.partition_spread()
-    share = spread["big"] / router.partition_count
-    assert 0.6 <= share <= 0.9  # ~0.75 expected at weight ratio 3:1
-
-
-def test_weight_change_moves_bounded_partitions():
+@pytest.mark.parametrize("change", ["add", "drain"])
+def test_host_add_or_drain_moves_bounded_partitions(change):
     router = ShardRouter(HOSTS, partition_power=10, replicas=64)
     target = router.clone()
-    target.set_weight("host2", 1.25)
+    if change == "add":
+        target.add_node("host8")
+    else:
+        target.remove_node("host2")
     moved = router.moved_partitions(target, 2)
     bound = router.movement_bound(target, 2)
-    assert len(moved) <= bound
-    # A 25% weight bump on one of eight hosts must not reshuffle the
-    # ring wholesale.
+    assert 0 < len(moved) <= bound
+    # One host joining or leaving a ring of eight must not reshuffle
+    # the ring wholesale.
     assert bound < router.partition_count
     assert len(moved) < router.partition_count // 2
 
@@ -97,15 +82,20 @@ def test_moved_partitions_is_the_exact_preference_diff():
 
 
 def test_unchanged_rings_move_nothing():
+    """Also a host added and drained again: the ring is as it was."""
     router = ShardRouter(HOSTS[:4])
     target = router.clone()
+    assert router.moved_partitions(target, 3) == set()
+    assert router.movement_bound(target, 3) == 0
+    target.add_node("host9")
+    target.remove_node("host9")
     assert router.moved_partitions(target, 3) == set()
     assert router.movement_bound(target, 3) == 0
 
 
 def test_partition_power_mismatch_rejected():
     a = ShardRouter(["x", "y"], partition_power=8)
-    b = ShardRouter(["x", "y"], partition_power=9)
+    b = ShardRouter(["x", "y", "z"], partition_power=9)
     with pytest.raises(ValueError):
         a.moved_partitions(b, 2)
     with pytest.raises(ValueError):
@@ -116,64 +106,16 @@ def test_partition_power_mismatch_rejected():
         ShardRouter(["x"], partition_power=17)
 
 
-def test_set_weight_flushes_memo_and_bumps_fence():
-    router = ShardRouter(HOSTS[:4], partition_power=6)
-    before = router.preference_list("sys:1", 2)
-    assert router._plist_cache  # the walk memoized
-    fence = router.fence_epoch
-    epoch = router.epoch
-    router.set_weight("host1", 4.0)
-    assert router._plist_cache == {}
-    assert router.fence_epoch > fence
-    assert router.epoch > epoch
-    after = router.preference_list("sys:1", 2)
-    assert len(set(after)) == 2  # still a valid distinct-host walk
-    assert before == ShardRouter(HOSTS[:4], partition_power=6
-                                 ).preference_list("sys:1", 2)
-
-
-def test_tiny_weight_change_without_vnode_delta_still_fences():
-    router = ShardRouter(HOSTS[:4], replicas=4)
-    fence = router.fence_epoch
-    # 4 vnodes at weight 1.0 and at 1.05 round to the same count, but
-    # observers still get the one rule: weight changed => epoch moved.
-    router.set_weight("host0", 1.05)
-    assert router.fence_epoch > fence
-    assert router.weight_of("host0") == 1.05
-    fence = router.fence_epoch
-    router.set_weight("host0", 1.05)  # true no-op: same value
-    assert router.fence_epoch == fence
-
-
-def test_invalid_weights_rejected():
-    router = ShardRouter(["a", "b"])
-    with pytest.raises(ValueError):
-        router.set_weight("a", 0.0)
-    with pytest.raises(ValueError):
-        router.set_weight("ghost", 1.0)
-    with pytest.raises(ValueError):
-        router.add_node("c", weight=-1.0)
-    with pytest.raises(ValueError):
-        ShardRouter(["a"], weights={"a": 0.0})
-
-
-def test_clone_carries_weights_and_partition_power():
-    router = ShardRouter(HOSTS[:3], partition_power=9,
-                         weights={"host1": 2.0})
+def test_clone_carries_membership_and_partition_power():
+    router = ShardRouter(HOSTS[:3], partition_power=9)
     dup = router.clone()
     assert dup.partition_power == 9
-    assert dup._weights == router._weights
+    assert dup.nodes == router.nodes
     assert dup._ring == router._ring
-    dup.set_weight("host1", 1.0)
-    assert router.weight_of("host1") == 2.0  # no shared state
-
-
-def test_remove_node_drops_its_weight():
-    router = ShardRouter(["a", "b"], weights={"b": 2.0})
-    router.remove_node("b")
-    assert "b" not in router._weights
-    with pytest.raises(ValueError):
-        router.weight_of("b")
+    dup.add_node("host3")
+    dup.remove_node("host1")
+    assert router.nodes == HOSTS[:3]  # no shared state
+    assert router._ring == ShardRouter(HOSTS[:3], partition_power=9)._ring
 
 
 def test_ring_hash_memo_is_bounded():

@@ -143,6 +143,22 @@ def test_swallowing_kill_still_terminates():
     assert p.done and p.failed
 
 
+def test_a_process_killed_from_its_own_step_ends_killed():
+    """A running generator cannot be thrown into; the kill still ends
+    the process with ProcessKilled, not the kernel's ValueError."""
+    s = Scheduler()
+    holder = []
+
+    def body():
+        yield 0.5
+        holder[0].kill("itself")
+        yield 0.5
+
+    holder.append(s.spawn(body()))
+    s.run()
+    assert isinstance(holder[0].exception(), ProcessKilled)
+
+
 def test_kill_terminated_process_is_noop():
     s = Scheduler()
 

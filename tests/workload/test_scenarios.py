@@ -29,6 +29,25 @@ def test_clean_names_every_violated_expectation():
         "resync_after_recovery = None (violated)"]
 
 
+def test_a_daemon_that_dies_fails_the_run(monkeypatch):
+    """This test's include guards die on purpose, one step in: a dead
+    daemon fails only its own future, so the run must raise and name
+    every one rather than report a row."""
+    from repro.cluster.recovery import RecoveryManager
+    from repro.sim import Timeout
+
+    def dying_guard(self):
+        yield Timeout(self.guard_interval)
+        raise AssertionError("guard bug")
+
+    monkeypatch.setattr(RecoveryManager, "_include_guard", dying_guard)
+    with pytest.raises(RuntimeError) as raised:
+        run("paper_recovery_include", commits_while_down=1)
+    message = str(raised.value)
+    assert message.startswith("paper_recovery_include: node processes died: ")
+    assert "st0:include-guard: AssertionError('guard bug')" in message
+
+
 # -- the CLI -----------------------------------------------------------------
 
 def test_list_prints_every_scenario(capsys):
